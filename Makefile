@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet lint test race test-race determinism fuzz-short bench bench-sim bench-serve bench-opt bench-smoke bench-opt-smoke profile-smoke serve-smoke tv-smoke fmt fmt-check
+.PHONY: check build vet lint test race test-race determinism fuzz-short bench bench-sim bench-opt bench-smoke bench-opt-smoke profile-smoke serve-smoke tv-smoke fmt fmt-check
 
 ## check: the full CI gate — formatting, vet, staticcheck, build,
 ## race-enabled tests, the serial-vs-parallel determinism suite, a short
@@ -64,13 +64,12 @@ fuzz-short:
 bench-smoke:
 	$(GO) test -run '^$$' -bench SweepCold -benchtime 1x ./internal/bench/
 
-## bench: the end-to-end suite benchmark behind the wall-clock claim
-## (cached vs uncached), plus a metrics-snapshot artifact of one suite
-## experiment for revision-over-revision diffing.
+## bench: the repository's benchmark (BENCHMARK.json, benchmark/README.md):
+## every workload once, every end-to-end metric printed by name, results
+## written to .bench_build/. `bash benchmark/run.sh diff old.json new.json`
+## compares two results files against the bounds.
 bench:
-	$(GO) test -run '^$$' -bench SuiteEndToEnd -benchtime 1x .
-	$(GO) run ./cmd/orion-bench -exp fig1 -scale 0.25 -metrics bench-metrics.json > /dev/null
-	@echo "wrote bench-metrics.json"
+	bash benchmark/run.sh
 
 ## bench-sim: the end-to-end suite benchmark measured once per execution
 ## backend, recorded as BENCH_sim.json (the artifact behind the compiled
@@ -92,14 +91,6 @@ bench-opt:
 ## runs, and realizes every kernel at every feasible level.
 bench-opt-smoke:
 	$(GO) test -run '^$$' -bench SweepColdOpt -benchtime 1x ./internal/bench/
-
-## bench-serve: the daemon load benchmark behind BENCH_serve.json — 64
-## concurrent clients issuing a mixed tune/compile/sweep/scrape workload
-## under the race detector, with byte-identity checks on every duplicated
-## response. Writes the latency distribution artifact.
-bench-serve:
-	ORION_BENCH_SERVE_OUT=$(CURDIR)/BENCH_serve.json $(GO) test -race -count=1 -run ConcurrentMixedLoad -v ./internal/serve/ | grep -E 'wrote|PASS|FAIL|ok '
-	@echo "wrote BENCH_serve.json"
 
 ## serve-smoke: start the real `orion serve` daemon in-process, tune a
 ## kernel over HTTP, and require the response to be byte-identical to

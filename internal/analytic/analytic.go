@@ -164,7 +164,7 @@ func Profile(p *isa.Program, sampleWarps int) (instsPerWarp, memInstsPerWarp flo
 				ev.Space != interp.SpaceShared {
 				mems++
 			}
-			if _, err := w.Step(); err != nil {
+			if err := w.Advance(); err != nil {
 				return 0, 0, err
 			}
 			if insts > 10_000_000 {

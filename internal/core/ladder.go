@@ -123,6 +123,11 @@ type Ladder struct {
 	// its output are deterministic, so each pair runs once per ladder.
 	optMu   sync.Mutex
 	optEnts map[optKey]*optEntry
+
+	// oracle is the differential reference for p: Compile verifies levels
+	// in parallel, and every one of them diffs against the same execution
+	// of the source.
+	oracle oracleRef
 }
 
 // optKey identifies one middle-end invocation: which function, at which
@@ -193,7 +198,7 @@ func (l *Ladder) RealizeCtx(targetWarps int, x obs.Ctx) (*Version, error) {
 		}
 	}
 	if err == nil && l.r.Verify {
-		if verr := l.r.verifyVersion(l.p, v, x); verr != nil {
+		if verr := l.r.verifyVersion(l.p, &l.oracle, v, x); verr != nil {
 			return nil, verr
 		}
 	}

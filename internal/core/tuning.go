@@ -95,6 +95,11 @@ type CompileResult struct {
 	// StaticChoice is set when the kernel cannot be tuned dynamically
 	// (canTune=false): the statically selected candidate.
 	StaticChoice *Candidate
+
+	// oracle is the differential reference for Original.Prog, against
+	// which the tuner verifies candidates it has not seen verified (those
+	// of a decoded multi-version binary).
+	oracle oracleRef
 }
 
 // Candidate pairs a compiled version with the occupancy level to run it

@@ -44,18 +44,42 @@ var verifyMemo sync.Map // *Version -> verifyOutcome
 
 type verifyOutcome struct{ err error }
 
+// oracleRef is the differential oracle's reference for one program, built
+// on first use and shared by every version checked against that program.
+// It belongs to whatever owns the program's realizations (a Ladder, a
+// CompileResult) and is freed with it. Sharing is sound because programs
+// are immutable after Validate and the reference depends on nothing but
+// the program and the oracle's fixed launch.
+type oracleRef struct {
+	once sync.Once
+	ref  *verify.Reference
+}
+
+// get returns the reference for orig, executing orig on the first call
+// only; concurrent first calls wait for that one execution.
+func (o *oracleRef) get(orig *isa.Program, x obs.Ctx) *verify.Reference {
+	o.once.Do(func() {
+		sp := x.Span("verify.reference", obs.String("kernel", orig.Name))
+		o.ref = verify.NewReference(orig, 0, 0)
+		sp.End()
+		x.Metrics().Counter("verify.reference_runs").Add(1)
+	})
+	return o.ref
+}
+
 // verifyVersion checks a realized version against the allocation verifier
 // and, when a distinct reference program is available, the differential
 // oracle. orig is the semantic reference — the pre-realization source in
-// the compile path, the original version's binary in the tuner path.
-func (r *Realizer) verifyVersion(orig *isa.Program, v *Version, x obs.Ctx) error {
+// the compile path, the original version's binary in the tuner path — and
+// ref its owner's shared oracle reference.
+func (r *Realizer) verifyVersion(orig *isa.Program, ref *oracleRef, v *Version, x obs.Ctx) error {
 	if v == nil {
 		return nil
 	}
 	if got, ok := verifyMemo.Load(v); ok {
 		return got.(verifyOutcome).err
 	}
-	err := r.verifyUncached(orig, v, x)
+	err := r.verifyUncached(orig, ref, v, x)
 	verifyMemo.Store(v, verifyOutcome{err})
 	return err
 }
@@ -63,7 +87,7 @@ func (r *Realizer) verifyVersion(orig *isa.Program, v *Version, x obs.Ctx) error
 // verifyUncached runs the static invariants, then the execution oracle,
 // and reports every violation as a structured "verify.violation" span plus
 // a verify.violations counter bump before folding them into a VerifyError.
-func (r *Realizer) verifyUncached(orig *isa.Program, v *Version, x obs.Ctx) error {
+func (r *Realizer) verifyUncached(orig *isa.Program, ref *oracleRef, v *Version, x obs.Ctx) error {
 	sp := x.Span("verify",
 		obs.String("kernel", v.Prog.Name),
 		obs.Int("target_warps", v.TargetWarps))
@@ -78,7 +102,11 @@ func (r *Realizer) verifyUncached(orig *isa.Program, v *Version, x obs.Ctx) erro
 	// not the binary itself (the decreasing direction runs the original
 	// version at padded levels — nothing to diff).
 	if len(vs) == 0 && orig != nil && orig != v.Prog {
-		vs = verify.Differential(orig, v.Prog, 0, 0)
+		reference := ref.get(orig, sp.Ctx())
+		dsp := sp.Ctx().Span("verify.differential")
+		vs = reference.Check(v.Prog)
+		dsp.End()
+		x.Metrics().Counter("verify.differential_runs").Add(1)
 	}
 	for _, viol := range vs {
 		vsp := sp.Ctx().Span("verify.violation",
@@ -108,9 +136,9 @@ func (r *Realizer) verifyCandidate(cr *CompileResult, cand *Candidate, x obs.Ctx
 	if !r.Verify || cand == nil {
 		return nil
 	}
-	var ref *isa.Program
+	var orig *isa.Program
 	if cr.Original != nil {
-		ref = cr.Original.Prog
+		orig = cr.Original.Prog
 	}
-	return r.verifyVersion(ref, cand.Version, x)
+	return r.verifyVersion(orig, &cr.oracle, cand.Version, x)
 }

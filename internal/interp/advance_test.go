@@ -1,0 +1,175 @@
+package interp
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"repro/internal/fuzzcorpus"
+	"repro/internal/isa"
+	"repro/internal/kernels"
+)
+
+// advanceMatchesStep runs every warp of a launch twice — once through
+// Step (Peek, then commit), once through the event-free Advance — and
+// requires the two executions to be indistinguishable: the same errors at
+// the same step, and identical register files, step counts, store
+// checksums and store counts when the warp stops. For warp-scalar programs
+// it also checks that the store sink delivers exactly the [addr, word...]
+// records a Peek/ReadAbsReg observer reconstructs.
+func advanceMatchesStep(t *testing.T, p *isa.Program, gridWarps int) {
+	t.Helper()
+	layout, err := NewLayout(p)
+	if err != nil {
+		t.Fatalf("NewLayout: %v", err)
+	}
+	if layout.RegHighWater > RegFileSize {
+		return
+	}
+	const limit = 200_000
+	lc := &Launch{Prog: p, GridWarps: gridWarps}
+	wpb := lc.WarpsPerBlock()
+	sharedWords := (p.SharedBytes + 3) / 4
+	var sharedStep, sharedAdv []uint32
+	for wi := 0; wi < gridWarps; wi++ {
+		if wi%wpb == 0 && sharedWords > 0 {
+			sharedStep = make([]uint32, sharedWords)
+			sharedAdv = make([]uint32, sharedWords)
+		}
+		if p.UsesLaneID() {
+			a, errA := NewSIMTWarp(lc, layout, wi, sharedStep)
+			b, errB := NewSIMTWarp(lc, layout, wi, sharedAdv)
+			if errA != nil || errB != nil {
+				return // SIMT mode cannot execute this program
+			}
+			for n := 0; n < limit && !a.Done(); n++ {
+				_, errA = a.Step()
+				errB = b.Advance()
+				if fmt.Sprint(errA) != fmt.Sprint(errB) {
+					t.Fatalf("%s warp %d step %d: Step error %v, Advance error %v", p.Name, wi, n, errA, errB)
+				}
+				if errA != nil {
+					break
+				}
+			}
+			if a.Done() != b.Done() || a.StepCount != b.StepCount || a.Cks != b.Cks || a.StoreCnt != b.StoreCnt {
+				t.Fatalf("%s warp %d: Step (done %v, %d, %#x, %d) vs Advance (done %v, %d, %#x, %d)", p.Name, wi,
+					a.Done(), a.StepCount, a.Cks, a.StoreCnt, b.Done(), b.StepCount, b.Cks, b.StoreCnt)
+			}
+			if !reflect.DeepEqual(a.regs, b.regs) || !reflect.DeepEqual(a.frags, b.frags) {
+				t.Fatalf("%s warp %d: lane registers or fragments differ after Advance", p.Name, wi)
+			}
+			continue
+		}
+		a := NewWarp(lc, layout, wi, sharedStep)
+		b := NewWarp(lc, layout, wi, sharedAdv)
+		var peeked, sunk []uint32
+		b.StoreSink = func(addr uint32, words []uint32) {
+			sunk = append(append(sunk, addr), words...)
+		}
+		for n := 0; n < limit && !a.Done(); n++ {
+			ev := a.Peek()
+			if ev.Kind == KindStore && ev.Space == SpaceGlobal {
+				peeked = append(peeked, ev.Addr)
+				for k := 0; k < ev.Instr.W(); k++ {
+					peeked = append(peeked, a.ReadAbsReg(ev.AbsSrc[1]+k))
+				}
+			}
+			_, errA := a.Step()
+			errB := b.Advance()
+			if fmt.Sprint(errA) != fmt.Sprint(errB) {
+				t.Fatalf("%s warp %d step %d: Step error %v, Advance error %v", p.Name, wi, n, errA, errB)
+			}
+			if errA != nil {
+				break
+			}
+		}
+		if a.Done() != b.Done() || a.Steps != b.Steps || a.Checksum != b.Checksum || a.StoreCnt != b.StoreCnt {
+			t.Fatalf("%s warp %d: Step (done %v, %d, %#x, %d) vs Advance (done %v, %d, %#x, %d)", p.Name, wi,
+				a.Done(), a.Steps, a.Checksum, a.StoreCnt, b.Done(), b.Steps, b.Checksum, b.StoreCnt)
+		}
+		if a.regs != b.regs {
+			t.Fatalf("%s warp %d: register files differ after Advance", p.Name, wi)
+		}
+		if !reflect.DeepEqual(peeked, sunk) {
+			t.Fatalf("%s warp %d: store sink saw %d words, Peek observer %d (or contents differ)",
+				p.Name, wi, len(sunk), len(peeked))
+		}
+	}
+}
+
+// TestAdvanceMatchesStep holds the event-free path to Step on the suite
+// kernels, the seeded defect kernels and both checked-in fuzz corpora.
+// The lane-aware and call/spill-heavy programs of compile_test.go go
+// through the same check from lockstepProg.
+func TestAdvanceMatchesStep(t *testing.T) {
+	ks, err := kernels.All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range ks {
+		advanceMatchesStep(t, k.Prog, 2*k.Prog.BlockDim/32)
+	}
+	ds, err := kernels.Defects()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range ds {
+		advanceMatchesStep(t, d.Prog, 2*d.Prog.BlockDim/32)
+	}
+	seen := 0
+	for _, dir := range []string{
+		"../isa/testdata/fuzz/FuzzDecode",
+		"../core/testdata/fuzz/FuzzRealize",
+	} {
+		inputs, err := fuzzcorpus.Read(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, in := range inputs {
+			p, err := isa.Decode(in.Data)
+			if err != nil || isa.Validate(p) != nil {
+				continue
+			}
+			seen++
+			advanceMatchesStep(t, p, max(2, 2*p.BlockDim/32))
+		}
+	}
+	t.Logf("%d suite kernels, %d defect kernels, %d corpus programs", len(ks), len(ds), seen)
+}
+
+// BenchmarkWarpStep measures the functional interpreter's instruction
+// rate on hotspot, one warp per iteration, through Step (an Event built
+// per instruction) and through the event-free Advance.
+func BenchmarkWarpStep(b *testing.B) {
+	k, err := kernels.ByName("hotspot")
+	if err != nil {
+		b.Fatal(err)
+	}
+	layout, err := NewLayout(k.Prog)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lc := &Launch{Prog: k.Prog, GridWarps: 1}
+	shared := make([]uint32, (k.Prog.SharedBytes+3)/4)
+	run := func(b *testing.B, step func(w *Warp) error) {
+		b.ReportAllocs()
+		instrs := 0
+		for i := 0; i < b.N; i++ {
+			w := NewWarp(lc, layout, 0, shared)
+			for !w.Done() {
+				if err := step(w); err != nil {
+					b.Fatal(err)
+				}
+			}
+			instrs += w.Steps
+		}
+		b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "Minstr/s")
+	}
+	b.Run("Step", func(b *testing.B) {
+		run(b, func(w *Warp) error { _, err := w.Step(); return err })
+	})
+	b.Run("Advance", func(b *testing.B) {
+		run(b, (*Warp).Advance)
+	})
+}

@@ -31,6 +31,7 @@ func lockstepProg(t *testing.T, p *isa.Program, gridWarps int) {
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
+	advanceMatchesStep(t, p, gridWarps)
 	lc := &Launch{Prog: p, GridWarps: gridWarps}
 	wpb := lc.WarpsPerBlock()
 	sharedWords := (p.SharedBytes + 3) / 4

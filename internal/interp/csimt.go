@@ -901,7 +901,7 @@ func compileSIMTOp(in *isa.Instr) func(*CSIMTWarp, *fragment) {
 	case isa.OpBar:
 		return func(w *CSIMTWarp, fr *fragment) {
 			if len(w.frags) != 1 {
-				w.err = fmt.Errorf("interp: BAR executed by a diverged warp")
+				w.err = ErrDivergedBarrier
 				return
 			}
 			w.adv(fr)

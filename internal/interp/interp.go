@@ -30,6 +30,10 @@ import (
 // (use it to catch accidental infinite loops in kernels under test).
 var ErrStepLimit = errors.New("interp: step limit exceeded")
 
+// ErrDivergedBarrier is the SIMT executors' fault when a warp whose lanes
+// have diverged reaches a BAR.
+var ErrDivergedBarrier = errors.New("interp: BAR executed by a diverged warp")
+
 // Space identifies the memory space touched by an instruction event.
 type Space uint8
 
@@ -295,6 +299,12 @@ type Warp struct {
 	Steps    int
 	Checksum uint64
 	StoreCnt int
+
+	// StoreSink, when set, receives every global store as it commits: the
+	// byte address and the W() words written (a view into the register
+	// file, valid only during the call). The differential oracle captures
+	// store streams through it instead of Peeking every instruction.
+	StoreSink func(addr uint32, words []uint32)
 }
 
 // NewWarp creates a warp executor. shared is the block's user shared-memory
@@ -421,8 +431,8 @@ func (w *Warp) reg(fr *frame, r isa.Reg) uint32 {
 
 // ReadAbsReg returns the value of an absolute register-file slot (as
 // resolved by Peek's AbsDst/AbsSrc fields). Out-of-range slots read as 0.
-// The differential oracle uses this to capture store operands before a
-// step commits.
+// An observer uses this to capture a Peeked instruction's operands before
+// the step commits.
 func (w *Warp) ReadAbsReg(i int) uint32 {
 	if i < 0 || i >= regFileSize {
 		return 0
@@ -437,8 +447,16 @@ func (w *Warp) setReg(fr *frame, r isa.Reg, v uint32) {
 // Step commits the current instruction. It returns the event executed.
 func (w *Warp) Step() (Event, error) {
 	ev := w.Peek()
+	return ev, w.Advance()
+}
+
+// Advance commits the current instruction without resolving it into an
+// Event: the functional half of Step, for callers that only need the
+// architectural effects (registers, memory, the store checksum). On a
+// finished warp it is a no-op.
+func (w *Warp) Advance() error {
 	if w.done {
-		return ev, nil
+		return nil
 	}
 	fr := &w.stack[len(w.stack)-1]
 	f := w.prog.Funcs[fr.fn]
@@ -533,20 +551,28 @@ func (w *Warp) Step() (Event, error) {
 	case isa.OpRdSp:
 		w.setReg(fr, in.Dst, w.readSpecial(in.Sp))
 	case isa.OpLdG:
+		addr := w.reg(fr, in.Src[0]) + uint32(in.Imm)
 		for i := 0; i < in.W(); i++ {
-			w.regs[fr.base+int(in.Dst)+i] = GlobalData(ev.Addr + uint32(4*i))
+			w.regs[fr.base+int(in.Dst)+i] = GlobalData(addr + uint32(4*i))
 		}
 	case isa.OpStG:
-		for i := 0; i < in.W(); i++ {
-			w.logStore(ev.Addr+uint32(4*i), w.regs[fr.base+int(in.Src[1])+i])
+		addr := w.reg(fr, in.Src[0]) + uint32(in.Imm)
+		words := w.regs[fr.base+int(in.Src[1]):][:in.W()]
+		for i, v := range words {
+			w.logStore(addr+uint32(4*i), v)
+		}
+		if w.StoreSink != nil {
+			w.StoreSink(addr, words)
 		}
 	case isa.OpLdS:
+		addr := w.reg(fr, in.Src[0]) + uint32(in.Imm)
 		for i := 0; i < in.W(); i++ {
-			w.regs[fr.base+int(in.Dst)+i] = w.sharedWord(ev.Addr + uint32(4*i))
+			w.regs[fr.base+int(in.Dst)+i] = w.sharedWord(addr + uint32(4*i))
 		}
 	case isa.OpStS:
+		addr := w.reg(fr, in.Src[0]) + uint32(in.Imm)
 		for i := 0; i < in.W(); i++ {
-			w.setSharedWord(ev.Addr+uint32(4*i), w.regs[fr.base+int(in.Src[1])+i])
+			w.setSharedWord(addr+uint32(4*i), w.regs[fr.base+int(in.Src[1])+i])
 		}
 	case isa.OpSpillSS:
 		for i := 0; i < in.W(); i++ {
@@ -581,7 +607,7 @@ func (w *Warp) Step() (Event, error) {
 		newBase := fr.base + bk
 		cf := w.prog.Funcs[callee]
 		if newBase+w.layout.frameSize[callee] > regFileSize {
-			return ev, fmt.Errorf("interp: register file overflow calling %s", cf.Name)
+			return fmt.Errorf("interp: register file overflow calling %s", cf.Name)
 		}
 		retDst := -1
 		if in.Dst != isa.RegNone {
@@ -624,12 +650,12 @@ func (w *Warp) Step() (Event, error) {
 		w.done = true
 		adv = false
 	default:
-		return ev, fmt.Errorf("interp: cannot execute %s", in.Op)
+		return fmt.Errorf("interp: cannot execute %s", in.Op)
 	}
 	if adv {
 		fr.pc++
 	}
-	return ev, nil
+	return nil
 }
 
 func (w *Warp) readSpecial(sp isa.Sp) uint32 {
@@ -787,7 +813,11 @@ func Run(lc *Launch, stepLimit int) (*Result, error) {
 				shared = nil
 			}
 		}
-		var w Executor
+		var w interface {
+			Advance() error
+			Done() bool
+			Result() (steps int, checksum uint64, stores int)
+		}
 		if simt {
 			sw, err := NewSIMTWarp(lc, layout, wi, shared)
 			if err != nil {
@@ -801,7 +831,7 @@ func Run(lc *Launch, stepLimit int) (*Result, error) {
 			if steps, _, _ := w.Result(); steps >= stepLimit {
 				return nil, fmt.Errorf("warp %d: %w", wi, ErrStepLimit)
 			}
-			if _, err := w.Step(); err != nil {
+			if err := w.Advance(); err != nil {
 				return nil, fmt.Errorf("warp %d: %w", wi, err)
 			}
 		}

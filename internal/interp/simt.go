@@ -242,11 +242,18 @@ func (w *SIMTWarp) Peek() Event {
 }
 
 // Step executes the min-pc fragment's next instruction across its active
-// lanes.
+// lanes and returns the event executed.
 func (w *SIMTWarp) Step() (Event, error) {
 	ev := w.Peek()
+	return ev, w.Advance()
+}
+
+// Advance is the functional half of Step: it commits the min-pc
+// fragment's next instruction without resolving it into an Event (no line
+// coalescing, no bank-conflict count). On a finished warp it is a no-op.
+func (w *SIMTWarp) Advance() error {
 	if w.Done() {
-		return ev, nil
+		return nil
 	}
 	fi := w.current()
 	fr := &w.frags[fi]
@@ -416,7 +423,7 @@ func (w *SIMTWarp) Step() (Event, error) {
 	case isa.OpBra:
 		fr.pc = int(in.Tgt)
 		w.mergeFragments()
-		return ev, nil
+		return nil
 	case isa.OpCbr:
 		var taken uint32
 		lanes(func(l int) {
@@ -437,22 +444,22 @@ func (w *SIMTWarp) Step() (Event, error) {
 			w.frags = append(w.frags, fragment{pc: int(in.Tgt), mask: taken})
 		}
 		w.mergeFragments()
-		return ev, nil
+		return nil
 	case isa.OpBar:
 		if len(w.frags) != 1 {
-			return ev, fmt.Errorf("interp: BAR executed by a diverged warp")
+			return ErrDivergedBarrier
 		}
 	case isa.OpExit:
 		w.frags = append(w.frags[:fi], w.frags[fi+1:]...)
-		return ev, nil
+		return nil
 	default:
-		return ev, fmt.Errorf("interp: SIMT mode cannot execute %s", in.Op)
+		return fmt.Errorf("interp: SIMT mode cannot execute %s", in.Op)
 	}
 	if adv {
 		fr.pc++
 		w.mergeFragments()
 	}
-	return ev, nil
+	return nil
 }
 
 // mergeFragments coalesces fragments that reached the same pc

@@ -2,12 +2,9 @@ package opt
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
-	"strconv"
-	"strings"
 	"testing"
 
+	"repro/internal/fuzzcorpus"
 	"repro/internal/interp"
 	"repro/internal/isa"
 	"repro/internal/kernels"
@@ -92,22 +89,18 @@ func TestOptFuzzCorpora(t *testing.T) {
 		"../isa/testdata/fuzz/FuzzDecode",
 		"../core/testdata/fuzz/FuzzRealize",
 	} {
-		entries, err := os.ReadDir(dir)
+		inputs, err := fuzzcorpus.Read(dir)
 		if err != nil {
-			t.Fatalf("reading corpus %s: %v", dir, err)
+			t.Fatal(err)
 		}
-		for _, e := range entries {
-			data, err := loadFuzzInput(filepath.Join(dir, e.Name()))
-			if err != nil {
-				t.Fatalf("corpus %s/%s: %v", dir, e.Name(), err)
-			}
-			p, err := isa.Decode(data)
+		for _, e := range inputs {
+			p, err := isa.Decode(e.Data)
 			if err != nil || isa.Validate(p) != nil || !optFuzzable(p) {
 				continue
 			}
 			seen++
 			for _, budget := range diffBudgets {
-				diffOne(t, e.Name(), p, budget, 0)
+				diffOne(t, e.Name, p, budget, 0)
 			}
 		}
 	}
@@ -130,25 +123,4 @@ func optFuzzable(p *isa.Program) bool {
 		total += len(f.Instrs)
 	}
 	return total <= 512
-}
-
-// loadFuzzInput parses one "go test fuzz v1" corpus file with a single
-// []byte argument.
-func loadFuzzInput(path string) ([]byte, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
-	if len(lines) < 2 || !strings.HasPrefix(lines[0], "go test fuzz") {
-		return nil, fmt.Errorf("not a fuzz corpus file")
-	}
-	body := strings.TrimSpace(lines[1])
-	body = strings.TrimPrefix(body, "[]byte(")
-	body = strings.TrimSuffix(body, ")")
-	s, err := strconv.Unquote(body)
-	if err != nil {
-		return nil, fmt.Errorf("unquoting corpus payload: %w", err)
-	}
-	return []byte(s), nil
 }

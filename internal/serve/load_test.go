@@ -3,25 +3,21 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"os"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestConcurrentMixedLoad is the daemon's load acceptance: 64 concurrent
 // clients issuing a mix of tune, compile, sweep, and scrape requests,
 // with zero failed and zero garbled responses (identical requests must
-// produce byte-identical bodies — run under -race). When
-// ORION_BENCH_SERVE_OUT is set, the measured latency distribution is
-// written there as BENCH_serve.json.
+// produce byte-identical bodies — run under -race). It measures nothing:
+// the daemon's latency numbers come from the benchmark's serve_mixed
+// workload.
 func TestConcurrentMixedLoad(t *testing.T) {
 	const (
 		concurrency = 64
@@ -33,7 +29,7 @@ func TestConcurrentMixedLoad(t *testing.T) {
 
 	// The mix: three tune shapes (two upload, one built-in), a compile, a
 	// sweep, and the scrape endpoints. POSTs carry the op name for
-	// latency bucketing and response-identity grouping.
+	// response-identity grouping.
 	type op struct {
 		name string
 		path string
@@ -50,7 +46,6 @@ func TestConcurrentMixedLoad(t *testing.T) {
 
 	type sample struct {
 		op   string
-		ms   float64
 		body []byte
 	}
 	results := make([][]sample, concurrency)
@@ -61,7 +56,6 @@ func TestConcurrentMixedLoad(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perClient; i++ {
 				o := ops[(c+i)%len(ops)]
-				start := time.Now()
 				var body []byte
 				var code int
 				if o.name == "scrape" {
@@ -76,11 +70,7 @@ func TestConcurrentMixedLoad(t *testing.T) {
 					t.Errorf("client %d %s: status %d: %s", c, o.name, code, body)
 					return
 				}
-				results[c] = append(results[c], sample{
-					op:   o.name,
-					ms:   float64(time.Since(start).Microseconds()) / 1e3,
-					body: body,
-				})
+				results[c] = append(results[c], sample{op: o.name, body: body})
 			}
 		}(c)
 	}
@@ -93,12 +83,10 @@ func TestConcurrentMixedLoad(t *testing.T) {
 	// (all four POST ops are deterministic), and tune responses must parse
 	// as canonical reports.
 	canonical := map[string][]byte{}
-	latencies := map[string][]float64{}
 	total := 0
 	for c := range results {
 		for _, smp := range results[c] {
 			total++
-			latencies[smp.op] = append(latencies[smp.op], smp.ms)
 			if smp.op == "scrape" {
 				continue
 			}
@@ -127,8 +115,6 @@ func TestConcurrentMixedLoad(t *testing.T) {
 	if st := s.flight.Stats(); st.Coalesced == 0 && s.metrics.Counter("serve.store_hits").Value() == 0 {
 		t.Error("no request was coalesced or served from cache under a fully duplicated load")
 	}
-
-	writeBench(t, concurrency, total, latencies)
 }
 
 func newLoadServer(t *testing.T, s *Server) string {
@@ -171,75 +157,4 @@ func getLoad(t *testing.T, url string) (int, []byte) {
 		return 0, nil
 	}
 	return resp.StatusCode, data
-}
-
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(q * float64(len(sorted)-1))
-	return sorted[idx]
-}
-
-// writeBench records the load test's latency distribution as the
-// BENCH_serve.json artifact when ORION_BENCH_SERVE_OUT names a path.
-func writeBench(t *testing.T, concurrency, total int, latencies map[string][]float64) {
-	out := os.Getenv("ORION_BENCH_SERVE_OUT")
-	if out == "" {
-		return
-	}
-	type opStats struct {
-		Requests int     `json:"requests"`
-		P50MS    float64 `json:"p50_ms"`
-		P99MS    float64 `json:"p99_ms"`
-		MaxMS    float64 `json:"max_ms"`
-	}
-	perOp := map[string]opStats{}
-	var all []float64
-	for op, ls := range latencies {
-		sort.Float64s(ls)
-		perOp[op] = opStats{
-			Requests: len(ls),
-			P50MS:    quantile(ls, 0.50),
-			P99MS:    quantile(ls, 0.99),
-			MaxMS:    ls[len(ls)-1],
-		}
-		all = append(all, ls...)
-	}
-	sort.Float64s(all)
-	bench := struct {
-		Benchmark   string             `json:"benchmark"`
-		Description string             `json:"description"`
-		Command     string             `json:"command"`
-		Concurrency int                `json:"concurrency"`
-		Requests    int                `json:"requests"`
-		Failures    int                `json:"failures"`
-		GOMAXPROCS  int                `json:"gomaxprocs"`
-		Race        bool               `json:"race"`
-		P50MS       float64            `json:"p50_ms"`
-		P99MS       float64            `json:"p99_ms"`
-		PerOp       map[string]opStats `json:"per_op"`
-		Notes       string             `json:"notes"`
-	}{
-		Benchmark:   "TestConcurrentMixedLoad",
-		Description: "orion serve under a 64-way concurrent mixed workload (tune uploads, a built-in tune, compile, sweep, metrics scrapes) against one warm-less daemon; latencies are whole-request client-side milliseconds.",
-		Command:     "make bench-serve",
-		Concurrency: concurrency,
-		Requests:    total,
-		Failures:    0,
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Race:        raceEnabled,
-		P50MS:       quantile(all, 0.50),
-		P99MS:       quantile(all, 0.99),
-		PerOp:       perOp,
-		Notes:       "All identical requests are coalesced into single pool tasks and duplicate responses are byte-compared, so the run doubles as a garble check: any nondeterminism under concurrency fails the test before latencies are reported.",
-	}
-	data, err := json.MarshalIndent(bench, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fmt.Printf("wrote %s (p50 %.1fms, p99 %.1fms over %d requests)\n", out, bench.P50MS, bench.P99MS, total)
 }

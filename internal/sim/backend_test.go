@@ -4,15 +4,11 @@
 package sim_test
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
-	"strconv"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/fuzzcorpus"
 	"repro/internal/interp"
 	"repro/internal/isa"
 	"repro/internal/kernels"
@@ -116,16 +112,12 @@ func TestCrossBackendFuzzCorpora(t *testing.T) {
 		"../isa/testdata/fuzz/FuzzDecode",
 		"../core/testdata/fuzz/FuzzRealize",
 	} {
-		entries, err := os.ReadDir(dir)
+		inputs, err := fuzzcorpus.Read(dir)
 		if err != nil {
-			t.Fatalf("reading corpus %s: %v", dir, err)
+			t.Fatal(err)
 		}
-		for _, e := range entries {
-			data, err := loadFuzzInput(filepath.Join(dir, e.Name()))
-			if err != nil {
-				t.Fatalf("corpus %s/%s: %v", dir, e.Name(), err)
-			}
-			p, err := isa.Decode(data)
+		for _, e := range inputs {
+			p, err := isa.Decode(e.Data)
 			if err != nil || isa.Validate(p) != nil {
 				continue
 			}
@@ -140,34 +132,13 @@ func TestCrossBackendFuzzCorpora(t *testing.T) {
 				lc.GridWarps = 1
 			}
 			if vs := verify.CrossBackend(cfg, lc); vs != nil {
-				t.Errorf("corpus input %s: %s", e.Name(), vs[0].Detail)
+				t.Errorf("corpus input %s: %s", e.Name, vs[0].Detail)
 			}
 		}
 	}
 	if seen == 0 {
 		t.Log("no corpus input decoded to a runnable program (corpus may be all-structural)")
 	}
-}
-
-// loadFuzzInput parses one "go test fuzz v1" corpus file with a single
-// []byte argument.
-func loadFuzzInput(path string) ([]byte, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
-	if len(lines) < 2 || !strings.HasPrefix(lines[0], "go test fuzz") {
-		return nil, fmt.Errorf("not a fuzz corpus file")
-	}
-	body := strings.TrimSpace(lines[1])
-	body = strings.TrimPrefix(body, "[]byte(")
-	body = strings.TrimSuffix(body, ")")
-	s, err := strconv.Unquote(body)
-	if err != nil {
-		return nil, fmt.Errorf("unquoting corpus payload: %w", err)
-	}
-	return []byte(s), nil
 }
 
 // TestSimBackendDeterminism pins the parallel-SM merge: the same launch,

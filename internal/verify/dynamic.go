@@ -3,7 +3,6 @@ package verify
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"repro/internal/interp"
 	"repro/internal/isa"
@@ -142,8 +141,8 @@ func simtBarrierOracle(p *isa.Program, lc *interp.Launch, layout *interp.Layout,
 			if steps >= stepLimit {
 				return nil, fmt.Errorf("verify: warp %d: %w", wi, interp.ErrStepLimit)
 			}
-			if _, err := w.Step(); err != nil {
-				if strings.Contains(err.Error(), "diverged warp") {
+			if err := w.Advance(); err != nil {
+				if errors.Is(err, interp.ErrDivergedBarrier) {
 					return []Violation{{
 						Invariant: "dyn-barrier-divergence",
 						Func:      p.Entry().Name,

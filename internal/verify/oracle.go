@@ -28,45 +28,94 @@ const defaultOracleSteps = 200_000
 // violation. Lane-dependent (SIMT) programs are compared by store count
 // and the order-sensitive store checksum, which covers the same
 // (address, value) word stream.
+//
+// Differential executes orig on every call. Callers that check several
+// realizations of one program build one Reference and Check each.
 func Differential(orig, realized *isa.Program, gridWarps, stepLimit int) []Violation {
-	if orig == nil || realized == nil {
+	return NewReference(orig, gridWarps, stepLimit).Check(realized)
+}
+
+// Reference is the original program's half of the differential oracle,
+// executed once: the per-warp global-store streams (or, for a lane-aware
+// original, the functional run's result), or the fact that the original
+// cannot run and the oracle abstains. It depends only on (orig, grid, step
+// limit) and is immutable once built, so one Reference serves every
+// realization of orig, from any number of goroutines.
+type Reference struct {
+	orig      *isa.Program
+	gridWarps int
+	stepLimit int
+
+	// Exactly one of streams/result is set when ok; neither otherwise.
+	ok      bool
+	streams [][]uint32     // warp-scalar original
+	result  *interp.Result // lane-aware original
+}
+
+// NewReference executes orig on the oracle's launch (gridWarps <= 0: two
+// blocks' worth of warps; stepLimit <= 0: defaultOracleSteps per warp) and
+// records what every realization will be compared against.
+func NewReference(orig *isa.Program, gridWarps, stepLimit int) *Reference {
+	r := &Reference{orig: orig, gridWarps: gridWarps, stepLimit: stepLimit}
+	if orig == nil {
+		return r
+	}
+	if r.stepLimit <= 0 {
+		r.stepLimit = defaultOracleSteps
+	}
+	if r.gridWarps <= 0 {
+		r.gridWarps = 2 * orig.BlockDim / 32
+		if r.gridWarps < 2 {
+			r.gridWarps = 2 // at least two blocks' worth of sub-warp blocks
+		}
+	}
+	var err error
+	if orig.UsesLaneID() {
+		r.result, err = interp.Run(&interp.Launch{Prog: orig, GridWarps: r.gridWarps}, r.stepLimit)
+	} else {
+		r.streams, err = storeStreams(orig, r.gridWarps, r.stepLimit)
+	}
+	r.ok = err == nil
+	return r
+}
+
+// Check executes realized on the reference's launch and reports how its
+// global stores differ from the original's; nil means identical, or that
+// the oracle abstains (the original cannot run, or realized only ran out
+// of steps). Check never modifies the reference.
+func (r *Reference) Check(realized *isa.Program) []Violation {
+	if r.orig == nil || realized == nil {
 		return []Violation{{Invariant: "differential", Detail: "missing program"}}
 	}
-	if stepLimit <= 0 {
-		stepLimit = defaultOracleSteps
-	}
-	if gridWarps <= 0 {
-		gridWarps = 2 * orig.BlockDim / 32
-		if gridWarps < 2 {
-			gridWarps = 2 // at least two blocks' worth of sub-warp blocks
-		}
-	}
-
-	if orig.UsesLaneID() || realized.UsesLaneID() {
-		return diffChecksum(orig, realized, gridWarps, stepLimit)
-	}
-
-	want, err := storeStreams(orig, gridWarps, stepLimit)
-	if err != nil {
+	if !r.ok {
 		return nil // no reference: the input program itself cannot run
 	}
-	got, err := storeStreams(realized, gridWarps, stepLimit)
-	if err != nil {
-		if errors.Is(err, interp.ErrStepLimit) {
-			// Realization adds spill/move instructions but never changes
-			// control flow; a budget the original just fit under proves
-			// nothing about the realized binary. Abstain.
-			return nil
-		}
-		return []Violation{{Invariant: "differential",
-			Detail: fmt.Sprintf("realized program failed to execute: %v", err)}}
+	if r.result != nil || realized.UsesLaneID() {
+		return r.checkChecksum(realized)
 	}
-	for wi := range want {
-		if v := diffStream(wi, want[wi], got[wi]); v != nil {
+	got, err := storeStreams(realized, r.gridWarps, r.stepLimit)
+	if err != nil {
+		return executionFailure(err)
+	}
+	for wi := range r.streams {
+		if v := diffStream(wi, r.streams[wi], got[wi]); v != nil {
 			return []Violation{*v}
 		}
 	}
 	return nil
+}
+
+// executionFailure classifies a realized program that did not run to
+// completion where the original did. Realization adds spill/move
+// instructions but never changes control flow, so a step budget the
+// original just fit under proves nothing about the realized binary: the
+// oracle abstains. Any other failure is a violation.
+func executionFailure(err error) []Violation {
+	if errors.Is(err, interp.ErrStepLimit) {
+		return nil
+	}
+	return []Violation{{Invariant: "differential",
+		Detail: fmt.Sprintf("realized program failed to execute: %v", err)}}
 }
 
 // diffStream compares one warp's store streams and describes the first
@@ -92,8 +141,8 @@ func diffStream(warp int, want, got []uint32) *Violation {
 }
 
 // storeStreams executes every warp of a launch and captures its global
-// store stream as flat [addr, word...] records, using Peek to resolve the
-// store operands before each step commits.
+// store stream as flat [addr, word...] records through the warp's store
+// sink; no instruction is resolved into an Event.
 func storeStreams(p *isa.Program, gridWarps, stepLimit int) ([][]uint32, error) {
 	if err := isa.Validate(p); err != nil {
 		return nil, err
@@ -116,41 +165,39 @@ func storeStreams(p *isa.Program, gridWarps, stepLimit int) ([][]uint32, error) 
 			shared = make([]uint32, sharedWords)
 		}
 		w := interp.NewWarp(lc, layout, wi, shared)
-		var stream []uint32
+		stream := &streams[wi]
+		w.StoreSink = func(addr uint32, words []uint32) {
+			*stream = append(append(*stream, addr), words...)
+		}
 		for steps := 0; !w.Done(); steps++ {
 			if steps >= stepLimit {
 				return nil, fmt.Errorf("verify: warp %d: %w", wi, interp.ErrStepLimit)
 			}
-			ev := w.Peek()
-			if ev.Kind == interp.KindStore && ev.Space == interp.SpaceGlobal {
-				stream = append(stream, ev.Addr)
-				for k := 0; k < ev.Instr.W(); k++ {
-					stream = append(stream, w.ReadAbsReg(ev.AbsSrc[1]+k))
-				}
-			}
-			if _, err := w.Step(); err != nil {
+			if err := w.Advance(); err != nil {
 				return nil, fmt.Errorf("verify: warp %d: %w", wi, err)
 			}
 		}
-		streams[wi] = stream
 	}
 	return streams, nil
 }
 
-// diffChecksum is the SIMT-mode oracle: per-program full runs compared by
-// store count and the order-sensitive (address, value) checksum.
-func diffChecksum(orig, realized *isa.Program, gridWarps, stepLimit int) []Violation {
-	want, err := interp.Run(&interp.Launch{Prog: orig, GridWarps: gridWarps}, stepLimit)
-	if err != nil {
-		return nil // no reference
-	}
-	got, err := interp.Run(&interp.Launch{Prog: realized, GridWarps: gridWarps}, stepLimit)
-	if err != nil {
-		if errors.Is(err, interp.ErrStepLimit) {
-			return nil // see storeStreams: overhead may cross the budget
+// checkChecksum is the SIMT-mode oracle: full functional runs compared by
+// store count and the order-sensitive (address, value) checksum. A
+// lane-aware realization of a warp-scalar original (which realization
+// never produces) has no stored result to compare with; the original is
+// run again for it.
+func (r *Reference) checkChecksum(realized *isa.Program) []Violation {
+	want := r.result
+	if want == nil {
+		var err error
+		want, err = interp.Run(&interp.Launch{Prog: r.orig, GridWarps: r.gridWarps}, r.stepLimit)
+		if err != nil {
+			return nil // no reference
 		}
-		return []Violation{{Invariant: "differential",
-			Detail: fmt.Sprintf("realized program failed to execute: %v", err)}}
+	}
+	got, err := interp.Run(&interp.Launch{Prog: realized, GridWarps: r.gridWarps}, r.stepLimit)
+	if err != nil {
+		return executionFailure(err)
 	}
 	if got.Stores != want.Stores {
 		return []Violation{{Invariant: "differential",

@@ -254,17 +254,7 @@ func TestDifferentialCatchesTampering(t *testing.T) {
 }
 
 func TestDifferentialCatchesTamperingSIMT(t *testing.T) {
-	src := `
-.kernel lanes
-.blockdim 32
-.func main
-  RDSP v0, LANEID
-  MOVI v1, 3
-  IADD v2, v0, v1
-  STG [v2], v2
-  EXIT
-`
-	orig := allocated(t, src)
+	orig := allocated(t, lanesSrc)
 	tampered := orig.Clone()
 	tampered.Funcs[0].Instrs[1].Imm = 4
 	vs := verify.Differential(orig, tampered, 0, 0)
@@ -274,13 +264,7 @@ func TestDifferentialCatchesTamperingSIMT(t *testing.T) {
 }
 
 func TestDifferentialAbstains(t *testing.T) {
-	loop := allocated(t, `
-.kernel spin
-.blockdim 32
-.func main
-L0:
-  BRA L0
-`)
+	loop := allocated(t, spinSrc)
 	good := allocated(t, cleanSrc)
 	// No reference: the original itself cannot finish.
 	if vs := verify.Differential(loop, good, 0, 1000); vs != nil {
