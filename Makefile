@@ -1,15 +1,16 @@
 GO ?= go
 
-.PHONY: check build vet lint test race test-race determinism fuzz-short bench bench-sim bench-opt bench-smoke bench-opt-smoke profile-smoke serve-smoke tv-smoke fmt fmt-check
+.PHONY: check build vet lint test race test-race determinism fuzz-short bench bench-quick bench-sim bench-smoke bench-opt-smoke profile-smoke serve-smoke tv-smoke fmt fmt-check
 
 ## check: the full CI gate — formatting, vet, staticcheck, build,
 ## race-enabled tests, the serial-vs-parallel determinism suite, a short
 ## fuzz pass over the binary decoder, the realization pipeline, the
 ## static analyzer, and the translation validator, a one-shot run of the
 ## cold-sweep benchmark so compile-path regressions fail loudly, the
-## strict-TV whole-suite sweep, and the end-to-end daemon smoke
-## (serve-vs-CLI byte identity plus graceful shutdown).
-check: fmt-check vet lint build test-race determinism fuzz-short bench-smoke bench-opt-smoke tv-smoke profile-smoke serve-smoke
+## benchmark module's vet and quick smoke, the strict-TV whole-suite
+## sweep, and the end-to-end daemon smoke (serve-vs-CLI byte identity plus
+## graceful shutdown).
+check: fmt-check vet lint build test-race determinism fuzz-short bench-smoke bench-opt-smoke bench-quick tv-smoke profile-smoke serve-smoke
 
 build:
 	$(GO) build ./...
@@ -71,6 +72,13 @@ bench-smoke:
 bench:
 	bash benchmark/run.sh
 
+## bench-quick: vet the benchmark module and run its quick smoke (every
+## workload untraced and traced at small sizes). benchmark/ is a nested
+## module that the root `go build ./...` and `go test ./...` never
+## compile, so this is where a break of the API it calls shows up.
+bench-quick:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
 ## bench-sim: the end-to-end suite benchmark measured once per execution
 ## backend, recorded as BENCH_sim.json (the artifact behind the compiled
 ## backend's speedup claim).
@@ -78,16 +86,8 @@ bench-sim:
 	ORION_BENCH_SIM_OUT=BENCH_sim.json $(GO) test -run WriteSimBench -timeout 2h .
 	@echo "wrote BENCH_sim.json"
 
-## bench-opt: the middle-end artifact behind BENCH_opt.json — the cold
-## occupancy sweep and the cached end-to-end suite timed with the
-## pressure-reducing pass pipeline off and on, plus per-kernel max-live
-## and spill outcomes on both devices.
-bench-opt:
-	ORION_BENCH_OPT_OUT=BENCH_opt.json $(GO) test -run WriteOptBench -timeout 2h .
-	@echo "wrote BENCH_opt.json"
-
 ## bench-opt-smoke: one iteration of the cold sweep with the middle end
-## on — not a measurement, just proof the pass pipeline still compiles,
+## on — not a measurement, just proof the scheduler path still compiles,
 ## runs, and realizes every kernel at every feasible level.
 bench-opt-smoke:
 	$(GO) test -run '^$$' -bench SweepColdOpt -benchtime 1x ./internal/bench/
@@ -99,9 +99,9 @@ serve-smoke:
 	$(GO) test -race -count=1 -run ServeSmoke ./cmd/orion/
 
 ## tv-smoke: every benchmark kernel at every feasible occupancy level on
-## both devices with the middle end on and translation validation
-## strict; fails on any rejection (a pass miscompiled) or abstention
-## (the validator lost precision on the real corpus).
+## both devices with the middle end on (translation validation is always
+## strict); fails on any rejection (the scheduler miscompiled) or
+## abstention (the validator lost precision on the real corpus).
 tv-smoke:
 	$(GO) test -count=1 -run TestTVSmoke .
 

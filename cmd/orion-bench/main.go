@@ -131,7 +131,6 @@ func run(args []string) error {
 	lintFlag := fs.String("lint", "strict", "static-analysis gate: strict (reject on errors), warn, or off")
 	simBackend := fs.String("sim-backend", "", "simulator execution backend: compiled (default) or interp")
 	optFlag := fs.Bool("opt", false, "run the pressure-reducing middle end before allocation and record per-kernel max-live deltas in -json")
-	tvFlag := fs.String("tv", "strict", "middle-end translation validation: strict, warn, or off; only meaningful with -opt")
 	jsonOut := fs.String("json", "", "write per-experiment wall-clock and row data to this JSON file")
 	profileKernel := fs.String("profile", "", "PC-profile every tuning candidate of this kernel (gtx680/sc) and record the deltas in -json")
 	traceOut := fs.String("trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) to this file")
@@ -178,11 +177,6 @@ func run(args []string) error {
 	s.Lint = lintMode
 	s.Backend = backend
 	s.Opt = *optFlag
-	tvMode, err := orion.ParseTVMode(*tvFlag)
-	if err != nil {
-		return err
-	}
-	s.TV = tvMode
 	if *progress {
 		s.Progress = os.Stderr
 	}
@@ -262,7 +256,7 @@ func run(args []string) error {
 		fmt.Println()
 	}
 	if *optFlag {
-		mls, err := maxLiveDeltas(*verify, lintMode, tvMode)
+		mls, err := maxLiveDeltas(*verify, lintMode)
 		if err != nil {
 			return fmt.Errorf("-opt max-live deltas: %w", err)
 		}
@@ -329,7 +323,7 @@ func run(args []string) error {
 // can reach, and records the call-chain max-live before vs after the
 // passes. Realizations hit the process-wide memo cache, so running this
 // after the experiment suite is nearly free.
-func maxLiveDeltas(verify bool, lintMode orion.LintMode, tvMode orion.TVMode) ([]jsonMaxLive, error) {
+func maxLiveDeltas(verify bool, lintMode orion.LintMode) ([]jsonMaxLive, error) {
 	ks, err := orion.Benchmarks()
 	if err != nil {
 		return nil, err
@@ -341,7 +335,6 @@ func maxLiveDeltas(verify bool, lintMode orion.LintMode, tvMode orion.TVMode) ([
 			r.Verify = verify
 			r.Lint = lintMode
 			r.Opt = true
-			r.TV = tvMode
 			lad := r.NewLadder(k.Prog)
 			levels := orion.OccupancyLevels(d, k.Prog.BlockDim)
 			found := false

@@ -113,8 +113,7 @@ func run(args []string, out io.Writer) error {
 	lintFlag := fs.String("lint", "strict", "static-analysis gate: strict (reject on errors), warn, or off")
 	realized := fs.Bool("realized", false, "for 'lint': also analyze every realized occupancy level")
 	simBackend := fs.String("sim-backend", "", "simulator execution backend: compiled (default) or interp")
-	optFlag := fs.Bool("opt", false, "run the pressure-reducing middle end (remat, live-range splitting, scheduling) before allocation")
-	tvFlag := fs.String("tv", "strict", "middle-end translation validation: strict (reject miscompiles, revert the pass), warn, or off; only meaningful with -opt")
+	optFlag := fs.Bool("opt", false, "run the pressure-reducing middle end (translation-validated pressure-aware scheduling) before allocation")
 	jsonOut := fs.String("json", "", "for 'profile'/'tune': write the report as JSON to this file (tune writes the canonical report, byte-identical to `orion serve`'s)")
 
 	if cmd == "list" {
@@ -175,11 +174,6 @@ func run(args []string, out io.Writer) error {
 	r.Verify = *verify
 	r.Lint = lintMode
 	r.Opt = *optFlag
-	tvMode, err := orion.ParseTVMode(*tvFlag)
-	if err != nil {
-		return err
-	}
-	r.TV = tvMode
 
 	dispatch := func() error {
 		switch cmd {

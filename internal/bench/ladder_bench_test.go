@@ -19,11 +19,11 @@ import (
 func BenchmarkSweepCold(b *testing.B) { sweepCold(b, false) }
 
 // BenchmarkSweepColdOpt is the same cold sweep with the pressure-reducing
-// middle end on: each realization additionally pays for rematerialization,
-// live-range splitting, and pressure-aware scheduling on every function
-// whose max-live exceeds the level's budget. The ratio against
-// BenchmarkSweepCold is the pass pipeline's compile-time overhead
-// (BENCH_opt.json records it).
+// middle end on: each ladder additionally pays for pressure-aware
+// scheduling and its translation validation, once per function whose
+// max-live exceeds some level's budget. The ratio against
+// BenchmarkSweepCold is the middle end's compile-time overhead (the
+// benchmark's compile_opt_cold over compile_cold is the recorded number).
 func BenchmarkSweepColdOpt(b *testing.B) { sweepCold(b, true) }
 
 func sweepCold(b *testing.B, opt bool) {

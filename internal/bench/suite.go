@@ -17,7 +17,6 @@ import (
 	"repro/internal/occupancy"
 	"repro/internal/par"
 	"repro/internal/sim"
-	"repro/internal/tv"
 )
 
 // Suite runs the paper's experiments. Scale < 1 shrinks the evaluation
@@ -43,16 +42,12 @@ type Suite struct {
 	// (the default) rejects kernels with error-severity findings, warn
 	// records them, off skips analysis. orion-bench exposes -lint.
 	Lint core.LintMode
-	// Opt runs the pressure-reducing middle end (rematerialization,
-	// live-range splitting, pressure-aware scheduling) ahead of the
-	// allocator in every realization the suite performs. Off by default so
-	// recorded tables match the paper's unoptimized compiler; orion-bench
+	// Opt runs the pressure-reducing middle end (the pressure-aware
+	// scheduler, every accepted schedule translation-validated) ahead of
+	// the allocator in every realization the suite performs. Off by default
+	// so recorded tables match the paper's unoptimized compiler; orion-bench
 	// exposes -opt.
 	Opt bool
-	// TV selects the middle end's translation-validation mode when Opt is
-	// on (strict by default from New; orion-bench exposes -tv). Ignored
-	// when Opt is off.
-	TV tv.Mode
 	// Backend selects the simulator execution backend for every launch
 	// the suite performs (zero = the process-wide default, normally the
 	// compiled backend). Launches happen behind core's memo caches, so it
@@ -67,7 +62,7 @@ func New(scale float64) *Suite {
 	if scale <= 0 {
 		scale = 1
 	}
-	return &Suite{Scale: scale, Verify: true, Lint: core.LintStrict, TV: tv.ModeStrict}
+	return &Suite{Scale: scale, Verify: true, Lint: core.LintStrict}
 }
 
 func (s *Suite) logf(format string, args ...interface{}) {
@@ -176,7 +171,6 @@ func (s *Suite) realizer(d *device.Device, cc device.CacheConfig) *core.Realizer
 	r.Verify = s.Verify
 	r.Lint = s.Lint
 	r.Opt = s.Opt
-	r.TV = s.TV
 	return r
 }
 

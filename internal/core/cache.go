@@ -7,7 +7,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/opt"
 	"repro/internal/sim"
-	"repro/internal/tv"
 )
 
 // realizeKey identifies one realization exactly: the program's content
@@ -25,14 +24,8 @@ type realizeKey struct {
 	moveMin     bool
 	// optFP is zero when the pressure-reducing middle end is off, else the
 	// pipeline's behavior fingerprint: cached artifacts built with the
-	// passes on are only reused while the same pipeline would run today.
+	// pass on are only reused while the same pipeline would run today.
 	optFP uint64
-	// tvMode is the translation-validation mode when the middle end is on
-	// (zero/off otherwise). The mode changes which pass applications the
-	// driver accepts — strict reverts rejections, off disables chain
-	// remat entirely — so versions built under different modes must not
-	// share a cache entry.
-	tvMode tv.Mode
 }
 
 // realizeCache memoizes Realize process-wide: the experiment suite builds
@@ -61,7 +54,6 @@ func (r *Realizer) cacheKey(p *isa.Program, targetWarps int) (realizeKey, bool) 
 	}
 	if r.Opt {
 		key.optFP = opt.Fingerprint
-		key.tvMode = r.TV
 	}
 	return key, true
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/interp"
 	"repro/internal/kernels"
 	"repro/internal/occupancy"
-	"repro/internal/tv"
 )
 
 // TestBaselineCompileShareRealization is the regression test for the
@@ -171,43 +170,5 @@ func TestRunCacheServesRepeatedLaunches(t *testing.T) {
 	}
 	if st3 == st1 {
 		t.Error("launches with different grids shared a cache entry")
-	}
-}
-
-// TestRealizeKeyVariesWithTVMode pins the cache-correctness half of the
-// translation-validation contract: with the middle end on, the TV mode
-// is part of the realize key (strict mode can revert a rejected pass
-// application, so differently-validated realizations may differ), and a
-// mode change must re-realize rather than serve the other mode's
-// artifact. Repeating a mode must still hit.
-func TestRealizeKeyVariesWithTVMode(t *testing.T) {
-	ResetRealizeCache()
-	k, err := kernels.ByName("srad")
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := device.GTX680()
-	lvl := occupancy.Levels(d, k.Prog.BlockDim)[0]
-
-	realize := func(mode tv.Mode) {
-		r := NewRealizer(d, device.SmallCache)
-		r.Opt = true
-		r.TV = mode
-		if _, err := r.NewLadder(k.Prog).Realize(lvl); err != nil {
-			t.Fatalf("tv=%v: %v", mode, err)
-		}
-	}
-
-	realize(tv.ModeStrict)
-	_, missesStrict := RealizeCacheStats()
-	realize(tv.ModeOff)
-	_, missesOff := RealizeCacheStats()
-	if missesOff == missesStrict {
-		t.Error("changing TV mode hit the other mode's cache entry: tv mode is not in the realize key")
-	}
-	realize(tv.ModeOff)
-	_, missesRepeat := RealizeCacheStats()
-	if missesRepeat != missesOff {
-		t.Errorf("repeating the same TV mode re-realized (%d new misses), want a cache hit", missesRepeat-missesOff)
 	}
 }

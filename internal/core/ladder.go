@@ -12,6 +12,7 @@ import (
 	"repro/internal/opt"
 	"repro/internal/prof"
 	"repro/internal/regalloc"
+	"repro/internal/tv"
 )
 
 // Ladder-wide counters (process-global, like the memo-cache counters):
@@ -117,12 +118,12 @@ type Ladder struct {
 	canon   *ladderEntry     // largest-budget clean call-free allocation
 	hard    map[int]hardFail // shared budget -> worst hard failure
 
-	// optEnts memoizes the pressure-reducing middle end per (function,
-	// budget): distinct occupancy levels collapse onto few distinct
-	// per-function budgets, and both the pipeline and the re-preparation of
-	// its output are deterministic, so each pair runs once per ladder.
-	optMu   sync.Mutex
-	optEnts map[optKey]*optEntry
+	// optEnts memoizes the pressure-reducing middle end per function: the
+	// scheduler's output does not depend on the register budget (the budget
+	// only decides whether the scheduled body is used), and both the pass
+	// and the re-preparation of its output are deterministic, so each
+	// function runs once per ladder.
+	optEnts []optEntry
 
 	// oracle is the differential reference for p: Compile verifies levels
 	// in parallel, and every one of them diffs against the same execution
@@ -130,20 +131,12 @@ type Ladder struct {
 	oracle oracleRef
 }
 
-// optKey identifies one middle-end invocation: which function, at which
-// effective register budget.
-type optKey struct {
-	fi     int
-	budget int
-}
-
-// optEntry memoizes one middle-end invocation: the prepared analyses of
-// the transformed function (nil when the pipeline declined or failed —
-// the baseline prep stands) and the pipeline's stats.
+// optEntry memoizes one function's middle-end invocation: the prepared
+// analyses of the scheduled body, nil when the pass declined, failed, or
+// did not beat the baseline's max-live.
 type optEntry struct {
-	once  sync.Once
-	prep  *regalloc.Prep
-	stats opt.Stats
+	once sync.Once
+	prep *regalloc.Prep
 }
 
 // NewLadder returns a ladder realization context for p. Callers that
@@ -160,7 +153,7 @@ func (r *Realizer) NewLadder(p *isa.Program) *Ladder {
 		prepErr:  make([]error, n),
 		entries:  map[budgetKey]*ladderEntry{},
 		hard:     map[int]hardFail{},
-		optEnts:  map[optKey]*optEntry{},
+		optEnts:  make([]optEntry, n),
 	}
 }
 
@@ -240,22 +233,17 @@ func (l *Ladder) prepFor(fi int, x obs.Ctx) (*regalloc.Prep, error) {
 	return l.preps[fi], l.prepErr[fi]
 }
 
-// optPrepFor runs the pressure-reducing middle end on function fi against
-// an effective register budget and returns the prepared analyses of the
-// transformed body plus the pipeline stats. It falls back to the baseline
-// prep — same pointer, zero stats — whenever the pipeline declines,
-// errors, or fails to beat the baseline's max-live, so callers can always
-// allocate whatever comes back. Memoized per (function, budget) pair.
-func (l *Ladder) optPrepFor(fi, budget int, base *regalloc.Prep, x obs.Ctx) (*regalloc.Prep, opt.Stats) {
-	l.optMu.Lock()
-	e, ok := l.optEnts[optKey{fi, budget}]
-	if !ok {
-		e = &optEntry{}
-		l.optEnts[optKey{fi, budget}] = e
-	}
-	l.optMu.Unlock()
+// optPrepFor runs the pressure-reducing middle end on function fi and
+// returns the prepared analyses of the scheduled body, or nil — the
+// baseline prep stands — when the pass declines, errors, or fails to beat
+// the baseline's max-live. Memoized per function: the pass runs under a
+// budget of one register, which admits it for every function fillBudget
+// asks about (those over their own budget), so the entry does not depend
+// on which budget asks first.
+func (l *Ladder) optPrepFor(fi int, base *regalloc.Prep, x obs.Ctx) *regalloc.Prep {
+	e := &l.optEnts[fi]
 	e.once.Do(func() {
-		nf, st, err := opt.RunTV(l.p.Funcs[fi], budget, l.r.TV, x)
+		nf, st, err := opt.RunTV(l.p.Funcs[fi], 1, tv.ModeStrict, x)
 		if err != nil || !st.Changed {
 			return
 		}
@@ -263,12 +251,9 @@ func (l *Ladder) optPrepFor(fi, budget int, base *regalloc.Prep, x obs.Ctx) (*re
 		if err != nil || pr.MaxLive >= base.MaxLive {
 			return // the allocator measures no win; keep the baseline
 		}
-		e.prep, e.stats = pr, st
+		e.prep = pr
 	})
-	if e.prep == nil {
-		return base, opt.Stats{}
-	}
-	return e.prep, e.stats
+	return e.prep
 }
 
 // ensureMeta computes the program-level facts every budget realization
@@ -398,8 +383,9 @@ func (l *Ladder) withBudget(regBudget, sharedSlotBudget int, x obs.Ctx) (*Versio
 			// Monotone pruning, downward: a hard allocator failure at this
 			// register budget repeats at every smaller one (same shared-slot
 			// configuration), so record the highest failing budget. With the
-			// middle end on the premise breaks — a smaller budget allocates a
-			// differently transformed body — so nothing is recorded.
+			// middle end on the premise breaks — a smaller budget may allocate
+			// the scheduled body where this one allocated the baseline — so
+			// nothing is recorded.
 			if hf, ok := l.hard[sharedSlotBudget]; !l.r.Opt && (!ok || regBudget > hf.reg) {
 				l.hard[sharedSlotBudget] = hardFail{reg: regBudget, err: e.err}
 			}
@@ -484,15 +470,14 @@ func (l *Ladder) fillBudget(regBudget, sharedSlotBudget int, x obs.Ctx) (v *Vers
 		}
 		if r.Opt {
 			// Pressure-reducing middle end: when the baseline body cannot
-			// fit the effective budget, allocate the transformed body
+			// fit the effective budget, allocate the scheduled body
 			// instead. The canonical-reuse floor rises to the baseline
-			// max-live so the pipeline's fire/no-fire decision (and its
-			// budget-dependent output) is constant across any reuse window.
+			// max-live so the use/don't-use decision is constant across
+			// any reuse window.
 			basePr := pr
 			if basePr.MaxLive > c {
-				var ost opt.Stats
-				pr, ost = l.optPrepFor(fi, c, basePr, x)
-				if ost.Changed {
+				if opr := l.optPrepFor(fi, basePr, x); opr != nil {
+					pr = opr
 					perPost[fi] = pr.MaxLive
 					if dbgOpt == nil {
 						dbgOpt = map[string][2]int{}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/device"
@@ -10,129 +11,139 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/occupancy"
 	"repro/internal/opt"
+	"repro/internal/par"
 	"repro/internal/sa"
 	"repro/internal/sim"
 	"repro/internal/verify"
 )
 
-// countSpillInstrs counts spill loads and stores across a program.
-func countSpillInstrs(p *isa.Program) int {
-	n := 0
-	for _, f := range p.Funcs {
-		for i := range f.Instrs {
-			if f.Instrs[i].IsSpill() {
-				n++
-			}
-		}
-	}
-	return n
+// optTestGrid is a suite kernel's paper launch at a sixteenth of its grid
+// (the scale the cached suite runs at), in whole blocks and at least four.
+func optTestGrid(k *kernels.Kernel) int {
+	wpb := k.Prog.BlockDim / 32
+	return max(4*wpb, k.GridWarps/16/wpb*wpb)
 }
 
-// TestOptSweepSuiteBothDevices is the PR's end-to-end acceptance test: a
-// full occupancy sweep of every suite kernel on both paper devices with
-// the pressure-reducing middle end enabled. The verifier and differential
-// oracle run inside every realization (NewRealizer defaults), so each
-// level doubles as a semantics check of the transformed binaries. On top
-// of that it asserts the paper-facing wins: at least three kernels
-// realize a lower chain max-live than the baseline middle end measured,
-// and at least one kernel reaches an occupancy level with zero spill
-// instructions where the baseline needed spill code.
+// TestOptSweepSuiteBothDevices is the middle end's end-to-end acceptance
+// test: a full occupancy sweep of every suite kernel on both paper devices
+// with and without it. The verifier and differential oracle run inside
+// every realization (NewRealizer defaults), so each level doubles as a
+// semantics check of the scheduled binaries. On top of that it asserts
+// what the pass is kept for, in simulated cycles rather than max-live:
+// every level feasible without the middle end stays feasible with it, per
+// kernel and device the best sweep level with it on is within 2 % of the
+// best with it off, and across the suite the geomean is no loss.
 func TestOptSweepSuiteBothDevices(t *testing.T) {
 	ks, err := kernels.All()
 	if err != nil {
 		t.Fatal(err)
 	}
-	reduced := map[string]bool{}
-	spillFree := map[string]bool{}
-	for _, d := range device.Both() {
-		for _, k := range ks {
-			off := NewRealizer(d, device.SmallCache)
-			on := NewRealizer(d, device.SmallCache)
-			on.Opt = true
-			loff, lon := off.NewLadder(k.Prog), on.NewLadder(k.Prog)
-			for _, lvl := range occupancy.Levels(d, k.Prog.BlockDim) {
-				voff, eoff := loff.Realize(lvl)
-				von, eon := lon.Realize(lvl)
-				if eon != nil {
-					var inf *ErrInfeasible
-					if !errors.As(eon, &inf) {
-						t.Fatalf("%s %s lvl=%d with opt: %v", d.Name, k.Name, lvl, eon)
-					}
-					if eoff == nil {
-						t.Errorf("%s %s lvl=%d: feasible without opt, infeasible with: %v",
-							d.Name, k.Name, lvl, eon)
-					}
-					continue
-				}
-				if von.MaxLivePost < von.MaxLivePre {
-					reduced[k.Name] = true
-				}
-				if eoff == nil && countSpillInstrs(voff.Prog) > 0 && countSpillInstrs(von.Prog) == 0 {
-					spillFree[k.Name] = true
-					t.Logf("%s %s lvl=%d: spill-free with opt (baseline had %d spill instrs)",
-						d.Name, k.Name, lvl, countSpillInstrs(voff.Prog))
-				}
+	devs := device.Both()
+	ratios := make([]float64, len(devs)*len(ks)) // best cycles off / on; 0 = pair failed
+	par.ForEach(0, len(ratios), func(i int) {
+		d, k := devs[i/len(ks)], ks[i%len(ks)]
+		off := NewRealizer(d, device.SmallCache)
+		on := NewRealizer(d, device.SmallCache)
+		on.Opt = true
+		loff, lon := off.NewLadder(k.Prog), on.NewLadder(k.Prog)
+		// best folds one level into a running minimum of simulated cycles.
+		best := func(cur uint64, v *Version, lvl int) uint64 {
+			st, err := v.RunAt(d, device.SmallCache, lvl, &interp.Launch{Prog: v.Prog, GridWarps: optTestGrid(k)})
+			if err != nil {
+				t.Errorf("%s %s lvl=%d: %v", d.Name, k.Name, lvl, err)
+				return cur
+			}
+			if cur == 0 || st.Cycles < cur {
+				return st.Cycles
+			}
+			return cur
+		}
+		var bestOff, bestOn uint64
+		for _, lvl := range occupancy.Levels(d, k.Prog.BlockDim) {
+			voff, eoff := loff.Realize(lvl)
+			von, eon := lon.Realize(lvl)
+			if eoff == nil {
+				bestOff = best(bestOff, voff, lvl)
+			}
+			if eon == nil {
+				bestOn = best(bestOn, von, lvl)
+				continue
+			}
+			var inf *ErrInfeasible
+			if !errors.As(eon, &inf) {
+				t.Errorf("%s %s lvl=%d with opt: %v", d.Name, k.Name, lvl, eon)
+			} else if eoff == nil {
+				t.Errorf("%s %s lvl=%d: feasible without opt, infeasible with: %v", d.Name, k.Name, lvl, eon)
 			}
 		}
+		if bestOff == 0 || bestOn == 0 {
+			t.Errorf("%s %s: no feasible level (best cycles off %d, on %d)", d.Name, k.Name, bestOff, bestOn)
+			return
+		}
+		ratios[i] = float64(bestOff) / float64(bestOn)
+		if ratios[i] < 0.98 {
+			t.Errorf("%s %s: best level %d cycles with opt vs %d without (%.4fx, want >= 0.98)",
+				d.Name, k.Name, bestOn, bestOff, ratios[i])
+		}
+	})
+	logSum := 0.0
+	for _, r := range ratios {
+		if r == 0 {
+			return // already reported
+		}
+		logSum += math.Log(r)
 	}
-	if len(reduced) < 3 {
-		t.Errorf("only %d kernels reduced chain max-live, want >= 3: %v", len(reduced), reduced)
-	}
-	if len(spillFree) < 1 {
-		t.Error("no kernel reached an occupancy level spill-free where the baseline spilled")
+	g := math.Exp(logSum / float64(len(ratios)))
+	t.Logf("suite geomean of sweep-best cycles off/on = %.5f over %d kernel x device pairs", g, len(ratios))
+	if g < 1.0 {
+		t.Errorf("suite geomean %.5f: the middle end loses cycles, want >= 1.0", g)
 	}
 }
 
-// TestOptRematResidueNotWorse pins the interaction between the middle
-// end's rematerialization and the allocator's own spill insertion: the
-// recompute-then-spill residue (a constant materialized and immediately
-// stored to a spill slot — regalloc/spill.go redirecting a spilled def
-// through a temporary) must not grow in aggregate when the remat pass
-// runs first. Remat deletes exactly the webs whose eviction produces that
-// pattern, so across the suite the residue shrinks; a growing count would
-// mean the two remat mechanisms double-recompute the same values.
-func TestOptRematResidueNotWorse(t *testing.T) {
-	residue := func(p *isa.Program) int {
-		n := 0
-		for _, f := range p.Funcs {
-			for i := 1; i < len(f.Instrs); i++ {
-				in := &f.Instrs[i]
-				if in.Op != isa.OpSpillSS && in.Op != isa.OpSpillLS {
-					continue
+// TestOptLadderOrderIndependent pins the per-function middle-end entry:
+// the scheduled body is built once per ladder, whichever level asks
+// first, so levels realized ascending, descending and concurrently on
+// fresh ladders must yield fingerprint-identical versions.
+func TestOptLadderOrderIndependent(t *testing.T) {
+	wasOn := RealizeCacheEnabled()
+	SetRealizeCacheEnabled(false) // every ladder must realize for itself
+	defer SetRealizeCacheEnabled(wasOn)
+	for _, name := range []string{"hotspot", "cfd", "recursiveGaussian"} {
+		k, err := kernels.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range device.Both() {
+			levels := occupancy.Levels(d, k.Prog.BlockDim)
+			sweep := func(visit func(realize func(i int))) []isa.Fingerprint {
+				r := NewRealizer(d, device.SmallCache)
+				r.Opt = true
+				lad := r.NewLadder(k.Prog)
+				fps := make([]isa.Fingerprint, len(levels))
+				visit(func(i int) {
+					if v, err := lad.Realize(levels[i]); err == nil {
+						fps[i] = v.fingerprint()
+					}
+				})
+				return fps
+			}
+			asc := sweep(func(realize func(int)) {
+				for i := range levels {
+					realize(i)
 				}
-				prev := &f.Instrs[i-1]
-				if (prev.Op == isa.OpMovI || prev.Op == isa.OpRdSp) && prev.Dst == in.Src[0] {
-					n++
+			})
+			desc := sweep(func(realize func(int)) {
+				for i := len(levels) - 1; i >= 0; i-- {
+					realize(i)
+				}
+			})
+			conc := sweep(func(realize func(int)) { par.ForEach(0, len(levels), realize) })
+			for i, lvl := range levels {
+				if asc[i] != desc[i] || asc[i] != conc[i] {
+					t.Errorf("%s on %s lvl=%d: version depends on realization order", name, d.Name, lvl)
 				}
 			}
 		}
-		return n
-	}
-	ks, err := kernels.All()
-	if err != nil {
-		t.Fatal(err)
-	}
-	totalOff, totalOn := 0, 0
-	for _, d := range device.Both() {
-		for _, k := range ks {
-			off := NewRealizer(d, device.SmallCache)
-			on := NewRealizer(d, device.SmallCache)
-			on.Opt = true
-			loff, lon := off.NewLadder(k.Prog), on.NewLadder(k.Prog)
-			for _, lvl := range occupancy.Levels(d, k.Prog.BlockDim) {
-				voff, eoff := loff.Realize(lvl)
-				von, eon := lon.Realize(lvl)
-				if eoff != nil || eon != nil {
-					continue
-				}
-				totalOff += residue(voff.Prog)
-				totalOn += residue(von.Prog)
-			}
-		}
-	}
-	t.Logf("recompute-then-spill residue: off=%d on=%d", totalOff, totalOn)
-	if totalOn > totalOff {
-		t.Errorf("middle-end remat grew allocator spill residue: %d -> %d", totalOff, totalOn)
 	}
 }
 

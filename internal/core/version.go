@@ -20,7 +20,6 @@ import (
 	"repro/internal/occupancy"
 	"repro/internal/prof"
 	"repro/internal/sim"
-	"repro/internal/tv"
 )
 
 // minFuncBudget is the smallest register budget a function can be
@@ -114,24 +113,17 @@ type Realizer struct {
 	ProfileSpec *prof.Spec
 	// Opt enables the pressure-reducing middle end (internal/opt): when a
 	// function's max-live exceeds the ladder's per-function register budget,
-	// the SSA-lite pass pipeline (rematerialization, live-range splitting,
-	// pressure-aware scheduling) runs before allocation and the allocator
-	// colors the transformed body instead. Off by default; realized output
-	// with Opt false is byte-identical to a realizer without the field.
+	// the pressure-aware scheduler runs before allocation, the translation
+	// validator checks the schedule (a rejection reverts it), and the
+	// allocator colors the scheduled body instead. Off by default; realized
+	// output with Opt false is byte-identical to a realizer without the
+	// field.
 	Opt bool
-	// TV selects how the middle end's translation validator gates the
-	// pass pipeline when Opt is on: strict symbolically validates every
-	// pass application and reverts rejected ones before the function is
-	// ever allocated, warn validates and records but never reverts, off
-	// skips validation (and with it address-chain rematerialization, the
-	// one pass whose acceptance rests on the validator). NewRealizer
-	// defaults to strict; the CLIs expose -tv. Ignored when Opt is off.
-	TV tv.Mode
 }
 
 // NewRealizer returns a Realizer with the full optimization set.
 func NewRealizer(d *device.Device, cc device.CacheConfig) *Realizer {
-	return &Realizer{Dev: d, Cache: cc, Interproc: interproc.DefaultOptions(), Verify: true, Lint: LintStrict, TV: tv.ModeStrict}
+	return &Realizer{Dev: d, Cache: cc, Interproc: interproc.DefaultOptions(), Verify: true, Lint: LintStrict}
 }
 
 // ErrInfeasible reports that a target occupancy cannot be realized.

@@ -12,7 +12,7 @@ import (
 )
 
 // diffBudgets are the register budgets differential tests sweep: tight
-// enough to trigger every pass on real kernels, loose enough to hit the
+// enough to trigger the scheduler on real kernels, loose enough to hit the
 // below-budget fast path too.
 var diffBudgets = []int{8, 16, 32}
 
@@ -63,7 +63,7 @@ func diffOne(t *testing.T, name string, p *isa.Program, budget, gridWarps int) {
 
 // TestOptDifferentialSuite proves the pipeline preserves semantics on
 // every suite kernel at every sweep budget: the interpreter's observable
-// store stream must be bit-identical with the passes on.
+// store stream must be bit-identical with the scheduler on.
 func TestOptDifferentialSuite(t *testing.T) {
 	ks, err := kernels.All()
 	if err != nil {

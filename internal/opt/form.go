@@ -1,16 +1,15 @@
 // Package opt implements Orion's pressure-reducing middle end: a
-// budget-driven pass pipeline that runs between decode and regalloc.Prep
-// and lowers per-function max-live before the allocator ever sees it.
+// budget-gated, pressure-aware instruction scheduler that runs between
+// decode and regalloc.Prep and lowers per-function max-live before the
+// allocator ever sees it.
 //
-// The pipeline operates on an SSA-lite form layered on the existing
-// ir.SplitWebs / ir.Dominators machinery: web splitting already renames
-// every live range to a unique variable (the paper's pruned-SSA step with
-// φ-related names coalesced back), so no φs are materialized — the form
-// only adds def/use tables, dominator depths, and per-instruction
-// liveness/pressure on top. Passes consult the form, describe edits, and
-// the driver rebuilds and re-measures after each one; any pass that fails
-// to improve (or errors) is reverted, so the pipeline can only return a
-// function that is both checked and no worse than its input.
+// The pass operates on the web-split form the allocator itself uses
+// (ir.SplitWebs already renames every live range to a unique variable —
+// the paper's pruned-SSA step with φ-related names coalesced back), with
+// block liveness on top. The driver re-measures the scheduled body,
+// keeps it only on a strict max-live decrease, and has the translation
+// validator check what it keeps, so the pipeline can only return a
+// function that is both checked and better than its input.
 package opt
 
 import (
@@ -20,92 +19,25 @@ import (
 	"repro/internal/isa"
 )
 
-// form is the SSA-lite def-use view of one function: the web-split clone
-// (each live range a unique variable), its CFG, dominators, per-variable
-// def/use sites, and per-instruction liveness and register pressure.
+// form is the scheduler's view of one function: the web-split clone (each
+// live range a unique variable), its CFG, block liveness, and max-live.
 type form struct {
-	f    *isa.Function // the web-split clone (vars.F); passes transform this
+	f    *isa.Function // the web-split clone (vars.F)
 	vars *ir.Vars
 	cfg  *ir.CFG
 	live *ir.Live
 
-	idom  []int
-	depth []int // dominator-tree depth per block (-1 when unreachable)
-
-	defs [][]int // var -> defining instruction indices, ascending
-	uses [][]int // var -> using instruction indices, ascending, unique
-
-	// liveAfter[i] is the set of variables live immediately after
-	// instruction i (nil for unreachable instructions); pressure[i] is the
-	// width-summed register pressure at i's def point — the same quantity
-	// ir.Live.MaxLive maximizes.
-	liveAfter []ir.BitSet
-	pressure  []int
-	maxLive   int
+	maxLive int // width-summed, as ir.Live.MaxLive measures it
 }
 
-// buildForm splits webs and derives the full def-use/liveness view.
+// buildForm splits webs and derives liveness and max-live.
 func buildForm(f *isa.Function) (*form, error) {
 	vars, err := ir.SplitWebs(f)
 	if err != nil {
 		return nil, err
 	}
 	live := ir.ComputeLiveness(vars)
-	cfg := live.CFG
-	idom := ir.Dominators(cfg)
-
-	fm := &form{f: vars.F, vars: vars, cfg: cfg, live: live, idom: idom}
-	fm.depth = make([]int, len(cfg.Blocks))
-	for i := range fm.depth {
-		fm.depth[i] = -1
-	}
-	fm.depth[0] = 0
-	// In reverse postorder every block's immediate dominator precedes it,
-	// so one pass assigns all depths.
-	for _, b := range cfg.RPO {
-		if b != 0 {
-			fm.depth[b] = fm.depth[idom[b]] + 1
-		}
-	}
-
-	nv := vars.NumVars()
-	fm.defs = make([][]int, nv)
-	fm.uses = make([][]int, nv)
-	n := len(vars.F.Instrs)
-	fm.liveAfter = make([]ir.BitSet, n)
-	fm.pressure = make([]int, n)
-
-	for bi := range cfg.Blocks {
-		if !cfg.Reachable(bi) {
-			continue
-		}
-		b := &cfg.Blocks[bi]
-		for i := b.Start; i < b.End; i++ {
-			in := &vars.F.Instrs[i]
-			if d, _ := vars.DefOf(in); d >= 0 {
-				fm.defs[d] = append(fm.defs[d], i)
-			}
-			for s := 0; s < in.NumSrcs(); s++ {
-				u := vars.VarAt(in.Src[s])
-				if l := fm.uses[u]; len(l) == 0 || l[len(l)-1] != i {
-					fm.uses[u] = append(fm.uses[u], i)
-				}
-			}
-		}
-		live.ScanBlock(vars, bi, func(i int, liveAfter ir.BitSet) {
-			fm.liveAfter[i] = liveAfter.Clone()
-			w := 0
-			liveAfter.ForEach(func(id int) { w += vars.Defs[id].Width })
-			in := &vars.F.Instrs[i]
-			if d, _ := vars.DefOf(in); d >= 0 && !liveAfter.Has(d) {
-				w += vars.Defs[d].Width
-			}
-			fm.pressure[i] = w
-			if w > fm.maxLive {
-				fm.maxLive = w
-			}
-		})
-	}
+	fm := &form{f: vars.F, vars: vars, cfg: live.CFG, live: live, maxLive: live.MaxLive(vars)}
 	if err := fm.check(); err != nil {
 		return nil, err
 	}
@@ -115,76 +47,11 @@ func buildForm(f *isa.Function) (*form, error) {
 // width returns the register-slot width of variable v.
 func (fm *form) width(v int) int { return fm.vars.Defs[v].Width }
 
-// blockDom reports whether reachable block a dominates reachable block b.
-func (fm *form) blockDom(a, b int) bool {
-	if fm.depth[a] < 0 || fm.depth[b] < 0 {
-		return false
-	}
-	for fm.depth[b] > fm.depth[a] {
-		b = fm.idom[b]
-	}
-	return a == b
-}
-
-// instrDom reports whether instruction i dominates instruction j; within
-// one block that means i strictly precedes j.
-func (fm *form) instrDom(i, j int) bool {
-	bi, bj := fm.cfg.BlockOf[i], fm.cfg.BlockOf[j]
-	if bi < 0 || bj < 0 {
-		return false
-	}
-	if bi == bj {
-		return i < j
-	}
-	return fm.blockDom(bi, bj)
-}
-
-// defSite returns the program point that defines variable v: the unique
-// defining instruction, or -1 for an argument defined at function entry
-// (which dominates everything). ok is false when v has several defs (a
-// loop-merged web) and the passes must leave it alone.
-func (fm *form) defSite(v int) (site int, ok bool) {
-	switch {
-	case len(fm.defs[v]) == 1:
-		return fm.defs[v][0], true
-	case len(fm.defs[v]) == 0 && fm.vars.Defs[v].IsArg:
-		return -1, true
-	default:
-		return 0, false
-	}
-}
-
-// siteDominates reports whether the def site (as returned by defSite)
-// dominates instruction j.
-func (fm *form) siteDominates(site, j int) bool {
-	if site < 0 {
-		return fm.cfg.BlockOf[j] >= 0 // entry dominates every reachable point
-	}
-	return fm.instrDom(site, j)
-}
-
-// liveBefore reports whether variable v is live immediately before
-// instruction i.
-func (fm *form) liveBefore(i, v int) bool {
-	in := &fm.f.Instrs[i]
-	for s := 0; s < in.NumSrcs(); s++ {
-		if int(in.Src[s]) < len(fm.vars.UnitVar) && fm.vars.VarAt(in.Src[s]) == v {
-			return true
-		}
-	}
-	if d, full := fm.vars.DefOf(in); d == v && full {
-		return false
-	}
-	la := fm.liveAfter[i]
-	return la != nil && la.Has(v)
-}
-
 // pureOp reports whether the opcode computes a register value from its
 // register/immediate operands alone — no memory access, no control
-// transfer, no barrier interaction — so it can be recomputed at any
-// program point where its operands hold the same values, and reordered
-// freely within a block subject to register dependences. OpRdSp qualifies:
-// special registers are launch constants for a given warp.
+// transfer, no barrier interaction — so it can be reordered freely within
+// a block subject to register dependences. OpRdSp qualifies: special
+// registers are launch constants for a given warp.
 func pureOp(op isa.Op) bool {
 	switch op {
 	case isa.OpIAdd, isa.OpISub, isa.OpIMul, isa.OpIMad, isa.OpIMin, isa.OpIMax,
@@ -197,10 +64,10 @@ func pureOp(op isa.Op) bool {
 	return false
 }
 
-// check verifies the structural invariants the passes and the rebuild
-// utility rely on: operands within the frame, branch targets on block
-// leaders, and a terminating final instruction. It runs on every form
-// build, so a bad rewrite is caught before the allocator ever sees it.
+// check verifies the structural invariants the scheduler relies on:
+// operands within the frame, branch targets on block leaders, and a
+// terminating final instruction. It runs on every form build, so a
+// malformed body is caught before the allocator ever sees it.
 func (fm *form) check() error {
 	if err := checkFunc(fm.f); err != nil {
 		return err

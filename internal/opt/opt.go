@@ -9,24 +9,19 @@ import (
 // Fingerprint identifies this pipeline's behavior for realize-cache keys:
 // a cached artifact built with the pipeline enabled is only reused while
 // the pipeline that built it is byte-for-byte the one that would run now.
-// Bump the low bits whenever any pass's output can change.
-const Fingerprint uint64 = 0x6f70_7400_0000_0002 // "opt", revision 2
+// Bump the low bits whenever the pass's output can change.
+const Fingerprint uint64 = 0x6f70_7400_0000_0003 // "opt", revision 3
 
 // Stats reports what one pipeline invocation did.
 type Stats struct {
 	MaxLiveBefore int  // width-summed max-live of the input function
 	MaxLiveAfter  int  // max-live of the returned function
-	Remats        int  // recomputation instructions inserted (single defs)
-	RematWebs     int  // webs removed by rematerialization
-	ChainRemats   int  // recomputation instructions inserted by chain remat
-	ChainWebs     int  // webs removed by address-chain rematerialization
-	SplitWebs     int  // webs split at loop boundaries
 	SchedBlocks   int  // blocks whose instruction order changed
 	Changed       bool // whether the returned function differs from the input
 
-	// Translation-validation outcomes across this invocation's pass
-	// applications. TVDiag holds the first rejection's diagnostic (the
-	// first differing term or structure).
+	// Translation-validation outcome of this invocation's schedule. TVDiag
+	// holds a rejection's diagnostic (the first differing term or
+	// structure).
 	TVChecked   int
 	TVRejected  int
 	TVAbstained int
@@ -38,26 +33,16 @@ func Run(f *isa.Function, budget int) (*isa.Function, Stats, error) {
 	return RunTV(f, budget, tv.ModeStrict, obs.Ctx{})
 }
 
-// RunCtx is RunTV in strict mode: every pass application is validated and
-// rejected applications are reverted.
-func RunCtx(f *isa.Function, budget int, x obs.Ctx) (*isa.Function, Stats, error) {
-	return RunTV(f, budget, tv.ModeStrict, x)
-}
-
-// RunTV runs the pressure-reducing pipeline on f against a register
-// budget, validating every pass application with the translation
-// validator in the given mode. It returns the input f untouched when the
-// function already fits the budget or no pass improves it; otherwise it
-// returns a transformed clone (web-split register numbering, possibly
-// more virtual registers) whose max-live is strictly below the input's.
-// Each pass is re-measured after it runs and reverted when it fails its
-// own acceptance bar — strict max-live decrease for remat and scheduling,
-// no increase for splitting (which trades web shape, not peak pressure).
-// In strict mode a TV rejection additionally reverts the application; an
-// abstention is accepted and falls through to the downstream differential
-// oracle. Address-chain rematerialization runs only when a validator is
-// on (strict or warn): it is the first pass whose correctness argument is
-// the validator rather than hand reasoning. A non-nil error means the
+// RunTV runs the pressure-aware scheduler on f against a register budget.
+// It returns the input f untouched when the function already fits the
+// budget or the schedule does not strictly lower max-live; otherwise it
+// returns the scheduled clone (web-split register numbering). The budget
+// only decides whether the pass runs: the schedule itself does not depend
+// on it. An improving schedule is validated by the translation validator
+// under the identity correspondence — a permutation within blocks leaves
+// every block boundary in place. In strict mode a rejection reverts to the
+// input; an abstention is accepted and falls through to the downstream
+// differential oracle; ModeOff skips validation. A non-nil error means the
 // pipeline declined; the input f is still valid and returned.
 func RunTV(f *isa.Function, budget int, mode tv.Mode, x obs.Ctx) (*isa.Function, Stats, error) {
 	fm, err := buildForm(f)
@@ -75,116 +60,38 @@ func RunTV(f *isa.Function, budget int, mode tv.Mode, x obs.Ctx) (*isa.Function,
 		obs.Int("maxlive_before", fm.maxLive))
 	defer sp.End()
 
-	// Rematerialization to a fixpoint: each accepted round deletes webs
-	// and may expose new candidates (operands whose last blocker was a
-	// deleted def's live range).
-	for round := 0; round < rematMaxRounds && fm.maxLive > budget; round++ {
-		e, recomputed, webs := rematerialize(fm, budget)
-		if e == nil {
-			break
-		}
-		nfm, ok := applyGated(fm, e, mode, &st, x)
-		if !ok || nfm.maxLive >= fm.maxLive {
-			break // revert: keep fm
-		}
-		fm = nfm
-		st.Remats += recomputed
-		st.RematWebs += webs
-		st.Changed = true
-	}
-
-	// Address-chain rematerialization: multi-instruction pure chains
-	// recomputed before their uses. Gated on the validator being active —
-	// the pass exists because TV certifies each application.
-	if mode != tv.ModeOff {
-		for round := 0; round < rematMaxRounds && fm.maxLive > budget; round++ {
-			e, recomputed, webs := rematChains(fm, budget)
-			if e == nil {
-				break
-			}
-			nfm, ok := applyGated(fm, e, mode, &st, x)
-			if !ok || nfm.maxLive >= fm.maxLive {
-				break
-			}
-			fm = nfm
-			st.ChainRemats += recomputed
-			st.ChainWebs += webs
-			st.Changed = true
-		}
-	}
-
-	// Pressure-aware scheduling: accepted only on strict improvement. The
-	// permuted clone leaves every block boundary in place, so the
-	// validator sees it under the identity correspondence.
-	if fm.maxLive > budget {
-		if nf, blocks := schedule(fm); nf != nil {
-			if tvGate(&st, mode, x, fm.f, nf, tv.IdentityHint(len(fm.f.Instrs))) {
-				if nfm, err := buildForm(nf); err == nil && nfm.maxLive < fm.maxLive {
-					x.Metrics().Counter("opt.sched.maxlive_delta").Add(uint64(fm.maxLive - nfm.maxLive))
-					fm = nfm
-					st.SchedBlocks = blocks
-					st.Changed = true
-				}
-			}
-		}
-	}
-
-	// Loop-boundary splitting runs last and only when still over budget:
-	// it does not lower max-live, it reshapes loop-crossing webs so the
-	// allocator spills them cheaply. Accepted unless max-live regresses.
-	if fm.maxLive > budget {
-		if e, webs := splitLoops(fm, budget); e != nil {
-			if nfm, ok := applyGated(fm, e, mode, &st, x); ok && nfm.maxLive <= fm.maxLive {
-				fm = nfm
-				st.SplitWebs = webs
-				st.Changed = true
-			}
-		}
-	}
-
-	st.MaxLiveAfter = fm.maxLive
-	sp.SetAttr(obs.Int("maxlive_after", fm.maxLive),
-		obs.Int("remats", st.Remats), obs.Int("chain_remats", st.ChainRemats),
-		obs.Int("split_webs", st.SplitWebs),
-		obs.Int("tv_rejected", st.TVRejected), obs.Int("tv_abstained", st.TVAbstained))
-	if !st.Changed {
+	nf, blocks := schedule(fm)
+	if nf == nil {
 		return f, st, nil
 	}
-	x.Metrics().Counter("opt.remat.recomputed").Add(uint64(st.Remats))
-	x.Metrics().Counter("opt.chainremat.recomputed").Add(uint64(st.ChainRemats))
-	x.Metrics().Counter("opt.split.webs").Add(uint64(st.SplitWebs))
-	return fm.f, st, nil
-}
-
-// applyGated rebuilds fm's function with e, validates the application,
-// and derives the fresh form. ok is false when the rebuild failed, the
-// validator rejected in strict mode, or the new form did not build — in
-// every case the caller keeps fm.
-func applyGated(fm *form, e *edits, mode tv.Mode, st *Stats, x obs.Ctx) (*form, bool) {
-	nf, hint, err := rebuild(fm.f, e)
-	if err != nil {
-		return nil, false
-	}
-	if !tvGate(st, mode, x, fm.f, nf, hint) {
-		return nil, false
-	}
+	// Strict-decrease guard first: a schedule that does not pay is thrown
+	// away, so only one that would be accepted is worth validating.
 	nfm, err := buildForm(nf)
-	if err != nil {
-		return nil, false
+	if err != nil || nfm.maxLive >= fm.maxLive {
+		return f, st, nil
 	}
-	return nfm, true
+	ok := tvGate(&st, mode, x, fm.f, nf)
+	sp.SetAttr(obs.Int("tv_rejected", st.TVRejected), obs.Int("tv_abstained", st.TVAbstained))
+	if !ok {
+		return f, st, nil
+	}
+	x.Metrics().Counter("opt.sched.maxlive_delta").Add(uint64(fm.maxLive - nfm.maxLive))
+	st.MaxLiveAfter = nfm.maxLive
+	st.SchedBlocks = blocks
+	st.Changed = true
+	sp.SetAttr(obs.Int("maxlive_after", nfm.maxLive))
+	return nfm.f, st, nil
 }
 
-// tvGate validates one pass application (pre → post under hint) and
+// tvGate validates the schedule (pre → post under the identity hint) and
 // reports whether the driver may accept it. Off skips validation; a
-// rejection reverts only in strict mode; an abstention always accepts —
-// the realizer's differential oracle re-checks the end product
-// dynamically.
-func tvGate(st *Stats, mode tv.Mode, x obs.Ctx, pre, post *isa.Function, h *tv.Hint) bool {
+// rejection reverts in strict mode; an abstention accepts — the realizer's
+// differential oracle re-checks the end product dynamically.
+func tvGate(st *Stats, mode tv.Mode, x obs.Ctx, pre, post *isa.Function) bool {
 	if mode == tv.ModeOff {
 		return true
 	}
-	res := tv.Validate(pre, post, h)
+	res := tv.Validate(pre, post, tv.IdentityHint(len(pre.Instrs)))
 	st.TVChecked++
 	m := x.Metrics()
 	m.Counter("tv.checked").Add(1)
@@ -192,10 +99,8 @@ func tvGate(st *Stats, mode tv.Mode, x obs.Ctx, pre, post *isa.Function, h *tv.H
 	case tv.Reject:
 		st.TVRejected++
 		m.Counter("tv.rejected").Add(1)
-		if st.TVDiag == "" {
-			st.TVDiag = res.Reason
-		}
-		return mode != tv.ModeStrict
+		st.TVDiag = res.Reason
+		return false
 	case tv.Abstain:
 		st.TVAbstained++
 		m.Counter("tv.abstained").Add(1)

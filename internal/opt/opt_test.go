@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/kernels"
-	"repro/internal/tv"
 	"repro/internal/verify"
 )
 
@@ -35,127 +34,6 @@ func mustMaxLive(t *testing.T, f *isa.Function) int {
 		t.Fatal(err)
 	}
 	return fm.maxLive
-}
-
-func TestRematRemovesHotWeb(t *testing.T) {
-	// v1 (MOVI 7) is live across a stretch of pressure 5; with budget 4
-	// it must be recomputed at its two uses instead of held.
-	p := isa.MustParse(`
-.kernel remat
-.blockdim 32
-.func main
-  RDSP v0, WARPID
-  MOVI v1, 7
-  SHL v2, v0, v1
-  LDG v3, [v2]
-  LDG v4, [v2+4]
-  IADD v5, v3, v4
-  IADD v6, v5, v1
-  STG [v2], v6
-  IADD v7, v6, v1
-  STG [v2+4], v7
-  EXIT
-`)
-	base := mustMaxLive(t, p.Entry())
-	nf, st, err := Run(p.Entry(), base-1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Changed || st.RematWebs == 0 {
-		t.Fatalf("expected rematerialization, got %+v", st)
-	}
-	if st.MaxLiveAfter >= st.MaxLiveBefore {
-		t.Fatalf("max-live not reduced: %+v", st)
-	}
-	np := p.Clone()
-	np.Funcs[0] = nf
-	if err := isa.Validate(np); err != nil {
-		t.Fatalf("transformed program invalid: %v", err)
-	}
-	if vs := verify.Differential(p, np, 4, 0); vs != nil {
-		t.Fatalf("semantics changed: %v", vs[0])
-	}
-}
-
-func TestSplitLoopEntryCopy(t *testing.T) {
-	// v1 is defined before the loop, untouched inside it, and used after;
-	// the loop body itself runs over a tiny budget. The pipeline must
-	// split v1 at the loop header with a copy the back edge skips.
-	p := isa.MustParse(`
-.kernel split
-.blockdim 32
-.func main
-  RDSP v0, WARPID
-  SHL v10, v0, v0
-  LDG v1, [v10]
-  MOVI v2, 0
-  MOVI v3, 0
-loop:
-  SHL v4, v3, v3
-  IADD v5, v10, v4
-  LDG v6, [v5]
-  LDG v7, [v5+4]
-  IADD v8, v6, v7
-  IADD v2, v2, v8
-  MOVI v9, 1
-  IADD v3, v3, v9
-  MOVI v11, 4
-  ISET.LT v12, v3, v11
-  CBR v12, loop
-  IADD v13, v2, v1
-  STG [v10], v13
-  EXIT
-`)
-	f := p.Entry()
-	fm, err := buildForm(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loops := findLoops(fm)
-	if len(loops) != 1 {
-		t.Fatalf("found %d loops, want 1", len(loops))
-	}
-	e, webs := splitLoops(fm, 4)
-	if e == nil || webs == 0 {
-		t.Fatal("split pass found no candidate")
-	}
-	nf, hint, err := rebuild(fm.f, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := tv.Validate(fm.f, nf, hint); res.Verdict != tv.Accept {
-		t.Fatalf("split pass not TV-accepted: %v (%s)", res.Verdict, res.Reason)
-	}
-	np := p.Clone()
-	np.Funcs[0] = nf
-	if err := isa.Validate(np); err != nil {
-		t.Fatalf("split program invalid: %v", err)
-	}
-	if vs := verify.Differential(p, np, 4, 0); vs != nil {
-		t.Fatalf("semantics changed: %v", vs[0])
-	}
-	// The inserted copy must execute once per loop entry, not per
-	// iteration: the back-edge branch lands past it.
-	nm, err := buildForm(nf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nm.maxLive > fm.maxLive {
-		t.Fatalf("split regressed max-live %d -> %d", fm.maxLive, nm.maxLive)
-	}
-	movs := 0
-	for i := range nf.Instrs {
-		in := &nf.Instrs[i]
-		if in.IsBranch() && nf.Instrs[in.Tgt].Op == isa.OpMov {
-			t.Fatalf("back edge at %d lands on the header copy", i)
-		}
-		if in.Op == isa.OpMov {
-			movs++
-		}
-	}
-	if movs == 0 {
-		t.Fatal("no header copy inserted")
-	}
 }
 
 func TestScheduleShrinksPressure(t *testing.T) {
@@ -198,9 +76,10 @@ func TestScheduleShrinksPressure(t *testing.T) {
 	}
 }
 
-// TestSuiteMaxLiveReduced is the PR's acceptance bar: with the pipeline
-// on, at least three paper-suite kernels must realize a lower entry
-// max-live than the baseline measures.
+// TestSuiteMaxLiveReduced pins the scheduler's reach on the paper suite:
+// at three quarters of the baseline max-live it lowers the entry
+// function's max-live on six kernels (cfd, dxtc, hotspot, imageDenoising,
+// recursiveGaussian, heartwall).
 func TestSuiteMaxLiveReduced(t *testing.T) {
 	ks, err := kernels.All()
 	if err != nil {
@@ -220,8 +99,8 @@ func TestSuiteMaxLiveReduced(t *testing.T) {
 			t.Logf("%s: max-live %d -> %d", k.Name, st.MaxLiveBefore, st.MaxLiveAfter)
 		}
 	}
-	if reduced < 3 {
-		t.Fatalf("only %d suite kernels improved, want >= 3", reduced)
+	if reduced < 6 {
+		t.Fatalf("only %d suite kernels improved, want >= 6", reduced)
 	}
 }
 

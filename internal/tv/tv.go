@@ -1,5 +1,5 @@
 // Package tv implements translation validation for the middle end: a
-// per-pass symbolic equivalence checker over the SSA-lite form that
+// per-pass symbolic equivalence checker over the web-split form that
 // internal/opt transforms. Each pass application is checked as a
 // (pre, post) function pair sharing one virtual-register space (the post
 // side may add fresh temporaries); the validator symbolically executes
@@ -11,11 +11,12 @@
 // conditions and corresponding branch targets, and identical return
 // values.
 //
-// Correspondence between the two CFGs is near-identity — opt passes
-// insert straight-line code, patch operands, drop dead definitions, and
-// permute within blocks, but never restructure control flow — and is
-// supplied by the pass driver as an untrusted position hint (the
-// insert/own position maps the rewrite engine already computes). A wrong
+// Correspondence between the two CFGs is near-identity — the rewrites it
+// covers insert straight-line code, patch operands, drop dead
+// definitions, and permute within blocks, but never restructure control
+// flow — and is supplied by the pass driver as an untrusted position hint
+// (insert/own position maps; internal/opt's scheduler only permutes
+// within blocks and supplies the identity hint). A wrong
 // hint can only make validation fail; it can never make a wrong program
 // pass, because every claim the hint encodes (which post-side cut
 // corresponds to which pre-side block) is itself checked during the walk.
@@ -38,40 +39,12 @@ import (
 // Mode selects how the opt driver uses validation verdicts.
 type Mode uint8
 
-// Validation modes. Strict reverts rejected pass applications; Warn
-// counts and diagnoses but never reverts; Off skips validation (and with
-// it the passes that require a validator to be trusted).
+// Validation modes. Strict reverts rejected pass applications; Off skips
+// validation.
 const (
 	ModeOff Mode = iota
-	ModeWarn
 	ModeStrict
 )
-
-// String returns the flag spelling of the mode.
-func (m Mode) String() string {
-	switch m {
-	case ModeOff:
-		return "off"
-	case ModeWarn:
-		return "warn"
-	case ModeStrict:
-		return "strict"
-	}
-	return fmt.Sprintf("mode(%d)", uint8(m))
-}
-
-// ParseMode parses a -tv flag value.
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "off":
-		return ModeOff, nil
-	case "warn":
-		return ModeWarn, nil
-	case "strict":
-		return ModeStrict, nil
-	}
-	return ModeOff, fmt.Errorf("tv: unknown mode %q (want strict, warn, or off)", s)
-}
 
 // Verdict is the outcome of one validation.
 type Verdict uint8

@@ -126,10 +126,6 @@ type (
 	LintMode = core.LintMode
 	// AnalysisError is the strict-mode rejection carrying the findings.
 	AnalysisError = core.AnalysisError
-
-	// TVMode selects how the middle end's translation validator gates the
-	// optimization passes (Realizer.TV: TVStrict, TVWarn, TVOff).
-	TVMode = tv.Mode
 )
 
 // Cache configurations (paper Table 3).
@@ -157,16 +153,6 @@ const (
 	SevWarning = sa.SevWarning
 	SevError   = sa.SevError
 )
-
-// Translation-validation modes (Realizer.TV; the CLIs' -tv flag).
-const (
-	TVOff    = tv.ModeOff
-	TVWarn   = tv.ModeWarn
-	TVStrict = tv.ModeStrict
-)
-
-// ParseTVMode parses a -tv flag value (strict, warn, or off).
-func ParseTVMode(s string) (TVMode, error) { return tv.ParseMode(s) }
 
 // TVCounters reports the process-wide translation-validation counters:
 // pass applications checked, rejected, and abstained (orion-bench's

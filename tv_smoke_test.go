@@ -1,12 +1,13 @@
 // TestTVSmoke is the gate behind `make tv-smoke`: every benchmark kernel
 // realized at every feasible occupancy level on both devices with the
-// middle end on and translation validation strict. The claim it enforces
-// is precision, not just soundness — on the real pass pipeline over the
-// real corpus the validator must prove every application it sees: zero
-// rejections (no pass miscompiles) and zero abstentions (the normalizer
-// is complete for everything the passes actually do, so the differential
-// oracle is never needed as a fallback). A rejection here is a compiler
-// bug; an abstention is a validator-coverage regression.
+// middle end on (translation validation is always strict). The claim it
+// enforces is precision, not just soundness — on the real scheduler over
+// the real corpus the validator must prove every schedule the
+// strict-decrease guard accepts: zero rejections (no miscompiles) and
+// zero abstentions (the normalizer is complete for everything the
+// scheduler actually does, so the differential oracle is never needed as
+// a fallback). A rejection here is a compiler bug; an abstention is a
+// validator-coverage regression.
 package orion_test
 
 import (
@@ -36,7 +37,6 @@ func TestTVSmoke(t *testing.T) {
 		for _, k := range ks {
 			r := orion.NewRealizer(d, orion.SmallCache)
 			r.Opt = true
-			r.TV = orion.TVStrict
 			lad := r.NewLadder(k.Prog)
 			for _, lvl := range orion.OccupancyLevels(d, k.Prog.BlockDim) {
 				if _, err := lad.Realize(lvl); err != nil {
