@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet lint test race test-race determinism fuzz-short bench bench-quick bench-sim bench-smoke bench-opt-smoke profile-smoke serve-smoke tv-smoke fmt fmt-check
+.PHONY: check build vet lint test race test-race determinism fuzz-short bench bench-quick bench-smoke bench-opt-smoke serve-smoke tv-smoke fmt fmt-check
 
 ## check: the full CI gate — formatting, vet, staticcheck, build,
 ## race-enabled tests, the serial-vs-parallel determinism suite, a short
@@ -10,7 +10,7 @@ GO ?= go
 ## benchmark module's vet and quick smoke, the strict-TV whole-suite
 ## sweep, and the end-to-end daemon smoke (serve-vs-CLI byte identity plus
 ## graceful shutdown).
-check: fmt-check vet lint build test-race determinism fuzz-short bench-smoke bench-opt-smoke bench-quick tv-smoke profile-smoke serve-smoke
+check: fmt-check vet lint build test-race determinism fuzz-short bench-smoke bench-opt-smoke bench-quick tv-smoke serve-smoke
 
 build:
 	$(GO) build ./...
@@ -59,9 +59,8 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzOpt -fuzztime 10s ./internal/opt/
 	$(GO) test -run '^$$' -fuzz FuzzTV -fuzztime 10s ./internal/tv/
 
-## bench-smoke: one iteration of the cold-sweep benchmark (the number
-## behind BENCH_ladder.json) — not a measurement, just proof the
-## benchmark path still compiles and runs.
+## bench-smoke: one iteration of the cold-sweep benchmark — not a
+## measurement, just proof the benchmark path still compiles and runs.
 bench-smoke:
 	$(GO) test -run '^$$' -bench SweepCold -benchtime 1x ./internal/bench/
 
@@ -78,13 +77,6 @@ bench:
 ## compile, so this is where a break of the API it calls shows up.
 bench-quick:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
-
-## bench-sim: the end-to-end suite benchmark measured once per execution
-## backend, recorded as BENCH_sim.json (the artifact behind the compiled
-## backend's speedup claim).
-bench-sim:
-	ORION_BENCH_SIM_OUT=BENCH_sim.json $(GO) test -run WriteSimBench -timeout 2h .
-	@echo "wrote BENCH_sim.json"
 
 ## bench-opt-smoke: one iteration of the cold sweep with the middle end
 ## on — not a measurement, just proof the scheduler path still compiles,
@@ -104,20 +96,6 @@ serve-smoke:
 ## abstention (the validator lost precision on the real corpus).
 tv-smoke:
 	$(GO) test -count=1 -run TestTVSmoke .
-
-## profile-smoke: profile one kernel on both execution backends and
-## diff the PC-profile artifacts — the profiler's cross-backend
-## bit-identity contract, checked end to end through the CLI. Only the
-## "backend" field may differ.
-profile-smoke:
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) run ./cmd/orion profile -kernel bfs -warps 16 -sim-backend compiled -json "$$tmp/compiled.json" > /dev/null; \
-	$(GO) run ./cmd/orion profile -kernel bfs -warps 16 -sim-backend interp   -json "$$tmp/interp.json"   > /dev/null; \
-	grep -v '"backend"' "$$tmp/compiled.json" > "$$tmp/compiled.stripped"; \
-	grep -v '"backend"' "$$tmp/interp.json" > "$$tmp/interp.stripped"; \
-	if ! diff "$$tmp/compiled.stripped" "$$tmp/interp.stripped"; then \
-		echo "profile-smoke: PC profiles differ between backends"; exit 1; fi; \
-	echo "profile-smoke: PC profiles bit-identical across backends"
 
 fmt:
 	gofmt -l .

@@ -4,8 +4,7 @@
 // Usage:
 //
 //	orion-bench [-exp fig1,fig11,... | -exp all] [-scale 1.0] [-progress]
-//	            [-parallel N] [-sim-backend compiled|interp]
-//	            [-json out.json] [-cpuprofile out.pprof]
+//	            [-parallel N] [-json out.json] [-cpuprofile out.pprof]
 //
 // At scale 1.0 the full suite sweeps every occupancy level of every
 // benchmark on both devices; smaller scales shrink the grids
@@ -27,6 +26,7 @@ import (
 
 	orion "repro"
 	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 func main() {
@@ -129,7 +129,6 @@ func run(args []string) error {
 	noCache := fs.Bool("nocache", false, "disable the realization cache (recompile every version)")
 	verify := fs.Bool("verify", true, "check allocation invariants and differential semantics on every realized version")
 	lintFlag := fs.String("lint", "strict", "static-analysis gate: strict (reject on errors), warn, or off")
-	simBackend := fs.String("sim-backend", "", "simulator execution backend: compiled (default) or interp")
 	optFlag := fs.Bool("opt", false, "run the pressure-reducing middle end before allocation and record per-kernel max-live deltas in -json")
 	jsonOut := fs.String("json", "", "write per-experiment wall-clock and row data to this JSON file")
 	profileKernel := fs.String("profile", "", "PC-profile every tuning candidate of this kernel (gtx680/sc) and record the deltas in -json")
@@ -167,15 +166,10 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	backend, err := orion.ParseSimBackend(*simBackend)
-	if err != nil {
-		return err
-	}
 	s := orion.NewSuite(*scale)
 	s.Parallel = *parallel
 	s.Verify = *verify
 	s.Lint = lintMode
-	s.Backend = backend
 	s.Opt = *optFlag
 	if *progress {
 		s.Progress = os.Stderr
@@ -194,10 +188,7 @@ func run(args []string) error {
 		selected = strings.Split(*exp, ",")
 	}
 
-	report := jsonReport{Scale: *scale, Parallel: *parallel, SimBackend: backend.String()}
-	if backend == orion.SimBackendAuto {
-		report.SimBackend = orion.CurrentSimBackend()
-	}
+	report := jsonReport{Scale: *scale, Parallel: *parallel, SimBackend: sim.DefaultBackend().String()}
 	suiteStart := time.Now()
 	fmt.Printf("orion-bench: scale %.3f, experiments: %s\n\n", *scale, strings.Join(selected, ", "))
 	for _, id := range selected {

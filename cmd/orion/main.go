@@ -49,11 +49,6 @@
 // strict): strict rejects programs whose analysis has error-severity
 // findings before compiling them.
 //
-// Simulating subcommands accept -sim-backend compiled|interp (default
-// compiled): compiled runs basic blocks as fused closures with
-// warp-batched ALU execution; interp is the reference step interpreter
-// the compiled backend is differentially tested against.
-//
 // Observability (compile, tune, sweep, run):
 //
 //	-trace out.json    write a Chrome trace-event JSON of the invocation
@@ -76,6 +71,7 @@ import (
 	orion "repro"
 	"repro/internal/obs"
 	"repro/internal/serve"
+	"repro/internal/sim"
 )
 
 func main() {
@@ -112,7 +108,6 @@ func run(args []string, out io.Writer) error {
 	verify := fs.Bool("verify", true, "check allocation invariants and differential semantics on every realized version")
 	lintFlag := fs.String("lint", "strict", "static-analysis gate: strict (reject on errors), warn, or off")
 	realized := fs.Bool("realized", false, "for 'lint': also analyze every realized occupancy level")
-	simBackend := fs.String("sim-backend", "", "simulator execution backend: compiled (default) or interp")
 	optFlag := fs.Bool("opt", false, "run the pressure-reducing middle end (translation-validated pressure-aware scheduling) before allocation")
 	jsonOut := fs.String("json", "", "for 'profile'/'tune': write the report as JSON to this file (tune writes the canonical report, byte-identical to `orion serve`'s)")
 
@@ -129,11 +124,6 @@ func run(args []string, out io.Writer) error {
 	}
 	if err := fs.Parse(rest); err != nil {
 		return err
-	}
-	if b, err := orion.ParseSimBackend(*simBackend); err != nil {
-		return err
-	} else if b != orion.SimBackendAuto {
-		orion.SetSimBackend(b)
 	}
 
 	// The collector exists only when an export was requested, so the
@@ -253,7 +243,7 @@ func run(args []string, out io.Writer) error {
 					Kernel:  prog.Name,
 					Device:  dev.Name,
 					Cache:   cc.String(),
-					Backend: orion.CurrentSimBackend(),
+					Backend: sim.DefaultBackend().String(),
 					Grid:    gridWarps,
 					Iters:   iterations,
 					Lint:    lintMode.String(),

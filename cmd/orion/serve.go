@@ -12,9 +12,20 @@ import (
 	"syscall"
 	"time"
 
-	orion "repro"
 	"repro/internal/serve"
+	"repro/internal/sim"
 	"repro/internal/store"
+)
+
+// The daemon's time bounds: the request head, head plus body (capped by
+// serve's maxBodyBytes), an idle keep-alive connection, and in-flight
+// requests after SIGINT/SIGTERM. There is no write timeout: a cold tune
+// legitimately runs for seconds before the first response byte.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+	drainTimeout      = 15 * time.Second
 )
 
 // runServe implements `orion serve`: the long-running tuning daemon.
@@ -27,14 +38,8 @@ func runServe(args []string, out io.Writer) error {
 	storeDir := fs.String("store", "", "artifact store directory (empty: no persistence, memoization only)")
 	workers := fs.Int("workers", 0, "tuning worker pool size (0 = GOMAXPROCS)")
 	queue := fs.Int("queue", 64, "pending-request queue depth; a full queue returns 429")
-	simBackend := fs.String("sim-backend", "", "simulator execution backend: compiled (default) or interp")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if b, err := orion.ParseSimBackend(*simBackend); err != nil {
-		return err
-	} else if b != orion.SimBackendAuto {
-		orion.SetSimBackend(b)
 	}
 
 	var st *store.Store
@@ -51,9 +56,14 @@ func runServe(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	fmt.Fprintf(out, "orion serve: listening on http://%s (backend %s, store %q)\n",
-		ln.Addr(), orion.CurrentSimBackend(), *storeDir)
+		ln.Addr(), sim.DefaultBackend(), *storeDir)
 
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
@@ -66,7 +76,7 @@ func runServe(args []string, out io.Writer) error {
 		return err
 	case s := <-sig:
 		fmt.Fprintf(out, "orion serve: %v, draining\n", s)
-		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+		ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 		defer cancel()
 		return hs.Shutdown(ctx)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -60,7 +61,9 @@ func (w *syncWriter) String() string {
 // start `orion serve`, assert /healthz, POST a kernel, and require the
 // response to be byte-identical to what the one-shot CLI writes with
 // `orion tune -json` for the same kernel and flags; then shut down
-// gracefully via SIGINT.
+// gracefully via SIGINT. Alongside, a client that stalls halfway through
+// its request line must be disconnected by the daemon's header timeout
+// while the normal tune still answers.
 func TestServeSmoke(t *testing.T) {
 	dir := t.TempDir()
 	kfile := filepath.Join(dir, "k.oasm")
@@ -108,6 +111,16 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatalf("healthz = %d %q", resp.StatusCode, hz.Status)
 	}
 
+	stalled, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	if _, err := stalled.Write([]byte("POST /v1/tu")); err != nil {
+		t.Fatal(err)
+	}
+	stalledAt := time.Now()
+
 	resp, err = http.Post(base+"/v1/tune?grid=128&iters=4", "text/plain", strings.NewReader(smokeKernel))
 	if err != nil {
 		t.Fatal(err)
@@ -133,6 +146,16 @@ func TestServeSmoke(t *testing.T) {
 	}
 	if !bytes.Equal(served, want) {
 		t.Errorf("daemon report differs from CLI report:\ndaemon:\n%s\ncli:\n%s", served, want)
+	}
+
+	// The stalled client: once readHeaderTimeout has passed the server
+	// gives up on the request (net/http answers 400) and closes the
+	// connection, so reading to EOF succeeds before the deadline.
+	if err := stalled.SetReadDeadline(stalledAt.Add(readHeaderTimeout + 10*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if reply, err := io.ReadAll(stalled); err != nil {
+		t.Errorf("stalled connection was not closed by the server: %v (read %q)", err, reply)
 	}
 
 	// Graceful shutdown: the daemon catches SIGINT, drains, and returns.

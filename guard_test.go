@@ -1,0 +1,77 @@
+package orion_test
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestNoProcessGlobalSideTables keeps state derived from a binary on the
+// binary: no non-test file under internal/ may declare a package-level
+// sync.Map, a map keyed by a pointer, or a memo cache — the shapes of the
+// side tables that pinned every program ever simulated for the life of
+// the process. The two caches the benchmark resets are the exception.
+func TestNoProcessGlobalSideTables(t *testing.T) {
+	allowed := map[string]bool{"core.realizeCache": true, "core.runCache": true}
+
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range file.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.VAR {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				what := sideTable(spec)
+				for _, name := range spec.(*ast.ValueSpec).Names {
+					if what != "" && !allowed[file.Name.Name+"."+name.Name] {
+						t.Errorf("%s: package-level %s %s.%s: state derived from a program belongs on the program (isa.Program.Derived) or on its owner",
+							fset.Position(name.Pos()), what, file.Name.Name, name.Name)
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sideTable names the forbidden shape a package-level variable
+// declaration spells out anywhere in its type or initializer, or returns
+// "". Function literals are skipped: their locals are not package state.
+func sideTable(spec ast.Spec) (what string) {
+	ast.Inspect(spec, func(n ast.Node) bool {
+		switch e := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.MapType:
+			if _, ok := e.Key.(*ast.StarExpr); ok {
+				what = "pointer-keyed map"
+			}
+		case *ast.SelectorExpr:
+			if pkg, ok := e.X.(*ast.Ident); ok {
+				switch pkg.Name + "." + e.Sel.Name {
+				case "sync.Map":
+					what = "sync.Map"
+				case "memo.Cache", "memo.New":
+					what = "memo cache"
+				}
+			}
+		}
+		return what == ""
+	})
+	return what
+}

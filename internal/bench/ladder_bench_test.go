@@ -14,8 +14,8 @@ import (
 // kernel realized at every occupancy level with the process-wide realize
 // cache disabled, so each iteration pays the full middle-end cost. One
 // ladder per kernel per iteration — the configuration behind the
-// incremental-ladder PR's speedup claim (BENCH_ladder.json records the
-// before/after numbers).
+// incremental-ladder PR's speedup claim (3.01× against commit 7829f76,
+// DESIGN.md §10).
 func BenchmarkSweepCold(b *testing.B) { sweepCold(b, false) }
 
 // BenchmarkSweepColdOpt is the same cold sweep with the pressure-reducing

@@ -48,11 +48,6 @@ type Suite struct {
 	// so recorded tables match the paper's unoptimized compiler; orion-bench
 	// exposes -opt.
 	Opt bool
-	// Backend selects the simulator execution backend for every launch
-	// the suite performs (zero = the process-wide default, normally the
-	// compiled backend). Launches happen behind core's memo caches, so it
-	// is applied through sim.SetDefaultBackend when an experiment runs.
-	Backend sim.Backend
 
 	mu sync.Mutex // serializes Progress writes from workers
 }
@@ -128,13 +123,7 @@ func (s *Suite) Experiments() []Experiment {
 		{"model", "analytical model vs simulator (extension)", s.Model},
 	}
 	for i := range list {
-		run := list[i].Run
-		list[i].Run = s.instrument(list[i].ID, func() (*Table, error) {
-			if s.Backend != sim.BackendAuto {
-				sim.SetDefaultBackend(s.Backend)
-			}
-			return run()
-		})
+		list[i].Run = s.instrument(list[i].ID, list[i].Run)
 	}
 	return list
 }

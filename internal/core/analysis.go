@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/isa"
 	"repro/internal/obs"
@@ -83,40 +82,37 @@ func (e *AnalysisError) Error() string {
 	return b.String()
 }
 
-// saMemo caches analyzer results per program. Programs are immutable once
-// published, and ladder levels that reuse a proto binary share one
-// *isa.Program, so each distinct binary is analyzed once no matter how
-// many occupancy levels or tuner iterations touch it. A benign store race
-// just repeats the analysis.
-var saMemo sync.Map // *isa.Program -> []sa.Diagnostic
+type lintKey struct{}
 
-// analyzeProgram returns the analyzer's findings for p, memoized. The
-// fill path records an "sa.analyze" span, one "sa.diagnostic" span per
-// finding, and the sa.checks / sa.diagnostics counters.
+// analyzeProgram returns the analyzer's findings for p, computed once per
+// program (isa.Program.Derived): ladder levels that reuse a proto binary
+// share one *isa.Program, so each distinct binary is analyzed once no
+// matter how many levels or tuner iterations touch it. The one analysis
+// records an "sa.analyze" span, one "sa.diagnostic" span per finding, and
+// the sa.checks / sa.diagnostics counters under its caller's context.
 func (r *Realizer) analyzeProgram(p *isa.Program, x obs.Ctx) []sa.Diagnostic {
-	if got, ok := saMemo.Load(p); ok {
-		return got.([]sa.Diagnostic)
-	}
-	sp := x.Span("sa.analyze", obs.String("kernel", p.Name))
-	diags := sa.Analyze(p)
-	for _, d := range diags {
-		dsp := sp.Ctx().Span("sa.diagnostic",
-			obs.String("kernel", p.Name),
-			obs.String("code", d.Code),
-			obs.String("severity", d.Sev.String()),
-			obs.String("func", d.Func),
-			obs.Int("pc", d.PC),
-			obs.String("detail", d.Detail))
-		dsp.End()
-	}
-	if len(diags) > 0 {
-		sp.SetAttr(obs.Int("diagnostics", len(diags)))
-		x.Metrics().Counter("sa.diagnostics").Add(uint64(len(diags)))
-	}
-	x.Metrics().Counter("sa.checks").Add(1)
-	sp.End()
-	saMemo.Store(p, diags)
-	return diags
+	v, _ := p.Derived(lintKey{}, func() (any, error) {
+		sp := x.Span("sa.analyze", obs.String("kernel", p.Name))
+		diags := sa.Analyze(p)
+		for _, d := range diags {
+			dsp := sp.Ctx().Span("sa.diagnostic",
+				obs.String("kernel", p.Name),
+				obs.String("code", d.Code),
+				obs.String("severity", d.Sev.String()),
+				obs.String("func", d.Func),
+				obs.Int("pc", d.PC),
+				obs.String("detail", d.Detail))
+			dsp.End()
+		}
+		if len(diags) > 0 {
+			sp.SetAttr(obs.Int("diagnostics", len(diags)))
+			x.Metrics().Counter("sa.diagnostics").Add(uint64(len(diags)))
+		}
+		x.Metrics().Counter("sa.checks").Add(1)
+		sp.End()
+		return diags, nil
+	})
+	return v.([]sa.Diagnostic)
 }
 
 // lintProgram gates a program on the realizer's lint mode: strict mode

@@ -71,11 +71,6 @@ type runKey struct {
 	targetWarps int
 	gridWarps   int
 	firstWarp   int
-	// backend is the resolved execution backend. The two backends are
-	// required to produce identical Stats, but keying on it keeps the
-	// cache honest when a differential test flips the process default
-	// mid-run.
-	backend sim.Backend
 }
 
 // runCache memoizes RunAt process-wide. The experiment suite re-simulates
@@ -95,9 +90,6 @@ func ResetRunCache() { runCache.Reset() }
 
 // SetRunCacheEnabled toggles simulation memoization.
 func SetRunCacheEnabled(on bool) { runCache.SetEnabled(on) }
-
-// RunCacheEnabled reports whether simulation memoization is active.
-func RunCacheEnabled() bool { return runCache.Enabled() }
 
 // RealizeCacheStats reports the process-wide realization cache counters:
 // hits (calls served without allocating) and misses (distinct realizations

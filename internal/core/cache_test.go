@@ -1,11 +1,17 @@
 package core
 
 import (
+	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/device"
 	"repro/internal/interp"
+	"repro/internal/isa"
 	"repro/internal/kernels"
+	"repro/internal/obs"
 	"repro/internal/occupancy"
 )
 
@@ -170,5 +176,86 @@ func TestRunCacheServesRepeatedLaunches(t *testing.T) {
 	}
 	if st3 == st1 {
 		t.Error("launches with different grids shared a cache entry")
+	}
+}
+
+// TestResetReleasesDerivedState pins the ownership rule: everything
+// computed from a realized binary (layout, compiled closures, lint
+// findings, fingerprint, verification outcome) lives on the program or its
+// version, so dropping the two memo caches leaves nothing in the process
+// that keeps a realized program alive.
+func TestResetReleasesDerivedState(t *testing.T) {
+	ResetRealizeCache()
+	ResetRunCache()
+	var tracked, finalized atomic.Int32
+	func() {
+		rng := rand.New(rand.NewSource(15))
+		rz := NewRealizer(device.GTX680(), device.SmallCache) // Verify on, Lint strict
+		seen := map[*isa.Program]bool{}
+		for i := 0; i < 12; i++ {
+			p := randomProgram(rng)
+			cr, err := rz.Compile(p, true)
+			if err != nil {
+				t.Fatalf("program %d: compile: %v", i, err)
+			}
+			for _, c := range append(append([]*Candidate{{Version: cr.Original}}, cr.Candidates...), cr.FailSafe...) {
+				if rp := c.Version.Prog; !seen[rp] {
+					seen[rp] = true
+					tracked.Add(1)
+					runtime.SetFinalizer(rp, func(*isa.Program) { finalized.Add(1) })
+				}
+			}
+			if _, err := rz.TuneCompiled(cr, Launch{GridWarps: 32, Iterations: 6}); err != nil {
+				t.Fatalf("program %d: tune: %v", i, err)
+			}
+		}
+	}()
+	if tracked.Load() == 0 {
+		t.Fatal("no realized program was tracked")
+	}
+	ResetRealizeCache()
+	ResetRunCache()
+	// Finalizers run on their own goroutine after a collection finds the
+	// object unreachable; two collections suffice, the loop only waits for
+	// that goroutine.
+	for i := 0; i < 200 && finalized.Load() < tracked.Load(); i++ {
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got, want := finalized.Load(), tracked.Load(); got != want {
+		t.Errorf("%d of %d realized programs were released after resetting both caches", got, want)
+	}
+}
+
+// TestLintCountExactUnderParallelSweep pins once-per-program analysis:
+// Sweep's levels realize in parallel and several share one proto binary,
+// so a load-then-store memo let two levels both analyze it and sa.checks
+// read 7 in some runs and 8 in others. Each sweep gets a fresh clone of
+// the kernel so every run is cold; the count does not depend on the grid,
+// so the launch is tiny.
+func TestLintCountExactUnderParallelSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("20 cold sweeps of every suite kernel")
+	}
+	ks, err := kernels.All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range ks {
+		counts := map[uint64]int{}
+		for run := 0; run < 20; run++ {
+			ResetRealizeCache()
+			ResetRunCache()
+			col := obs.New()
+			rz := NewRealizer(device.GTX680(), device.SmallCache)
+			rz.Obs = col
+			if _, err := rz.Sweep(k.Prog.Clone(), 16); err != nil {
+				t.Fatalf("%s: %v", k.Name, err)
+			}
+			counts[col.Metrics().Counter("sa.checks").Value()]++
+		}
+		if len(counts) != 1 {
+			t.Errorf("%s: sa.checks over 20 identical cold sweeps = %v (value: runs), want one value", k.Name, counts)
+		}
 	}
 }

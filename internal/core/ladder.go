@@ -628,8 +628,6 @@ func cloneForTarget(proto *Version, targetWarps int) *Version {
 		MaxLivePre:     proto.MaxLivePre,
 		MaxLivePost:    proto.MaxLivePost,
 		Debug:          proto.Debug,
-		fp:             proto.fingerprint(),
-		fpSet:          true,
 	}
 }
 

@@ -36,14 +36,6 @@ func (e *VerifyError) Error() string {
 	return b.String()
 }
 
-// verifyMemo caches verification outcomes per Version. Versions are
-// immutable and shared process-wide by the realization cache, so one check
-// per distinct version suffices even though the tuner re-verifies its
-// candidate on every iteration. A benign store race just repeats the check.
-var verifyMemo sync.Map // *Version -> verifyOutcome
-
-type verifyOutcome struct{ err error }
-
 // oracleRef is the differential oracle's reference for one program, built
 // on first use and shared by every version checked against that program.
 // It belongs to whatever owns the program's realizations (a Ladder, a
@@ -71,17 +63,15 @@ func (o *oracleRef) get(orig *isa.Program, x obs.Ctx) *verify.Reference {
 // and, when a distinct reference program is available, the differential
 // oracle. orig is the semantic reference — the pre-realization source in
 // the compile path, the original version's binary in the tuner path — and
-// ref its owner's shared oracle reference.
+// ref its owner's shared oracle reference. The version keeps the outcome:
+// versions are immutable, so one check each suffices even though the
+// tuner re-verifies its candidate on every iteration.
 func (r *Realizer) verifyVersion(orig *isa.Program, ref *oracleRef, v *Version, x obs.Ctx) error {
 	if v == nil {
 		return nil
 	}
-	if got, ok := verifyMemo.Load(v); ok {
-		return got.(verifyOutcome).err
-	}
-	err := r.verifyUncached(orig, ref, v, x)
-	verifyMemo.Store(v, verifyOutcome{err})
-	return err
+	v.verifyOnce.Do(func() { v.verifyErr = r.verifyUncached(orig, ref, v, x) })
+	return v.verifyErr
 }
 
 // verifyUncached runs the static invariants, then the execution oracle,
@@ -130,8 +120,8 @@ func (r *Realizer) verifyUncached(orig *isa.Program, ref *oracleRef, v *Version,
 }
 
 // verifyCandidate is the tuner-side check: before a candidate executes, it
-// is verified against the compile result's original binary. Memoization
-// makes the per-iteration cost a map lookup after the first run.
+// is verified against the compile result's original binary. The version
+// keeps the outcome, so iterations after the first cost a sync.Once check.
 func (r *Realizer) verifyCandidate(cr *CompileResult, cand *Candidate, x obs.Ctx) error {
 	if !r.Verify || cand == nil {
 		return nil

@@ -58,24 +58,19 @@ type Version struct {
 	// to allocator decisions. Nil on decoded or hand-built versions.
 	Debug *prof.DebugInfo
 
-	// fp memoizes the program's content fingerprint (the simulation-cache
-	// key component); computed lazily because decoded or hand-built
-	// versions never pay for it unless they simulate. fpSet marks versions
-	// whose fingerprint was filled at construction (ladder clones copy the
-	// shared proto's hash); it is never written after a Version is
-	// published.
-	fp     isa.Fingerprint
-	fpSet  bool
-	fpOnce sync.Once
+	// verifyOnce guards verifyErr, the outcome of verifyVersion.
+	verifyOnce sync.Once
+	verifyErr  error
 }
 
-// fingerprint returns the version's program content hash, computed once.
+type fingerprintKey struct{}
+
+// fingerprint returns the program's content hash (the simulation-cache key
+// component), computed on first use and once per program: ladder levels
+// that share a proto binary share its hash.
 func (v *Version) fingerprint() isa.Fingerprint {
-	if v.fpSet {
-		return v.fp
-	}
-	v.fpOnce.Do(func() { v.fp = v.Prog.Fingerprint() })
-	return v.fp
+	fp, _ := v.Prog.Derived(fingerprintKey{}, func() (any, error) { return v.Prog.Fingerprint(), nil })
+	return fp.(isa.Fingerprint)
 }
 
 // Occupancy returns the realized occupancy fraction.
@@ -328,7 +323,6 @@ func (v *Version) ProfileAtCtx(d *device.Device, cc device.CacheConfig, targetWa
 		targetWarps: targetWarps,
 		gridWarps:   lc.GridWarps,
 		firstWarp:   lc.FirstWarp,
-		backend:     sim.DefaultBackend(),
 	}
 	filled := false
 	st, err := runCache.Do(key, func() (*sim.Stats, error) {

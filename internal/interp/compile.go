@@ -108,9 +108,10 @@ type cop struct {
 }
 
 // Compiled is a program translated to closures, shared (immutably) by every
-// warp executing that program.
+// warp executing that program. It holds the functions, not the program
+// that owns it (CompiledOf): see isa.Program.Derived on back pointers.
 type Compiled struct {
-	prog   *isa.Program
+	funcs  []*isa.Function
 	layout *Layout
 
 	code      [][]cop // per function, indexed by pc
@@ -126,22 +127,14 @@ type Compiled struct {
 // Layout returns the static layout the compilation used.
 func (c *Compiled) Layout() *Layout { return c.layout }
 
-// compileCache memoizes Compile per program identity, mirroring layoutCache:
-// programs are immutable once realized, and the tuner simulates the same
-// binary many times.
-var compileCache sync.Map // *isa.Program -> *Compiled
+type compiledKey struct{}
 
-// CompiledOf returns the memoized translation of a finalized program.
+// CompiledOf returns the translation of a finalized program, compiled
+// once per program (isa.Program.Derived).
 func CompiledOf(p *isa.Program) (*Compiled, error) {
-	if v, ok := compileCache.Load(p); ok {
-		return v.(*Compiled), nil
-	}
-	c, err := Compile(p)
-	if err != nil {
-		return nil, err
-	}
-	v, _ := compileCache.LoadOrStore(p, c)
-	return v.(*Compiled), nil
+	v, err := p.Derived(compiledKey{}, func() (any, error) { return Compile(p) })
+	c, _ := v.(*Compiled)
+	return c, err
 }
 
 // Compile translates a validated program into closures.
@@ -150,7 +143,7 @@ func Compile(p *isa.Program) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Compiled{prog: p, layout: layout, locStride: layout.LocalSpillSlots}
+	c := &Compiled{funcs: p.Funcs, layout: layout, locStride: layout.LocalSpillSlots}
 	if c.locStride == 0 {
 		c.locStride = 1
 	}
@@ -163,7 +156,7 @@ func Compile(p *isa.Program) (*Compiled, error) {
 }
 
 func (c *Compiled) compileFunc(fi int) []cop {
-	f := c.prog.Funcs[fi]
+	f := c.funcs[fi]
 	code := make([]cop, len(f.Instrs))
 	for i := range f.Instrs {
 		in := &f.Instrs[i]
@@ -730,7 +723,7 @@ func (c *Compiled) compileOp(fi, pc int, in *isa.Instr) func(*CWarp) {
 	case isa.OpCall:
 		callee := int(in.Tgt)
 		bk := c.layout.callBase[fi][c.layout.callIndex[fi][pc]]
-		cf := c.prog.Funcs[callee]
+		cf := c.funcs[callee]
 		calleeName := cf.Name
 		calleeFrame := c.layout.frameSize[callee]
 		numArgs := cf.NumArgs

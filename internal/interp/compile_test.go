@@ -2,6 +2,7 @@ package interp
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"repro/internal/isa"
@@ -421,6 +422,41 @@ func TestCompiledOfMemoizes(t *testing.T) {
 	}
 	if a != b {
 		t.Error("CompiledOf did not memoize")
+	}
+}
+
+// TestDerivedOncePerProgram races first callers of CompiledOf and LayoutOf
+// on one program: all get the one translation, a clone gets its own, and a
+// program that cannot be laid out hands its error to every caller.
+func TestDerivedOncePerProgram(t *testing.T) {
+	p := isa.MustParse(".kernel k\n.func main\n CALL v1, f, v0\n EXIT\n.func f args 1 ret\n RET v0\n")
+	bad := p.Clone()
+	bad.Funcs[0].CallBounds = []int{} // shorter than the call count
+	const callers = 8
+	comps := make([]*Compiled, callers)
+	layouts := make([]*Layout, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			comps[g], _ = CompiledOf(p)
+			layouts[g], _ = LayoutOf(p)
+			_, errs[g] = CompiledOf(bad)
+		}(g)
+	}
+	wg.Wait()
+	for g := range comps {
+		if comps[g] == nil || comps[g] != comps[0] || layouts[g] == nil || layouts[g] != layouts[0] {
+			t.Errorf("caller %d: compiled %p layout %p, want %p %p", g, comps[g], layouts[g], comps[0], layouts[0])
+		}
+		if errs[g] == nil || errs[g] != errs[0] {
+			t.Errorf("caller %d: error %v, want the one build's error %v", g, errs[g], errs[0])
+		}
+	}
+	if c, err := CompiledOf(p.Clone()); err != nil || c == comps[0] {
+		t.Errorf("clone: compiled %p err %v, want its own translation", c, err)
 	}
 }
 

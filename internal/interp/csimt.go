@@ -36,12 +36,11 @@ type csop struct {
 }
 
 func (c *Compiled) compileSIMT() {
-	p := c.prog
-	if len(p.Funcs) != 1 {
+	if len(c.funcs) != 1 {
 		c.simtErr = ErrSIMTUnsupported
 		return
 	}
-	f := p.Entry()
+	f := c.funcs[0]
 	for i := range f.Instrs {
 		if f.Instrs[i].Op == isa.OpCall || f.Instrs[i].Op == isa.OpRet {
 			c.simtErr = ErrSIMTUnsupported

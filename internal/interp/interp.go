@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/isa"
 )
@@ -225,27 +224,16 @@ func NewLayout(p *isa.Program) (*Layout, error) {
 	return l, nil
 }
 
-// layoutCache memoizes NewLayout per program identity. The timing
-// simulator computes a layout on every launch, and tuning runs the same
-// binary dozens of times; the layout is a pure function of the program, so
-// one computation per program suffices. Keying on the pointer is sound
-// because compiled programs are immutable once realized — callers that
-// still mutate a program must use NewLayout directly. Entries pin their
-// program for the process lifetime, which is bounded by the (small) number
-// of distinct compiled versions.
-var layoutCache sync.Map // *isa.Program -> *Layout
+type layoutKey struct{}
 
-// LayoutOf returns the memoized static layout of a finalized program.
+// LayoutOf returns the static layout of a finalized program, computed
+// once per program (isa.Program.Derived): the timing simulator needs it on
+// every launch and tuning runs the same binary dozens of times. Callers
+// that still mutate a program must use NewLayout directly.
 func LayoutOf(p *isa.Program) (*Layout, error) {
-	if v, ok := layoutCache.Load(p); ok {
-		return v.(*Layout), nil
-	}
-	l, err := NewLayout(p)
-	if err != nil {
-		return nil, err
-	}
-	v, _ := layoutCache.LoadOrStore(p, l)
-	return v.(*Layout), nil
+	v, err := p.Derived(layoutKey{}, func() (any, error) { return NewLayout(p) })
+	l, _ := v.(*Layout)
+	return l, err
 }
 
 // Launch describes one kernel launch.

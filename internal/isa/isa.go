@@ -12,7 +12,10 @@
 // (the substrate for the paper's compressible stack).
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Op enumerates OASM opcodes.
 type Op uint8
@@ -279,6 +282,46 @@ type Program struct {
 	SharedBytes int // user-declared shared memory per block
 	BlockDim    int // threads per block at launch
 	Funcs       []*Function
+
+	derivedMu sync.Mutex
+	derived   map[any]*derivedEntry
+}
+
+// derivedEntry is one (program, key) slot of Derived.
+type derivedEntry struct {
+	mu   sync.Mutex
+	done bool
+	val  any
+	err  error
+}
+
+// Derived returns the value build computes from the program, built once
+// per (program, key): concurrent first callers wait for the one build and
+// every caller gets its value or its error (a build that panics stores
+// nothing). The value lives on the program and is freed with it; Clone,
+// Decode and Parse start with none. Pass finalized programs only: nothing
+// invalidates a value. Keys are unexported struct types of the calling
+// package. A value that points back at the program is collected with it
+// all the same, but keeps a finalizer set on the program from running.
+func (p *Program) Derived(key any, build func() (any, error)) (any, error) {
+	p.derivedMu.Lock()
+	e := p.derived[key]
+	if e == nil {
+		if p.derived == nil {
+			p.derived = make(map[any]*derivedEntry)
+		}
+		e = &derivedEntry{}
+		p.derived[key] = e
+	}
+	p.derivedMu.Unlock()
+
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if !e.done {
+		e.val, e.err = build()
+		e.done = true
+	}
+	return e.val, e.err
 }
 
 // Entry returns the kernel entry function (Funcs[0]).
@@ -304,14 +347,18 @@ func (p *Program) FuncIndex(name string) int {
 	return -1
 }
 
-// Clone deep-copies the program.
+// Clone deep-copies the program; derived values (see Derived) stay behind.
 func (p *Program) Clone() *Program {
-	np := *p
-	np.Funcs = make([]*Function, len(p.Funcs))
+	np := &Program{
+		Name:        p.Name,
+		SharedBytes: p.SharedBytes,
+		BlockDim:    p.BlockDim,
+		Funcs:       make([]*Function, len(p.Funcs)),
+	}
 	for i, f := range p.Funcs {
 		np.Funcs[i] = f.Clone()
 	}
-	return &np
+	return np
 }
 
 // StaticCalls returns the total number of static call instructions across

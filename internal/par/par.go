@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // ItemPanic wraps a panic raised by one work item so the caller sees
@@ -80,13 +81,16 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(i int)) error {
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	var firstPanic *ItemPanic // guarded by mu, like next and canceled
+	// panicked stops dispatch: protectItem raises it as soon as an item's
+	// panic is recovered, before the 64 KiB stack capture.
+	var panicked atomic.Bool
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
 				mu.Lock()
-				stop := firstPanic != nil || canceled
+				stop := panicked.Load() || canceled
 				i := next
 				if !stop && i < n && done != nil {
 					select {
@@ -103,7 +107,7 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(i int)) error {
 				if stop || i >= n {
 					return
 				}
-				if p := protectItem(i, fn); p != nil {
+				if p := protectItem(i, fn, &panicked); p != nil {
 					mu.Lock()
 					if firstPanic == nil || p.Index < firstPanic.Index {
 						firstPanic = p
@@ -137,10 +141,11 @@ func runItem(i int, fn func(i int)) {
 }
 
 // protectItem runs one item and converts a panic into a returned
-// *ItemPanic instead of unwinding the worker.
-func protectItem(i int, fn func(i int)) (p *ItemPanic) {
+// *ItemPanic instead of unwinding the worker, raising panicked first.
+func protectItem(i int, fn func(i int), panicked *atomic.Bool) (p *ItemPanic) {
 	defer func() {
 		if v := recover(); v != nil {
+			panicked.Store(true)
 			p = wrapPanic(i, v)
 		}
 	}()

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForEachCoversAllIndicesOnce(t *testing.T) {
@@ -83,8 +84,8 @@ func TestForEachRecoversWorkerPanic(t *testing.T) {
 		if p.Value != "boom" {
 			t.Errorf("workers=%d: panic value = %v", workers, p.Value)
 		}
-		if len(p.Stack) == 0 {
-			t.Errorf("workers=%d: no stack captured", workers)
+		if !strings.Contains(string(p.Stack), "TestForEachRecoversWorkerPanic") {
+			t.Errorf("workers=%d: stack does not reach the panic site:\n%s", workers, p.Stack)
 		}
 		if !strings.Contains(p.Error(), "item 17 panicked: boom") {
 			t.Errorf("workers=%d: Error() = %q", workers, p.Error())
@@ -97,14 +98,22 @@ func TestForEachRecoversWorkerPanic(t *testing.T) {
 
 func TestForEachPanicStopsDispatch(t *testing.T) {
 	// After an item panics, workers must stop pulling new items; every
-	// item that did run before the stop still completes exactly once.
+	// item that did run before the stop still completes exactly once. The
+	// other items wait for item 0 to reach its panic and then take 100 µs
+	// each, so running all of them would need a second while the stop is
+	// raised within microseconds: the assertion does not rest on which
+	// worker the scheduler favours.
 	const n = 10000
 	var ran atomic.Int32
+	reached := make(chan struct{})
 	p := catchPanic(t, func() {
 		ForEach(2, n, func(i int) {
 			if i == 0 {
+				close(reached)
 				panic("early")
 			}
+			<-reached
+			time.Sleep(100 * time.Microsecond)
 			ran.Add(1)
 		})
 	})

@@ -17,8 +17,6 @@
 package prof
 
 import (
-	"sync"
-
 	"repro/internal/isa"
 )
 
@@ -55,17 +53,12 @@ type Index struct {
 	n     int // flat PCs; slot n is the unknown-instruction overflow
 }
 
-// indexCache memoizes NewIndex per program identity, mirroring
-// interp.LayoutOf: programs are immutable once realized and the tuner
-// profiles the same binary many times.
-var indexCache sync.Map // *isa.Program -> *Index
+type indexKey struct{}
 
-// IndexOf returns the memoized flat-PC index of a program.
+// IndexOf returns the flat-PC index of a finalized program, built once
+// per program (isa.Program.Derived).
 func IndexOf(p *isa.Program) *Index {
-	if v, ok := indexCache.Load(p); ok {
-		return v.(*Index)
-	}
-	v, _ := indexCache.LoadOrStore(p, NewIndex(p))
+	v, _ := p.Derived(indexKey{}, func() (any, error) { return NewIndex(p), nil })
 	return v.(*Index)
 }
 

@@ -284,25 +284,34 @@ func (s *Server) handleTune(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	key := RequestKey("tune", r.params, r.prog, r.dev)
-	if data, ok, _ := s.cfg.Store.Get("tune", key); ok {
+	s.serveArtifact(w, req, "tune", "application/json", key, "serve.tune_ms", func(ctx context.Context) ([]byte, error) {
+		return s.tuneJob(ctx, r)
+	})
+}
+
+// serveArtifact is the one path from a request key to response bytes: a
+// stored artifact is served as is; otherwise job runs once for every
+// concurrent request with this key (Flight) on the worker pool, its
+// wall time lands in the hist histogram, and the result is persisted
+// before it is written.
+func (s *Server) serveArtifact(w http.ResponseWriter, req *http.Request, kind, contentType, key, hist string, job func(context.Context) ([]byte, error)) {
+	if data, ok, _ := s.cfg.Store.Get(kind, key); ok {
 		s.metrics.Counter("serve.store_hits").Add(1)
-		writeArtifact(w, "application/json", key, data)
+		writeArtifact(w, contentType, key, data)
 		return
 	}
 	s.metrics.Counter("serve.store_misses").Add(1)
 	startAt := time.Now()
-	data, err := s.flight.Do(req.Context(), key, s.pool, func(ctx context.Context) ([]byte, error) {
-		return s.tuneJob(ctx, r)
-	})
+	data, err := s.flight.Do(req.Context(), key, s.pool, job)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	s.metrics.Histogram("serve.tune_ms").Observe(float64(time.Since(startAt).Milliseconds()))
-	if err := s.cfg.Store.Put("tune", key, data); err != nil {
+	s.metrics.Histogram(hist).Observe(float64(time.Since(startAt).Milliseconds()))
+	if err := s.cfg.Store.Put(kind, key, data); err != nil {
 		s.metrics.Counter("serve.store_errors").Add(1)
 	}
-	writeArtifact(w, "application/json", key, data)
+	writeArtifact(w, contentType, key, data)
 }
 
 // tuneJob is the cold path: compile (or decode a stored fat binary),
@@ -417,14 +426,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, req *http.Request) {
 	rz := r.realizer(nil)
 	canTune := rz.CanTune(r.prog, r.launch())
 	key := RequestKey(fatOp(canTune), fatParams(r.params), r.prog, r.dev)
-	if data, ok, _ := s.cfg.Store.Get("fat", key); ok {
-		s.metrics.Counter("serve.store_hits").Add(1)
-		writeArtifact(w, "application/octet-stream", key, data)
-		return
-	}
-	s.metrics.Counter("serve.store_misses").Add(1)
-	startAt := time.Now()
-	data, err := s.flight.Do(req.Context(), key, s.pool, func(ctx context.Context) ([]byte, error) {
+	s.serveArtifact(w, req, "fat", "application/octet-stream", key, "serve.compile_ms", func(ctx context.Context) ([]byte, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -434,15 +436,6 @@ func (s *Server) handleCompile(w http.ResponseWriter, req *http.Request) {
 		}
 		return core.EncodeFat(cr), nil
 	})
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	s.metrics.Histogram("serve.compile_ms").Observe(float64(time.Since(startAt).Milliseconds()))
-	if err := s.cfg.Store.Put("fat", key, data); err != nil {
-		s.metrics.Counter("serve.store_errors").Add(1)
-	}
-	writeArtifact(w, "application/octet-stream", key, data)
 }
 
 // SweepRow is one occupancy level of a sweep response.
@@ -473,25 +466,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	key := RequestKey("sweep", r.params, r.prog, r.dev)
-	if data, ok, _ := s.cfg.Store.Get("sweep", key); ok {
-		s.metrics.Counter("serve.store_hits").Add(1)
-		writeArtifact(w, "application/json", key, data)
-		return
-	}
-	s.metrics.Counter("serve.store_misses").Add(1)
-	startAt := time.Now()
-	data, err := s.flight.Do(req.Context(), key, s.pool, func(ctx context.Context) ([]byte, error) {
+	s.serveArtifact(w, req, "sweep", "application/json", key, "serve.sweep_ms", func(ctx context.Context) ([]byte, error) {
 		return s.sweepJob(ctx, r)
 	})
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	s.metrics.Histogram("serve.sweep_ms").Observe(float64(time.Since(startAt).Milliseconds()))
-	if err := s.cfg.Store.Put("sweep", key, data); err != nil {
-		s.metrics.Counter("serve.store_errors").Add(1)
-	}
-	writeArtifact(w, "application/json", key, data)
 }
 
 // sweepJob realizes and simulates every occupancy level, fanning out

@@ -1,10 +1,5 @@
 package sim
 
-import (
-	"fmt"
-	"sync/atomic"
-)
-
 // Backend selects the warp execution engine behind the timing model.
 //
 // Both backends step the same binaries through the same issue, cache,
@@ -14,11 +9,12 @@ import (
 //   - BackendCompiled translates every basic block once into fused Go
 //     closures (package interp's CWarp/CSIMTWarp) with pre-resolved
 //     operand templates, superinstructions for hot decode pairs, and
-//     whole-warp lane batching in SIMT mode. This is the default.
+//     whole-warp lane batching in SIMT mode. It is the zero value: every
+//     Config that does not say otherwise runs it.
 //   - BackendInterp steps the original tree-walking interpreter
 //     (interp.Warp/SIMTWarp via the Stepper adapter). It is the
-//     reference semantics and stays available as a differential oracle
-//     for the compiled path.
+//     reference semantics, selected per call through Config.Backend by
+//     the differential oracles (verify.CrossBackend, the sim tests).
 //
 // The two are required to be bit-identical on Stats fingerprints and
 // fault behavior; verify.CrossBackend and the sim differential tests
@@ -26,63 +22,19 @@ import (
 type Backend uint8
 
 const (
-	// BackendAuto resolves to the process-wide default backend
-	// (SetDefaultBackend, initially BackendCompiled). It is the zero
-	// value so existing Config literals keep working unchanged.
-	BackendAuto Backend = iota
 	// BackendCompiled executes block-compiled closures.
-	BackendCompiled
+	BackendCompiled Backend = iota
 	// BackendInterp executes the reference interpreter.
 	BackendInterp
 )
 
-// String names the backend as accepted by ParseBackend.
+// String names the backend.
 func (b Backend) String() string {
-	switch b {
-	case BackendCompiled:
+	if b == BackendCompiled {
 		return "compiled"
-	case BackendInterp:
-		return "interp"
-	default:
-		return "auto"
 	}
+	return "interp"
 }
 
-// ParseBackend parses a -sim-backend flag value.
-func ParseBackend(s string) (Backend, error) {
-	switch s {
-	case "compiled":
-		return BackendCompiled, nil
-	case "interp", "interpreter":
-		return BackendInterp, nil
-	case "", "auto", "default":
-		return BackendAuto, nil
-	}
-	return BackendAuto, fmt.Errorf("sim: unknown backend %q (want compiled or interp)", s)
-}
-
-// defaultBackend holds the process-wide backend used when a Config
-// leaves Backend as BackendAuto. Zero means "unset" and resolves to
-// BackendCompiled.
-var defaultBackend atomic.Uint32
-
-// SetDefaultBackend changes the process-wide default backend. CLIs and
-// bench.Suite use this to honor -sim-backend without threading the
-// choice through every Config literal.
-func SetDefaultBackend(b Backend) { defaultBackend.Store(uint32(b)) }
-
-// DefaultBackend reports the backend a BackendAuto Config resolves to.
-func DefaultBackend() Backend {
-	if b := Backend(defaultBackend.Load()); b != BackendAuto {
-		return b
-	}
-	return BackendCompiled
-}
-
-// resolve maps BackendAuto to the process default.
-func (b Backend) resolve() Backend {
-	if b == BackendAuto {
-		return DefaultBackend()
-	}
-	return b
-}
+// DefaultBackend is the backend a Config runs when it leaves Backend unset.
+func DefaultBackend() Backend { return BackendCompiled }

@@ -283,8 +283,7 @@ func TestSnapshotSimTotals(t *testing.T) {
 
 // BenchmarkSimProfilerDisabled measures the simulator hot path with the
 // profiler compiled in but disabled — the configuration every normal
-// run uses. Compare against BenchmarkSimProfilerEnabled and the
-// pre-profiler BENCH_sim.json numbers.
+// run uses. Compare against BenchmarkSimProfilerEnabled.
 func BenchmarkSimProfilerDisabled(b *testing.B) {
 	benchmarkProfiler(b, nil)
 }

@@ -54,10 +54,9 @@ type Config struct {
 	TraceWarps int
 	// Scheduler selects the warp scheduling policy (default GTO).
 	Scheduler Scheduler
-	// Backend selects the warp execution engine (default: the process-wide
-	// default, normally the compiled backend). Both backends are
-	// bit-identical on Stats; the interpreter remains available as a
-	// differential oracle.
+	// Backend selects the warp execution engine; the zero value is the
+	// compiled backend. Both backends are bit-identical on Stats; the
+	// differential oracles set BackendInterp here per call.
 	Backend Backend
 	// Obs, when enabled, wraps the launch in an observability span
 	// carrying the run's statistics (cycles, IPC, stall breakdown, cache
@@ -337,7 +336,6 @@ type issuedRef struct {
 // attributes summarize the Stats; disabled, the instrumentation costs a
 // single check.
 func Simulate(cfg Config, lc *interp.Launch) (*Stats, error) {
-	cfg.Backend = cfg.Backend.resolve()
 	if !cfg.Obs.Enabled() {
 		return simulateLoop(cfg, lc)
 	}

@@ -248,29 +248,6 @@ func Occupancy(d *Device, cc CacheConfig, regsPerThread, sharedPerBlock, blockDi
 	})
 }
 
-// SimBackend selects the simulator's execution backend: compiled
-// closures (the default) or the step interpreter retained as a
-// differential oracle.
-type SimBackend = sim.Backend
-
-// Simulator backend selectors, re-exported for CLI flag plumbing.
-const (
-	SimBackendAuto     = sim.BackendAuto
-	SimBackendCompiled = sim.BackendCompiled
-	SimBackendInterp   = sim.BackendInterp
-)
-
-// ParseSimBackend parses a -sim-backend flag value ("compiled", "interp",
-// or "" for the default).
-func ParseSimBackend(s string) (SimBackend, error) { return sim.ParseBackend(s) }
-
-// SetSimBackend sets the process-default simulator backend, used by every
-// launch whose Config does not pick one explicitly.
-func SetSimBackend(b SimBackend) { sim.SetDefaultBackend(b) }
-
-// CurrentSimBackend reports the resolved process-default backend name.
-func CurrentSimBackend() string { return sim.DefaultBackend().String() }
-
 // Simulate executes a compiled version at a target occupancy on the
 // simulated device.
 func Simulate(v *Version, d *Device, cc CacheConfig, targetWarps, gridWarps int) (*SimStats, error) {
