@@ -59,10 +59,12 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzOpt -fuzztime 10s ./internal/opt/
 	$(GO) test -run '^$$' -fuzz FuzzTV -fuzztime 10s ./internal/tv/
 
-## bench-smoke: one iteration of the cold-sweep benchmark — not a
-## measurement, just proof the benchmark path still compiles and runs.
+## bench-smoke: one iteration of the cold-sweep benchmark and of the
+## simulator throughput benchmark — not a measurement, just proof the
+## benchmark paths still compile and run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench SweepCold -benchtime 1x ./internal/bench/
+	$(GO) test -run '^$$' -bench 'Simulator$$' -benchtime 1x .
 
 ## bench: the repository's benchmark (BENCHMARK.json, benchmark/README.md):
 ## every workload once, every end-to-end metric printed by name, results

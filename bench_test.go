@@ -14,6 +14,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/kernels"
 	"repro/internal/regalloc"
+	"repro/internal/sim"
 )
 
 // benchScale keeps experiment benchmarks test-sized.
@@ -148,7 +149,9 @@ func BenchmarkSplitWebs(b *testing.B) {
 }
 
 // BenchmarkSimulator measures the timing simulator's throughput
-// (instructions per second reported as a custom metric).
+// (instructions per second and nanoseconds per instruction as custom
+// metrics). It calls sim.Simulate with the version's residency: RunAt
+// would answer every iteration after the first from core's run cache.
 func BenchmarkSimulator(b *testing.B) {
 	k, err := kernels.ByName("srad")
 	if err != nil {
@@ -160,16 +163,25 @@ func BenchmarkSimulator(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	cfg := sim.Config{
+		Device:         d,
+		Cache:          device.SmallCache,
+		BlocksPerSM:    min(v.Natural.ActiveBlocks, 48/(v.Prog.BlockDim/d.WarpSize)),
+		RegsPerThread:  v.RegsPerThread,
+		SharedPerBlock: v.SharedPerBlock,
+	}
+	lc := &interp.Launch{Prog: v.Prog, GridWarps: 256}
 	var instrs uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st, err := v.RunAt(d, device.SmallCache, 48, &interp.Launch{Prog: v.Prog, GridWarps: 256})
+		st, err := sim.Simulate(cfg, lc)
 		if err != nil {
 			b.Fatal(err)
 		}
 		instrs += st.Instructions
 	}
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/instr")
 }
 
 // BenchmarkInterp measures the functional executor alone.

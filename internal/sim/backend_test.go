@@ -12,6 +12,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/isa"
 	"repro/internal/kernels"
+	"repro/internal/obs"
 	"repro/internal/occupancy"
 	"repro/internal/sim"
 	"repro/internal/verify"
@@ -144,14 +145,23 @@ func TestCrossBackendFuzzCorpora(t *testing.T) {
 // TestSimBackendDeterminism pins the parallel-SM merge: the same launch,
 // run repeatedly on each backend, must return identical Stats every time.
 // Goroutine scheduling must be entirely invisible in the merged result.
+// The scheduler's own work counters (issue attempts, rejects, idle
+// skips) must repeat exactly too, and agree across the two backends:
+// they count what the timing model did, not how the warps executed.
 func TestSimBackendDeterminism(t *testing.T) {
 	ks, err := kernels.All()
 	if err != nil {
 		t.Fatal(err)
 	}
 	k := ks[0]
-	for _, backend := range []sim.Backend{sim.BackendCompiled, sim.BackendInterp} {
-		for _, d := range crossDevices() {
+	schedWork := func(col *obs.Collector) [3]uint64 {
+		m := col.Metrics()
+		return [3]uint64{m.Counter("sim.issue_attempts").Value(),
+			m.Counter("sim.issue_rejects").Value(), m.Counter("sim.idle_skips").Value()}
+	}
+	for _, d := range crossDevices() {
+		var firstWork [3]uint64
+		for _, backend := range []sim.Backend{sim.BackendCompiled, sim.BackendInterp} {
 			cfg := sim.Config{
 				Device:        d,
 				Cache:         device.SmallCache,
@@ -162,9 +172,22 @@ func TestSimBackendDeterminism(t *testing.T) {
 			lc := launchFor(k.Prog, d)
 			var first *sim.Stats
 			for run := 0; run < 3; run++ {
+				col := obs.New()
+				cfg.Obs = col.Ctx()
 				st, err := sim.Simulate(cfg, lc)
 				if err != nil {
 					t.Fatalf("%s/%s run %d: %v", backend, d.Name, run, err)
+				}
+				work := schedWork(col)
+				if work[0] != st.Instructions+work[1] {
+					t.Fatalf("%s/%s run %d: %d attempts, %d rejects, %d instructions issued",
+						backend, d.Name, run, work[0], work[1], st.Instructions)
+				}
+				if firstWork == [3]uint64{} {
+					firstWork = work
+				}
+				if work != firstWork {
+					t.Fatalf("%s/%s run %d: scheduler work %v, want %v", backend, d.Name, run, work, firstWork)
 				}
 				if first == nil {
 					first = st

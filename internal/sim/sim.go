@@ -30,6 +30,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"repro/internal/device"
@@ -150,22 +151,23 @@ const (
 )
 
 // warpCtx is one resident warp's issue state. Field order is deliberate:
-// the issue scan's reject check (wake, atBar, done) reads only the first
+// an issue attempt that fails on the scoreboard reads only the first
 // cache line, which matters because the inline pending[] scoreboard makes
 // the struct 5 KiB.
 type warpCtx struct {
-	// wake is the next cycle at which checking this warp can possibly
-	// succeed (scoreboard and structural hazards have exact release
-	// times); the issue scan skips the warp until then.
-	wake  uint64
-	atBar bool
-	done  bool
-	hasEv bool
-	trace bool
-	stall stallKind // stall attribution
-	gid   int32     // global warp id
-	slot  int32     // index in the SM's warps/wakes arrays
-	ready uint64
+	// hazard is the cycle at which every operand of ev is ready. ev is the
+	// warp's next instruction, resolved when its predecessor committed;
+	// pending[] only changes on the warp's own issues, so the release time
+	// is fixed from then on.
+	hazard      uint64
+	memPendHigh uint64 // latest cycle a memory result becomes ready
+	lastIssue   uint64
+	atBar       bool
+	done        bool
+	trace       bool
+	stall       stallKind // stall attribution
+	gid         int32     // global warp id
+	slot        int32     // index in the SM's warps array and wake set
 
 	x  interp.StepExecutor
 	cw *interp.CWarp // devirtualized fast path when x is a *interp.CWarp
@@ -173,17 +175,8 @@ type warpCtx struct {
 	block *blockCtx
 	ev    interp.Event
 
-	// Stall attribution.
-	lastIssue   uint64
-	memPendHigh uint64 // latest cycle a memory result becomes ready
-
 	pending [640]uint64 // register -> cycle at which its value is ready
 }
-
-// asleep is the wakes-array sentinel for warps the issue scan must skip
-// regardless of time: done warps and warps parked at a barrier. It never
-// lowers a minimum-wake fold.
-const asleep = uint64(math.MaxUint64)
 
 // warpCtxPool recycles warp contexts across blocks and across Simulate
 // calls; a context is 5 KiB dominated by the pending[] scoreboard, and
@@ -222,6 +215,13 @@ type smStats struct {
 	stallALU     uint64
 	stallBarrier uint64
 	stallMSHR    uint64
+
+	// The scheduler's own work, exported as obs counters only: issueOne
+	// calls, the ones a hazard or full MSHRs turned away, and idle
+	// skip-aheads.
+	issueAttempts uint64
+	issueRejects  uint64
+	idleSkips     uint64
 
 	// Energy event classes. nALU counts ALU and branch issues (one
 	// EnergyALU each); calls cost two; FPU issues cost 1.5. Memory lines
@@ -262,14 +262,9 @@ type engine struct {
 }
 
 type smCtx struct {
-	eng   *engine
-	id    int
-	warps []*warpCtx
-	// wakes mirrors each warp's effective wake stamp contiguously (done
-	// and barrier-parked warps hold the asleep sentinel), so the issue
-	// scan's reject test streams over a flat uint64 array instead of
-	// chasing a pointer per resident warp.
-	wakes    []uint64
+	eng      *engine
+	id       int
+	warps    []*warpCtx
 	l1       *cache
 	l2       *cache   // this SM's L2 slice
 	mshr     []uint64 // completion cycles of outstanding misses
@@ -299,19 +294,17 @@ type smCtx struct {
 	trace            []IssueRecord
 	err              error
 
-	// Incremental scheduler state. A warp's wake stamp only changes when
-	// it is attempted, when its barrier releases, or when its block
-	// launches — so after a full scan, the minimum wake over all warps
-	// that did NOT issue (othersMin) stays exact until one of those
-	// events (tracked by dirty). While othersMin is in the future, a
-	// cycle only needs to re-check the warps that issued last cycle
-	// (recheck), turning the per-cycle cost from O(resident warps) into
-	// O(issue width).
-	recheck    []issuedRef
-	spare      []issuedRef
-	othersMin  uint64
-	haveOthers bool
-	dirty      bool
+	// Scheduler state. recheck is last cycle's issuers in issue order;
+	// they go first, in that order, when last cycle's scan was clean (it
+	// reached every ready warp, and no barrier release, block retirement
+	// or launch — dirty — moved stamps under it) and nobody else is
+	// ready. Otherwise the ready warps are tried in rotated order from
+	// lastWarp.
+	recheck     []issuedRef
+	recheckMask uint64 // the recheck warps' slots; current whenever clean is
+	spare       []issuedRef
+	clean       bool
+	dirty       bool
 
 	// prof is this SM's profiling state; nil when disabled.
 	prof *smProf
@@ -322,6 +315,10 @@ type smCtx struct {
 	// retired it, and an immediate Put would let another goroutine's
 	// Get race with those reads.
 	graveyard []*warpCtx
+
+	// wake holds every warp's wake stamp in time order, so a cycle only
+	// touches warps that can issue. Last: it is 9 KiB.
+	wake wakeSet
 }
 
 // issuedRef remembers a warp that issued this cycle along with its scan
@@ -400,6 +397,10 @@ func simulateLoop(cfg Config, lc *interp.Launch) (*Stats, error) {
 	if wpb <= 0 {
 		return nil, fmt.Errorf("sim: block dim %d too small", lc.Prog.BlockDim)
 	}
+	if cfg.BlocksPerSM*wpb > maxSlots {
+		return nil, fmt.Errorf("sim: residency of %d blocks x %d warps exceeds the %d warps per SM the scheduler indexes",
+			cfg.BlocksPerSM, wpb, maxSlots)
+	}
 	e := &engine{
 		cfg:         cfg,
 		d:           d,
@@ -444,6 +445,7 @@ func simulateLoop(cfg Config, lc *interp.Launch) (*Stats, error) {
 			// Pre-size the issue-scan slice for the configured residency.
 			warps: make([]*warpCtx, 0, cfg.BlocksPerSM*wpb),
 		}
+		sms[i].wake.farMin = asleep
 	}
 
 	// Fork: SMs share nothing mutable, so each runs on its own goroutine
@@ -492,6 +494,9 @@ func simulateLoop(cfg Config, lc *interp.Launch) (*Stats, error) {
 		st.StallALU += s.stallALU
 		st.StallBarrier += s.stallBarrier
 		st.StallMSHR += s.stallMSHR
+		en.issueAttempts += s.issueAttempts
+		en.issueRejects += s.issueRejects
+		en.idleSkips += s.idleSkips
 		en.nALU += s.nALU
 		en.nFPU += s.nFPU
 		en.nCall += s.nCall
@@ -530,6 +535,12 @@ func simulateLoop(cfg Config, lc *interp.Launch) (*Stats, error) {
 		float64(en.sharedAccesses)*d.EnergyShared +
 		st.EnergyStatic + st.EnergyRF
 
+	if cfg.Obs.Enabled() {
+		m := cfg.Obs.Metrics()
+		m.Counter("sim.issue_attempts").Add(en.issueAttempts)
+		m.Counter("sim.issue_rejects").Add(en.issueRejects)
+		m.Counter("sim.idle_skips").Add(en.idleSkips)
+	}
 	if cfg.TraceWarps > 0 {
 		st.Trace = mergeTraces(cfg.TraceWarps, sms)
 	}
@@ -570,12 +581,16 @@ func mergeTraces(maxWarps int, sms []*smCtx) *Trace {
 }
 
 // run is one SM's complete simulation: launch the initial residency,
-// then alternate issue scans with exact skip-ahead until every assigned
+// then alternate issue cycles with exact skip-ahead until every assigned
 // block has retired.
 func (sm *smCtx) run() {
 	e := sm.eng
 	issueWidth := e.d.IssueWidth
-	lrr := e.cfg.Scheduler == LRR
+	step := 0 // GTO stays on the warp that issued; LRR moves past it
+	if e.cfg.Scheduler == LRR {
+		step = 1
+	}
+	ws := &sm.wake
 	for b := 0; b < e.cfg.BlocksPerSM; b++ {
 		sm.live += sm.launchBlock(0)
 		if sm.err != nil {
@@ -597,144 +612,106 @@ func (sm *smCtx) run() {
 			}
 			sm.graveyard = sm.graveyard[:0]
 		}
+		ws.advance(now)
 		sm.dirty = false
 		next := sm.spare[:0]
-		issued := 0
-		minWake := uint64(math.MaxUint64)
+		nextMask := uint64(0)
+		slots := issueWidth
 
-		if sm.haveOthers && sm.othersMin > now {
-			// Fast path: every warp outside last cycle's issue set sleeps
-			// past now, so only the issued warps need re-checking. Any
-			// rejected recheck warp folds its fresh wake stamp into the
-			// running minimum; if a slot runs out while a recheck warp is
-			// still issueable, its (<= now) wake poisons the minimum and
-			// forces a full scan next cycle.
-			minWake = sm.othersMin
-			slots := issueWidth
+		if sm.clean && ws.ready&^sm.recheckMask == 0 {
+			// Only last cycle's issuers can be ready: try them in the order
+			// they issued, which decides who reaches the DRAM channel, the
+			// shared port and the MSHRs first. One left ready because the
+			// slots ran out is among the others next cycle.
 			for _, ref := range sm.recheck {
+				if slots == 0 {
+					break
+				}
 				wc := ref.wc
-				if wc.done || wc.atBar {
+				if ws.ready&(1<<uint(wc.slot)) == 0 || !sm.issueOne(wc) {
 					continue
 				}
-				if wc.wake > now || slots == 0 {
-					if wc.wake < minWake {
-						minWake = wc.wake
-					}
-					continue
+				if sm.err != nil {
+					return
 				}
-				if sm.issueOne(wc) {
-					if sm.err != nil {
-						return
-					}
-					if lrr {
-						sm.lastWarp = ref.idx + 1
-					} else {
-						sm.lastWarp = ref.idx
-					}
-					slots--
-					issued++
-					if sm.st.instructions > maxStepsFactor {
-						sm.err = fmt.Errorf("sim: instruction budget exceeded (runaway kernel?)")
-						return
-					}
-					if !wc.done && !wc.atBar {
-						next = append(next, issuedRef{wc, ref.idx})
-					}
-				} else if wc.wake < minWake {
-					minWake = wc.wake // exact hazard stamp, > now
+				// After a retirement ref.idx is the warp's old position;
+				// the next cycle's scan starts from it all the same.
+				sm.lastWarp = ref.idx + step
+				slots--
+				if !wc.done && !wc.atBar {
+					next = append(next, ref)
+					nextMask |= 1 << uint(ref.idx)
 				}
 			}
-			sm.haveOthers = !sm.dirty
+			sm.clean = !sm.dirty
 		} else {
-			// Slow path: full rotated scan. One pass serves both purposes:
-			// issue into the available slots, and — should nothing issue —
-			// discover the earliest wake time for the skip-ahead (every
-			// rejected warp leaves an exact wake stamp, so a failed full
-			// scan has already seen the minimum).
-			slots := issueWidth
+			// Walk the ready warps in rotated order from lastWarp. scanned
+			// counts positions passed, ready or not: a retirement restarts
+			// the walk at slot 0 but not the count, so the rest of the
+			// cycle sees only the n-scanned positions that are left.
 			n := len(sm.warps)
 			idx := sm.lastWarp
 			if idx >= n {
 				idx = 0
 			}
-			wakes := sm.wakes
 			scanned := 0
-			for ; scanned < n && slots > 0; scanned++ {
-				// Reject on the flat mirror: done and barrier-parked warps
-				// hold the asleep sentinel, which can never lower minWake.
-				if w := wakes[idx]; w > now {
-					if w < minWake {
-						minWake = w
-					}
-					idx++
-					if idx >= n {
-						idx = 0
-					}
-					continue
+			for scanned < n && slots > 0 {
+				r := ws.ready
+				off := bits.TrailingZeros64(r>>uint(idx) | r<<uint(n-idx))
+				if off >= n-scanned {
+					scanned = n
+					break
+				}
+				scanned += off + 1
+				if idx += off; idx >= n {
+					idx -= n
 				}
 				wc := sm.warps[idx]
 				if sm.issueOne(wc) {
 					if sm.err != nil {
 						return
 					}
-					if lrr {
-						sm.lastWarp = idx + 1 // rotate (normalized next cycle)
-					} else {
-						sm.lastWarp = idx // greedy: stay on this warp next cycle
-					}
+					sm.lastWarp = idx + step // LRR: normalized next cycle
 					slots--
-					issued++
-					if sm.st.instructions > maxStepsFactor {
-						sm.err = fmt.Errorf("sim: instruction budget exceeded (runaway kernel?)")
-						return
-					}
-					// A block retirement inside issueOne compacts sm.warps
-					// (and may launch a replacement); restart the scan at the
-					// compacted front. dirty is already set, so the recheck
-					// index (now stale) will not be consulted.
-					if nn := len(sm.warps); nn != n {
-						n = nn
-						idx = 0
-						sm.lastWarp = 0
-						wakes = sm.wakes // compaction/launch re-sliced the mirror
-						if !wc.done && !wc.atBar {
-							next = append(next, issuedRef{wc, 0})
-						}
-						continue
-					}
 					if !wc.done && !wc.atBar {
 						next = append(next, issuedRef{wc, idx})
+						nextMask |= 1 << uint(idx)
 					}
-				} else if wc.wake > now && wc.wake < minWake {
-					minWake = wc.wake // issueOne stamped the exact hazard release
+					// A block retirement inside issueOne compacts sm.warps
+					// (a replacement of another size may launch).
+					if nn := len(sm.warps); nn != n {
+						n, idx = nn, 0
+						sm.lastWarp = 0
+						continue
+					}
 				}
-				idx++
-				if idx >= n {
+				if idx++; idx >= n {
 					idx = 0
 				}
 			}
-			// The cached minimum is only trustworthy after an uninterrupted
-			// full scan: slot exhaustion leaves warps unvisited, and any
-			// barrier release / block retirement moved wake stamps mid-scan.
-			sm.haveOthers = scanned >= n && !sm.dirty
+			// Clean means the walk reached every ready warp — running out of
+			// slots exactly on the last position counts — with no stamps
+			// moved under it.
+			sm.clean = scanned >= n && !sm.dirty
 		}
 
 		sm.spare = sm.recheck[:0]
-		sm.recheck = next
-		sm.othersMin = minWake
-		if issued > 0 {
+		sm.recheck, sm.recheckMask = next, nextMask
+		if slots < issueWidth {
 			sm.now = now + 1
 			continue
 		}
-		// Nothing issued: skip ahead to the earliest wake time. All
-		// hazards are intra-SM, so every warp's wake stamp is exact and
-		// the jump cannot skip over an issueable cycle.
-		if minWake == math.MaxUint64 {
+		// Nothing issued, so every ready warp was attempted and filed with
+		// its exact release time: skip ahead to the earliest one. All
+		// hazards are intra-SM, so the jump cannot pass an issueable cycle.
+		t := ws.next()
+		if t == asleep {
 			sm.err = fmt.Errorf("sim: deadlock with %d live warps", sm.live)
 			return
 		}
-		sm.st.issueStall += minWake - now
-		sm.now = minWake
+		sm.st.idleSkips++
+		sm.st.issueStall += t - now
+		sm.now = t
 	}
 }
 
@@ -774,15 +751,14 @@ func (sm *smCtx) launchBlock(now uint64) int {
 		wc := getWarpCtx()
 		wc.x = x
 		wc.cw, _ = x.(*interp.CWarp)
-		wc.ready = now
-		wc.wake = now
 		wc.block = blk
 		wc.gid = int32(gid)
 		wc.slot = int32(len(sm.warps))
 		wc.trace = e.cfg.TraceWarps > 0 && gid < e.cfg.TraceWarps
+		wc.prepare()
 		blk.warps = append(blk.warps, wc)
 		sm.warps = append(sm.warps, wc)
-		sm.wakes = append(sm.wakes, now)
+		sm.wake.file(int(wc.slot), now)
 	}
 	return n
 }
@@ -887,7 +863,7 @@ func (sm *smCtx) memAccess(ev *interp.Event, isLoad bool) (uint64, bool) {
 func (sm *smCtx) finishWarp(wc *warpCtx) {
 	e := sm.eng
 	wc.done = true
-	sm.wakes[wc.slot] = asleep
+	sm.wake.stamp[wc.slot] = asleep
 	_, cks, _ := wc.x.Result()
 	sm.st.checksum ^= interp.MixWarpChecksum(e.lc.FirstWarp+int(wc.gid), cks)
 	wc.x.Release()
@@ -900,21 +876,22 @@ func (sm *smCtx) finishWarp(wc *warpCtx) {
 	}
 	if blk.live == 0 {
 		sm.dirty = true // compaction reindexes; a replacement block may launch
-		// Retire the block's warp contexts so issue scans stay short; the
-		// wake mirror compacts in lockstep and slots are renumbered.
+		// Retire the block's warp contexts so scan positions stay dense.
+		// That renumbers the slots, so the wake set is rebuilt from the
+		// survivors' stamps.
 		keep := sm.warps[:0]
-		kw := sm.wakes[:0]
+		var stamps [maxSlots]uint64
 		for i, w := range sm.warps {
 			if w.block != blk {
 				w.slot = int32(len(keep))
+				stamps[len(keep)] = sm.wake.stamp[i]
 				keep = append(keep, w)
-				kw = append(kw, sm.wakes[i])
 			} else {
 				sm.graveyard = append(sm.graveyard, w)
 			}
 		}
 		sm.warps = keep
-		sm.wakes = kw
+		sm.wake.rebuild(stamps[:len(keep)])
 		sm.lastWarp = 0
 		if blk.shared != nil {
 			sm.sharedPool = append(sm.sharedPool, blk.shared)
@@ -925,27 +902,21 @@ func (sm *smCtx) finishWarp(wc *warpCtx) {
 	}
 }
 
-// issueOne attempts to issue wc's next instruction at the current cycle.
-// The caller has already rejected done, barrier-parked, and sleeping
-// (wake > now) warps.
-func (sm *smCtx) issueOne(wc *warpCtx) bool {
-	d := sm.eng.d
-	now := sm.now
-	if !wc.hasEv {
-		// Devirtualized fast path for the default compiled backend.
-		if wc.cw != nil {
-			wc.cw.Fill(&wc.ev)
-		} else {
-			wc.x.Fill(&wc.ev)
-		}
-		wc.hasEv = true
-	}
+// prepare resolves the warp's next instruction into ev and its scoreboard
+// release time into hazard: sources and destination must all be ready.
+// It runs right after the previous instruction commits, while the warp's
+// lines are hot, so an attempt that must fail costs two loads.
+func (wc *warpCtx) prepare() {
 	ev := &wc.ev
-	// Scoreboard: sources and destination must be ready. On a hazard
-	// the blocking registers' exact release time becomes the wake time.
-	// Fill caches the operand widths in the event so the scan does not
-	// re-derive them from the instruction on every retry; width 1 is the
-	// overwhelmingly common case.
+	// Devirtualized fast path for the default compiled backend.
+	if wc.cw != nil {
+		wc.cw.Fill(ev)
+	} else {
+		wc.x.Fill(ev)
+	}
+	// Fill caches the operand widths in the event so they are not
+	// re-derived from the instruction; width 1 is the overwhelmingly
+	// common case.
 	var hazard uint64
 	for i := 0; i < ev.NSrc; i++ {
 		r := ev.AbsSrc[i]
@@ -958,27 +929,49 @@ func (sm *smCtx) issueOne(wc *warpCtx) bool {
 			}
 		}
 	}
-	dstW := int(ev.DstW)
 	if ev.AbsDst >= 0 {
 		if p := wc.pending[ev.AbsDst]; p > hazard {
 			hazard = p
 		}
-		for k := 1; k < dstW; k++ {
+		for k := 1; k < int(ev.DstW); k++ {
 			if p := wc.pending[ev.AbsDst+k]; p > hazard {
 				hazard = p
 			}
 		}
 	}
-	if hazard > now {
-		wc.wake = hazard
-		sm.wakes[wc.slot] = hazard
-		if hazard <= wc.memPendHigh {
+	wc.hazard = hazard
+}
+
+// reject files a warp whose attempt failed to wake at cycle t, the exact
+// release time of whatever blocked it.
+func (sm *smCtx) reject(wc *warpCtx, t uint64) bool {
+	sm.st.issueRejects++
+	sm.wake.file(int(wc.slot), t)
+	return false
+}
+
+// issueOne attempts to issue wc's next instruction at the current cycle.
+// The caller found wc in the ready set; it leaves the set here and is
+// filed again exactly once, with its final stamp, unless it parks at a
+// barrier or exits.
+func (sm *smCtx) issueOne(wc *warpCtx) bool {
+	d := sm.eng.d
+	now := sm.now
+	sm.st.issueAttempts++
+	sm.wake.ready &^= 1 << uint(wc.slot)
+	// Scoreboard. The stall is attributed here, on the attempt, not when
+	// the hazard was computed: a warp no free slot ever reached while it
+	// waited is not charged.
+	if wc.hazard > now {
+		if wc.hazard <= wc.memPendHigh {
 			wc.stall = stallMem
 		} else {
 			wc.stall = stallALU
 		}
-		return false
+		return sm.reject(wc, wc.hazard)
 	}
+	ev := &wc.ev
+	dstW := int(ev.DstW)
 	isLoad := ev.Kind == interp.KindLoad
 	var lat uint64
 	switch ev.Kind {
@@ -1025,10 +1018,8 @@ func (sm *smCtx) issueOne(wc *warpCtx) bool {
 				if earliest == math.MaxUint64 || earliest <= now {
 					earliest = now + 1
 				}
-				wc.wake = earliest
-				sm.wakes[wc.slot] = earliest
 				wc.stall = stallMSHR
-				return false
+				return sm.reject(wc, earliest)
 			}
 			if !isLoad {
 				lat = 1 // stores retire through the write queue
@@ -1080,8 +1071,10 @@ func (sm *smCtx) issueOne(wc *warpCtx) bool {
 		sm.err = err
 		return true
 	}
-	wc.hasEv = false
-	sm.st.instructions++
+	if sm.st.instructions++; sm.st.instructions > maxStepsFactor {
+		sm.err = fmt.Errorf("sim: instruction budget exceeded (runaway kernel?)")
+		return true
+	}
 	if p := sm.prof; p != nil && p.issues != nil {
 		p.issues[p.idx.SlotOf(instr)]++
 	}
@@ -1093,7 +1086,7 @@ func (sm *smCtx) issueOne(wc *warpCtx) bool {
 			sm.st.moveInstrs++
 		}
 	}
-	wc.ready = now + 1
+	ready := now + 1
 	if ev.AbsDst >= 0 {
 		done := now + lat
 		wc.pending[ev.AbsDst] = done
@@ -1104,27 +1097,27 @@ func (sm *smCtx) issueOne(wc *warpCtx) bool {
 			wc.memPendHigh = done
 		}
 	} else if lat > 1 && ev.Kind != interp.KindLoad && ev.Kind != interp.KindStore {
-		wc.ready = now + lat // control ops serialize the warp briefly
+		ready = now + lat // control ops serialize the warp briefly
 	}
-	wc.wake = wc.ready
-	sm.wakes[wc.slot] = wc.ready
 
-	switch ev.Kind {
-	case interp.KindBarrier:
+	switch {
+	case ev.Kind == interp.KindBarrier:
 		blk := wc.block
 		wc.atBar = true
-		sm.wakes[wc.slot] = asleep
+		sm.wake.stamp[wc.slot] = asleep
 		wc.stall = stallBarrier
 		blk.barCount++
 		if blk.barCount >= blk.live {
 			sm.releaseBarrier(blk, now, uint64(d.SharedLat))
 			sm.dirty = true // released warps got fresh wake stamps
 		}
-	case interp.KindExit:
-		if wc.x.Done() {
-			sm.finishWarp(wc)
-		}
+	case ev.Kind == interp.KindExit && wc.x.Done():
+		sm.finishWarp(wc)
+		return true
+	default:
+		sm.wake.file(int(wc.slot), ready)
 	}
+	wc.prepare()
 	return true
 }
 
@@ -1132,9 +1125,7 @@ func (sm *smCtx) releaseBarrier(blk *blockCtx, now, lat uint64) {
 	for _, w := range blk.warps {
 		if w.atBar {
 			w.atBar = false
-			w.ready = now + lat
-			w.wake = w.ready
-			sm.wakes[w.slot] = w.ready
+			sm.wake.file(int(w.slot), now+lat)
 		}
 	}
 	blk.barCount = 0

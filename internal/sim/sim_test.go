@@ -243,6 +243,21 @@ func TestZeroResidencyRejected(t *testing.T) {
 	}
 }
 
+// TestOversizeResidencyRejected: a residency the scheduler's slot bitmaps
+// cannot index is an error before any SM runs, not a wrapped shift.
+func TestOversizeResidencyRejected(t *testing.T) {
+	p := isa.MustParse(memKernel) // 2 warps per block
+	lc := &interp.Launch{Prog: p, GridWarps: 256}
+	cfg := Config{Device: device.GTX680(), Cache: device.SmallCache, BlocksPerSM: maxSlots / 2, RegsPerThread: 16}
+	if _, err := Simulate(cfg, lc); err != nil {
+		t.Errorf("%d warps per SM rejected: %v", maxSlots, err)
+	}
+	cfg.BlocksPerSM++
+	if _, err := Simulate(cfg, lc); err == nil {
+		t.Errorf("%d warps per SM accepted", maxSlots+2)
+	}
+}
+
 func TestSchedulerPolicies(t *testing.T) {
 	// Both policies must compute identical results; timing may differ.
 	p := isa.MustParse(memKernel)
