@@ -5,6 +5,7 @@
 package orion_test
 
 import (
+	"os"
 	"testing"
 
 	orion "repro"
@@ -150,38 +151,57 @@ func BenchmarkSplitWebs(b *testing.B) {
 
 // BenchmarkSimulator measures the timing simulator's throughput
 // (instructions per second and nanoseconds per instruction as custom
-// metrics). It calls sim.Simulate with the version's residency: RunAt
-// would answer every iteration after the first from core's run cache.
+// metrics) on a warp-scalar kernel (srad, the compiled executor) and on a
+// lane-variant one (transpose_simt, the reference lane-accurate executor).
+// It calls sim.Simulate with a fixed residency: RunAt would answer every
+// iteration after the first from core's run cache.
 func BenchmarkSimulator(b *testing.B) {
 	k, err := kernels.ByName("srad")
 	if err != nil {
 		b.Fatal(err)
 	}
 	d := device.TeslaC2075()
-	r := core.NewRealizer(d, device.SmallCache)
-	v, err := r.Realize(k.Prog, 48)
+	v, err := core.NewRealizer(d, device.SmallCache).Realize(k.Prog, 48)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := sim.Config{
-		Device:         d,
-		Cache:          device.SmallCache,
-		BlocksPerSM:    min(v.Natural.ActiveBlocks, 48/(v.Prog.BlockDim/d.WarpSize)),
-		RegsPerThread:  v.RegsPerThread,
-		SharedPerBlock: v.SharedPerBlock,
+	src, err := os.ReadFile("examples/kernels/transpose_simt.oasm")
+	if err != nil {
+		b.Fatal(err)
 	}
-	lc := &interp.Launch{Prog: v.Prog, GridWarps: 256}
-	var instrs uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st, err := sim.Simulate(cfg, lc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		instrs += st.Instructions
+	transpose, err := orion.ParseKernel(string(src))
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/instr")
+	for _, bc := range []struct {
+		name string
+		cfg  sim.Config
+		lc   *interp.Launch
+	}{
+		{"srad", sim.Config{
+			Device:         d,
+			Cache:          device.SmallCache,
+			BlocksPerSM:    min(v.Natural.ActiveBlocks, 48/(v.Prog.BlockDim/d.WarpSize)),
+			RegsPerThread:  v.RegsPerThread,
+			SharedPerBlock: v.SharedPerBlock,
+		}, &interp.Launch{Prog: v.Prog, GridWarps: 256}},
+		{"transpose_simt", sim.Config{
+			Device: device.GTX680(), Cache: device.SmallCache, BlocksPerSM: 4, RegsPerThread: 20,
+		}, &interp.Launch{Prog: transpose, GridWarps: 4096}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var instrs uint64
+			for i := 0; i < b.N; i++ {
+				st, err := sim.Simulate(bc.cfg, bc.lc)
+				if err != nil {
+					b.Fatal(err)
+				}
+				instrs += st.Instructions
+			}
+			b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/instr")
+		})
+	}
 }
 
 // BenchmarkInterp measures the functional executor alone.

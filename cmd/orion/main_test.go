@@ -226,6 +226,28 @@ func TestCompileLintGate(t *testing.T) {
 	}
 }
 
+// TestLaneVariantCallRejectedAtLoad: a kernel that reads LANEID and calls
+// a function is bad input to every subcommand, not a simulator fault three
+// stages later.
+func TestLaneVariantCallRejectedAtLoad(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "lanecall.oasm")
+	src := ".kernel lanecall\n.blockdim 32\n.func main\n  RDSP v0, LANEID\n  CALL v1, f, v0\n  STG [v0], v1\n  EXIT\n.func f args 1 ret\n  RET v0\n"
+	if err := os.WriteFile(file, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"lint", "-file", file},
+		{"build", "-file", file, "-o", filepath.Join(t.TempDir(), "k.ofat")},
+		{"tune", "-file", file},
+	} {
+		var buf bytes.Buffer
+		err := run(args, &buf)
+		if err == nil || !strings.Contains(err.Error(), "main[1]: CALL in a kernel that reads LANEID") {
+			t.Errorf("orion %s: error = %v (output %q), want the isa.Validate rejection", args[0], err, buf.String())
+		}
+	}
+}
+
 // TestProfileHotSpots is the golden test for the PC-level half of
 // `orion profile`: the hot-spot table with issue counts and stall
 // attribution, appended after the timeline, with spill sites resolved

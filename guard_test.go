@@ -5,6 +5,8 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -74,4 +76,20 @@ func sideTable(spec ast.Spec) (what string) {
 		return what == ""
 	})
 	return what
+}
+
+// TestBenchmarkModuleBuilds compiles and vets benchmark/, the nested
+// module that the root `go build ./... && go test ./...` never sees, so a
+// change to an API it links against fails tier-1 instead of the next
+// benchmark run. Offline: the module's only dependency is this repository.
+func TestBenchmarkModuleBuilds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles the benchmark module")
+	}
+	cmd := exec.Command("go", "vet", "./...")
+	cmd.Dir = "benchmark"
+	cmd.Env = append(os.Environ(), "GOFLAGS=-mod=mod", "GOPROXY=off", "GOTOOLCHAIN=local")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go vet ./... in benchmark/: %v\n%s", err, out)
+	}
 }

@@ -14,10 +14,11 @@ import (
 // drives compiled warps through the StepExecutor interface: Fill copies a
 // precomputed event template (patching only the frame base and the memory
 // address), and Commit runs the instruction's closure. The interpreter
-// (Warp/SIMTWarp) remains the semantic source of truth — every closure
-// mirrors the corresponding Step case exactly, including error strings —
-// and the differential tests in this package and package sim hold the two
-// backends to bit-identical results.
+// (Warp) remains the semantic source of truth — every closure mirrors the
+// corresponding Advance case exactly, including error strings — and the
+// differential tests in this package and package sim hold the two backends
+// to bit-identical results. Only warp-scalar execution is compiled:
+// lane-variant (LANEID) kernels run the reference SIMTWarp.
 //
 // Hot two-instruction patterns are fused into superinstructions: the head's
 // closure performs both instructions' warp-private effects and the tail
@@ -25,12 +26,12 @@ import (
 // the simulator still issues, scoreboards, and charges both instructions —
 // so timing and statistics stay interpreter-identical by construction.
 
-// StepExecutor is the execution interface the timing simulator drives.
-// It differs from Executor in two ways that matter on the hot path: Fill
-// writes the next event into caller-owned storage (no per-peek allocation
-// or copying of a freshly built Event), and the event carries the DstW/SrcW
-// operand widths so the scoreboard never re-derives them. Release returns
-// pooled execution state after the warp retires.
+// StepExecutor is the one stepping interface the timing simulator drives,
+// implemented by all three executors (CWarp, Warp, SIMTWarp). Fill writes
+// the next event into caller-owned storage (no per-peek copy of a freshly
+// built Event) and the event carries the DstW/SrcW operand widths, so the
+// scoreboard never re-derives them. Release returns pooled execution state
+// after the warp retires.
 type StepExecutor interface {
 	// Fill resolves the next instruction into ev. On a finished warp it
 	// writes a KindExit event.
@@ -45,45 +46,10 @@ type StepExecutor interface {
 	Release()
 }
 
-// Stepper adapts a functional Executor (Warp, SIMTWarp) to the
-// StepExecutor interface, computing the operand-width cache the compiled
-// backends carry in their templates.
-type Stepper struct{ Ex Executor }
-
-// Fill resolves the next instruction via Peek and caches operand widths.
-func (s Stepper) Fill(ev *Event) {
-	*ev = s.Ex.Peek()
-	if in := ev.Instr; in != nil {
-		if ev.AbsDst >= 0 {
-			ev.DstW = uint8(in.W())
-		}
-		for i := 0; i < ev.NSrc; i++ {
-			ev.SrcW[i] = uint8(in.SrcWidth(i))
-		}
-	}
-}
-
-// Commit executes the instruction Fill resolved.
-func (s Stepper) Commit() error {
-	_, err := s.Ex.Step()
-	return err
-}
-
-// Done reports whether the warp has exited.
-func (s Stepper) Done() bool { return s.Ex.Done() }
-
-// Result reports dynamic instructions, store checksum, and store count.
-func (s Stepper) Result() (int, uint64, int) { return s.Ex.Result() }
-
-// Release is a no-op: interpreter warps are not pooled.
-func (s Stepper) Release() {}
-
 var (
-	_ StepExecutor = Stepper{}
 	_ StepExecutor = (*CWarp)(nil)
-	_ StepExecutor = (*CSIMTWarp)(nil)
-	_ Executor     = (*CWarp)(nil)
-	_ Executor     = (*CSIMTWarp)(nil)
+	_ StepExecutor = (*Warp)(nil)
+	_ StepExecutor = (*SIMTWarp)(nil)
 )
 
 // addrMode tells Fill how to compute the event address for memory ops; all
@@ -116,12 +82,6 @@ type Compiled struct {
 
 	code      [][]cop // per function, indexed by pc
 	locStride int     // max(layout.LocalSpillSlots, 1)
-
-	// SIMT (lane-accurate) translation; simtErr mirrors NewSIMTWarp's
-	// eligibility check for programs that read LANEID.
-	simt      []csop
-	simtNRegs int
-	simtErr   error
 }
 
 // Layout returns the static layout the compilation used.
@@ -151,7 +111,6 @@ func Compile(p *isa.Program) (*Compiled, error) {
 	for fi := range p.Funcs {
 		c.code[fi] = c.compileFunc(fi)
 	}
-	c.compileSIMT()
 	return c, nil
 }
 
@@ -171,16 +130,8 @@ func (c *Compiled) compileFunc(fi int) []cop {
 // template precomputes everything Warp.Peek derives per call, with AbsDst
 // and AbsSrc left frame-relative (Fill adds the frame base).
 func template(in *isa.Instr) Event {
-	ev := Event{Instr: in, AbsDst: -1, AbsSrc: [3]int{-1, -1, -1}}
-	if in.HasDst() {
-		ev.AbsDst = int(in.Dst)
-		ev.DstW = uint8(in.W())
-	}
-	ev.NSrc = in.NumSrcs()
-	for i := 0; i < ev.NSrc; i++ {
-		ev.AbsSrc[i] = int(in.Src[i])
-		ev.SrcW[i] = uint8(in.SrcWidth(i))
-	}
+	ev := Event{Instr: in}
+	ev.setOperands(in, 0)
 	switch in.Op {
 	case isa.OpLdG:
 		ev.Kind, ev.Space, ev.Bytes = KindLoad, SpaceGlobal, 4*in.W()
@@ -347,20 +298,6 @@ func (w *CWarp) Commit() error {
 	return w.err
 }
 
-// Peek implements Executor for differential tests.
-func (w *CWarp) Peek() Event {
-	var ev Event
-	w.Fill(&ev)
-	return ev
-}
-
-// Step implements Executor for differential tests.
-func (w *CWarp) Step() (Event, error) {
-	var ev Event
-	w.Fill(&ev)
-	return ev, w.Commit()
-}
-
 func (w *CWarp) readSpecial(sp isa.Sp) uint32 {
 	switch sp {
 	case isa.SpWarpID:
@@ -380,7 +317,7 @@ func (w *CWarp) readSpecial(sp isa.Sp) uint32 {
 }
 
 // compileOp builds the closure for one instruction. Each case mirrors the
-// corresponding Warp.Step case exactly.
+// corresponding Warp.Advance case exactly.
 func (c *Compiled) compileOp(fi, pc int, in *isa.Instr) func(*CWarp) {
 	d, s0, s1, s2 := int(in.Dst), int(in.Src[0]), int(in.Src[1]), int(in.Src[2])
 	ui := uint32(in.Imm)
@@ -745,7 +682,7 @@ func (c *Compiled) compileOp(fi, pc int, in *isa.Instr) func(*CWarp) {
 			if retRel >= 0 {
 				retDst = fr.base + retRel
 			}
-			// ABI: read every argument before writing any (see Warp.Step).
+			// ABI: read every argument before writing any (see Warp.Advance).
 			var argv [3]uint32
 			for a := 0; a < numArgs; a++ {
 				argv[a] = w.regs[fr.base+srcs[a]]

@@ -1,16 +1,15 @@
 package interp
 
 import (
-	"errors"
 	"sync"
 	"testing"
 
 	"repro/internal/isa"
 )
 
-// lockstep drives the interpreter (through the Stepper adapter) and the
-// compiled backend through identical launches, comparing every Fill event,
-// every Commit error, and the final results. This is the finest-grained
+// lockstep drives the reference interpreter and the compiled backend
+// through identical warp-scalar launches, comparing every Fill event, every
+// Commit error, and the final results. This is the finest-grained
 // differential check: it pins the two backends to the same event stream,
 // which is what makes the timing simulator's statistics backend-invariant
 // by construction.
@@ -36,28 +35,13 @@ func lockstepProg(t *testing.T, p *isa.Program, gridWarps int) {
 	lc := &Launch{Prog: p, GridWarps: gridWarps}
 	wpb := lc.WarpsPerBlock()
 	sharedWords := (p.SharedBytes + 3) / 4
-	simt := p.UsesLaneID()
 	var sharedRef, sharedGot []uint32
 	for wi := 0; wi < gridWarps; wi++ {
 		if wi%wpb == 0 && sharedWords > 0 {
 			sharedRef = make([]uint32, sharedWords)
 			sharedGot = make([]uint32, sharedWords)
 		}
-		var ref, got StepExecutor
-		if simt {
-			sw, refErr := NewSIMTWarp(lc, layout, wi, sharedRef)
-			cw, gotErr := NewCSIMTWarp(comp, lc, wi, sharedGot)
-			if (refErr == nil) != (gotErr == nil) || !errors.Is(gotErr, refErr) && refErr != nil {
-				t.Fatalf("warp %d: constructor errors diverge: interp %v, compiled %v", wi, refErr, gotErr)
-			}
-			if refErr != nil {
-				return
-			}
-			ref, got = Stepper{Ex: sw}, cw
-		} else {
-			ref = Stepper{Ex: NewWarp(lc, layout, wi, sharedRef)}
-			got = NewCWarp(comp, lc, wi, sharedGot)
-		}
+		var ref, got StepExecutor = NewWarp(lc, layout, wi, sharedRef), NewCWarp(comp, lc, wi, sharedGot)
 		for step := 0; ; step++ {
 			if step > 500_000 {
 				t.Fatalf("warp %d: runaway kernel", wi)
@@ -299,115 +283,6 @@ func TestCompiledMatchesInterpSharedMemory(t *testing.T) {
   STG [v9], v6
   EXIT
 `, 8)
-}
-
-func TestCompiledMatchesInterpSIMT(t *testing.T) {
-	lockstep(t, `
-.kernel dv
-.blockdim 32
-.func main
-  RDSP v0, LANEID
-  RDSP v1, WARPID
-  MOVI v2, 1
-  AND v3, v0, v2
-  MOVI v4, 0
-  MOVI v8, 0
-  ISET.NE v5, v3, v4
-  CBR v5, extra
-  BRA join
-extra:
-  MOVI v6, 0
-  MOVI v7, 40
-spin:
-  IADD v8, v8, v2
-  IADD v6, v6, v2
-  ISET.LT v9, v6, v7
-  CBR v9, spin
-join:
-  MOVI v10, 12
-  SHL v11, v1, v10
-  IADD v12, v11, v0
-  MOVI v13, 2
-  SHL v14, v12, v13
-  STG [v14], v8
-  EXIT
-`, 8)
-}
-
-func TestCompiledMatchesInterpSIMTSharedBanks(t *testing.T) {
-	lockstep(t, `
-.kernel bankt
-.shared 8192
-.blockdim 32
-.func main
-  RDSP v0, LANEID
-  RDSP v1, WARPID
-  MOVI v2, 7
-  SHL v3, v0, v2
-  STS [v3], v0
-  MOVI v4, 0
-  MOVI v5, 0
-loop:
-  LDS v6, [v3]
-  IADD v5, v5, v6
-  MOVI v7, 1
-  IADD v4, v4, v7
-  MOVI v8, 16
-  ISET.LT v9, v4, v8
-  CBR v9, loop
-  MOVI v10, 10
-  SHL v11, v1, v10
-  IADD v12, v11, v3
-  STG [v12], v5
-  EXIT
-`, 4)
-}
-
-func TestCompiledMatchesInterpSIMTBarDivergedFault(t *testing.T) {
-	// BAR inside a divergent region errors identically on both backends.
-	lockstep(t, `
-.kernel badbar
-.blockdim 32
-.func main
-  RDSP v0, LANEID
-  MOVI v1, 16
-  ISET.LT v2, v0, v1
-  CBR v2, low
-  BAR
-  BRA out
-low:
-  BAR
-out:
-  MOVI v3, 4
-  SHL v4, v0, v3
-  STG [v4], v0
-  EXIT
-`, 2)
-}
-
-func TestCompiledSIMTUnsupportedMatches(t *testing.T) {
-	// A program with calls cannot run lane-accurately; both constructors
-	// must report the same sentinel.
-	p := isa.MustParse(`
-.kernel callsum
-.func main
-  MOVI v0, 6
-  CALL v1, sq, v0
-  MOVI v2, 100
-  STG [v2], v1
-  EXIT
-.func sq args 1 ret
-  IMUL v1, v0, v0
-  RET v1
-`)
-	comp, err := Compile(p)
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-	lc := &Launch{Prog: p, GridWarps: 1}
-	if _, err := NewCSIMTWarp(comp, lc, 0, nil); !errors.Is(err, ErrSIMTUnsupported) {
-		t.Fatalf("NewCSIMTWarp error = %v, want ErrSIMTUnsupported", err)
-	}
 }
 
 func TestCompiledOfMemoizes(t *testing.T) {

@@ -29,7 +29,7 @@ import (
 // (use it to catch accidental infinite loops in kernels under test).
 var ErrStepLimit = errors.New("interp: step limit exceeded")
 
-// ErrDivergedBarrier is the SIMT executors' fault when a warp whose lanes
+// ErrDivergedBarrier is the SIMT executor's fault when a warp whose lanes
 // have diverged reaches a BAR.
 var ErrDivergedBarrier = errors.New("interp: BAR executed by a diverged warp")
 
@@ -83,27 +83,27 @@ type Event struct {
 
 	// DstW and SrcW cache Instr.W() / Instr.SrcWidth(i) so the simulator's
 	// scoreboard does not re-derive operand widths on every issue attempt.
-	// They are populated by StepExecutor.Fill (both the compiled executors
-	// and the Stepper adapter); plain Peek leaves them zero.
+	// Every executor's Fill (and so Peek) populates them; DstW is zero when
+	// there is no destination.
 	DstW uint8
 	SrcW [3]uint8
 }
 
-// Executor is the stepping interface both execution modes implement; the
-// timing simulator drives warps through it.
-type Executor interface {
-	Peek() Event
-	Step() (Event, error)
-	Done() bool
-	// Result reports dynamic instructions, the store checksum, and the
-	// store count.
-	Result() (steps int, checksum uint64, stores int)
+// setOperands resolves in's register operands at frame base into the
+// event: absolute indices plus the cached widths.
+func (ev *Event) setOperands(in *isa.Instr, base int) {
+	ev.AbsDst = -1
+	ev.AbsSrc = [3]int{-1, -1, -1}
+	if in.HasDst() {
+		ev.AbsDst = base + int(in.Dst)
+		ev.DstW = uint8(in.W())
+	}
+	ev.NSrc = in.NumSrcs()
+	for i := 0; i < ev.NSrc; i++ {
+		ev.AbsSrc[i] = base + int(in.Src[i])
+		ev.SrcW[i] = uint8(in.SrcWidth(i))
+	}
 }
-
-var (
-	_ Executor = (*Warp)(nil)
-	_ Executor = (*SIMTWarp)(nil)
-)
 
 // Layout holds static per-program facts the executor and the occupancy
 // machinery both need: worst-case register, shared-spill, and local-spill
@@ -331,21 +331,22 @@ func (w *Warp) Result() (steps int, checksum uint64, stores int) {
 // Peek resolves the current instruction into an Event without committing
 // it. Calling Peek on a finished warp returns a KindExit event.
 func (w *Warp) Peek() Event {
+	var ev Event
+	w.Fill(&ev)
+	return ev
+}
+
+// Fill is Peek into caller-owned storage (StepExecutor).
+func (w *Warp) Fill(ev *Event) {
 	if w.done {
-		return Event{Kind: KindExit, AbsDst: -1}
+		*ev = Event{Kind: KindExit, AbsDst: -1}
+		return
 	}
 	fr := &w.stack[len(w.stack)-1]
 	f := w.prog.Funcs[fr.fn]
 	in := &f.Instrs[fr.pc]
-	ev := Event{Instr: in, AbsDst: -1}
-	ev.AbsSrc = [3]int{-1, -1, -1}
-	if in.HasDst() {
-		ev.AbsDst = fr.base + int(in.Dst)
-	}
-	ev.NSrc = in.NumSrcs()
-	for i := 0; i < ev.NSrc; i++ {
-		ev.AbsSrc[i] = fr.base + int(in.Src[i])
-	}
+	*ev = Event{Instr: in}
+	ev.setOperands(in, fr.base)
 	switch in.Op {
 	case isa.OpLdG:
 		ev.Kind, ev.Space = KindLoad, SpaceGlobal
@@ -393,8 +394,13 @@ func (w *Warp) Peek() Event {
 	default:
 		ev.Kind = KindALU
 	}
-	return ev
 }
+
+// Commit executes the instruction Fill resolved (StepExecutor).
+func (w *Warp) Commit() error { return w.Advance() }
+
+// Release is a no-op: reference warps are not pooled (StepExecutor).
+func (w *Warp) Release() {}
 
 // LocalSlotBytes is the local-memory footprint of one spill slot for a
 // whole warp: 32 threads × 4 bytes, coalescing into exactly one cache

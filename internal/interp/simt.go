@@ -127,19 +127,22 @@ func (w *SIMTWarp) current() int {
 // Event. For memory operations, Lines holds the distinct cache lines the
 // active lanes touch.
 func (w *SIMTWarp) Peek() Event {
+	var ev Event
+	w.Fill(&ev)
+	return ev
+}
+
+// Fill is Peek into caller-owned storage (StepExecutor). ev.Lines aliases
+// the warp's line buffer: it stays valid until this warp's next Fill.
+func (w *SIMTWarp) Fill(ev *Event) {
 	if w.Done() {
-		return Event{Kind: KindExit, AbsDst: -1}
+		*ev = Event{Kind: KindExit, AbsDst: -1}
+		return
 	}
 	fr := &w.frags[w.current()]
 	in := &w.f.Instrs[fr.pc]
-	ev := Event{Instr: in, AbsDst: -1, AbsSrc: [3]int{-1, -1, -1}}
-	if in.HasDst() {
-		ev.AbsDst = int(in.Dst)
-	}
-	ev.NSrc = in.NumSrcs()
-	for i := 0; i < ev.NSrc; i++ {
-		ev.AbsSrc[i] = int(in.Src[i])
-	}
+	*ev = Event{Instr: in}
+	ev.setOperands(in, 0)
 	ev.ActiveLanes = bits.OnesCount32(fr.mask)
 
 	switch in.Op {
@@ -238,8 +241,13 @@ func (w *SIMTWarp) Peek() Event {
 	default:
 		ev.Kind = KindALU
 	}
-	return ev
 }
+
+// Commit executes the instruction Fill resolved (StepExecutor).
+func (w *SIMTWarp) Commit() error { return w.Advance() }
+
+// Release is a no-op: reference warps are not pooled (StepExecutor).
+func (w *SIMTWarp) Release() {}
 
 // Step executes the min-pc fragment's next instruction across its active
 // lanes and returns the event executed.

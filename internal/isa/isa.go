@@ -378,14 +378,20 @@ func (p *Program) StaticCalls() int {
 // UsesLaneID reports whether the program reads the lane index — the
 // marker for lane-variant (SIMT-mode) kernels.
 func (p *Program) UsesLaneID() bool {
+	f, _ := p.laneIDRead()
+	return f != nil
+}
+
+// laneIDRead locates the first RDSP LANEID, or returns a nil function.
+func (p *Program) laneIDRead() (*Function, int) {
 	for _, f := range p.Funcs {
 		for i := range f.Instrs {
 			if f.Instrs[i].Op == OpRdSp && f.Instrs[i].Sp == SpLaneID {
-				return true
+				return f, i
 			}
 		}
 	}
-	return false
+	return nil, 0
 }
 
 // UsesUserShared reports whether any function accesses user shared memory

@@ -202,6 +202,32 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
+// TestValidateLaneVariantRestriction: a kernel that reads LANEID must be a
+// single function without calls, and the rejection names the offender.
+func TestValidateLaneVariantRestriction(t *testing.T) {
+	const helper = ".func f args 1 ret\n RET v0\n"
+	for _, tc := range []struct {
+		name, src, want string
+	}{
+		{"call", ".kernel k\n.func main\n RDSP v0, LANEID\n CALL v1, f, v0\n STG [v0], v1\n EXIT\n" + helper,
+			"isa: main[1]: CALL in a kernel that reads LANEID (main[0])"},
+		{"laneid in callee", ".kernel k\n.func main\n MOVI v0, 4\n CALL v1, g, v0\n STG [v0], v1\n EXIT\n.func g args 1 ret\n RDSP v1, LANEID\n RET v1\n",
+			"isa: main[1]: CALL in a kernel that reads LANEID (g[0])"},
+		{"second function", ".kernel k\n.func main\n RDSP v0, LANEID\n STG [v0], v0\n EXIT\n" + helper,
+			`isa: function "f" in a kernel that reads LANEID (main[0])`},
+		{"uniform with call", ".kernel k\n.func main\n RDSP v0, WARPID\n CALL v1, f, v0\n STG [v0], v1\n EXIT\n" + helper, ""},
+		{"lane-variant single function", ".kernel k\n.func main\n RDSP v0, LANEID\n STG [v0], v0\n EXIT\n", ""},
+	} {
+		err := Validate(MustParse(tc.src))
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: Validate = %v, want nil", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: Validate = %v, want containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestValidateRecursion(t *testing.T) {
 	src := `
 .kernel k

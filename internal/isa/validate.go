@@ -13,12 +13,13 @@ var ErrRecursion = errors.New("isa: recursive call graph")
 // Validate checks structural invariants of a program: opcode validity,
 // branch targets in range, call targets defined and non-recursive, widths
 // legal, the entry function taking no args, every path ending in a
-// terminator, and all operands in bounds — registers within the declared
-// frame (NumVRegs before allocation, FrameSlots after), spill slots within
-// the declared spill counts, and call bounds within the frame. Operand
-// bounds make decoded binaries safe to feed to the middle end and the
-// interpreter: out-of-range registers or slots would otherwise index past
-// internal arrays.
+// terminator, a kernel that reads LANEID being one call-free function, and
+// all operands in bounds — registers within the declared frame (NumVRegs
+// before allocation, FrameSlots after), spill slots within the declared
+// spill counts, and call bounds within the frame. Operand bounds make
+// decoded binaries safe to feed to the middle end and the interpreter:
+// out-of-range registers or slots would otherwise index past internal
+// arrays.
 func Validate(p *Program) error {
 	if len(p.Funcs) == 0 {
 		return errors.New("isa: program has no functions")
@@ -44,7 +45,36 @@ func Validate(p *Program) error {
 			return err
 		}
 	}
+	if err := checkLaneVariant(p); err != nil {
+		return err
+	}
 	return checkAcyclic(p)
+}
+
+// checkLaneVariant holds a kernel that reads LANEID to what lane-accurate
+// execution supports: a single function without calls (divergent call
+// stacks are out of scope). The error names the first offending call, or
+// the second function, and the LANEID read that makes the kernel
+// lane-variant.
+func checkLaneVariant(p *Program) error {
+	lf, li := p.laneIDRead()
+	if lf == nil {
+		return nil
+	}
+	const rule = "lane-variant kernels must be a single function without calls"
+	for _, f := range p.Funcs {
+		for i := range f.Instrs {
+			if f.Instrs[i].Op == OpCall {
+				return fmt.Errorf("isa: %s[%d]: CALL in a kernel that reads LANEID (%s[%d]): %s",
+					f.Name, i, lf.Name, li, rule)
+			}
+		}
+	}
+	if len(p.Funcs) > 1 {
+		return fmt.Errorf("isa: function %q in a kernel that reads LANEID (%s[%d]): %s",
+			p.Funcs[1].Name, lf.Name, li, rule)
+	}
+	return nil
 }
 
 func validateFunc(p *Program, fi int, f *Function) error {

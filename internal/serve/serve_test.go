@@ -42,6 +42,20 @@ loop:
   EXIT
 `
 
+// laneCallKernel reads LANEID and calls a function: no executor can run it
+// lane-accurately, so it is bad input (400), not a simulator fault (500).
+const laneCallKernel = `
+.kernel lanecall
+.blockdim 32
+.func main
+  RDSP v0, LANEID
+  CALL v1, f, v0
+  STG [v0], v1
+  EXIT
+.func f args 1 ret
+  RET v0
+`
+
 // newTestServer starts a daemon over httptest. dir == "" runs storeless.
 func newTestServer(t *testing.T, dir string) (*Server, *httptest.Server) {
 	t.Helper()
@@ -239,6 +253,8 @@ func TestBadRequests(t *testing.T) {
 		"bad lint":       {"/v1/tune?lint=pedantic", testKernel},
 		"garbage text":   {"/v1/tune", "MOVI without a .func header"},
 		"garbage binary": {"/v1/tune", "ORN1\x00\x01\x02"},
+		"laneid + call":  {"/v1/tune", laneCallKernel},
+		"laneid compile": {"/v1/compile", laneCallKernel},
 	} {
 		code, _, body := post(t, hs.URL, req.path, req.body)
 		if code != http.StatusBadRequest {

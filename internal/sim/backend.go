@@ -1,24 +1,26 @@
 package sim
 
-// Backend selects the warp execution engine behind the timing model.
+// Backend selects the warp-scalar execution engine behind the timing
+// model.
 //
 // Both backends step the same binaries through the same issue, cache,
 // DRAM, and energy model; they differ only in how each warp's next
 // instruction is produced and committed:
 //
-//   - BackendCompiled translates every basic block once into fused Go
-//     closures (package interp's CWarp/CSIMTWarp) with pre-resolved
-//     operand templates, superinstructions for hot decode pairs, and
-//     whole-warp lane batching in SIMT mode. It is the zero value: every
-//     Config that does not say otherwise runs it.
+//   - BackendCompiled translates every function once into fused Go
+//     closures (package interp's CWarp) with pre-resolved operand
+//     templates and superinstructions for hot decode pairs. It is the
+//     zero value: every Config that does not say otherwise runs it.
 //   - BackendInterp steps the original tree-walking interpreter
-//     (interp.Warp/SIMTWarp via the Stepper adapter). It is the
-//     reference semantics, selected per call through Config.Backend by
-//     the differential oracles (verify.CrossBackend, the sim tests).
+//     (interp.Warp). It is the reference semantics, selected per call
+//     through Config.Backend by the differential oracles
+//     (verify.CrossBackend, the sim tests).
 //
 // The two are required to be bit-identical on Stats fingerprints and
 // fault behavior; verify.CrossBackend and the sim differential tests
-// enforce that.
+// enforce that. A lane-variant kernel (one that reads LANEID) is outside
+// the choice: it runs the reference lane-accurate executor
+// (interp.SIMTWarp) under either value.
 type Backend uint8
 
 const (

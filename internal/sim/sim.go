@@ -22,9 +22,10 @@
 // evaluated in one fixed order, so results are bit-identical run to run
 // regardless of goroutine interleaving.
 //
-// Two execution backends drive the warps beneath the timing model: the
-// default compiled backend (block-compiled fused closures, see
-// interp.Compile) and the reference interpreter. See Backend.
+// Two execution backends drive warp-scalar kernels beneath the timing
+// model: the default compiled backend (block-compiled fused closures, see
+// interp.Compile) and the reference interpreter. Lane-variant (LANEID)
+// kernels always run the reference lane-accurate executor. See Backend.
 package sim
 
 import (
@@ -244,8 +245,8 @@ type engine struct {
 	d           *device.Device
 	lc          *interp.Launch
 	layout      *interp.Layout
-	comp        *interp.Compiled // non-nil iff cfg.Backend == BackendCompiled
-	simt        bool
+	comp        *interp.Compiled // non-nil iff warp-scalar on BackendCompiled
+	simt        bool             // lane-variant: every warp is an interp.SIMTWarp
 	wpb         int
 	numBlocks   int
 	sharedWords int
@@ -416,7 +417,7 @@ func simulateLoop(cfg Config, lc *interp.Launch) (*Stats, error) {
 		// (like the L2 slices) never couple SMs to each other.
 		dramService: d.DRAMServiceCycles * float64(d.SMs),
 	}
-	if cfg.Backend == BackendCompiled {
+	if cfg.Backend == BackendCompiled && !e.simt {
 		// Block-compiled code is memoized per program like the layout.
 		if e.comp, err = interp.CompiledOf(lc.Prog); err != nil {
 			return nil, err
@@ -763,32 +764,25 @@ func (sm *smCtx) launchBlock(now uint64) int {
 	return n
 }
 
-// newExec builds one warp's executor for the configured backend.
+// newExec builds one warp's executor: the reference lane-accurate one for
+// a lane-variant program, else the configured warp-scalar backend's.
 func (e *engine) newExec(gid int, shared []uint32, smID int) (interp.StepExecutor, error) {
-	if e.comp != nil {
-		if e.simt {
-			w, err := interp.NewCSIMTWarp(e.comp, e.lc, gid, shared)
-			if err != nil {
-				return nil, err
-			}
-			w.SMID = smID
-			return w, nil
-		}
-		w := interp.NewCWarp(e.comp, e.lc, gid, shared)
-		w.SMID = smID
-		return w, nil
-	}
 	if e.simt {
 		w, err := interp.NewSIMTWarp(e.lc, e.layout, gid, shared)
 		if err != nil {
 			return nil, err
 		}
 		w.SMID = smID
-		return interp.Stepper{Ex: w}, nil
+		return w, nil
+	}
+	if e.comp != nil {
+		w := interp.NewCWarp(e.comp, e.lc, gid, shared)
+		w.SMID = smID
+		return w, nil
 	}
 	w := interp.NewWarp(e.lc, e.layout, gid, shared)
 	w.SMID = smID
-	return interp.Stepper{Ex: w}, nil
+	return w, nil
 }
 
 // memOne charges one line-sized memory transaction and returns its

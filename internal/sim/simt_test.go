@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -207,5 +208,38 @@ loop:
 	if conflict.Cycles <= free.Cycles {
 		t.Errorf("32-way bank conflicts (%d cycles) not slower than conflict-free (%d)",
 			conflict.Cycles, free.Cycles)
+	}
+}
+
+// TestDivergedBarrierFaultsUnderBothBackends: a lane-variant launch runs the
+// reference lane-accurate executor whatever Config.Backend says, so a BAR
+// reached by a diverged warp fails the launch with the executor's own
+// sentinel under either value.
+func TestDivergedBarrierFaultsUnderBothBackends(t *testing.T) {
+	p := isa.MustParse(`
+.kernel badbar
+.blockdim 32
+.func main
+  RDSP v0, LANEID
+  MOVI v1, 16
+  ISET.LT v2, v0, v1
+  CBR v2, low
+  BAR
+  BRA out
+low:
+  BAR
+out:
+  MOVI v3, 4
+  SHL v4, v0, v3
+  STG [v4], v0
+  EXIT
+`)
+	for _, b := range []Backend{BackendCompiled, BackendInterp} {
+		_, err := Simulate(Config{Device: device.GTX680(), Cache: device.SmallCache,
+			BlocksPerSM: 2, RegsPerThread: 16, Backend: b},
+			&interp.Launch{Prog: p, GridWarps: 2})
+		if !errors.Is(err, interp.ErrDivergedBarrier) || err.Error() != "interp: BAR executed by a diverged warp" {
+			t.Errorf("backend %v: error = %v, want interp.ErrDivergedBarrier's text", b, err)
+		}
 	}
 }

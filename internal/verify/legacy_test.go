@@ -111,8 +111,8 @@ func legacyStoreStreams(p *isa.Program, gridWarps, stepLimit int) ([][]uint32, e
 	return streams, nil
 }
 
-// legacyRun is interp.Run as it was when every warp went through
-// Executor.Step: the lane-aware half of the old oracle.
+// legacyRun is interp.Run as it was when every warp went through Step:
+// the lane-aware half of the old oracle.
 func legacyRun(p *isa.Program, gridWarps, stepLimit int) (*interp.Result, error) {
 	layout, err := legacyLayout(p)
 	if err != nil {
@@ -127,7 +127,11 @@ func legacyRun(p *isa.Program, gridWarps, stepLimit int) (*interp.Result, error)
 		if wi%wpb == 0 && sharedWords > 0 {
 			shared = make([]uint32, sharedWords)
 		}
-		var w interp.Executor
+		var w interface {
+			Step() (interp.Event, error)
+			Done() bool
+			Result() (steps int, checksum uint64, stores int)
+		}
 		if p.UsesLaneID() {
 			sw, err := interp.NewSIMTWarp(lc, layout, wi, shared)
 			if err != nil {
