@@ -5,10 +5,10 @@ GO ?= go
 ## check: the full CI gate — formatting, vet, staticcheck, build,
 ## race-enabled tests, the serial-vs-parallel determinism suite, a short
 ## fuzz pass over the binary decoder, the realization pipeline, the
-## static analyzer, and the translation validator, a one-shot run of the
-## cold-sweep benchmark so compile-path regressions fail loudly, the
-## benchmark module's vet and quick smoke, the strict-TV whole-suite
-## sweep, and the end-to-end daemon smoke (serve-vs-CLI byte identity plus
+## static analyzer, the middle end and its legality check, a one-shot run
+## of the cold-sweep benchmark so compile-path regressions fail loudly, the
+## benchmark module's vet and quick smoke, the whole-suite legality sweep,
+## and the end-to-end daemon smoke (serve-vs-CLI byte identity plus
 ## graceful shutdown).
 check: fmt-check vet lint build test-race determinism fuzz-short bench-smoke bench-opt-smoke bench-quick tv-smoke serve-smoke
 
@@ -57,7 +57,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzAnalyze -fuzztime 10s ./internal/sa/
 	$(GO) test -run '^$$' -fuzz FuzzSimCompiled -fuzztime 10s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzOpt -fuzztime 10s ./internal/opt/
-	$(GO) test -run '^$$' -fuzz FuzzTV -fuzztime 10s ./internal/tv/
+	$(GO) test -run '^$$' -fuzz FuzzPerm -fuzztime 10s ./internal/tv/
 
 ## bench-smoke: one iteration of the cold-sweep benchmark and of the
 ## simulator throughput benchmark — not a measurement, just proof the
@@ -93,9 +93,9 @@ serve-smoke:
 	$(GO) test -race -count=1 -run ServeSmoke ./cmd/orion/
 
 ## tv-smoke: every benchmark kernel at every feasible occupancy level on
-## both devices with the middle end on (translation validation is always
-## strict); fails on any rejection (the scheduler miscompiled) or
-## abstention (the validator lost precision on the real corpus).
+## both devices with the middle end on; fails unless the legality check
+## ran (checked > 0) and rejected nothing (a rejection means the scheduler
+## and internal/tv disagree about a dependence).
 tv-smoke:
 	$(GO) test -count=1 -run TestTVSmoke .
 

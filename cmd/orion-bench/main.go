@@ -103,12 +103,10 @@ type jsonReport struct {
 	LadderReuse   uint64 `json:"ladder_reuse"`
 	LadderRecolor uint64 `json:"ladder_recolor"`
 	LadderPruned  uint64 `json:"ladder_pruned"`
-	// Translation-validation counters for the whole invocation: middle-end
-	// pass applications symbolically checked, rejected (reverted in strict
-	// mode), and abstained (deferred to the differential oracle).
-	TVChecked   uint64 `json:"tv_checked"`
-	TVRejected  uint64 `json:"tv_rejected"`
-	TVAbstained uint64 `json:"tv_abstained"`
+	// Legality-check counters for the whole invocation: middle-end
+	// schedules checked, and rejected (reverted to the input).
+	TVChecked  uint64 `json:"tv_checked"`
+	TVRejected uint64 `json:"tv_rejected"`
 	// CandidateProfiles is filled by -profile KERNEL: a PC-profile of
 	// every tuning candidate of that kernel on the gtx680/sc platform.
 	CandidateProfiles []jsonCandidateProfile `json:"candidate_profiles,omitempty"`
@@ -264,7 +262,7 @@ func run(args []string) error {
 	report.RunHits, report.RunMisses = core.RunCacheStats()
 	lad := core.LadderStats()
 	report.LadderReuse, report.LadderRecolor, report.LadderPruned = lad.Reuse, lad.Recolor, lad.Pruned
-	report.TVChecked, report.TVRejected, report.TVAbstained = orion.TVCounters()
+	report.TVChecked, report.TVRejected = orion.TVCounters()
 	if col != nil {
 		orion.PublishCacheMetrics(col)
 		report.Metrics = col.Metrics().Snapshot()

@@ -108,7 +108,7 @@ func run(args []string, out io.Writer) error {
 	verify := fs.Bool("verify", true, "check allocation invariants and differential semantics on every realized version")
 	lintFlag := fs.String("lint", "strict", "static-analysis gate: strict (reject on errors), warn, or off")
 	realized := fs.Bool("realized", false, "for 'lint': also analyze every realized occupancy level")
-	optFlag := fs.Bool("opt", false, "run the pressure-reducing middle end (translation-validated pressure-aware scheduling) before allocation")
+	optFlag := fs.Bool("opt", false, "run the pressure-reducing middle end (pressure-aware scheduling, legality-checked) before allocation")
 	jsonOut := fs.String("json", "", "for 'profile'/'tune': write the report as JSON to this file (tune writes the canonical report, byte-identical to `orion serve`'s)")
 
 	if cmd == "list" {

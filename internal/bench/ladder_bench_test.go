@@ -20,7 +20,7 @@ func BenchmarkSweepCold(b *testing.B) { sweepCold(b, false) }
 
 // BenchmarkSweepColdOpt is the same cold sweep with the pressure-reducing
 // middle end on: each ladder additionally pays for pressure-aware
-// scheduling and its translation validation, once per function whose
+// scheduling and its legality check, once per function whose
 // max-live exceeds some level's budget. The ratio against
 // BenchmarkSweepCold is the middle end's compile-time overhead (the
 // benchmark's compile_opt_cold over compile_cold is the recorded number).

@@ -43,7 +43,7 @@ type Suite struct {
 	// records them, off skips analysis. orion-bench exposes -lint.
 	Lint core.LintMode
 	// Opt runs the pressure-reducing middle end (the pressure-aware
-	// scheduler, every accepted schedule translation-validated) ahead of
+	// scheduler, every kept schedule checked by internal/tv) ahead of
 	// the allocator in every realization the suite performs. Off by default
 	// so recorded tables match the paper's unoptimized compiler; orion-bench
 	// exposes -opt.

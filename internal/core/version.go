@@ -108,8 +108,8 @@ type Realizer struct {
 	ProfileSpec *prof.Spec
 	// Opt enables the pressure-reducing middle end (internal/opt): when a
 	// function's max-live exceeds the ladder's per-function register budget,
-	// the pressure-aware scheduler runs before allocation, the translation
-	// validator checks the schedule (a rejection reverts it), and the
+	// the pressure-aware scheduler runs before allocation, internal/tv
+	// checks the schedule's legality (a rejection reverts it), and the
 	// allocator colors the scheduled body instead. Off by default; realized
 	// output with Opt false is byte-identical to a realizer without the
 	// field.

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -16,8 +17,13 @@ import (
 // below-budget fast path too.
 var diffBudgets = []int{8, 16, 32}
 
-// diffOptProgram applies the pipeline to every function and abstains
-// (returns nil) when nothing changed.
+// errRejected marks a schedule the legality check refused. The scheduler's
+// variable-granularity edges imply the checker's register-granularity ones,
+// so a rejection is a bug in one of the two, never a reason to decline.
+var errRejected = errors.New("schedule rejected by internal/tv")
+
+// diffOptProgram applies the pipeline to every function and returns nil
+// when nothing changed.
 func diffOptProgram(p *isa.Program, budget int) (*isa.Program, error) {
 	np := p.Clone()
 	changed := false
@@ -25,6 +31,9 @@ func diffOptProgram(p *isa.Program, budget int) (*isa.Program, error) {
 		nf, st, err := Run(f, budget)
 		if err != nil {
 			return nil, fmt.Errorf("fn %d: %w", fi, err)
+		}
+		if st.TVRejected != 0 {
+			return nil, fmt.Errorf("fn %d: %w: %s", fi, errRejected, st.TVDiag)
 		}
 		np.Funcs[fi] = nf
 		changed = changed || st.Changed

@@ -2,6 +2,7 @@ package opt
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/interp"
@@ -10,9 +11,10 @@ import (
 )
 
 // FuzzOpt decodes arbitrary binaries and, for every structurally valid
-// program, runs the pass pipeline at each sweep budget, checking three
-// invariants: the output validates, the store-stream oracle sees no
-// semantic change, and a second run produces byte-identical output.
+// program, runs the pass pipeline at each sweep budget, checking four
+// invariants: the legality check rejects no schedule, the output validates,
+// the store-stream oracle sees no semantic change, and a second run
+// produces byte-identical output.
 func FuzzOpt(f *testing.F) {
 	for _, src := range []string{
 		`
@@ -57,6 +59,9 @@ loop:
 		}
 		for _, budget := range diffBudgets {
 			np, err := diffOptProgram(p, budget)
+			if errors.Is(err, errRejected) {
+				t.Fatalf("budget %d: %v", budget, err)
+			}
 			if err != nil || np == nil {
 				continue // the pipeline declined; the input is untouched
 			}

@@ -10,7 +10,7 @@ import (
 // a cached artifact built with the pipeline enabled is only reused while
 // the pipeline that built it is byte-for-byte the one that would run now.
 // Bump the low bits whenever the pass's output can change.
-const Fingerprint uint64 = 0x6f70_7400_0000_0003 // "opt", revision 3
+const Fingerprint uint64 = 0x6f70_7400_0000_0004 // "opt", revision 4
 
 // Stats reports what one pipeline invocation did.
 type Stats struct {
@@ -19,13 +19,11 @@ type Stats struct {
 	SchedBlocks   int  // blocks whose instruction order changed
 	Changed       bool // whether the returned function differs from the input
 
-	// Translation-validation outcome of this invocation's schedule. TVDiag
-	// holds a rejection's diagnostic (the first differing term or
-	// structure).
-	TVChecked   int
-	TVRejected  int
-	TVAbstained int
-	TVDiag      string
+	// Legality-check outcome of this invocation's schedule. TVDiag holds a
+	// rejection's diagnostic (the reversed edge or structural difference).
+	TVChecked  int
+	TVRejected int
+	TVDiag     string
 }
 
 // Run is RunTV in strict mode without observability.
@@ -38,12 +36,10 @@ func Run(f *isa.Function, budget int) (*isa.Function, Stats, error) {
 // budget or the schedule does not strictly lower max-live; otherwise it
 // returns the scheduled clone (web-split register numbering). The budget
 // only decides whether the pass runs: the schedule itself does not depend
-// on it. An improving schedule is validated by the translation validator
-// under the identity correspondence — a permutation within blocks leaves
-// every block boundary in place. In strict mode a rejection reverts to the
-// input; an abstention is accepted and falls through to the downstream
-// differential oracle; ModeOff skips validation. A non-nil error means the
-// pipeline declined; the input f is still valid and returned.
+// on it. An improving schedule is kept only if tv.Validate accepts it as a
+// dependence-respecting permutation within blocks; a rejection reverts to
+// the input. ModeOff skips the check. A non-nil error means the pipeline
+// declined; the input f is still valid and returned.
 func RunTV(f *isa.Function, budget int, mode tv.Mode, x obs.Ctx) (*isa.Function, Stats, error) {
 	fm, err := buildForm(f)
 	if err != nil {
@@ -71,7 +67,7 @@ func RunTV(f *isa.Function, budget int, mode tv.Mode, x obs.Ctx) (*isa.Function,
 		return f, st, nil
 	}
 	ok := tvGate(&st, mode, x, fm.f, nf)
-	sp.SetAttr(obs.Int("tv_rejected", st.TVRejected), obs.Int("tv_abstained", st.TVAbstained))
+	sp.SetAttr(obs.Int("tv_rejected", st.TVRejected))
 	if !ok {
 		return f, st, nil
 	}
@@ -83,27 +79,21 @@ func RunTV(f *isa.Function, budget int, mode tv.Mode, x obs.Ctx) (*isa.Function,
 	return nfm.f, st, nil
 }
 
-// tvGate validates the schedule (pre → post under the identity hint) and
-// reports whether the driver may accept it. Off skips validation; a
-// rejection reverts in strict mode; an abstention accepts — the realizer's
-// differential oracle re-checks the end product dynamically.
+// tvGate reports whether the driver may keep the schedule: only one the
+// legality check accepts, unless mode is Off.
 func tvGate(st *Stats, mode tv.Mode, x obs.Ctx, pre, post *isa.Function) bool {
 	if mode == tv.ModeOff {
 		return true
 	}
-	res := tv.Validate(pre, post, tv.IdentityHint(len(pre.Instrs)))
+	res := tv.Validate(pre, post, nil)
 	st.TVChecked++
 	m := x.Metrics()
 	m.Counter("tv.checked").Add(1)
-	switch res.Verdict {
-	case tv.Reject:
+	if res.Verdict != tv.Accept {
 		st.TVRejected++
 		m.Counter("tv.rejected").Add(1)
 		st.TVDiag = res.Reason
 		return false
-	case tv.Abstain:
-		st.TVAbstained++
-		m.Counter("tv.abstained").Add(1)
 	}
 	return true
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -64,7 +65,8 @@ func (f *Flight) Stats() FlightStats {
 // entry. fn runs under a job context detached from any one request and
 // cancelled when the last waiter leaves; it must return promptly once
 // that context is done. A caller whose own ctx ends first gets ctx's
-// error while the computation (if others still want it) continues.
+// error while the computation (if others still want it) continues. A
+// panic in fn reaches every caller as an error and is not remembered.
 //
 // When the pool is saturated, every caller joined to the failed submit
 // observes ErrBusy, which the HTTP layer turns into 429.
@@ -81,8 +83,8 @@ func (f *Flight) Do(ctx context.Context, key string, pool *Pool, fn func(context
 		f.calls[key] = c
 		f.mu.Unlock()
 		f.started.Add(1)
-		run := func() {
-			val, err := fn(jobCtx)
+		// finish unlinks the key and hands the outcome to every waiter.
+		finish := func(val []byte, err error) {
 			f.mu.Lock()
 			if f.calls[key] == c {
 				delete(f.calls, key)
@@ -92,17 +94,24 @@ func (f *Flight) Do(ctx context.Context, key string, pool *Pool, fn func(context
 			close(c.done)
 			cancel()
 		}
+		run := func() {
+			var val []byte
+			var err error
+			// A panic in fn is this request's failure, not the daemon's:
+			// every waiter gets one error (a 500), the next request for the
+			// key recomputes, and the pool worker lives on.
+			defer func() {
+				if r := recover(); r != nil {
+					val, err = nil, fmt.Errorf("serve: job panicked: %v", r)
+				}
+				finish(val, err)
+			}()
+			val, err = fn(jobCtx)
+		}
 		if err := pool.Submit(jobCtx, run); err != nil {
 			// Callers may have joined between registration and the failed
 			// Submit; deliver the admission error to all of them.
-			f.mu.Lock()
-			if f.calls[key] == c {
-				delete(f.calls, key)
-			}
-			f.mu.Unlock()
-			c.err = err
-			close(c.done)
-			cancel()
+			finish(nil, err)
 		}
 	}
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -216,6 +217,53 @@ func TestFlightBusyPropagates(t *testing.T) {
 			t.Fatalf("retry Do err = %v", err)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestFlightPanicContained: a panic in fn is the request's failure, not
+// the daemon's. The leader and both joiners get the same error, the single
+// worker survives to count the task completed, and the key is unlinked so
+// the next Do recomputes.
+func TestFlightPanicContained(t *testing.T) {
+	p := NewPool(1, 8)
+	defer p.Close()
+	f := NewFlight()
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	boom := func(context.Context) ([]byte, error) {
+		close(entered)
+		<-release
+		panic("compiler bug")
+	}
+	errs := make(chan error, 3)
+	for g := 0; g < 3; g++ {
+		go func() {
+			_, err := f.Do(context.Background(), "k", p, boom)
+			errs <- err
+		}()
+	}
+	<-entered
+	for st := f.Stats(); st.Started+st.Coalesced < 3; st = f.Stats() {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	for g := 0; g < 3; g++ {
+		if err := <-errs; err == nil || !strings.Contains(err.Error(), "compiler bug") {
+			t.Errorf("caller %d: err = %v, want the panic reported as an error", g, err)
+		}
+	}
+	if st := f.Stats(); st.Started != 1 || st.Coalesced != 2 {
+		t.Errorf("stats = %+v, want one run joined by two", st)
+	}
+	v, err := f.Do(context.Background(), "k", p, func(context.Context) ([]byte, error) {
+		return []byte("fresh"), nil
+	})
+	if err != nil || string(v) != "fresh" {
+		t.Fatalf("Do after the panic = %q, %v; want a fresh computation on the surviving worker", v, err)
+	}
+	// The one worker counted the panicked task before it took the fresh one.
+	if st := p.Stats(); st.Completed == 0 {
+		t.Error("the panicked task was not counted completed")
 	}
 }
 

@@ -345,7 +345,9 @@ func TestHealthzAndMetrics(t *testing.T) {
 	if m.Store.Puts == 0 {
 		t.Error("store counters not surfaced")
 	}
-	if m.Pool.Completed == 0 {
+	// Submitted, not Completed: a worker counts a task completed after the
+	// job has already released its waiters, so the scrape can get there first.
+	if m.Pool.Submitted == 0 {
 		t.Error("pool counters not surfaced")
 	}
 }

@@ -13,31 +13,61 @@ func fn(nregs int, instrs ...isa.Instr) *isa.Function {
 	return &isa.Function{Name: "t", NumArgs: 1, NumVRegs: nregs, Instrs: instrs}
 }
 
+// perm returns f with its instructions in the given order of original
+// indices.
+func perm(f *isa.Function, order ...int) *isa.Function {
+	nf := f.Clone()
+	for k, o := range order {
+		nf.Instrs[k] = f.Instrs[o]
+	}
+	return nf
+}
+
+func none3() [3]isa.Reg { return [3]isa.Reg{isa.RegNone, isa.RegNone, isa.RegNone} }
+func src1(a int) [3]isa.Reg {
+	return [3]isa.Reg{isa.Reg(a), isa.RegNone, isa.RegNone}
+}
+
 func movi(d int, imm int32) isa.Instr {
 	return isa.Instr{Op: isa.OpMovI, Dst: isa.Reg(d), Src: none3(), Imm: imm}
 }
 func alu(op isa.Op, d, a, b int) isa.Instr {
 	return isa.Instr{Op: op, Dst: isa.Reg(d), Src: [3]isa.Reg{isa.Reg(a), isa.Reg(b), isa.RegNone}}
 }
-func mov(d, a int) isa.Instr {
-	return isa.Instr{Op: isa.OpMov, Dst: isa.Reg(d), Src: [3]isa.Reg{isa.Reg(a), isa.RegNone, isa.RegNone}}
+
+func mov(d, a int) isa.Instr { return movw(1, d, a) }
+
+// movw is a wide move of w registers.
+func movw(w, d, a int) isa.Instr {
+	return isa.Instr{Op: isa.OpMov, Width: uint8(w), Dst: isa.Reg(d), Src: src1(a)}
 }
 func ldg(d, addr int, off int32) isa.Instr {
-	return isa.Instr{Op: isa.OpLdG, Dst: isa.Reg(d), Src: [3]isa.Reg{isa.Reg(addr), isa.RegNone, isa.RegNone}, Imm: off}
+	return isa.Instr{Op: isa.OpLdG, Dst: isa.Reg(d), Src: src1(addr), Imm: off}
 }
 func stg(addr, val int, off int32) isa.Instr {
 	return isa.Instr{Op: isa.OpStG, Dst: isa.RegNone, Src: [3]isa.Reg{isa.Reg(addr), isa.Reg(val), isa.RegNone}, Imm: off}
 }
-func cbr(cond, tgt int) isa.Instr {
-	return isa.Instr{Op: isa.OpCbr, Dst: isa.RegNone, Src: [3]isa.Reg{isa.Reg(cond), isa.RegNone, isa.RegNone}, Tgt: int32(tgt)}
+
+// stgw is a wide store of registers [val, val+w).
+func stgw(w, addr, val int) isa.Instr {
+	in := stg(addr, val, 0)
+	in.Width = uint8(w)
+	return in
 }
-func bra(tgt int) isa.Instr {
-	return isa.Instr{Op: isa.OpBra, Dst: isa.RegNone, Src: none3(), Tgt: int32(tgt)}
+func spillSt(slot int32, val int) isa.Instr {
+	return isa.Instr{Op: isa.OpSpillSS, Dst: isa.RegNone, Src: src1(val), Imm: slot}
+}
+func spillLd(d int, slot int32) isa.Instr {
+	return isa.Instr{Op: isa.OpSpillSL, Dst: isa.Reg(d), Src: none3(), Imm: slot}
+}
+func call(d, callee, arg int) isa.Instr {
+	return isa.Instr{Op: isa.OpCall, Dst: isa.Reg(d), Src: src1(arg), Tgt: int32(callee)}
+}
+func bar() isa.Instr { return isa.Instr{Op: isa.OpBar, Dst: isa.RegNone, Src: none3()} }
+func cbr(cond, tgt int) isa.Instr {
+	return isa.Instr{Op: isa.OpCbr, Dst: isa.RegNone, Src: src1(cond), Tgt: int32(tgt)}
 }
 func ret() isa.Instr { return isa.Instr{Op: isa.OpRet, Dst: isa.RegNone, Src: none3()} }
-func none3() [3]isa.Reg {
-	return [3]isa.Reg{isa.RegNone, isa.RegNone, isa.RegNone}
-}
 
 func TestIdentityAccepts(t *testing.T) {
 	f := fn(4,
@@ -46,8 +76,8 @@ func TestIdentityAccepts(t *testing.T) {
 		stg(0, 2, 0),
 		ret(),
 	)
-	res := Validate(f, f, IdentityHint(len(f.Instrs)))
-	if res.Verdict != Accept {
+	res := Validate(f, f.Clone(), nil)
+	if res.Verdict != Accept || res.Reason != "" {
 		t.Fatalf("identity: got %v (%s)", res.Verdict, res.Reason)
 	}
 }
@@ -62,85 +92,92 @@ func TestLoopIdentityAccepts(t *testing.T) {
 		cbr(1, 1),
 		ret(),
 	)
-	res := Validate(f, f, IdentityHint(len(f.Instrs)))
+	res := Validate(f, f.Clone(), IdentityHint(len(f.Instrs)))
 	if res.Verdict != Accept {
 		t.Fatalf("loop identity: got %v (%s)", res.Verdict, res.Reason)
 	}
 }
 
-// rematPair is a hand-built single-def rematerialization: the MOVI def is
-// dropped and recomputed into a fresh temp before its use.
-func rematPair(cloneImm int32) (pre, post *isa.Function, h *Hint) {
-	pre = fn(3,
-		movi(1, 5),
-		alu(isa.OpIAdd, 2, 0, 1),
-		stg(0, 2, 0),
-		ret(),
-	)
-	post = fn(4,
-		movi(3, cloneImm),
-		alu(isa.OpIAdd, 2, 0, 3),
-		stg(0, 2, 0),
-		ret(),
-	)
-	h = &Hint{InsPos: []int{0, 0, 2, 3, 4}, OwnPos: []int{0, 1, 2, 3, 4}}
-	return pre, post, h
-}
-
-func TestRematAccepts(t *testing.T) {
-	res := Validate(rematPairArgs(t, 5))
-	if res.Verdict != Accept {
-		t.Fatalf("remat: got %v (%s)", res.Verdict, res.Reason)
-	}
-}
-
-func TestWrongRematConstantRejects(t *testing.T) {
-	res := Validate(rematPairArgs(t, 6))
-	if res.Verdict != Reject {
-		t.Fatalf("wrong clone: got %v (%s), want reject", res.Verdict, res.Reason)
-	}
-	if !strings.Contains(res.Reason, "operand") {
-		t.Fatalf("diagnostic does not name the operand: %s", res.Reason)
-	}
-}
-
-func rematPairArgs(t *testing.T, imm int32) (*isa.Function, *isa.Function, *Hint) {
-	t.Helper()
-	return rematPair(imm)
-}
-
 func TestCountersAdvance(t *testing.T) {
 	ResetCounters()
-	Validate(rematPair(5))
-	Validate(rematPair(7))
-	c, r, a := Counters()
-	if c != 2 || r != 1 || a != 0 {
-		t.Fatalf("counters = %d/%d/%d, want 2/1/0", c, r, a)
+	f := fn(3, movi(1, 5), alu(isa.OpIAdd, 2, 0, 1), stg(0, 2, 0), ret())
+	Validate(f, perm(f, 0, 1, 2, 3), nil)
+	Validate(f, perm(f, 1, 0, 2, 3), nil)
+	c, r, z := Counters()
+	if c != 2 || r != 1 || z != 0 {
+		t.Fatalf("counters = %d/%d/%d, want 2/1/0", c, r, z)
 	}
 }
 
 func TestDeterministicVerdict(t *testing.T) {
-	pre, post, h := rematPair(6)
-	r1 := Validate(pre, post, h)
-	r2 := Validate(pre, post, h)
-	if r1.Verdict != r2.Verdict || r1.Reason != r2.Reason {
+	f := fn(3, movi(1, 5), alu(isa.OpIAdd, 2, 0, 1), stg(0, 2, 0), ret())
+	post := perm(f, 1, 0, 2, 3)
+	r1, r2 := Validate(f, post, nil), Validate(f, post, nil)
+	if r1 != r2 {
 		t.Fatalf("nondeterministic verdict: %v/%q vs %v/%q", r1.Verdict, r1.Reason, r2.Verdict, r2.Reason)
 	}
 }
 
-func TestNormalizationCommutes(t *testing.T) {
-	c := newCtx()
-	a, b := c.init(0), c.init(1)
-	if c.mkOp(isa.OpIAdd, isa.CmpNone, isa.SpNone, a, b) != c.mkOp(isa.OpIAdd, isa.CmpNone, isa.SpNone, b, a) {
-		t.Fatal("IADD not commutative under normalization")
+// TestNonMovableOpcodes pins the checker's own list of movable opcodes
+// against the ISA's predicates: everything that touches memory or a spill
+// slot, transfers or ends control, synchronizes or calls keeps its program
+// order, and nothing that is movable lacks the destination register that
+// orders two equal instructions.
+func TestNonMovableOpcodes(t *testing.T) {
+	nMovable := 0
+	for o := 0; o < 256; o++ {
+		op := isa.Op(o)
+		in := isa.Instr{Op: op}
+		pinned := in.IsMem() || in.IsSpill() || in.IsBranch() || in.Terminates() || op == isa.OpBar || op == isa.OpCall
+		if pinned && movable(op) {
+			t.Errorf("%s is movable", op)
+		}
+		if movable(op) {
+			nMovable++
+			if !in.HasDst() {
+				t.Errorf("movable %s writes no register", op)
+			}
+		}
+		if defined := op != isa.OpInvalid && !strings.HasPrefix(op.String(), "OP("); defined && !pinned && !movable(op) {
+			t.Errorf("%s is neither movable nor covered by an ISA predicate", op)
+		}
 	}
-	lt := c.mkOp(isa.OpISet, isa.CmpLT, isa.SpNone, b, a)
-	gt := c.mkOp(isa.OpISet, isa.CmpGT, isa.SpNone, a, b)
-	if lt != gt {
-		t.Fatal("ISET mirror normalization failed")
+	if nMovable != 24 {
+		t.Errorf("%d movable opcodes, want 24 (21 ALU, MOV, MOVI, RDSP)", nMovable)
 	}
-	five := c.mkOp(isa.OpIAdd, isa.CmpNone, isa.SpNone, c.konst(2), c.konst(3))
-	if five.kind != kConst || five.word != 5 {
-		t.Fatalf("constant folding failed: %v", five)
+}
+
+// TestTotalOnBadInputs feeds the checker what no caller should: it must
+// return a rejection, not panic.
+func TestTotalOnBadInputs(t *testing.T) {
+	ok := fn(3, movi(1, 5), stg(0, 1, 0), ret())
+	wild := fn(3, movi(1, 5), cbr(1, 99), ret())
+	noReg := fn(3, alu(isa.OpIAdd, 2, 0, int(isa.RegNone)), stg(0, 2, 0), ret())
+	beyond := fn(1, movw(4, 7, 3), ret())
+	cases := []struct {
+		name      string
+		pre, post *isa.Function
+		want      Verdict
+		reason    string
+	}{
+		{"nil-pre", nil, ok, Reject, "nil"},
+		{"nil-post", ok, nil, Reject, "nil"},
+		{"nil-both", nil, nil, Reject, "nil"},
+		{"shorter-post", ok, fn(3, movi(1, 5), ret()), Reject, "instruction count"},
+		{"longer-post", ok, fn(3, movi(1, 5), stg(0, 1, 0), stg(0, 1, 0), ret()), Reject, "instruction count"},
+		{"empty", fn(0), fn(0), Accept, ""},
+		{"branch-out-of-range", wild, wild.Clone(), Reject, "branch target 99"},
+		// Operands outside the declared frame do not index outside the
+		// checker's tables.
+		{"missing-operand", noReg, noReg.Clone(), Accept, ""},
+		{"beyond-frame", beyond, beyond.Clone(), Accept, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res := Validate(tc.pre, tc.post, nil)
+			if res.Verdict != tc.want || !strings.Contains(res.Reason, tc.reason) {
+				t.Fatalf("got %v (%q), want %v mentioning %q", res.Verdict, res.Reason, tc.want, tc.reason)
+			}
+		})
 	}
 }

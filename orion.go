@@ -154,14 +154,16 @@ const (
 	SevError   = sa.SevError
 )
 
-// TVCounters reports the process-wide translation-validation counters:
-// pass applications checked, rejected, and abstained (orion-bench's
-// tv_checked/tv_rejected/tv_abstained JSON fields).
-func TVCounters() (checked, rejected, abstained uint64) { return tv.Counters() }
+// TVCounters reports the process-wide counters of the scheduler's legality
+// check: schedules checked and rejected (orion-bench's tv_checked/
+// tv_rejected JSON fields).
+func TVCounters() (checked, rejected uint64) {
+	checked, rejected, _ = tv.Counters()
+	return checked, rejected
+}
 
-// ResetTVCounters zeroes the process-wide translation-validation
-// counters (orion-bench calls it at startup so reports cover exactly one
-// invocation).
+// ResetTVCounters zeroes those counters (orion-bench calls it at startup
+// so reports cover exactly one invocation).
 func ResetTVCounters() { tv.ResetCounters() }
 
 // AnalyzeKernel runs the SIMT static analyzer on a program and returns
