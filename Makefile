@@ -41,12 +41,13 @@ race: test-race
 
 ## determinism: byte-identity of suite tables across serial/uncached and
 ## parallel/cached runs, of simulator Stats across repeated runs on both
-## execution backends, and of daemon responses across restarts and
-## concurrent duplicate requests — all under the race detector. The
+## execution backends, of the allocator's work counters across repeated
+## and serial/parallel compiles, and of daemon responses across restarts
+## and concurrent duplicate requests — all under the race detector. The
 ## serve and memo suites run in full here because every one of their
 ## tests is a concurrency/determinism contract.
 determinism:
-	$(GO) test -race -run Determinism ./internal/bench/ ./internal/sim/ ./internal/opt/
+	$(GO) test -race -run Determinism ./internal/bench/ ./internal/sim/ ./internal/opt/ ./internal/core/
 	$(GO) test -race ./internal/serve/ ./internal/memo/
 
 ## fuzz-short: a quick coverage-guided pass over each fuzz target; the
@@ -59,12 +60,14 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzOpt -fuzztime 10s ./internal/opt/
 	$(GO) test -run '^$$' -fuzz FuzzPerm -fuzztime 10s ./internal/tv/
 
-## bench-smoke: one iteration of the cold-sweep benchmark and of the
-## simulator throughput benchmark — not a measurement, just proof the
-## benchmark paths still compile and run.
+## bench-smoke: one iteration of the cold-sweep benchmark, of the
+## simulator throughput benchmark and of the spill-heavy coloring
+## benchmark — not a measurement, just proof the benchmark paths still
+## compile and run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench SweepCold -benchtime 1x ./internal/bench/
 	$(GO) test -run '^$$' -bench 'Simulator$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench AllocateSpillHeavy -benchtime 1x ./internal/regalloc/
 
 ## bench: the repository's benchmark (BENCHMARK.json, benchmark/README.md):
 ## every workload once, every end-to-end metric printed by name, results

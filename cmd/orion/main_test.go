@@ -138,6 +138,7 @@ func TestTuneTraceAndMetricsArtifacts(t *testing.T) {
 		"core.realize_cache.hits", "core.realize_cache.misses",
 		"core.run_cache.hits", "core.run_cache.misses",
 		"tune.iterations",
+		"regalloc.rounds", "regalloc.simplify_scans", "regalloc.select_visits",
 	} {
 		if _, ok := metrics.Counters[want]; !ok {
 			t.Errorf("metrics missing counter %q; have %v", want, metrics.Counters)

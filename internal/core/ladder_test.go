@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/isa"
 	"repro/internal/kernels"
+	"repro/internal/obs"
 	"repro/internal/occupancy"
 )
 
@@ -198,5 +200,49 @@ func TestLadderCountersMove(t *testing.T) {
 	}
 	if delta.Reuse == before.Reuse && delta.Pruned == before.Pruned {
 		t.Error("neither reuse nor pruning recorded across a full sweep")
+	}
+}
+
+// TestAllocatorWorkDeterminism pins the allocator's two work counters
+// (regalloc.simplify_scans: variables examined while picking pushes;
+// regalloc.select_visits: colorings attempted): they count what the
+// coloring did, so a compile must report the same pair on every run, and
+// with its candidate levels realized on one goroutine or on several.
+func TestAllocatorWorkDeterminism(t *testing.T) {
+	wasOn := RealizeCacheEnabled()
+	SetRealizeCacheEnabled(false) // every compile must color for itself
+	defer SetRealizeCacheEnabled(wasOn)
+	work := func(p *isa.Program, d *device.Device) [2]uint64 {
+		r := NewRealizer(d, device.SmallCache)
+		r.Verify = false
+		r.Obs = obs.New()
+		if _, err := r.Compile(p, true); err != nil {
+			t.Fatalf("%s on %s: %v", p.Name, d.Name, err)
+		}
+		m := r.Obs.Metrics()
+		return [2]uint64{m.Counter("regalloc.simplify_scans").Value(), m.Counter("regalloc.select_visits").Value()}
+	}
+	for _, name := range []string{"cfd", "hotspot", "srad"} {
+		k, err := kernels.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range device.Both() {
+			first := work(k.Prog, d)
+			if first[0] == 0 || first[1] == 0 {
+				t.Fatalf("%s on %s: counters did not move: %v", name, d.Name, first)
+			}
+			for run := 1; run < 3; run++ {
+				if got := work(k.Prog, d); got != first {
+					t.Fatalf("%s on %s run %d: allocator work %v, want %v", name, d.Name, run, got, first)
+				}
+			}
+			procs := runtime.GOMAXPROCS(1)
+			serial := work(k.Prog, d)
+			runtime.GOMAXPROCS(procs)
+			if serial != first {
+				t.Fatalf("%s on %s: allocator work %v with the ladder serial, %v parallel", name, d.Name, serial, first)
+			}
+		}
 	}
 }

@@ -77,3 +77,13 @@ func (b BitSet) Clone() BitSet {
 	copy(c, b)
 	return c
 }
+
+// First returns the lowest set bit, or -1 if the set is empty.
+func (b BitSet) First() int {
+	for wi, w := range b {
+		if w != 0 {
+			return wi*64 + bits.TrailingZeros64(w)
+		}
+	}
+	return -1
+}

@@ -1,6 +1,8 @@
 package regalloc
 
 import (
+	"slices"
+
 	"repro/internal/ir"
 	"repro/internal/isa"
 )
@@ -36,23 +38,11 @@ func movePairs(v *ir.Vars) map[int][]int {
 	return pairs
 }
 
-// preferredColors returns the colors of v's already-colored move partners
-// (deduplicated, in partner order).
-func preferredColors(id int, pairs map[int][]int, color []int) []int {
-	var out []int
+// preferredColors appends to out the colors of v's already-colored move
+// partners (deduplicated, in partner order).
+func preferredColors(out []int, id int, pairs map[int][]int, color []int) []int {
 	for _, p := range pairs[id] {
-		c := color[p]
-		if c < 0 {
-			continue
-		}
-		dup := false
-		for _, x := range out {
-			if x == c {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if c := color[p]; c >= 0 && !slices.Contains(out, c) {
 			out = append(out, c)
 		}
 	}

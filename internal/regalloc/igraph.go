@@ -20,13 +20,8 @@ type Graph struct {
 // adjacency rows are carved from a single pre-sized slab: one allocation
 // instead of n, and the rows stay cache-adjacent during edge insertion.
 func NewGraph(n int) *Graph {
-	g := &Graph{N: n, adj: make([]ir.BitSet, n)}
-	wpr := (n + 63) / 64
-	slab := make([]uint64, n*wpr)
-	for i := range g.adj {
-		g.adj[i] = ir.BitSet(slab[i*wpr : (i+1)*wpr : (i+1)*wpr])
-	}
-	return g
+	var slab []uint64
+	return &Graph{N: n, adj: bitRows(&slab, nil, n, n)}
 }
 
 // AddEdge records that variables a and b are simultaneously live.

@@ -65,7 +65,8 @@ type Prep struct {
 	// ladder's monotone-reuse precondition; see DESIGN.md §10).
 	TrivialBudget int
 
-	fn *isa.Function
+	wdeg []int // each variable's weighted degree in Graph: simplify's starting point
+	fn   *isa.Function
 }
 
 // Prepare runs the budget-independent half of the allocator on a function:
@@ -93,13 +94,15 @@ func PrepareCtx(f *isa.Function, x obs.Ctx) (*Prep, error) {
 		Graph:   g,
 		Costs:   BuildCostModel(v),
 		MaxLive: live.MaxLive(v),
+		wdeg:    make([]int, v.NumVars()),
 		fn:      f,
 	}
-	for id := 0; id < v.NumVars(); id++ {
+	for id := range pr.wdeg {
+		pr.wdeg[id] = g.WeightedDegree(id, v)
 		if v.Defs[id].IsArg {
 			continue
 		}
-		if t := v.Defs[id].Width + g.WeightedDegree(id, v); t > pr.TrivialBudget {
+		if t := v.Defs[id].Width + pr.wdeg[id]; t > pr.TrivialBudget {
 			pr.TrivialBudget = t
 		}
 	}

@@ -12,57 +12,47 @@ import "repro/internal/ir"
 type Scratch struct {
 	words []uint64
 	adj   []ir.BitSet
-	bools []bool
-	ints  []int
+	bools []bool      // precolored, inG, removed
+	ints  []int       // weighted degree, stack position, the stack itself
+	triv  []uint64    // slab behind sets
+	sets  []ir.BitSet // trivially-colorable variables still in G, per width
+	prefs []int       // move-partner colors of the variable being colored
+
+	// Work done by the allocate calls that used this scratch: variables
+	// examined while picking pushes, and colorings attempted.
+	scans, visits uint64
+}
+
+// grow returns buf resized to n zeroed elements, reallocating only when
+// its capacity is short.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// rows3 carves three n-element rows out of a buffer of 3n elements.
+func rows3[T any](buf []T, n int) (a, b, c []T) {
+	return buf[0:n:n], buf[n : 2*n : 2*n], buf[2*n : 3*n : 3*n]
+}
+
+// bitRows carves k cleared rows of n bits each out of the grow-only slab.
+func bitRows(slab *[]uint64, rows []ir.BitSet, k, n int) []ir.BitSet {
+	wpr := (n + 63) / 64 // words per row
+	*slab = grow(*slab, k*wpr)
+	rows = grow(rows, k)
+	for i := range rows {
+		rows[i] = ir.BitSet((*slab)[i*wpr : (i+1)*wpr : (i+1)*wpr])
+	}
+	return rows
 }
 
 // graph carves an n-variable interference graph out of the scratch slab,
 // clearing whatever the previous round left behind.
 func (sc *Scratch) graph(n int) *Graph {
-	wpr := (n + 63) / 64 // words per row
-	need := n * wpr
-	if cap(sc.words) < need {
-		sc.words = make([]uint64, need)
-	} else {
-		sc.words = sc.words[:need]
-		clear(sc.words)
-	}
-	if cap(sc.adj) < n {
-		sc.adj = make([]ir.BitSet, n)
-	} else {
-		sc.adj = sc.adj[:n]
-	}
-	for i := 0; i < n; i++ {
-		sc.adj[i] = ir.BitSet(sc.words[i*wpr : (i+1)*wpr : (i+1)*wpr])
-	}
+	sc.adj = bitRows(&sc.words, sc.adj, n, n)
 	return &Graph{N: n, adj: sc.adj}
-}
-
-// boolRows3 returns three cleared bool slices of length n each, backed by
-// one grow-only buffer (the coloring phase's precolored/inG/removed sets).
-func (sc *Scratch) boolRows3(n int) (a, b, c []bool) {
-	need := 3 * n
-	if cap(sc.bools) < need {
-		sc.bools = make([]bool, need)
-	} else {
-		sc.bools = sc.bools[:need]
-		for i := range sc.bools {
-			sc.bools[i] = false
-		}
-	}
-	return sc.bools[0:n:n], sc.bools[n : 2*n : 2*n], sc.bools[2*n : 3*n : 3*n]
-}
-
-// intRow returns one zeroed int slice of length n, backed by a grow-only
-// buffer.
-func (sc *Scratch) intRow(n int) []int {
-	if cap(sc.ints) < n {
-		sc.ints = make([]int, n)
-	} else {
-		sc.ints = sc.ints[:n]
-		for i := range sc.ints {
-			sc.ints[i] = 0
-		}
-	}
-	return sc.ints
 }

@@ -206,6 +206,11 @@ func run(f *isa.Function, pr *Prep, c, sharedBudget int, x obs.Ctx) (a *Alloc, r
 	cur := f
 	var sc Scratch
 	var webs []prof.SpillWeb
+	defer func() {
+		m := x.Metrics()
+		m.Counter("regalloc.simplify_scans").Add(sc.scans)
+		m.Counter("regalloc.select_visits").Add(sc.visits)
+	}()
 	const maxRounds = 32
 	for round := 0; round < maxRounds; round++ {
 		rounds = round + 1
@@ -213,8 +218,9 @@ func run(f *isa.Function, pr *Prep, c, sharedBudget int, x obs.Ctx) (a *Alloc, r
 		var live *ir.Live
 		var g *Graph
 		var cm *CostModel
+		var wdeg []int
 		if round == 0 && pr != nil {
-			v, live, g, cm = pr.Vars, pr.Live, pr.Graph, pr.Costs
+			v, live, g, cm, wdeg = pr.Vars, pr.Live, pr.Graph, pr.Costs, pr.wdeg
 		} else {
 			wsp := x.Span("webs", obs.Int("round", round))
 			v, err = ir.SplitWebs(cur)
@@ -229,7 +235,7 @@ func run(f *isa.Function, pr *Prep, c, sharedBudget int, x obs.Ctx) (a *Alloc, r
 			cm = BuildCostModel(v)
 		}
 		csp := x.Span("color", obs.Int("round", round), obs.Int("webs", len(v.Defs)))
-		res, err := allocate(v, g, cm, c, &sc)
+		res, err := allocate(v, g, cm, wdeg, c, &sc)
 		if err != nil {
 			csp.End()
 			return nil, rounds, spilled, err

@@ -5,11 +5,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/device"
+	"repro/internal/isa"
 )
 
 // TestFlightCoalesces: N concurrent callers for one key cost one fn run,
@@ -263,6 +268,41 @@ func TestFlightPanicContained(t *testing.T) {
 	}
 	// The one worker counted the panicked task before it took the fresh one.
 	if st := p.Stats(); st.Completed == 0 {
+		t.Error("the panicked task was not counted completed")
+	}
+}
+
+// TestTraceTunePanicContained: the ?trace=1 path submits to the pool
+// without the flight, so it has to contain a panic itself. A request whose
+// program makes Tune panic gets a 500 naming the panic, and the daemon's
+// only worker goes on to serve the next request.
+func TestTraceTunePanicContained(t *testing.T) {
+	s := New(Config{Workers: 1, Queue: 8})
+	hs := httptest.NewServer(s.Handler())
+	defer func() {
+		hs.Close()
+		s.Close()
+	}()
+	// No upload gets a function-less slot past Validate; the request is
+	// built by hand to stand in for a compiler bug.
+	broken := &request{
+		params: Params{Kernel: "boom", Device: "gtx680", Grid: 128, Iters: 4},
+		prog:   &isa.Program{Name: "boom", BlockDim: 32, Funcs: []*isa.Function{nil}},
+		dev:    device.GTX680(),
+		cache:  device.SmallCache,
+		trace:  true,
+	}
+	w := httptest.NewRecorder()
+	s.tuneTraced(w, httptest.NewRequest(http.MethodPost, "/v1/tune?trace=1", nil), broken)
+	if w.Code != http.StatusInternalServerError || !strings.Contains(w.Body.String(), "serve: job panicked") {
+		t.Fatalf("traced tune of a panicking program = %d %q, want a 500 naming the panic", w.Code, w.Body)
+	}
+	code, _, data := post(t, hs.URL, "/v1/tune?grid=128&iters=4&trace=1", testKernel)
+	if code != http.StatusOK {
+		t.Fatalf("traced tune after the panic = %d: %s; want the surviving worker to serve it", code, data)
+	}
+	// The one worker counted the panicked task before it took the next one.
+	if st := s.pool.Stats(); st.Completed == 0 {
 		t.Error("the panicked task was not counted completed")
 	}
 }

@@ -375,6 +375,13 @@ func (s *Server) tuneTraced(w http.ResponseWriter, req *http.Request, r *request
 	done := make(chan struct{})
 	err := s.pool.Submit(req.Context(), func() {
 		defer close(done)
+		// This job bypasses the flight, so it contains its own panics the
+		// way Flight.Do does: the request fails, the pool worker lives on.
+		defer func() {
+			if p := recover(); p != nil {
+				jobErr = fmt.Errorf("serve: job panicked: %v", p)
+			}
+		}()
 		sp := col.StartSpan("serve.tune",
 			obs.String("kernel", r.params.Kernel),
 			obs.String("device", r.params.Device))
