@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet lint test race test-race determinism fuzz-short bench bench-quick bench-smoke bench-opt-smoke serve-smoke tv-smoke fmt fmt-check
+.PHONY: check build vet lint test race test-race determinism fuzz-short bench bench-quick bench-smoke bench-opt-smoke serve-smoke tv-smoke fmt fmt-check loc
 
 ## check: the full CI gate — formatting, vet, staticcheck, build,
 ## race-enabled tests, the serial-vs-parallel determinism suite, a short
@@ -109,3 +109,10 @@ fmt:
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+## loc: non-test .go lines per package and their total, benchmark/ left
+## out — the one denominator for a CHANGES.md "non-test lines" figure.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs wc -l | \
+	awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+	END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'

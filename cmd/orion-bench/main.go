@@ -98,11 +98,9 @@ type jsonReport struct {
 	RunHits     uint64           `json:"run_cache_hits"`
 	RunMisses   uint64           `json:"run_cache_misses"`
 	// Ladder counters for the whole invocation: occupancy levels served
-	// from a shared allocation, per-function re-colorings, and
-	// realizations short-circuited by the monotonicity records.
+	// from a shared allocation and per-function re-colorings.
 	LadderReuse   uint64 `json:"ladder_reuse"`
 	LadderRecolor uint64 `json:"ladder_recolor"`
-	LadderPruned  uint64 `json:"ladder_pruned"`
 	// Legality-check counters for the whole invocation: middle-end
 	// schedules checked, and rejected (reverted to the input).
 	TVChecked  uint64 `json:"tv_checked"`
@@ -261,7 +259,7 @@ func run(args []string) error {
 	report.CacheHits, report.CacheMisses = core.RealizeCacheStats()
 	report.RunHits, report.RunMisses = core.RunCacheStats()
 	lad := core.LadderStats()
-	report.LadderReuse, report.LadderRecolor, report.LadderPruned = lad.Reuse, lad.Recolor, lad.Pruned
+	report.LadderReuse, report.LadderRecolor = lad.Reuse, lad.Recolor
 	report.TVChecked, report.TVRejected = orion.TVCounters()
 	if col != nil {
 		orion.PublishCacheMetrics(col)

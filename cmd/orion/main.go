@@ -284,8 +284,7 @@ func run(args []string, out io.Writer) error {
 					float64(lr.Stats.Cycles)/float64(best), lr.Stats.Energy,
 					lr.RealizeTime.Round(time.Microsecond))
 			}
-			fmt.Fprintf(out, "ladder: %d reused, %d recolored, %d pruned\n",
-				lad.Reuse, lad.Recolor, lad.Pruned)
+			fmt.Fprintf(out, "ladder: %d reused, %d recolored\n", lad.Reuse, lad.Recolor)
 			return nil
 
 		case "run":

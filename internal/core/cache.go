@@ -114,13 +114,15 @@ type CacheCounters struct {
 }
 
 // LadderCounters is a point-in-time snapshot of the occupancy-ladder
-// realization counters: levels served from a shared allocation (reuse),
-// per-function colorings run against prepared analyses (recolor), and
-// realizations short-circuited by the monotonicity records (pruned).
+// realization counters: levels served from a shared allocation (reuse)
+// and per-function colorings run against prepared analyses (recolor).
 type LadderCounters struct {
 	Reuse   uint64 `json:"reuse"`
 	Recolor uint64 `json:"recolor"`
-	Pruned  uint64 `json:"pruned"`
+	// Pruned is always 0: nothing prunes. The field stays only because
+	// benchmark/harness.go compiles against it (ROADMAP item 3 lists the
+	// benchmark-only shims).
+	Pruned uint64 `json:"-"`
 }
 
 // CacheSnapshot captures both process-wide memo caches and the ladder
@@ -156,7 +158,6 @@ func (s CacheSnapshot) Delta(earlier CacheSnapshot) CacheSnapshot {
 		Ladder: LadderCounters{
 			Reuse:   s.Ladder.Reuse - earlier.Ladder.Reuse,
 			Recolor: s.Ladder.Recolor - earlier.Ladder.Recolor,
-			Pruned:  s.Ladder.Pruned - earlier.Ladder.Pruned,
 		},
 	}
 }
@@ -181,5 +182,4 @@ func PublishCacheMetrics(m *obs.Registry) {
 	m.Counter("core.run_cache.misses").Store(s.Run.Misses)
 	m.Counter("core.ladder.reuse").Store(s.Ladder.Reuse)
 	m.Counter("core.ladder.recolor").Store(s.Ladder.Recolor)
-	m.Counter("core.ladder.pruned").Store(s.Ladder.Pruned)
 }

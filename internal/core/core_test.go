@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -394,6 +395,30 @@ func TestSweepShapes(t *testing.T) {
 		if lr.Stats.Checksum != res[0].Stats.Checksum {
 			t.Errorf("level %d checksum differs", lr.TargetWarps)
 		}
+	}
+}
+
+// TestSweepUnrealizable: when no level can be realized the sweep fails with
+// the lowest level's *ErrInfeasible, not an untyped error, so callers (the
+// daemon's 422) can tell a kernel that cannot fit from a pipeline fault.
+func TestSweepUnrealizable(t *testing.T) {
+	p := isa.MustParse(`
+.kernel big
+.shared 60000
+.blockdim 256
+.func main
+  RDSP v0, WARPID
+  STG [v0], v0
+  EXIT
+`)
+	d := device.GTX680()
+	_, err := NewRealizer(d, device.SmallCache).Sweep(p, 64)
+	var inf *ErrInfeasible
+	if !errors.As(err, &inf) {
+		t.Fatalf("Sweep error = %v, want an *ErrInfeasible", err)
+	}
+	if want := occupancy.Levels(d, p.BlockDim)[0]; inf.TargetWarps != want || !strings.Contains(inf.Reason, "shared memory") {
+		t.Errorf("Sweep error = %v, want level %d's shared-memory verdict", err, want)
 	}
 }
 

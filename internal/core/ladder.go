@@ -17,13 +17,11 @@ import (
 
 // Ladder-wide counters (process-global, like the memo-cache counters):
 // how often a budget realization was served from a shared allocation
-// (reuse), how many per-function colorings ran against prepared analyses
-// (recolor), and how many realizations were short-circuited by the
-// monotonicity records (pruned).
+// (reuse) and how many per-function colorings ran against prepared
+// analyses (recolor).
 var (
 	ladderReuse   atomic.Uint64
 	ladderRecolor atomic.Uint64
-	ladderPruned  atomic.Uint64
 )
 
 // LadderStats reports the process-wide ladder counters.
@@ -31,7 +29,6 @@ func LadderStats() LadderCounters {
 	return LadderCounters{
 		Reuse:   ladderReuse.Load(),
 		Recolor: ladderRecolor.Load(),
-		Pruned:  ladderPruned.Load(),
 	}
 }
 
@@ -39,17 +36,11 @@ func LadderStats() LadderCounters {
 func ResetLadderStats() {
 	ladderReuse.Store(0)
 	ladderRecolor.Store(0)
-	ladderPruned.Store(0)
 }
 
 func countReuse(x obs.Ctx) {
 	ladderReuse.Add(1)
 	x.Metrics().Counter("ladder.reuse").Add(1)
-}
-
-func countPruned(x obs.Ctx) {
-	ladderPruned.Add(1)
-	x.Metrics().Counter("ladder.pruned").Add(1)
 }
 
 // budgetKey identifies one realizeWithBudget input pair. Distinct
@@ -68,30 +59,15 @@ type ladderEntry struct {
 	once sync.Once
 	v    *Version
 	err  error
-	// reg is the register budget the entry was realized at; clean and
-	// floor describe the round-0 allocation (see canon below).
-	reg   int
-	clean bool
-	floor int
-}
-
-// hardFail records a non-infeasibility allocator failure at a register
-// budget: the same shared-slot configuration fails identically at every
-// smaller register budget (fewer registers only make coloring harder), so
-// queries below the recorded budget short-circuit.
-type hardFail struct {
-	reg int
-	err error
 }
 
 // Ladder is the shared realization context for one program on one
 // realizer: it realizes the program across all target occupancy levels
 // through a single set of middle-end analyses. Per-function web splitting,
 // liveness, interference graphs, and spill costs are computed once
-// (regalloc.Prep) and re-colored per register budget; whole allocations
-// are memoized per (register, shared-slot) budget pair; and a clean
-// round-0 allocation is reused verbatim across every budget its coloring
-// provably does not depend on (DESIGN.md §10).
+// (regalloc.Prep) and re-colored per register budget, and whole
+// allocations are memoized per (register, shared-slot) budget pair
+// (DESIGN.md §10).
 //
 // A Ladder is safe for concurrent use; Sweep and Compile fan levels out
 // over one ladder. Results flow through the process-wide realization
@@ -110,13 +86,10 @@ type Ladder struct {
 	perLive  []int // per-function max-live (clamped >= 1)
 	perRaw   []int // per-function max-live, unclamped (the opt pipeline's baseline)
 	order    []int // caller-first allocation order
-	hasCalls bool
-	maxLive0 int // entry function's unclamped chain max-live (Compile's metric)
+	maxLive0 int   // entry function's unclamped chain max-live (Compile's metric)
 
 	mu      sync.Mutex
 	entries map[budgetKey]*ladderEntry
-	canon   *ladderEntry     // largest-budget clean call-free allocation
-	hard    map[int]hardFail // shared budget -> worst hard failure
 
 	// optEnts memoizes the pressure-reducing middle end per function: the
 	// scheduler's output does not depend on the register budget (the budget
@@ -152,7 +125,6 @@ func (r *Realizer) NewLadder(p *isa.Program) *Ladder {
 		preps:    make([]*regalloc.Prep, n),
 		prepErr:  make([]error, n),
 		entries:  map[budgetKey]*ladderEntry{},
-		hard:     map[int]hardFail{},
 		optEnts:  make([]optEntry, n),
 	}
 }
@@ -258,9 +230,7 @@ func (l *Ladder) optPrepFor(fi int, base *regalloc.Prep, x obs.Ctx) *regalloc.Pr
 
 // ensureMeta computes the program-level facts every budget realization
 // shares: per-function max-live, chain register demands (lazy
-// compression's CalleeNeed), the caller-first allocation order, and
-// whether the program contains calls at all (call-free programs qualify
-// for canonical cross-budget reuse).
+// compression's CalleeNeed) and the caller-first allocation order.
 func (l *Ladder) ensureMeta(x obs.Ctx) error {
 	l.metaOnce.Do(func() {
 		n := len(l.p.Funcs)
@@ -279,17 +249,6 @@ func (l *Ladder) ensureMeta(x obs.Ctx) error {
 			}
 		}
 		l.perRaw = perRaw
-		for _, f := range l.p.Funcs {
-			for i := range f.Instrs {
-				if f.Instrs[i].Op == isa.OpCall {
-					l.hasCalls = true
-					break
-				}
-			}
-			if l.hasCalls {
-				break
-			}
-		}
 		// Worst chain sums over the acyclic call graph: clamped for the
 		// allocator's CalleeNeed, raw for Compile's max-live metric.
 		l.needs = chainSums(l.p, l.perLive)
@@ -339,37 +298,15 @@ func (l *Ladder) maxLive(x obs.Ctx) (int, error) {
 	return l.maxLive0, nil
 }
 
-// canonFor returns the canonical shared proto version if regBudget falls
-// inside its validity window [floor, canonBudget], else nil.
-func (l *Ladder) canonFor(regBudget int) *Version {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if c := l.canon; c != nil && c.floor <= regBudget && regBudget <= c.reg {
-		return c.v
-	}
-	return nil
-}
-
 // withBudget realizes the program at an exact (register, shared-slot)
-// budget pair through the ladder: canonical reuse first, then the
-// hard-failure record, then the per-pair memo; only a genuinely new pair
-// runs the allocator.
+// budget pair through the per-pair memo; only a new pair runs the
+// allocator.
 func (l *Ladder) withBudget(regBudget, sharedSlotBudget int, x obs.Ctx) (*Version, error) {
-	l.mu.Lock()
-	if c := l.canon; c != nil && c.floor <= regBudget && regBudget <= c.reg {
-		l.mu.Unlock()
-		countReuse(x)
-		return c.v, nil
-	}
-	if hf, ok := l.hard[sharedSlotBudget]; ok && regBudget <= hf.reg {
-		l.mu.Unlock()
-		countPruned(x)
-		return nil, hf.err
-	}
 	key := budgetKey{regBudget, sharedSlotBudget}
+	l.mu.Lock()
 	e, ok := l.entries[key]
 	if !ok {
-		e = &ladderEntry{reg: regBudget}
+		e = &ladderEntry{}
 		l.entries[key] = e
 	}
 	l.mu.Unlock()
@@ -377,27 +314,7 @@ func (l *Ladder) withBudget(regBudget, sharedSlotBudget int, x obs.Ctx) (*Versio
 	hit := true
 	e.once.Do(func() {
 		hit = false
-		e.v, e.clean, e.floor, e.err = l.fillBudget(regBudget, sharedSlotBudget, x)
-		l.mu.Lock()
-		if e.err != nil {
-			// Monotone pruning, downward: a hard allocator failure at this
-			// register budget repeats at every smaller one (same shared-slot
-			// configuration), so record the highest failing budget. With the
-			// middle end on the premise breaks — a smaller budget may allocate
-			// the scheduled body where this one allocated the baseline — so
-			// nothing is recorded.
-			if hf, ok := l.hard[sharedSlotBudget]; !l.r.Opt && (!ok || regBudget > hf.reg) {
-				l.hard[sharedSlotBudget] = hardFail{reg: regBudget, err: e.err}
-			}
-		} else if !l.hasCalls && e.clean && e.floor <= regBudget {
-			// Monotone pruning, upward-from-floor: a clean call-free round-0
-			// allocation is byte-identical at every budget in [floor, reg].
-			// Keep the widest window (the largest establishing budget).
-			if l.canon == nil || e.reg > l.canon.reg {
-				l.canon = e
-			}
-		}
-		l.mu.Unlock()
+		e.v, e.err = l.fillBudget(regBudget, sharedSlotBudget, x)
 	})
 	if hit {
 		countReuse(x)
@@ -408,14 +325,11 @@ func (l *Ladder) withBudget(regBudget, sharedSlotBudget int, x obs.Ctx) (*Versio
 // fillBudget allocates every function at the budget pair, walking the call
 // graph caller-first so that callee budgets subtract the caller's
 // compressed height (Bk) and spill-slot usage along the worst chain (the
-// body of the pre-ladder realizeWithBudget). clean and floor report the
-// round-0 state for canonical reuse: clean when every function colored in
-// one round, floor the smallest register budget at which each coloring is
-// provably budget-independent.
-func (l *Ladder) fillBudget(regBudget, sharedSlotBudget int, x obs.Ctx) (v *Version, clean bool, floor int, err error) {
+// body of the pre-ladder realizeWithBudget).
+func (l *Ladder) fillBudget(regBudget, sharedSlotBudget int, x obs.Ctx) (*Version, error) {
 	r, p := l.r, l.p
 	if err := l.ensureMeta(x); err != nil {
-		return nil, false, 0, err
+		return nil, err
 	}
 	needs, perMaxLive, order := l.needs, l.perLive, l.order
 
@@ -431,7 +345,6 @@ func (l *Ladder) fillBudget(regBudget, sharedSlotBudget int, x obs.Ctx) (v *Vers
 	}
 	cumReg[0], cumShared[0] = 0, 0
 
-	clean = true
 	totalMoves := 0
 	var dbgFuncs map[string][]prof.SpillWeb
 	var dbgOpt map[string][2]int
@@ -466,27 +379,18 @@ func (l *Ladder) fillBudget(regBudget, sharedSlotBudget int, x obs.Ctx) (v *Vers
 		}
 		pr, err := l.prepFor(fi, x)
 		if err != nil {
-			return nil, false, 0, err
+			return nil, err
 		}
-		if r.Opt {
+		if r.Opt && pr.MaxLive > c {
 			// Pressure-reducing middle end: when the baseline body cannot
-			// fit the effective budget, allocate the scheduled body
-			// instead. The canonical-reuse floor rises to the baseline
-			// max-live so the use/don't-use decision is constant across
-			// any reuse window.
-			basePr := pr
-			if basePr.MaxLive > c {
-				if opr := l.optPrepFor(fi, basePr, x); opr != nil {
-					pr = opr
-					perPost[fi] = pr.MaxLive
-					if dbgOpt == nil {
-						dbgOpt = map[string][2]int{}
-					}
-					dbgOpt[np.Funcs[fi].Name] = [2]int{basePr.MaxLive, pr.MaxLive}
+			// fit the effective budget, allocate the scheduled body instead.
+			if opr := l.optPrepFor(fi, pr, x); opr != nil {
+				if dbgOpt == nil {
+					dbgOpt = map[string][2]int{}
 				}
-			}
-			if basePr.MaxLive > floor {
-				floor = basePr.MaxLive
+				dbgOpt[np.Funcs[fi].Name] = [2]int{pr.MaxLive, opr.MaxLive}
+				pr = opr
+				perPost[fi] = pr.MaxLive
 			}
 		}
 		allocOnce := func(budget int) (*isa.Function, *interproc.Stats, *regalloc.Alloc, error) {
@@ -522,7 +426,7 @@ func (l *Ladder) fillBudget(regBudget, sharedSlotBudget int, x obs.Ctx) (v *Vers
 		}
 		nf, st, a, err := allocOnce(c)
 		if err != nil {
-			return nil, false, 0, err
+			return nil, err
 		}
 		// Compress-vs-spill choice: compression movements are paid at every
 		// dynamic call, whereas allocating this function below the budget
@@ -553,19 +457,6 @@ func (l *Ladder) fillBudget(regBudget, sharedSlotBudget int, x obs.Ctx) (v *Vers
 					best = cost2
 					nf, st, a = nf2, st2, a2
 				}
-			}
-		}
-		if a.Rounds > 1 {
-			clean = false
-		} else {
-			// Budget-independence window of this function's round-0
-			// coloring: the stack order is fixed above TrivialBudget, and
-			// select's choices are fixed down to the frame height.
-			if pr.TrivialBudget > floor {
-				floor = pr.TrivialBudget
-			}
-			if nf.FrameSlots > floor {
-				floor = nf.FrameSlots
 			}
 		}
 		nf.Name = np.Funcs[fi].Name
@@ -602,14 +493,14 @@ func (l *Ladder) fillBudget(regBudget, sharedSlotBudget int, x obs.Ctx) (v *Vers
 		}
 	}
 
-	v, err = assembleVersion(r, p, np, totalMoves)
+	v, err := assembleVersion(r, p, np, totalMoves)
 	if err != nil {
-		return nil, false, 0, err
+		return nil, err
 	}
 	v.Debug = &prof.DebugInfo{RegBudget: regBudget, Funcs: dbgFuncs, Opt: dbgOpt}
 	v.MaxLivePre = l.maxLive0
 	v.MaxLivePost = chainSums(p, perPost)[0]
-	return v, clean, floor, nil
+	return v, nil
 }
 
 // cloneForTarget stamps a shared proto version with a level's advertised
@@ -648,18 +539,6 @@ func (l *Ladder) realizeUncached(targetWarps int, x obs.Ctx) (*Version, error) {
 	}
 	if p.SharedBytes > sharedCap {
 		return nil, &ErrInfeasible{targetWarps, "user shared memory exceeds capacity"}
-	}
-
-	// Monotone pruning: when the canonical allocation covers this level's
-	// register budget, the realized binary is known without allocating —
-	// an infeasible verdict short-circuits the whole attempt loop.
-	if cv := l.canonFor(regBudget); cv != nil && cv.Natural.ActiveWarps < targetWarps {
-		countPruned(x)
-		if cv.Natural.ActiveBlocks == 0 {
-			return nil, &ErrInfeasible{targetWarps, "allocation admits no residency"}
-		}
-		return nil, &ErrInfeasible{targetWarps,
-			fmt.Sprintf("achieved only %d warps", cv.Natural.ActiveWarps)}
 	}
 
 	for attempt := 0; attempt < 4; attempt++ {

@@ -3,6 +3,7 @@ package core
 import (
 	"bufio"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/obs"
 	"repro/internal/occupancy"
+	"repro/internal/par"
 )
 
 // diffLadder realizes p at every occupancy level twice — once through one
@@ -198,8 +200,82 @@ func TestLadderCountersMove(t *testing.T) {
 	if delta.Recolor == before.Recolor {
 		t.Error("no re-colorings recorded across a full sweep")
 	}
-	if delta.Reuse == before.Reuse && delta.Pruned == before.Pruned {
-		t.Error("neither reuse nor pruning recorded across a full sweep")
+	if delta.Reuse == before.Reuse {
+		t.Error("no reuse recorded across a full sweep")
+	}
+}
+
+// TestLadderOrderIndependent pins what lets Sweep, Compile and the daemon
+// fan levels out with no level realized first: the ladder is a memo on the
+// budget pair, so each level's verdict and binary, and the ladder's total
+// work (one miss per distinct pair, a hit for every other request), are
+// the same whichever level asks first. Every kernel on both devices is
+// realized in occupancy.Levels order, in reverse, in a seeded shuffle and
+// fanned out over par.ForEach, each through a fresh ladder.
+func TestLadderOrderIndependent(t *testing.T) {
+	ks, err := kernels.All()
+	if err != nil {
+		t.Fatalf("kernels: %v", err)
+	}
+	wasOn := RealizeCacheEnabled()
+	SetRealizeCacheEnabled(false) // every ladder must realize for itself
+	defer SetRealizeCacheEnabled(wasOn)
+
+	type outcome struct {
+		fp  isa.Fingerprint
+		err string
+	}
+	rng := rand.New(rand.NewSource(21))
+	for _, d := range device.Both() {
+		for _, k := range ks {
+			levels := occupancy.Levels(d, k.Prog.BlockDim)
+			sweep := func(visit func(realize func(i int))) ([]outcome, LadderCounters) {
+				r := NewRealizer(d, device.SmallCache)
+				r.Verify = false
+				lad := r.NewLadder(k.Prog)
+				out := make([]outcome, len(levels))
+				before := SnapshotCacheCounters()
+				visit(func(i int) {
+					if v, err := lad.Realize(levels[i]); err != nil {
+						out[i].err = err.Error()
+					} else {
+						out[i].fp = v.fingerprint()
+					}
+				})
+				return out, SnapshotCacheCounters().Delta(before).Ladder
+			}
+			inOrder := func(order []int) func(func(int)) {
+				return func(realize func(int)) {
+					for _, i := range order {
+						realize(i)
+					}
+				}
+			}
+			asc := make([]int, len(levels))
+			desc := make([]int, len(levels))
+			for i := range asc {
+				asc[i], desc[i] = i, len(levels)-1-i
+			}
+			want, wantWork := sweep(inOrder(asc))
+			if wantWork.Pruned != 0 {
+				t.Errorf("%s on %s: Pruned = %d, want 0", k.Name, d.Name, wantWork.Pruned)
+			}
+			for name, visit := range map[string]func(func(int)){
+				"reverse":  inOrder(desc),
+				"shuffled": inOrder(rng.Perm(len(levels))),
+				"parallel": func(realize func(int)) { par.ForEach(0, len(levels), realize) },
+			} {
+				got, work := sweep(visit)
+				for i, lvl := range levels {
+					if got[i] != want[i] {
+						t.Errorf("%s on %s lvl=%d %s: %+v, in level order %+v", k.Name, d.Name, lvl, name, got[i], want[i])
+					}
+				}
+				if work != wantWork {
+					t.Errorf("%s on %s %s: ladder work %+v, in level order %+v", k.Name, d.Name, name, work, wantWork)
+				}
+			}
+		}
 	}
 }
 

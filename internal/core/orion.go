@@ -310,10 +310,10 @@ func (l *LevelResult) Occupancy(maxWarps int) float64 {
 // Sweep compiles and runs the kernel at every achievable occupancy level
 // (the paper's exhaustive-search comparison: Orion-Min is the slowest
 // level, Orion-Max the fastest). All levels realize through one shared
-// ladder context, so the middle-end analyses are built once and clean
-// allocations carry across register budgets. Levels are independent, so
-// they compile and simulate concurrently; each level's simulation is
-// deterministic, so the results do not depend on scheduling.
+// ladder context, so the middle-end analyses are built once and levels
+// that round onto one budget pair share an allocation. Levels are
+// independent, so they compile and simulate concurrently; each level's
+// simulation is deterministic, so the results do not depend on scheduling.
 func (r *Realizer) Sweep(p *isa.Program, gridWarps int) ([]LevelResult, error) {
 	x := r.Obs.Ctx()
 	sp := x.Span("sweep",
@@ -324,37 +324,17 @@ func (r *Realizer) Sweep(p *isa.Program, gridWarps int) ([]LevelResult, error) {
 	type slot struct {
 		res LevelResult
 		err error
-		ok  bool
 	}
 	slots := make([]slot, len(levels))
 	fork := sp.Ctx().Fork("level", len(levels))
-	realized := make([]*Version, len(levels))
-	realizeErr := make([]error, len(levels))
-	realizeTime := make([]time.Duration, len(levels))
-	realize := func(i int, lx obs.Ctx) {
-		start := time.Now()
-		realized[i], realizeErr[i] = lad.RealizeCtx(levels[i], lx)
-		realizeTime[i] = time.Since(start)
-	}
-	// Levels[0] (the largest register budget) realizes serially first: it
-	// establishes the ladder's canonical allocation, so the fan-out below
-	// reuses it instead of racing to rediscover it, and the reuse/pruned
-	// counters do not depend on scheduling.
-	lx0 := fork.At(0)
-	realize(0, lx0)
 	par.ForEach(0, len(levels), func(i int) {
 		lvl := levels[i]
-		lx := lx0
-		if i > 0 {
-			lx = fork.At(i)
-			realize(i, lx)
-		}
-		v, err := realized[i], realizeErr[i]
+		lx := fork.At(i)
+		start := time.Now()
+		v, err := lad.RealizeCtx(lvl, lx)
+		realizeTime := time.Since(start)
 		if err != nil {
-			var inf *ErrInfeasible
-			if !errors.As(err, &inf) {
-				slots[i].err = err
-			}
+			slots[i].err = err
 			return
 		}
 		st, err := v.RunAtCtx(r.Dev, r.Cache, lvl, &interp.Launch{Prog: v.Prog, GridWarps: gridWarps}, lx)
@@ -362,27 +342,28 @@ func (r *Realizer) Sweep(p *isa.Program, gridWarps int) ([]LevelResult, error) {
 			slots[i].err = err
 			return
 		}
-		slots[i] = slot{
-			res: LevelResult{TargetWarps: lvl, Version: v, Stats: st, RealizeTime: realizeTime[i]},
-			ok:  true,
-		}
+		slots[i].res = LevelResult{TargetWarps: lvl, Version: v, Stats: st, RealizeTime: realizeTime}
 	})
 	fork.Join()
 
 	var out []LevelResult
+	var inf *ErrInfeasible
 	for i := range slots {
-		if slots[i].err != nil {
-			sp.SetAttr(obs.String("error", slots[i].err.Error()))
-			sp.End()
-			return nil, slots[i].err
-		}
-		if slots[i].ok {
+		switch err := slots[i].err; {
+		case err == nil:
 			out = append(out, slots[i].res)
+		case !errors.As(err, &inf): // infeasible levels are simply absent
+			sp.SetAttr(obs.String("error", err.Error()))
+			sp.End()
+			return nil, err
 		}
 	}
 	if len(out) == 0 {
+		// Every level was infeasible; the lowest one's reason is the kernel's.
+		err := fmt.Errorf("core: no occupancy level of %s is realizable: %w", p.Name, slots[0].err)
+		sp.SetAttr(obs.String("error", err.Error()))
 		sp.End()
-		return nil, fmt.Errorf("core: no occupancy level of %s is realizable", p.Name)
+		return nil, err
 	}
 	sp.SetAttr(obs.Int("levels", len(out)))
 	sp.End()

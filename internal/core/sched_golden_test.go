@@ -225,15 +225,9 @@ out:
   EXIT
 `
 
-var schedPolicies = []struct {
-	name string
-	s    sim.Scheduler
-}{{"gto", sim.GTO}, {"lrr", sim.LRR}}
-
-// realizedCases appends one case per scheduling policy for every feasible
-// occupancy level of p on (d, cc), launched the way Version.profileAt does.
-// LRR runs half the grid: the policy matrix stays complete and the whole
-// test stays near ten seconds.
+// realizedCases appends one case for every feasible occupancy level of p
+// on (d, cc), launched the way Version.profileAt does. Names end in /gto,
+// the one scheduling policy, as they did when the file also held LRR rows.
 func realizedCases(cs []schedCase, tag string, p *isa.Program, d *device.Device, cc device.CacheConfig, grid int) []schedCase {
 	lad := NewRealizer(d, cc).NewLadder(p)
 	wpb := p.BlockDim / d.WarpSize
@@ -249,14 +243,12 @@ func realizedCases(cs []schedCase, tag string, p *isa.Program, d *device.Device,
 		if blocks <= 0 {
 			continue
 		}
-		for i, pol := range schedPolicies {
-			cs = append(cs, schedCase{
-				name: fmt.Sprintf("%s/%s/cc%d/w%d/%s", tag, d.Name, cc, lvl, pol.name),
-				cfg: sim.Config{Device: d, Cache: cc, BlocksPerSM: blocks,
-					RegsPerThread: v.RegsPerThread, SharedPerBlock: v.SharedPerBlock, Scheduler: pol.s},
-				lc: &interp.Launch{Prog: v.Prog, GridWarps: grid >> i},
-			})
-		}
+		cs = append(cs, schedCase{
+			name: fmt.Sprintf("%s/%s/cc%d/w%d/gto", tag, d.Name, cc, lvl),
+			cfg: sim.Config{Device: d, Cache: cc, BlocksPerSM: blocks,
+				RegsPerThread: v.RegsPerThread, SharedPerBlock: v.SharedPerBlock},
+			lc: &interp.Launch{Prog: v.Prog, GridWarps: grid},
+		})
 	}
 	return cs
 }
@@ -283,7 +275,7 @@ func schedCases(t *testing.T) []schedCase {
 		cs = realizedCases(cs, fmt.Sprintf("rnd%d", i), p, d, device.SmallCache, 5*d.SMs*p.BlockDim/d.WarpSize+1)
 	}
 	// Hand-written kernels aimed at the scheduler's corner cases, run at
-	// fixed residencies on both devices under both policies.
+	// fixed residencies on both devices.
 	raw := []struct {
 		tag    string
 		src    string
@@ -306,14 +298,12 @@ func schedCases(t *testing.T) []schedCase {
 				if b*p.BlockDim/d.WarpSize > d.MaxWarpsPerSM {
 					continue
 				}
-				for _, pol := range schedPolicies {
-					cs = append(cs, schedCase{
-						name: fmt.Sprintf("%s/%s/b%d/%s", rk.tag, d.Name, b, pol.name),
-						cfg: sim.Config{Device: d, Cache: device.SmallCache, BlocksPerSM: b,
-							RegsPerThread: 20, Scheduler: pol.s},
-						lc: &interp.Launch{Prog: p, GridWarps: rk.grid},
-					})
-				}
+				cs = append(cs, schedCase{
+					name: fmt.Sprintf("%s/%s/b%d/gto", rk.tag, d.Name, b),
+					cfg: sim.Config{Device: d, Cache: device.SmallCache, BlocksPerSM: b,
+						RegsPerThread: 20},
+					lc: &interp.Launch{Prog: p, GridWarps: rk.grid},
+				})
 			}
 		}
 	}
@@ -330,7 +320,7 @@ func schedCases(t *testing.T) []schedCase {
 //	go test ./internal/core -run TestSchedulerStatsGolden -update-sched-golden
 func TestSchedulerStatsGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("simulates ~970 launches")
+		t.Skip("simulates ~490 launches")
 	}
 	cases := schedCases(t)
 	got := make([]string, len(cases))

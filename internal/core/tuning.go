@@ -179,9 +179,7 @@ func (r *Realizer) compile(p *isa.Program, canTune bool, x obs.Ctx) (*CompileRes
 
 	// Original version: everything lives in the minimal number of
 	// registers (target the lowest occupancy level, i.e., the largest
-	// register budget the hardware offers). Realized serially before the
-	// candidate fan-out, this also establishes the ladder's canonical
-	// allocation, so candidate levels reuse it deterministically.
+	// register budget the hardware offers).
 	orig, err := lad.RealizeCtx(minLevel, x)
 	if err != nil {
 		return nil, fmt.Errorf("compile %s: original version: %w", p.Name, err)

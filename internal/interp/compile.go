@@ -19,12 +19,6 @@ import (
 // differential tests in this package and package sim hold the two backends
 // to bit-identical results. Only warp-scalar execution is compiled:
 // lane-variant (LANEID) kernels run the reference SIMTWarp.
-//
-// Hot two-instruction patterns are fused into superinstructions: the head's
-// closure performs both instructions' warp-private effects and the tail
-// collapses to a trivial pc update. Fusion never changes the event stream —
-// the simulator still issues, scoreboards, and charges both instructions —
-// so timing and statistics stay interpreter-identical by construction.
 
 // StepExecutor is the one stepping interface the timing simulator drives,
 // implemented by all three executors (CWarp, Warp, SIMTWarp). Fill writes
@@ -123,7 +117,6 @@ func (c *Compiled) compileFunc(fi int) []cop {
 		code[i].mode, code[i].addrReg, code[i].addrImm = addrModeOf(in)
 		code[i].exec = c.compileOp(fi, i, in)
 	}
-	c.fuse(f, code)
 	return code
 }
 
@@ -198,9 +191,8 @@ type CWarp struct {
 	fr    *frame // &stack[len(stack)-1]
 	code  []cop  // c.code[fr.fn]
 
-	fusedPC int32 // successor pc latched by a fused compare+branch head
-	done    bool
-	err     error
+	done bool
+	err  error
 
 	steps    int
 	cks      uint64
@@ -227,7 +219,6 @@ func NewCWarp(c *Compiled, lc *Launch, warpID int, shared []uint32) *CWarp {
 	w.stack = append(w.stack[:0], frame{fn: 0, retDst: -1})
 	w.fr = &w.stack[0]
 	w.code = c.code[0]
-	w.fusedPC = 0
 	w.done = false
 	w.err = nil
 	w.steps, w.storeCnt = 0, 0
@@ -724,247 +715,4 @@ func (c *Compiled) compileOp(fi, pc int, in *isa.Instr) func(*CWarp) {
 		op := in.Op
 		return func(w *CWarp) { w.err = fmt.Errorf("interp: cannot execute %s", op) }
 	}
-}
-
-// fuse rewrites hot two-instruction patterns into superinstructions. The
-// head closure performs both instructions' warp-private effects and latches
-// the control-flow successor; the tail closure shrinks to a pc update. A
-// tail must not be a branch target (it would then also execute unfused via
-// its own entry, but the head could be skipped), so branch-target leaders
-// are excluded; return addresses cannot be tails because a tail's only
-// predecessor is its head, which is never a CALL. Fused pairs never chain.
-func (c *Compiled) fuse(f *isa.Function, code []cop) {
-	n := len(f.Instrs)
-	leader := make([]bool, n+1)
-	for i := 0; i < n; i++ {
-		switch f.Instrs[i].Op {
-		case isa.OpBra, isa.OpCbr:
-			if t := int(f.Instrs[i].Tgt); t >= 0 && t < n {
-				leader[t] = true
-			}
-		}
-	}
-	for i := 0; i+1 < n; i++ {
-		if leader[i+1] {
-			continue
-		}
-		head, tail := fusePair(&f.Instrs[i], &f.Instrs[i+1], i)
-		if head != nil {
-			code[i].exec = head
-			code[i+1].exec = tail
-			i++
-		}
-	}
-}
-
-// incTail is the trivial tail of a fused pair whose head already advanced
-// the warp's architectural state: it only consumes the second pc slot.
-func incTail(w *CWarp) { w.fr.pc++ }
-
-// fusedBranchTail redirects control to the successor the fused
-// compare+branch head latched in fusedPC.
-func fusedBranchTail(w *CWarp) { w.fr.pc = int(w.fusedPC) }
-
-func fusePair(h, t *isa.Instr, pc int) (head, tail func(*CWarp)) {
-	// Family 1: compare feeding a conditional branch (loop back edges).
-	if t.Op == isa.OpCbr && t.Src[0] == h.Dst && h.W() == 1 &&
-		(h.Op == isa.OpISet || h.Op == isa.OpFSet) {
-		d, a, b2 := int(h.Dst), int(h.Src[0]), int(h.Src[1])
-		cmp := h.Cmp
-		tgt := int32(t.Tgt)
-		fall := int32(pc + 2)
-		if h.Op == isa.OpISet {
-			head = func(w *CWarp) {
-				fr := w.fr
-				b := fr.base
-				taken := cmpInt(cmp, int32(w.regs[b+a]), int32(w.regs[b+b2]))
-				w.regs[b+d] = boolWord(taken)
-				if taken {
-					w.fusedPC = tgt
-				} else {
-					w.fusedPC = fall
-				}
-				fr.pc++
-			}
-		} else {
-			head = func(w *CWarp) {
-				fr := w.fr
-				b := fr.base
-				x := math.Float32frombits(w.regs[b+a])
-				y := math.Float32frombits(w.regs[b+b2])
-				taken := cmpFloat(cmp, x, y)
-				w.regs[b+d] = boolWord(taken)
-				if taken {
-					w.fusedPC = tgt
-				} else {
-					w.fusedPC = fall
-				}
-				fr.pc++
-			}
-		}
-		return head, fusedBranchTail
-	}
-	// Family 2: constant feeding an ALU op (MOVI k; ALU d,x,y). Both
-	// writes happen in program order inside the head, so operand aliasing
-	// (x or y being the constant's register) behaves exactly as unfused.
-	if h.Op == isa.OpMovI && h.W() == 1 {
-		if head := moviALUHead(t, int(h.Dst), uint32(h.Imm)); head != nil {
-			return head, incTail
-		}
-	}
-	// Family 3: single-word load feeding an ALU op (LDG d,[a]; ALU ...).
-	if h.Op == isa.OpLdG && h.W() == 1 {
-		if head := ldgALUHead(t, int(h.Dst), int(h.Src[0]), uint32(h.Imm)); head != nil {
-			return head, incTail
-		}
-	}
-	return nil, nil
-}
-
-func moviALUHead(t *isa.Instr, md int, mi uint32) func(*CWarp) {
-	if t.W() != 1 {
-		return nil
-	}
-	d, a, b2 := int(t.Dst), int(t.Src[0]), int(t.Src[1])
-	switch t.Op {
-	case isa.OpIAdd:
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			w.regs[b+md] = mi
-			w.regs[b+d] = w.regs[b+a] + w.regs[b+b2]
-			fr.pc++
-		}
-	case isa.OpISub:
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			w.regs[b+md] = mi
-			w.regs[b+d] = w.regs[b+a] - w.regs[b+b2]
-			fr.pc++
-		}
-	case isa.OpIMul:
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			w.regs[b+md] = mi
-			w.regs[b+d] = w.regs[b+a] * w.regs[b+b2]
-			fr.pc++
-		}
-	case isa.OpAnd:
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			w.regs[b+md] = mi
-			w.regs[b+d] = w.regs[b+a] & w.regs[b+b2]
-			fr.pc++
-		}
-	case isa.OpOr:
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			w.regs[b+md] = mi
-			w.regs[b+d] = w.regs[b+a] | w.regs[b+b2]
-			fr.pc++
-		}
-	case isa.OpXor:
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			w.regs[b+md] = mi
-			w.regs[b+d] = w.regs[b+a] ^ w.regs[b+b2]
-			fr.pc++
-		}
-	case isa.OpShl:
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			w.regs[b+md] = mi
-			w.regs[b+d] = w.regs[b+a] << (w.regs[b+b2] & 31)
-			fr.pc++
-		}
-	case isa.OpShr:
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			w.regs[b+md] = mi
-			w.regs[b+d] = w.regs[b+a] >> (w.regs[b+b2] & 31)
-			fr.pc++
-		}
-	}
-	return nil
-}
-
-func ldgALUHead(t *isa.Instr, ld, la int, li uint32) func(*CWarp) {
-	if t.W() != 1 {
-		return nil
-	}
-	d, a, b2 := int(t.Dst), int(t.Src[0]), int(t.Src[1])
-	switch t.Op {
-	case isa.OpIAdd:
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			w.regs[b+ld] = GlobalData(w.regs[b+la] + li)
-			w.regs[b+d] = w.regs[b+a] + w.regs[b+b2]
-			fr.pc++
-		}
-	case isa.OpISub:
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			w.regs[b+ld] = GlobalData(w.regs[b+la] + li)
-			w.regs[b+d] = w.regs[b+a] - w.regs[b+b2]
-			fr.pc++
-		}
-	case isa.OpIMul:
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			w.regs[b+ld] = GlobalData(w.regs[b+la] + li)
-			w.regs[b+d] = w.regs[b+a] * w.regs[b+b2]
-			fr.pc++
-		}
-	case isa.OpAnd:
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			w.regs[b+ld] = GlobalData(w.regs[b+la] + li)
-			w.regs[b+d] = w.regs[b+a] & w.regs[b+b2]
-			fr.pc++
-		}
-	case isa.OpOr:
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			w.regs[b+ld] = GlobalData(w.regs[b+la] + li)
-			w.regs[b+d] = w.regs[b+a] | w.regs[b+b2]
-			fr.pc++
-		}
-	case isa.OpXor:
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			w.regs[b+ld] = GlobalData(w.regs[b+la] + li)
-			w.regs[b+d] = w.regs[b+a] ^ w.regs[b+b2]
-			fr.pc++
-		}
-	case isa.OpShl:
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			w.regs[b+ld] = GlobalData(w.regs[b+la] + li)
-			w.regs[b+d] = w.regs[b+a] << (w.regs[b+b2] & 31)
-			fr.pc++
-		}
-	case isa.OpShr:
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			w.regs[b+ld] = GlobalData(w.regs[b+la] + li)
-			w.regs[b+d] = w.regs[b+a] >> (w.regs[b+b2] & 31)
-			fr.pc++
-		}
-	}
-	return nil
 }

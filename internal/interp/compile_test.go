@@ -161,9 +161,9 @@ loop:
 }
 
 func TestCompiledMatchesInterpFusionTails(t *testing.T) {
-	// A branch targets the instruction right after a fusible MOVI/LDG head:
-	// the leader exclusion must keep the pair unfused so the tail executes
-	// correctly when entered directly.
+	// A branch enters a straight-line run in its middle, right after a
+	// MOVI and before an LDG/XOR pair (the name dates from superinstruction
+	// fusion, whose pairs these were).
 	lockstep(t, `
 .kernel tails
 .blockdim 32

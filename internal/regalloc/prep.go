@@ -54,17 +54,6 @@ type Prep struct {
 	// liveness.
 	MaxLive int
 
-	// TrivialBudget is the smallest register budget at which the priority
-	// stack's ordering provably stops depending on the budget: the maximum
-	// over non-precolored variables of width plus initial weighted degree.
-	// At or above it, every variable is trivially colorable on the first
-	// selection, so the stack is always built in (width, id) order.
-	// Together with a spill-free coloring of frame height K, any two
-	// budgets in [max(TrivialBudget, K), B0] — where B0 is the budget the
-	// coloring was obtained at — yield byte-identical allocations (the
-	// ladder's monotone-reuse precondition; see DESIGN.md §10).
-	TrivialBudget int
-
 	wdeg []int // each variable's weighted degree in Graph: simplify's starting point
 	fn   *isa.Function
 }
@@ -99,17 +88,10 @@ func PrepareCtx(f *isa.Function, x obs.Ctx) (*Prep, error) {
 	}
 	for id := range pr.wdeg {
 		pr.wdeg[id] = g.WeightedDegree(id, v)
-		if v.Defs[id].IsArg {
-			continue
-		}
-		if t := v.Defs[id].Width + pr.wdeg[id]; t > pr.TrivialBudget {
-			pr.TrivialBudget = t
-		}
 	}
 	sp.SetAttr(
 		obs.Int("webs", v.NumVars()),
-		obs.Int("max_live", pr.MaxLive),
-		obs.Int("trivial_budget", pr.TrivialBudget))
+		obs.Int("max_live", pr.MaxLive))
 	sp.End()
 	return pr, nil
 }

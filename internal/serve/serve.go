@@ -481,9 +481,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, req *http.Request) {
 // sweepJob realizes and simulates every occupancy level, fanning out
 // through par.ForEachCtx under the coalesced job context: when every
 // client waiting on this sweep has gone, levels not yet dispatched are
-// abandoned mid-ladder. Levels realize through one shared ladder, level
-// 0 first (serially) so the canonical allocation is established before
-// the fan-out, exactly as Realizer.Sweep does.
+// abandoned mid-ladder. Levels realize through one shared ladder, as in
+// Realizer.Sweep.
 func (s *Server) sweepJob(ctx context.Context, r *request) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -497,11 +496,8 @@ func (s *Server) sweepJob(ctx context.Context, r *request) ([]byte, error) {
 		lvl := levels[i]
 		v, err := lad.Realize(lvl)
 		if err != nil {
-			var inf *core.ErrInfeasible
-			if !errors.As(err, &inf) {
-				errs[i] = err
-			}
-			return // infeasible levels are simply absent from the table
+			errs[i] = err
+			return
 		}
 		st, err := v.RunAt(r.dev, r.cache, lvl, &interp.Launch{Prog: v.Prog, GridWarps: r.params.Grid})
 		if err != nil {
@@ -519,19 +515,18 @@ func (s *Server) sweepJob(ctx context.Context, r *request) ([]byte, error) {
 			Checksum:    fmt.Sprintf("%016x", st.Checksum),
 		}
 	}
-	runLevel(0)
-	if errs[0] == nil && len(levels) > 1 {
-		if err := par.ForEachCtx(ctx, 0, len(levels)-1, func(i int) { runLevel(i + 1) }); err != nil {
-			return nil, err
-		}
+	if err := par.ForEachCtx(ctx, 0, len(levels), runLevel); err != nil {
+		return nil, err
 	}
 	rep := &SweepReport{
 		Params:      r.params,
 		Fingerprint: r.prog.Fingerprint().String(),
 		DeviceFP:    fmt.Sprintf("%016x", r.dev.Fingerprint()),
 	}
+	var inf *core.ErrInfeasible
 	for i := range rows {
-		if errs[i] != nil {
+		// Infeasible levels are simply absent from the table.
+		if errs[i] != nil && !errors.As(errs[i], &inf) {
 			return nil, errs[i]
 		}
 		if rows[i] != nil {
@@ -539,7 +534,7 @@ func (s *Server) sweepJob(ctx context.Context, r *request) ([]byte, error) {
 		}
 	}
 	if len(rep.Levels) == 0 {
-		return nil, fmt.Errorf("core: no occupancy level of %s is realizable", r.prog.Name)
+		return nil, fmt.Errorf("core: no occupancy level of %s is realizable: %w", r.prog.Name, errs[0])
 	}
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -616,17 +611,20 @@ func writeArtifact(w http.ResponseWriter, contentType, key string, data []byte) 
 }
 
 // fail maps pipeline errors onto HTTP status codes: client mistakes are
-// 400, kernels the pipeline rejects are 422, saturation is 429, shutdown
-// 503, a caller that gave up 499 (nginx's client-closed-request), and
-// anything else 500.
+// 400 (413 for a body over maxBodyBytes), kernels the pipeline rejects are
+// 422, saturation is 429, shutdown 503, a caller that gave up 499 (nginx's
+// client-closed-request), and anything else 500.
 func (s *Server) fail(w http.ResponseWriter, err error) {
 	s.metrics.Counter("serve.errors").Add(1)
 	code := http.StatusInternalServerError
 	var br *badRequest
+	var tooLarge *http.MaxBytesError
 	var infeasible *core.ErrInfeasible
 	var verr *core.VerifyError
 	var aerr *core.AnalysisError
 	switch {
+	case errors.As(err, &tooLarge):
+		code = http.StatusRequestEntityTooLarge
 	case errors.As(err, &br):
 		code = http.StatusBadRequest
 	case errors.As(err, &infeasible), errors.As(err, &verr), errors.As(err, &aerr):

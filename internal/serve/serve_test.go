@@ -56,6 +56,18 @@ const laneCallKernel = `
   RET v0
 `
 
+// bigSharedKernel declares more shared memory than either device has: no
+// occupancy level is realizable, which is the kernel's fault (422).
+const bigSharedKernel = `
+.kernel big
+.shared 60000
+.blockdim 256
+.func main
+  RDSP v0, WARPID
+  STG [v0], v0
+  EXIT
+`
+
 // newTestServer starts a daemon over httptest. dir == "" runs storeless.
 func newTestServer(t *testing.T, dir string) (*Server, *httptest.Server) {
 	t.Helper()
@@ -243,22 +255,28 @@ func TestSweepTable(t *testing.T) {
 
 func TestBadRequests(t *testing.T) {
 	_, hs := newTestServer(t, "")
-	for name, req := range map[string]struct{ path, body string }{
-		"no kernel":      {"/v1/tune", ""},
-		"unknown device": {"/v1/tune?device=voodoo3", testKernel},
-		"unknown cache":  {"/v1/tune?cache=huge", testKernel},
-		"unknown name":   {"/v1/tune?kernel=nonesuch", ""},
-		"bad grid":       {"/v1/tune?grid=minus", testKernel},
-		"bad iters":      {"/v1/tune?iters=0", testKernel},
-		"bad lint":       {"/v1/tune?lint=pedantic", testKernel},
-		"garbage text":   {"/v1/tune", "MOVI without a .func header"},
-		"garbage binary": {"/v1/tune", "ORN1\x00\x01\x02"},
-		"laneid + call":  {"/v1/tune", laneCallKernel},
-		"laneid compile": {"/v1/compile", laneCallKernel},
+	for name, req := range map[string]struct {
+		path, body string
+		want       int
+	}{
+		"no kernel":          {"/v1/tune", "", 400},
+		"unknown device":     {"/v1/tune?device=voodoo3", testKernel, 400},
+		"unknown cache":      {"/v1/tune?cache=huge", testKernel, 400},
+		"unknown name":       {"/v1/tune?kernel=nonesuch", "", 400},
+		"bad grid":           {"/v1/tune?grid=minus", testKernel, 400},
+		"bad iters":          {"/v1/tune?iters=0", testKernel, 400},
+		"bad lint":           {"/v1/tune?lint=pedantic", testKernel, 400},
+		"garbage text":       {"/v1/tune", "MOVI without a .func header", 400},
+		"garbage binary":     {"/v1/tune", "ORN1\x00\x01\x02", 400},
+		"laneid + call":      {"/v1/tune", laneCallKernel, 400},
+		"laneid compile":     {"/v1/compile", laneCallKernel, 400},
+		"oversized body":     {"/v1/tune", testKernel + strings.Repeat("\n", maxBodyBytes), 413},
+		"unrealizable tune":  {"/v1/tune", bigSharedKernel, 422},
+		"unrealizable sweep": {"/v1/sweep", bigSharedKernel, 422},
 	} {
 		code, _, body := post(t, hs.URL, req.path, req.body)
-		if code != http.StatusBadRequest {
-			t.Errorf("%s: status = %d (%s), want 400", name, code, body)
+		if code != req.want {
+			t.Errorf("%s: status = %d (%.200s), want %d", name, code, body, req.want)
 		}
 	}
 }
@@ -272,6 +290,7 @@ func TestErrorMapping(t *testing.T) {
 		code int
 	}{
 		{&badRequest{fmt.Errorf("nope")}, http.StatusBadRequest},
+		{&badRequest{&http.MaxBytesError{Limit: maxBodyBytes}}, http.StatusRequestEntityTooLarge},
 		{&core.ErrInfeasible{TargetWarps: 64, Reason: "x"}, http.StatusUnprocessableEntity},
 		{&core.VerifyError{}, http.StatusUnprocessableEntity},
 		{&core.AnalysisError{}, http.StatusUnprocessableEntity},

@@ -7,10 +7,10 @@ package sim
 // DRAM, and energy model; they differ only in how each warp's next
 // instruction is produced and committed:
 //
-//   - BackendCompiled translates every function once into fused Go
-//     closures (package interp's CWarp) with pre-resolved operand
-//     templates and superinstructions for hot decode pairs. It is the
-//     zero value: every Config that does not say otherwise runs it.
+//   - BackendCompiled translates every function once into Go closures,
+//     one per instruction (package interp's CWarp), with pre-resolved
+//     operand templates. It is the zero value: every Config that does
+//     not say otherwise runs it.
 //   - BackendInterp steps the original tree-walking interpreter
 //     (interp.Warp). It is the reference semantics, selected per call
 //     through Config.Backend by the differential oracles
@@ -24,7 +24,7 @@ package sim
 type Backend uint8
 
 const (
-	// BackendCompiled executes block-compiled closures.
+	// BackendCompiled executes per-instruction compiled closures.
 	BackendCompiled Backend = iota
 	// BackendInterp executes the reference interpreter.
 	BackendInterp

@@ -23,7 +23,7 @@
 // regardless of goroutine interleaving.
 //
 // Two execution backends drive warp-scalar kernels beneath the timing
-// model: the default compiled backend (block-compiled fused closures, see
+// model: the default compiled backend (one closure per instruction, see
 // interp.Compile) and the reference interpreter. Lane-variant (LANEID)
 // kernels always run the reference lane-accurate executor. See Backend.
 package sim
@@ -54,8 +54,6 @@ type Config struct {
 	// TraceWarps, when positive, records issue events for warps with
 	// global id < TraceWarps into Stats.Trace (timeline profiling).
 	TraceWarps int
-	// Scheduler selects the warp scheduling policy (default GTO).
-	Scheduler Scheduler
 	// Backend selects the warp execution engine; the zero value is the
 	// compiled backend. Both backends are bit-identical on Stats; the
 	// differential oracles set BackendInterp here per call.
@@ -69,18 +67,6 @@ type Config struct {
 	// the hot path pays one pointer check per issue.
 	Prof *prof.Spec
 }
-
-// Scheduler is a warp scheduling policy.
-type Scheduler uint8
-
-// Scheduling policies: GTO (greedy-then-oldest — keep issuing the same
-// warp until it stalls, then move on) is the hardware default the
-// evaluation uses; LRR (loose round-robin) rotates warps every cycle,
-// trading single-warp locality for fairness.
-const (
-	GTO Scheduler = iota
-	LRR
-)
 
 // Stats is the outcome of a simulated launch.
 type Stats struct {
@@ -587,10 +573,6 @@ func mergeTraces(maxWarps int, sms []*smCtx) *Trace {
 func (sm *smCtx) run() {
 	e := sm.eng
 	issueWidth := e.d.IssueWidth
-	step := 0 // GTO stays on the warp that issued; LRR moves past it
-	if e.cfg.Scheduler == LRR {
-		step = 1
-	}
 	ws := &sm.wake
 	for b := 0; b < e.cfg.BlocksPerSM; b++ {
 		sm.live += sm.launchBlock(0)
@@ -637,7 +619,7 @@ func (sm *smCtx) run() {
 				}
 				// After a retirement ref.idx is the warp's old position;
 				// the next cycle's scan starts from it all the same.
-				sm.lastWarp = ref.idx + step
+				sm.lastWarp = ref.idx
 				slots--
 				if !wc.done && !wc.atBar {
 					next = append(next, ref)
@@ -672,7 +654,7 @@ func (sm *smCtx) run() {
 					if sm.err != nil {
 						return
 					}
-					sm.lastWarp = idx + step // LRR: normalized next cycle
+					sm.lastWarp = idx
 					slots--
 					if !wc.done && !wc.atBar {
 						next = append(next, issuedRef{wc, idx})

@@ -258,31 +258,6 @@ func TestOversizeResidencyRejected(t *testing.T) {
 	}
 }
 
-func TestSchedulerPolicies(t *testing.T) {
-	// Both policies must compute identical results; timing may differ.
-	p := isa.MustParse(memKernel)
-	run := func(sched Scheduler) *Stats {
-		st, err := Simulate(Config{Device: device.GTX680(), Cache: device.SmallCache,
-			BlocksPerSM: 2, RegsPerThread: 16, Scheduler: sched},
-			&interp.Launch{Prog: p, GridWarps: 64})
-		if err != nil {
-			t.Fatalf("Simulate: %v", err)
-		}
-		return st
-	}
-	gto := run(GTO)
-	lrr := run(LRR)
-	if gto.Checksum != lrr.Checksum {
-		t.Error("scheduling policy changed semantics")
-	}
-	if gto.Instructions != lrr.Instructions {
-		t.Error("scheduling policy changed instruction count")
-	}
-	if gto.Cycles == 0 || lrr.Cycles == 0 {
-		t.Error("zero cycles")
-	}
-}
-
 func TestAvgResidentWarpsTracksResidency(t *testing.T) {
 	// With many waves of blocks, achieved residency approaches the
 	// configured blocks-per-SM x warps-per-block.

@@ -110,7 +110,7 @@ type (
 	// counters.
 	CacheSnapshot = core.CacheSnapshot
 	// LadderCounters reports the occupancy-ladder realization counters
-	// (levels reused, colorings re-run, realizations pruned).
+	// (levels reused, colorings re-run).
 	LadderCounters = core.LadderCounters
 	// Ladder realizes one program across all occupancy levels through a
 	// shared set of middle-end analyses (Realizer.NewLadder).
