@@ -1,7 +1,8 @@
 // Benchmarks regenerating the paper's tables and figures (one per
 // experiment, at a reduced grid scale so `go test -bench=.` stays
 // tractable; `cmd/orion-bench -scale 1` produces the recorded full-scale
-// artifacts), plus micro-benchmarks of the compiler stages.
+// artifacts), plus the simulator's host throughput. Compiler-stage and
+// executor timings are the benchmark's layer replay (benchmark/README.md).
 package orion_test
 
 import (
@@ -12,9 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/interp"
-	"repro/internal/ir"
 	"repro/internal/kernels"
-	"repro/internal/regalloc"
 	"repro/internal/sim"
 )
 
@@ -70,15 +69,11 @@ func BenchmarkTable2(b *testing.B) { runExperiment(b, "table2") }
 // BenchmarkTable3 regenerates Table 3 (cache configurations).
 func BenchmarkTable3(b *testing.B) { runExperiment(b, "table3") }
 
-// suiteEndToEnd regenerates every experiment, resetting the memo caches
-// each iteration so the measurement covers a cold full-suite run.
-func suiteEndToEnd(b *testing.B, cached bool) {
-	b.Helper()
-	core.SetRealizeCacheEnabled(cached)
-	core.SetRunCacheEnabled(cached)
-	defer core.SetRealizeCacheEnabled(true)
-	defer core.SetRunCacheEnabled(true)
-	b.ResetTimer()
+// BenchmarkSuiteEndToEnd regenerates every experiment from cold memo
+// caches each iteration. It stays because README.md and DESIGN.md §8 name
+// it as the instrument of recorded measurements; the benchmark's
+// suite_cached workload reports the same pass under a fixed configuration.
+func BenchmarkSuiteEndToEnd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		core.ResetRealizeCache()
 		core.ResetRunCache()
@@ -87,64 +82,6 @@ func suiteEndToEnd(b *testing.B, cached bool) {
 			if _, err := e.Run(); err != nil {
 				b.Fatal(err)
 			}
-		}
-	}
-}
-
-// BenchmarkSuiteEndToEnd regenerates the full evaluation suite with the
-// realization and simulation caches active — the configuration behind
-// the PR's wall-clock claim. Compare against the NoCache variant.
-func BenchmarkSuiteEndToEnd(b *testing.B) { suiteEndToEnd(b, true) }
-
-// BenchmarkSuiteEndToEndNoCache is the pre-memoization baseline: every
-// realization and simulation is recomputed from scratch.
-func BenchmarkSuiteEndToEndNoCache(b *testing.B) { suiteEndToEnd(b, false) }
-
-// BenchmarkCompilerRealize measures one full occupancy realization
-// (webs, liveness, Chaitin-Briggs, compressible stack) of the
-// highest-pressure benchmark.
-func BenchmarkCompilerRealize(b *testing.B) {
-	k, err := kernels.ByName("imageDenoising")
-	if err != nil {
-		b.Fatal(err)
-	}
-	d := device.GTX680()
-	r := core.NewRealizer(d, device.SmallCache)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Realize(k.Prog, 48); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRegalloc measures the single-procedure allocator on the cfd
-// entry function.
-func BenchmarkRegalloc(b *testing.B) {
-	k, err := kernels.ByName("cfd")
-	if err != nil {
-		b.Fatal(err)
-	}
-	f := k.Prog.Entry()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := regalloc.Run(f, 40, 8); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSplitWebs measures pruned-SSA web construction.
-func BenchmarkSplitWebs(b *testing.B) {
-	k, err := kernels.ByName("cfd")
-	if err != nil {
-		b.Fatal(err)
-	}
-	f := k.Prog.Entry()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ir.SplitWebs(f); err != nil {
-			b.Fatal(err)
 		}
 	}
 }
@@ -202,22 +139,4 @@ func BenchmarkSimulator(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/instr")
 		})
 	}
-}
-
-// BenchmarkInterp measures the functional executor alone.
-func BenchmarkInterp(b *testing.B) {
-	k, err := kernels.ByName("srad")
-	if err != nil {
-		b.Fatal(err)
-	}
-	var steps int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := interp.Run(&interp.Launch{Prog: k.Prog, GridWarps: 64}, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		steps += res.Steps
-	}
-	b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "instrs/s")
 }

@@ -2,9 +2,12 @@
 //
 // Subcommands:
 //
-//	orion compile  -kernel NAME | -file K.oasm  [-device gtx680|c2075] [-cache sc|lc]
+//	orion compile  -kernel NAME | -file K.oasm|K.orn  [-device gtx680|c2075] [-cache sc|lc]
 //	    Run compile-time tuning (paper Fig. 8): direction, max-live, the
-//	    candidate versions, and each candidate's resource footprint.
+//	    candidate versions, and each candidate's resource footprint. -file
+//	    takes OASM text or the ORN1 binary cmd/oasm writes, as the daemon
+//	    does; -grid/-iters decide whether the launch can be tuned, as for
+//	    tune and build.
 //	orion tune     -kernel ... [-grid N] [-iters N] [-fat K.ofat] [-explain]
 //	    Run the full pipeline including runtime adaptation (Fig. 9) on the
 //	    simulated device and report the selected occupancy. With -fat, the
@@ -65,13 +68,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	orion "repro"
+	"repro/internal/device"
+	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/serve"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -94,7 +97,7 @@ func run(args []string, out io.Writer) error {
 
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 	kernelName := fs.String("kernel", "", "built-in benchmark name (see 'orion list')")
-	file := fs.String("file", "", "OASM source file (alternative to -kernel)")
+	file := fs.String("file", "", "kernel file, OASM text or ORN1 binary (alternative to -kernel)")
 	devName := fs.String("device", "gtx680", "gtx680 or c2075")
 	cacheName := fs.String("cache", "sc", "sc (48KB shared) or lc (48KB L1)")
 	grid := fs.Int("grid", 0, "grid size in warps (default: benchmark's)")
@@ -133,16 +136,33 @@ func run(args []string, out io.Writer) error {
 		col = orion.NewCollector()
 	}
 
-	dev, err := pickDevice(*devName)
+	dev, err := device.ByName(*devName)
 	if err != nil {
 		return err
 	}
-	cc, err := pickCache(*cacheName)
+	cc, err := device.ParseCacheConfig(*cacheName)
 	if err != nil {
 		return err
 	}
 	dsp := col.StartSpan("decode")
-	prog, gridWarps, iterations, err := loadKernel(*kernelName, *file)
+	var prog *orion.Program
+	gridWarps, iterations := 1024, 8 // the launch of a kernel that brings none
+	switch {
+	case *kernelName != "" && *file != "":
+		err = fmt.Errorf("use -kernel or -file, not both")
+	case *kernelName != "":
+		var k *orion.Kernel
+		if k, err = orion.Benchmark(*kernelName); err == nil {
+			prog, gridWarps, iterations = k.Prog, k.GridWarps, k.Iterations
+		}
+	case *file != "":
+		var data []byte
+		if data, err = os.ReadFile(*file); err == nil {
+			prog, err = isa.Load(data)
+		}
+	default:
+		err = fmt.Errorf("a kernel is required: -kernel NAME or -file K.oasm|K.orn")
+	}
 	if err != nil {
 		dsp.End()
 		return err
@@ -159,6 +179,7 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	launch := orion.Launch{GridWarps: gridWarps, Iterations: iterations}
 	r := orion.NewRealizer(dev, cc)
 	r.Obs = col
 	r.Verify = *verify
@@ -171,7 +192,7 @@ func run(args []string, out io.Writer) error {
 			return runLint(out, r, prog, dev, *realized)
 
 		case "compile":
-			cr, err := r.Compile(prog, iterations > 1)
+			cr, err := r.Compile(prog, r.CanTune(prog, launch))
 			if err != nil {
 				return err
 			}
@@ -209,13 +230,13 @@ func run(args []string, out io.Writer) error {
 				if err != nil {
 					return err
 				}
-				rep, err = r.TuneCompiled(cr, orion.Launch{GridWarps: gridWarps, Iterations: iterations})
+				rep, err = r.TuneCompiled(cr, launch)
 				if err != nil {
 					return err
 				}
 			} else {
 				var err error
-				rep, err = r.Tune(prog, orion.Launch{GridWarps: gridWarps, Iterations: iterations})
+				rep, err = r.Tune(prog, launch)
 				if err != nil {
 					return err
 				}
@@ -239,18 +260,8 @@ func run(args []string, out io.Writer) error {
 				// The canonical report: the same builder and encoding the
 				// serve daemon uses, so this file is byte-identical to the
 				// /v1/tune response for the same kernel and parameters.
-				p := serve.Params{
-					Kernel:  prog.Name,
-					Device:  dev.Name,
-					Cache:   cc.String(),
-					Backend: sim.DefaultBackend().String(),
-					Grid:    gridWarps,
-					Iters:   iterations,
-					Lint:    lintMode.String(),
-					Verify:  *verify,
-				}
-				canTune := r.CanTune(prog, orion.Launch{GridWarps: gridWarps, Iterations: iterations})
-				data := serve.EncodeReport(serve.BuildReport(p, prog, dev, canTune, rep))
+				p := serve.NewParams(prog, dev, cc, launch, lintMode, *verify)
+				data := serve.EncodeReport(serve.BuildReport(p, prog, dev, r.CanTune(prog, launch), rep))
 				if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
 					return err
 				}
@@ -317,7 +328,7 @@ func run(args []string, out io.Writer) error {
 			if *out_ == "" {
 				return fmt.Errorf("build requires -o FILE.ofat")
 			}
-			cr, err := r.Compile(prog, iterations > 1)
+			cr, err := r.Compile(prog, r.CanTune(prog, launch))
 			if err != nil {
 				return err
 			}
@@ -511,51 +522,4 @@ func writeObsOutputs(col *orion.Collector, traceOut, metricsOut string) error {
 		}
 	}
 	return nil
-}
-
-func pickDevice(name string) (*orion.Device, error) {
-	switch strings.ToLower(name) {
-	case "gtx680", "kepler":
-		return orion.GTX680(), nil
-	case "c2075", "teslac2075", "fermi":
-		return orion.TeslaC2075(), nil
-	}
-	return nil, fmt.Errorf("unknown device %q (gtx680 or c2075)", name)
-}
-
-func pickCache(name string) (orion.CacheConfig, error) {
-	switch strings.ToLower(name) {
-	case "sc", "small":
-		return orion.SmallCache, nil
-	case "lc", "large":
-		return orion.LargeCache, nil
-	}
-	return 0, fmt.Errorf("unknown cache config %q (sc or lc)", name)
-}
-
-func loadKernel(name, file string) (*orion.Program, int, int, error) {
-	switch {
-	case name != "" && file != "":
-		return nil, 0, 0, fmt.Errorf("use -kernel or -file, not both")
-	case name != "":
-		k, err := orion.Benchmark(name)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		return k.Prog, k.GridWarps, k.Iterations, nil
-	case file != "":
-		data, err := os.ReadFile(file)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		p, err := orion.ParseKernel(string(data))
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		if err := orion.ValidateKernel(p); err != nil {
-			return nil, 0, 0, err
-		}
-		return p, 1024, 8, nil
-	}
-	return nil, 0, 0, fmt.Errorf("a kernel is required: -kernel NAME or -file K.oasm")
 }

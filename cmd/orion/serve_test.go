@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -14,6 +15,9 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/isa"
+	"repro/internal/serve"
 )
 
 const smokeKernel = `
@@ -172,5 +176,82 @@ func TestServeSmoke(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "draining") {
 		t.Errorf("missing drain notice in:\n%s", out.String())
+	}
+}
+
+// TestBuildMatchesServeCompile is the fat-binary half of "the daemon
+// matches the CLI": `orion build -kernel K` and POST /v1/compile?kernel=K
+// must write the same bytes, which they do only if both decide tunability
+// the way Tune does. backprop is invoked once on a grid large enough to
+// kernel-split (iterations alone say static; at 8949cdd the CLI baked a
+// static choice in and the two differed at byte 8), particles is invoked
+// once on 448 warps, too few to split (static on both sides), srad runs
+// ten iterations.
+func TestBuildMatchesServeCompile(t *testing.T) {
+	srv := serve.New(serve.Config{Workers: 2})
+	hs := httptest.NewServer(srv.Handler())
+	defer func() {
+		hs.Close()
+		srv.Close()
+	}()
+	dir := t.TempDir()
+	for _, k := range []string{"backprop", "particles", "srad"} {
+		resp, err := http.Post(hs.URL+"/v1/compile?kernel="+k, "text/plain", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("compile %s = %d: %s", k, resp.StatusCode, served)
+		}
+		fat := filepath.Join(dir, k+".ofat")
+		if err := run([]string{"build", "-kernel", k, "-o", fat}, io.Discard); err != nil {
+			t.Fatalf("build %s: %v", k, err)
+		}
+		built, err := os.ReadFile(fat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(built, served) {
+			at := 0
+			for at < len(built) && at < len(served) && built[at] == served[at] {
+				at++
+			}
+			t.Errorf("%s: `orion build` wrote %d bytes, /v1/compile served %d; first difference at byte %d",
+				k, len(built), len(served), at+1)
+		}
+	}
+}
+
+// TestFileAcceptsAssembledBinary: -file takes what cmd/oasm writes. The
+// ORN1 encoding of a kernel must compile to exactly the output its OASM
+// text does (at 8949cdd the CLI fed the binary to the text parser and
+// failed with "instruction outside .func", while the daemon accepted it).
+func TestFileAcceptsAssembledBinary(t *testing.T) {
+	text, err := os.ReadFile("../../examples/kernels/saxpy.oasm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := isa.Parse(string(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	orn := filepath.Join(t.TempDir(), "saxpy.orn")
+	if err := os.WriteFile(orn, isa.Encode(prog), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var fromText, fromBinary bytes.Buffer
+	if err := run([]string{"compile", "-file", "../../examples/kernels/saxpy.oasm"}, &fromText); err != nil {
+		t.Fatalf("compile -file saxpy.oasm: %v", err)
+	}
+	if err := run([]string{"compile", "-file", orn}, &fromBinary); err != nil {
+		t.Fatalf("compile -file saxpy.orn: %v", err)
+	}
+	if fromText.String() != fromBinary.String() {
+		t.Errorf("-file saxpy.orn printed:\n%s-file saxpy.oasm printed:\n%s", &fromBinary, &fromText)
 	}
 }

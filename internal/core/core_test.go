@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -420,6 +422,89 @@ func TestSweepUnrealizable(t *testing.T) {
 	if want := occupancy.Levels(d, p.BlockDim)[0]; inf.TargetWarps != want || !strings.Contains(inf.Reason, "shared memory") {
 		t.Errorf("Sweep error = %v, want level %d's shared-memory verdict", err, want)
 	}
+}
+
+// TestSweepCtxCancelled is the "cancel mid-sweep" gate: a sweep whose
+// context is already done realizes nothing and leaves no goroutine behind;
+// one cancelled while levels are in flight returns context.Canceled or the
+// complete table, never a partial one.
+func TestSweepCtxCancelled(t *testing.T) {
+	// With the memos on, every sweep after the first would be a lookup that
+	// finishes before any cancellation can land.
+	realizeOn := RealizeCacheEnabled()
+	SetRealizeCacheEnabled(false)
+	defer SetRealizeCacheEnabled(realizeOn)
+	SetRunCacheEnabled(false)
+	defer SetRunCacheEnabled(true)
+
+	p := highPressure(t)
+	r := NewRealizer(device.GTX680(), device.SmallCache)
+	full, err := r.Sweep(p, 128)
+	if err != nil {
+		t.Fatalf("Sweep: %v", err)
+	}
+
+	goroutines := runtime.NumGoroutine()
+	before := LadderStats()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := r.SweepCtx(ctx, p, 128)
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("SweepCtx under a cancelled context = %d levels, %v; want none and context.Canceled", len(res), err)
+	}
+	if after := LadderStats(); after != before {
+		t.Errorf("a cancelled sweep realized levels: ladder counters %+v -> %+v", before, after)
+	}
+	// ForEachCtx returns only after its workers have, so the count is
+	// already back; a sweep that parked one would sit above it for good.
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Errorf("%d goroutines after a cancelled sweep, %d before", n, goroutines)
+	}
+
+	canceled := 0
+	for round := 0; round < 8; round++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		start := LadderStats().Recolor
+		stop := make(chan struct{})
+		watcher := make(chan struct{})
+		go func() {
+			// Cancel as soon as the first coloring shows the sweep is under
+			// way: some levels are running, the rest not yet dispatched.
+			defer close(watcher)
+			for LadderStats().Recolor == start {
+				select {
+				case <-stop:
+					return
+				default:
+					runtime.Gosched()
+				}
+			}
+			cancel()
+		}()
+		res, err := r.SweepCtx(ctx, p, 128)
+		close(stop)
+		<-watcher
+		cancel()
+		switch {
+		case errors.Is(err, context.Canceled):
+			canceled++
+			if res != nil {
+				t.Fatalf("round %d: cancelled sweep returned %d levels", round, len(res))
+			}
+		case err != nil:
+			t.Fatalf("round %d: %v", round, err)
+		default:
+			if len(res) != len(full) {
+				t.Fatalf("round %d: partial table: %d of %d levels", round, len(res), len(full))
+			}
+			for i := range res {
+				if res[i].TargetWarps != full[i].TargetWarps || *res[i].Stats != *full[i].Stats {
+					t.Errorf("round %d: level %d differs from the uncancelled sweep", round, res[i].TargetWarps)
+				}
+			}
+		}
+	}
+	t.Logf("%d of 8 in-flight sweeps were cancelled, the rest completed", canceled)
 }
 
 func TestBaselineRuns(t *testing.T) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -62,24 +63,45 @@ type TuneReport struct {
 	Profile *prof.Report
 }
 
-// CanTune reports whether a launch offers the runtime tuner feedback
-// iterations: either the application invokes the kernel more than once,
-// or a single invocation's grid is large enough for kernel splitting
-// (each split piece should still fill the device a few times over). It is
-// the canTune decision Tune makes before compiling, exposed so callers
-// that cache compile artifacts — `orion serve` keys fat binaries on it —
-// agree with the pipeline byte-for-byte.
-func (r *Realizer) CanTune(p *isa.Program, lc Launch) bool {
+// plan turns a launch into the sub-launches the runtime executes, in
+// order: one per application iteration (each with its own grid when
+// IterationGrids is set), or — for a kernel invoked once — the pieces of a
+// kernel split when the grid is large enough (each piece should still fill
+// the device a few times over), else the single invocation as one piece.
+// It is the only place a Launch is normalised and the only caller of
+// PlanSplit, so "can this launch be tuned?" has one answer: more than one
+// piece. split reports that the pieces together cover one invocation.
+func (r *Realizer) plan(blockDim int, lc Launch) (pieces []SplitPiece, split bool) {
 	if len(lc.IterationGrids) > 0 {
 		lc.Iterations = len(lc.IterationGrids)
 		lc.GridWarps = lc.IterationGrids[0]
 	}
 	if lc.Iterations > 1 {
-		return true
+		pieces = make([]SplitPiece, lc.Iterations)
+		for i := range pieces {
+			pieces[i].Warps = lc.GridWarps
+			if len(lc.IterationGrids) > 0 {
+				pieces[i].Warps = lc.IterationGrids[i]
+			}
+		}
+		return pieces, false
 	}
-	wpb := p.BlockDim / r.Dev.WarpSize
-	_, err := PlanSplit(lc.GridWarps, 4, r.Dev.SMs*wpb*2)
-	return err == nil
+	wpb := blockDim / r.Dev.WarpSize
+	if sp, err := PlanSplit(lc.GridWarps, 4, r.Dev.SMs*wpb*2); err == nil {
+		return sp.Pieces, true
+	}
+	return []SplitPiece{{Warps: lc.GridWarps}}, false
+}
+
+// CanTune reports whether a launch offers the runtime tuner feedback
+// iterations: either the application invokes the kernel more than once,
+// or a single invocation's grid is large enough for kernel splitting. It
+// is the canTune decision Tune makes before compiling, exposed so callers
+// that build or cache compile artifacts — `orion build`, `orion serve`'s
+// fat-binary keys — agree with the pipeline byte-for-byte.
+func (r *Realizer) CanTune(p *isa.Program, lc Launch) bool {
+	pieces, _ := r.plan(p.BlockDim, lc)
+	return len(pieces) > 1
 }
 
 // Tune runs the full Orion pipeline: compile-time tuning, then runtime
@@ -87,13 +109,6 @@ func (r *Realizer) CanTune(p *isa.Program, lc Launch) bool {
 // kernel-split into sub-launches when the grid allows; otherwise the
 // static selection runs.
 func (r *Realizer) Tune(p *isa.Program, lc Launch) (*TuneReport, error) {
-	if len(lc.IterationGrids) > 0 {
-		lc.Iterations = len(lc.IterationGrids)
-		lc.GridWarps = lc.IterationGrids[0]
-	}
-	if lc.Iterations < 1 {
-		lc.Iterations = 1
-	}
 	cr, err := r.Compile(p, r.CanTune(p, lc))
 	if err != nil {
 		return nil, err
@@ -131,66 +146,21 @@ func (r *Realizer) TuneCompiled(cr *CompileResult, lc Launch) (*TuneReport, erro
 }
 
 // tuneCompiled is the uninstrumented Figure 9 loop; x scopes the
-// per-iteration spans under the caller's "tune" span.
+// per-iteration spans under the caller's "tune" span. The runtime does not
+// distinguish an application iteration from a kernel-splitting piece —
+// splitting exists to create tuning iterations — so one loop walks both.
 func (r *Realizer) tuneCompiled(cr *CompileResult, lc Launch, x obs.Ctx) (*TuneReport, error) {
-	if len(lc.IterationGrids) > 0 {
-		lc.Iterations = len(lc.IterationGrids)
-		lc.GridWarps = lc.IterationGrids[0]
-	}
-	if lc.Iterations < 1 {
-		lc.Iterations = 1
-	}
-	wpb := cr.Original.Prog.BlockDim / r.Dev.WarpSize
-	minSplitWarps := r.Dev.SMs * wpb * 2
-	var plan *SplitPlan
-	canTune := lc.Iterations > 1
-	if !canTune {
-		var err error
-		plan, err = PlanSplit(lc.GridWarps, 4, minSplitWarps)
-		if err == nil {
-			canTune = true
-		}
-	}
-	if !canTune && cr.StaticChoice == nil {
-		cr.StaticChoice = r.staticSelect(cr.Original.Prog, cr)
-	}
-	rep := &TuneReport{Compile: cr}
-
-	if !canTune {
-		// Static selection: run the compiler-picked kernel once.
-		cand := cr.StaticChoice
-		ssp := x.Span("tune-static", obs.Int("target_warps", cand.TargetWarps))
-		if err := r.verifyCandidate(cr, cand, ssp.Ctx()); err != nil {
-			ssp.SetAttr(obs.String("error", err.Error()))
-			ssp.End()
-			return nil, err
-		}
-		st, err := cand.Version.RunAtCtx(r.Dev, r.Cache, cand.TargetWarps,
-			&interp.Launch{Prog: cand.Version.Prog, GridWarps: lc.GridWarps}, ssp.Ctx())
-		if err != nil {
-			ssp.SetAttr(obs.String("error", err.Error()))
-			ssp.End()
-			return nil, err
-		}
-		ssp.End()
-		rep.Chosen = cand
-		rep.History = append(rep.History, IterationRecord{Candidate: cand, Stats: st})
-		rep.TotalCycles = st.Cycles
-		rep.TotalEnergy = st.Energy
-		rep.Checksum = st.Checksum
-		return rep, nil
-	}
-
-	tuner := NewTuner(cr)
-	run := func(ix obs.Ctx, cand *Candidate, first, warps int, split bool) (*sim.Stats, error) {
-		// Every tuner iteration re-verifies its candidate (a memoized
-		// lookup after the first check) — decoded multi-version binaries
-		// reach execution only through here, so this is their gate.
+	pieces, split := r.plan(cr.Original.Prog.BlockDim, lc)
+	rep := &TuneReport{Compile: cr, KernelSplit: split}
+	run := func(ix obs.Ctx, cand *Candidate, piece SplitPiece) (*sim.Stats, error) {
+		// Every run re-verifies its candidate (a memoized lookup after the
+		// first check) — decoded multi-version binaries reach execution
+		// only through here, so this is their gate.
 		if err := r.verifyCandidate(cr, cand, ix); err != nil {
 			return nil, err
 		}
 		st, err := cand.Version.RunAtCtx(r.Dev, r.Cache, cand.TargetWarps,
-			&interp.Launch{Prog: cand.Version.Prog, GridWarps: warps, FirstWarp: first}, ix)
+			&interp.Launch{Prog: cand.Version.Prog, GridWarps: piece.Warps, FirstWarp: piece.FirstWarp}, ix)
 		if err != nil {
 			return nil, err
 		}
@@ -199,92 +169,71 @@ func (r *Realizer) tuneCompiled(cr *CompileResult, lc Launch, x obs.Ctx) (*TuneR
 		rep.TotalEnergy += st.Energy
 		return st, nil
 	}
-	// iterSpan opens one "tune-iter" span; finishIter stamps it with the
-	// decision the feedback round just recorded (or the converged state).
-	iterSpan := func(it int, cand *Candidate, warps int) *obs.Span {
-		return x.Span("tune-iter",
-			obs.Int("iter", it+1),
-			obs.Int("target_warps", cand.TargetWarps),
-			obs.Int("grid_warps", warps))
-	}
-	finishIter := func(isp *obs.Span, st *sim.Stats, before int) {
-		if isp == nil {
-			return
-		}
-		isp.SetAttr(obs.Uint64("cycles", st.Cycles))
-		if dec := tuner.Decisions(); len(dec) > before {
-			d := dec[len(dec)-1]
-			isp.SetAttr(
-				obs.Float("norm_runtime", d.Runtime),
-				obs.Float("slowdown_vs_best", d.Slowdown),
-				obs.Bool("accepted", d.Accepted),
-				obs.String("reason", d.Reason))
-		} else {
-			isp.SetAttr(obs.String("reason", "converged; running the selected kernel"))
-		}
-		isp.End()
-	}
 
-	if lc.Iterations > 1 {
-		var checksum uint64
-		for it := 0; it < lc.Iterations; it++ {
-			grid := lc.GridWarps
-			if len(lc.IterationGrids) > 0 {
-				grid = lc.IterationGrids[it]
-			}
-			cand := tuner.Next()
-			isp := iterSpan(it, cand, grid)
-			before := len(tuner.Decisions())
-			st, err := run(isp.Ctx(), cand, 0, grid, false)
-			if err != nil {
-				isp.End()
-				return nil, err
-			}
-			checksum = st.Checksum
-			if tuner.Finalized() == nil {
-				// With varying per-iteration work, normalize the feedback
-				// by the grid size (Section 4.2's multiplicative factor).
-				tuner.FeedbackWork(cand, float64(st.Cycles), float64(grid))
-				if tuner.Finalized() != nil {
-					rep.TuneIterations = tuner.Iterations()
-				}
-			}
-			finishIter(isp, st, before)
+	if len(pieces) == 1 {
+		// Static selection: run the compiler-picked kernel once.
+		if cr.StaticChoice == nil {
+			cr.StaticChoice = r.staticSelect(cr.Original.Prog, cr)
 		}
-		rep.Checksum = checksum
-		rep.Chosen = tuner.Next() // finalized (or best-so-far) kernel
-		if rep.TuneIterations == 0 {
-			rep.TuneIterations = tuner.Iterations()
+		cand := cr.StaticChoice
+		ssp := x.Span("tune-static", obs.Int("target_warps", cand.TargetWarps))
+		st, err := run(ssp.Ctx(), cand, pieces[0])
+		if err != nil {
+			ssp.SetAttr(obs.String("error", err.Error()))
+			ssp.End()
+			return nil, err
 		}
-		rep.Decisions = tuner.Decisions()
+		ssp.End()
+		rep.Chosen = cand
+		rep.Checksum = st.Checksum
 		return rep, nil
 	}
 
-	// Kernel splitting: each piece is one tuning iteration; the combined
-	// pieces cover the grid exactly once.
-	rep.KernelSplit = true
-	var checksum uint64
-	for it, piece := range plan.Pieces {
+	tuner := NewTuner(cr)
+	for it, piece := range pieces {
 		cand := tuner.Next()
-		isp := iterSpan(it, cand, piece.Warps)
+		isp := x.Span("tune-iter",
+			obs.Int("iter", it+1),
+			obs.Int("target_warps", cand.TargetWarps),
+			obs.Int("grid_warps", piece.Warps))
 		before := len(tuner.Decisions())
-		st, err := run(isp.Ctx(), cand, piece.FirstWarp, piece.Warps, true)
+		st, err := run(isp.Ctx(), cand, piece)
 		if err != nil {
 			isp.End()
 			return nil, err
 		}
-		checksum ^= st.Checksum
+		// The checksum is the last full invocation's: the pieces of a split
+		// combine, an application iteration replaces the one before.
+		if split {
+			rep.Checksum ^= st.Checksum
+		} else {
+			rep.Checksum = st.Checksum
+		}
 		if tuner.Finalized() == nil {
-			// Pieces can differ in size; normalize feedback per warp.
-			tuner.Feedback(cand, float64(st.Cycles)/float64(piece.Warps))
+			// Iterations and pieces can differ in size; compare runtimes
+			// per warp (Section 4.2's multiplicative factor).
+			tuner.FeedbackWork(cand, float64(st.Cycles), float64(piece.Warps))
 			if tuner.Finalized() != nil {
 				rep.TuneIterations = tuner.Iterations()
 			}
 		}
-		finishIter(isp, st, before)
+		if isp != nil {
+			// Stamp the span with the decision this round recorded.
+			isp.SetAttr(obs.Uint64("cycles", st.Cycles))
+			if dec := tuner.Decisions(); len(dec) > before {
+				d := dec[len(dec)-1]
+				isp.SetAttr(
+					obs.Float("norm_runtime", d.Runtime),
+					obs.Float("slowdown_vs_best", d.Slowdown),
+					obs.Bool("accepted", d.Accepted),
+					obs.String("reason", d.Reason))
+			} else {
+				isp.SetAttr(obs.String("reason", "converged; running the selected kernel"))
+			}
+			isp.End()
+		}
 	}
-	rep.Checksum = checksum
-	rep.Chosen = tuner.Next()
+	rep.Chosen = tuner.Next() // finalized (or best-so-far) kernel
 	if rep.TuneIterations == 0 {
 		rep.TuneIterations = tuner.Iterations()
 	}
@@ -315,10 +264,30 @@ func (l *LevelResult) Occupancy(maxWarps int) float64 {
 // independent, so they compile and simulate concurrently; each level's
 // simulation is deterministic, so the results do not depend on scheduling.
 func (r *Realizer) Sweep(p *isa.Program, gridWarps int) ([]LevelResult, error) {
+	return r.SweepCtx(context.Background(), p, gridWarps)
+}
+
+// SweepCtx is Sweep with cancellation: once ctx is done no further level
+// is dispatched (levels already running finish) and the sweep returns
+// ctx.Err() — never a partial table.
+func (r *Realizer) SweepCtx(ctx context.Context, p *isa.Program, gridWarps int) ([]LevelResult, error) {
 	x := r.Obs.Ctx()
 	sp := x.Span("sweep",
 		obs.String("kernel", p.Name),
 		obs.Int("grid_warps", gridWarps))
+	out, err := r.sweep(ctx, p, gridWarps, sp.Ctx())
+	if err != nil {
+		sp.SetAttr(obs.String("error", err.Error()))
+	} else {
+		sp.SetAttr(obs.Int("levels", len(out)))
+	}
+	sp.End()
+	return out, err
+}
+
+// sweep is the uninstrumented fan-out; x scopes the per-level spans under
+// the caller's "sweep" span.
+func (r *Realizer) sweep(ctx context.Context, p *isa.Program, gridWarps int, x obs.Ctx) ([]LevelResult, error) {
 	levels := occupancy.Levels(r.Dev, p.BlockDim)
 	lad := r.NewLadder(p)
 	type slot struct {
@@ -326,8 +295,8 @@ func (r *Realizer) Sweep(p *isa.Program, gridWarps int) ([]LevelResult, error) {
 		err error
 	}
 	slots := make([]slot, len(levels))
-	fork := sp.Ctx().Fork("level", len(levels))
-	par.ForEach(0, len(levels), func(i int) {
+	fork := x.Fork("level", len(levels))
+	err := par.ForEachCtx(ctx, 0, len(levels), func(i int) {
 		lvl := levels[i]
 		lx := fork.At(i)
 		start := time.Now()
@@ -345,6 +314,9 @@ func (r *Realizer) Sweep(p *isa.Program, gridWarps int) ([]LevelResult, error) {
 		slots[i].res = LevelResult{TargetWarps: lvl, Version: v, Stats: st, RealizeTime: realizeTime}
 	})
 	fork.Join()
+	if err != nil {
+		return nil, err
+	}
 
 	var out []LevelResult
 	var inf *ErrInfeasible
@@ -353,20 +325,13 @@ func (r *Realizer) Sweep(p *isa.Program, gridWarps int) ([]LevelResult, error) {
 		case err == nil:
 			out = append(out, slots[i].res)
 		case !errors.As(err, &inf): // infeasible levels are simply absent
-			sp.SetAttr(obs.String("error", err.Error()))
-			sp.End()
 			return nil, err
 		}
 	}
 	if len(out) == 0 {
 		// Every level was infeasible; the lowest one's reason is the kernel's.
-		err := fmt.Errorf("core: no occupancy level of %s is realizable: %w", p.Name, slots[0].err)
-		sp.SetAttr(obs.String("error", err.Error()))
-		sp.End()
-		return nil, err
+		return nil, fmt.Errorf("core: no occupancy level of %s is realizable: %w", p.Name, slots[0].err)
 	}
-	sp.SetAttr(obs.Int("levels", len(out)))
-	sp.End()
 	return out, nil
 }
 

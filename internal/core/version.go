@@ -293,28 +293,15 @@ func topoOrder(p *isa.Program) ([]int, error) {
 // another experiment is a lookup. The returned Stats is shared and must
 // not be mutated.
 func (v *Version) RunAt(d *device.Device, cc device.CacheConfig, targetWarps int, lc *interp.Launch) (*sim.Stats, error) {
-	return v.ProfileAtCtx(d, cc, targetWarps, lc, 0, obs.Ctx{})
+	return v.RunAtCtx(d, cc, targetWarps, lc, obs.Ctx{})
 }
 
-// RunAtCtx is RunAt with an observability context: the simulation (or its
-// cache hit) is recorded as a span under x.
+// RunAtCtx is RunAt with an observability context: run-cache hits emit a
+// "simulate.cached" span carrying the memoized cycle count; fill paths
+// carry the full "simulate" span from package sim.
 func (v *Version) RunAtCtx(d *device.Device, cc device.CacheConfig, targetWarps int, lc *interp.Launch, x obs.Ctx) (*sim.Stats, error) {
-	return v.ProfileAtCtx(d, cc, targetWarps, lc, 0, x)
-}
-
-// ProfileAt is RunAt with issue tracing for the first traceWarps warps
-// (timeline profiling; see sim.Trace). Traced launches are never cached —
-// their Trace buffers are caller-owned.
-func (v *Version) ProfileAt(d *device.Device, cc device.CacheConfig, targetWarps int, lc *interp.Launch, traceWarps int) (*sim.Stats, error) {
-	return v.ProfileAtCtx(d, cc, targetWarps, lc, traceWarps, obs.Ctx{})
-}
-
-// ProfileAtCtx is ProfileAt with an observability context. Run-cache hits
-// emit a "simulate.cached" span carrying the memoized cycle count; fill
-// paths carry the full "simulate" span from package sim.
-func (v *Version) ProfileAtCtx(d *device.Device, cc device.CacheConfig, targetWarps int, lc *interp.Launch, traceWarps int, x obs.Ctx) (*sim.Stats, error) {
-	if traceWarps > 0 || lc.Prog != v.Prog {
-		return v.profileAt(d, cc, targetWarps, lc, traceWarps, nil, x)
+	if lc.Prog != v.Prog {
+		return v.profileAt(d, cc, targetWarps, lc, 0, nil, x)
 	}
 	key := runKey{
 		prog:        v.fingerprint(),

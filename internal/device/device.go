@@ -7,6 +7,7 @@ package device
 import (
 	"fmt"
 	"hash/fnv"
+	"strings"
 )
 
 // CacheConfig selects the shared-memory / L1 split of the combined 64 KB
@@ -26,6 +27,18 @@ func (c CacheConfig) String() string {
 		return "LC"
 	}
 	return "SC"
+}
+
+// ParseCacheConfig resolves a cache configuration as the CLI's -cache flag
+// and the daemon's ?cache= parameter spell it, case-insensitively.
+func ParseCacheConfig(name string) (CacheConfig, error) {
+	switch strings.ToLower(name) {
+	case "sc", "small":
+		return SmallCache, nil
+	case "lc", "large":
+		return LargeCache, nil
+	}
+	return 0, fmt.Errorf("unknown cache config %q (sc or lc)", name)
 }
 
 // Device is one GPU platform.
@@ -191,6 +204,19 @@ func TeslaK20() *Device {
 	d.MaxRegsPerThread = 255
 	d.DRAMServiceCycles = 1.5 // 208 GB/s
 	return d
+}
+
+// ByName resolves one of the two evaluation platforms as the CLI's -device
+// flag and the daemon's ?device= parameter spell it: case-insensitive, the
+// architecture names as aliases.
+func ByName(name string) (*Device, error) {
+	switch strings.ToLower(name) {
+	case "gtx680", "kepler":
+		return GTX680(), nil
+	case "c2075", "teslac2075", "fermi":
+		return TeslaC2075(), nil
+	}
+	return nil, fmt.Errorf("unknown device %q (gtx680 or c2075)", name)
 }
 
 // Both returns the two evaluation platforms in paper order.

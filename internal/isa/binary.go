@@ -87,6 +87,26 @@ func Encode(p *Program) []byte {
 	return b.Bytes()
 }
 
+// Load reads a kernel arriving from outside the program — a file, an
+// upload — in either encoding: an ORN1 binary, recognized by its magic, or
+// OASM text. The program it returns has passed Validate.
+func Load(data []byte) (*Program, error) {
+	var p *Program
+	var err error
+	if bytes.HasPrefix(data, []byte(binMagic)) {
+		p, err = Decode(data)
+	} else {
+		p, err = Parse(string(data))
+	}
+	if err != nil {
+		return nil, err
+	}
+	if err := Validate(p); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
 // Decode parses an ORN1 binary produced by Encode.
 func Decode(data []byte) (*Program, error) {
 	r := &reader{data: data}

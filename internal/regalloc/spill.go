@@ -154,10 +154,8 @@ type Alloc struct {
 	Live *ir.Live
 	Res  *Result
 	// Rounds is how many Chaitin rounds the loop took. 1 means the
-	// round-0 coloring succeeded without spilling — the precondition for
-	// the occupancy ladder's cross-budget reuse (the allocation then never
-	// touched the shared-slot budget and, above the Prep's trivial
-	// threshold, never depended on the register budget's headroom).
+	// round-0 coloring succeeded without spilling, so the allocation never
+	// touched the shared-slot budget.
 	Rounds int
 	// SpillWebs is the provenance record of every web evicted across all
 	// rounds, in eviction order: the raw material for profile lines that

@@ -272,10 +272,10 @@ func TestFlightPanicContained(t *testing.T) {
 	}
 }
 
-// TestTraceTunePanicContained: the ?trace=1 path submits to the pool
-// without the flight, so it has to contain a panic itself. A request whose
-// program makes Tune panic gets a 500 naming the panic, and the daemon's
-// only worker goes on to serve the next request.
+// TestTraceTunePanicContained: the ?trace=1 path runs through the flight
+// under a private key, so the flight's containment covers it. A request
+// whose program makes Tune panic gets a 500 naming the panic, and the
+// daemon's only worker goes on to serve the next request.
 func TestTraceTunePanicContained(t *testing.T) {
 	s := New(Config{Workers: 1, Queue: 8})
 	hs := httptest.NewServer(s.Handler())

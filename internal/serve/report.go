@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/isa"
+	"repro/internal/sim"
 )
 
 // Params is the request half of a report: everything the client chose
@@ -33,6 +34,23 @@ type Params struct {
 	Iters   int    `json:"iterations"`
 	Lint    string `json:"lint"`
 	Verify  bool   `json:"verify"`
+}
+
+// NewParams builds the canonical Params from resolved values — never from
+// the raw flag or query text, so aliases like device=kepler produce
+// byte-identical reports. It is the one constructor behind the daemon's
+// requests and `orion tune -json`.
+func NewParams(prog *isa.Program, dev *device.Device, cc device.CacheConfig, lc core.Launch, lint core.LintMode, verify bool) Params {
+	return Params{
+		Kernel:  prog.Name,
+		Device:  dev.Name,
+		Cache:   cc.String(),
+		Backend: sim.DefaultBackend().String(),
+		Grid:    lc.GridWarps,
+		Iters:   lc.Iterations,
+		Lint:    lint.String(),
+		Verify:  verify,
+	}
 }
 
 // CandidateJSON is one version's footprint at its target occupancy.

@@ -29,18 +29,13 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/device"
-	"repro/internal/interp"
 	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/obs"
-	"repro/internal/occupancy"
-	"repro/internal/par"
-	"repro/internal/sim"
 	"repro/internal/store"
 )
 
@@ -132,11 +127,11 @@ func (e *badRequest) Unwrap() error { return e.err }
 // aliases like device=kepler produce byte-identical artifacts.
 func (s *Server) parseRequest(req *http.Request) (*request, error) {
 	q := req.URL.Query()
-	dev, err := pickDevice(valueOr(q.Get("device"), "gtx680"))
+	dev, err := device.ByName(valueOr(q.Get("device"), "gtx680"))
 	if err != nil {
 		return nil, &badRequest{err}
 	}
-	cc, err := pickCache(valueOr(q.Get("cache"), "sc"))
+	cc, err := device.ParseCacheConfig(valueOr(q.Get("cache"), "sc"))
 	if err != nil {
 		return nil, &badRequest{err}
 	}
@@ -168,15 +163,7 @@ func (s *Server) parseRequest(req *http.Request) (*request, error) {
 		if len(body) == 0 {
 			return nil, &badRequest{errors.New("a kernel is required: ?kernel=NAME or an OASM body")}
 		}
-		if bytes.HasPrefix(body, []byte("ORN1")) {
-			prog, err = isa.Decode(body)
-		} else {
-			prog, err = isa.Parse(string(body))
-		}
-		if err != nil {
-			return nil, &badRequest{err}
-		}
-		if err := isa.Validate(prog); err != nil {
+		if prog, err = isa.Load(body); err != nil {
 			return nil, &badRequest{err}
 		}
 	}
@@ -194,21 +181,12 @@ func (s *Server) parseRequest(req *http.Request) (*request, error) {
 	}
 
 	return &request{
-		params: Params{
-			Kernel:  prog.Name,
-			Device:  dev.Name,
-			Cache:   cc.String(),
-			Backend: sim.DefaultBackend().String(),
-			Grid:    grid,
-			Iters:   iters,
-			Lint:    lint.String(),
-			Verify:  verify,
-		},
-		prog:  prog,
-		dev:   dev,
-		cache: cc,
-		lint:  lint,
-		trace: q.Get("trace") != "",
+		params: NewParams(prog, dev, cc, core.Launch{GridWarps: grid, Iterations: iters}, lint, verify),
+		prog:   prog,
+		dev:    dev,
+		cache:  cc,
+		lint:   lint,
+		trace:  q.Get("trace") != "",
 	}, nil
 }
 
@@ -217,26 +195,6 @@ func valueOr(v, def string) string {
 		return def
 	}
 	return v
-}
-
-func pickDevice(name string) (*device.Device, error) {
-	switch strings.ToLower(name) {
-	case "gtx680", "kepler":
-		return device.GTX680(), nil
-	case "c2075", "teslac2075", "fermi":
-		return device.TeslaC2075(), nil
-	}
-	return nil, fmt.Errorf("unknown device %q (gtx680 or c2075)", name)
-}
-
-func pickCache(name string) (device.CacheConfig, error) {
-	switch strings.ToLower(name) {
-	case "sc", "small":
-		return device.SmallCache, nil
-	case "lc", "large":
-		return device.LargeCache, nil
-	}
-	return 0, fmt.Errorf("unknown cache config %q (sc or lc)", name)
 }
 
 // realizer builds a fresh per-request realizer; the expensive state (the
@@ -366,46 +324,26 @@ func (s *Server) compileResult(rz *core.Realizer, r *request, canTune bool) (*co
 // per-request collector and the response envelope carries the report
 // plus a Chrome trace of the request's spans. Traces are timing-laden
 // and therefore nondeterministic, so this path bypasses the store and
-// the coalescing group — but not the pool; tracing does not dodge
-// admission control.
+// goes through the flight under a key no other request can share: it
+// coalesces with nothing, but admission control, panic containment and
+// the wait for the client are the flight's, as for every other job.
 func (s *Server) tuneTraced(w http.ResponseWriter, req *http.Request, r *request) {
 	col := obs.New()
-	var data []byte
-	var jobErr error
-	done := make(chan struct{})
-	err := s.pool.Submit(req.Context(), func() {
-		defer close(done)
-		// This job bypasses the flight, so it contains its own panics the
-		// way Flight.Do does: the request fails, the pool worker lives on.
-		defer func() {
-			if p := recover(); p != nil {
-				jobErr = fmt.Errorf("serve: job panicked: %v", p)
-			}
-		}()
+	key := fmt.Sprintf("trace/%p", col) // col outlives the call, so no live request shares it
+	data, err := s.flight.Do(req.Context(), key, s.pool, func(context.Context) ([]byte, error) {
 		sp := col.StartSpan("serve.tune",
 			obs.String("kernel", r.params.Kernel),
 			obs.String("device", r.params.Device))
 		rz := r.realizer(col)
-		canTune := rz.CanTune(r.prog, r.launch())
 		rep, err := rz.Tune(r.prog, r.launch())
 		sp.End()
 		if err != nil {
-			jobErr = err
-			return
+			return nil, err
 		}
-		data = EncodeReport(BuildReport(r.params, r.prog, r.dev, canTune, rep))
+		return EncodeReport(BuildReport(r.params, r.prog, r.dev, rz.CanTune(r.prog, r.launch()), rep)), nil
 	})
 	if err != nil {
 		s.fail(w, err)
-		return
-	}
-	select {
-	case <-done:
-	case <-req.Context().Done():
-		return // client gone; the job finishes on its own
-	}
-	if jobErr != nil {
-		s.fail(w, jobErr)
 		return
 	}
 	var trace bytes.Buffer
@@ -478,63 +416,31 @@ func (s *Server) handleSweep(w http.ResponseWriter, req *http.Request) {
 	})
 }
 
-// sweepJob realizes and simulates every occupancy level, fanning out
-// through par.ForEachCtx under the coalesced job context: when every
-// client waiting on this sweep has gone, levels not yet dispatched are
-// abandoned mid-ladder. Levels realize through one shared ladder, as in
-// Realizer.Sweep.
+// sweepJob is Realizer.SweepCtx under the coalesced job context — when
+// every client waiting on this sweep has gone, levels not yet dispatched
+// are abandoned mid-ladder — rendered as the canonical sweep table.
 func (s *Server) sweepJob(ctx context.Context, r *request) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	rz := r.realizer(nil)
-	levels := occupancy.Levels(r.dev, r.prog.BlockDim)
-	lad := rz.NewLadder(r.prog)
-	rows := make([]*SweepRow, len(levels))
-	errs := make([]error, len(levels))
-	runLevel := func(i int) {
-		lvl := levels[i]
-		v, err := lad.Realize(lvl)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		st, err := v.RunAt(r.dev, r.cache, lvl, &interp.Launch{Prog: v.Prog, GridWarps: r.params.Grid})
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		rows[i] = &SweepRow{
-			TargetWarps: lvl,
-			Occupancy:   float64(lvl) / float64(r.dev.MaxWarpsPerSM),
-			Regs:        v.RegsPerThread,
-			SharedBytes: v.SharedPerBlock,
-			LocalSlots:  v.LocalSlots,
-			Cycles:      st.Cycles,
-			Energy:      st.Energy,
-			Checksum:    fmt.Sprintf("%016x", st.Checksum),
-		}
-	}
-	if err := par.ForEachCtx(ctx, 0, len(levels), runLevel); err != nil {
+	levels, err := r.realizer(nil).SweepCtx(ctx, r.prog, r.params.Grid)
+	if err != nil {
 		return nil, err
 	}
 	rep := &SweepReport{
 		Params:      r.params,
 		Fingerprint: r.prog.Fingerprint().String(),
 		DeviceFP:    fmt.Sprintf("%016x", r.dev.Fingerprint()),
+		Levels:      make([]SweepRow, len(levels)),
 	}
-	var inf *core.ErrInfeasible
-	for i := range rows {
-		// Infeasible levels are simply absent from the table.
-		if errs[i] != nil && !errors.As(errs[i], &inf) {
-			return nil, errs[i]
+	for i, l := range levels {
+		rep.Levels[i] = SweepRow{
+			TargetWarps: l.TargetWarps,
+			Occupancy:   l.Occupancy(r.dev.MaxWarpsPerSM),
+			Regs:        l.Version.RegsPerThread,
+			SharedBytes: l.Version.SharedPerBlock,
+			LocalSlots:  l.Version.LocalSlots,
+			Cycles:      l.Stats.Cycles,
+			Energy:      l.Stats.Energy,
+			Checksum:    fmt.Sprintf("%016x", l.Stats.Checksum),
 		}
-		if rows[i] != nil {
-			rep.Levels = append(rep.Levels, *rows[i])
-		}
-	}
-	if len(rep.Levels) == 0 {
-		return nil, fmt.Errorf("core: no occupancy level of %s is realizable: %w", r.prog.Name, errs[0])
 	}
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {

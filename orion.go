@@ -262,17 +262,12 @@ func SimulateObs(v *Version, d *Device, cc CacheConfig, targetWarps, gridWarps i
 	return v.RunAtCtx(d, cc, targetWarps, &interp.Launch{Prog: v.Prog, GridWarps: gridWarps}, c.Ctx())
 }
 
-// Profile is Simulate with issue tracing for the first traceWarps warps;
-// the result's Trace renders a per-warp timeline.
-func Profile(v *Version, d *Device, cc CacheConfig, targetWarps, gridWarps, traceWarps int) (*SimStats, error) {
-	return v.ProfileAt(d, cc, targetWarps, &interp.Launch{Prog: v.Prog, GridWarps: gridWarps}, traceWarps)
-}
-
-// ProfileDetailed is Profile with the full simulator-native profiler:
-// per-PC issue/stall attribution and sampled counter tracks per spec,
-// recorded into the result's Profile field (and, via the collector,
-// exported as Chrome trace counter tracks). Profiled runs always bypass
-// the run cache.
+// ProfileDetailed is Simulate with issue tracing for the first traceWarps
+// warps (the result's Trace renders a per-warp timeline) and the
+// simulator-native profiler: per-PC issue/stall attribution and sampled
+// counter tracks per spec, recorded into the result's Profile field (and,
+// via the collector, exported as Chrome trace counter tracks). Profiled
+// runs always bypass the run cache.
 func ProfileDetailed(v *Version, d *Device, cc CacheConfig, targetWarps, gridWarps, traceWarps int, spec *ProfileSpec, c *Collector) (*SimStats, error) {
 	return v.ProfileDetailedCtx(d, cc, targetWarps,
 		&interp.Launch{Prog: v.Prog, GridWarps: gridWarps}, traceWarps, spec, c.Ctx())
