@@ -34,15 +34,20 @@ lint:
 test:
 	$(GO) test ./...
 
+## test-race: internal/core alone takes about six minutes under -race on
+## two cores and over nine beside the other packages, so the default
+## ten-minute per-binary timeout is raised.
 test-race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 20m ./...
 
 race: test-race
 
 ## determinism: byte-identity of suite tables across serial/uncached and
 ## parallel/cached runs, of simulator Stats across repeated runs on both
 ## execution backends, of the allocator's work counters across repeated
-## and serial/parallel compiles, and of daemon responses across restarts
+## and serial/parallel compiles, of the compile task graph's fat binaries,
+## counters and span trees across serial/parallel compiles
+## (TestCompileDeterminismSerialVsParallel), and of daemon responses across restarts
 ## and concurrent duplicate requests — all under the race detector. The
 ## serve and memo suites run in full here because every one of their
 ## tests is a concurrency/determinism contract.

@@ -10,6 +10,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/occupancy"
 	"repro/internal/opt"
+	"repro/internal/par"
 	"repro/internal/prof"
 	"repro/internal/regalloc"
 	"repro/internal/tv"
@@ -137,42 +138,70 @@ func (l *Ladder) Realize(targetWarps int) (*Version, error) {
 	return l.RealizeCtx(targetWarps, l.r.Obs.Ctx())
 }
 
-// RealizeCtx is Realize with an explicit observability context. The
-// process-wide realization memo sits in front of the ladder, exactly as in
-// Realizer.RealizeCtx, and verified versions are verified per level.
+// RealizeCtx is Realize with an explicit observability context: the
+// realization, then the version's gates.
 func (l *Ladder) RealizeCtx(targetWarps int, x obs.Ctx) (*Version, error) {
+	v, err := l.realizeVersion(targetWarps, x)
+	if err != nil {
+		return nil, err
+	}
+	if err := l.gate(v, targetWarps, x); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+// realizeVersion is the ungated realization: the process-wide realization
+// memo in front of the ladder, exactly as in Realizer.RealizeCtx.
+func (l *Ladder) realizeVersion(targetWarps int, x obs.Ctx) (*Version, error) {
 	key, ok := l.r.cacheKey(l.p, targetWarps)
-	var v *Version
-	var err error
 	if !ok {
-		v, err = l.realize(targetWarps, x)
-	} else {
-		filled := false
-		v, err = realizeCache.Do(key, func() (*Version, error) {
-			filled = true
-			return l.realize(targetWarps, x)
-		})
-		if !filled && x.Enabled() {
-			sp := x.Span("realize.cached",
-				obs.String("kernel", l.p.Name),
-				obs.Int("target_warps", targetWarps))
-			if err != nil {
-				sp.SetAttr(obs.String("error", err.Error()))
-			}
-			sp.End()
-		}
+		return l.realize(targetWarps, x)
 	}
-	if err == nil && l.r.Verify {
-		if verr := l.r.verifyVersion(l.p, &l.oracle, v, x); verr != nil {
-			return nil, verr
+	filled := false
+	v, err := realizeCache.Do(key, func() (*Version, error) {
+		filled = true
+		return l.realize(targetWarps, x)
+	})
+	if !filled && x.Enabled() {
+		sp := x.Span("realize.cached",
+			obs.String("kernel", l.p.Name),
+			obs.Int("target_warps", targetWarps))
+		if err != nil {
+			sp.SetAttr(obs.String("error", err.Error()))
 		}
-	}
-	if err == nil {
-		if lerr := l.r.lintProgram(v.Prog, targetWarps, x); lerr != nil {
-			return nil, lerr
-		}
+		sp.End()
 	}
 	return v, err
+}
+
+// gate runs a realized version's two checks side by side: the allocation
+// verifier with the differential oracle (when the realizer verifies), and
+// the static analyzer. Each depends on nothing but the version, and the
+// verifier's error wins over the analyzer's, as when they ran in turn.
+func (l *Ladder) gate(v *Version, targetWarps int, x obs.Ctx) error {
+	var verr, lerr error
+	overlap(x, "gate",
+		func(gx obs.Ctx) {
+			if l.r.Verify {
+				verr = l.r.verifyVersion(l.p, &l.oracle, v, gx)
+			}
+		},
+		func(gx obs.Ctx) { lerr = l.r.lintProgram(v.Prog, targetWarps, gx) })
+	if verr != nil {
+		return verr
+	}
+	return lerr
+}
+
+// overlap runs tasks through one par.ForEach, each recording its spans
+// through its own fork context, and returns once all have finished. The
+// fork joins in task order, so the trace does not depend on scheduling; a
+// panicking task re-panics on the caller as *par.ItemPanic.
+func overlap(x obs.Ctx, label string, tasks ...func(obs.Ctx)) {
+	fork := x.Fork(label, len(tasks))
+	par.ForEach(0, len(tasks), func(i int) { tasks[i](fork.At(i)) })
+	fork.Join()
 }
 
 // realize wraps the uncached realization in a "realize" span.
@@ -522,25 +551,52 @@ func cloneForTarget(proto *Version, targetWarps int) *Version {
 	}
 }
 
+// budgets returns the budget pair a target's realization starts from: the
+// register budget and the shared spill slots the occupancy formulas leave,
+// or why the target is infeasible before any allocation.
+func (l *Ladder) budgets(targetWarps int) (budgetKey, error) {
+	r, p, d := l.r, l.p, l.r.Dev
+	regBudget := occupancy.MaxRegsForWarps(d, p.BlockDim, targetWarps)
+	if regBudget < minFuncBudget {
+		return budgetKey{}, &ErrInfeasible{targetWarps, "register budget too small"}
+	}
+	sharedCap := occupancy.MaxSharedForWarps(d, r.Cache, p.BlockDim, targetWarps)
+	if p.SharedBytes > sharedCap {
+		return budgetKey{}, &ErrInfeasible{targetWarps, "user shared memory exceeds capacity"}
+	}
+	return budgetKey{regBudget, (sharedCap - p.SharedBytes) / (4 * p.BlockDim)}, nil
+}
+
+// groupByBudget partitions indices into targets by the budget pair their
+// realizations start from, each group and the groups in index order. An
+// infeasible target is a group of its own.
+func (l *Ladder) groupByBudget(targets []int) [][]int {
+	var groups [][]int
+	byKey := map[budgetKey]int{}
+	for i, t := range targets {
+		b, err := l.budgets(t)
+		if g, ok := byKey[b]; ok && err == nil {
+			groups[g] = append(groups[g], i)
+			continue
+		}
+		if err == nil {
+			byKey[b] = len(groups)
+		}
+		groups = append(groups, []int{i})
+	}
+	return groups
+}
+
 // realizeUncached maps a target occupancy level onto budget pairs (with
 // the paper's tighten-and-retry loop for overflowing call chains) and
 // realizes them through the ladder.
 func (l *Ladder) realizeUncached(targetWarps int, x obs.Ctx) (*Version, error) {
-	r, p, d := l.r, l.p, l.r.Dev
-	regBudget := occupancy.MaxRegsForWarps(d, p.BlockDim, targetWarps)
-	if regBudget < minFuncBudget {
-		return nil, &ErrInfeasible{targetWarps, "register budget too small"}
+	p, d := l.p, l.r.Dev
+	b, err := l.budgets(targetWarps)
+	if err != nil {
+		return nil, err
 	}
-	sharedCap := occupancy.MaxSharedForWarps(d, r.Cache, p.BlockDim, targetWarps)
-	spillBytes := sharedCap - p.SharedBytes
-	sharedSlotBudget := 0
-	if spillBytes > 0 {
-		sharedSlotBudget = spillBytes / (4 * p.BlockDim)
-	}
-	if p.SharedBytes > sharedCap {
-		return nil, &ErrInfeasible{targetWarps, "user shared memory exceeds capacity"}
-	}
-
+	regBudget, sharedSlotBudget := b.reg, b.shared
 	for attempt := 0; attempt < 4; attempt++ {
 		v, err := l.withBudget(regBudget, sharedSlotBudget, x)
 		if err != nil {

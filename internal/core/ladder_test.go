@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -313,9 +312,8 @@ func TestAllocatorWorkDeterminism(t *testing.T) {
 					t.Fatalf("%s on %s run %d: allocator work %v, want %v", name, d.Name, run, got, first)
 				}
 			}
-			procs := runtime.GOMAXPROCS(1)
-			serial := work(k.Prog, d)
-			runtime.GOMAXPROCS(procs)
+			var serial [2]uint64
+			withProcs(1, func() { serial = work(k.Prog, d) })
 			if serial != first {
 				t.Fatalf("%s on %s: allocator work %v with the ladder serial, %v parallel", name, d.Name, serial, first)
 			}

@@ -148,6 +148,11 @@ func (r *Realizer) Compile(p *isa.Program, canTune bool) (*CompileResult, error)
 // the original version, the candidate ladder, and the fail-safe — flows
 // through one shared ladder context, so the middle-end analyses are built
 // once per function and clean allocations carry across register budgets.
+//
+// The phases run as a task graph whose edges are their data dependencies
+// (DESIGN.md §7): lint, max-live and the oracle's reference read only p;
+// the original's gates read only the original, and the rest of Figure 8
+// only its natural occupancy. Errors are reported in the serial order.
 func (r *Realizer) compile(p *isa.Program, canTune bool, x obs.Ctx) (*CompileResult, error) {
 	vsp := x.Span("validate")
 	err := isa.Validate(p)
@@ -155,18 +160,32 @@ func (r *Realizer) compile(p *isa.Program, canTune bool, x obs.Ctx) (*CompileRes
 	if err != nil {
 		return nil, err
 	}
-	if err := r.lintProgram(p, 0, x); err != nil {
-		return nil, err
-	}
+	levels := occupancy.Levels(r.Dev, p.BlockDim)
 	lad := r.NewLadder(p)
-	msp := x.Span("maxlive")
-	ml, err := lad.maxLive(msp.Ctx())
-	if err != nil {
-		msp.End()
-		return nil, fmt.Errorf("maxlive %s: %w", p.Name, err)
+	var lintErr, mlErr error
+	var ml int
+	overlap(x, "input",
+		func(ix obs.Ctx) { lintErr = r.lintProgram(p, 0, ix) },
+		func(ix obs.Ctx) {
+			msp := ix.Span("maxlive")
+			if ml, mlErr = lad.maxLive(msp.Ctx()); mlErr == nil {
+				msp.SetAttr(obs.Int("max_live", ml))
+			}
+			msp.End()
+		},
+		func(ix obs.Ctx) {
+			// Only an input whose block fits the device can have an original
+			// version; the reference run allocates what the input declares.
+			if r.Verify && len(levels) > 0 && p.SharedBytes <= r.Dev.SharedBytes(r.Cache) {
+				lad.oracle.get(p, ix)
+			}
+		})
+	if lintErr != nil {
+		return nil, lintErr
 	}
-	msp.SetAttr(obs.Int("max_live", ml))
-	msp.End()
+	if mlErr != nil {
+		return nil, fmt.Errorf("maxlive %s: %w", p.Name, mlErr)
+	}
 	res := &CompileResult{MaxLive: ml}
 	if ml >= DirectionThreshold(r.Dev) {
 		res.Direction = Increasing
@@ -174,18 +193,41 @@ func (r *Realizer) compile(p *isa.Program, canTune bool, x obs.Ctx) (*CompileRes
 		res.Direction = Decreasing
 	}
 
-	levels := occupancy.Levels(r.Dev, p.BlockDim)
 	minLevel := levels[0]
 
 	// Original version: everything lives in the minimal number of
 	// registers (target the lowest occupancy level, i.e., the largest
 	// register budget the hardware offers).
-	orig, err := lad.RealizeCtx(minLevel, x)
+	orig, err := lad.realizeVersion(minLevel, x)
 	if err != nil {
 		return nil, fmt.Errorf("compile %s: original version: %w", p.Name, err)
 	}
 	res.Original = orig
 
+	// The original's gates beside the rest of Figure 8, which needs only
+	// its natural occupancy; a gate failure drops what the other produced.
+	var gateErr error
+	overlap(x, "fig8",
+		func(gx obs.Ctx) { gateErr = lad.gate(orig, minLevel, gx) },
+		func(cx obs.Ctx) { r.candidates(res, lad, levels, cx) })
+	if gateErr != nil {
+		return nil, fmt.Errorf("compile %s: original version: %w", p.Name, gateErr)
+	}
+
+	if !canTune {
+		ssp := x.Span("static-select")
+		res.StaticChoice = r.staticSelect(p, res)
+		ssp.SetAttr(obs.Int("chosen_warps", res.StaticChoice.TargetWarps))
+		ssp.End()
+	}
+	return res, nil
+}
+
+// candidates fills res.Candidates and res.FailSafe from the realized
+// original: the upper-level fan-out in the increasing direction, the
+// padded lower levels and the fail-safe walk in the decreasing one.
+func (r *Realizer) candidates(res *CompileResult, lad *Ladder, levels []int, x obs.Ctx) {
+	orig := res.Original
 	if res.Direction == Increasing {
 		// Conservative version: the highest occupancy at which all values
 		// still fit on-chip (registers + shared spill slots, no local
@@ -200,12 +242,20 @@ func (r *Realizer) compile(p *isa.Program, canTune bool, x obs.Ctx) (*CompileRes
 		}
 		slots := make([]*Version, len(upper))
 		fork := x.Fork("candidate", len(upper))
-		par.ForEach(0, len(upper), func(i int) {
-			v, err := lad.RealizeCtx(upper[i], fork.At(i))
-			if err != nil {
-				return // level not realizable
+		realize := func(i int) {
+			// An unrealizable level leaves its slot nil.
+			if v, err := lad.RealizeCtx(upper[i], fork.At(i)); err == nil {
+				slots[i] = v
 			}
-			slots[i] = v
+		}
+		// Levels whose budgets round to one pair share one allocation and
+		// one binary. The group's first level realizes and analyzes it before
+		// the others ask, so the work lands in the same trace slot every run.
+		groups := lad.groupByBudget(upper)
+		par.ForEach(0, len(groups), func(g int) {
+			realize(groups[g][0])
+			rest := groups[g][1:]
+			par.ForEach(0, len(rest), func(j int) { realize(rest[j]) })
 		})
 		fork.Join()
 		var ladder []*Candidate
@@ -257,14 +307,6 @@ func (r *Realizer) compile(p *isa.Program, canTune bool, x obs.Ctx) (*CompileRes
 			}
 		}
 	}
-
-	if !canTune {
-		ssp := x.Span("static-select")
-		res.StaticChoice = r.staticSelect(p, res)
-		ssp.SetAttr(obs.Int("chosen_warps", res.StaticChoice.TargetWarps))
-		ssp.End()
-	}
-	return res, nil
 }
 
 // lowerLevels enumerates occupancy levels strictly below natural residency

@@ -31,6 +31,19 @@ func (fa *funcAnalysis) locSlot(s int) int {
 	return fa.nreg + fa.f.SpillShared + s
 }
 
+// slotName names a slot index for a diagnostic; it inverts the indexing
+// above and runs only when a finding is reported.
+func (fa *funcAnalysis) slotName(slot int) string {
+	switch {
+	case slot < fa.nreg:
+		return fmt.Sprintf("v%d", slot)
+	case slot < fa.nreg+fa.f.SpillShared:
+		return fmt.Sprintf("shared spill slot %d", slot-fa.nreg)
+	default:
+		return fmt.Sprintf("local spill slot %d", slot-fa.nreg-fa.f.SpillShared)
+	}
+}
+
 // assignStep updates the definitely-assigned set for one instruction.
 func (fa *funcAnalysis) assignStep(bits ir.BitSet, in *isa.Instr, pc int) {
 	w := in.W()
@@ -66,19 +79,19 @@ func (fa *funcAnalysis) assignStep(bits ir.BitSet, in *isa.Instr, pc int) {
 }
 
 // readSlots calls fn with every slot index an instruction reads.
-func (fa *funcAnalysis) readSlots(in *isa.Instr, fn func(slot int, what string)) {
+func (fa *funcAnalysis) readSlots(in *isa.Instr, fn func(slot int)) {
 	switch in.Op {
 	case isa.OpSpillSL:
 		for i := 0; i < in.W(); i++ {
 			if s := int(in.Imm) + i; s >= 0 && s < fa.f.SpillShared {
-				fn(fa.shSlot(s), fmt.Sprintf("shared spill slot %d", s))
+				fn(fa.shSlot(s))
 			}
 		}
 		return
 	case isa.OpSpillLL:
 		for i := 0; i < in.W(); i++ {
 			if s := int(in.Imm) + i; s >= 0 && s < fa.f.SpillLocal {
-				fn(fa.locSlot(s), fmt.Sprintf("local spill slot %d", s))
+				fn(fa.locSlot(s))
 			}
 		}
 		return
@@ -91,7 +104,7 @@ func (fa *funcAnalysis) readSlots(in *isa.Instr, fn func(slot int, what string))
 		wd := in.SrcWidth(s)
 		for i := 0; i < wd; i++ {
 			if slot := int(r) + i; slot < fa.nreg {
-				fn(slot, fmt.Sprintf("v%d", slot))
+				fn(slot)
 			}
 		}
 	}
@@ -148,13 +161,13 @@ func (fa *funcAnalysis) checkUninit() {
 		for pc := b.Start; pc < b.End; pc++ {
 			instr := &fa.f.Instrs[pc]
 			reported := false
-			fa.readSlots(instr, func(slot int, what string) {
+			fa.readSlots(instr, func(slot int) {
 				if reported || bits.Has(slot) {
 					return
 				}
 				reported = true
 				fa.addDiag(CodeUninit, bi, pc, fmt.Sprintf(
-					"%s may be read before it is assigned on some path", what))
+					"%s may be read before it is assigned on some path", fa.slotName(slot)))
 			})
 			fa.assignStep(bits, instr, pc)
 		}
@@ -213,7 +226,7 @@ func (fa *funcAnalysis) checkDeadStores() {
 					}
 				}
 			}
-			fa.readSlots(in, func(slot int, _ string) {
+			fa.readSlots(in, func(slot int) {
 				if slot < n {
 					live.Set(slot)
 				}
