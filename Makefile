@@ -47,13 +47,11 @@ race: test-race
 ## execution backends, of the allocator's work counters across repeated
 ## and serial/parallel compiles, of the compile task graph's fat binaries,
 ## counters and span trees across serial/parallel compiles
-## (TestCompileDeterminismSerialVsParallel), and of daemon responses across restarts
-## and concurrent duplicate requests — all under the race detector. The
-## serve and memo suites run in full here because every one of their
-## tests is a concurrency/determinism contract.
+## (TestCompileDeterminismSerialVsParallel) — all under the race detector,
+## three times over as a stress. The daemon's restart and duplicate-request
+## contracts run in full under -race in test-race, which check runs first.
 determinism:
-	$(GO) test -race -run Determinism ./internal/bench/ ./internal/sim/ ./internal/opt/ ./internal/core/
-	$(GO) test -race ./internal/serve/ ./internal/memo/
+	$(GO) test -race -count=3 -run Determinism ./internal/bench/ ./internal/sim/ ./internal/opt/ ./internal/core/
 
 ## fuzz-short: a quick coverage-guided pass over each fuzz target; the
 ## checked-in corpora run as plain regression tests under `make test`.
@@ -66,13 +64,14 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzPerm -fuzztime 10s ./internal/tv/
 
 ## bench-smoke: one iteration of the cold-sweep benchmark, of the
-## simulator throughput benchmark and of the spill-heavy coloring
-## benchmark — not a measurement, just proof the benchmark paths still
-## compile and run.
+## simulator throughput benchmark, of the spill-heavy coloring benchmark
+## and of the reference executor at both lane counts — not a measurement,
+## just proof the benchmark paths still compile and run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench SweepCold -benchtime 1x ./internal/bench/
 	$(GO) test -run '^$$' -bench 'Simulator$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench AllocateSpillHeavy -benchtime 1x ./internal/regalloc/
+	$(GO) test -run '^$$' -bench WarpStep -benchtime 1x ./internal/interp/
 
 ## bench: the repository's benchmark (BENCHMARK.json, benchmark/README.md):
 ## every workload once, every end-to-end metric printed by name, results

@@ -156,7 +156,10 @@ func Profile(p *isa.Program, sampleWarps int) (instsPerWarp, memInstsPerWarp flo
 		if p.SharedBytes > 0 {
 			shared = make([]uint32, (p.SharedBytes+3)/4)
 		}
-		w := interp.NewWarp(lc, layout, wi, shared)
+		w, err := interp.NewWarp(lc, layout, wi, shared)
+		if err != nil {
+			return 0, 0, err
+		}
 		for !w.Done() {
 			ev := w.Peek()
 			insts++

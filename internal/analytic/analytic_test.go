@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/device"
+	"repro/internal/interp"
 	"repro/internal/isa"
 )
 
@@ -90,5 +91,60 @@ func TestProfileCountsInstructions(t *testing.T) {
 	}
 	if mems != 3 {
 		t.Errorf("mem insts/warp = %v, want 3 (2 loads + 1 store)", mems)
+	}
+}
+
+// TestProfileRejectsOversizedFrame: a valid kernel whose frame exceeds
+// the executor's register file is reported as an error, not a panic.
+func TestProfileRejectsOversizedFrame(t *testing.T) {
+	p := isa.MustParse(`
+.kernel big
+.blockdim 32
+.func main
+  MOVI v600, 1
+  STG [v600], v600
+  EXIT
+`)
+	if err := isa.Validate(p); err != nil {
+		t.Fatalf("test premise broken: %v", err)
+	}
+	if _, _, err := Profile(p, 2); err == nil {
+		t.Fatal("Profile accepted a frame larger than the register file")
+	}
+}
+
+// TestProfileCountsLaneDivergence: Profile executes a lane-variant kernel
+// lane-accurately, so both sides of a branch on LANEID parity count, as
+// they do in interp.Run (11 instructions per warp; 10 if LANEID read 0).
+func TestProfileCountsLaneDivergence(t *testing.T) {
+	p := isa.MustParse(`
+.kernel parity
+.blockdim 32
+.func main
+  RDSP v0, LANEID
+  MOVI v1, 1
+  AND v2, v0, v1
+  CBR v2, odd
+  MOVI v3, 100
+  BRA join
+odd:
+  MOVI v3, 200
+join:
+  MOVI v4, 2
+  SHL v5, v0, v4
+  STG [v5], v3
+  EXIT
+`)
+	const warps = 2
+	insts, _, err := Profile(p, warps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := interp.Run(&interp.Launch{Prog: p, GridWarps: warps}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := float64(res.Steps) / warps; insts != want {
+		t.Errorf("Profile counts %v instructions per warp, interp.Run executes %v", insts, want)
 	}
 }

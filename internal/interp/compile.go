@@ -17,11 +17,11 @@ import (
 // (Warp) remains the semantic source of truth — every closure mirrors the
 // corresponding Advance case exactly, including error strings — and the
 // differential tests in this package and package sim hold the two backends
-// to bit-identical results. Only warp-scalar execution is compiled:
-// lane-variant (LANEID) kernels run the reference SIMTWarp.
+// to bit-identical results. Only one-lane execution is compiled:
+// lane-variant (LANEID) kernels run the reference Warp at 32 lanes.
 
 // StepExecutor is the one stepping interface the timing simulator drives,
-// implemented by all three executors (CWarp, Warp, SIMTWarp). Fill writes
+// implemented by both executors (CWarp, Warp). Fill writes
 // the next event into caller-owned storage (no per-peek copy of a freshly
 // built Event) and the event carries the DstW/SrcW operand widths, so the
 // scoreboard never re-derives them. Release returns pooled execution state
@@ -43,7 +43,6 @@ type StepExecutor interface {
 var (
 	_ StepExecutor = (*CWarp)(nil)
 	_ StepExecutor = (*Warp)(nil)
-	_ StepExecutor = (*SIMTWarp)(nil)
 )
 
 // addrMode tells Fill how to compute the event address for memory ops; all
@@ -182,7 +181,7 @@ type CWarp struct {
 	WarpInBlk int
 	SMID      int
 
-	regs     [regFileSize]uint32
+	regs     [RegFileSize]uint32
 	shSpill  []uint32
 	locSpill []uint32
 	shared   []uint32
@@ -212,7 +211,7 @@ func NewCWarp(c *Compiled, lc *Launch, warpID int, shared []uint32) *CWarp {
 	w.BlockID = w.WarpID / wpb
 	w.WarpInBlk = w.WarpID % wpb
 	w.SMID = 0
-	w.regs = [regFileSize]uint32{}
+	w.regs = [RegFileSize]uint32{}
 	w.shSpill = reuseZeroed(w.shSpill, c.layout.SharedSpillSlots)
 	w.locSpill = reuseZeroed(w.locSpill, c.layout.LocalSpillSlots)
 	w.shared = shared
@@ -665,7 +664,7 @@ func (c *Compiled) compileOp(fi, pc int, in *isa.Instr) func(*CWarp) {
 		return func(w *CWarp) {
 			fr := w.fr
 			newBase := fr.base + bk
-			if newBase+calleeFrame > regFileSize {
+			if newBase+calleeFrame > RegFileSize {
 				w.err = fmt.Errorf("interp: register file overflow calling %s", calleeName)
 				return
 			}

@@ -41,7 +41,11 @@ func lockstepProg(t *testing.T, p *isa.Program, gridWarps int) {
 			sharedRef = make([]uint32, sharedWords)
 			sharedGot = make([]uint32, sharedWords)
 		}
-		var ref, got StepExecutor = NewWarp(lc, layout, wi, sharedRef), NewCWarp(comp, lc, wi, sharedGot)
+		w, err := NewWarp(lc, layout, wi, sharedRef)
+		if err != nil {
+			t.Fatalf("NewWarp: %v", err)
+		}
+		var ref, got StepExecutor = w, NewCWarp(comp, lc, wi, sharedGot)
 		for step := 0; ; step++ {
 			if step > 500_000 {
 				t.Fatalf("warp %d: runaway kernel", wi)

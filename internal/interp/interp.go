@@ -7,20 +7,25 @@
 // core, reading each instruction's resolved physical registers and memory
 // address before committing it.
 //
-// Execution model: one logical lane per warp (the paper's occupancy
-// phenomena are warp-granular). Global memory is deterministic pseudo-data:
-// loads of address a return hash(a), stores are logged into a per-warp
-// checksum. This makes results independent of warp scheduling, so the
-// functional interpreter and the timing simulator observe identical
-// semantics. Local memory and spill slots are private read-write state;
-// user shared memory is block-private read-write state (benchmarks use it
-// warp-disjointly).
+// Execution model: one reference executor, Warp, runs a warp as one lane
+// when its program never reads LANEID (every lane would compute the same
+// values, and the paper's occupancy phenomena are warp-granular) and as
+// 32 lanes with divergence, coalescing and bank conflicts when it does.
+// CWarp is its compiled one-lane twin. Global memory is deterministic
+// pseudo-data: loads of address a return hash(a), stores are logged into
+// a per-warp checksum. This makes results independent of warp
+// scheduling, so the functional interpreter and the timing simulator
+// observe identical semantics. Local memory and spill slots are private
+// read-write state; user shared memory is block-private read-write state
+// (benchmarks use it warp-disjointly).
 package interp
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"repro/internal/isa"
 )
@@ -29,8 +34,8 @@ import (
 // (use it to catch accidental infinite loops in kernels under test).
 var ErrStepLimit = errors.New("interp: step limit exceeded")
 
-// ErrDivergedBarrier is the SIMT executor's fault when a warp whose lanes
-// have diverged reaches a BAR.
+// ErrDivergedBarrier is the executor's fault when a warp whose lanes have
+// diverged reaches a BAR.
 var ErrDivergedBarrier = errors.New("interp: BAR executed by a diverged warp")
 
 // Space identifies the memory space touched by an instruction event.
@@ -71,12 +76,13 @@ type Event struct {
 	AbsSrc [3]int // absolute src registers (-1 terminated)
 	NSrc   int
 
-	// SIMT-mode extras. Lines is the set of distinct cache lines the
-	// active lanes touch on a global access (nil in warp-scalar mode: one
-	// implicit line at Addr). ActiveLanes is the active-mask population
-	// (0 means warp-scalar execution). BankConflicts is the worst
-	// per-bank multiplicity of a shared-memory access (1 = conflict-free;
-	// the hardware serializes conflicting lanes).
+	// Lane extras, set only by a 32-lane warp. Lines is the set of
+	// distinct cache lines the active lanes touch on a global access (nil
+	// on a one-lane warp: one implicit line at Addr). ActiveLanes is the
+	// active-mask population (0 on a one-lane warp). BankConflicts is the
+	// worst per-bank multiplicity of a user shared-memory access (1 =
+	// conflict-free; the hardware serializes conflicting lanes; 0 on a
+	// one-lane warp).
 	Lines         []uint64
 	ActiveLanes   int
 	BankConflicts int
@@ -252,18 +258,41 @@ func (lc *Launch) WarpsPerBlock() int { return lc.Prog.BlockDim / 32 }
 // hard ceiling on the deepest call chain's register high-water.
 const RegFileSize = 512
 
-const regFileSize = RegFileSize
+// ErrSIMTUnsupported is returned for a lane-variant program with calls:
+// lane-accurate execution keeps one frame (divergent call stacks are out
+// of scope, as on early hardware).
+var ErrSIMTUnsupported = errors.New("interp: lane-accurate execution requires a single function without calls")
+
+// WarpWidth is the number of lanes per warp.
+const WarpWidth = 32
+
+const lineBytes = 128
 
 type frame struct {
 	fn      int
-	pc      int
+	pc      int // a suspended caller's return address
 	base    int
 	shBase  int
 	locBase int
 	retDst  int // absolute register for return value, -1 if none
 }
 
-// Warp is a stepping executor for a single warp.
+// fragment is a set of lanes at one pc of the top frame.
+type fragment struct {
+	pc   int
+	mask uint32
+}
+
+// Warp is the reference stepping executor for a single warp.
+//
+// A warp whose program reads LANEID runs all WarpWidth lanes; any other
+// runs one, since every lane would compute the same values. Divergence
+// uses MinPC fragment scheduling: the warp is a set of (pc, mask)
+// fragments, the fragment with the smallest pc executes next, and
+// fragments that meet at the same pc merge — guaranteeing reconvergence
+// for reducible control flow without post-dominator analysis. A one-lane
+// warp always has exactly one fragment; only it executes CALL/RET, on a
+// stack of frames.
 type Warp struct {
 	prog   *isa.Program
 	layout *Layout
@@ -275,13 +304,17 @@ type Warp struct {
 	WarpInBlk int
 	SMID      int
 
-	regs     [regFileSize]uint32
-	shSpill  []uint32
-	locSpill []uint32
+	lanes    int      // 1, or WarpWidth for a lane-variant program
+	nreg     int      // registers per lane: the layout's high-water
+	regs     []uint32 // lane-major: lane l's file is regs[l*nreg:]
+	shSpill  []uint32 // lane-major, SharedSpillSlots per lane
+	locSpill []uint32 // lane-major, LocalSpillSlots per lane
 	shared   []uint32 // block shared memory (user); shared across warps of a block
 
-	stack []frame
-	done  bool
+	stack   []frame
+	code    []isa.Instr // the top frame's function body
+	frags   []fragment  // empty once every lane has exited
+	lineBuf []uint64
 
 	// Stats.
 	Steps    int
@@ -289,39 +322,57 @@ type Warp struct {
 	StoreCnt int
 
 	// StoreSink, when set, receives every global store as it commits: the
-	// byte address and the W() words written (a view into the register
-	// file, valid only during the call). The differential oracle captures
-	// store streams through it instead of Peeking every instruction.
+	// byte address and the W() words one lane writes (a view into the
+	// register file, valid only during the call). The differential oracle
+	// captures store streams through it instead of Peeking every
+	// instruction.
 	StoreSink func(addr uint32, words []uint32)
 }
 
 // NewWarp creates a warp executor. shared is the block's user shared-memory
 // array (length Prog.SharedBytes/4, rounded up); it may be shared between
-// the warps of one block, or nil if the program declares none.
-func NewWarp(lc *Launch, layout *Layout, warpID int, shared []uint32) *Warp {
+// the warps of one block, or nil if the program declares none. It fails
+// when the deepest call chain does not fit RegFileSize, and with
+// ErrSIMTUnsupported for a lane-variant program with calls.
+func NewWarp(lc *Launch, layout *Layout, warpID int, shared []uint32) (*Warp, error) {
+	if layout.RegHighWater > RegFileSize {
+		return nil, fmt.Errorf("interp: program needs %d registers, file holds %d",
+			layout.RegHighWater, RegFileSize)
+	}
+	p := lc.Prog
+	lanes, mask := 1, uint32(1)
+	if p.UsesLaneID() {
+		if len(p.Funcs) != 1 || slices.ContainsFunc(p.Entry().Instrs, func(in isa.Instr) bool {
+			return in.Op == isa.OpCall || in.Op == isa.OpRet
+		}) {
+			return nil, ErrSIMTUnsupported
+		}
+		lanes, mask = WarpWidth, 0xFFFFFFFF
+	}
 	wpb := lc.WarpsPerBlock()
-	w := &Warp{
-		prog:      lc.Prog,
+	gid := lc.FirstWarp + warpID
+	return &Warp{
+		prog:      p,
 		layout:    layout,
 		launch:    lc,
-		WarpID:    lc.FirstWarp + warpID,
-		BlockID:   (lc.FirstWarp + warpID) / wpb,
-		WarpInBlk: (lc.FirstWarp + warpID) % wpb,
+		WarpID:    gid,
+		BlockID:   gid / wpb,
+		WarpInBlk: gid % wpb,
+		lanes:     lanes,
+		nreg:      layout.RegHighWater,
+		regs:      make([]uint32, lanes*layout.RegHighWater),
+		shSpill:   make([]uint32, lanes*layout.SharedSpillSlots),
+		locSpill:  make([]uint32, lanes*layout.LocalSpillSlots),
 		shared:    shared,
+		stack:     []frame{{fn: 0, retDst: -1}},
+		code:      p.Funcs[0].Instrs,
+		frags:     []fragment{{pc: 0, mask: mask}},
 		Checksum:  fnvOffset,
-	}
-	if n := layout.SharedSpillSlots; n > 0 {
-		w.shSpill = make([]uint32, n)
-	}
-	if n := layout.LocalSpillSlots; n > 0 {
-		w.locSpill = make([]uint32, n)
-	}
-	w.stack = append(w.stack, frame{fn: 0, retDst: -1})
-	return w
+	}, nil
 }
 
-// Done reports whether the warp has exited.
-func (w *Warp) Done() bool { return w.done }
+// Done reports whether every lane has exited.
+func (w *Warp) Done() bool { return len(w.frags) == 0 }
 
 // Result reports executed instruction count, store checksum, and stores.
 func (w *Warp) Result() (steps int, checksum uint64, stores int) {
@@ -336,50 +387,55 @@ func (w *Warp) Peek() Event {
 	return ev
 }
 
-// Fill is Peek into caller-owned storage (StepExecutor).
+// current returns the index of the fragment with the smallest pc.
+func (w *Warp) current() int {
+	best := 0
+	for i := 1; i < len(w.frags); i++ {
+		if w.frags[i].pc < w.frags[best].pc {
+			best = i
+		}
+	}
+	return best
+}
+
+// Fill is Peek into caller-owned storage (StepExecutor). On a
+// lane-variant warp ev.Lines aliases the warp's line buffer: it stays
+// valid until this warp's next Fill.
 func (w *Warp) Fill(ev *Event) {
-	if w.done {
+	if w.Done() {
 		*ev = Event{Kind: KindExit, AbsDst: -1}
 		return
 	}
+	fg := &w.frags[w.current()]
 	fr := &w.stack[len(w.stack)-1]
-	f := w.prog.Funcs[fr.fn]
-	in := &f.Instrs[fr.pc]
+	in := &w.code[fg.pc]
 	*ev = Event{Instr: in}
 	ev.setOperands(in, fr.base)
+	if w.lanes > 1 {
+		ev.ActiveLanes = bits.OnesCount32(fg.mask)
+	}
 	switch in.Op {
-	case isa.OpLdG:
-		ev.Kind, ev.Space = KindLoad, SpaceGlobal
-		ev.Addr = w.reg(fr, in.Src[0]) + uint32(in.Imm)
-		ev.Bytes = 4 * in.W()
-	case isa.OpStG:
-		ev.Kind, ev.Space = KindStore, SpaceGlobal
-		ev.Addr = w.reg(fr, in.Src[0]) + uint32(in.Imm)
-		ev.Bytes = 4 * in.W()
-	case isa.OpLdS:
-		ev.Kind, ev.Space = KindLoad, SpaceShared
-		ev.Addr = w.reg(fr, in.Src[0]) + uint32(in.Imm)
-		ev.Bytes = 4 * in.W()
-	case isa.OpStS:
-		ev.Kind, ev.Space = KindStore, SpaceShared
-		ev.Addr = w.reg(fr, in.Src[0]) + uint32(in.Imm)
-		ev.Bytes = 4 * in.W()
-	case isa.OpSpillSL:
-		ev.Kind, ev.Space = KindLoad, SpaceShared
+	case isa.OpLdG, isa.OpStG, isa.OpLdS, isa.OpStS:
+		ev.Kind, ev.Space, ev.Bytes = KindLoad, SpaceGlobal, 4*in.W()
+		if in.Op == isa.OpStG || in.Op == isa.OpStS {
+			ev.Kind = KindStore
+		}
+		if in.Op == isa.OpLdS || in.Op == isa.OpStS {
+			ev.Space = SpaceShared
+		}
+		w.gather(ev, fg.mask, fr.base+int(in.Src[0]), uint32(in.Imm))
+	case isa.OpSpillSL, isa.OpSpillSS:
+		ev.Kind, ev.Space, ev.Bytes = KindLoad, SpaceShared, 4*in.W()
+		if in.Op == isa.OpSpillSS {
+			ev.Kind = KindStore
+		}
 		ev.Addr = uint32(4 * (fr.shBase + int(in.Imm)))
-		ev.Bytes = 4 * in.W()
-	case isa.OpSpillSS:
-		ev.Kind, ev.Space = KindStore, SpaceShared
-		ev.Addr = uint32(4 * (fr.shBase + int(in.Imm)))
-		ev.Bytes = 4 * in.W()
-	case isa.OpSpillLL:
-		ev.Kind, ev.Space = KindLoad, SpaceLocal
+	case isa.OpSpillLL, isa.OpSpillLS:
+		ev.Kind, ev.Space, ev.Bytes = KindLoad, SpaceLocal, 4*in.W()
+		if in.Op == isa.OpSpillLS {
+			ev.Kind = KindStore
+		}
 		ev.Addr = w.localAddr(fr, in)
-		ev.Bytes = 4 * in.W()
-	case isa.OpSpillLS:
-		ev.Kind, ev.Space = KindStore, SpaceLocal
-		ev.Addr = w.localAddr(fr, in)
-		ev.Bytes = 4 * in.W()
 	case isa.OpBra, isa.OpCbr:
 		ev.Kind = KindBranch
 	case isa.OpCall, isa.OpRet:
@@ -393,6 +449,41 @@ func (w *Warp) Fill(ev *Event) {
 		ev.Kind = KindFPU
 	default:
 		ev.Kind = KindALU
+	}
+}
+
+// gather sets a memory event's address from its first active lane's
+// address register (frame-absolute index reg). On a lane-variant warp it
+// also coalesces global accesses into their distinct cache lines, and
+// counts shared-memory bank conflicts (32 banks, 4-byte interleave:
+// distinct words on the same bank serialize, the same word broadcasts).
+func (w *Warp) gather(ev *Event, mask uint32, reg int, imm uint32) {
+	ev.Addr = w.regs[bits.TrailingZeros32(mask)*w.nreg+reg] + imm
+	if w.lanes == 1 {
+		return
+	}
+	w.lineBuf = w.lineBuf[:0]
+	var banks [WarpWidth]uint32
+	var bankCnt [WarpWidth]uint8
+	worst := uint8(1)
+	for m := mask; m != 0; m &= m - 1 {
+		addr := w.regs[bits.TrailingZeros32(m)*w.nreg+reg] + imm
+		if ev.Space == SpaceGlobal {
+			if line := uint64(addr) / lineBytes; !slices.Contains(w.lineBuf, line) {
+				w.lineBuf = append(w.lineBuf, line)
+			}
+			continue
+		}
+		if bank, word := (addr>>2)%WarpWidth, addr>>2; bankCnt[bank] == 0 || banks[bank] != word {
+			bankCnt[bank]++
+			banks[bank] = word
+			worst = max(worst, bankCnt[bank])
+		}
+	}
+	if ev.Space == SpaceGlobal {
+		ev.Lines = w.lineBuf
+	} else {
+		ev.BankConflicts = int(worst)
 	}
 }
 
@@ -412,30 +503,19 @@ const LocalSlotBytes = 128
 // the local space (each warp/slot pair occupies its own cache line).
 func (w *Warp) localAddr(fr *frame, in *isa.Instr) uint32 {
 	slot := fr.locBase + int(in.Imm)
-	stride := w.layout.LocalSpillSlots
-	if stride == 0 {
-		stride = 1
-	}
+	stride := max(w.layout.LocalSpillSlots, 1)
 	return uint32(LocalSlotBytes * (w.WarpID*stride + slot))
 }
 
-func (w *Warp) reg(fr *frame, r isa.Reg) uint32 {
-	return w.regs[fr.base+int(r)]
-}
-
-// ReadAbsReg returns the value of an absolute register-file slot (as
+// ReadAbsReg returns lane 0's value of an absolute register-file slot (as
 // resolved by Peek's AbsDst/AbsSrc fields). Out-of-range slots read as 0.
 // An observer uses this to capture a Peeked instruction's operands before
 // the step commits.
 func (w *Warp) ReadAbsReg(i int) uint32 {
-	if i < 0 || i >= regFileSize {
+	if i < 0 || i >= w.nreg {
 		return 0
 	}
 	return w.regs[i]
-}
-
-func (w *Warp) setReg(fr *frame, r isa.Reg, v uint32) {
-	w.regs[fr.base+int(r)] = v
 }
 
 // Step commits the current instruction. It returns the event executed.
@@ -444,168 +524,63 @@ func (w *Warp) Step() (Event, error) {
 	return ev, w.Advance()
 }
 
-// Advance commits the current instruction without resolving it into an
-// Event: the functional half of Step, for callers that only need the
-// architectural effects (registers, memory, the store checksum). On a
-// finished warp it is a no-op.
+// Advance commits the min-pc fragment's current instruction over its
+// active lanes without resolving it into an Event: the functional half of
+// Step, for callers that only need the architectural effects (registers,
+// memory, the store checksum). On a finished warp it is a no-op.
 func (w *Warp) Advance() error {
-	if w.done {
+	if w.Done() {
 		return nil
 	}
+	fi := w.current()
+	fg := &w.frags[fi]
 	fr := &w.stack[len(w.stack)-1]
-	f := w.prog.Funcs[fr.fn]
-	in := &f.Instrs[fr.pc]
+	in := &w.code[fg.pc]
 	w.Steps++
+	d, s0, s1, s2 := int(in.Dst), int(in.Src[0]), int(in.Src[1]), int(in.Src[2])
 
-	adv := true
 	switch in.Op {
-	case isa.OpIAdd:
-		w.setReg(fr, in.Dst, w.reg(fr, in.Src[0])+w.reg(fr, in.Src[1]))
-	case isa.OpISub:
-		w.setReg(fr, in.Dst, w.reg(fr, in.Src[0])-w.reg(fr, in.Src[1]))
-	case isa.OpIMul:
-		w.setReg(fr, in.Dst, w.reg(fr, in.Src[0])*w.reg(fr, in.Src[1]))
-	case isa.OpIMad:
-		w.setReg(fr, in.Dst, w.reg(fr, in.Src[0])*w.reg(fr, in.Src[1])+w.reg(fr, in.Src[2]))
-	case isa.OpIMin:
-		a, b := int32(w.reg(fr, in.Src[0])), int32(w.reg(fr, in.Src[1]))
-		if b < a {
-			a = b
-		}
-		w.setReg(fr, in.Dst, uint32(a))
-	case isa.OpIMax:
-		a, b := int32(w.reg(fr, in.Src[0])), int32(w.reg(fr, in.Src[1]))
-		if b > a {
-			a = b
-		}
-		w.setReg(fr, in.Dst, uint32(a))
-	case isa.OpAnd:
-		w.setReg(fr, in.Dst, w.reg(fr, in.Src[0])&w.reg(fr, in.Src[1]))
-	case isa.OpOr:
-		w.setReg(fr, in.Dst, w.reg(fr, in.Src[0])|w.reg(fr, in.Src[1]))
-	case isa.OpXor:
-		w.setReg(fr, in.Dst, w.reg(fr, in.Src[0])^w.reg(fr, in.Src[1]))
-	case isa.OpShl:
-		w.setReg(fr, in.Dst, w.reg(fr, in.Src[0])<<(w.reg(fr, in.Src[1])&31))
-	case isa.OpShr:
-		w.setReg(fr, in.Dst, w.reg(fr, in.Src[0])>>(w.reg(fr, in.Src[1])&31))
-	case isa.OpISet:
-		w.setReg(fr, in.Dst, boolWord(cmpInt(in.Cmp, int32(w.reg(fr, in.Src[0])), int32(w.reg(fr, in.Src[1])))))
-	case isa.OpFAdd:
-		w.setReg(fr, in.Dst, fop(w.reg(fr, in.Src[0]), w.reg(fr, in.Src[1]), func(a, b float32) float32 { return a + b }))
-	case isa.OpFSub:
-		w.setReg(fr, in.Dst, fop(w.reg(fr, in.Src[0]), w.reg(fr, in.Src[1]), func(a, b float32) float32 { return a - b }))
-	case isa.OpFMul:
-		w.setReg(fr, in.Dst, fop(w.reg(fr, in.Src[0]), w.reg(fr, in.Src[1]), func(a, b float32) float32 { return a * b }))
-	case isa.OpFFma:
-		a := math.Float32frombits(w.reg(fr, in.Src[0]))
-		b := math.Float32frombits(w.reg(fr, in.Src[1]))
-		c := math.Float32frombits(w.reg(fr, in.Src[2]))
-		w.setReg(fr, in.Dst, math.Float32bits(a*b+c))
-	case isa.OpFMin:
-		w.setReg(fr, in.Dst, fop(w.reg(fr, in.Src[0]), w.reg(fr, in.Src[1]), func(a, b float32) float32 {
-			if b < a {
-				return b
-			}
-			return a
-		}))
-	case isa.OpFMax:
-		w.setReg(fr, in.Dst, fop(w.reg(fr, in.Src[0]), w.reg(fr, in.Src[1]), func(a, b float32) float32 {
-			if b > a {
-				return b
-			}
-			return a
-		}))
-	case isa.OpFSet:
-		a := math.Float32frombits(w.reg(fr, in.Src[0]))
-		b := math.Float32frombits(w.reg(fr, in.Src[1]))
-		w.setReg(fr, in.Dst, boolWord(cmpFloat(in.Cmp, a, b)))
-	case isa.OpF2I:
-		fv := float64(math.Float32frombits(w.reg(fr, in.Src[0])))
-		var iv int32
-		switch {
-		case fv != fv: // NaN
-			iv = 0
-		case fv >= math.MaxInt32:
-			iv = math.MaxInt32
-		case fv <= math.MinInt32:
-			iv = math.MinInt32
-		default:
-			iv = int32(fv)
-		}
-		w.setReg(fr, in.Dst, uint32(iv))
-	case isa.OpI2F:
-		w.setReg(fr, in.Dst, math.Float32bits(float32(int32(w.reg(fr, in.Src[0])))))
-	case isa.OpMov:
-		for i := 0; i < in.W(); i++ {
-			w.regs[fr.base+int(in.Dst)+i] = w.regs[fr.base+int(in.Src[0])+i]
-		}
-	case isa.OpMovI:
-		w.setReg(fr, in.Dst, uint32(in.Imm))
-	case isa.OpRdSp:
-		w.setReg(fr, in.Dst, w.readSpecial(in.Sp))
-	case isa.OpLdG:
-		addr := w.reg(fr, in.Src[0]) + uint32(in.Imm)
-		for i := 0; i < in.W(); i++ {
-			w.regs[fr.base+int(in.Dst)+i] = GlobalData(addr + uint32(4*i))
-		}
-	case isa.OpStG:
-		addr := w.reg(fr, in.Src[0]) + uint32(in.Imm)
-		words := w.regs[fr.base+int(in.Src[1]):][:in.W()]
-		for i, v := range words {
-			w.logStore(addr+uint32(4*i), v)
-		}
-		if w.StoreSink != nil {
-			w.StoreSink(addr, words)
-		}
-	case isa.OpLdS:
-		addr := w.reg(fr, in.Src[0]) + uint32(in.Imm)
-		for i := 0; i < in.W(); i++ {
-			w.regs[fr.base+int(in.Dst)+i] = w.sharedWord(addr + uint32(4*i))
-		}
-	case isa.OpStS:
-		addr := w.reg(fr, in.Src[0]) + uint32(in.Imm)
-		for i := 0; i < in.W(); i++ {
-			w.setSharedWord(addr+uint32(4*i), w.regs[fr.base+int(in.Src[1])+i])
-		}
-	case isa.OpSpillSS:
-		for i := 0; i < in.W(); i++ {
-			w.shSpill[fr.shBase+int(in.Imm)+i] = w.regs[fr.base+int(in.Src[0])+i]
-		}
-	case isa.OpSpillSL:
-		for i := 0; i < in.W(); i++ {
-			w.regs[fr.base+int(in.Dst)+i] = w.shSpill[fr.shBase+int(in.Imm)+i]
-		}
-	case isa.OpSpillLS:
-		for i := 0; i < in.W(); i++ {
-			w.locSpill[fr.locBase+int(in.Imm)+i] = w.regs[fr.base+int(in.Src[0])+i]
-		}
-	case isa.OpSpillLL:
-		for i := 0; i < in.W(); i++ {
-			w.regs[fr.base+int(in.Dst)+i] = w.locSpill[fr.locBase+int(in.Imm)+i]
-		}
 	case isa.OpBra:
-		fr.pc = int(in.Tgt)
-		adv = false
+		fg.pc = int(in.Tgt)
+		w.mergeFragments()
+		return nil
 	case isa.OpCbr:
-		if w.reg(fr, in.Src[0]) != 0 {
-			fr.pc = int(in.Tgt)
-			adv = false
+		var taken uint32
+		for m := fg.mask; m != 0; m &= m - 1 {
+			if lane := bits.TrailingZeros32(m); w.regs[lane*w.nreg+fr.base+s0] != 0 {
+				taken |= 1 << lane
+			}
 		}
+		switch notTaken := fg.mask &^ taken; {
+		case notTaken == 0:
+			fg.pc = int(in.Tgt)
+		case taken == 0:
+			fg.pc++
+		default: // divergence: split into two fragments
+			fg.mask = notTaken
+			fg.pc++
+			w.frags = append(w.frags, fragment{pc: int(in.Tgt), mask: taken})
+		}
+		w.mergeFragments()
+		return nil
 	case isa.OpBar:
-		// Synchronization is a timing concern; functionally a no-op.
-	case isa.OpCall:
+		// Synchronization is a timing concern; functionally it only
+		// requires a converged warp.
+		if len(w.frags) != 1 {
+			return ErrDivergedBarrier
+		}
+		fg.pc++
+		return nil
+	case isa.OpCall: // one-lane warps only (NewWarp)
 		callee := int(in.Tgt)
-		k := w.layout.callIndex[fr.fn][fr.pc]
-		bk := w.layout.callBase[fr.fn][k]
-		newBase := fr.base + bk
+		newBase := fr.base + w.layout.callBase[fr.fn][w.layout.callIndex[fr.fn][fg.pc]]
 		cf := w.prog.Funcs[callee]
-		if newBase+w.layout.frameSize[callee] > regFileSize {
+		if newBase+w.layout.frameSize[callee] > w.nreg {
 			return fmt.Errorf("interp: register file overflow calling %s", cf.Name)
 		}
 		retDst := -1
 		if in.Dst != isa.RegNone {
-			retDst = fr.base + int(in.Dst)
+			retDst = fr.base + d
 		}
 		// ABI: arguments are copied into the callee frame's first registers.
 		// Read every source before writing any: the callee frame starts at
@@ -614,12 +589,10 @@ func (w *Warp) Advance() error {
 		// sequential copy would read an already-overwritten value.
 		var argv [3]uint32
 		for a := 0; a < cf.NumArgs; a++ {
-			argv[a] = w.reg(fr, in.Src[a])
+			argv[a] = w.regs[fr.base+int(in.Src[a])]
 		}
-		for a := 0; a < cf.NumArgs; a++ {
-			w.regs[newBase+a] = argv[a]
-		}
-		fr.pc++ // return address
+		copy(w.regs[newBase:], argv[:cf.NumArgs])
+		fr.pc = fg.pc + 1
 		w.stack = append(w.stack, frame{
 			fn:      callee,
 			base:    newBase,
@@ -627,32 +600,160 @@ func (w *Warp) Advance() error {
 			locBase: fr.locBase + w.layout.localSlots[fr.fn],
 			retDst:  retDst,
 		})
-		adv = false
+		w.code = cf.Instrs
+		fg.pc = 0
+		return nil
 	case isa.OpRet:
-		var rv uint32
-		hasRV := in.Src[0] != isa.RegNone
-		if hasRV {
-			rv = w.reg(fr, in.Src[0])
+		if in.Src[0] != isa.RegNone && fr.retDst >= 0 {
+			w.regs[fr.retDst] = w.regs[fr.base+s0]
 		}
-		retDst := fr.retDst
 		w.stack = w.stack[:len(w.stack)-1]
-		if retDst >= 0 && hasRV {
-			w.regs[retDst] = rv
-		}
-		adv = false
+		top := &w.stack[len(w.stack)-1]
+		w.code = w.prog.Funcs[top.fn].Instrs
+		fg.pc = top.pc
+		return nil
 	case isa.OpExit:
-		w.done = true
-		adv = false
-	default:
-		return fmt.Errorf("interp: cannot execute %s", in.Op)
+		w.frags = append(w.frags[:fi], w.frags[fi+1:]...)
+		return nil
 	}
-	if adv {
-		fr.pc++
+
+	imm := uint32(in.Imm)
+	for m := fg.mask; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		r := w.regs[lane*w.nreg+fr.base:]
+		switch in.Op {
+		case isa.OpIAdd:
+			r[d] = r[s0] + r[s1]
+		case isa.OpISub:
+			r[d] = r[s0] - r[s1]
+		case isa.OpIMul:
+			r[d] = r[s0] * r[s1]
+		case isa.OpIMad:
+			r[d] = r[s0]*r[s1] + r[s2]
+		case isa.OpIMin:
+			r[d] = uint32(min(int32(r[s0]), int32(r[s1])))
+		case isa.OpIMax:
+			r[d] = uint32(max(int32(r[s0]), int32(r[s1])))
+		case isa.OpAnd:
+			r[d] = r[s0] & r[s1]
+		case isa.OpOr:
+			r[d] = r[s0] | r[s1]
+		case isa.OpXor:
+			r[d] = r[s0] ^ r[s1]
+		case isa.OpShl:
+			r[d] = r[s0] << (r[s1] & 31)
+		case isa.OpShr:
+			r[d] = r[s0] >> (r[s1] & 31)
+		case isa.OpISet:
+			r[d] = boolWord(cmpInt(in.Cmp, int32(r[s0]), int32(r[s1])))
+		case isa.OpFAdd:
+			r[d] = math.Float32bits(f32(r[s0]) + f32(r[s1]))
+		case isa.OpFSub:
+			r[d] = math.Float32bits(f32(r[s0]) - f32(r[s1]))
+		case isa.OpFMul:
+			r[d] = math.Float32bits(f32(r[s0]) * f32(r[s1]))
+		case isa.OpFFma:
+			r[d] = math.Float32bits(f32(r[s0])*f32(r[s1]) + f32(r[s2]))
+		case isa.OpFMin:
+			a, b := f32(r[s0]), f32(r[s1])
+			if b < a {
+				a = b
+			}
+			r[d] = math.Float32bits(a)
+		case isa.OpFMax:
+			a, b := f32(r[s0]), f32(r[s1])
+			if b > a {
+				a = b
+			}
+			r[d] = math.Float32bits(a)
+		case isa.OpFSet:
+			r[d] = boolWord(cmpFloat(in.Cmp, f32(r[s0]), f32(r[s1])))
+		case isa.OpF2I:
+			fv := float64(f32(r[s0]))
+			var iv int32
+			switch {
+			case fv != fv: // NaN
+				iv = 0
+			case fv >= math.MaxInt32:
+				iv = math.MaxInt32
+			case fv <= math.MinInt32:
+				iv = math.MinInt32
+			default:
+				iv = int32(fv)
+			}
+			r[d] = uint32(iv)
+		case isa.OpI2F:
+			r[d] = math.Float32bits(float32(int32(r[s0])))
+		case isa.OpMov:
+			for k := 0; k < in.W(); k++ {
+				r[d+k] = r[s0+k]
+			}
+		case isa.OpMovI:
+			r[d] = imm
+		case isa.OpRdSp:
+			r[d] = w.special(in.Sp, lane)
+		case isa.OpLdG:
+			addr := r[s0] + imm
+			for k := 0; k < in.W(); k++ {
+				r[d+k] = GlobalData(addr + uint32(4*k))
+			}
+		case isa.OpStG:
+			addr := r[s0] + imm
+			words := r[s1:][:in.W()]
+			for k, v := range words {
+				w.logStore(addr+uint32(4*k), v)
+			}
+			if w.StoreSink != nil {
+				w.StoreSink(addr, words)
+			}
+		case isa.OpLdS:
+			addr := r[s0] + imm
+			for k := 0; k < in.W(); k++ {
+				r[d+k] = w.sharedWord(addr + uint32(4*k))
+			}
+		case isa.OpStS:
+			addr := r[s0] + imm
+			for k := 0; k < in.W(); k++ {
+				w.setSharedWord(addr+uint32(4*k), r[s1+k])
+			}
+		case isa.OpSpillSS:
+			copy(w.shSpill[lane*w.layout.SharedSpillSlots+fr.shBase+int(in.Imm):][:in.W()], r[s0:])
+		case isa.OpSpillSL:
+			copy(r[d:][:in.W()], w.shSpill[lane*w.layout.SharedSpillSlots+fr.shBase+int(in.Imm):])
+		case isa.OpSpillLS:
+			copy(w.locSpill[lane*w.layout.LocalSpillSlots+fr.locBase+int(in.Imm):][:in.W()], r[s0:])
+		case isa.OpSpillLL:
+			copy(r[d:][:in.W()], w.locSpill[lane*w.layout.LocalSpillSlots+fr.locBase+int(in.Imm):])
+		default:
+			return fmt.Errorf("interp: cannot execute %s", in.Op)
+		}
 	}
+	fg.pc++
+	w.mergeFragments()
 	return nil
 }
 
-func (w *Warp) readSpecial(sp isa.Sp) uint32 {
+// mergeFragments coalesces fragments that reached the same pc
+// (reconvergence).
+func (w *Warp) mergeFragments() {
+	if len(w.frags) > 1 {
+		w.merge()
+	}
+}
+
+func (w *Warp) merge() {
+	out := w.frags[:0]
+	for _, f := range w.frags {
+		if i := slices.IndexFunc(out, func(o fragment) bool { return o.pc == f.pc }); i >= 0 {
+			out[i].mask |= f.mask
+		} else {
+			out = append(out, f)
+		}
+	}
+	w.frags = out
+}
+
+func (w *Warp) special(sp isa.Sp, lane int) uint32 {
 	switch sp {
 	case isa.SpWarpID:
 		return uint32(w.WarpID)
@@ -666,6 +767,8 @@ func (w *Warp) readSpecial(sp isa.Sp) uint32 {
 		return uint32(w.launch.WarpsPerBlock())
 	case isa.SpSMID:
 		return uint32(w.SMID)
+	case isa.SpLaneID:
+		return uint32(lane)
 	}
 	return 0
 }
@@ -719,6 +822,8 @@ func GlobalData(addr uint32) uint32 {
 	return uint32(x ^ (x >> 14))
 }
 
+func f32(u uint32) float32 { return math.Float32frombits(u) }
+
 func boolWord(b bool) uint32 {
 	if b {
 		return 1
@@ -762,10 +867,6 @@ func cmpFloat(c isa.Cmp, a, b float32) bool {
 	return false
 }
 
-func fop(a, b uint32, f func(float32, float32) float32) uint32 {
-	return math.Float32bits(f(math.Float32frombits(a), math.Float32frombits(b)))
-}
-
 // Result summarizes a functional run.
 type Result struct {
 	Checksum  uint64 // XOR of per-warp store checksums (schedule-independent)
@@ -784,20 +885,12 @@ func Run(lc *Launch, stepLimit int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The deepest call chain must fit the flat register file; the per-call
-	// overflow guard in Step cannot protect an entry frame that is already
-	// too large.
-	if layout.RegHighWater > regFileSize {
-		return nil, fmt.Errorf("interp: program needs %d registers, file holds %d",
-			layout.RegHighWater, regFileSize)
-	}
 	if stepLimit <= 0 {
 		stepLimit = 5_000_000
 	}
 	res := &Result{WarpSteps: make([]int, lc.GridWarps)}
 	wpb := lc.WarpsPerBlock()
 	sharedWords := (lc.Prog.SharedBytes + 3) / 4
-	simt := lc.Prog.UsesLaneID()
 	var shared []uint32
 	for wi := 0; wi < lc.GridWarps; wi++ {
 		if wi%wpb == 0 {
@@ -807,33 +900,22 @@ func Run(lc *Launch, stepLimit int) (*Result, error) {
 				shared = nil
 			}
 		}
-		var w interface {
-			Advance() error
-			Done() bool
-			Result() (steps int, checksum uint64, stores int)
-		}
-		if simt {
-			sw, err := NewSIMTWarp(lc, layout, wi, shared)
-			if err != nil {
-				return nil, err
-			}
-			w = sw
-		} else {
-			w = NewWarp(lc, layout, wi, shared)
+		w, err := NewWarp(lc, layout, wi, shared)
+		if err != nil {
+			return nil, err
 		}
 		for !w.Done() {
-			if steps, _, _ := w.Result(); steps >= stepLimit {
+			if w.Steps >= stepLimit {
 				return nil, fmt.Errorf("warp %d: %w", wi, ErrStepLimit)
 			}
 			if err := w.Advance(); err != nil {
 				return nil, fmt.Errorf("warp %d: %w", wi, err)
 			}
 		}
-		steps, cks, stores := w.Result()
-		res.Checksum ^= MixWarpChecksum(lc.FirstWarp+wi, cks)
-		res.Steps += steps
-		res.Stores += stores
-		res.WarpSteps[wi] = steps
+		res.Checksum ^= MixWarpChecksum(w.WarpID, w.Checksum)
+		res.Steps += w.Steps
+		res.Stores += w.StoreCnt
+		res.WarpSteps[wi] = w.Steps
 	}
 	return res, nil
 }

@@ -31,7 +31,10 @@ func evalOp(t *testing.T, mnem string, a, b uint32) uint32 {
 	if err != nil {
 		t.Fatalf("layout: %v", err)
 	}
-	w := NewWarp(&Launch{Prog: p, GridWarps: 1}, layout, 0, nil)
+	w, err := NewWarp(&Launch{Prog: p, GridWarps: 1}, layout, 0, nil)
+	if err != nil {
+		t.Fatalf("NewWarp: %v", err)
+	}
 	var stored uint32
 	for !w.Done() {
 		ev := w.Peek()

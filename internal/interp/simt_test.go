@@ -144,7 +144,7 @@ func TestSIMTCoalescingDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := NewSIMTWarp(&Launch{Prog: p, GridWarps: 1}, layout, 0, nil)
+	w, err := NewWarp(&Launch{Prog: p, GridWarps: 1}, layout, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestSIMTCoalescingDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2, err := NewSIMTWarp(&Launch{Prog: p2, GridWarps: 1}, layout2, 0, nil)
+	w2, err := NewWarp(&Launch{Prog: p2, GridWarps: 1}, layout2, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,8 +217,8 @@ func TestSIMTRejectsCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewSIMTWarp(&Launch{Prog: p, GridWarps: 1}, layout, 0, nil); err == nil {
-		t.Error("SIMT warp accepted a program with calls")
+	if _, err := NewWarp(&Launch{Prog: p, GridWarps: 1}, layout, 0, nil); err == nil {
+		t.Error("lane-variant warp accepted a program with calls")
 	}
 }
 
@@ -296,7 +296,7 @@ func TestSIMTBankConflicts(t *testing.T) {
 			t.Fatal(err)
 		}
 		shared := make([]uint32, 2048)
-		w, err := NewSIMTWarp(&Launch{Prog: p, GridWarps: 1}, layout, 0, shared)
+		w, err := NewWarp(&Launch{Prog: p, GridWarps: 1}, layout, 0, shared)
 		if err != nil {
 			t.Fatal(err)
 		}

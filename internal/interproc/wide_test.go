@@ -90,7 +90,10 @@ func TestMovementsExecuted(t *testing.T) {
 	if err != nil {
 		t.Fatalf("layout: %v", err)
 	}
-	w := interp.NewWarp(&interp.Launch{Prog: np, GridWarps: 1}, layout, 0, nil)
+	w, err := interp.NewWarp(&interp.Launch{Prog: np, GridWarps: 1}, layout, 0, nil)
+	if err != nil {
+		t.Fatalf("NewWarp: %v", err)
+	}
 	movs := 0
 	for !w.Done() {
 		ev := w.Peek()

@@ -1,7 +1,6 @@
 package sim
 
-// Backend selects the warp-scalar execution engine behind the timing
-// model.
+// Backend selects the one-lane execution engine behind the timing model.
 //
 // Both backends step the same binaries through the same issue, cache,
 // DRAM, and energy model; they differ only in how each warp's next
@@ -11,16 +10,16 @@ package sim
 //     one per instruction (package interp's CWarp), with pre-resolved
 //     operand templates. It is the zero value: every Config that does
 //     not say otherwise runs it.
-//   - BackendInterp steps the original tree-walking interpreter
-//     (interp.Warp). It is the reference semantics, selected per call
-//     through Config.Backend by the differential oracles
-//     (verify.CrossBackend, the sim tests).
+//   - BackendInterp steps the reference interpreter (interp.Warp). It
+//     is the reference semantics, selected per call through
+//     Config.Backend by the differential oracles (verify.CrossBackend,
+//     the sim tests).
 //
 // The two are required to be bit-identical on Stats fingerprints and
 // fault behavior; verify.CrossBackend and the sim differential tests
 // enforce that. A lane-variant kernel (one that reads LANEID) is outside
-// the choice: it runs the reference lane-accurate executor
-// (interp.SIMTWarp) under either value.
+// the choice: nothing is compiled for it, and interp.Warp runs it at 32
+// lanes under either value.
 type Backend uint8
 
 const (

@@ -231,8 +231,7 @@ type engine struct {
 	d           *device.Device
 	lc          *interp.Launch
 	layout      *interp.Layout
-	comp        *interp.Compiled // non-nil iff warp-scalar on BackendCompiled
-	simt        bool             // lane-variant: every warp is an interp.SIMTWarp
+	comp        *interp.Compiled // nil: every warp is an interp.Warp
 	wpb         int
 	numBlocks   int
 	sharedWords int
@@ -393,7 +392,6 @@ func simulateLoop(cfg Config, lc *interp.Launch) (*Stats, error) {
 		d:           d,
 		lc:          lc,
 		layout:      layout,
-		simt:        lc.Prog.UsesLaneID(),
 		wpb:         wpb,
 		numBlocks:   (lc.GridWarps + wpb - 1) / wpb,
 		sharedWords: (lc.Prog.SharedBytes + 3) / 4,
@@ -403,7 +401,7 @@ func simulateLoop(cfg Config, lc *interp.Launch) (*Stats, error) {
 		// (like the L2 slices) never couple SMs to each other.
 		dramService: d.DRAMServiceCycles * float64(d.SMs),
 	}
-	if cfg.Backend == BackendCompiled && !e.simt {
+	if cfg.Backend == BackendCompiled && !lc.Prog.UsesLaneID() {
 		// Block-compiled code is memoized per program like the layout.
 		if e.comp, err = interp.CompiledOf(lc.Prog); err != nil {
 			return nil, err
@@ -746,23 +744,18 @@ func (sm *smCtx) launchBlock(now uint64) int {
 	return n
 }
 
-// newExec builds one warp's executor: the reference lane-accurate one for
-// a lane-variant program, else the configured warp-scalar backend's.
+// newExec builds one warp's executor: the compiled one when the launch
+// has a compiled program, else the reference interpreter.
 func (e *engine) newExec(gid int, shared []uint32, smID int) (interp.StepExecutor, error) {
-	if e.simt {
-		w, err := interp.NewSIMTWarp(e.lc, e.layout, gid, shared)
-		if err != nil {
-			return nil, err
-		}
-		w.SMID = smID
-		return w, nil
-	}
 	if e.comp != nil {
 		w := interp.NewCWarp(e.comp, e.lc, gid, shared)
 		w.SMID = smID
 		return w, nil
 	}
-	w := interp.NewWarp(e.lc, e.layout, gid, shared)
+	w, err := interp.NewWarp(e.lc, e.layout, gid, shared)
+	if err != nil {
+		return nil, err
+	}
 	w.SMID = smID
 	return w, nil
 }

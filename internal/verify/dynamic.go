@@ -20,8 +20,9 @@ import (
 // are per-thread by construction).
 //
 // Lane-aware (LANEID) programs are checked for barrier divergence only:
-// the SIMT executor itself faults when a diverged warp reaches a BAR.
-// SIMT programs the executor cannot run are skipped with a nil result.
+// the executor itself faults when a diverged warp reaches a BAR.
+// Lane-aware programs the executor cannot run are skipped with a nil
+// result.
 func BlockOracle(p *isa.Program, stepLimit int) ([]Violation, error) {
 	if err := isa.Validate(p); err != nil {
 		return nil, err
@@ -29,10 +30,6 @@ func BlockOracle(p *isa.Program, stepLimit int) ([]Violation, error) {
 	layout, err := interp.NewLayout(p)
 	if err != nil {
 		return nil, err
-	}
-	if layout.RegHighWater > interp.RegFileSize {
-		return nil, fmt.Errorf("verify: program needs %d registers, file holds %d",
-			layout.RegHighWater, interp.RegFileSize)
 	}
 	wpb := p.BlockDim / 32
 	if wpb < 1 {
@@ -66,7 +63,10 @@ func BlockOracle(p *isa.Program, stepLimit int) ([]Violation, error) {
 	var accs []access
 	bars := make([]int, wpb)
 	for wi := 0; wi < wpb; wi++ {
-		w := interp.NewWarp(lc, layout, wi, shared)
+		w, err := interp.NewWarp(lc, layout, wi, shared)
+		if err != nil {
+			return nil, err
+		}
 		for steps := 0; !w.Done(); steps++ {
 			if steps >= stepLimit {
 				return nil, fmt.Errorf("verify: warp %d: %w", wi, interp.ErrStepLimit)
@@ -126,11 +126,11 @@ func BlockOracle(p *isa.Program, stepLimit int) ([]Violation, error) {
 	return out, nil
 }
 
-// simtBarrierOracle runs lane-aware programs through the SIMT executor,
-// which reports barrier divergence as a step error.
+// simtBarrierOracle runs lane-aware programs through the 32-lane
+// executor, which reports barrier divergence as a step error.
 func simtBarrierOracle(p *isa.Program, lc *interp.Launch, layout *interp.Layout, wpb int, shared []uint32, stepLimit int) ([]Violation, error) {
 	for wi := 0; wi < wpb; wi++ {
-		w, err := interp.NewSIMTWarp(lc, layout, wi, shared)
+		w, err := interp.NewWarp(lc, layout, wi, shared)
 		if err != nil {
 			if errors.Is(err, interp.ErrSIMTUnsupported) {
 				return nil, nil // cannot execute: abstain

@@ -68,10 +68,6 @@ func legacyLayout(p *isa.Program) (*interp.Layout, error) {
 	if err != nil {
 		return nil, err
 	}
-	if layout.RegHighWater > interp.RegFileSize {
-		return nil, fmt.Errorf("verify: program needs %d registers, file holds %d",
-			layout.RegHighWater, interp.RegFileSize)
-	}
 	return layout, nil
 }
 
@@ -89,7 +85,10 @@ func legacyStoreStreams(p *isa.Program, gridWarps, stepLimit int) ([][]uint32, e
 		if wi%wpb == 0 && sharedWords > 0 {
 			shared = make([]uint32, sharedWords)
 		}
-		w := interp.NewWarp(lc, layout, wi, shared)
+		w, err := interp.NewWarp(lc, layout, wi, shared)
+		if err != nil {
+			return nil, err
+		}
 		var stream []uint32
 		for steps := 0; !w.Done(); steps++ {
 			if steps >= stepLimit {
@@ -127,32 +126,21 @@ func legacyRun(p *isa.Program, gridWarps, stepLimit int) (*interp.Result, error)
 		if wi%wpb == 0 && sharedWords > 0 {
 			shared = make([]uint32, sharedWords)
 		}
-		var w interface {
-			Step() (interp.Event, error)
-			Done() bool
-			Result() (steps int, checksum uint64, stores int)
-		}
-		if p.UsesLaneID() {
-			sw, err := interp.NewSIMTWarp(lc, layout, wi, shared)
-			if err != nil {
-				return nil, err
-			}
-			w = sw
-		} else {
-			w = interp.NewWarp(lc, layout, wi, shared)
+		w, err := interp.NewWarp(lc, layout, wi, shared)
+		if err != nil {
+			return nil, err
 		}
 		for !w.Done() {
-			if steps, _, _ := w.Result(); steps >= stepLimit {
+			if w.Steps >= stepLimit {
 				return nil, fmt.Errorf("warp %d: %w", wi, interp.ErrStepLimit)
 			}
 			if _, err := w.Step(); err != nil {
 				return nil, fmt.Errorf("warp %d: %w", wi, err)
 			}
 		}
-		steps, cks, stores := w.Result()
-		res.Checksum ^= interp.MixWarpChecksum(wi, cks)
-		res.Steps += steps
-		res.Stores += stores
+		res.Checksum ^= interp.MixWarpChecksum(wi, w.Checksum)
+		res.Steps += w.Steps
+		res.Stores += w.StoreCnt
 	}
 	return res, nil
 }

@@ -151,10 +151,6 @@ func storeStreams(p *isa.Program, gridWarps, stepLimit int) ([][]uint32, error) 
 	if err != nil {
 		return nil, err
 	}
-	if layout.RegHighWater > interp.RegFileSize {
-		return nil, fmt.Errorf("verify: program needs %d registers, file holds %d",
-			layout.RegHighWater, interp.RegFileSize)
-	}
 	lc := &interp.Launch{Prog: p, GridWarps: gridWarps}
 	wpb := lc.WarpsPerBlock()
 	sharedWords := (p.SharedBytes + 3) / 4
@@ -164,7 +160,10 @@ func storeStreams(p *isa.Program, gridWarps, stepLimit int) ([][]uint32, error) 
 		if wi%wpb == 0 && sharedWords > 0 {
 			shared = make([]uint32, sharedWords)
 		}
-		w := interp.NewWarp(lc, layout, wi, shared)
+		w, err := interp.NewWarp(lc, layout, wi, shared)
+		if err != nil {
+			return nil, err
+		}
 		stream := &streams[wi]
 		w.StoreSink = func(addr uint32, words []uint32) {
 			*stream = append(append(*stream, addr), words...)
