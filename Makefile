@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet lint test race test-race determinism fuzz-short bench bench-quick bench-smoke bench-opt-smoke serve-smoke tv-smoke fmt fmt-check loc
+.PHONY: check build vet lint test race test-race determinism fuzz-short bench bench-quick bench-smoke bench-opt-smoke serve-smoke tv-smoke fmt fmt-check loc test-times
 
 ## check: the full CI gate — formatting, vet, staticcheck, build,
 ## race-enabled tests, the serial-vs-parallel determinism suite, a short
@@ -64,13 +64,14 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzPerm -fuzztime 10s ./internal/tv/
 
 ## bench-smoke: one iteration of the cold-sweep benchmark, of the
-## simulator throughput benchmark, of the spill-heavy coloring benchmark
-## and of the reference executor at both lane counts — not a measurement,
-## just proof the benchmark paths still compile and run.
+## simulator throughput benchmark, of the spill-heavy coloring benchmark,
+## of the multi-round spill loop and of the reference executor at both
+## lane counts — not a measurement, just proof the benchmark paths still
+## compile and run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench SweepCold -benchtime 1x ./internal/bench/
 	$(GO) test -run '^$$' -bench 'Simulator$$' -benchtime 1x .
-	$(GO) test -run '^$$' -bench AllocateSpillHeavy -benchtime 1x ./internal/regalloc/
+	$(GO) test -run '^$$' -bench 'AllocateSpillHeavy|SpillRounds' -benchtime 1x ./internal/regalloc/
 	$(GO) test -run '^$$' -bench WarpStep -benchtime 1x ./internal/interp/
 
 ## bench: the repository's benchmark (BENCHMARK.json, benchmark/README.md):
@@ -106,6 +107,26 @@ serve-smoke:
 ## and internal/tv disagree about a dependence).
 tv-smoke:
 	$(GO) test -count=1 -run TestTVSmoke .
+
+## test-times: one uncached `go test -json ./...`, reduced with awk and
+## sort to each package's wall time and the 15 slowest top-level tests
+## (package, seconds). Fails when any test failed.
+test-times:
+	@$(GO) test -count=1 -json ./... | awk ' \
+	/^\{"Time":"[^"]*","Action":"(pass|fail)"/ && /"Elapsed":/ { \
+		pkg = $$0; sub(/.*"Package":"/, "", pkg); sub(/".*/, "", pkg); \
+		sec = $$0; sub(/.*"Elapsed":/, "", sec); sub(/[,}].*/, "", sec); \
+		if ($$0 ~ /"Action":"fail"/) failed = 1; \
+		if ($$0 !~ /"Test":"/) { pkgs[pkg] = sec; next } \
+		test = $$0; sub(/.*"Test":"/, "", test); sub(/".*/, "", test); \
+		if (test !~ /\//) tests[pkg " " test] = sec } \
+	END { \
+		print "package wall time (s):"; \
+		for (k in pkgs) printf "%8.2f  %s\n", pkgs[k], k | "sort -rn"; close("sort -rn"); \
+		print "slowest tests (s):"; \
+		for (k in tests) { split(k, f, " "); printf "%8.2f  %s  %s\n", tests[k], f[1], f[2] | "sort -rn | head -15" } \
+		close("sort -rn | head -15"); \
+		if (failed) { print "test-times: some tests failed"; exit 1 } }'
 
 fmt:
 	gofmt -l .

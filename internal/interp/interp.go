@@ -463,7 +463,8 @@ func (w *Warp) gather(ev *Event, mask uint32, reg int, imm uint32) {
 		return
 	}
 	w.lineBuf = w.lineBuf[:0]
-	var banks [WarpWidth]uint32
+	var wordBuf [WarpWidth]uint32
+	words := wordBuf[:0] // distinct shared words seen so far
 	var bankCnt [WarpWidth]uint8
 	worst := uint8(1)
 	for m := mask; m != 0; m &= m - 1 {
@@ -474,9 +475,10 @@ func (w *Warp) gather(ev *Event, mask uint32, reg int, imm uint32) {
 			}
 			continue
 		}
-		if bank, word := (addr>>2)%WarpWidth, addr>>2; bankCnt[bank] == 0 || banks[bank] != word {
+		if word := addr >> 2; !slices.Contains(words, word) {
+			words = append(words, word)
+			bank := word % WarpWidth
 			bankCnt[bank]++
-			banks[bank] = word
 			worst = max(worst, bankCnt[bank])
 		}
 	}

@@ -277,19 +277,22 @@ func TestSIMTMatchesScalarOnUniformKernel(t *testing.T) {
 }
 
 func TestSIMTBankConflicts(t *testing.T) {
-	run := func(shift int) int {
+	// Each lane reads byte address (LANEID & mask) << shift.
+	run := func(mask, shift int) int {
 		src := fmt.Sprintf(`
 .kernel bank
 .shared 8192
 .blockdim 32
 .func main
   RDSP v0, LANEID
+  MOVI v4, %d
+  AND v5, v0, v4
   MOVI v1, %d
-  SHL v2, v0, v1
+  SHL v2, v5, v1
   LDS v3, [v2]
   STG [v2], v3
   EXIT
-`, shift)
+`, mask, shift)
 		p := isa.MustParse(src)
 		layout, err := NewLayout(p)
 		if err != nil {
@@ -313,15 +316,20 @@ func TestSIMTBankConflicts(t *testing.T) {
 		return worst
 	}
 	// shift 2: lane*4 bytes -> 32 distinct banks, conflict-free.
-	if got := run(2); got != 1 {
+	if got := run(31, 2); got != 1 {
 		t.Errorf("sequential access: conflicts = %d, want 1", got)
 	}
 	// shift 7: lane*128 bytes -> every lane hits bank 0: 32-way conflict.
-	if got := run(7); got != 32 {
+	if got := run(31, 7); got != 32 {
 		t.Errorf("128-stride access: conflicts = %d, want 32", got)
 	}
 	// shift 0: every lane reads the same word -> broadcast, conflict-free.
-	if got := run(0); got != 1 {
+	if got := run(31, 0); got != 1 {
 		t.Errorf("broadcast access: conflicts = %d, want 1", got)
+	}
+	// Lanes alternate between words 0 and 32, both on bank 0: two distinct
+	// words, so a 2-way conflict however often the bank switches between them.
+	if got := run(1, 7); got != 2 {
+		t.Errorf("alternating two-word access: conflicts = %d, want 2", got)
 	}
 }

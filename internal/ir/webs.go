@@ -46,7 +46,50 @@ func (v *Vars) VarAt(u isa.Reg) int { return v.UnitVar[u] }
 // Wide variables (64/96/128-bit) are handled as atomic groups: any unit
 // touched by a wide access joins its group, the group is one variable for
 // its entire range, and partial writes do not kill it.
-func SplitWebs(f *isa.Function) (*Vars, error) {
+func SplitWebs(f *isa.Function) (*Vars, error) { return splitWebs(f, ssaNames) }
+
+// Renumber is SplitWebs for input that is already web-split.
+//
+// Precondition: f is SplitWebs output, or such output after the
+// allocator's spill-code insertion (regalloc.InsertSpills), which only adds
+// fresh temporaries, each defined once. On such input every scalar
+// register unit is one web and web splitting is the identity on webs, so
+// Renumber skips SSA construction, takes each unit as its own web, and
+// returns exactly what SplitWebs(f) would. On input that reuses a unit for
+// independent values it still preserves semantics, but keeps those values
+// in one variable where SplitWebs would split them.
+func Renumber(f *isa.Function) (*Vars, error) { return splitWebs(f, unitNames) }
+
+// webNames names the web of each scalar (ungrouped) occurrence in a
+// function's reachable code. Names are dense in [0, n): arg(a) is the web
+// argument a arrives in, op(i, s) the web of source s of instruction i, or
+// of its destination when s < 0.
+type webNames struct {
+	n   int
+	arg func(a int) int
+	op  func(i, s int) int
+}
+
+// unitNames names every scalar occurrence by its register unit.
+func unitNames(cfg *CFG, grouped []bool) webNames {
+	instrs := cfg.F.Instrs
+	return webNames{
+		n:   len(grouped),
+		arg: func(a int) int { return a },
+		op: func(i, s int) int {
+			if s < 0 {
+				return int(instrs[i].Dst)
+			}
+			return int(instrs[i].Src[s])
+		},
+	}
+}
+
+// splitWebs groups wide accesses (step 1), names the scalar occurrences'
+// webs with names(cfg, grouped) (SplitWebs's steps 2–3, or none), and turns
+// the named webs and the wide groups into contiguous variables numbered by
+// first occurrence (steps 4–5).
+func splitWebs(f *isa.Function, names func(cfg *CFG, grouped []bool) webNames) (*Vars, error) {
 	n := f.NumVRegs
 	if n == 0 {
 		n = 1
@@ -57,8 +100,7 @@ func SplitWebs(f *isa.Function) (*Vars, error) {
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
-	find = func(x int) int {
+	find := func(x int) int {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
@@ -98,6 +140,176 @@ func SplitWebs(f *isa.Function) (*Vars, error) {
 	}
 
 	cfg := BuildCFG(f)
+	nm := names(cfg, grouped)
+
+	// 4. Build final variables. Arguments first (fixed ABI positions).
+	varOfName := make([]int, nm.n)
+	for i := range varOfName {
+		varOfName[i] = -1
+	}
+	varOfGroup := make([]int, n) // group root -> variable
+	groupLo := make([]int, n)    // group root -> lowest unit
+	groupHi := make([]int, n)    // group root -> highest unit
+	for u := range varOfGroup {
+		varOfGroup[u] = -1
+		groupLo[u] = -1
+	}
+	var defs []VarDef
+	// Argument variables: the web argument a arrives in.
+	for a := 0; a < f.NumArgs; a++ {
+		root := nm.arg(a)
+		if varOfName[root] >= 0 {
+			return nil, fmt.Errorf("ir: %s: two arguments share one web", f.Name)
+		}
+		varOfName[root] = len(defs)
+		defs = append(defs, VarDef{Width: 1, IsArg: true})
+	}
+	for u := 0; u < n; u++ {
+		if !grouped[u] {
+			continue
+		}
+		r := find(u)
+		if groupLo[r] < 0 {
+			groupLo[r] = u
+		}
+		groupHi[r] = u
+	}
+	varFor := func(name int) int {
+		if id := varOfName[name]; id >= 0 {
+			return id
+		}
+		id := len(defs)
+		varOfName[name] = id
+		defs = append(defs, VarDef{Width: 1})
+		return id
+	}
+	groupVar := func(u int) (int, int) { // returns var id, offset
+		r := find(u)
+		id := varOfGroup[r]
+		if id < 0 {
+			id = len(defs)
+			varOfGroup[r] = id
+			defs = append(defs, VarDef{Width: groupHi[r] - groupLo[r] + 1})
+		}
+		return id, u - groupLo[r]
+	}
+
+	// 5. Rewrite instructions into a cloned function. Unreachable blocks
+	// were skipped by naming, so their operands have no names; leaving them
+	// in place would let stale pre-renumbering registers survive into the
+	// rewritten function. The code can never execute, so each unreachable
+	// instruction becomes a self-branch (indices are preserved — only
+	// unreachable code can target it).
+	nf := f.Clone()
+	for bi := range cfg.Blocks {
+		if cfg.Reachable(bi) {
+			continue
+		}
+		for i := cfg.Blocks[bi].Start; i < cfg.Blocks[bi].End; i++ {
+			nf.Instrs[i] = isa.Instr{
+				Op:  isa.OpBra,
+				Dst: isa.RegNone,
+				Src: [3]isa.Reg{isa.RegNone, isa.RegNone, isa.RegNone},
+				Tgt: int32(i),
+			}
+		}
+	}
+	if nf.CallBounds != nil {
+		// Keep bounds only for call sites that survived (in order).
+		kept := make([]int, 0, len(nf.CallBounds))
+		k := 0
+		for i := range f.Instrs {
+			if f.Instrs[i].Op == isa.OpCall {
+				if bi := cfg.BlockOf[i]; bi >= 0 && cfg.Reachable(bi) {
+					kept = append(kept, nf.CallBounds[k])
+				}
+				k++
+			}
+		}
+		nf.CallBounds = kept
+	}
+	type patch struct {
+		instr int
+		srcI  int // -1 for dst
+		varID int
+		off   int
+	}
+	var patches []patch
+	for bi := range cfg.Blocks {
+		if !cfg.Reachable(bi) {
+			continue
+		}
+		b := &cfg.Blocks[bi]
+		for i := b.Start; i < b.End; i++ {
+			in := &f.Instrs[i]
+			for s := 0; s < in.NumSrcs(); s++ {
+				u := int(in.Src[s])
+				if grouped[u] {
+					id, off := groupVar(u)
+					patches = append(patches, patch{i, s, id, off})
+				} else {
+					patches = append(patches, patch{i, s, varFor(nm.op(i, s)), 0})
+				}
+			}
+			if in.HasDst() {
+				u := int(in.Dst)
+				if grouped[u] {
+					id, off := groupVar(u)
+					patches = append(patches, patch{i, -1, id, off})
+				} else {
+					patches = append(patches, patch{i, -1, varFor(nm.op(i, -1)), 0})
+				}
+			}
+		}
+	}
+
+	// Assign contiguous new bases: arguments at their ABI slots, then the
+	// rest packed densely.
+	base := f.NumArgs
+	totalUnits := 0
+	for vi := range defs {
+		if defs[vi].IsArg {
+			defs[vi].Base = isa.Reg(vi) // args are vars 0..NumArgs-1 in order
+			continue
+		}
+		defs[vi].Base = isa.Reg(base)
+		base += defs[vi].Width
+	}
+	totalUnits = base
+	if totalUnits == 0 {
+		totalUnits = 1
+	}
+	unitVar := make([]int, totalUnits)
+	for i := range unitVar {
+		unitVar[i] = -1
+	}
+	for vi, d := range defs {
+		for k := 0; k < d.Width; k++ {
+			unitVar[int(d.Base)+k] = vi
+		}
+	}
+	for _, pt := range patches {
+		in := &nf.Instrs[pt.instr]
+		r := defs[pt.varID].Base + isa.Reg(pt.off)
+		if pt.srcI == -1 {
+			in.Dst = r
+		} else {
+			in.Src[pt.srcI] = r
+		}
+		if in.IsSpill() {
+			defs[pt.varID].NoSpill = true
+		}
+	}
+	nf.NumVRegs = totalUnits
+	return &Vars{F: nf, Defs: defs, UnitVar: unitVar}, nil
+}
+
+// ssaNames is steps 2–3 of SplitWebs: it puts the scalar units into pruned
+// SSA form and names each occurrence by the root of its SSA name's
+// φ-coalesced class, i.e. by its web.
+func ssaNames(cfg *CFG, grouped []bool) webNames {
+	f := cfg.F
+	n := len(grouped)
 	unitLive := livenessUnits(cfg, n)
 	idom := Dominators(cfg)
 	df := DomFrontiers(cfg, idom)
@@ -176,8 +388,7 @@ func SplitWebs(f *isa.Function) (*Vars, error) {
 	}
 	// Union-find over names for φ-coalescing.
 	nameParent := []int{}
-	var nfind func(int) int
-	nfind = func(x int) int {
+	nfind := func(x int) int {
 		for nameParent[x] != x {
 			nameParent[x] = nameParent[nameParent[x]]
 			x = nameParent[x]
@@ -238,168 +449,16 @@ func SplitWebs(f *isa.Function) (*Vars, error) {
 		nameParent = append(nameParent, len(nameParent))
 	}
 
-	// 4. Build final variables. Arguments first (fixed ABI positions).
-	varOfName := map[int]int{}
-	varOfGroup := map[int]int{}
-	var defs []VarDef
-	// Argument variables: the web containing the entry name of unit a.
-	for a := 0; a < f.NumArgs; a++ {
-		root := nfind(entryName[a])
-		if _, dup := varOfName[root]; dup {
-			return nil, fmt.Errorf("ir: %s: two arguments share one web", f.Name)
-		}
-		varOfName[root] = len(defs)
-		defs = append(defs, VarDef{Width: 1, IsArg: true})
-	}
-	groupSpan := map[int][2]int{} // root -> [min,max] unit
-	for u := 0; u < n; u++ {
-		if !grouped[u] {
-			continue
-		}
-		r := find(u)
-		sp, ok := groupSpan[r]
-		if !ok {
-			sp = [2]int{u, u}
-		} else {
-			if u < sp[0] {
-				sp[0] = u
+	return webNames{
+		n:   nextName,
+		arg: func(a int) int { return nfind(entryName[a]) },
+		op: func(i, s int) int {
+			if s < 0 {
+				return nfind(defName[i])
 			}
-			if u > sp[1] {
-				sp[1] = u
-			}
-		}
-		groupSpan[r] = sp
+			return nfind(useName[i][s])
+		},
 	}
-	varFor := func(name int) int {
-		root := nfind(name)
-		if id, ok := varOfName[root]; ok {
-			return id
-		}
-		id := len(defs)
-		varOfName[root] = id
-		defs = append(defs, VarDef{Width: 1})
-		return id
-	}
-	groupVar := func(u int) (int, int) { // returns var id, offset
-		r := find(u)
-		sp := groupSpan[r]
-		id, ok := varOfGroup[r]
-		if !ok {
-			id = len(defs)
-			varOfGroup[r] = id
-			defs = append(defs, VarDef{Width: sp[1] - sp[0] + 1})
-		}
-		return id, u - sp[0]
-	}
-
-	// 5. Rewrite instructions into a cloned function. Unreachable blocks
-	// were skipped by φ placement and renaming, so their operands have no
-	// names; leaving them in place would let stale pre-renumbering
-	// registers survive into the rewritten function. The code can never
-	// execute, so each unreachable instruction becomes a self-branch
-	// (indices are preserved — only unreachable code can target it).
-	nf := f.Clone()
-	for bi := range cfg.Blocks {
-		if cfg.Reachable(bi) {
-			continue
-		}
-		for i := cfg.Blocks[bi].Start; i < cfg.Blocks[bi].End; i++ {
-			nf.Instrs[i] = isa.Instr{
-				Op:  isa.OpBra,
-				Dst: isa.RegNone,
-				Src: [3]isa.Reg{isa.RegNone, isa.RegNone, isa.RegNone},
-				Tgt: int32(i),
-			}
-		}
-	}
-	if nf.CallBounds != nil {
-		// Keep bounds only for call sites that survived (in order).
-		kept := make([]int, 0, len(nf.CallBounds))
-		k := 0
-		for i := range f.Instrs {
-			if f.Instrs[i].Op == isa.OpCall {
-				if bi := cfg.BlockOf[i]; bi >= 0 && cfg.Reachable(bi) {
-					kept = append(kept, nf.CallBounds[k])
-				}
-				k++
-			}
-		}
-		nf.CallBounds = kept
-	}
-	type patch struct {
-		instr int
-		srcI  int // -1 for dst
-		varID int
-		off   int
-	}
-	var patches []patch
-	for bi := range cfg.Blocks {
-		if !cfg.Reachable(bi) {
-			continue
-		}
-		b := &cfg.Blocks[bi]
-		for i := b.Start; i < b.End; i++ {
-			in := &f.Instrs[i]
-			for s := 0; s < in.NumSrcs(); s++ {
-				u := int(in.Src[s])
-				if grouped[u] {
-					id, off := groupVar(u)
-					patches = append(patches, patch{i, s, id, off})
-				} else {
-					patches = append(patches, patch{i, s, varFor(useName[i][s]), 0})
-				}
-			}
-			if in.HasDst() {
-				u := int(in.Dst)
-				if grouped[u] {
-					id, off := groupVar(u)
-					patches = append(patches, patch{i, -1, id, off})
-				} else {
-					patches = append(patches, patch{i, -1, varFor(defName[i]), 0})
-				}
-			}
-		}
-	}
-
-	// Assign contiguous new bases: arguments at their ABI slots, then the
-	// rest packed densely.
-	base := f.NumArgs
-	totalUnits := 0
-	for vi := range defs {
-		if defs[vi].IsArg {
-			defs[vi].Base = isa.Reg(vi) // args are vars 0..NumArgs-1 in order
-			continue
-		}
-		defs[vi].Base = isa.Reg(base)
-		base += defs[vi].Width
-	}
-	totalUnits = base
-	if totalUnits == 0 {
-		totalUnits = 1
-	}
-	unitVar := make([]int, totalUnits)
-	for i := range unitVar {
-		unitVar[i] = -1
-	}
-	for vi, d := range defs {
-		for k := 0; k < d.Width; k++ {
-			unitVar[int(d.Base)+k] = vi
-		}
-	}
-	for _, pt := range patches {
-		in := &nf.Instrs[pt.instr]
-		r := defs[pt.varID].Base + isa.Reg(pt.off)
-		if pt.srcI == -1 {
-			in.Dst = r
-		} else {
-			in.Src[pt.srcI] = r
-		}
-		if in.IsSpill() {
-			defs[pt.varID].NoSpill = true
-		}
-	}
-	nf.NumVRegs = totalUnits
-	return &Vars{F: nf, Defs: defs, UnitVar: unitVar}, nil
 }
 
 // livenessUnits computes per-block liveness over raw virtual register

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/interp"
@@ -20,9 +21,8 @@ func splitEntry(t *testing.T, src string) (*isa.Program, *Vars) {
 	return p, v
 }
 
-func TestSplitWebsIndependentReuse(t *testing.T) {
-	// v0 is reused for two independent values; webs must split them.
-	src := `
+// reuseSrc reuses v0 for two independent values.
+const reuseSrc = `
 .kernel k
 .blockdim 32
 .func main
@@ -32,7 +32,49 @@ func TestSplitWebsIndependentReuse(t *testing.T) {
   STG [v0], v0
   EXIT
 `
-	_, v := splitEntry(t, src)
+
+// wideSrc reads both halves of a 64-bit load as scalars.
+const wideSrc = `
+.kernel k
+.blockdim 32
+.func main
+  MOVI v0, 64
+  LDG.64 v2, [v0]
+  XOR v4, v2, v3     ; scalar reads of both halves
+  STG [v0], v4
+  EXIT
+`
+
+// argsSrc calls a two-argument function.
+const argsSrc = `
+.kernel k
+.blockdim 32
+.func main
+  MOVI v0, 3
+  CALL v1, f, v0, v0
+  STG [v0], v1
+  EXIT
+.func f args 2 ret
+  IADD v2, v0, v1
+  RET v2
+`
+
+// unreachableSrc has a block no path from the entry reaches.
+const unreachableSrc = `
+.kernel k
+.blockdim 32
+.func main
+  MOVI v0, 7
+  STG [v0], v0
+  EXIT
+dead:
+  CBR v5, dead
+  EXIT
+`
+
+func TestSplitWebsIndependentReuse(t *testing.T) {
+	// v0 is reused for two independent values; webs must split them.
+	_, v := splitEntry(t, reuseSrc)
 	d1, _ := v.DefOf(&v.F.Instrs[0])
 	d2, _ := v.DefOf(&v.F.Instrs[2])
 	if d1 == d2 {
@@ -81,17 +123,7 @@ func TestSplitWebsLoop(t *testing.T) {
 }
 
 func TestSplitWebsWideGroups(t *testing.T) {
-	src := `
-.kernel k
-.blockdim 32
-.func main
-  MOVI v0, 64
-  LDG.64 v2, [v0]
-  XOR v4, v2, v3     ; scalar reads of both halves
-  STG [v0], v4
-  EXIT
-`
-	_, v := splitEntry(t, src)
+	_, v := splitEntry(t, wideSrc)
 	ld := &v.F.Instrs[1]
 	d, full := v.DefOf(ld)
 	if !full {
@@ -110,19 +142,7 @@ func TestSplitWebsWideGroups(t *testing.T) {
 }
 
 func TestSplitWebsArgsKeepABISlots(t *testing.T) {
-	src := `
-.kernel k
-.blockdim 32
-.func main
-  MOVI v0, 3
-  CALL v1, f, v0, v0
-  STG [v0], v1
-  EXIT
-.func f args 2 ret
-  IADD v2, v0, v1
-  RET v2
-`
-	p, err := isa.Parse(src)
+	p, err := isa.Parse(argsSrc)
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
@@ -303,18 +323,7 @@ func TestSplitWebsUnreachableCode(t *testing.T) {
 	// while NumVRegs shrank — and the stale units indexed past UnitVar in
 	// the allocator. SplitWebs must leave no operand outside the new
 	// numbering.
-	src := `
-.kernel k
-.blockdim 32
-.func main
-  MOVI v0, 7
-  STG [v0], v0
-  EXIT
-dead:
-  CBR v5, dead
-  EXIT
-`
-	_, v := splitEntry(t, src)
+	_, v := splitEntry(t, unreachableSrc)
 	check := func(r isa.Reg) {
 		if r == isa.RegNone {
 			return
@@ -330,5 +339,108 @@ dead:
 		for _, s := range in.Src {
 			check(s)
 		}
+	}
+}
+
+// spillTempSrc has the shape a spill round hands Renumber: a store
+// temporary (v3, defined once and stored), a reload temporary (v4, loaded
+// and used once), a call site and an unreachable block.
+const spillTempSrc = `
+.kernel k
+.blockdim 32
+.func main
+  MOVI v0, 3
+  IADD v3, v0, v0
+  SPST.S 0, v3
+  SPLD.S v4, 0
+  CALL v1, f, v4
+  STG [v0], v1
+  EXIT
+dead:
+  CBR v2, dead
+  EXIT
+.func f args 1 ret
+  RET v0
+`
+
+// TestRenumberMatchesSplitWebs: on web-split input — each shape above
+// after one SplitWebs — Renumber gives exactly SplitWebs's variables, and
+// leaves the code as it found it.
+func TestRenumberMatchesSplitWebs(t *testing.T) {
+	srcs := map[string]string{
+		"reuse":       reuseSrc,
+		"diamond":     diamondSrc,
+		"loop":        loopSrc,
+		"wide":        wideSrc,
+		"args":        argsSrc,
+		"unreachable": unreachableSrc,
+		"spilltemps":  spillTempSrc,
+	}
+	for name, src := range srcs {
+		t.Run(name, func(t *testing.T) {
+			p, err := isa.Parse(src)
+			if err != nil {
+				t.Fatalf("Parse: %v", err)
+			}
+			for _, f := range p.Funcs {
+				w, err := SplitWebs(f)
+				if err != nil {
+					t.Fatalf("%s: SplitWebs: %v", f.Name, err)
+				}
+				want, err := SplitWebs(w.F)
+				if err != nil {
+					t.Fatalf("%s: SplitWebs of web-split input: %v", f.Name, err)
+				}
+				got, err := Renumber(w.F)
+				if err != nil {
+					t.Fatalf("%s: Renumber: %v", f.Name, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: Renumber differs from SplitWebs\n got %+v\nwant %+v", f.Name, got, want)
+				}
+				if !reflect.DeepEqual(got.F.Instrs, w.F.Instrs) || !reflect.DeepEqual(got.F.CallBounds, w.F.CallBounds) {
+					t.Errorf("%s: Renumber moved web-split code\n got %v %v\nwant %v %v",
+						f.Name, got.F.Instrs, got.F.CallBounds, w.F.Instrs, w.F.CallBounds)
+				}
+			}
+		})
+	}
+}
+
+// TestRenumberSpillTemps: the spill-temporary shape keeps its call bound
+// and its self-branches through Renumber, and both temporaries are marked
+// unspillable.
+func TestRenumberSpillTemps(t *testing.T) {
+	p, err := isa.Parse(spillTempSrc)
+	if err != nil {
+		t.Fatalf("Parse: %v", err)
+	}
+	f := p.Entry()
+	f.CallBounds = []int{5}
+	w, err := SplitWebs(f)
+	if err != nil {
+		t.Fatalf("SplitWebs: %v", err)
+	}
+	v, err := Renumber(w.F)
+	if err != nil {
+		t.Fatalf("Renumber: %v", err)
+	}
+	if !reflect.DeepEqual(v.F.CallBounds, []int{5}) {
+		t.Errorf("CallBounds = %v, want [5]", v.F.CallBounds)
+	}
+	for _, i := range []int{7, 8} {
+		if in := v.F.Instrs[i]; in.Op != isa.OpBra || in.Tgt != int32(i) {
+			t.Errorf("unreachable instruction %d = %+v, want a self-branch", i, in)
+		}
+	}
+	st, _ := v.DefOf(&v.F.Instrs[1])
+	ld, _ := v.DefOf(&v.F.Instrs[3])
+	for _, id := range []int{st, ld} {
+		if !v.Defs[id].NoSpill {
+			t.Errorf("spill temporary variable %d not marked NoSpill", id)
+		}
+	}
+	if d, _ := v.DefOf(&v.F.Instrs[0]); v.Defs[d].NoSpill {
+		t.Errorf("ordinary variable %d marked NoSpill", d)
 	}
 }

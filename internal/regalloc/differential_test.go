@@ -28,11 +28,31 @@ func diffAllocate(t *testing.T, what string, v *ir.Vars, g *Graph, cm *CostModel
 	return got
 }
 
+// spillRoundWebs splits the webs of a spill round's input and requires
+// ir.Renumber, which the Chaitin loop uses there, to give exactly the
+// same variables.
+func spillRoundWebs(t *testing.T, what string, cur *isa.Function) *ir.Vars {
+	t.Helper()
+	want, err := ir.SplitWebs(cur)
+	if err != nil {
+		t.Fatalf("%s: SplitWebs: %v", what, err)
+	}
+	got, err := ir.Renumber(cur)
+	if err != nil {
+		t.Fatalf("%s: Renumber: %v", what, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: Renumber differs from SplitWebs\n got %+v\nwant %+v", what, got, want)
+	}
+	return want
+}
+
 // diffFunction compares the two routines on f at every budget 4…70:
 // round 0 against the Prep (with its precomputed degrees on even budgets,
 // recomputed ones on odd), then every spill round the Chaitin loop would
 // take, so spill temporaries (NoSpill) and the scratch-backed graph are
-// covered too. It returns the number of round-0 cases that colored.
+// covered too; each spill round's webs are also Renumber's. It returns the
+// number of round-0 cases that colored.
 func diffFunction(t *testing.T, what string, f *isa.Function, sc *Scratch, work *refWork) (colored int) {
 	t.Helper()
 	pr, err := Prepare(f)
@@ -50,9 +70,7 @@ func diffFunction(t *testing.T, what string, f *isa.Function, sc *Scratch, work 
 		}
 		for round := 1; res != nil && len(res.Spilled) > 0 && round < 32; round++ {
 			cur := InsertSpills(v, PlanSpills(v, res.Spilled, 8))
-			if v, err = ir.SplitWebs(cur); err != nil {
-				t.Fatalf("%s budget %d round %d: %v", what, c, round, err)
-			}
+			v = spillRoundWebs(t, fmt.Sprintf("%s budget %d round %d", what, c, round), cur)
 			g := buildInterferenceInto(v, ir.ComputeLiveness(v), sc)
 			res = diffAllocate(t, fmt.Sprintf("%s round %d", what, round), v, g, BuildCostModel(v), nil, c, sc, work)
 		}
@@ -173,22 +191,7 @@ func randomColoring(rng *rand.Rand) (*ir.Vars, *Graph, *CostModel) {
 // that separates work proportional to the graph from work proportional to
 // n² and to the number of evictions. The reference runs beside it.
 func BenchmarkAllocateSpillHeavy(b *testing.B) {
-	ks, err := kernels.All()
-	if err != nil {
-		b.Fatal(err)
-	}
-	var pr *Prep
-	for _, k := range ks {
-		for _, f := range k.Prog.Funcs {
-			p, err := Prepare(f)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if pr == nil || p.Vars.NumVars() > pr.Vars.NumVars() {
-				pr = p
-			}
-		}
-	}
+	pr := largestPrep(b)
 	c := pr.MaxLive / 3
 	b.Run("allocate", func(b *testing.B) {
 		var sc Scratch
@@ -205,4 +208,52 @@ func BenchmarkAllocateSpillHeavy(b *testing.B) {
 			}
 		}
 	})
+}
+
+// largestPrep prepares the suite function with the most webs.
+func largestPrep(b *testing.B) *Prep {
+	b.Helper()
+	ks, err := kernels.All()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var pr *Prep
+	for _, k := range ks {
+		for _, f := range k.Prog.Funcs {
+			p, err := Prepare(f)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if pr == nil || p.Vars.NumVars() > pr.Vars.NumVars() {
+				pr = p
+			}
+		}
+	}
+	return pr
+}
+
+// BenchmarkSpillRounds times the whole Chaitin loop of Prep.ReColor on the
+// suite's largest function at the highest register budget that takes at
+// least three rounds: round 0 from the Prep, then spill rounds that
+// renumber webs and rebuild liveness, graph and costs.
+func BenchmarkSpillRounds(b *testing.B) {
+	pr := largestPrep(b)
+	const shared = 8
+	c, rounds := pr.MaxLive, 0
+	for ; c >= 4; c-- {
+		if a, err := pr.ReColor(c, shared); err == nil && a.Rounds >= 3 {
+			rounds = a.Rounds
+			break
+		}
+	}
+	if rounds == 0 {
+		b.Fatal("no register budget takes three rounds")
+	}
+	b.Logf("%s: %d webs, budget %d, %d rounds", pr.fn.Name, pr.Vars.NumVars(), c, rounds)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pr.ReColor(c, shared); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -42,7 +42,8 @@ func BuildCostModel(v *ir.Vars) *CostModel {
 // depend on the budgets).
 //
 // A Prep is immutable after Prepare returns and safe for concurrent
-// ReColor calls; spill rounds re-derive per-round state from scratch.
+// ReColor calls. Spill rounds build their own state: webs renumbered from
+// the previous round's (ir.Renumber), then liveness, graph and costs.
 type Prep struct {
 	Vars  *ir.Vars
 	Live  *ir.Live
@@ -99,8 +100,9 @@ func PrepareCtx(f *isa.Function, x obs.Ctx) (*Prep, error) {
 // ReColor runs only the budget-dependent half of the Chaitin loop against
 // the prepared analyses: simplify/select at budget c, plus the full
 // spill-and-retry loop should the round-0 coloring spill (later rounds
-// change the code, so they re-derive webs/liveness/graph as usual). The
-// result is identical to Run(f, c, sharedBudget) on the prepared function.
+// change the code, so they renumber the webs they already have and
+// rebuild liveness/graph/costs). The result is identical to Run(f, c,
+// sharedBudget) on the prepared function.
 func (pr *Prep) ReColor(c, sharedBudget int) (*Alloc, error) {
 	return pr.ReColorCtx(c, sharedBudget, obs.Ctx{})
 }

@@ -313,6 +313,28 @@ func TestAllocatePropertyRandomPrograms(t *testing.T) {
 			t.Fatalf("iter %d: checksum %x, want %x\nsource:\n%s\nallocated:\n%s",
 				iter, got, want, src, isa.Format(np))
 		}
+		checkSpillRounds(t, fmt.Sprintf("iter %d", iter), p.Entry(), budget, shared)
+	}
+}
+
+// checkSpillRounds walks the spill rounds Run(f, c, sharedBudget) takes
+// and requires each round's webs from ir.Renumber to equal SplitWebs's.
+func checkSpillRounds(t *testing.T, what string, f *isa.Function, c, sharedBudget int) {
+	t.Helper()
+	v, err := ir.SplitWebs(f)
+	if err != nil {
+		t.Fatalf("%s: SplitWebs: %v", what, err)
+	}
+	var sc Scratch
+	for round := 1; round < 32; round++ {
+		g := buildInterferenceInto(v, ir.ComputeLiveness(v), &sc)
+		res, err := allocate(v, g, BuildCostModel(v), nil, c, &sc)
+		if err != nil || len(res.Spilled) == 0 {
+			return
+		}
+		budget := max(sharedBudget-(v.F.SpillShared-f.SpillShared), 0)
+		cur := InsertSpills(v, PlanSpills(v, res.Spilled, budget))
+		v = spillRoundWebs(t, fmt.Sprintf("%s round %d", what, round), cur)
 	}
 }
 

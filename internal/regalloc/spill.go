@@ -197,9 +197,12 @@ func RunCtx(f *isa.Function, c, sharedBudget int, x obs.Ctx) (*Alloc, error) {
 
 // run is the Chaitin loop shared by RunCtx and Prep.ReColorCtx. With a
 // non-nil prep, round 0 consumes the prepared (budget-independent)
-// webs/liveness/graph/costs instead of rebuilding them; spill rounds
-// always re-derive them, since inserted spill code changes the function.
-// Scratch buffers are reused across rounds within one call.
+// webs/liveness/graph/costs instead of rebuilding them; without one it
+// splits webs. A spill round's input is the previous round's web-split
+// function plus fresh spill temporaries, so it takes its webs from
+// ir.Renumber rather than a second SSA construction, then rebuilds
+// liveness, the graph and the costs for the inserted spill code. Scratch
+// buffers are reused across rounds within one call.
 func run(f *isa.Function, pr *Prep, c, sharedBudget int, x obs.Ctx) (a *Alloc, rounds, spilled int, err error) {
 	cur := f
 	var sc Scratch
@@ -221,7 +224,11 @@ func run(f *isa.Function, pr *Prep, c, sharedBudget int, x obs.Ctx) (a *Alloc, r
 			v, live, g, cm, wdeg = pr.Vars, pr.Live, pr.Graph, pr.Costs, pr.wdeg
 		} else {
 			wsp := x.Span("webs", obs.Int("round", round))
-			v, err = ir.SplitWebs(cur)
+			if round == 0 {
+				v, err = ir.SplitWebs(cur)
+			} else {
+				v, err = ir.Renumber(cur)
+			}
 			wsp.End()
 			if err != nil {
 				return nil, rounds, spilled, err
