@@ -382,6 +382,54 @@ func TestTuneStaticSelection(t *testing.T) {
 	}
 }
 
+// TestStaticSelectRule pins the binding branch of the latency-hiding rule,
+// which no suite kernel reaches (their need is 1-2 warps): a kernel whose
+// instructions are mostly global loads needs DRAMLatency / ALULatency =
+// 280/16 = 17 warps on the C2075.
+func TestStaticSelectRule(t *testing.T) {
+	r := NewRealizer(device.TeslaC2075(), device.SmallCache)
+	p := isa.MustParse(`
+.kernel dense
+.blockdim 256
+.func main
+  RDSP v0, WARPID
+  LDG v1, [v0]
+  LDG v2, [v0+4]
+  LDG v3, [v0+8]
+  LDG v4, [v0+12]
+  STG [v0], v4
+  EXIT
+`)
+	if need := r.latencyHidingWarps(p); need != 17 {
+		t.Fatalf("latencyHidingWarps = %d, want 17", need)
+	}
+	result := func(dir Direction, orig int, cands ...int) *CompileResult {
+		res := &CompileResult{Direction: dir, Original: &Version{Natural: occupancy.Result{ActiveWarps: orig}}}
+		for _, w := range cands {
+			res.Candidates = append(res.Candidates, &Candidate{Version: &Version{}, TargetWarps: w})
+		}
+		return res
+	}
+	for _, tc := range []struct {
+		name string
+		res  *CompileResult
+		want int
+	}{
+		{"lowest covering level", result(Increasing, 16, 24, 32, 48), 24},
+		{"level equal to the need", result(Increasing, 16, 17, 24), 17},
+		{"none covers: highest", result(Increasing, 8, 12, 16), 16},
+		{"decreasing keeps the original", result(Decreasing, 48, 40, 32, 24), 48},
+	} {
+		got := r.staticSelect(p, tc.res)
+		if got.TargetWarps != tc.want {
+			t.Errorf("%s: chose %d warps, want %d", tc.name, got.TargetWarps, tc.want)
+		}
+		if tc.res.Direction == Decreasing && got.Version != tc.res.Original {
+			t.Errorf("%s: chose a version other than the original", tc.name)
+		}
+	}
+}
+
 func TestSweepShapes(t *testing.T) {
 	d := device.GTX680()
 	r := NewRealizer(d, device.SmallCache)

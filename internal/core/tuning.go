@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/analytic"
 	"repro/internal/device"
 	"repro/internal/ir"
 	"repro/internal/isa"
@@ -42,29 +41,7 @@ func MaxLive(p *isa.Program) (int, error) {
 		live := ir.ComputeLiveness(v)
 		per[fi] = live.MaxLive(v)
 	}
-	// Worst chain sum over the acyclic call graph.
-	memo := make([]int, len(p.Funcs))
-	for i := range memo {
-		memo[i] = -1
-	}
-	var chain func(fi int) int
-	chain = func(fi int) int {
-		if memo[fi] >= 0 {
-			return memo[fi]
-		}
-		best := 0
-		f := p.Funcs[fi]
-		for i := range f.Instrs {
-			if f.Instrs[i].Op == isa.OpCall {
-				if c := chain(int(f.Instrs[i].Tgt)); c > best {
-					best = c
-				}
-			}
-		}
-		memo[fi] = per[fi] + best
-		return memo[fi]
-	}
-	return chain(0), nil
+	return chainSums(p, per)[0], nil
 }
 
 // DirectionThreshold returns the max-live threshold that decides the
@@ -121,8 +98,8 @@ const maxCandidates = 5
 //
 // canTune reports whether the benchmark offers tuning iterations (a loop
 // around the kernel, or enough threads for kernel splitting). When false,
-// static selection (the [11]-style latency-hiding estimate) picks a single
-// kernel.
+// staticSelect's latency-hiding rule picks a single kernel into
+// StaticChoice.
 func (r *Realizer) Compile(p *isa.Program, canTune bool) (*CompileResult, error) {
 	x := r.Obs.Ctx()
 	sp := x.Span("compile",
@@ -339,74 +316,39 @@ func thin(c []*Candidate, n int) []*Candidate {
 	return out
 }
 
-// staticSelect implements the no-tuning path of Figure 8 (lines 15-19,
-// the static selection of [11]): walk occupancy levels from the original
-// downward... upward for increasing kernels, and keep the lowest level
-// whose warp count covers the latency-hiding requirement
-// warps >= WS * CDI / DL, where CDI approximates cycles between dependent
-// memory operations and DL the memory latency.
+// staticSelect is the no-tuning path of Figure 8 (lines 15-19, the static
+// selection of [11]). A decreasing kernel keeps the original version — the
+// paper's backprop case: "it makes more sense to simply default to the
+// original version of the kernel". An increasing kernel takes, among the
+// original and the candidates, the lowest occupancy whose warps cover
+// latencyHidingWarps(p), or the highest occupancy when none does.
 func (r *Realizer) staticSelect(p *isa.Program, res *CompileResult) *Candidate {
-	// A kernel that cannot be tuned and already runs at its hardware
-	// maximum (decreasing direction) simply defaults to the original
-	// version — the paper's backprop case: "it makes more sense to simply
-	// default to the original version of the kernel".
+	orig := &Candidate{Version: res.Original, TargetWarps: res.Original.Natural.ActiveWarps}
 	if res.Direction == Decreasing {
-		return &Candidate{Version: res.Original, TargetWarps: res.Original.Natural.ActiveWarps}
+		return orig
 	}
-	// Increasing direction: score the original and every candidate with
-	// the MWP-CWP analytical model, profiled on each candidate's own
-	// binary (so spill code is accounted for), and pick the best
-	// prediction — a static selection in the spirit of [11]: off-line
-	// profiling, no runtime feedback.
-	all := make([]*Candidate, 0, len(res.Candidates)+1)
-	all = append(all, &Candidate{Version: res.Original, TargetWarps: res.Original.Natural.ActiveWarps})
-	all = append(all, res.Candidates...)
-	var best *Candidate
-	bestCycles := 0.0
-	grid := r.Dev.SMs * r.Dev.MaxWarpsPerSM * 4 // representative grid
-	for i, c := range all {
-		pr, err := analytic.PredictProgram(r.Dev, c.Version.Prog, c.TargetWarps, grid)
-		if err != nil {
-			continue
-		}
-		cycles := pr.Cycles
-		if i > 0 {
-			// The model cannot see cache behaviour or residency tails, so
-			// leaving the safe original version requires a clear predicted
-			// win ("the original version ... is a safe version", §3.3).
-			cycles *= 1.10
-		}
-		if best == nil || cycles < bestCycles {
-			best, bestCycles = c, cycles
-		}
-	}
-	if best != nil {
-		return best
-	}
-	// Fallback when the model cannot score anything: the lowest occupancy
-	// meeting a crude latency-hiding estimate, else the highest available.
 	need := r.latencyHidingWarps(p)
-	for _, c := range all {
-		if c.TargetWarps >= need {
-			if best == nil || c.TargetWarps < best.TargetWarps {
-				best = c
-			}
+	var covers *Candidate
+	highest := orig
+	for _, c := range append([]*Candidate{orig}, res.Candidates...) {
+		if c.TargetWarps >= need && (covers == nil || c.TargetWarps < covers.TargetWarps) {
+			covers = c
+		}
+		if c.TargetWarps > highest.TargetWarps {
+			highest = c
 		}
 	}
-	if best == nil {
-		best = all[0]
-		for _, c := range all {
-			if c.TargetWarps > best.TargetWarps {
-				best = c
-			}
-		}
+	if covers != nil {
+		return covers
 	}
-	return best
+	return highest
 }
 
-// latencyHidingWarps estimates the warps per SM needed to hide memory
-// latency from the static instruction mix: the denser the memory
-// instructions, the more concurrency is needed.
+// latencyHidingWarps is the warps per SM the rule asks for, from the
+// static instruction mix: with gap = instructions per global load (at
+// least 1), DRAMLatency / (gap · ALULatency), clamped to [1,
+// MaxWarpsPerSM]; 1 for a kernel without global loads. It stands in for
+// [11]'s WS · CDI / DL.
 func (r *Realizer) latencyHidingWarps(p *isa.Program) int {
 	mem, total := 0, 0
 	for _, f := range p.Funcs {

@@ -189,6 +189,15 @@ func TestValidateRejects(t *testing.T) {
 			}
 		}, "wants 2"},
 		{"bad blockdim", func(p *Program) { p.BlockDim = 100 }, "multiple of 32"},
+		{"spill overlap", func(p *Program) {
+			f := p.Entry()
+			f.SpillShared, f.SpillLocal = 2, 3
+			// Shared [0,2) would overlap local [0,1) were the spaces one.
+			f.Instrs[6] = Instr{Op: OpSpillSS, Width: 2, Src: [3]Reg{6, RegNone, RegNone}, Imm: 0}
+			f.Instrs[7] = Instr{Op: OpSpillLS, Src: [3]Reg{8, RegNone, RegNone}, Imm: 0}
+			f.Instrs[8] = Instr{Op: OpSpillLS, Src: [3]Reg{4, RegNone, RegNone}, Imm: 1}
+			f.Instrs[9] = Instr{Op: OpSpillLL, Dst: 6, Width: 2, Src: [3]Reg{RegNone, RegNone, RegNone}, Imm: 1}
+		}, "partially overlapping spill ranges: main[9]: local [1,3) against [1,2) at main[8]"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

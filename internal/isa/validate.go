@@ -3,6 +3,7 @@ package isa
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ErrRecursion is returned when the call graph contains a cycle; OASM,
@@ -10,14 +11,22 @@ import (
 // be assigned statically.
 var ErrRecursion = errors.New("isa: recursive call graph")
 
+// ErrSpillOverlap is wrapped when one function's spill accesses in one
+// space touch slot ranges that are neither identical nor disjoint. Each
+// spilled value owns its run of slots, so a partial overlap means two
+// differently shaped values share storage; the allocation verifier
+// reports it as its spill-slots invariant.
+var ErrSpillOverlap = errors.New("isa: partially overlapping spill ranges")
+
 // Validate checks structural invariants of a program: opcode validity,
 // branch targets in range, call targets defined and non-recursive, widths
 // legal, the entry function taking no args, every path ending in a
 // terminator, a kernel that reads LANEID being one call-free function, and
 // all operands in bounds — registers within the declared frame (NumVRegs
 // before allocation, FrameSlots after), spill slots within the declared
-// spill counts, and call bounds within the frame. Operand bounds make
-// decoded binaries safe to feed to the middle end and the interpreter:
+// spill counts, and call bounds within the frame — and spill ranges
+// identical or disjoint (ErrSpillOverlap). Operand bounds make decoded
+// binaries safe to feed to the middle end and the interpreter:
 // out-of-range registers or slots would otherwise index past internal
 // arrays.
 func Validate(p *Program) error {
@@ -113,6 +122,10 @@ func validateFunc(p *Program, fi int, f *Function) error {
 		return nil
 	}
 	calls := 0
+	// Spill keys for checkSpillRanges; Validate runs on every launch, and
+	// the stack buffer holds most functions' spills without allocating.
+	var buf [64]uint64
+	spills := buf[:0]
 	for i := range f.Instrs {
 		in := &f.Instrs[i]
 		if in.Op == OpInvalid || in.Op >= opMax {
@@ -143,11 +156,13 @@ func validateFunc(p *Program, fi int, f *Function) error {
 				return fmt.Errorf("isa: %s[%d]: shared spill slot %d width %d exceeds %d slots",
 					f.Name, i, in.Imm, in.W(), f.SpillShared)
 			}
+			spills = append(spills, spillKey(in))
 		case OpSpillLS, OpSpillLL:
 			if in.Imm < 0 || int(in.Imm)+in.W() > f.SpillLocal {
 				return fmt.Errorf("isa: %s[%d]: local spill slot %d width %d exceeds %d slots",
 					f.Name, i, in.Imm, in.W(), f.SpillLocal)
 			}
+			spills = append(spills, spillKey(in))
 		case OpCall:
 			calls++
 		}
@@ -204,6 +219,56 @@ func validateFunc(p *Program, fi int, f *Function) error {
 					f.Name, bk, k, bound)
 			}
 		}
+	}
+	return checkSpillRanges(f, spills)
+}
+
+// spillKey packs a spill access's range as space<<40 | start<<3 | width,
+// so sorted keys order ranges by space, then start, then width. The slot
+// must be validated (below 2^31); width is 1-4. Other ops give 0.
+func spillKey(in *Instr) uint64 {
+	k := uint64(in.Imm)<<3 | uint64(in.W())
+	switch in.Op {
+	case OpSpillSS, OpSpillSL:
+		return 1<<40 | k
+	case OpSpillLS, OpSpillLL:
+		return k
+	}
+	return 0
+}
+
+// checkSpillRanges returns ErrSpillOverlap when two of f's spill ranges
+// (spillKey of every spill access) in one space are neither identical nor
+// disjoint, naming the later of their first accesses and the earlier.
+func checkSpillRanges(f *Function, spills []uint64) error {
+	start := func(k uint64) uint64 { return k >> 3 & (1<<37 - 1) }
+	end := func(k uint64) uint64 { return start(k) + k&7 }
+	slices.Sort(spills)
+	// Sorted, the distinct ranges of a space are pairwise identical or
+	// disjoint exactly when each ends before the next begins.
+	for i := 1; i < len(spills); i++ {
+		x, y := spills[i-1], spills[i]
+		if x == y || x>>40 != y>>40 || start(y) >= end(x) {
+			continue
+		}
+		first := func(k uint64) int {
+			for pc := range f.Instrs {
+				if spillKey(&f.Instrs[pc]) == k {
+					return pc
+				}
+			}
+			return -1
+		}
+		px, py := first(x), first(y)
+		if px > py {
+			x, y, px, py = y, x, py, px
+		}
+		space := "local"
+		if x>>40 == 1 {
+			space = "shared"
+		}
+		return fmt.Errorf("%w: %s[%d]: %s [%d,%d) against [%d,%d) at %s[%d]", ErrSpillOverlap,
+			f.Name, py, space, start(y), end(y), start(x), end(x), f.Name, px)
 	}
 	return nil
 }

@@ -22,8 +22,8 @@
 package verify
 
 import (
+	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/device"
 	"repro/internal/interp"
@@ -70,7 +70,11 @@ func Check(d *device.Device, cc device.CacheConfig, r Realized) []Violation {
 	}
 	if err := isa.Validate(r.Prog); err != nil {
 		// Structural damage makes the remaining checks unsafe to run.
-		return []Violation{{Invariant: "structure", Detail: err.Error()}}
+		inv := "structure"
+		if errors.Is(err, isa.ErrSpillOverlap) {
+			inv = "spill-slots"
+		}
+		return []Violation{{Invariant: inv, Detail: err.Error()}}
 	}
 	for _, f := range r.Prog.Funcs {
 		if !f.Allocated {
@@ -82,7 +86,6 @@ func Check(d *device.Device, cc device.CacheConfig, r Realized) []Violation {
 	}
 	for _, f := range r.Prog.Funcs {
 		vs = append(vs, checkWideAlignment(f)...)
-		vs = append(vs, checkSpillRanges(f)...)
 		vs = append(vs, checkCallBounds(f)...)
 	}
 	vs = append(vs, checkLayout(d, cc, r)...)
@@ -111,51 +114,6 @@ func checkWideAlignment(f *isa.Function) []Violation {
 		}
 		for s := 0; s < in.NumSrcs(); s++ {
 			check(i, in.Src[s], in.SrcWidth(s), "source")
-		}
-	}
-	return vs
-}
-
-// checkSpillRanges enforces slot-range consistency per memory space: the
-// allocator gives each spilled variable its own contiguous run of slots and
-// never reuses them, so any two accessed ranges must be identical or
-// disjoint. A partial overlap means two differently-shaped values were
-// assigned overlapping storage.
-func checkSpillRanges(f *isa.Function) []Violation {
-	type rng struct{ start, width int }
-	ranges := map[string]map[rng]bool{"shared": {}, "local": {}}
-	for i := range f.Instrs {
-		in := &f.Instrs[i]
-		var space string
-		switch in.Op {
-		case isa.OpSpillSS, isa.OpSpillSL:
-			space = "shared"
-		case isa.OpSpillLS, isa.OpSpillLL:
-			space = "local"
-		default:
-			continue
-		}
-		ranges[space][rng{int(in.Imm), in.W()}] = true
-	}
-	var vs []Violation
-	for space, set := range ranges {
-		rs := make([]rng, 0, len(set))
-		for r := range set {
-			rs = append(rs, r)
-		}
-		sort.Slice(rs, func(i, j int) bool {
-			if rs[i].start != rs[j].start {
-				return rs[i].start < rs[j].start
-			}
-			return rs[i].width < rs[j].width
-		})
-		for i := 1; i < len(rs); i++ {
-			a, b := rs[i-1], rs[i]
-			if b.start < a.start+a.width && a != b {
-				vs = append(vs, Violation{"spill-slots", f.Name,
-					fmt.Sprintf("%s spill ranges [%d,%d) and [%d,%d) partially overlap",
-						space, a.start, a.start+a.width, b.start, b.start+b.width)})
-			}
 		}
 	}
 	return vs

@@ -1,6 +1,7 @@
 package verify_test
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/device"
@@ -138,8 +139,8 @@ func TestCheckSpillOverlap(t *testing.T) {
 	// Widen the first spill to [0,2): it now partially overlaps [1,2).
 	f.Instrs[1].Width = 2
 	f.NumVRegs, f.FrameSlots, f.SpillShared = 2, 2, 3
-	if err := isa.Validate(p); err != nil {
-		t.Fatalf("test program invalid: %v", err)
+	if err := isa.Validate(p); !errors.Is(err, isa.ErrSpillOverlap) {
+		t.Fatalf("Validate = %v, want ErrSpillOverlap", err)
 	}
 	vs := verify.Check(d, cc, realized(t, p, 8))
 	if !hasInvariant(vs, "spill-slots") {
