@@ -4,12 +4,12 @@ GO ?= go
 
 ## check: the full CI gate — formatting, vet, staticcheck, build,
 ## race-enabled tests, the serial-vs-parallel determinism suite, a short
-## fuzz pass over the binary decoder, the realization pipeline, the
-## static analyzer, the middle end and its legality check, a one-shot run
-## of the cold-sweep benchmark so compile-path regressions fail loudly, the
-## benchmark module's vet and quick smoke, the whole-suite legality sweep,
-## and the end-to-end daemon smoke (serve-vs-CLI byte identity of tune
-## reports and fat binaries, plus graceful shutdown).
+## fuzz pass over the binary decoder, the assembler, the realization
+## pipeline, the static analyzer, the middle end and its legality check, a
+## one-shot run of the cold-sweep benchmark so compile-path regressions
+## fail loudly, the benchmark module's vet and quick smoke, the whole-suite
+## legality sweep, and the end-to-end daemon smoke (serve-vs-CLI byte
+## identity of tune reports and fat binaries, plus graceful shutdown).
 check: fmt-check vet lint build test-race determinism fuzz-short bench-smoke bench-opt-smoke bench-quick tv-smoke serve-smoke
 
 build:
@@ -57,6 +57,7 @@ determinism:
 ## checked-in corpora run as plain regression tests under `make test`.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/isa/
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/isa/
 	$(GO) test -run '^$$' -fuzz FuzzRealize -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzAnalyze -fuzztime 10s ./internal/sa/
 	$(GO) test -run '^$$' -fuzz FuzzSimCompiled -fuzztime 10s ./internal/sim/
@@ -65,14 +66,15 @@ fuzz-short:
 
 ## bench-smoke: one iteration of the cold-sweep benchmark, of the
 ## simulator throughput benchmark, of the spill-heavy coloring benchmark,
-## of the multi-round spill loop and of the reference executor at both
-## lane counts — not a measurement, just proof the benchmark paths still
-## compile and run.
+## of the multi-round spill loop, of the reference executor at both lane
+## counts and of the assembler and validator — not a measurement, just
+## proof the benchmark paths still compile and run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench SweepCold -benchtime 1x ./internal/bench/
 	$(GO) test -run '^$$' -bench 'Simulator$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'AllocateSpillHeavy|SpillRounds' -benchtime 1x ./internal/regalloc/
 	$(GO) test -run '^$$' -bench WarpStep -benchtime 1x ./internal/interp/
+	$(GO) test -run '^$$' -bench '^Benchmark(Parse|Validate)$$' -benchtime 1x ./internal/isa/
 
 ## bench: the repository's benchmark (BENCHMARK.json, benchmark/README.md):
 ## every workload once, every end-to-end metric printed by name, results

@@ -45,25 +45,11 @@ var (
 	_ StepExecutor = (*Warp)(nil)
 )
 
-// addrMode tells Fill how to compute the event address for memory ops; all
-// other template fields are static.
-type addrMode uint8
-
-const (
-	amNone   addrMode = iota
-	amReg             // regs[base+addrReg] + addrImm (LDG/STG/LDS/STS)
-	amSpillS          // 4*(shBase + addrImm)
-	amSpillL          // LocalSlotBytes*(WarpID*stride + locBase + addrImm)
-)
-
 // cop is one compiled instruction: an event template with frame-relative
 // register operands plus the closure that commits it.
 type cop struct {
-	tmpl    Event
-	mode    addrMode
-	addrReg int32
-	addrImm int32
-	exec    func(*CWarp)
+	tmpl Event
+	exec func(*CWarp)
 }
 
 // Compiled is a program translated to closures, shared (immutably) by every
@@ -113,7 +99,6 @@ func (c *Compiled) compileFunc(fi int) []cop {
 	for i := range f.Instrs {
 		in := &f.Instrs[i]
 		code[i].tmpl = template(in)
-		code[i].mode, code[i].addrReg, code[i].addrImm = addrModeOf(in)
 		code[i].exec = c.compileOp(fi, i, in)
 	}
 	return code
@@ -122,52 +107,9 @@ func (c *Compiled) compileFunc(fi int) []cop {
 // template precomputes everything Warp.Peek derives per call, with AbsDst
 // and AbsSrc left frame-relative (Fill adds the frame base).
 func template(in *isa.Instr) Event {
-	ev := Event{Instr: in}
-	ev.setOperands(in, 0)
-	switch in.Op {
-	case isa.OpLdG:
-		ev.Kind, ev.Space, ev.Bytes = KindLoad, SpaceGlobal, 4*in.W()
-	case isa.OpStG:
-		ev.Kind, ev.Space, ev.Bytes = KindStore, SpaceGlobal, 4*in.W()
-	case isa.OpLdS:
-		ev.Kind, ev.Space, ev.Bytes = KindLoad, SpaceShared, 4*in.W()
-	case isa.OpStS:
-		ev.Kind, ev.Space, ev.Bytes = KindStore, SpaceShared, 4*in.W()
-	case isa.OpSpillSL:
-		ev.Kind, ev.Space, ev.Bytes = KindLoad, SpaceShared, 4*in.W()
-	case isa.OpSpillSS:
-		ev.Kind, ev.Space, ev.Bytes = KindStore, SpaceShared, 4*in.W()
-	case isa.OpSpillLL:
-		ev.Kind, ev.Space, ev.Bytes = KindLoad, SpaceLocal, 4*in.W()
-	case isa.OpSpillLS:
-		ev.Kind, ev.Space, ev.Bytes = KindStore, SpaceLocal, 4*in.W()
-	case isa.OpBra, isa.OpCbr:
-		ev.Kind = KindBranch
-	case isa.OpCall, isa.OpRet:
-		ev.Kind = KindCall
-	case isa.OpBar:
-		ev.Kind = KindBarrier
-	case isa.OpExit:
-		ev.Kind = KindExit
-	case isa.OpFAdd, isa.OpFSub, isa.OpFMul, isa.OpFFma, isa.OpFMin,
-		isa.OpFMax, isa.OpFSet, isa.OpF2I, isa.OpI2F:
-		ev.Kind = KindFPU
-	default:
-		ev.Kind = KindALU
-	}
+	var ev Event
+	ev.resolve(in, 0)
 	return ev
-}
-
-func addrModeOf(in *isa.Instr) (addrMode, int32, int32) {
-	switch in.Op {
-	case isa.OpLdG, isa.OpStG, isa.OpLdS, isa.OpStS:
-		return amReg, int32(in.Src[0]), in.Imm
-	case isa.OpSpillSL, isa.OpSpillSS:
-		return amSpillS, 0, in.Imm
-	case isa.OpSpillLL, isa.OpSpillLS:
-		return amSpillL, 0, in.Imm
-	}
-	return amNone, 0, 0
 }
 
 // CWarp executes one warp (warp-scalar mode) through a compiled program.
@@ -257,8 +199,7 @@ func (w *CWarp) Fill(ev *Event) {
 		return
 	}
 	fr := w.fr
-	op := &w.code[fr.pc]
-	*ev = op.tmpl
+	*ev = w.code[fr.pc].tmpl
 	if base := fr.base; base != 0 {
 		if ev.AbsDst >= 0 {
 			ev.AbsDst += base
@@ -267,14 +208,14 @@ func (w *CWarp) Fill(ev *Event) {
 			ev.AbsSrc[i] += base
 		}
 	}
-	switch op.mode {
-	case amNone:
-	case amReg:
-		ev.Addr = w.regs[fr.base+int(op.addrReg)] + uint32(op.addrImm)
-	case amSpillS:
-		ev.Addr = uint32(4 * (fr.shBase + int(op.addrImm)))
-	case amSpillL:
-		ev.Addr = uint32(LocalSlotBytes * (w.WarpID*w.c.locStride + fr.locBase + int(op.addrImm)))
+	switch in := ev.Instr; {
+	case ev.Space == SpaceNone:
+	case in.IsMem():
+		ev.Addr = w.regs[ev.AbsSrc[0]] + uint32(in.Imm)
+	case ev.Space == SpaceShared:
+		ev.Addr = uint32(4 * (fr.shBase + int(in.Imm)))
+	default:
+		ev.Addr = uint32(LocalSlotBytes * (w.WarpID*w.c.locStride + fr.locBase + int(in.Imm)))
 	}
 }
 

@@ -41,7 +41,7 @@ var ErrDivergedBarrier = errors.New("interp: BAR executed by a diverged warp")
 // Space identifies the memory space touched by an instruction event.
 type Space uint8
 
-// Memory spaces.
+// Memory spaces, numbered as isa.Op.Space returns them.
 const (
 	SpaceNone Space = iota
 	SpaceGlobal
@@ -52,7 +52,8 @@ const (
 // Kind classifies an instruction event for the timing simulator.
 type Kind uint8
 
-// Event kinds.
+// Event kinds, numbered as isa.Op.Class returns them; TestOpTable fails if
+// this numbering or Space's parts from isa's.
 const (
 	KindALU Kind = iota + 1
 	KindFPU
@@ -95,11 +96,15 @@ type Event struct {
 	SrcW [3]uint8
 }
 
-// setOperands resolves in's register operands at frame base into the
-// event: absolute indices plus the cached widths.
-func (ev *Event) setOperands(in *isa.Instr, base int) {
-	ev.AbsDst = -1
-	ev.AbsSrc = [3]int{-1, -1, -1}
+// resolve sets the event to in at frame base: its Kind, Space and (for a
+// memory access) Bytes from the opcode table, and its register operands as
+// absolute indices with their widths.
+func (ev *Event) resolve(in *isa.Instr, base int) {
+	*ev = Event{Instr: in, Kind: Kind(in.Op.Class()), Space: Space(in.Op.Space()),
+		AbsDst: -1, AbsSrc: [3]int{-1, -1, -1}}
+	if ev.Space != SpaceNone {
+		ev.Bytes = 4 * in.W()
+	}
 	if in.HasDst() {
 		ev.AbsDst = base + int(in.Dst)
 		ev.DstW = uint8(in.W())
@@ -409,46 +414,19 @@ func (w *Warp) Fill(ev *Event) {
 	fg := &w.frags[w.current()]
 	fr := &w.stack[len(w.stack)-1]
 	in := &w.code[fg.pc]
-	*ev = Event{Instr: in}
-	ev.setOperands(in, fr.base)
+	ev.resolve(in, fr.base)
 	if w.lanes > 1 {
 		ev.ActiveLanes = bits.OnesCount32(fg.mask)
 	}
-	switch in.Op {
-	case isa.OpLdG, isa.OpStG, isa.OpLdS, isa.OpStS:
-		ev.Kind, ev.Space, ev.Bytes = KindLoad, SpaceGlobal, 4*in.W()
-		if in.Op == isa.OpStG || in.Op == isa.OpStS {
-			ev.Kind = KindStore
-		}
-		if in.Op == isa.OpLdS || in.Op == isa.OpStS {
-			ev.Space = SpaceShared
-		}
-		w.gather(ev, fg.mask, fr.base+int(in.Src[0]), uint32(in.Imm))
-	case isa.OpSpillSL, isa.OpSpillSS:
-		ev.Kind, ev.Space, ev.Bytes = KindLoad, SpaceShared, 4*in.W()
-		if in.Op == isa.OpSpillSS {
-			ev.Kind = KindStore
-		}
+	switch {
+	case ev.Space == SpaceNone:
+	case in.IsMem():
+		w.gather(ev, fg.mask, ev.AbsSrc[0], uint32(in.Imm))
+	case ev.Space == SpaceShared:
 		ev.Addr = uint32(4 * (fr.shBase + int(in.Imm)))
-	case isa.OpSpillLL, isa.OpSpillLS:
-		ev.Kind, ev.Space, ev.Bytes = KindLoad, SpaceLocal, 4*in.W()
-		if in.Op == isa.OpSpillLS {
-			ev.Kind = KindStore
-		}
-		ev.Addr = w.localAddr(fr, in)
-	case isa.OpBra, isa.OpCbr:
-		ev.Kind = KindBranch
-	case isa.OpCall, isa.OpRet:
-		ev.Kind = KindCall
-	case isa.OpBar:
-		ev.Kind = KindBarrier
-	case isa.OpExit:
-		ev.Kind = KindExit
-	case isa.OpFAdd, isa.OpFSub, isa.OpFMul, isa.OpFFma, isa.OpFMin,
-		isa.OpFMax, isa.OpFSet, isa.OpF2I, isa.OpI2F:
-		ev.Kind = KindFPU
 	default:
-		ev.Kind = KindALU
+		// Each warp/slot pair occupies its own local cache line.
+		ev.Addr = uint32(LocalSlotBytes * (w.WarpID*max(w.layout.LocalSpillSlots, 1) + fr.locBase + int(in.Imm)))
 	}
 }
 
@@ -500,14 +478,6 @@ func (w *Warp) Release() {}
 // line. Spill-heavy high-occupancy configurations therefore pressure the
 // L1 exactly as they do on hardware.
 const LocalSlotBytes = 128
-
-// localAddr maps a local spill slot to a per-warp-unique byte address in
-// the local space (each warp/slot pair occupies its own cache line).
-func (w *Warp) localAddr(fr *frame, in *isa.Instr) uint32 {
-	slot := fr.locBase + int(in.Imm)
-	stride := max(w.layout.LocalSpillSlots, 1)
-	return uint32(LocalSlotBytes * (w.WarpID*stride + slot))
-}
 
 // ReadAbsReg returns lane 0's value of an absolute register-file slot (as
 // resolved by Peek's AbsDst/AbsSrc fields). Out-of-range slots read as 0.

@@ -27,15 +27,13 @@ import (
 //	  spillS    u16
 //	  spillL    u16
 //	  ninstr    u32
-//	  instrs    ninstr * 16 bytes
+//	  instrs    ninstr * 20 bytes
 //	  nbounds   u16 + bounds u16 each
 //
-// Instruction word (16 bytes): op u8, width u8, cmp u8, sp u8,
-// dst u16, src0 u16, src1 u16, src2 u16, imm i32 — with Tgt packed into
-// imm for branches (imm unused there) is NOT done; instead Tgt gets its
-// own slot by reusing src2 for branches/calls? No: branches/calls never
-// use all three sources, but CALL can. We therefore widen to 20 bytes:
-// ... imm i32, tgt i32.
+// Instruction word (20 bytes): op u8, width u8, cmp u8, sp u8, dst u16,
+// src0 u16, src1 u16, src2 u16, imm i32, tgt i32. Tgt — a branch's target
+// instruction, a call's callee — has its own field because a CALL can use
+// all three sources besides.
 const binMagic = "ORN1"
 
 var errBadMagic = errors.New("isa: bad binary magic")
@@ -157,10 +155,6 @@ func Decode(data []byte) (*Program, error) {
 			in.Src[2] = Reg(r.u16())
 			in.Imm = int32(r.u32())
 			in.Tgt = int32(r.u32())
-			if in.Op == OpCall && int(in.Tgt) < nf {
-				// Label names are restored after all functions decode.
-				in.Label = ""
-			}
 		}
 		nb := int(r.u16())
 		if nb > 0 {

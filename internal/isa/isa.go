@@ -67,9 +67,9 @@ const (
 	// Spill-slot accesses. The slot index is Imm; the compiler assigns
 	// slots, and the hardware maps them to a per-thread partition of
 	// shared memory (SpillS*) or to local memory backed by L1 (SpillL*).
-	OpSpillSS // sharedspill[Imm] = src1
+	OpSpillSS // sharedspill[Imm] = src0
 	OpSpillSL // dst = sharedspill[Imm]
-	OpSpillLS // localspill[Imm] = src1
+	OpSpillLS // localspill[Imm] = src0
 	OpSpillLL // dst = localspill[Imm]
 
 	// Control flow.
@@ -144,99 +144,6 @@ func (in *Instr) W() int {
 		return 1
 	}
 	return int(in.Width)
-}
-
-// HasDst reports whether the instruction writes a register.
-func (in *Instr) HasDst() bool {
-	switch in.Op {
-	case OpStG, OpStS, OpSpillSS, OpSpillLS, OpBra, OpCbr, OpRet, OpBar, OpExit:
-		return false
-	case OpCall:
-		return in.Dst != RegNone
-	default:
-		return true
-	}
-}
-
-// NumSrcs returns how many source operands the instruction reads.
-func (in *Instr) NumSrcs() int {
-	switch in.Op {
-	case OpMovI, OpRdSp, OpSpillSL, OpSpillLL, OpBra, OpBar, OpExit:
-		return 0
-	case OpRet:
-		if in.Src[0] == RegNone {
-			return 0
-		}
-		return 1
-	case OpMov, OpF2I, OpI2F, OpLdG, OpLdS, OpCbr, OpSpillSS, OpSpillLS:
-		return 1
-	case OpIMad, OpFFma:
-		return 3
-	case OpCall:
-		n := 0
-		for _, s := range in.Src {
-			if s == RegNone {
-				break
-			}
-			n++
-		}
-		return n
-	default:
-		return 2
-	}
-}
-
-// SrcWidth returns the register-slot width of source operand i. Sources are
-// word-sized except for wide moves, wide stores (value operand), and wide
-// returns, which mirror the instruction width.
-func (in *Instr) SrcWidth(i int) int {
-	switch in.Op {
-	case OpMov, OpRet:
-		if i == 0 {
-			return in.W()
-		}
-	case OpStG, OpStS:
-		if i == 1 {
-			return in.W()
-		}
-	case OpSpillSS, OpSpillLS:
-		if i == 0 {
-			return in.W()
-		}
-	}
-	return 1
-}
-
-// IsBranch reports whether the instruction transfers control to Tgt.
-func (in *Instr) IsBranch() bool { return in.Op == OpBra || in.Op == OpCbr }
-
-// IsMem reports whether the instruction accesses a memory space (excluding
-// spill slots, which are memory too but are reported by IsSpill).
-func (in *Instr) IsMem() bool {
-	switch in.Op {
-	case OpLdG, OpStG, OpLdS, OpStS:
-		return true
-	}
-	return false
-}
-
-// IsSpill reports whether the instruction is compiler-inserted spill
-// traffic.
-func (in *Instr) IsSpill() bool {
-	switch in.Op {
-	case OpSpillSS, OpSpillSL, OpSpillLS, OpSpillLL:
-		return true
-	}
-	return false
-}
-
-// Terminates reports whether control never falls through this instruction.
-func (in *Instr) Terminates() bool {
-	switch in.Op {
-	case OpBra, OpRet, OpExit:
-		return true
-	}
-	return false
 }
 
 // Function is one procedure: the kernel entry or a callable device
@@ -402,36 +309,12 @@ func (p *Program) UsesUserShared() bool {
 	}
 	for _, f := range p.Funcs {
 		for i := range f.Instrs {
-			if f.Instrs[i].Op == OpLdS || f.Instrs[i].Op == OpStS {
+			if in := &f.Instrs[i]; in.IsMem() && in.Op.Space() == spaceShared {
 				return true
 			}
 		}
 	}
 	return false
-}
-
-var opNames = [...]string{
-	OpInvalid: "INVALID",
-	OpIAdd:    "IADD", OpISub: "ISUB", OpIMul: "IMUL", OpIMad: "IMAD",
-	OpIMin: "IMIN", OpIMax: "IMAX",
-	OpAnd: "AND", OpOr: "OR", OpXor: "XOR", OpShl: "SHL", OpShr: "SHR",
-	OpISet: "ISET",
-	OpFAdd: "FADD", OpFSub: "FSUB", OpFMul: "FMUL", OpFFma: "FFMA",
-	OpFMin: "FMIN", OpFMax: "FMAX", OpFSet: "FSET", OpF2I: "F2I", OpI2F: "I2F",
-	OpMov: "MOV", OpMovI: "MOVI", OpRdSp: "RDSP",
-	OpLdG: "LDG", OpStG: "STG", OpLdS: "LDS", OpStS: "STS",
-	OpSpillSS: "SPST.S", OpSpillSL: "SPLD.S",
-	OpSpillLS: "SPST.L", OpSpillLL: "SPLD.L",
-	OpBra: "BRA", OpCbr: "CBR", OpCall: "CALL", OpRet: "RET",
-	OpBar: "BAR", OpExit: "EXIT",
-}
-
-// String returns the mnemonic for the opcode.
-func (o Op) String() string {
-	if int(o) < len(opNames) && opNames[o] != "" {
-		return opNames[o]
-	}
-	return fmt.Sprintf("OP(%d)", int(o))
 }
 
 var cmpNames = [...]string{

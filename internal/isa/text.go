@@ -148,7 +148,7 @@ func Parse(src string) (*Program, error) {
 			continue
 		}
 
-		in, isCall, err := parseInstr(text, line)
+		in, err := parseInstr(text, line)
 		if err != nil {
 			return nil, err
 		}
@@ -156,7 +156,7 @@ func Parse(src string) (*Program, error) {
 			labels[l] = len(cur.Instrs)
 		}
 		pending = pending[:0]
-		if isCall {
+		if in.Op == OpCall {
 			callFixups = append(callFixups, fixup{cur, len(cur.Instrs), line})
 		}
 		cur.Instrs = append(cur.Instrs, in)
@@ -196,29 +196,25 @@ func MustParse(src string) *Program {
 	return p
 }
 
+// countVRegs sizes the virtual frame: the arguments and every register
+// operand fit in it.
 func countVRegs(f *Function) int {
-	maxr := -1
-	upd := func(r Reg, w int) {
-		if r == RegNone {
-			return
-		}
-		if end := int(r) + w - 1; end > maxr {
-			maxr = end
+	n := f.NumArgs
+	fit := func(r Reg, w int) {
+		if r != RegNone {
+			n = max(n, int(r)+w)
 		}
 	}
 	for i := range f.Instrs {
 		in := &f.Instrs[i]
 		if in.HasDst() {
-			upd(in.Dst, in.W())
+			fit(in.Dst, in.W())
 		}
 		for s := 0; s < in.NumSrcs(); s++ {
-			upd(in.Src[s], in.SrcWidth(s))
+			fit(in.Src[s], in.SrcWidth(s))
 		}
 	}
-	if a := f.NumArgs - 1; a > maxr {
-		maxr = a
-	}
-	return maxr + 1
+	return n
 }
 
 // countSpillSlots derives the per-thread spill footprint from explicit
@@ -226,405 +222,167 @@ func countVRegs(f *Function) int {
 // and later allocation rounds number fresh slots after the existing ones.
 func countSpillSlots(f *Function) (shared, local int) {
 	for i := range f.Instrs {
-		in := &f.Instrs[i]
-		end := int(in.Imm) + in.W()
-		switch in.Op {
-		case OpSpillSS, OpSpillSL:
-			if end > shared {
-				shared = end
-			}
-		case OpSpillLS, OpSpillLL:
-			if end > local {
-				local = end
-			}
+		switch in := &f.Instrs[i]; {
+		case !in.IsSpill():
+		case in.Op.Space() == spaceShared:
+			shared = max(shared, int(in.Imm)+in.W())
+		default:
+			local = max(local, int(in.Imm)+in.W())
 		}
 	}
 	return shared, local
 }
 
-func parseInstr(text string, line int) (Instr, bool, error) {
+// parseInstr assembles one instruction line: the mnemonic names the
+// opcode's row in opTable, and the row's form says which operands follow.
+func parseInstr(text string, line int) (Instr, error) {
 	in := Instr{Src: [3]Reg{RegNone, RegNone, RegNone}}
-	sp := strings.IndexAny(text, " \t")
-	mnem := text
-	rest := ""
-	if sp >= 0 {
-		mnem = text[:sp]
-		rest = strings.TrimSpace(text[sp+1:])
+	mnem, rest := text, ""
+	if sp := strings.IndexAny(text, " \t"); sp >= 0 {
+		mnem, rest = text[:sp], strings.TrimSpace(text[sp+1:])
 	}
 
-	base := mnem
-	if dot := strings.Index(mnem, "."); dot >= 0 {
-		// SPST.S / SPLD.S / SPST.L / SPLD.L carry the space in the mnemonic;
-		// otherwise the suffix is a width.
-		switch mnem {
-		case "SPST.S", "SPLD.S", "SPST.L", "SPLD.L":
-		default:
-			base = mnem[:dot]
-			if base == "ISET" || base == "FSET" {
-				break // suffix is a comparison, handled below
-			}
-			switch mnem[dot+1:] {
-			case "32":
-				in.Width = 1
-			case "64":
-				in.Width = 2
-			case "96":
-				in.Width = 3
-			case "128":
-				in.Width = 4
-			default:
-				return in, false, &ParseError{line, fmt.Sprintf("bad width suffix in %q", mnem)}
-			}
+	// A mnemonic is NAME[.SUFFIX]: NAME is the opcode's word, with its
+	// space on the spill ops (SPST.S), and SUFFIX is a width (32, 64, 96,
+	// 128) or, on ISET and FSET, the comparison.
+	name, suffix, dotted := strings.Cut(mnem, ".")
+	op, known := mnemonics[name]
+	if !known && dotted {
+		space, width, wide := strings.Cut(suffix, ".")
+		spill := mnem[:len(name)+1+len(space)]
+		if op, known = mnemonics[spill]; known {
+			name, suffix, dotted = spill, width, wide
 		}
 	}
-
-	op, ok := opByName(base, mnem)
-	if !ok {
-		return in, false, &ParseError{line, fmt.Sprintf("unknown opcode %q", mnem)}
+	form := opTable[op].form
+	if dotted && !(known && form == formSet) {
+		if in.Width = uint8(indexName(widthNames[:], suffix)); in.Width == 0 {
+			return in, &ParseError{line, fmt.Sprintf("bad width suffix in %q", mnem)}
+		}
+	}
+	if !known {
+		return in, &ParseError{line, fmt.Sprintf("unknown opcode %q", mnem)}
 	}
 	in.Op = op
 
+	f := &forms[form]
 	args := splitOperands(rest)
-	reg := func(s string) (Reg, error) {
-		s = strings.TrimSpace(s)
-		if s == "_" {
-			return RegNone, nil
+	if len(args) < f.minOps || len(args) > len(f.ops) {
+		if f.usage != "" {
+			return in, &ParseError{line, f.usage}
 		}
-		if len(s) < 2 || (s[0] != 'v' && s[0] != 'r') {
-			return 0, &ParseError{line, fmt.Sprintf("bad register %q", s)}
-		}
-		n, err := strconv.Atoi(s[1:])
-		if err != nil || n < 0 || n >= int(RegNone) {
-			return 0, &ParseError{line, fmt.Sprintf("bad register %q", s)}
-		}
-		return Reg(n), nil
+		return in, &ParseError{line, fmt.Sprintf("%s expects %d operands, got %d", mnem, len(f.ops), len(args))}
 	}
-	imm := func(s string) (int32, error) {
-		n, err := strconv.ParseInt(strings.TrimSpace(s), 0, 64)
-		if err != nil || n < -(1<<31) || n >= 1<<32 {
-			return 0, &ParseError{line, fmt.Sprintf("bad immediate %q", s)}
+	if form == formSet {
+		if in.Cmp = Cmp(indexName(cmpNames[:], mnem[strings.LastIndexByte(mnem, '.')+1:])); in.Cmp == CmpNone {
+			return in, &ParseError{line, fmt.Sprintf("%s requires a .CMP suffix (LT/LE/EQ/NE/GE/GT)", name)}
 		}
-		return int32(uint32(n)), nil // values in [2^31, 2^32) wrap to the same bits
 	}
-	// addr parses "[vN]" or "[vN+imm]" into src register and Imm.
-	addr := func(s string) (Reg, int32, error) {
-		s = strings.TrimSpace(s)
-		if !strings.HasPrefix(s, "[") || !strings.HasSuffix(s, "]") {
-			return 0, 0, &ParseError{line, fmt.Sprintf("bad address %q", s)}
-		}
-		inner := s[1 : len(s)-1]
-		off := int32(0)
-		if plus := strings.IndexByte(inner, '+'); plus >= 0 {
-			o, err := imm(inner[plus+1:])
-			if err != nil {
-				return 0, 0, err
+	src := 0
+	for i, arg := range args {
+		var err error
+		switch f.ops[i] {
+		case oDst:
+			in.Dst, err = parseReg(arg, line)
+		case oSrc, oWide:
+			in.Src[src], err = parseReg(arg, line)
+			src++
+		case oAddr:
+			in.Src[src], in.Imm, err = parseAddr(arg, line)
+			src++
+		case oImm:
+			in.Imm, err = parseImm(arg, line)
+		case oSp:
+			if in.Sp = Sp(indexName(spNames[:], arg)); in.Sp == SpNone {
+				err = &ParseError{line, fmt.Sprintf("unknown special register %q", arg)}
 			}
-			off = o
-			inner = inner[:plus]
+		case oLabel, oFunc:
+			in.Label = arg
 		}
-		r, err := reg(inner)
 		if err != nil {
-			return 0, 0, err
+			return in, err
 		}
-		return r, off, nil
-	}
-	need := func(n int) error {
-		if len(args) != n {
-			return &ParseError{line, fmt.Sprintf("%s expects %d operands, got %d", mnem, n, len(args))}
-		}
-		return nil
-	}
-
-	var err error
-	switch op {
-	case OpIAdd, OpISub, OpIMul, OpIMin, OpIMax, OpAnd, OpOr, OpXor,
-		OpShl, OpShr, OpFAdd, OpFSub, OpFMul, OpFMin, OpFMax:
-		if err = need(3); err != nil {
-			return in, false, err
-		}
-		if in.Dst, err = reg(args[0]); err == nil {
-			if in.Src[0], err = reg(args[1]); err == nil {
-				in.Src[1], err = reg(args[2])
-			}
-		}
-	case OpIMad, OpFFma:
-		if err = need(4); err != nil {
-			return in, false, err
-		}
-		if in.Dst, err = reg(args[0]); err == nil {
-			if in.Src[0], err = reg(args[1]); err == nil {
-				if in.Src[1], err = reg(args[2]); err == nil {
-					in.Src[2], err = reg(args[3])
-				}
-			}
-		}
-	case OpISet, OpFSet:
-		// ISET.LT v1, v2, v3
-		if err = need(3); err != nil {
-			return in, false, err
-		}
-		var c Cmp
-		if dot := strings.LastIndex(mnem, "."); dot >= 0 {
-			c = cmpByName(mnem[dot+1:])
-		}
-		if c == CmpNone {
-			return in, false, &ParseError{line, fmt.Sprintf("%s requires a .CMP suffix (LT/LE/EQ/NE/GE/GT)", base)}
-		}
-		in.Cmp = c
-		in.Width = 0
-		if in.Dst, err = reg(args[0]); err == nil {
-			if in.Src[0], err = reg(args[1]); err == nil {
-				in.Src[1], err = reg(args[2])
-			}
-		}
-	case OpMov, OpF2I, OpI2F:
-		if err = need(2); err != nil {
-			return in, false, err
-		}
-		if in.Dst, err = reg(args[0]); err == nil {
-			in.Src[0], err = reg(args[1])
-		}
-	case OpMovI:
-		if err = need(2); err != nil {
-			return in, false, err
-		}
-		if in.Dst, err = reg(args[0]); err == nil {
-			in.Imm, err = imm(args[1])
-		}
-	case OpRdSp:
-		if err = need(2); err != nil {
-			return in, false, err
-		}
-		if in.Dst, err = reg(args[0]); err == nil {
-			in.Sp = spByName(strings.TrimSpace(args[1]))
-			if in.Sp == SpNone {
-				err = &ParseError{line, fmt.Sprintf("unknown special register %q", args[1])}
-			}
-		}
-	case OpLdG, OpLdS:
-		if err = need(2); err != nil {
-			return in, false, err
-		}
-		if in.Dst, err = reg(args[0]); err == nil {
-			in.Src[0], in.Imm, err = addr(args[1])
-		}
-	case OpStG, OpStS:
-		if err = need(2); err != nil {
-			return in, false, err
-		}
-		if in.Src[0], in.Imm, err = addr(args[0]); err == nil {
-			in.Src[1], err = reg(args[1])
-		}
-	case OpSpillSS, OpSpillLS:
-		// SPST.S slot, vN
-		if err = need(2); err != nil {
-			return in, false, err
-		}
-		if in.Imm, err = imm(args[0]); err == nil {
-			in.Src[0], err = reg(args[1])
-		}
-	case OpSpillSL, OpSpillLL:
-		// SPLD.S vN, slot
-		if err = need(2); err != nil {
-			return in, false, err
-		}
-		if in.Dst, err = reg(args[0]); err == nil {
-			in.Imm, err = imm(args[1])
-		}
-	case OpBra:
-		if err = need(1); err != nil {
-			return in, false, err
-		}
-		in.Label = strings.TrimSpace(args[0])
-	case OpCbr:
-		if err = need(2); err != nil {
-			return in, false, err
-		}
-		if in.Src[0], err = reg(args[0]); err == nil {
-			in.Label = strings.TrimSpace(args[1])
-		}
-	case OpCall:
-		if len(args) < 2 || len(args) > 5 {
-			return in, false, &ParseError{line, "CALL expects dst, fname[, args...]"}
-		}
-		if in.Dst, err = reg(args[0]); err != nil {
-			return in, false, err
-		}
-		in.Label = strings.TrimSpace(args[1])
-		in.Src = [3]Reg{RegNone, RegNone, RegNone}
-		for i := 2; i < len(args); i++ {
-			if in.Src[i-2], err = reg(args[i]); err != nil {
-				return in, false, err
-			}
-		}
-		return in, true, nil
-	case OpRet:
-		in.Src = [3]Reg{RegNone, RegNone, RegNone}
-		if len(args) == 1 {
-			in.Src[0], err = reg(args[0])
-		} else if len(args) != 0 {
-			err = &ParseError{line, "RET expects at most one operand"}
-		}
-	case OpBar, OpExit:
-		err = need(0)
-	default:
-		err = &ParseError{line, fmt.Sprintf("unhandled opcode %q", mnem)}
-	}
-	if err != nil {
-		return in, false, err
 	}
 	if in.Width == 1 {
 		in.Width = 0 // canonical word width
 	}
-	return in, false, nil
+	return in, nil
 }
 
+// widthNames are the width suffixes of widths 1-4.
+var widthNames = [...]string{"", "32", "64", "96", "128"}
+
+// indexName returns the index of s in names, or 0 (whose name is empty).
+func indexName(names []string, s string) int {
+	for i := 1; i < len(names); i++ {
+		if names[i] == s {
+			return i
+		}
+	}
+	return 0
+}
+
+func parseReg(s string, line int) (Reg, error) {
+	s = strings.TrimSpace(s)
+	if s == "_" {
+		return RegNone, nil
+	}
+	if len(s) >= 2 && (s[0] == 'v' || s[0] == 'r') {
+		if n, err := strconv.Atoi(s[1:]); err == nil && n >= 0 && n < int(RegNone) {
+			return Reg(n), nil
+		}
+	}
+	return 0, &ParseError{line, fmt.Sprintf("bad register %q", s)}
+}
+
+func parseImm(s string, line int) (int32, error) {
+	n, err := strconv.ParseInt(strings.TrimSpace(s), 0, 64)
+	if err != nil || n < -(1<<31) || n >= 1<<32 {
+		return 0, &ParseError{line, fmt.Sprintf("bad immediate %q", s)}
+	}
+	return int32(uint32(n)), nil // values in [2^31, 2^32) wrap to the same bits
+}
+
+// parseAddr parses "[vN]" or "[vN+imm]" into a register and an offset.
+func parseAddr(s string, line int) (Reg, int32, error) {
+	s = strings.TrimSpace(s)
+	if !strings.HasPrefix(s, "[") || !strings.HasSuffix(s, "]") {
+		return 0, 0, &ParseError{line, fmt.Sprintf("bad address %q", s)}
+	}
+	base, offset, hasOffset := strings.Cut(s[1:len(s)-1], "+")
+	var off int32
+	if hasOffset {
+		var err error
+		if off, err = parseImm(offset, line); err != nil {
+			return 0, 0, err
+		}
+	}
+	r, err := parseReg(base, line)
+	return r, off, err
+}
+
+// splitOperands splits an operand list at the commas outside brackets.
 func splitOperands(s string) []string {
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return nil
 	}
-	parts := strings.Split(s, ",")
-	// Re-join pieces split inside brackets: "[v1+4]" has no comma, but be safe.
-	out := make([]string, 0, len(parts))
-	depth := 0
-	curStart := -1
-	for i, p := range parts {
-		if curStart < 0 {
-			curStart = i
+	out := make([]string, 0, 4)
+	depth, start := 0, 0
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case '[':
+			depth++
+		case ']':
+			depth--
+		case ',':
+			if depth == 0 {
+				out = append(out, strings.TrimSpace(s[start:i]))
+				start = i + 1
+			}
 		}
-		depth += strings.Count(p, "[") - strings.Count(p, "]")
-		if depth == 0 {
-			out = append(out, strings.TrimSpace(strings.Join(parts[curStart:i+1], ",")))
-			curStart = -1
-		}
 	}
-	if curStart >= 0 {
-		out = append(out, strings.TrimSpace(strings.Join(parts[curStart:], ",")))
-	}
-	return out
-}
-
-func opByName(base, full string) (Op, bool) {
-	switch full {
-	case "SPST.S":
-		return OpSpillSS, true
-	case "SPLD.S":
-		return OpSpillSL, true
-	case "SPST.L":
-		return OpSpillLS, true
-	case "SPLD.L":
-		return OpSpillLL, true
-	}
-	switch base {
-	case "IADD":
-		return OpIAdd, true
-	case "ISUB":
-		return OpISub, true
-	case "IMUL":
-		return OpIMul, true
-	case "IMAD":
-		return OpIMad, true
-	case "IMIN":
-		return OpIMin, true
-	case "IMAX":
-		return OpIMax, true
-	case "AND":
-		return OpAnd, true
-	case "OR":
-		return OpOr, true
-	case "XOR":
-		return OpXor, true
-	case "SHL":
-		return OpShl, true
-	case "SHR":
-		return OpShr, true
-	case "ISET":
-		return OpISet, true
-	case "FADD":
-		return OpFAdd, true
-	case "FSUB":
-		return OpFSub, true
-	case "FMUL":
-		return OpFMul, true
-	case "FFMA":
-		return OpFFma, true
-	case "FMIN":
-		return OpFMin, true
-	case "FMAX":
-		return OpFMax, true
-	case "FSET":
-		return OpFSet, true
-	case "F2I":
-		return OpF2I, true
-	case "I2F":
-		return OpI2F, true
-	case "MOV":
-		return OpMov, true
-	case "MOVI":
-		return OpMovI, true
-	case "RDSP":
-		return OpRdSp, true
-	case "LDG":
-		return OpLdG, true
-	case "STG":
-		return OpStG, true
-	case "LDS":
-		return OpLdS, true
-	case "STS":
-		return OpStS, true
-	case "BRA":
-		return OpBra, true
-	case "CBR":
-		return OpCbr, true
-	case "CALL":
-		return OpCall, true
-	case "RET":
-		return OpRet, true
-	case "BAR":
-		return OpBar, true
-	case "EXIT":
-		return OpExit, true
-	}
-	return OpInvalid, false
-}
-
-func cmpByName(s string) Cmp {
-	switch s {
-	case "LT":
-		return CmpLT
-	case "LE":
-		return CmpLE
-	case "EQ":
-		return CmpEQ
-	case "NE":
-		return CmpNE
-	case "GE":
-		return CmpGE
-	case "GT":
-		return CmpGT
-	}
-	return CmpNone
-}
-
-func spByName(s string) Sp {
-	switch s {
-	case "WARPID":
-		return SpWarpID
-	case "BLOCKID":
-		return SpBlockID
-	case "WARPINBLK":
-		return SpWarpInBlk
-	case "NUMWARPS":
-		return SpNumWarps
-	case "WARPSPERBLK":
-		return SpWarpsPerBlk
-	case "SMID":
-		return SpSMID
-	case "LANEID":
-		return SpLaneID
-	}
-	return SpNone
+	return append(out, strings.TrimSpace(s[start:]))
 }
 
 // Format disassembles a Program back to OASM text. Branch targets are
@@ -666,67 +424,60 @@ func Format(p *Program) string {
 
 // FormatInstr renders a single instruction as OASM text.
 func FormatInstr(p *Program, in *Instr) string {
-	r := func(x Reg) string {
+	var b strings.Builder
+	b.WriteString(in.Op.String())
+	form := opTable[in.Op].form
+	if form == formSet {
+		b.WriteString("." + in.Cmp.String())
+	} else if in.Width > 1 {
+		b.WriteString("." + strconv.Itoa(in.W()*32))
+	}
+	reg := func(x Reg) {
 		if x == RegNone {
-			return "_"
+			b.WriteByte('_')
+			return
 		}
-		return "v" + strconv.Itoa(int(x))
+		b.WriteByte('v')
+		b.WriteString(strconv.Itoa(int(x)))
 	}
-	mnem := in.Op.String()
-	if in.Width > 1 {
-		mnem += "." + strconv.Itoa(in.W()*32)
+	f := &forms[form]
+	n := len(f.ops)
+	for n > f.minOps && in.Src[n-1-f.minOps] == RegNone {
+		n-- // optional sources: up to the last present one
 	}
-	switch in.Op {
-	case OpISet, OpFSet:
-		mnem = in.Op.String() + "." + in.Cmp.String()
-	}
-	adr := func(base Reg) string {
-		if in.Imm != 0 {
-			return fmt.Sprintf("[%s+%d]", r(base), in.Imm)
+	src, sep := 0, " "
+	for _, o := range f.ops[:n] {
+		b.WriteString(sep)
+		sep = ", "
+		switch o {
+		case oDst:
+			reg(in.Dst)
+		case oSrc, oWide:
+			reg(in.Src[src])
+			src++
+		case oAddr:
+			b.WriteByte('[')
+			reg(in.Src[src])
+			if in.Imm != 0 {
+				b.WriteString("+" + strconv.Itoa(int(in.Imm)))
+			}
+			b.WriteByte(']')
+			src++
+		case oImm:
+			b.WriteString(strconv.Itoa(int(in.Imm)))
+		case oSp:
+			b.WriteString(in.Sp.String())
+		case oLabel:
+			b.WriteString("L" + strconv.Itoa(int(in.Tgt)))
+		case oFunc:
+			callee := "?"
+			if p != nil && in.Tgt >= 0 && int(in.Tgt) < len(p.Funcs) {
+				callee = p.Funcs[in.Tgt].Name
+			} else if in.Label != "" {
+				callee = in.Label
+			}
+			b.WriteString(callee)
 		}
-		return fmt.Sprintf("[%s]", r(base))
 	}
-	switch in.Op {
-	case OpIMad, OpFFma:
-		return fmt.Sprintf("%s %s, %s, %s, %s", mnem, r(in.Dst), r(in.Src[0]), r(in.Src[1]), r(in.Src[2]))
-	case OpMov, OpF2I, OpI2F:
-		return fmt.Sprintf("%s %s, %s", mnem, r(in.Dst), r(in.Src[0]))
-	case OpMovI:
-		return fmt.Sprintf("%s %s, %d", mnem, r(in.Dst), in.Imm)
-	case OpRdSp:
-		return fmt.Sprintf("%s %s, %s", mnem, r(in.Dst), in.Sp)
-	case OpLdG, OpLdS:
-		return fmt.Sprintf("%s %s, %s", mnem, r(in.Dst), adr(in.Src[0]))
-	case OpStG, OpStS:
-		return fmt.Sprintf("%s %s, %s", mnem, adr(in.Src[0]), r(in.Src[1]))
-	case OpSpillSS, OpSpillLS:
-		return fmt.Sprintf("%s %d, %s", mnem, in.Imm, r(in.Src[0]))
-	case OpSpillSL, OpSpillLL:
-		return fmt.Sprintf("%s %s, %d", mnem, r(in.Dst), in.Imm)
-	case OpBra:
-		return fmt.Sprintf("%s L%d", mnem, in.Tgt)
-	case OpCbr:
-		return fmt.Sprintf("%s %s, L%d", mnem, r(in.Src[0]), in.Tgt)
-	case OpCall:
-		callee := "?"
-		if p != nil && int(in.Tgt) < len(p.Funcs) {
-			callee = p.Funcs[in.Tgt].Name
-		} else if in.Label != "" {
-			callee = in.Label
-		}
-		s := fmt.Sprintf("%s %s, %s", mnem, r(in.Dst), callee)
-		for i := 0; i < in.NumSrcs(); i++ {
-			s += ", " + r(in.Src[i])
-		}
-		return s
-	case OpRet:
-		if in.Src[0] != RegNone {
-			return fmt.Sprintf("%s %s", mnem, r(in.Src[0]))
-		}
-		return mnem
-	case OpBar, OpExit:
-		return mnem
-	default:
-		return fmt.Sprintf("%s %s, %s, %s", mnem, r(in.Dst), r(in.Src[0]), r(in.Src[1]))
-	}
+	return b.String()
 }

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -321,5 +322,64 @@ func TestProgramQueries(t *testing.T) {
 	q.Funcs[0].Instrs[0].Op = OpExit
 	if p.Funcs[0].Instrs[0].Op == OpExit {
 		t.Error("Clone shares instruction storage")
+	}
+}
+
+// TestWideSpillRoundTrip: the allocator spills a variable at its width and
+// Format writes that width (SPST.S.64); Parse reads it back.
+func TestWideSpillRoundTrip(t *testing.T) {
+	for _, space := range []string{"S", "L"} {
+		for _, suffix := range []string{"64", "96", "128"} {
+			src := ".kernel k\n.func main\n  MOVI v0, 0\n  LDG." + suffix + " v4, [v0]\n" +
+				"  SPST." + space + "." + suffix + " 0, v4\n  SPLD." + space + "." + suffix + " v8, 0\n" +
+				"  STG." + suffix + " [v0], v8\n  EXIT\n"
+			p, err := Parse(src)
+			if err != nil {
+				t.Fatalf("SP*.%s.%s: %v", space, suffix, err)
+			}
+			st, ld := p.Entry().Instrs[2], p.Entry().Instrs[3]
+			if st.Width != p.Entry().Instrs[1].Width || ld.Width != st.Width || !st.IsSpill() || !ld.IsSpill() {
+				t.Errorf("SP*.%s.%s parsed as %+v, %+v", space, suffix, st, ld)
+			}
+			if err := Validate(p); err != nil {
+				t.Errorf("SP*.%s.%s: Validate: %v", space, suffix, err)
+			}
+			q, err := Parse(Format(p))
+			if err != nil {
+				t.Fatalf("SP*.%s.%s: reparse: %v\n%s", space, suffix, err, Format(p))
+			}
+			if !bytes.Equal(Encode(q), Encode(p)) {
+				t.Errorf("SP*.%s.%s: Format round trip changed the binary", space, suffix)
+			}
+		}
+	}
+}
+
+// TestCallWidthCanonical: CALL.32 parses to the canonical word width 0,
+// like every other opcode, so its Format round trip keeps the binary.
+func TestCallWidthCanonical(t *testing.T) {
+	p := MustParse(".kernel k\n.func main\n  MOVI v0, 1\n  CALL.32 v1, f, v0\n  STG [v0], v1\n  EXIT\n" +
+		".func f args 1 ret\n  RET v0\n")
+	if w := p.Entry().Instrs[1].Width; w != 0 {
+		t.Errorf("CALL.32 width = %d, want 0", w)
+	}
+	if q := MustParse(Format(p)); !bytes.Equal(Encode(q), Encode(p)) {
+		t.Error("Format round trip of CALL.32 changed the binary")
+	}
+}
+
+// TestCallSourceGapRoundTrip: a CALL whose sources leave a gap is written
+// with every source up to the last present one, so its Format round trip
+// keeps the binary.
+func TestCallSourceGapRoundTrip(t *testing.T) {
+	p := MustParse(".kernel k\n.func main\n  MOVI v3, 1\n  CALL v1, f, _, v3\n  EXIT\n.func f ret\n  MOVI v0, 2\n  RET v0\n")
+	if err := Validate(p); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := FormatInstr(p, &p.Entry().Instrs[1]), "CALL v1, f, _, v3"; got != want {
+		t.Errorf("FormatInstr = %q, want %q", got, want)
+	}
+	if q := MustParse(Format(p)); !bytes.Equal(Encode(q), Encode(p)) {
+		t.Error("Format round trip of a CALL with a source gap changed the binary")
 	}
 }

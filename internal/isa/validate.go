@@ -150,21 +150,16 @@ func validateFunc(p *Program, fi int, f *Function) error {
 				return err
 			}
 		}
-		switch in.Op {
-		case OpSpillSS, OpSpillSL:
-			if in.Imm < 0 || int(in.Imm)+in.W() > f.SpillShared {
-				return fmt.Errorf("isa: %s[%d]: shared spill slot %d width %d exceeds %d slots",
-					f.Name, i, in.Imm, in.W(), f.SpillShared)
+		if in.IsSpill() {
+			space, slots := "local", f.SpillLocal
+			if in.Op.Space() == spaceShared {
+				space, slots = "shared", f.SpillShared
+			}
+			if in.Imm < 0 || int(in.Imm)+in.W() > slots {
+				return fmt.Errorf("isa: %s[%d]: %s spill slot %d width %d exceeds %d slots",
+					f.Name, i, space, in.Imm, in.W(), slots)
 			}
 			spills = append(spills, spillKey(in))
-		case OpSpillLS, OpSpillLL:
-			if in.Imm < 0 || int(in.Imm)+in.W() > f.SpillLocal {
-				return fmt.Errorf("isa: %s[%d]: local spill slot %d width %d exceeds %d slots",
-					f.Name, i, in.Imm, in.W(), f.SpillLocal)
-			}
-			spills = append(spills, spillKey(in))
-		case OpCall:
-			calls++
 		}
 		switch in.Op {
 		case OpBra, OpCbr:
@@ -172,6 +167,7 @@ func validateFunc(p *Program, fi int, f *Function) error {
 				return fmt.Errorf("isa: %s[%d]: branch target %d out of range", f.Name, i, in.Tgt)
 			}
 		case OpCall:
+			calls++
 			if in.Tgt < 0 || int(in.Tgt) >= len(p.Funcs) {
 				return fmt.Errorf("isa: %s[%d]: call target %d out of range", f.Name, i, in.Tgt)
 			}
@@ -227,14 +223,14 @@ func validateFunc(p *Program, fi int, f *Function) error {
 // so sorted keys order ranges by space, then start, then width. The slot
 // must be validated (below 2^31); width is 1-4. Other ops give 0.
 func spillKey(in *Instr) uint64 {
-	k := uint64(in.Imm)<<3 | uint64(in.W())
-	switch in.Op {
-	case OpSpillSS, OpSpillSL:
-		return 1<<40 | k
-	case OpSpillLS, OpSpillLL:
-		return k
+	if !in.IsSpill() {
+		return 0
 	}
-	return 0
+	k := uint64(in.Imm)<<3 | uint64(in.W())
+	if in.Op.Space() == spaceShared {
+		k |= 1 << 40
+	}
+	return k
 }
 
 // checkSpillRanges returns ErrSpillOverlap when two of f's spill ranges

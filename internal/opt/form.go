@@ -50,18 +50,11 @@ func (fm *form) width(v int) int { return fm.vars.Defs[v].Width }
 // pureOp reports whether the opcode computes a register value from its
 // register/immediate operands alone — no memory access, no control
 // transfer, no barrier interaction — so it can be reordered freely within
-// a block subject to register dependences. OpRdSp qualifies: special
-// registers are launch constants for a given warp.
+// a block subject to register dependences: IADD's and FADD's classes.
+// OpRdSp qualifies: special registers are launch constants for a warp.
 func pureOp(op isa.Op) bool {
-	switch op {
-	case isa.OpIAdd, isa.OpISub, isa.OpIMul, isa.OpIMad, isa.OpIMin, isa.OpIMax,
-		isa.OpAnd, isa.OpOr, isa.OpXor, isa.OpShl, isa.OpShr, isa.OpISet,
-		isa.OpFAdd, isa.OpFSub, isa.OpFMul, isa.OpFFma, isa.OpFMin, isa.OpFMax,
-		isa.OpFSet, isa.OpF2I, isa.OpI2F,
-		isa.OpMov, isa.OpMovI, isa.OpRdSp:
-		return true
-	}
-	return false
+	c := op.Class()
+	return c == isa.OpIAdd.Class() || c == isa.OpFAdd.Class()
 }
 
 // check verifies the structural invariants the scheduler relies on:

@@ -71,13 +71,13 @@ type DebugInfo struct {
 
 // spillClassOf maps a spill opcode to the storage class it addresses.
 func spillClassOf(op isa.Op) SpillClass {
-	switch op {
-	case isa.OpSpillSS, isa.OpSpillSL:
+	switch in := (isa.Instr{Op: op}); {
+	case !in.IsSpill():
+		return 0
+	case op.Space() == isa.OpSpillSS.Space():
 		return SpillShared
-	case isa.OpSpillLS, isa.OpSpillLL:
-		return SpillLocal
 	}
-	return 0
+	return SpillLocal
 }
 
 // ResolveSpill maps a spill instruction (by function, opcode, and slot
