@@ -88,10 +88,13 @@ func BenchmarkSuiteEndToEnd(b *testing.B) {
 
 // BenchmarkSimulator measures the timing simulator's throughput
 // (instructions per second and nanoseconds per instruction as custom
-// metrics) on a warp-scalar kernel (srad, the compiled executor) and on a
-// lane-variant one (transpose_simt, the reference lane-accurate executor).
-// It calls sim.Simulate with a fixed residency: RunAt would answer every
-// iteration after the first from core's run cache.
+// metrics, and allocations per launch) on a warp-scalar kernel (srad, the
+// compiled executor) and on a lane-variant one (transpose_simt, the
+// reference lane-accurate executor). srad runs twice: on TeslaC2075 at a
+// 256-warp grid (about 18 resident warps per SM), and at full GTX680
+// residency (64 warps per SM, two waves), where the tuner's widest
+// GTX680 candidates run. It calls sim.Simulate with a fixed residency: RunAt
+// would answer every iteration after the first from core's run cache.
 func BenchmarkSimulator(b *testing.B) {
 	k, err := kernels.ByName("srad")
 	if err != nil {
@@ -102,6 +105,12 @@ func BenchmarkSimulator(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	kepler := device.GTX680()
+	full, err := core.NewRealizer(kepler, device.SmallCache).Realize(k.Prog, kepler.MaxWarpsPerSM)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fullBlocks := kepler.MaxWarpsPerSM / (full.Prog.BlockDim / kepler.WarpSize)
 	src, err := os.ReadFile("examples/kernels/transpose_simt.oasm")
 	if err != nil {
 		b.Fatal(err)
@@ -122,11 +131,19 @@ func BenchmarkSimulator(b *testing.B) {
 			RegsPerThread:  v.RegsPerThread,
 			SharedPerBlock: v.SharedPerBlock,
 		}, &interp.Launch{Prog: v.Prog, GridWarps: 256}},
+		{"srad_gtx680_full", sim.Config{
+			Device:         kepler,
+			Cache:          device.SmallCache,
+			BlocksPerSM:    fullBlocks,
+			RegsPerThread:  full.RegsPerThread,
+			SharedPerBlock: full.SharedPerBlock,
+		}, &interp.Launch{Prog: full.Prog, GridWarps: 2 * kepler.MaxWarpsPerSM * kepler.SMs}},
 		{"transpose_simt", sim.Config{
-			Device: device.GTX680(), Cache: device.SmallCache, BlocksPerSM: 4, RegsPerThread: 20,
+			Device: kepler, Cache: device.SmallCache, BlocksPerSM: 4, RegsPerThread: 20,
 		}, &interp.Launch{Prog: transpose, GridWarps: 4096}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
 			var instrs uint64
 			for i := 0; i < b.N; i++ {
 				st, err := sim.Simulate(bc.cfg, bc.lc)

@@ -11,21 +11,21 @@ import (
 // Compiled execution backend: each function is translated once into a slice
 // of closures ("cops"), one per instruction, with operand registers, spill
 // bases, and event metadata resolved at compile time. The timing simulator
-// drives compiled warps through the StepExecutor interface: Fill copies a
-// precomputed event template (patching only the frame base and the memory
-// address), and Commit runs the instruction's closure. The interpreter
+// drives compiled warps through Peek, which hands out a precomputed event
+// template in place with the frame base and the memory address beside it,
+// and Commit, which runs the instruction's closure. The interpreter
 // (Warp) remains the semantic source of truth — every closure mirrors the
 // corresponding Advance case exactly, including error strings — and the
 // differential tests in this package and package sim hold the two backends
 // to bit-identical results. Only one-lane execution is compiled:
 // lane-variant (LANEID) kernels run the reference Warp at 32 lanes.
 
-// StepExecutor is the one stepping interface the timing simulator drives,
-// implemented by both executors (CWarp, Warp). Fill writes
-// the next event into caller-owned storage (no per-peek copy of a freshly
-// built Event) and the event carries the DstW/SrcW operand widths, so the
-// scoreboard never re-derives them. Release returns pooled execution state
-// after the warp retires.
+// StepExecutor is the stepping interface both executors (CWarp, Warp)
+// implement. Fill writes the next event into caller-owned storage and the
+// event carries the DstW/SrcW operand widths, so the scoreboard never
+// re-derives them. The timing simulator drives a reference warp through
+// Fill and a compiled one through CWarp.Peek, which reads the template in
+// place. Release returns pooled execution state after the warp retires.
 type StepExecutor interface {
 	// Fill resolves the next instruction into ev. On a finished warp it
 	// writes a KindExit event.
@@ -123,7 +123,7 @@ type CWarp struct {
 	WarpInBlk int
 	SMID      int
 
-	regs     [RegFileSize]uint32
+	regs     []uint32 // the layout's RegHighWater words
 	shSpill  []uint32
 	locSpill []uint32
 	shared   []uint32
@@ -153,7 +153,7 @@ func NewCWarp(c *Compiled, lc *Launch, warpID int, shared []uint32) *CWarp {
 	w.BlockID = w.WarpID / wpb
 	w.WarpInBlk = w.WarpID % wpb
 	w.SMID = 0
-	w.regs = [RegFileSize]uint32{}
+	w.regs = reuseZeroed(w.regs, c.layout.RegHighWater)
 	w.shSpill = reuseZeroed(w.shSpill, c.layout.SharedSpillSlots)
 	w.locSpill = reuseZeroed(w.locSpill, c.layout.LocalSpillSlots)
 	w.shared = shared
@@ -191,16 +191,38 @@ func (w *CWarp) Done() bool { return w.done }
 // Result reports executed instruction count, store checksum, and stores.
 func (w *CWarp) Result() (int, uint64, int) { return w.steps, w.cks, w.storeCnt }
 
-// Fill resolves the next instruction by copying its compiled template and
-// patching the frame base and memory address.
-func (w *CWarp) Fill(ev *Event) {
+// exitEvent is what Peek returns on a finished warp.
+var exitEvent = Event{Kind: KindExit, AbsDst: -1}
+
+// Peek resolves the next instruction without copying it. ev is the
+// compiled template, shared by every warp of the program and read-only;
+// its AbsDst and AbsSrc are relative to base, the current frame's base.
+// addr is the memory address (zero for an event with no memory access).
+// On a finished warp ev is a KindExit event.
+func (w *CWarp) Peek() (ev *Event, base int, addr uint32) {
 	if w.done {
-		*ev = Event{Kind: KindExit, AbsDst: -1}
-		return
+		return &exitEvent, 0, 0
 	}
 	fr := w.fr
-	*ev = w.code[fr.pc].tmpl
-	if base := fr.base; base != 0 {
+	ev = &w.code[fr.pc].tmpl
+	switch in := ev.Instr; {
+	case ev.Space == SpaceNone:
+	case in.IsMem():
+		addr = w.regs[fr.base+ev.AbsSrc[0]] + uint32(in.Imm)
+	case ev.Space == SpaceShared:
+		addr = uint32(4 * (fr.shBase + int(in.Imm)))
+	default:
+		addr = uint32(LocalSlotBytes * (w.WarpID*w.c.locStride + fr.locBase + int(in.Imm)))
+	}
+	return ev, fr.base, addr
+}
+
+// Fill copies Peek's template into ev with the frame base added to its
+// register operands and the address set.
+func (w *CWarp) Fill(ev *Event) {
+	tmpl, base, addr := w.Peek()
+	*ev = *tmpl
+	if base != 0 {
 		if ev.AbsDst >= 0 {
 			ev.AbsDst += base
 		}
@@ -208,15 +230,7 @@ func (w *CWarp) Fill(ev *Event) {
 			ev.AbsSrc[i] += base
 		}
 	}
-	switch in := ev.Instr; {
-	case ev.Space == SpaceNone:
-	case in.IsMem():
-		ev.Addr = w.regs[ev.AbsSrc[0]] + uint32(in.Imm)
-	case ev.Space == SpaceShared:
-		ev.Addr = uint32(4 * (fr.shBase + int(in.Imm)))
-	default:
-		ev.Addr = uint32(LocalSlotBytes * (w.WarpID*w.c.locStride + fr.locBase + int(in.Imm)))
-	}
+	ev.Addr = addr
 }
 
 // Commit executes the current instruction's closure.
@@ -605,7 +619,7 @@ func (c *Compiled) compileOp(fi, pc int, in *isa.Instr) func(*CWarp) {
 		return func(w *CWarp) {
 			fr := w.fr
 			newBase := fr.base + bk
-			if newBase+calleeFrame > RegFileSize {
+			if newBase+calleeFrame > len(w.regs) {
 				w.err = fmt.Errorf("interp: register file overflow calling %s", calleeName)
 				return
 			}

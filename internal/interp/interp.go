@@ -263,6 +263,17 @@ func (lc *Launch) WarpsPerBlock() int { return lc.Prog.BlockDim / 32 }
 // hard ceiling on the deepest call chain's register high-water.
 const RegFileSize = 512
 
+// CheckRegFile reports an error when the deepest call chain's register
+// high-water does not fit RegFileSize. NewWarp makes this check; a launch
+// loop that sizes its register files from the layout makes it once up front.
+func (l *Layout) CheckRegFile() error {
+	if l.RegHighWater > RegFileSize {
+		return fmt.Errorf("interp: program needs %d registers, file holds %d",
+			l.RegHighWater, RegFileSize)
+	}
+	return nil
+}
+
 // ErrSIMTUnsupported is returned for a lane-variant program with calls:
 // lane-accurate execution keeps one frame (divergent call stacks are out
 // of scope, as on early hardware).
@@ -340,9 +351,8 @@ type Warp struct {
 // when the deepest call chain does not fit RegFileSize, and with
 // ErrSIMTUnsupported for a lane-variant program with calls.
 func NewWarp(lc *Launch, layout *Layout, warpID int, shared []uint32) (*Warp, error) {
-	if layout.RegHighWater > RegFileSize {
-		return nil, fmt.Errorf("interp: program needs %d registers, file holds %d",
-			layout.RegHighWater, RegFileSize)
+	if err := layout.CheckRegFile(); err != nil {
+		return nil, err
 	}
 	p := lc.Prog
 	lanes, mask := 1, uint32(1)

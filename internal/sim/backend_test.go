@@ -122,10 +122,6 @@ func TestCrossBackendFuzzCorpora(t *testing.T) {
 			if err != nil || isa.Validate(p) != nil {
 				continue
 			}
-			layout, err := interp.NewLayout(p)
-			if err != nil || layout.RegHighWater > interp.RegFileSize {
-				continue
-			}
 			seen++
 			cfg := sim.Config{Device: d, Cache: device.SmallCache, BlocksPerSM: 1, RegsPerThread: 16}
 			lc := &interp.Launch{Prog: p, GridWarps: p.BlockDim / d.WarpSize}
@@ -202,6 +198,111 @@ func TestSimBackendDeterminism(t *testing.T) {
 	}
 }
 
+// TestSimRejectsOversizedFrame pins the launch-time register-file guard:
+// a frame wider than interp.RegFileSize is NewWarp's error on both
+// backends, returned before any SM goroutine starts, so the oracle sees
+// the same fault twice.
+func TestSimRejectsOversizedFrame(t *testing.T) {
+	p := isa.MustParse(`
+.kernel big
+.blockdim 32
+.func main
+  MOVI v600, 1
+  STG [v600], v600
+  EXIT
+`)
+	if err := isa.Validate(p); err != nil {
+		t.Fatal(err)
+	}
+	lc := &interp.Launch{Prog: p, GridWarps: 1}
+	layout, err := interp.NewLayout(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want := interp.NewWarp(lc, layout, 0, nil)
+	if want == nil {
+		t.Fatalf("test premise broken: a %d-register frame fits the file", layout.RegHighWater)
+	}
+	cfg := sim.Config{Device: device.GTX680(), Cache: device.SmallCache, BlocksPerSM: 1, RegsPerThread: 16}
+	for _, backend := range []sim.Backend{sim.BackendCompiled, sim.BackendInterp} {
+		cfg.Backend = backend
+		if _, err := sim.Simulate(cfg, lc); err == nil || err.Error() != want.Error() {
+			t.Errorf("%s: err = %v, want %q", backend, err, want)
+		}
+	}
+	if vs := verify.CrossBackend(cfg, lc); vs != nil {
+		t.Errorf("oracle: %s", vs[0].Detail)
+	}
+}
+
+// TestSimWarpReuseDeterminism runs a wide-frame kernel, a narrow one, and
+// each again, in one process on both backends. Warp contexts and compiled
+// warps are pooled across launches and keep their buffers, sized to the
+// widest kernel they served: a scoreboard stamp or register value left
+// over from an earlier kernel would fabricate a hazard or change a store,
+// and show as Stats that differ from that kernel's first run. The wide
+// kernel reads v450 before writing it and reuses its high registers
+// under long-latency loads, so both leftovers would be visible.
+func TestSimWarpReuseDeterminism(t *testing.T) {
+	wide := isa.MustParse(`
+.kernel wide
+.blockdim 64
+.func main
+  RDSP v0, WARPID
+  MOVI v1, 12
+  SHL v2, v0, v1
+  STG [v2], v450
+  MOVI v3, 0
+loop:
+  MOVI v4, 7
+  SHL v5, v3, v4
+  IADD v6, v2, v5
+  LDG v300, [v6]
+  IADD v7, v6, v1
+  LDG v420, [v7]
+  IADD v450, v300, v420
+  STG [v6], v450
+  MOVI v8, 1
+  IADD v3, v3, v8
+  MOVI v9, 16
+  ISET.LT v10, v3, v9
+  CBR v10, loop
+  EXIT
+`)
+	narrow := isa.MustParse(`
+.kernel narrow
+.blockdim 32
+.func main
+  RDSP v0, WARPID
+  MOVI v1, 7
+  SHL v2, v0, v1
+  LDG v3, [v2]
+  IADD v4, v3, v3
+  STG [v2], v4
+  EXIT
+`)
+	d := device.GTX680()
+	first := map[*isa.Program]sim.Stats{}
+	for _, backend := range []sim.Backend{sim.BackendCompiled, sim.BackendInterp} {
+		for i, p := range []*isa.Program{wide, narrow, wide, narrow} {
+			cfg := sim.Config{Device: d, Cache: device.SmallCache, BlocksPerSM: 4, RegsPerThread: 32, Backend: backend}
+			st, err := sim.Simulate(cfg, &interp.Launch{Prog: p, GridWarps: 16 * d.SMs})
+			if err != nil {
+				t.Fatalf("%s run %d (%s): %v", backend, i, p.Name, err)
+			}
+			want, ok := first[p]
+			if !ok {
+				first[p] = *st
+				continue
+			}
+			if *st != want {
+				t.Fatalf("%s run %d (%s): stats diverged from the first run:\n got %+v\nwant %+v",
+					backend, i, p.Name, *st, want)
+			}
+		}
+	}
+}
+
 // TestCompiledBackendAllocsFlat asserts that repeated Simulate calls on
 // the compiled backend stay allocation-flat: block closures, warp
 // contexts, and register scratch all come from pools, so steady-state
@@ -262,10 +363,6 @@ func FuzzSimCompiled(f *testing.F) {
 		defer sim.SetInstrBudgetForTest(200_000)()
 		p, err := isa.Decode(data)
 		if err != nil || isa.Validate(p) != nil {
-			return
-		}
-		layout, err := interp.NewLayout(p)
-		if err != nil || layout.RegHighWater > interp.RegFileSize {
 			return
 		}
 		cfg := sim.Config{Device: d, Cache: device.SmallCache, BlocksPerSM: 1, RegsPerThread: 16}

@@ -139,12 +139,12 @@ const (
 
 // warpCtx is one resident warp's issue state. Field order is deliberate:
 // an issue attempt that fails on the scoreboard reads only the first
-// cache line, which matters because the inline pending[] scoreboard makes
-// the struct 5 KiB.
+// cache line (hazard and memPendHigh); the scoreboard itself lives behind
+// the pending slice, sized to the kernel.
 type warpCtx struct {
 	// hazard is the cycle at which every operand of ev is ready. ev is the
 	// warp's next instruction, resolved when its predecessor committed;
-	// pending[] only changes on the warp's own issues, so the release time
+	// pending only changes on the warp's own issues, so the release time
 	// is fixed from then on.
 	hazard      uint64
 	memPendHigh uint64 // latest cycle a memory result becomes ready
@@ -156,23 +156,39 @@ type warpCtx struct {
 	gid         int32     // global warp id
 	slot        int32     // index in the SM's warps array and wake set
 
+	// ev's register operands are relative to base: a compiled warp's ev
+	// is its program's shared, read-only template and base the frame
+	// base; a reference warp's is buf, filled with absolute operands, and
+	// base is 0. addr is ev's memory address.
+	ev   *interp.Event
+	base int
+	addr uint32
+
 	x  interp.StepExecutor
 	cw *interp.CWarp // devirtualized fast path when x is a *interp.CWarp
 
 	block *blockCtx
-	ev    interp.Event
 
-	pending [640]uint64 // register -> cycle at which its value is ready
+	pending []uint64      // register -> cycle its value is ready; RegHighWater entries
+	buf     *interp.Event // a reference warp's Fill target
 }
 
 // warpCtxPool recycles warp contexts across blocks and across Simulate
-// calls; a context is 5 KiB dominated by the pending[] scoreboard, and
-// the tuner loop launches thousands of them.
+// calls, buffers included: the tuner loop launches thousands of them.
 var warpCtxPool = sync.Pool{New: func() any { return new(warpCtx) }}
 
-func getWarpCtx() *warpCtx {
+// getWarpCtx returns a zeroed context whose scoreboard has nreg entries.
+// A recycled context keeps its buffers, growing pending when the kernel
+// is wider than the last one it served.
+func getWarpCtx(nreg int) *warpCtx {
 	wc := warpCtxPool.Get().(*warpCtx)
-	*wc = warpCtx{} // stale pending[] stamps would fabricate hazards
+	pending, buf := wc.pending, wc.buf
+	if cap(pending) < nreg {
+		pending = make([]uint64, nreg)
+	}
+	pending = pending[:nreg]
+	clear(pending) // stale stamps would fabricate hazards
+	*wc = warpCtx{pending: pending, buf: buf}
 	return wc
 }
 
@@ -377,6 +393,11 @@ func simulateLoop(cfg Config, lc *interp.Launch) (*Stats, error) {
 	// simulate the same binary many times, so it is memoized per program.
 	layout, err := interp.LayoutOf(lc.Prog)
 	if err != nil {
+		return nil, err
+	}
+	// Register files and scoreboards are sized to the layout; the compiled
+	// backend would run a program the reference executor rejects.
+	if err := layout.CheckRegFile(); err != nil {
 		return nil, err
 	}
 	wpb := lc.WarpsPerBlock()
@@ -729,9 +750,12 @@ func (sm *smCtx) launchBlock(now uint64) int {
 			sm.err = err
 			return 0
 		}
-		wc := getWarpCtx()
+		wc := getWarpCtx(e.layout.RegHighWater)
 		wc.x = x
 		wc.cw, _ = x.(*interp.CWarp)
+		if wc.cw == nil && wc.buf == nil {
+			wc.buf = new(interp.Event)
+		}
 		wc.block = blk
 		wc.gid = int32(gid)
 		wc.slot = int32(len(sm.warps))
@@ -793,8 +817,8 @@ func (sm *smCtx) memOne(ev *interp.Event, line uint64, isLoad bool) uint64 {
 
 // memAccess charges a memory operation: one transaction per distinct
 // cache line the warp touches (Lines is nil in warp-scalar mode — one
-// line at Addr; a SIMT warp's uncoalesced access pays per line).
-func (sm *smCtx) memAccess(ev *interp.Event, isLoad bool) (uint64, bool) {
+// line at addr; a SIMT warp's uncoalesced access pays per line).
+func (sm *smCtx) memAccess(ev *interp.Event, addr uint32, isLoad bool) (uint64, bool) {
 	d := sm.eng.d
 	now := sm.now
 	nLines := 1
@@ -818,7 +842,7 @@ func (sm *smCtx) memAccess(ev *interp.Event, isLoad bool) (uint64, bool) {
 		}
 	}
 	if ev.Lines == nil {
-		return sm.memOne(ev, uint64(ev.Addr)/uint64(d.LineBytes), isLoad), true
+		return sm.memOne(ev, uint64(addr)/uint64(d.LineBytes), isLoad), true
 	}
 	var lat uint64
 	for _, line := range ev.Lines {
@@ -871,39 +895,42 @@ func (sm *smCtx) finishWarp(wc *warpCtx) {
 	}
 }
 
-// prepare resolves the warp's next instruction into ev and its scoreboard
-// release time into hazard: sources and destination must all be ready.
-// It runs right after the previous instruction commits, while the warp's
-// lines are hot, so an attempt that must fail costs two loads.
+// prepare resolves the warp's next instruction into ev, base and addr, and
+// its scoreboard release time into hazard: sources and destination must
+// all be ready. It runs right after the previous instruction commits,
+// while the warp's lines are hot, so an attempt that must fail costs two
+// loads.
 func (wc *warpCtx) prepare() {
-	ev := &wc.ev
-	// Devirtualized fast path for the default compiled backend.
+	// Devirtualized fast path for the default compiled backend: the
+	// template is read in place, not copied.
 	if wc.cw != nil {
-		wc.cw.Fill(ev)
+		wc.ev, wc.base, wc.addr = wc.cw.Peek()
 	} else {
-		wc.x.Fill(ev)
+		wc.x.Fill(wc.buf)
+		wc.ev, wc.base, wc.addr = wc.buf, 0, wc.buf.Addr
 	}
-	// Fill caches the operand widths in the event so they are not
-	// re-derived from the instruction; width 1 is the overwhelmingly
-	// common case.
+	ev, base, pending := wc.ev, wc.base, wc.pending
+	// The event caches the operand widths so they are not re-derived from
+	// the instruction; width 1 is the overwhelmingly common case.
 	var hazard uint64
 	for i := 0; i < ev.NSrc; i++ {
-		r := ev.AbsSrc[i]
-		if p := wc.pending[r]; p > hazard {
+		r := base + ev.AbsSrc[i]
+		if p := pending[r]; p > hazard {
 			hazard = p
 		}
 		for k := 1; k < int(ev.SrcW[i]); k++ {
-			if p := wc.pending[r+k]; p > hazard {
+			if p := pending[r+k]; p > hazard {
 				hazard = p
 			}
 		}
 	}
 	if ev.AbsDst >= 0 {
-		if p := wc.pending[ev.AbsDst]; p > hazard {
+		r := base + ev.AbsDst
+		if p := pending[r]; p > hazard {
 			hazard = p
 		}
 		for k := 1; k < int(ev.DstW); k++ {
-			if p := wc.pending[ev.AbsDst+k]; p > hazard {
+			if p := pending[r+k]; p > hazard {
 				hazard = p
 			}
 		}
@@ -939,7 +966,7 @@ func (sm *smCtx) issueOne(wc *warpCtx) bool {
 		}
 		return sm.reject(wc, wc.hazard)
 	}
-	ev := &wc.ev
+	ev := wc.ev
 	dstW := int(ev.DstW)
 	isLoad := ev.Kind == interp.KindLoad
 	var lat uint64
@@ -975,7 +1002,7 @@ func (sm *smCtx) issueOne(wc *warpCtx) bool {
 			sm.st.sharedAccesses++
 		} else {
 			var ok bool
-			lat, ok = sm.memAccess(ev, isLoad)
+			lat, ok = sm.memAccess(ev, wc.addr, isLoad)
 			if !ok {
 				// MSHR full: wake when the earliest miss completes.
 				earliest := uint64(math.MaxUint64)
@@ -1058,9 +1085,10 @@ func (sm *smCtx) issueOne(wc *warpCtx) bool {
 	ready := now + 1
 	if ev.AbsDst >= 0 {
 		done := now + lat
-		wc.pending[ev.AbsDst] = done
+		r := wc.base + ev.AbsDst
+		wc.pending[r] = done
 		for k := 1; k < dstW; k++ {
-			wc.pending[ev.AbsDst+k] = done
+			wc.pending[r+k] = done
 		}
 		if isLoad && ev.Space != interp.SpaceShared && done > wc.memPendHigh {
 			wc.memPendHigh = done
