@@ -1,16 +1,17 @@
 GO ?= go
 
-.PHONY: check build vet lint test race test-race determinism fuzz-short bench bench-quick bench-smoke bench-opt-smoke serve-smoke tv-smoke fmt fmt-check loc test-times
+.PHONY: check build vet lint test test-386 race test-race determinism fuzz-short bench bench-quick bench-smoke bench-opt-smoke serve-smoke tv-smoke fmt fmt-check loc test-times
 
 ## check: the full CI gate — formatting, vet, staticcheck, build,
-## race-enabled tests, the serial-vs-parallel determinism suite, a short
+## race-enabled tests, the decoder and daemon tests on 32-bit (test-386),
+## the serial-vs-parallel determinism suite, a short
 ## fuzz pass over the binary decoder, the assembler, the realization
 ## pipeline, the static analyzer, the middle end and its legality check, a
 ## one-shot run of the cold-sweep benchmark so compile-path regressions
 ## fail loudly, the benchmark module's vet and quick smoke, the whole-suite
 ## legality sweep, and the end-to-end daemon smoke (serve-vs-CLI byte
 ## identity of tune reports and fat binaries, plus graceful shutdown).
-check: fmt-check vet lint build test-race determinism fuzz-short bench-smoke bench-opt-smoke bench-quick tv-smoke serve-smoke
+check: fmt-check vet lint build test-race test-386 determinism fuzz-short bench-smoke bench-opt-smoke bench-quick tv-smoke serve-smoke
 
 build:
 	$(GO) build ./...
@@ -33,6 +34,12 @@ lint:
 
 test:
 	$(GO) test ./...
+
+## test-386: the binary decoder and the daemon on a 32-bit platform,
+## where an int is 32 bits wide and an unchecked uint32 count from a
+## hostile binary turns negative.
+test-386:
+	GOARCH=386 $(GO) test ./internal/isa/ ./internal/serve/
 
 ## test-race: internal/core alone takes about six minutes under -race on
 ## two cores and over nine beside the other packages, so the default

@@ -306,7 +306,7 @@ func run(args []string, out io.Writer) error {
 			if err != nil {
 				return err
 			}
-			st, err := orion.SimulateObs(v, dev, cc, *warps, gridWarps, col)
+			st, err := orion.Simulate(v, dev, cc, *warps, gridWarps, col)
 			if err != nil {
 				return err
 			}
@@ -352,7 +352,7 @@ func run(args []string, out io.Writer) error {
 			// Size the counter-track sampling interval from an unprofiled
 			// (cacheable) run so tracks land near 256 samples regardless of
 			// kernel length.
-			st0, err := orion.Simulate(v, dev, cc, *warps, gridWarps)
+			st0, err := orion.Simulate(v, dev, cc, *warps, gridWarps, nil)
 			if err != nil {
 				return err
 			}
@@ -393,7 +393,7 @@ func run(args []string, out io.Writer) error {
 				if err != nil {
 					return err
 				}
-				st, err := orion.Simulate(v, dev, cc, lvl, gridWarps)
+				st, err := orion.Simulate(v, dev, cc, lvl, gridWarps, nil)
 				if err != nil {
 					return err
 				}

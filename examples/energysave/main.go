@@ -43,7 +43,7 @@ func main() {
 		log.Fatal(err)
 	}
 	sel := rep.Chosen
-	st, err := orion.Simulate(sel.Version, dev, orion.SmallCache, sel.TargetWarps, grid)
+	st, err := orion.Simulate(sel.Version, dev, orion.SmallCache, sel.TargetWarps, grid, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

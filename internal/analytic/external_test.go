@@ -6,7 +6,6 @@ import (
 	"repro/internal/analytic"
 	"repro/internal/core"
 	"repro/internal/device"
-	"repro/internal/interp"
 	"repro/internal/kernels"
 	"repro/internal/occupancy"
 )
@@ -67,43 +66,5 @@ func TestPredictProgramOnBenchmarks(t *testing.T) {
 				t.Errorf("%s lvl %d: non-positive prediction", name, lvl)
 			}
 		}
-	}
-}
-
-// TestEnergyModelMatchesSimulatorDirection: the analytic register-file
-// energy and the simulator's must move the same way with occupancy.
-func TestEnergyModelMatchesSimulatorDirection(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulations are slow")
-	}
-	d := device.TeslaC2075()
-	k, err := kernels.ByName("gaussian")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := core.NewRealizer(d, device.SmallCache)
-	v, err := r.Realize(k.Prog, occupancy.Levels(d, k.Prog.BlockDim)[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	const grid = 672
-	simRF := map[int]float64{}
-	predRF := map[int]float64{}
-	for _, warps := range []int{24, 48} {
-		st, err := v.RunAt(d, device.SmallCache, warps,
-			&interp.Launch{Prog: v.Prog, GridWarps: grid})
-		if err != nil {
-			t.Fatal(err)
-		}
-		simRF[warps] = st.EnergyRF / float64(st.Cycles)
-		ep, err := analytic.PredictProgramEnergy(d, v.Prog, warps, grid, v.RegsPerThread)
-		if err != nil {
-			t.Fatal(err)
-		}
-		predRF[warps] = ep.RegFile / ep.Cycles
-	}
-	if (simRF[48] > simRF[24]) != (predRF[48] > predRF[24]) {
-		t.Errorf("model and simulator disagree on register-file power direction: sim %v pred %v",
-			simRF, predRF)
 	}
 }

@@ -96,7 +96,7 @@ func EncodeFat(cr *CompileResult) []byte {
 }
 
 // DecodeFat parses a multi-version binary back into a CompileResult ready
-// for NewTuner.
+// for Realizer.TuneCompiled.
 func DecodeFat(data []byte) (*CompileResult, error) {
 	r := bytes.NewReader(data)
 	magic := make([]byte, 4)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Binary container format ("ORN1"). The Orion compiler, like the paper's,
@@ -114,8 +115,8 @@ func Decode(data []byte) (*Program, error) {
 	}
 	p := &Program{}
 	p.Name = r.string()
-	p.SharedBytes = int(r.u32())
-	p.BlockDim = int(r.u32())
+	p.SharedBytes = r.size("shared size", math.MaxInt32)
+	p.BlockDim = r.size("block dim", math.MaxInt32)
 	nf := int(r.u16())
 	if r.err != nil {
 		return nil, r.err
@@ -135,12 +136,9 @@ func Decode(data []byte) (*Program, error) {
 		f.FrameSlots = int(r.u16())
 		f.SpillShared = int(r.u16())
 		f.SpillLocal = int(r.u16())
-		ni := int(r.u32())
+		ni := r.size("instruction count", len(r.data)/instrBytes+1)
 		if r.err != nil {
 			return nil, r.err
-		}
-		if ni > len(r.data)/instrBytes+1 {
-			return nil, fmt.Errorf("isa: implausible instruction count %d", ni)
 		}
 		f.Instrs = make([]Instr, ni)
 		for i := 0; i < ni; i++ {
@@ -224,6 +222,20 @@ func (r *reader) u32() uint32 {
 		return 0
 	}
 	return binary.LittleEndian.Uint32(b)
+}
+
+// size reads a uint32 that Decode keeps as an int, failing as implausible
+// above limit. The check is made before the conversion: on a 32-bit
+// platform a value of 2³¹ or more would turn negative and pass it.
+func (r *reader) size(what string, limit int) int {
+	v := r.u32()
+	if r.err == nil && uint64(v) > uint64(limit) {
+		r.err = fmt.Errorf("isa: implausible %s %d", what, v)
+	}
+	if r.err != nil {
+		return 0
+	}
+	return int(v)
 }
 
 func (r *reader) string() string {

@@ -53,10 +53,29 @@ func TestDecodeErrors(t *testing.T) {
 	if _, err := Decode(nil); err == nil {
 		t.Error("empty input accepted")
 	}
-	data := Encode(parseSample(t))
+	p := parseSample(t)
+	data := Encode(p)
 	for _, n := range []int{5, 10, len(data) / 2, len(data) - 1} {
 		if _, err := Decode(data[:n]); err == nil {
 			t.Errorf("truncation at %d accepted", n)
+		}
+	}
+	// A field above math.MaxInt32 is implausible on every word size (on a
+	// 32-bit platform it used to turn negative and reach make).
+	header := 4 + 2 + len(p.Name)
+	instrCount := header + 4 + 4 + 2 + 2 + len(p.Entry().Name) + 1 + 1 + 4*2
+	for _, tc := range []struct {
+		off  int
+		want string
+	}{
+		{header, "isa: implausible shared size 4294967295"},
+		{header + 4, "isa: implausible block dim 4294967295"},
+		{instrCount, "isa: implausible instruction count 4294967295"},
+	} {
+		b := append([]byte(nil), data...)
+		copy(b[tc.off:], []byte{0xff, 0xff, 0xff, 0xff})
+		if _, err := Decode(b); err == nil || err.Error() != tc.want {
+			t.Errorf("offset %d: err = %v, want %q", tc.off, err, tc.want)
 		}
 	}
 }

@@ -35,7 +35,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/interp"
-	"repro/internal/ir"
 	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/obs"
@@ -47,7 +46,7 @@ import (
 )
 
 // Re-exported core types. The paper's contribution lives in these:
-// Realizer compiles occupancy-adaptive binaries (Section 3.2-3.3), Tuner
+// Realizer compiles occupancy-adaptive binaries (Section 3.2-3.3) and
 // adapts at runtime (Section 3.4).
 type (
 	// Realizer compiles a kernel for a device and cache configuration and
@@ -62,8 +61,6 @@ type (
 	CompileResult = core.CompileResult
 	// TuneReport is the end-to-end tuning outcome.
 	TuneReport = core.TuneReport
-	// Tuner is the runtime selection state machine (Figure 9).
-	Tuner = core.Tuner
 	// Launch describes a kernel's grid and application iterations.
 	Launch = core.Launch
 	// LevelResult is one point of an occupancy sweep.
@@ -71,9 +68,6 @@ type (
 	// Decision is one runtime tuning step's explanation (TuneReport's
 	// decision log; `orion tune -explain` renders these).
 	Decision = core.Decision
-	// Headroom describes an occupancy plateau and the resources running at
-	// its low end frees (paper Section 4.2).
-	Headroom = core.Headroom
 
 	// Program is a kernel: entry function plus device functions.
 	Program = isa.Program
@@ -81,8 +75,6 @@ type (
 	Device = device.Device
 	// CacheConfig selects the shared/L1 split of on-chip memory.
 	CacheConfig = device.CacheConfig
-	// OccupancyResult reports SM residency for a resource configuration.
-	OccupancyResult = occupancy.Result
 	// SimStats is a simulated launch's outcome.
 	SimStats = sim.Stats
 	// SimTotals is a snapshot of the process-wide simulation counters
@@ -109,9 +101,6 @@ type (
 	// CacheSnapshot reports the process-wide memo caches' hit/miss
 	// counters.
 	CacheSnapshot = core.CacheSnapshot
-	// LadderCounters reports the occupancy-ladder realization counters
-	// (levels reused, colorings re-run).
-	LadderCounters = core.LadderCounters
 	// Ladder realizes one program across all occupancy levels through a
 	// shared set of middle-end analyses (Realizer.NewLadder).
 	Ladder = core.Ladder
@@ -208,32 +197,14 @@ func ValidateKernel(p *Program) error { return isa.Validate(p) }
 // tuning direction (paper Section 3.3).
 func MaxLive(p *Program) (int, error) { return core.MaxLive(p) }
 
-// UnrollLoop doubles the entry function's canonical counted loop — the
-// optimization Section 4.2 pairs with plateau headroom (it trades
-// register pressure for fewer dynamic instructions). It returns a new
-// program, or an error when the loop shape does not admit unrolling.
-func UnrollLoop(p *Program) (*Program, error) {
-	nf, err := ir.UnrollCountedLoop(p.Entry())
-	if err != nil {
-		return nil, err
-	}
-	np := p.Clone()
-	np.Funcs[0] = nf
-	return np, nil
-}
-
 // EncodeFat serializes a compile result into the paper's multi-version
 // binary (Figure 3): every candidate version plus the tuning metadata the
 // runtime needs.
 func EncodeFat(cr *CompileResult) []byte { return core.EncodeFat(cr) }
 
-// DecodeFat parses a multi-version binary; the result drives NewTuner
-// without recompilation.
+// DecodeFat parses a multi-version binary; Realizer.TuneCompiled tunes the
+// result without recompilation.
 func DecodeFat(data []byte) (*CompileResult, error) { return core.DecodeFat(data) }
-
-// NewTuner builds the runtime occupancy tuner (Figure 9) from compile-time
-// output, whether freshly compiled or decoded from a multi-version binary.
-func NewTuner(cr *CompileResult) *Tuner { return core.NewTuner(cr) }
 
 // OccupancyLevels enumerates the achievable warps-per-SM levels for a
 // block size on a device.
@@ -241,24 +212,10 @@ func OccupancyLevels(d *Device, blockDim int) []int {
 	return occupancy.Levels(d, blockDim)
 }
 
-// Occupancy runs the NVIDIA-calculator-style residency computation.
-func Occupancy(d *Device, cc CacheConfig, regsPerThread, sharedPerBlock, blockDim int) (OccupancyResult, error) {
-	return occupancy.Calc(d, cc, occupancy.Config{
-		RegsPerThread:  regsPerThread,
-		SharedPerBlock: sharedPerBlock,
-		BlockDim:       blockDim,
-	})
-}
-
 // Simulate executes a compiled version at a target occupancy on the
-// simulated device.
-func Simulate(v *Version, d *Device, cc CacheConfig, targetWarps, gridWarps int) (*SimStats, error) {
-	return v.RunAt(d, cc, targetWarps, &interp.Launch{Prog: v.Prog, GridWarps: gridWarps})
-}
-
-// SimulateObs is Simulate recording a span (and metrics) into the
-// collector; a nil collector behaves exactly like Simulate.
-func SimulateObs(v *Version, d *Device, cc CacheConfig, targetWarps, gridWarps int, c *Collector) (*SimStats, error) {
+// simulated device, recording a span (and metrics) into the collector; a
+// nil collector disables instrumentation.
+func Simulate(v *Version, d *Device, cc CacheConfig, targetWarps, gridWarps int, c *Collector) (*SimStats, error) {
 	return v.RunAtCtx(d, cc, targetWarps, &interp.Launch{Prog: v.Prog, GridWarps: gridWarps}, c.Ctx())
 }
 
@@ -307,23 +264,6 @@ func PredictOccupancy(d *Device, p *Program, activeWarpsPerSM, totalWarps int) (
 	return analytic.PredictProgram(d, p, activeWarpsPerSM, totalWarps)
 }
 
-// EnergyPrediction is the integrated power-and-performance model's output
-// (the paper's reference [13]).
-type EnergyPrediction = analytic.EnergyPrediction
-
-// PredictEnergy predicts a program's energy at the given occupancy and
-// register allocation with the component power model of [13].
-func PredictEnergy(d *Device, p *Program, activeWarpsPerSM, totalWarps, regsPerThread int) (EnergyPrediction, error) {
-	return analytic.PredictProgramEnergy(d, p, activeWarpsPerSM, totalWarps, regsPerThread)
-}
-
-// PlateauHeadroom analyzes a sweep for the paper's Section 4.2
-// observation: the occupancy range with best-class performance and the
-// per-thread resources freed by running at its low end.
-func PlateauHeadroom(d *Device, cc CacheConfig, blockDim int, sweep []LevelResult) Headroom {
-	return core.PlateauHeadroom(d, cc, blockDim, sweep)
-}
-
 // Benchmarks returns the paper's evaluation kernels (Table 2 plus
 // heartwall and matrixMul). The error reports a kernel-generator source
 // that fails to assemble.
@@ -344,13 +284,6 @@ func NewCollector() *Collector { return obs.New() }
 // SnapshotCacheCounters reads the process-wide realize/run memo-cache
 // counters.
 func SnapshotCacheCounters() CacheSnapshot { return core.SnapshotCacheCounters() }
-
-// LadderStats reads the process-wide occupancy-ladder counters.
-func LadderStats() LadderCounters { return core.LadderStats() }
-
-// ResetCacheCounters zeroes the memo-cache counters without dropping
-// entries, so a warm process can report per-invocation numbers.
-func ResetCacheCounters() { core.ResetCacheCounters() }
 
 // PublishCacheMetrics copies the memo-cache counters into the collector's
 // metrics registry (called just before exporting a metrics snapshot).
