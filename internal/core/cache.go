@@ -37,13 +37,8 @@ type realizeKey struct {
 // Version or its program after Realize returns).
 var realizeCache = memo.New[realizeKey, *Version]()
 
-// cacheKey builds the memo key for a realization, or reports that this
-// realizer's configuration is not content-addressable (custom lazy
-// compression callbacks cannot be hashed) and must bypass the cache.
-func (r *Realizer) cacheKey(p *isa.Program, targetWarps int) (realizeKey, bool) {
-	if r.Interproc.Budget != 0 || r.Interproc.CalleeNeed != nil {
-		return realizeKey{}, false
-	}
+// cacheKey builds the memo key for a realization.
+func (r *Realizer) cacheKey(p *isa.Program, targetWarps int) realizeKey {
 	key := realizeKey{
 		prog:        p.Fingerprint(),
 		targetWarps: targetWarps,
@@ -55,7 +50,7 @@ func (r *Realizer) cacheKey(p *isa.Program, targetWarps int) (realizeKey, bool) 
 	if r.Opt {
 		key.optFP = opt.Fingerprint
 	}
-	return key, true
+	return key
 }
 
 // runKey identifies one simulated launch of a realized version exactly.

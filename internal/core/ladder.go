@@ -154,12 +154,8 @@ func (l *Ladder) RealizeCtx(targetWarps int, x obs.Ctx) (*Version, error) {
 // realizeVersion is the ungated realization: the process-wide realization
 // memo in front of the ladder, exactly as in Realizer.RealizeCtx.
 func (l *Ladder) realizeVersion(targetWarps int, x obs.Ctx) (*Version, error) {
-	key, ok := l.r.cacheKey(l.p, targetWarps)
-	if !ok {
-		return l.realize(targetWarps, x)
-	}
 	filled := false
-	v, err := realizeCache.Do(key, func() (*Version, error) {
+	v, err := realizeCache.Do(l.r.cacheKey(l.p, targetWarps), func() (*Version, error) {
 		filled = true
 		return l.realize(targetWarps, x)
 	})
@@ -399,12 +395,14 @@ func (l *Ladder) fillBudget(regBudget, sharedSlotBudget int, x obs.Ctx) (*Versio
 		// only to the fully optimized configuration; the Figure 5 ablations
 		// (SpaceMin or MoveMin off) reproduce the paper's naive variants
 		// (maximal compression, identity layout).
-		smart := ipo.SpaceMin && ipo.MoveMin && ipo.Budget == 0
+		smart := ipo.SpaceMin && ipo.MoveMin
+		var lazyBudget int
+		var calleeNeed func(callee int) int
 		if smart {
 			// Compress only as far as each call's callee chain needs within
 			// this function's budget (paper Section 3.2).
-			ipo.Budget = c
-			ipo.CalleeNeed = func(callee int) int { return needs[callee] }
+			lazyBudget = c
+			calleeNeed = func(callee int) int { return needs[callee] }
 		}
 		pr, err := l.prepFor(fi, x)
 		if err != nil {
@@ -429,7 +427,7 @@ func (l *Ladder) fillBudget(regBudget, sharedSlotBudget int, x obs.Ctx) (*Versio
 			}
 			ladderRecolor.Add(1)
 			x.Metrics().Counter("ladder.recolor").Add(1)
-			nf, st, err := interproc.OptimizeCtx(a, ipo, x)
+			nf, st, err := interproc.OptimizeCtx(a, ipo, lazyBudget, calleeNeed, x)
 			return nf, st, a, err
 		}
 		// variantCost scores an allocation: its own spill/move overhead

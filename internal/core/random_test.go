@@ -119,3 +119,56 @@ func TestRealizeRandomPrograms(t *testing.T) {
 		}
 	}
 }
+
+// entryLoopSrc carries v1 around a back edge to instruction 0: v1's value
+// on entry and the value carried back must share one register.
+const entryLoopSrc = `
+.kernel entryloop
+.blockdim 32
+.func main
+top:
+  MOVI v6, 1
+  IADD v1, v1, v6
+  MOVI v9, 5
+  ISET.LT v7, v1, v9
+  CBR v7, top
+  RDSP v0, WARPID
+  STG [v0], v1
+  EXIT
+`
+
+// TestRealizeLoopHeaderAtEntry realizes the entry-loop kernel at every
+// feasible level on both devices and requires each version to keep the
+// original's checksum.
+func TestRealizeLoopHeaderAtEntry(t *testing.T) {
+	p := isa.MustParse(entryLoopSrc)
+	want, err := interp.Run(&interp.Launch{Prog: p, GridWarps: 8}, 100000)
+	if err != nil {
+		t.Fatalf("original: %v", err)
+	}
+	for _, d := range device.Both() {
+		rz := NewRealizer(d, device.SmallCache)
+		realized := 0
+		for _, lvl := range occupancy.Levels(d, p.BlockDim) {
+			v, err := rz.Realize(p, lvl)
+			var inf *ErrInfeasible
+			if errors.As(err, &inf) {
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s level %d: %v", d.Name, lvl, err)
+			}
+			realized++
+			got, err := interp.Run(&interp.Launch{Prog: v.Prog, GridWarps: 8}, 100000)
+			if err != nil {
+				t.Fatalf("%s level %d: realized run: %v\n%s", d.Name, lvl, err, isa.Format(v.Prog))
+			}
+			if got.Checksum != want.Checksum {
+				t.Fatalf("%s level %d: checksum %x, want %x", d.Name, lvl, got.Checksum, want.Checksum)
+			}
+		}
+		if realized == 0 {
+			t.Fatalf("%s: no level realized", d.Name)
+		}
+	}
+}

@@ -36,15 +36,6 @@ import (
 type Options struct {
 	SpaceMin bool // compress the stack at call sites
 	MoveMin  bool // optimize slot layout with bipartite matching
-
-	// Budget, when positive, enables the paper's lazy compression: the
-	// stack is compressed only as far as the callee chain actually needs
-	// within the register budget ("we avoid extra overhead from pointless
-	// stack compression movements", Section 3.2). CalleeNeed estimates the
-	// register demand of a callee's worst chain; both must be set
-	// together. With Budget zero, compression is always maximal.
-	Budget     int
-	CalleeNeed func(callee int) int
 }
 
 // DefaultOptions enables both optimizations (the full Orion configuration).
@@ -60,21 +51,26 @@ type Stats struct {
 // Optimize computes the compressible-stack layout for one allocated
 // function and emits the compress/restore moves. It mutates a.Res.Color
 // (re-addressing slots, Figure 6b) and returns the physically rewritten
-// function with CallBounds populated.
+// function with CallBounds populated. Compression is always maximal.
 func Optimize(a *regalloc.Alloc, opt Options) (*isa.Function, *Stats, error) {
-	return OptimizeCtx(a, opt, obs.Ctx{})
+	return OptimizeCtx(a, opt, 0, nil, obs.Ctx{})
 }
 
-// OptimizeCtx is Optimize with observability: when x is enabled the
-// function gets an "interproc" span (with a "km-matching" child around
-// the Kuhn-Munkres layout search) and the movement counts feed the
-// metrics registry.
-func OptimizeCtx(a *regalloc.Alloc, opt Options, x obs.Ctx) (*isa.Function, *Stats, error) {
+// OptimizeCtx is Optimize with the paper's lazy compression and with
+// observability. A positive budget compresses the stack at each call only
+// as far as the callee chain needs within that many registers ("we avoid
+// extra overhead from pointless stack compression movements", Section
+// 3.2), calleeNeed(callee) being the register demand of the callee's
+// worst chain; budget zero (or a nil calleeNeed) compresses maximally.
+// When x is enabled the function gets an "interproc" span (with a
+// "km-matching" child around the Kuhn-Munkres layout search) and the
+// movement counts feed the metrics registry.
+func OptimizeCtx(a *regalloc.Alloc, opt Options, budget int, calleeNeed func(callee int) int, x obs.Ctx) (*isa.Function, *Stats, error) {
 	sp := x.Span("interproc",
 		obs.String("func", a.Vars.F.Name),
 		obs.Bool("space_min", opt.SpaceMin),
 		obs.Bool("move_min", opt.MoveMin))
-	f, stats, err := optimize(a, opt, sp.Ctx())
+	f, stats, err := optimize(a, opt, budget, calleeNeed, sp.Ctx())
 	if err != nil {
 		sp.SetAttr(obs.String("error", err.Error()))
 	} else {
@@ -90,7 +86,7 @@ func OptimizeCtx(a *regalloc.Alloc, opt Options, x obs.Ctx) (*isa.Function, *Sta
 	return f, stats, err
 }
 
-func optimize(a *regalloc.Alloc, opt Options, x obs.Ctx) (*isa.Function, *Stats, error) {
+func optimize(a *regalloc.Alloc, opt Options, budget int, calleeNeed func(callee int) int, x obs.Ctx) (*isa.Function, *Stats, error) {
 	v, res, live := a.Vars, a.Res, a.Live
 	m := res.FrameSlots
 	stats := &Stats{FrameSlots: m}
@@ -188,8 +184,8 @@ func optimize(a *regalloc.Alloc, opt Options, x obs.Ctx) (*isa.Function, *Stats,
 		}
 		// Lazy compression: only compress as far as the callee chain needs
 		// within the budget; anything more is pointless movement.
-		if opt.Budget > 0 && opt.CalleeNeed != nil {
-			if relaxed := opt.Budget - opt.CalleeNeed(callees[k]); relaxed > bk {
+		if budget > 0 && calleeNeed != nil {
+			if relaxed := budget - calleeNeed(callees[k]); relaxed > bk {
 				bk = relaxed
 			}
 		}

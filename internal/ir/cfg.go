@@ -1,14 +1,13 @@
 // Package ir provides the Orion compiler's middle-end analyses: control
-// flow graphs, dominators, SSA-based live-range (web) splitting — the
-// paper's "pruned SSA" step — dataflow liveness, interference information,
-// and the max-live metric that drives compile-time occupancy tuning.
+// flow graphs, post-dominators, live-range (web) splitting — the paper's
+// "pruned SSA" step, whose webs are the φ-coalesced classes of pruned SSA,
+// computed here by joining live-in names across CFG edges without building
+// SSA (TestSplitWebsMatchesDefUseChains) — dataflow liveness, interference
+// information, and the max-live metric that drives compile-time occupancy
+// tuning.
 package ir
 
-import (
-	"sort"
-
-	"repro/internal/isa"
-)
+import "repro/internal/isa"
 
 // Block is a basic block: instructions [Start, End) of the function.
 type Block struct {
@@ -144,106 +143,6 @@ func BuildCFG(f *isa.Function) *CFG {
 // Reachable reports whether block bi is reachable from the entry.
 func (c *CFG) Reachable(bi int) bool {
 	return bi == 0 || len(c.Blocks[bi].Preds) > 0
-}
-
-// Dominators computes the immediate dominator of every reachable block
-// using the Cooper-Harvey-Kennedy iterative algorithm. idom[0] == 0;
-// unreachable blocks get -1.
-func Dominators(cfg *CFG) []int {
-	idom := make([]int, len(cfg.Blocks))
-	for i := range idom {
-		idom[i] = -1
-	}
-	idom[0] = 0
-	rpoPos := make([]int, len(cfg.Blocks))
-	for i := range rpoPos {
-		rpoPos[i] = -1
-	}
-	for i, b := range cfg.RPO {
-		rpoPos[b] = i
-	}
-	intersect := func(a, b int) int {
-		for a != b {
-			for rpoPos[a] > rpoPos[b] {
-				a = idom[a]
-			}
-			for rpoPos[b] > rpoPos[a] {
-				b = idom[b]
-			}
-		}
-		return a
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, b := range cfg.RPO {
-			if b == 0 {
-				continue
-			}
-			newIdom := -1
-			for _, p := range cfg.Blocks[b].Preds {
-				if idom[p] == -1 {
-					continue
-				}
-				if newIdom == -1 {
-					newIdom = p
-				} else {
-					newIdom = intersect(newIdom, p)
-				}
-			}
-			if newIdom != -1 && idom[b] != newIdom {
-				idom[b] = newIdom
-				changed = true
-			}
-		}
-	}
-	return idom
-}
-
-// DomFrontiers computes the dominance frontier of every reachable block.
-func DomFrontiers(cfg *CFG, idom []int) [][]int {
-	df := make([]map[int]bool, len(cfg.Blocks))
-	for bi := range cfg.Blocks {
-		if !cfg.Reachable(bi) {
-			continue
-		}
-		b := &cfg.Blocks[bi]
-		if len(b.Preds) < 2 {
-			continue
-		}
-		for _, p := range b.Preds {
-			runner := p
-			for runner != idom[bi] && runner != -1 {
-				if df[runner] == nil {
-					df[runner] = map[int]bool{}
-				}
-				df[runner][bi] = true
-				runner = idom[runner]
-			}
-		}
-	}
-	out := make([][]int, len(cfg.Blocks))
-	for bi, m := range df {
-		for k := range m {
-			out[bi] = append(out[bi], k)
-		}
-		sort.Ints(out[bi])
-	}
-	return out
-}
-
-// DomChildren inverts the idom array into dominator-tree children lists.
-func DomChildren(cfg *CFG, idom []int) [][]int {
-	kids := make([][]int, len(cfg.Blocks))
-	for bi := range cfg.Blocks {
-		if bi == 0 || idom[bi] == -1 {
-			continue
-		}
-		kids[idom[bi]] = append(kids[idom[bi]], bi)
-	}
-	for _, k := range kids {
-		sort.Ints(k)
-	}
-	return kids
 }
 
 // CallGraph returns, per function index, the list of callee function

@@ -52,22 +52,6 @@ func TestBuildCFGDiamond(t *testing.T) {
 	}
 }
 
-func TestDominatorsDiamond(t *testing.T) {
-	f := mustFunc(t, diamondSrc)
-	cfg := BuildCFG(f)
-	idom := Dominators(cfg)
-	if idom[1] != 0 || idom[2] != 0 || idom[3] != 0 {
-		t.Errorf("idom = %v, want all dominated by 0", idom)
-	}
-	df := DomFrontiers(cfg, idom)
-	if !reflect.DeepEqual(df[1], []int{3}) || !reflect.DeepEqual(df[2], []int{3}) {
-		t.Errorf("df = %v, want branches to have frontier {3}", df)
-	}
-	if len(df[0]) != 0 {
-		t.Errorf("df[0] = %v, want empty", df[0])
-	}
-}
-
 const loopSrc = `
 .kernel k
 .blockdim 32
@@ -81,23 +65,6 @@ top:
   STG [v0], v0    ; b2
   EXIT
 `
-
-func TestDominatorsLoop(t *testing.T) {
-	f := mustFunc(t, loopSrc)
-	cfg := BuildCFG(f)
-	if len(cfg.Blocks) != 3 {
-		t.Fatalf("blocks = %d, want 3", len(cfg.Blocks))
-	}
-	idom := Dominators(cfg)
-	if idom[1] != 0 || idom[2] != 1 {
-		t.Errorf("idom = %v, want [0 0 1]", idom)
-	}
-	// Loop header is in its own dominance frontier.
-	df := DomFrontiers(cfg, idom)
-	if !reflect.DeepEqual(df[1], []int{1}) {
-		t.Errorf("df[1] = %v, want {1}", df[1])
-	}
-}
 
 func TestUnreachableBlocks(t *testing.T) {
 	src := `

@@ -34,19 +34,20 @@ func (v *Vars) NumVars() int { return len(v.Defs) }
 // VarAt returns the variable id of the new virtual register unit u.
 func (v *Vars) VarAt(u isa.Reg) int { return v.UnitVar[u] }
 
-// SplitWebs implements the paper's pruned-SSA step: the function is put
-// into SSA form (pruned φ placement over the dominance frontier), the
-// φ-related names are coalesced back into webs, and the resulting webs
-// become the allocation variables. Independent reuses of the same virtual
-// register split into separate variables, which is what gives the
-// allocator freedom; φ-coalescing keeps the program executable without
-// materializing φs (all operands of a φ derive from one original variable,
-// so merging them is semantics-preserving).
+// SplitWebs implements the paper's pruned-SSA step: each scalar register
+// unit is split into its def-use webs (the definitions that reach a common
+// use, joined transitively), and the webs become the allocation variables.
+// That is the partition pruned SSA yields once every φ is coalesced with
+// its operands, computed here without building SSA (defUseNames).
+// Independent reuses of the same virtual register split into separate
+// variables, which is what gives the allocator freedom; every definition
+// that reaches a use shares that use's variable, so the program stays
+// executable without materializing φs.
 //
 // Wide variables (64/96/128-bit) are handled as atomic groups: any unit
 // touched by a wide access joins its group, the group is one variable for
 // its entire range, and partial writes do not kill it.
-func SplitWebs(f *isa.Function) (*Vars, error) { return splitWebs(f, ssaNames) }
+func SplitWebs(f *isa.Function) (*Vars, error) { return splitWebs(f, defUseNames) }
 
 // Renumber is SplitWebs for input that is already web-split.
 //
@@ -54,7 +55,7 @@ func SplitWebs(f *isa.Function) (*Vars, error) { return splitWebs(f, ssaNames) }
 // allocator's spill-code insertion (regalloc.InsertSpills), which only adds
 // fresh temporaries, each defined once. On such input every scalar
 // register unit is one web and web splitting is the identity on webs, so
-// Renumber skips SSA construction, takes each unit as its own web, and
+// Renumber skips the liveness and naming, takes each unit as its own web, and
 // returns exactly what SplitWebs(f) would. On input that reuses a unit for
 // independent values it still preserves semantics, but keeps those values
 // in one variable where SplitWebs would split them.
@@ -304,165 +305,100 @@ func splitWebs(f *isa.Function, names func(cfg *CFG, grouped []bool) webNames) (
 	return &Vars{F: nf, Defs: defs, UnitVar: unitVar}, nil
 }
 
-// ssaNames is steps 2–3 of SplitWebs: it puts the scalar units into pruned
-// SSA form and names each occurrence by the root of its SSA name's
-// φ-coalesced class, i.e. by its web.
-func ssaNames(cfg *CFG, grouped []bool) webNames {
+// defUseNames is steps 2–3 of SplitWebs: it names each scalar occurrence
+// by its def-use web without building SSA. Every definition starts a fresh
+// name, and every reachable block a fresh name for each scalar unit live on
+// its entry; the block's entry name is joined with the unit's name at the
+// end of each predecessor and, in block 0, with the unit's name at function
+// entry. The joined classes are the webs: the partition pruned SSA gives
+// once every φ is coalesced with its operands, with no special case for an
+// entry block that is also a loop header.
+func defUseNames(cfg *CFG, grouped []bool) webNames {
 	f := cfg.F
 	n := len(grouped)
-	unitLive := livenessUnits(cfg, n)
-	idom := Dominators(cfg)
-	df := DomFrontiers(cfg, idom)
-	kids := DomChildren(cfg, idom)
+	live := livenessUnits(cfg, n)
 
-	// 2. Pruned φ placement for scalar (ungrouped) units.
-	phiAt := make([]map[int]bool, len(cfg.Blocks)) // block -> unit set
-	for bi := range phiAt {
-		phiAt[bi] = map[int]bool{}
+	// Names 0..n-1 are the units' names at function entry.
+	parent := make([]int, n, 2*n+len(f.Instrs))
+	for i := range parent {
+		parent[i] = i
 	}
-	defBlocks := make([][]int, n)
+	newName := func() int { parent = append(parent, len(parent)); return len(parent) - 1 }
+	find := func(x int) int {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	union := func(a, b int) {
+		if ra, rb := find(a), find(b); ra != rb {
+			parent[ra] = rb
+		}
+	}
+
+	// entry[bi*n+u] is unit u's name on entry to block bi (live units only).
+	entry := make([]int, len(cfg.Blocks)*n)
+	for bi := range cfg.Blocks {
+		if !cfg.Reachable(bi) {
+			continue
+		}
+		live.In[bi].ForEach(func(u int) {
+			if !grouped[u] {
+				entry[bi*n+u] = newName()
+			}
+		})
+	}
+	live.In[0].ForEach(func(u int) {
+		if !grouped[u] {
+			union(entry[u], u)
+		}
+	})
+
+	defName := make([]int, len(f.Instrs))
+	useName := make([][3]int, len(f.Instrs))
+	cur := make([]int, n)
 	for bi := range cfg.Blocks {
 		if !cfg.Reachable(bi) {
 			continue
 		}
 		b := &cfg.Blocks[bi]
-		for i := b.Start; i < b.End; i++ {
-			in := &f.Instrs[i]
-			if in.HasDst() && !grouped[in.Dst] {
-				defBlocks[in.Dst] = append(defBlocks[in.Dst], bi)
-			}
-		}
-	}
-	for u := 0; u < n; u++ {
-		if grouped[u] || len(defBlocks[u]) == 0 {
-			continue
-		}
-		work := append([]int(nil), defBlocks[u]...)
-		onWork := map[int]bool{}
-		for _, b := range work {
-			onWork[b] = true
-		}
-		for len(work) > 0 {
-			b := work[len(work)-1]
-			work = work[:len(work)-1]
-			for _, d := range df[b] {
-				if phiAt[d][u] {
-					continue
-				}
-				if !unitLive.In[d].Has(u) {
-					continue // pruned SSA: variable dead at join
-				}
-				phiAt[d][u] = true
-				if !onWork[d] {
-					onWork[d] = true
-					work = append(work, d)
-				}
-			}
-		}
-	}
-
-	// 3. Renaming. SSA names are dense ints; occurrence tables record the
-	// name used at each instruction operand.
-	nextName := 0
-	newName := func() int { nextName++; return nextName - 1 }
-	entryName := make([]int, n) // name live at function entry per unit
-	stacks := make([][]int, n)
-	for u := 0; u < n; u++ {
-		entryName[u] = newName()
-		stacks[u] = []int{entryName[u]}
-	}
-	defName := make([]int, len(f.Instrs))
-	useName := make([][3]int, len(f.Instrs))
-	for i := range defName {
-		defName[i] = -1
-		useName[i] = [3]int{-1, -1, -1}
-	}
-	// φ result names are assigned up front so that predecessors processed
-	// earlier in the dominator-tree walk can union their operands into them.
-	phiName := make([]map[int]int, len(cfg.Blocks)) // block -> unit -> result name
-	for bi := range phiName {
-		phiName[bi] = map[int]int{}
-		for u := range phiAt[bi] {
-			phiName[bi][u] = newName()
-		}
-	}
-	// Union-find over names for φ-coalescing.
-	nameParent := []int{}
-	nfind := func(x int) int {
-		for nameParent[x] != x {
-			nameParent[x] = nameParent[nameParent[x]]
-			x = nameParent[x]
-		}
-		return x
-	}
-
-	var rename func(bi int)
-	rename = func(bi int) {
-		b := &cfg.Blocks[bi]
-		var pushed []int // units pushed in this block, for pop
-		for u := range phiAt[bi] {
-			stacks[u] = append(stacks[u], phiName[bi][u])
-			pushed = append(pushed, u)
-		}
+		copy(cur, entry[bi*n:(bi+1)*n])
 		for i := b.Start; i < b.End; i++ {
 			in := &f.Instrs[i]
 			for s := 0; s < in.NumSrcs(); s++ {
-				u := int(in.Src[s])
-				if grouped[u] {
-					continue
+				if u := in.Src[s]; !grouped[u] {
+					useName[i][s] = cur[u]
 				}
-				useName[i][s] = stacks[u][len(stacks[u])-1]
 			}
 			if in.HasDst() && !grouped[in.Dst] {
-				u := int(in.Dst)
-				nm := newName()
-				defName[i] = nm
-				stacks[u] = append(stacks[u], nm)
-				pushed = append(pushed, u)
+				defName[i] = newName()
+				cur[in.Dst] = defName[i]
 			}
 		}
-		// φ operands of successors take the names current at block end.
 		for _, s := range b.Succs {
-			for u := range phiAt[s] {
-				cur := stacks[u][len(stacks[u])-1]
-				res := phiName[s][u]
-				// Coalesce result with operand.
-				for len(nameParent) < nextName {
-					nameParent = append(nameParent, len(nameParent))
+			live.In[s].ForEach(func(u int) {
+				if !grouped[u] {
+					union(entry[s*n+u], cur[u])
 				}
-				ra, rb := nfind(res), nfind(cur)
-				if ra != rb {
-					nameParent[ra] = rb
-				}
-			}
+			})
 		}
-		for _, k := range kids[bi] {
-			rename(k)
-		}
-		for j := len(pushed) - 1; j >= 0; j-- {
-			u := pushed[j]
-			stacks[u] = stacks[u][:len(stacks[u])-1]
-		}
-	}
-	rename(0)
-	for len(nameParent) < nextName {
-		nameParent = append(nameParent, len(nameParent))
 	}
 
 	return webNames{
-		n:   nextName,
-		arg: func(a int) int { return nfind(entryName[a]) },
+		n:   len(parent),
+		arg: func(a int) int { return find(a) },
 		op: func(i, s int) int {
 			if s < 0 {
-				return nfind(defName[i])
+				return find(defName[i])
 			}
-			return nfind(useName[i][s])
+			return find(useName[i][s])
 		},
 	}
 }
 
 // livenessUnits computes per-block liveness over raw virtual register
-// units (used for pruned φ placement).
+// units (used to name the webs live across block boundaries).
 func livenessUnits(cfg *CFG, n int) *Live {
 	l := &Live{CFG: cfg}
 	nb := len(cfg.Blocks)

@@ -206,6 +206,12 @@ inner:
   EXIT
 `,
 	}
+	checkSplitKeepsChecksum(t, srcs)
+}
+
+// checkSplitKeepsChecksum runs each program before and after web splitting
+// every function and compares store checksums.
+func checkSplitKeepsChecksum(t *testing.T, srcs map[string]string) {
 	for name, src := range srcs {
 		t.Run(name, func(t *testing.T) {
 			p, err := isa.Parse(src)
@@ -216,15 +222,10 @@ inner:
 			if err != nil {
 				t.Fatalf("run before: %v", err)
 			}
-			v, err := SplitWebs(p.Entry())
-			if err != nil {
-				t.Fatalf("SplitWebs: %v", err)
-			}
-			np := p.Clone()
-			np.Funcs[0] = v.F
+			np := splitAll(t, p)
 			after, err := interp.Run(&interp.Launch{Prog: np, GridWarps: 4}, 100000)
 			if err != nil {
-				t.Fatalf("run after: %v", err)
+				t.Fatalf("run after: %v\n%s", err, isa.Format(np))
 			}
 			if before.Checksum != after.Checksum {
 				t.Errorf("checksum changed: %x -> %x\n%s", before.Checksum, after.Checksum, isa.Format(np))

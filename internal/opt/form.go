@@ -5,7 +5,7 @@
 //
 // The pass operates on the web-split form the allocator itself uses
 // (ir.SplitWebs already renames every live range to a unique variable —
-// the paper's pruned-SSA step with φ-related names coalesced back), with
+// the φ-coalesced webs of the paper's pruned-SSA step), with
 // block liveness on top. The driver re-measures the scheduled body,
 // keeps it only on a strict max-live decrease, and has internal/tv check
 // that what it keeps reverses no dependence, so the pipeline can only

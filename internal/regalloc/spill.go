@@ -200,7 +200,7 @@ func RunCtx(f *isa.Function, c, sharedBudget int, x obs.Ctx) (*Alloc, error) {
 // webs/liveness/graph/costs instead of rebuilding them; without one it
 // splits webs. A spill round's input is the previous round's web-split
 // function plus fresh spill temporaries, so it takes its webs from
-// ir.Renumber rather than a second SSA construction, then rebuilds
+// ir.Renumber rather than a second web split, then rebuilds
 // liveness, the graph and the costs for the inserted spill code. Scratch
 // buffers are reused across rounds within one call.
 func run(f *isa.Function, pr *Prep, c, sharedBudget int, x obs.Ctx) (a *Alloc, rounds, spilled int, err error) {

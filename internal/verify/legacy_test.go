@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/interp"
 	"repro/internal/isa"
@@ -32,7 +33,7 @@ func LegacyDifferential(orig, realized *isa.Program, gridWarps, stepLimit int) [
 		}
 		got, err := legacyRun(realized, gridWarps, stepLimit)
 		if err != nil {
-			return executionFailure(err)
+			return executionFailure(err, slices.Max(want.WarpSteps), stepLimit)
 		}
 		if got.Stores != want.Stores {
 			return []Violation{{Invariant: "differential",
@@ -44,13 +45,13 @@ func LegacyDifferential(orig, realized *isa.Program, gridWarps, stepLimit int) [
 		}
 		return nil
 	}
-	want, err := legacyStoreStreams(orig, gridWarps, stepLimit)
+	want, wantSteps, err := legacyStoreStreams(orig, gridWarps, stepLimit)
 	if err != nil {
 		return nil
 	}
-	got, err := legacyStoreStreams(realized, gridWarps, stepLimit)
+	got, _, err := legacyStoreStreams(realized, gridWarps, stepLimit)
 	if err != nil {
-		return executionFailure(err)
+		return executionFailure(err, wantSteps, stepLimit)
 	}
 	for wi := range want {
 		if v := diffStream(wi, want[wi], got[wi]); v != nil {
@@ -71,15 +72,16 @@ func legacyLayout(p *isa.Program) (*interp.Layout, error) {
 	return layout, nil
 }
 
-func legacyStoreStreams(p *isa.Program, gridWarps, stepLimit int) ([][]uint32, error) {
+func legacyStoreStreams(p *isa.Program, gridWarps, stepLimit int) ([][]uint32, int, error) {
 	layout, err := legacyLayout(p)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	lc := &interp.Launch{Prog: p, GridWarps: gridWarps}
 	wpb := lc.WarpsPerBlock()
 	sharedWords := (p.SharedBytes + 3) / 4
 	streams := make([][]uint32, gridWarps)
+	maxSteps := 0
 	var shared []uint32
 	for wi := 0; wi < gridWarps; wi++ {
 		if wi%wpb == 0 && sharedWords > 0 {
@@ -87,12 +89,12 @@ func legacyStoreStreams(p *isa.Program, gridWarps, stepLimit int) ([][]uint32, e
 		}
 		w, err := interp.NewWarp(lc, layout, wi, shared)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		var stream []uint32
 		for steps := 0; !w.Done(); steps++ {
 			if steps >= stepLimit {
-				return nil, fmt.Errorf("verify: warp %d: %w", wi, interp.ErrStepLimit)
+				return nil, 0, fmt.Errorf("verify: warp %d: %w", wi, interp.ErrStepLimit)
 			}
 			ev := w.Peek()
 			if ev.Kind == interp.KindStore && ev.Space == interp.SpaceGlobal {
@@ -102,12 +104,13 @@ func legacyStoreStreams(p *isa.Program, gridWarps, stepLimit int) ([][]uint32, e
 				}
 			}
 			if _, err := w.Step(); err != nil {
-				return nil, fmt.Errorf("verify: warp %d: %w", wi, err)
+				return nil, 0, fmt.Errorf("verify: warp %d: %w", wi, err)
 			}
 		}
 		streams[wi] = stream
+		maxSteps = max(maxSteps, w.Steps)
 	}
-	return streams, nil
+	return streams, maxSteps, nil
 }
 
 // legacyRun is interp.Run as it was when every warp went through Step:
@@ -120,7 +123,7 @@ func legacyRun(p *isa.Program, gridWarps, stepLimit int) (*interp.Result, error)
 	lc := &interp.Launch{Prog: p, GridWarps: gridWarps}
 	wpb := lc.WarpsPerBlock()
 	sharedWords := (p.SharedBytes + 3) / 4
-	res := &interp.Result{}
+	res := &interp.Result{WarpSteps: make([]int, gridWarps)}
 	var shared []uint32
 	for wi := 0; wi < gridWarps; wi++ {
 		if wi%wpb == 0 && sharedWords > 0 {
@@ -141,6 +144,7 @@ func legacyRun(p *isa.Program, gridWarps, stepLimit int) (*interp.Result, error)
 		res.Checksum ^= interp.MixWarpChecksum(wi, w.Checksum)
 		res.Steps += w.Steps
 		res.Stores += w.StoreCnt
+		res.WarpSteps[wi] = w.Steps
 	}
 	return res, nil
 }

@@ -3,6 +3,7 @@ package verify
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/interp"
 	"repro/internal/isa"
@@ -25,9 +26,10 @@ const defaultOracleSteps = 200_000
 // When the original program fails to execute (step limit, resource
 // overflow) no reference exists and the oracle abstains, returning nil;
 // a realized program that fails where the original succeeded is a
-// violation. Lane-dependent (SIMT) programs are compared by store count
-// and the order-sensitive store checksum, which covers the same
-// (address, value) word stream.
+// violation, unless it only ran out of steps on a budget the original
+// used more than an eighth of (see executionFailure). Lane-dependent
+// (SIMT) programs are compared by store count and the order-sensitive
+// store checksum, which covers the same (address, value) word stream.
 //
 // Differential executes orig on every call. Callers that check several
 // realizations of one program build one Reference and Check each.
@@ -47,9 +49,10 @@ type Reference struct {
 	stepLimit int
 
 	// Exactly one of streams/result is set when ok; neither otherwise.
-	ok      bool
-	streams [][]uint32     // warp-scalar original
-	result  *interp.Result // lane-aware original
+	ok       bool
+	streams  [][]uint32     // warp-scalar original
+	result   *interp.Result // lane-aware original
+	maxSteps int            // the original's largest per-warp step count
 }
 
 // NewReference executes orig on the oracle's launch (gridWarps <= 0: two
@@ -72,8 +75,11 @@ func NewReference(orig *isa.Program, gridWarps, stepLimit int) *Reference {
 	var err error
 	if orig.UsesLaneID() {
 		r.result, err = interp.Run(&interp.Launch{Prog: orig, GridWarps: r.gridWarps}, r.stepLimit)
+		if err == nil {
+			r.maxSteps = slices.Max(r.result.WarpSteps)
+		}
 	} else {
-		r.streams, err = storeStreams(orig, r.gridWarps, r.stepLimit)
+		r.streams, r.maxSteps, err = storeStreams(orig, r.gridWarps, r.stepLimit)
 	}
 	r.ok = err == nil
 	return r
@@ -82,7 +88,8 @@ func NewReference(orig *isa.Program, gridWarps, stepLimit int) *Reference {
 // Check executes realized on the reference's launch and reports how its
 // global stores differ from the original's; nil means identical, or that
 // the oracle abstains (the original cannot run, or realized only ran out
-// of steps). Check never modifies the reference.
+// of steps on a budget the original came near). Check never modifies the
+// reference.
 func (r *Reference) Check(realized *isa.Program) []Violation {
 	if r.orig == nil || realized == nil {
 		return []Violation{{Invariant: "differential", Detail: "missing program"}}
@@ -93,9 +100,9 @@ func (r *Reference) Check(realized *isa.Program) []Violation {
 	if r.result != nil || realized.UsesLaneID() {
 		return r.checkChecksum(realized)
 	}
-	got, err := storeStreams(realized, r.gridWarps, r.stepLimit)
+	got, _, err := storeStreams(realized, r.gridWarps, r.stepLimit)
 	if err != nil {
-		return executionFailure(err)
+		return executionFailure(err, r.maxSteps, r.stepLimit)
 	}
 	for wi := range r.streams {
 		if v := diffStream(wi, r.streams[wi], got[wi]); v != nil {
@@ -106,12 +113,16 @@ func (r *Reference) Check(realized *isa.Program) []Violation {
 }
 
 // executionFailure classifies a realized program that did not run to
-// completion where the original did. Realization adds spill/move
-// instructions but never changes control flow, so a step budget the
-// original just fit under proves nothing about the realized binary: the
-// oracle abstains. Any other failure is a violation.
-func executionFailure(err error) []Violation {
-	if errors.Is(err, interp.ErrStepLimit) {
+// completion where the original did, whose warps took at most origSteps
+// steps each. Realization adds spill and move instructions but never
+// changes control flow; over the suite a realized warp runs well under
+// twice its original's steps. So a realized warp that exhausts a budget
+// of at least eight times origSteps is a runaway (a miscompiled loop)
+// and a violation, while a budget the original used more than an eighth
+// of proves nothing and the oracle abstains. Any other failure is a
+// violation.
+func executionFailure(err error, origSteps, stepLimit int) []Violation {
+	if errors.Is(err, interp.ErrStepLimit) && origSteps > stepLimit/8 {
 		return nil
 	}
 	return []Violation{{Invariant: "differential",
@@ -142,19 +153,21 @@ func diffStream(warp int, want, got []uint32) *Violation {
 
 // storeStreams executes every warp of a launch and captures its global
 // store stream as flat [addr, word...] records through the warp's store
-// sink; no instruction is resolved into an Event.
-func storeStreams(p *isa.Program, gridWarps, stepLimit int) ([][]uint32, error) {
+// sink; no instruction is resolved into an Event. It also returns the
+// largest per-warp step count.
+func storeStreams(p *isa.Program, gridWarps, stepLimit int) ([][]uint32, int, error) {
 	if err := isa.Validate(p); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	layout, err := interp.NewLayout(p)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	lc := &interp.Launch{Prog: p, GridWarps: gridWarps}
 	wpb := lc.WarpsPerBlock()
 	sharedWords := (p.SharedBytes + 3) / 4
 	streams := make([][]uint32, gridWarps)
+	maxSteps := 0
 	var shared []uint32
 	for wi := 0; wi < gridWarps; wi++ {
 		if wi%wpb == 0 && sharedWords > 0 {
@@ -162,22 +175,23 @@ func storeStreams(p *isa.Program, gridWarps, stepLimit int) ([][]uint32, error) 
 		}
 		w, err := interp.NewWarp(lc, layout, wi, shared)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		stream := &streams[wi]
 		w.StoreSink = func(addr uint32, words []uint32) {
 			*stream = append(append(*stream, addr), words...)
 		}
-		for steps := 0; !w.Done(); steps++ {
-			if steps >= stepLimit {
-				return nil, fmt.Errorf("verify: warp %d: %w", wi, interp.ErrStepLimit)
+		for !w.Done() {
+			if w.Steps >= stepLimit {
+				return nil, 0, fmt.Errorf("verify: warp %d: %w", wi, interp.ErrStepLimit)
 			}
 			if err := w.Advance(); err != nil {
-				return nil, fmt.Errorf("verify: warp %d: %w", wi, err)
+				return nil, 0, fmt.Errorf("verify: warp %d: %w", wi, err)
 			}
 		}
+		maxSteps = max(maxSteps, w.Steps)
 	}
-	return streams, nil
+	return streams, maxSteps, nil
 }
 
 // checkChecksum is the SIMT-mode oracle: full functional runs compared by
@@ -196,7 +210,7 @@ func (r *Reference) checkChecksum(realized *isa.Program) []Violation {
 	}
 	got, err := interp.Run(&interp.Launch{Prog: realized, GridWarps: r.gridWarps}, r.stepLimit)
 	if err != nil {
-		return executionFailure(err)
+		return executionFailure(err, r.maxSteps, r.stepLimit)
 	}
 	if got.Stores != want.Stores {
 		return []Violation{{Invariant: "differential",

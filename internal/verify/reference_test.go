@@ -175,13 +175,19 @@ func TestSharedReferenceRejectsAndAbstains(t *testing.T) {
 		if again := ref.Check(tampered); !reflect.DeepEqual(again, first) {
 			t.Errorf("%s: second check of the same miscompile: %v, first %v", orig.Name, again, first)
 		}
-		// Realized side hitting the step budget proves nothing.
-		if vs := ref.Check(allocated(t, spinSrc)); vs != nil {
-			t.Errorf("%s: expected abstention on realized step limit, got %v", orig.Name, vs)
+		// Realized side running away on a budget eight times the
+		// original's steps is a miscompile.
+		if vs := ref.Check(allocated(t, spinSrc)); !hasInvariant(vs, "differential") {
+			t.Errorf("%s: runaway realization not caught: %v", orig.Name, vs)
 		}
 		if vs := ref.Check(nil); !hasInvariant(vs, "differential") {
 			t.Errorf("%s: nil realized program accepted: %v", orig.Name, vs)
 		}
+	}
+	// On a budget the original used more than an eighth of, the realized
+	// side running out proves nothing.
+	if vs := verify.NewReference(allocated(t, slowSrc), 0, 1000).Check(allocated(t, spinSrc)); vs != nil {
+		t.Errorf("expected abstention on realized step limit, got %v", vs)
 	}
 	// No reference: the original itself cannot finish, whatever is checked.
 	ref := verify.NewReference(allocated(t, spinSrc), 0, 1000)

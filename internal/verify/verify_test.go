@@ -264,6 +264,24 @@ func TestDifferentialCatchesTamperingSIMT(t *testing.T) {
 	}
 }
 
+// slowSrc finishes in 186 steps per warp: more than an eighth of a
+// 1000-step budget.
+const slowSrc = `
+.kernel slow
+.blockdim 32
+.func main
+  RDSP v0, WARPID
+  MOVI v1, 0
+  MOVI v2, 1
+  MOVI v3, 60
+top:
+  IADD v1, v1, v2
+  ISET.LT v4, v1, v3
+  CBR v4, top
+  STG [v0], v1
+  EXIT
+`
+
 func TestDifferentialAbstains(t *testing.T) {
 	loop := allocated(t, spinSrc)
 	good := allocated(t, cleanSrc)
@@ -271,8 +289,51 @@ func TestDifferentialAbstains(t *testing.T) {
 	if vs := verify.Differential(loop, good, 0, 1000); vs != nil {
 		t.Errorf("expected abstention, got %v", vs)
 	}
-	// Realized side hitting the step budget proves nothing either.
-	if vs := verify.Differential(good, loop, 0, 1000); vs != nil {
+	// Realized side hitting a step budget the original used more than an
+	// eighth of proves nothing either.
+	if vs := verify.Differential(allocated(t, slowSrc), loop, 0, 1000); vs != nil {
 		t.Errorf("expected abstention on realized step limit, got %v", vs)
+	}
+}
+
+// TestDifferentialRejectsRunaway: a realization that loops forever where
+// the original finished far inside the budget is a miscompile, not a
+// budget too tight to judge. The realization is the entry-loop kernel
+// with its back edge reading a copy of the counter that the loop never
+// updates.
+func TestDifferentialRejectsRunaway(t *testing.T) {
+	orig := allocated(t, `
+.kernel entryloop
+.blockdim 32
+.func main
+top:
+  MOVI v6, 1
+  IADD v1, v1, v6
+  MOVI v9, 5
+  ISET.LT v7, v1, v9
+  CBR v7, top
+  RDSP v0, WARPID
+  STG [v0], v1
+  EXIT
+`)
+	runaway := allocated(t, `
+.kernel entryloop
+.blockdim 32
+.func main
+top:
+  MOVI v6, 1
+  IADD v2, v1, v6
+  MOVI v9, 5
+  ISET.LT v7, v2, v9
+  CBR v7, top
+  RDSP v0, WARPID
+  STG [v0], v2
+  EXIT
+`)
+	if vs := verify.Differential(orig, runaway, 0, 0); !hasInvariant(vs, "differential") {
+		t.Fatalf("non-terminating realization of a terminating original accepted: %v", vs)
+	}
+	if vs := verify.Differential(orig, orig, 0, 0); vs != nil {
+		t.Fatalf("original rejected against itself: %v", vs)
 	}
 }
