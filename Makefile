@@ -43,9 +43,10 @@ test-386:
 
 ## test-race: internal/core alone takes about six minutes under -race on
 ## two cores and over nine beside the other packages, so the default
-## ten-minute per-binary timeout is raised.
+## ten-minute per-binary timeout is raised. The Determinism tests are
+## skipped here because `make determinism` runs exactly that set.
 test-race:
-	$(GO) test -race -timeout 20m ./...
+	$(GO) test -race -timeout 20m -skip Determinism ./...
 
 race: test-race
 
@@ -55,10 +56,12 @@ race: test-race
 ## and serial/parallel compiles, of the compile task graph's fat binaries,
 ## counters and span trees across serial/parallel compiles
 ## (TestCompileDeterminismSerialVsParallel) — all under the race detector,
-## three times over as a stress. The daemon's restart and duplicate-request
-## contracts run in full under -race in test-race, which check runs first.
+## three times over as a stress. It runs every test named *Determinism*
+## and nothing else; test-race skips exactly that set. The daemon's
+## restart and duplicate-request contracts run in full under -race in
+## test-race, which check runs first.
 determinism:
-	$(GO) test -race -count=3 -run Determinism ./internal/bench/ ./internal/sim/ ./internal/opt/ ./internal/core/
+	$(GO) test -race -count=3 -run Determinism ./...
 
 ## fuzz-short: a quick coverage-guided pass over each fuzz target; the
 ## checked-in corpora run as plain regression tests under `make test`.

@@ -7,140 +7,29 @@ import (
 	"testing"
 )
 
-// readReport loads a -json artifact written by run.
-func readReport(t *testing.T, path string) jsonReport {
-	t.Helper()
-	data, err := os.ReadFile(path)
+// TestMetricsCarryCacheCounters: -metrics writes the collector's snapshot
+// with the memo-cache counters published into it just before export.
+func TestMetricsCarryCacheCounters(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "metrics.json")
+	if err := run([]string{"-exp", "fig1", "-scale", "0.05", "-metrics", out}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var r jsonReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		t.Fatalf("%s: %v", path, err)
+	var snap struct {
+		Counters map[string]uint64 `json:"counters"`
 	}
-	return r
-}
-
-// TestBackToBackRunsReportIndependentCounts is the regression test for
-// the per-invocation cache counters: two suite invocations in one warm
-// process must each report their own hit/miss traffic, not a cumulative
-// total. The second run sees a warm realization cache, so it must report
-// zero misses — which is only possible if run() resets the counters.
-func TestBackToBackRunsReportIndependentCounts(t *testing.T) {
-	dir := t.TempDir()
-	first := filepath.Join(dir, "first.json")
-	second := filepath.Join(dir, "second.json")
-
-	args := []string{"-exp", "fig1", "-scale", "0.05", "-json", ""}
-	args[len(args)-1] = first
-	if err := run(args); err != nil {
-		t.Fatal(err)
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatalf("%s: %v", out, err)
 	}
-	args[len(args)-1] = second
-	if err := run(args); err != nil {
-		t.Fatal(err)
-	}
-
-	r1 := readReport(t, first)
-	r2 := readReport(t, second)
-
-	if r1.CacheMisses == 0 {
-		t.Error("first run reported zero realize-cache misses; expected cold compiles")
-	}
-	if r2.CacheMisses != 0 {
-		t.Errorf("second run reported %d realize-cache misses; warm cache should hit every key", r2.CacheMisses)
-	}
-	if r2.CacheHits == 0 {
-		t.Error("second run reported zero realize-cache hits on a warm cache")
-	}
-	// Independence: the second report must not include the first run's
-	// traffic. Its total (hits+misses) equals its own lookups, which for
-	// the same experiment equals the first run's lookup count.
-	if got, want := r2.CacheHits+r2.CacheMisses, r1.CacheHits+r1.CacheMisses; got != want {
-		t.Errorf("second run total lookups = %d, want %d (same experiment, independent counts)", got, want)
-	}
-
-	// Per-experiment deltas must agree with the report totals.
-	var hits, misses uint64
-	for _, e := range r2.Experiments {
-		hits += e.Cache.Realize.Hits
-		misses += e.Cache.Realize.Misses
-	}
-	if hits != r2.CacheHits || misses != r2.CacheMisses {
-		t.Errorf("per-experiment deltas sum to %d/%d, report totals %d/%d", hits, misses, r2.CacheHits, r2.CacheMisses)
-	}
-}
-
-// TestReportSimTotals: each experiment records the simulation work it
-// performed — launches, cycles, stall breakdown, cache-hierarchy
-// counters — as deltas of the process-wide totals. Run-cache hits do no
-// simulation, so a warm repeat of the same experiment reports zero.
-func TestReportSimTotals(t *testing.T) {
-	dir := t.TempDir()
-	cold := filepath.Join(dir, "cold.json")
-	warm := filepath.Join(dir, "warm.json")
-	if err := run([]string{"-exp", "fig1", "-scale", "0.06", "-json", cold}); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-exp", "fig1", "-scale", "0.06", "-json", warm}); err != nil {
-		t.Fatal(err)
-	}
-	r1 := readReport(t, cold)
-	sim := r1.Experiments[0].Sim
-	if sim.Launches == 0 || sim.Cycles == 0 || sim.Instructions == 0 {
-		t.Errorf("cold experiment sim totals empty: %+v", sim)
-	}
-	if sim.StallMem+sim.StallALU+sim.StallBarrier+sim.StallMSHR == 0 {
-		t.Errorf("cold experiment has no stall attribution: %+v", sim)
-	}
-	if sim.L1Hits+sim.L1Misses == 0 {
-		t.Errorf("cold experiment has no L1 traffic: %+v", sim)
-	}
-	r2 := readReport(t, warm)
-	if got := r2.Experiments[0].Sim.Launches; got != 0 {
-		t.Errorf("warm repeat simulated %d launches; run cache should have served all", got)
-	}
-}
-
-// TestCandidateProfiles: -profile records a PC-profile summary for every
-// tuning candidate, normalized against the fastest one.
-func TestCandidateProfiles(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "report.json")
-	if err := run([]string{"-exp", "fig1", "-scale", "0.05", "-profile", "hotspot", "-json", out}); err != nil {
-		t.Fatal(err)
-	}
-	r := readReport(t, out)
-	if len(r.CandidateProfiles) == 0 {
-		t.Fatal("no candidate profiles recorded")
-	}
-	sawBest := false
-	for _, cp := range r.CandidateProfiles {
-		if cp.TargetWarps <= 0 || cp.Cycles == 0 || cp.Instructions == 0 {
-			t.Errorf("candidate summary incomplete: %+v", cp)
-		}
-		if cp.CyclesVsBest < 1 {
-			t.Errorf("candidate %d: cycles_vs_best = %v < 1", cp.TargetWarps, cp.CyclesVsBest)
-		}
-		if cp.CyclesVsBest == 1 {
-			sawBest = true
-		}
-		if cp.TopHotSpot == "" {
-			t.Errorf("candidate %d has no top hot spot", cp.TargetWarps)
+	for _, name := range []string{"core.realize_cache.hits", "core.realize_cache.misses", "core.run_cache.misses"} {
+		if _, ok := snap.Counters[name]; !ok {
+			t.Errorf("metrics snapshot lacks %s", name)
 		}
 	}
-	if !sawBest {
-		t.Error("no candidate normalized to 1.0")
-	}
-	// hotspot's candidates spill: at least one summary reports spill
-	// traffic.
-	spills := false
-	for _, cp := range r.CandidateProfiles {
-		if cp.SpillInstrs > 0 {
-			spills = true
-		}
-	}
-	if !spills {
-		t.Error("no candidate reports spill instructions for hotspot")
+	if snap.Counters["core.realize_cache.hits"]+snap.Counters["core.realize_cache.misses"] == 0 {
+		t.Error("fig1 made no realize-cache lookups")
 	}
 }

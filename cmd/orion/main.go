@@ -71,6 +71,7 @@ import (
 	"time"
 
 	orion "repro"
+	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/isa"
 	"repro/internal/obs"
@@ -269,12 +270,12 @@ func run(args []string, out io.Writer) error {
 			return nil
 
 		case "sweep":
-			before := orion.SnapshotCacheCounters()
+			before := core.SnapshotCacheCounters()
 			res, err := r.Sweep(prog, gridWarps)
 			if err != nil {
 				return err
 			}
-			lad := orion.SnapshotCacheCounters().Delta(before).Ladder
+			lad := core.SnapshotCacheCounters().Delta(before).Ladder
 			best := res[0].Stats.Cycles
 			for _, lr := range res {
 				if lr.Stats.Cycles < best {
@@ -508,7 +509,7 @@ func writeObsOutputs(col *orion.Collector, traceOut, metricsOut string) error {
 		}
 	}
 	if metricsOut != "" {
-		orion.PublishCacheMetrics(col)
+		core.PublishCacheMetrics(col.Metrics())
 		f, err := os.Create(metricsOut)
 		if err != nil {
 			return err

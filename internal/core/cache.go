@@ -76,21 +76,11 @@ type runKey struct {
 // immutable (all consumers only read it). Traced runs bypass the cache.
 var runCache = memo.New[runKey, *sim.Stats]()
 
-// RunCacheStats reports the simulation cache counters: hits (launches
-// served from the memo) and misses (launches actually simulated).
-func RunCacheStats() (hits, misses uint64) { return runCache.Stats() }
-
 // ResetRunCache drops all cached simulations and zeroes the counters.
 func ResetRunCache() { runCache.Reset() }
 
 // SetRunCacheEnabled toggles simulation memoization.
 func SetRunCacheEnabled(on bool) { runCache.SetEnabled(on) }
-
-// RealizeCacheStats reports the process-wide realization cache counters:
-// hits (calls served without allocating) and misses (distinct realizations
-// actually run). The regression suite asserts that a full experiment run
-// performs each distinct realization exactly once.
-func RealizeCacheStats() (hits, misses uint64) { return realizeCache.Stats() }
 
 // ResetRealizeCache drops all cached realizations and zeroes the counters.
 func ResetRealizeCache() { realizeCache.Reset() }
@@ -155,15 +145,6 @@ func (s CacheSnapshot) Delta(earlier CacheSnapshot) CacheSnapshot {
 			Recolor: s.Ladder.Recolor - earlier.Ladder.Recolor,
 		},
 	}
-}
-
-// ResetCacheCounters zeroes both caches' hit/miss counters without
-// dropping entries, so per-invocation numbers can be reported from a warm
-// process (keys cached before the reset count as hits afterwards).
-func ResetCacheCounters() {
-	realizeCache.ResetStats()
-	runCache.ResetStats()
-	ResetLadderStats()
 }
 
 // PublishCacheMetrics copies the current memo-cache counters into a

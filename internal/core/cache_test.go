@@ -33,7 +33,7 @@ func TestBaselineCompileShareRealization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, missesAfterBaseline := RealizeCacheStats()
+	missesAfterBaseline := SnapshotCacheCounters().Realize.Misses
 
 	cr, err := r.Compile(k.Prog, true)
 	if err != nil {
@@ -42,7 +42,7 @@ func TestBaselineCompileShareRealization(t *testing.T) {
 	if cr.Original != vBase {
 		t.Error("Compile re-allocated the levels[0] version Baseline already realized")
 	}
-	hits, _ := RealizeCacheStats()
+	hits := SnapshotCacheCounters().Realize.Hits
 	if hits == 0 {
 		t.Errorf("no cache hits across Baseline+Compile (misses after baseline: %d)", missesAfterBaseline)
 	}
@@ -66,7 +66,7 @@ func TestRealizeAtMostOncePerKey(t *testing.T) {
 	if _, _, err := r.Baseline(k.Prog, 128); err != nil {
 		t.Fatal(err)
 	}
-	_, missesFirst := RealizeCacheStats()
+	missesFirst := SnapshotCacheCounters().Realize.Misses
 
 	// Second pass over the same inputs, through a fresh Realizer (the
 	// suite builds one per experiment row): everything must hit.
@@ -80,7 +80,7 @@ func TestRealizeAtMostOncePerKey(t *testing.T) {
 	if _, err := r2.Compile(k.Prog, true); err != nil {
 		t.Fatal(err)
 	}
-	_, missesSecond := RealizeCacheStats()
+	missesSecond := SnapshotCacheCounters().Realize.Misses
 	if missesSecond != missesFirst {
 		t.Errorf("repeat run performed %d new realizations, want 0", missesSecond-missesFirst)
 	}
@@ -165,7 +165,7 @@ func TestRunCacheServesRepeatedLaunches(t *testing.T) {
 	if st1 != st2 {
 		t.Error("repeated identical launch was re-simulated (different Stats pointers)")
 	}
-	hits, _ := RunCacheStats()
+	hits := SnapshotCacheCounters().Run.Hits
 	if hits == 0 {
 		t.Error("run cache recorded no hit")
 	}

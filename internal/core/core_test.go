@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -469,6 +470,55 @@ func TestSweepUnrealizable(t *testing.T) {
 	}
 	if want := occupancy.Levels(d, p.BlockDim)[0]; inf.TargetWarps != want || !strings.Contains(inf.Reason, "shared memory") {
 		t.Errorf("Sweep error = %v, want level %d's shared-memory verdict", err, want)
+	}
+}
+
+// TestBlockLargerThanSM: a block with one warp more than an SM holds has
+// no occupancy level at all. Every entry point answers one *ErrInfeasible
+// naming the block — the daemon's 422 — instead of indexing an empty
+// level list.
+func TestBlockLargerThanSM(t *testing.T) {
+	for _, d := range device.Both() {
+		blockDim := (d.MaxWarpsPerSM + 1) * d.WarpSize
+		p := isa.MustParse(fmt.Sprintf(`
+.kernel huge
+.blockdim %d
+.func main
+  RDSP v0, WARPID
+  STG [v0], v0
+  EXIT
+`, blockDim))
+		r := NewRealizer(d, device.SmallCache)
+		_, compileErr := r.Compile(p, true)
+		_, tuneErr := r.Tune(p, Launch{GridWarps: 4096, Iterations: 4})
+		_, sweepErr := r.Sweep(p, 4096)
+		_, _, baseErr := r.Baseline(p, 4096)
+		for name, err := range map[string]error{"Compile": compileErr, "Tune": tuneErr, "Sweep": sweepErr, "Baseline": baseErr} {
+			var inf *ErrInfeasible
+			if !errors.As(err, &inf) {
+				t.Errorf("%s: %s of a %d-thread block: error = %v, want an *ErrInfeasible", d.Name, name, blockDim, err)
+				continue
+			}
+			if inf.TargetWarps != d.MaxWarpsPerSM+1 || !strings.Contains(inf.Reason, "block") {
+				t.Errorf("%s: %s: %v, want the block's %d warps named", d.Name, name, err, d.MaxWarpsPerSM+1)
+			}
+		}
+	}
+}
+
+// TestCanTuneConstantSpace: whether a launch can be tuned is decided
+// without materialising its iterations, so a request claiming
+// math.MaxInt32 of them costs no allocation.
+func TestCanTuneConstantSpace(t *testing.T) {
+	r := NewRealizer(device.GTX680(), device.SmallCache)
+	p := isa.MustParse(lowPressureSrc)
+	lc := Launch{GridWarps: 1024, Iterations: math.MaxInt32}
+	var can bool
+	if allocs := testing.AllocsPerRun(10, func() { can = r.CanTune(p, lc) }); allocs != 0 {
+		t.Errorf("CanTune with %d iterations allocated %v times per call, want 0", lc.Iterations, allocs)
+	}
+	if !can {
+		t.Error("a launch of many iterations is not tunable")
 	}
 }
 

@@ -33,12 +33,6 @@ func LadderStats() LadderCounters {
 	}
 }
 
-// ResetLadderStats zeroes the ladder counters.
-func ResetLadderStats() {
-	ladderReuse.Store(0)
-	ladderRecolor.Store(0)
-}
-
 func countReuse(x obs.Ctx) {
 	ladderReuse.Add(1)
 	x.Metrics().Counter("ladder.reuse").Add(1)

@@ -9,7 +9,6 @@ import (
 	"repro/internal/interp"
 	"repro/internal/isa"
 	"repro/internal/obs"
-	"repro/internal/occupancy"
 	"repro/internal/par"
 	"repro/internal/prof"
 	"repro/internal/sim"
@@ -63,34 +62,49 @@ type TuneReport struct {
 	Profile *prof.Report
 }
 
-// plan turns a launch into the sub-launches the runtime executes, in
-// order: one per application iteration (each with its own grid when
-// IterationGrids is set), or — for a kernel invoked once — the pieces of a
-// kernel split when the grid is large enough (each piece should still fill
-// the device a few times over), else the single invocation as one piece.
-// It is the only place a Launch is normalised and the only caller of
-// PlanSplit, so "can this launch be tuned?" has one answer: more than one
-// piece. split reports that the pieces together cover one invocation.
-func (r *Realizer) plan(blockDim int, lc Launch) (pieces []SplitPiece, split bool) {
+// launchPlan is a launch normalised into the sub-launches the runtime
+// executes, in order: n of them, the i-th given by at(i). It is O(1) in
+// the iteration count, so asking whether a launch can be tuned costs
+// nothing however many iterations a request claims.
+type launchPlan struct {
+	n      int
+	split  bool         // the pieces together cover one invocation
+	grid   int          // every sub-launch's grid, unless grids or pieces is set
+	grids  []int        // one grid per application iteration (Launch.IterationGrids)
+	pieces []SplitPiece // a kernel split's pieces
+}
+
+// at returns the i-th sub-launch.
+func (pl *launchPlan) at(i int) SplitPiece {
+	switch {
+	case pl.pieces != nil:
+		return pl.pieces[i]
+	case pl.grids != nil:
+		return SplitPiece{Warps: pl.grids[i]}
+	}
+	return SplitPiece{Warps: pl.grid}
+}
+
+// plan turns a launch into the sub-launches the runtime executes: one per
+// application iteration (each with its own grid when IterationGrids is
+// set), or — for a kernel invoked once — the pieces of a kernel split when
+// the grid is large enough (each piece should still fill the device a few
+// times over), else the single invocation as one piece. It is the only
+// place a Launch is normalised and the only caller of PlanSplit, so "can
+// this launch be tuned?" has one answer: more than one sub-launch.
+func (r *Realizer) plan(blockDim int, lc Launch) launchPlan {
 	if len(lc.IterationGrids) > 0 {
 		lc.Iterations = len(lc.IterationGrids)
 		lc.GridWarps = lc.IterationGrids[0]
 	}
 	if lc.Iterations > 1 {
-		pieces = make([]SplitPiece, lc.Iterations)
-		for i := range pieces {
-			pieces[i].Warps = lc.GridWarps
-			if len(lc.IterationGrids) > 0 {
-				pieces[i].Warps = lc.IterationGrids[i]
-			}
-		}
-		return pieces, false
+		return launchPlan{n: lc.Iterations, grid: lc.GridWarps, grids: lc.IterationGrids}
 	}
 	wpb := blockDim / r.Dev.WarpSize
 	if sp, err := PlanSplit(lc.GridWarps, 4, r.Dev.SMs*wpb*2); err == nil {
-		return sp.Pieces, true
+		return launchPlan{n: len(sp.Pieces), split: true, pieces: sp.Pieces}
 	}
-	return []SplitPiece{{Warps: lc.GridWarps}}, false
+	return launchPlan{n: 1, grid: lc.GridWarps}
 }
 
 // CanTune reports whether a launch offers the runtime tuner feedback
@@ -100,8 +114,7 @@ func (r *Realizer) plan(blockDim int, lc Launch) (pieces []SplitPiece, split boo
 // that build or cache compile artifacts — `orion build`, `orion serve`'s
 // fat-binary keys — agree with the pipeline byte-for-byte.
 func (r *Realizer) CanTune(p *isa.Program, lc Launch) bool {
-	pieces, _ := r.plan(p.BlockDim, lc)
-	return len(pieces) > 1
+	return r.plan(p.BlockDim, lc).n > 1
 }
 
 // Tune runs the full Orion pipeline: compile-time tuning, then runtime
@@ -150,8 +163,8 @@ func (r *Realizer) TuneCompiled(cr *CompileResult, lc Launch) (*TuneReport, erro
 // distinguish an application iteration from a kernel-splitting piece —
 // splitting exists to create tuning iterations — so one loop walks both.
 func (r *Realizer) tuneCompiled(cr *CompileResult, lc Launch, x obs.Ctx) (*TuneReport, error) {
-	pieces, split := r.plan(cr.Original.Prog.BlockDim, lc)
-	rep := &TuneReport{Compile: cr, KernelSplit: split}
+	pl := r.plan(cr.Original.Prog.BlockDim, lc)
+	rep := &TuneReport{Compile: cr, KernelSplit: pl.split}
 	run := func(ix obs.Ctx, cand *Candidate, piece SplitPiece) (*sim.Stats, error) {
 		// Every run re-verifies its candidate (a memoized lookup after the
 		// first check) — decoded multi-version binaries reach execution
@@ -164,20 +177,20 @@ func (r *Realizer) tuneCompiled(cr *CompileResult, lc Launch, x obs.Ctx) (*TuneR
 		if err != nil {
 			return nil, err
 		}
-		rep.History = append(rep.History, IterationRecord{Candidate: cand, Stats: st, Split: split})
+		rep.History = append(rep.History, IterationRecord{Candidate: cand, Stats: st, Split: pl.split})
 		rep.TotalCycles += st.Cycles
 		rep.TotalEnergy += st.Energy
 		return st, nil
 	}
 
-	if len(pieces) == 1 {
+	if pl.n == 1 {
 		// Static selection: run the compiler-picked kernel once.
 		if cr.StaticChoice == nil {
 			cr.StaticChoice = r.staticSelect(cr.Original.Prog, cr)
 		}
 		cand := cr.StaticChoice
 		ssp := x.Span("tune-static", obs.Int("target_warps", cand.TargetWarps))
-		st, err := run(ssp.Ctx(), cand, pieces[0])
+		st, err := run(ssp.Ctx(), cand, pl.at(0))
 		if err != nil {
 			ssp.SetAttr(obs.String("error", err.Error()))
 			ssp.End()
@@ -190,7 +203,8 @@ func (r *Realizer) tuneCompiled(cr *CompileResult, lc Launch, x obs.Ctx) (*TuneR
 	}
 
 	tuner := NewTuner(cr)
-	for it, piece := range pieces {
+	for it := 0; it < pl.n; it++ {
+		piece := pl.at(it)
 		cand := tuner.Next()
 		isp := x.Span("tune-iter",
 			obs.Int("iter", it+1),
@@ -204,7 +218,7 @@ func (r *Realizer) tuneCompiled(cr *CompileResult, lc Launch, x obs.Ctx) (*TuneR
 		}
 		// The checksum is the last full invocation's: the pieces of a split
 		// combine, an application iteration replaces the one before.
-		if split {
+		if pl.split {
 			rep.Checksum ^= st.Checksum
 		} else {
 			rep.Checksum = st.Checksum
@@ -288,7 +302,10 @@ func (r *Realizer) SweepCtx(ctx context.Context, p *isa.Program, gridWarps int) 
 // sweep is the uninstrumented fan-out; x scopes the per-level spans under
 // the caller's "sweep" span.
 func (r *Realizer) sweep(ctx context.Context, p *isa.Program, gridWarps int, x obs.Ctx) ([]LevelResult, error) {
-	levels := occupancy.Levels(r.Dev, p.BlockDim)
+	levels, err := r.levels(p)
+	if err != nil {
+		return nil, err
+	}
 	lad := r.NewLadder(p)
 	type slot struct {
 		res LevelResult
@@ -296,7 +313,7 @@ func (r *Realizer) sweep(ctx context.Context, p *isa.Program, gridWarps int, x o
 	}
 	slots := make([]slot, len(levels))
 	fork := x.Fork("level", len(levels))
-	err := par.ForEachCtx(ctx, 0, len(levels), func(i int) {
+	err = par.ForEachCtx(ctx, 0, len(levels), func(i int) {
 		lvl := levels[i]
 		lx := fork.At(i)
 		start := time.Now()
@@ -342,7 +359,11 @@ func (r *Realizer) sweep(ctx context.Context, p *isa.Program, gridWarps int, x o
 func (r *Realizer) Baseline(p *isa.Program, gridWarps int) (*Version, *sim.Stats, error) {
 	x := r.Obs.Ctx()
 	sp := x.Span("baseline", obs.String("kernel", p.Name))
-	levels := occupancy.Levels(r.Dev, p.BlockDim)
+	levels, err := r.levels(p)
+	if err != nil {
+		sp.End()
+		return nil, nil, err
+	}
 	v, err := r.RealizeCtx(p, levels[0], sp.Ctx())
 	if err != nil {
 		sp.End()

@@ -7,7 +7,6 @@ import (
 	"repro/internal/ir"
 	"repro/internal/isa"
 	"repro/internal/obs"
-	"repro/internal/occupancy"
 	"repro/internal/par"
 )
 
@@ -137,7 +136,7 @@ func (r *Realizer) compile(p *isa.Program, canTune bool, x obs.Ctx) (*CompileRes
 	if err != nil {
 		return nil, err
 	}
-	levels := occupancy.Levels(r.Dev, p.BlockDim)
+	levels, levelsErr := r.levels(p)
 	lad := r.NewLadder(p)
 	var lintErr, mlErr error
 	var ml int
@@ -153,7 +152,7 @@ func (r *Realizer) compile(p *isa.Program, canTune bool, x obs.Ctx) (*CompileRes
 		func(ix obs.Ctx) {
 			// Only an input whose block fits the device can have an original
 			// version; the reference run allocates what the input declares.
-			if r.Verify && len(levels) > 0 && p.SharedBytes <= r.Dev.SharedBytes(r.Cache) {
+			if r.Verify && levelsErr == nil && p.SharedBytes <= r.Dev.SharedBytes(r.Cache) {
 				lad.oracle.get(p, ix)
 			}
 		})
@@ -170,6 +169,9 @@ func (r *Realizer) compile(p *isa.Program, canTune bool, x obs.Ctx) (*CompileRes
 		res.Direction = Decreasing
 	}
 
+	if levelsErr != nil {
+		return nil, levelsErr
+	}
 	minLevel := levels[0]
 
 	// Original version: everything lives in the minimal number of

@@ -132,6 +132,20 @@ func (e *ErrInfeasible) Error() string {
 	return fmt.Sprintf("core: occupancy level %d warps/SM infeasible: %s", e.TargetWarps, e.Reason)
 }
 
+// levels returns the occupancy levels p's block size allows on the
+// device, lowest first, or an *ErrInfeasible when one block holds more
+// warps than an SM does and there is no level at all.
+func (r *Realizer) levels(p *isa.Program) ([]int, error) {
+	levels := occupancy.Levels(r.Dev, p.BlockDim)
+	if len(levels) == 0 {
+		return nil, &ErrInfeasible{
+			TargetWarps: p.BlockDim / r.Dev.WarpSize,
+			Reason:      fmt.Sprintf("a block of %d threads exceeds the %d warps an SM holds", p.BlockDim, r.Dev.MaxWarpsPerSM),
+		}
+	}
+	return levels, nil
+}
+
 // Realize compiles the program so that at least targetWarps warps are
 // resident per SM (paper Section 3.2, "realizing occupancy"): the register
 // budget follows from the occupancy formula; values that do not fit go to

@@ -135,15 +135,6 @@ func (c *Cache[K, V]) Reset() {
 	c.misses.Store(0)
 }
 
-// ResetStats zeroes the hit/miss counters while keeping every entry, so
-// callers can attribute cache traffic to one phase of a long-running
-// process (e.g. per-invocation numbers in a warm process). Note that a
-// key computed before ResetStats counts as a hit afterwards.
-func (c *Cache[K, V]) ResetStats() {
-	c.hits.Store(0)
-	c.misses.Store(0)
-}
-
 // SetEnabled toggles the cache. Disabling does not drop existing entries;
 // re-enabling serves them again.
 func (c *Cache[K, V]) SetEnabled(on bool) { c.disabled.Store(!on) }

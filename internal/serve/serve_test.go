@@ -281,6 +281,41 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestBlockLargerThanSM: a block with more warps than an SM holds has no
+// occupancy level on that device; every job endpoint answers 422 (the
+// kernel's fault), not the 500 of a contained panic.
+func TestBlockLargerThanSM(t *testing.T) {
+	_, hs := newTestServer(t, "")
+	for _, d := range device.Both() {
+		src := fmt.Sprintf(".kernel huge\n.blockdim %d\n.func main\n  RDSP v0, WARPID\n  STG [v0], v0\n  EXIT\n",
+			(d.MaxWarpsPerSM+1)*d.WarpSize)
+		for _, ep := range []string{"/v1/tune", "/v1/compile", "/v1/sweep"} {
+			path := ep + "?device=" + d.Name
+			if code, _, body := post(t, hs.URL, path, src); code != http.StatusUnprocessableEntity {
+				t.Errorf("%s: status = %d (%.200s), want 422", path, code, body)
+			}
+		}
+	}
+}
+
+// TestCompileHugeIterations: the iteration count only decides whether the
+// launch is tunable, so a compile claiming two billion iterations costs
+// what one claiming eight does and serves the same fat binary.
+func TestCompileHugeIterations(t *testing.T) {
+	_, hs := newTestServer(t, "")
+	code, _, want := post(t, hs.URL, "/v1/compile?kernel=hotspot&iters=8", "")
+	if code != http.StatusOK {
+		t.Fatalf("iters=8: status = %d (%.200s)", code, want)
+	}
+	code, _, got := post(t, hs.URL, "/v1/compile?kernel=hotspot&iters=2000000000", "")
+	if code != http.StatusOK {
+		t.Fatalf("iters=2000000000: status = %d (%.200s)", code, got)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("iters=2000000000 served a different fat binary than iters=8")
+	}
+}
+
 // TestErrorMapping pins the error-to-status table.
 func TestErrorMapping(t *testing.T) {
 	s := New(Config{Workers: 1, Queue: 1})

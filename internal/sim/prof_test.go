@@ -253,9 +253,9 @@ func TestProfileTrackShapes(t *testing.T) {
 	}
 }
 
-// TestSnapshotSimTotals: every simulation folds its Stats into the
+// TestSnapshotTotals: every simulation folds its Stats into the
 // process-wide totals exactly once, so deltas across a run reflect it.
-func TestSnapshotSimTotals(t *testing.T) {
+func TestSnapshotTotals(t *testing.T) {
 	ks, err := kernels.All()
 	if err != nil {
 		t.Fatal(err)

@@ -5,10 +5,10 @@ import "sync/atomic"
 // Totals is a point-in-time snapshot of the process-wide simulation
 // counters: every uncached Simulate call folds its Stats in once at
 // completion, so snapshot deltas expose the stall breakdown and cache
-// hierarchy behavior of a phase (e.g. one orion-bench experiment)
-// without touching the per-cycle hot path. Runs served from the
-// realization layer's run cache never reach the simulator and therefore
-// do not count.
+// hierarchy behavior of a phase without touching the per-cycle hot path.
+// Runs served from the realization layer's run cache never reach the
+// simulator and therefore do not count. Only the benchmark module reads
+// them (its sim.* metrics); the CLIs report per-run Stats instead.
 type Totals struct {
 	Launches     uint64 `json:"launches"`
 	Cycles       uint64 `json:"cycles"`

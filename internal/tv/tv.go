@@ -82,20 +82,15 @@ type Hint struct{}
 // IdentityHint returns the hint Validate ignores.
 func IdentityHint(int) *Hint { return nil }
 
-// Process-wide verdict counters, surfaced by orion-bench -json in addition
-// to the per-run obs counters the opt driver emits.
+// Process-wide verdict counters, beside the per-run obs counters the opt
+// pipeline emits. Only the benchmark module (its tv.* metrics) and the
+// tv-smoke test read them.
 var counters struct{ checked, rejected atomic.Uint64 }
 
 // Counters returns the process-wide (checked, rejected) totals; the third
 // result is always 0.
 func Counters() (checked, rejected, _ uint64) {
 	return counters.checked.Load(), counters.rejected.Load(), 0
-}
-
-// ResetCounters zeroes the process-wide totals (tests and orion-bench).
-func ResetCounters() {
-	counters.checked.Store(0)
-	counters.rejected.Store(0)
 }
 
 // Validate reports whether post is pre with each basic block permuted and

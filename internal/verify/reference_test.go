@@ -1,13 +1,16 @@
 package verify_test
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/fuzzcorpus"
+	"repro/internal/interp"
 	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/occupancy"
@@ -109,6 +112,11 @@ func TestReferenceMatchesLegacyOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	checked, violations := 0, 0
+	// The runaway rule (a realized step-limit hit is a miscompile when the
+	// original came no nearer than limit/8) holds only while realization
+	// keeps per-warp step counts well under 8x the original's.
+	const maxStepRatio = 2.0
+	worst, worstAt := 0.0, ""
 	for _, d := range device.Both() {
 		for _, k := range ks {
 			rs := realizations(k.Prog, d)
@@ -117,7 +125,16 @@ func TestReferenceMatchesLegacyOracle(t *testing.T) {
 			}
 			checked += len(rs)
 			violations += checkAgainstLegacy(t, k.Name+"/"+d.Name, k.Prog, rs)
+			orig := maxWarpSteps(t, k.Prog)
+			for i, rp := range rs {
+				if ratio := float64(maxWarpSteps(t, rp)) / float64(orig); ratio > worst {
+					worst, worstAt = ratio, fmt.Sprintf("%s/%s realization %d", k.Name, d.Name, i)
+				}
+			}
 		}
+	}
+	if worst > maxStepRatio {
+		t.Errorf("realized/original largest per-warp steps reach %.3f (%s), above %.0f", worst, worstAt, maxStepRatio)
 	}
 
 	corpus := 0
@@ -153,7 +170,19 @@ func TestReferenceMatchesLegacyOracle(t *testing.T) {
 	if violations == 0 {
 		t.Error("no comparison ended in a violation: the reject path went unexercised")
 	}
-	t.Logf("%d realizations (%d corpus programs), %d violating comparisons", checked, corpus, violations)
+	t.Logf("%d realizations (%d corpus programs), %d violating comparisons; largest step ratio %.3f (%s)",
+		checked, corpus, violations, worst, worstAt)
+}
+
+// maxWarpSteps is p's largest per-warp dynamic instruction count on the
+// oracle's default launch (two blocks' worth of warps).
+func maxWarpSteps(t *testing.T, p *isa.Program) int {
+	t.Helper()
+	res, err := interp.Run(&interp.Launch{Prog: p, GridWarps: max(2, 2*p.BlockDim/32)}, 0)
+	if err != nil {
+		t.Fatalf("%s: %v", p.Name, err)
+	}
+	return slices.Max(res.WarpSteps)
 }
 
 // TestSharedReferenceRejectsAndAbstains runs the tamper and abstention

@@ -42,7 +42,6 @@ import (
 	"repro/internal/prof"
 	"repro/internal/sa"
 	"repro/internal/sim"
-	"repro/internal/tv"
 )
 
 // Re-exported core types. The paper's contribution lives in these:
@@ -77,9 +76,6 @@ type (
 	CacheConfig = device.CacheConfig
 	// SimStats is a simulated launch's outcome.
 	SimStats = sim.Stats
-	// SimTotals is a snapshot of the process-wide simulation counters
-	// (stall breakdown, cache hierarchy); see SnapshotSimTotals.
-	SimTotals = sim.Totals
 	// ProfileSpec configures the simulator-native profiler (PC-level
 	// stall attribution and/or sampled counter tracks).
 	ProfileSpec = prof.Spec
@@ -98,9 +94,6 @@ type (
 	Collector = obs.Collector
 	// MetricsRegistry is a collector's named counters/gauges/histograms.
 	MetricsRegistry = obs.Registry
-	// CacheSnapshot reports the process-wide memo caches' hit/miss
-	// counters.
-	CacheSnapshot = core.CacheSnapshot
 	// Ladder realizes one program across all occupancy levels through a
 	// shared set of middle-end analyses (Realizer.NewLadder).
 	Ladder = core.Ladder
@@ -142,18 +135,6 @@ const (
 	SevWarning = sa.SevWarning
 	SevError   = sa.SevError
 )
-
-// TVCounters reports the process-wide counters of the scheduler's legality
-// check: schedules checked and rejected (orion-bench's tv_checked/
-// tv_rejected JSON fields).
-func TVCounters() (checked, rejected uint64) {
-	checked, rejected, _ = tv.Counters()
-	return checked, rejected
-}
-
-// ResetTVCounters zeroes those counters (orion-bench calls it at startup
-// so reports cover exactly one invocation).
-func ResetTVCounters() { tv.ResetCounters() }
 
 // AnalyzeKernel runs the SIMT static analyzer on a program and returns
 // its findings in deterministic order: thread-variance classification of
@@ -236,12 +217,6 @@ func BuildProfileReport(v *Version, d *Device, st *SimStats, topN int) *ProfileR
 	return core.BuildProfileReport(v, d, st, topN)
 }
 
-// SnapshotSimTotals reads the process-wide simulation counters. Deltas
-// between snapshots expose a phase's stall breakdown and cache-hierarchy
-// behavior (uncached simulations only; run-cache hits never reach the
-// simulator).
-func SnapshotSimTotals() SimTotals { return sim.SnapshotTotals() }
-
 // Execute runs a program functionally (no timing) and returns its store
 // checksum and dynamic instruction count; useful for verifying that
 // transformed binaries preserve semantics.
@@ -280,11 +255,3 @@ func NewSuite(scale float64) *Suite { return bench.New(scale) }
 // Realizer.Obs and Suite.Obs; DESIGN.md §8 documents the span model and
 // export formats).
 func NewCollector() *Collector { return obs.New() }
-
-// SnapshotCacheCounters reads the process-wide realize/run memo-cache
-// counters.
-func SnapshotCacheCounters() CacheSnapshot { return core.SnapshotCacheCounters() }
-
-// PublishCacheMetrics copies the memo-cache counters into the collector's
-// metrics registry (called just before exporting a metrics snapshot).
-func PublishCacheMetrics(c *Collector) { core.PublishCacheMetrics(c.Metrics()) }

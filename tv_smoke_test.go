@@ -14,6 +14,7 @@ import (
 
 	orion "repro"
 	"repro/internal/core"
+	"repro/internal/tv"
 )
 
 func TestTVSmoke(t *testing.T) {
@@ -23,12 +24,12 @@ func TestTVSmoke(t *testing.T) {
 	}
 	// The realize cache would swallow repeated realizations from earlier
 	// tests in the same binary; bypass it so every level actually runs the
-	// pipeline, and reset the TV counters so the assertion covers exactly
-	// this sweep.
+	// pipeline, and take the TV counters' delta so the assertion covers
+	// exactly this sweep.
 	wasOn := core.RealizeCacheEnabled()
 	core.SetRealizeCacheEnabled(false)
 	defer core.SetRealizeCacheEnabled(wasOn)
-	orion.ResetTVCounters()
+	checked0, rejected0, _ := tv.Counters()
 
 	levels := 0
 	for _, d := range orion.Devices() {
@@ -48,7 +49,8 @@ func TestTVSmoke(t *testing.T) {
 			}
 		}
 	}
-	checked, rejected := orion.TVCounters()
+	checked, rejected, _ := tv.Counters()
+	checked, rejected = checked-checked0, rejected-rejected0
 	t.Logf("tv-smoke: %d levels realized, %d schedules checked, %d rejected", levels, checked, rejected)
 	if checked == 0 {
 		t.Fatal("no schedule was checked: the middle end never ran (smoke is vacuous)")
