@@ -3,8 +3,8 @@ GO ?= go
 .PHONY: check build vet lint test test-386 race test-race determinism fuzz-short bench bench-quick bench-smoke bench-opt-smoke serve-smoke tv-smoke fmt fmt-check loc test-times
 
 ## check: the full CI gate — formatting, vet, staticcheck, build,
-## race-enabled tests, the decoder and daemon tests on 32-bit (test-386),
-## the serial-vs-parallel determinism suite, a short
+## race-enabled tests, the decoder, daemon, executor and simulator tests
+## on 32-bit (test-386), the serial-vs-parallel determinism suite, a short
 ## fuzz pass over the binary decoder, the assembler, the realization
 ## pipeline, the static analyzer, the middle end and its legality check, a
 ## one-shot run of the cold-sweep benchmark so compile-path regressions
@@ -35,11 +35,13 @@ lint:
 test:
 	$(GO) test ./...
 
-## test-386: the binary decoder and the daemon on a 32-bit platform,
-## where an int is 32 bits wide and an unchecked uint32 count from a
-## hostile binary turns negative.
+## test-386: the binary decoder, the daemon, the executors and the
+## simulator on a 32-bit platform, where an int and a pointer are 4 bytes:
+## an unchecked uint32 count from a hostile binary turns negative, and the
+## compiled event's narrow fields, its size test and the backend
+## equivalence tests must hold there too.
 test-386:
-	GOARCH=386 $(GO) test ./internal/isa/ ./internal/serve/
+	GOARCH=386 $(GO) test ./internal/isa/ ./internal/serve/ ./internal/interp/ ./internal/sim/
 
 ## test-race: internal/core alone takes about six minutes under -race on
 ## two cores and over nine beside the other packages, so the default

@@ -47,6 +47,15 @@ type budgetKey struct {
 	shared int
 }
 
+// ladderKey is one memo entry: the pair realized and the pair its level
+// started from. A level whose call chains overflow retries at a tightened
+// register budget, which can equal another level's starting pair; keyed by
+// start too, the retry never shares that entry, so the fill lands in the
+// same level's trace slot whichever level's group runs first.
+type ladderKey struct {
+	start, at budgetKey
+}
+
 // ladderEntry is one realized budget pair: the shared proto version
 // (TargetWarps zero — per-level Versions are cloned from it), or the
 // error the realization produced.
@@ -61,8 +70,8 @@ type ladderEntry struct {
 // through a single set of middle-end analyses. Per-function web splitting,
 // liveness, interference graphs, and spill costs are computed once
 // (regalloc.Prep) and re-colored per register budget, and whole
-// allocations are memoized per (register, shared-slot) budget pair
-// (DESIGN.md §10).
+// allocations are memoized per (register, shared-slot) budget pair and
+// the pair its level started from (ladderKey, DESIGN.md §10).
 //
 // A Ladder is safe for concurrent use; Sweep and Compile fan levels out
 // over one ladder. Results flow through the process-wide realization
@@ -84,7 +93,7 @@ type Ladder struct {
 	maxLive0 int   // entry function's unclamped chain max-live (Compile's metric)
 
 	mu      sync.Mutex
-	entries map[budgetKey]*ladderEntry
+	entries map[ladderKey]*ladderEntry
 
 	// optEnts memoizes the pressure-reducing middle end per function: the
 	// scheduler's output does not depend on the register budget (the budget
@@ -119,7 +128,7 @@ func (r *Realizer) NewLadder(p *isa.Program) *Ladder {
 		prepOnce: make([]sync.Once, n),
 		preps:    make([]*regalloc.Prep, n),
 		prepErr:  make([]error, n),
-		entries:  map[budgetKey]*ladderEntry{},
+		entries:  map[ladderKey]*ladderEntry{},
 		optEnts:  make([]optEntry, n),
 	}
 }
@@ -318,10 +327,10 @@ func (l *Ladder) maxLive(x obs.Ctx) (int, error) {
 }
 
 // withBudget realizes the program at an exact (register, shared-slot)
-// budget pair through the per-pair memo; only a new pair runs the
-// allocator.
-func (l *Ladder) withBudget(regBudget, sharedSlotBudget int, x obs.Ctx) (*Version, error) {
-	key := budgetKey{regBudget, sharedSlotBudget}
+// budget pair, for a level that started at start, through the memo; only
+// a new entry runs the allocator.
+func (l *Ladder) withBudget(start, at budgetKey, x obs.Ctx) (*Version, error) {
+	key := ladderKey{start, at}
 	l.mu.Lock()
 	e, ok := l.entries[key]
 	if !ok {
@@ -333,7 +342,7 @@ func (l *Ladder) withBudget(regBudget, sharedSlotBudget int, x obs.Ctx) (*Versio
 	hit := true
 	e.once.Do(func() {
 		hit = false
-		e.v, e.err = l.fillBudget(regBudget, sharedSlotBudget, x)
+		e.v, e.err = l.fillBudget(at.reg, at.shared, x)
 	})
 	if hit {
 		countReuse(x)
@@ -588,9 +597,9 @@ func (l *Ladder) realizeUncached(targetWarps int, x obs.Ctx) (*Version, error) {
 	if err != nil {
 		return nil, err
 	}
-	regBudget, sharedSlotBudget := b.reg, b.shared
+	at := b
 	for attempt := 0; attempt < 4; attempt++ {
-		v, err := l.withBudget(regBudget, sharedSlotBudget, x)
+		v, err := l.withBudget(b, at, x)
 		if err != nil {
 			return nil, err
 		}
@@ -606,9 +615,9 @@ func (l *Ladder) realizeUncached(targetWarps int, x obs.Ctx) (*Version, error) {
 			return cloneForTarget(v, targetWarps), nil
 		}
 		// Call chains overflowed the per-thread budget; tighten and retry.
-		over := v.RegsPerThread - regBudget
-		regBudget -= over
-		if regBudget < minFuncBudget {
+		over := v.RegsPerThread - at.reg
+		at.reg -= over
+		if at.reg < minFuncBudget {
 			return nil, &ErrInfeasible{targetWarps, "call chains exceed register budget"}
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bufio"
 	"errors"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -206,9 +207,10 @@ func TestLadderCountersMove(t *testing.T) {
 
 // TestLadderOrderIndependent pins what lets Sweep, Compile and the daemon
 // fan levels out with no level realized first: the ladder is a memo on the
-// budget pair, so each level's verdict and binary, and the ladder's total
-// work (one miss per distinct pair, a hit for every other request), are
-// the same whichever level asks first. Every kernel on both devices is
+// budget pair (and the pair its level started from), so each level's
+// verdict and binary, and the ladder's total work (one miss per distinct
+// pair, a hit for every other request), are the same whichever level asks
+// first. Every kernel on both devices is
 // realized in occupancy.Levels order, in reverse, in a seeded shuffle and
 // fanned out over par.ForEach, each through a fresh ladder.
 func TestLadderOrderIndependent(t *testing.T) {
@@ -318,5 +320,51 @@ func TestAllocatorWorkDeterminism(t *testing.T) {
 				t.Fatalf("%s on %s: allocator work %v with the ladder serial, %v parallel", name, d.Name, serial, first)
 			}
 		}
+	}
+}
+
+// retryMeetsLevel loads a generated kernel whose level-40 realization on
+// the C2075 with the large cache overflows its call chains twice, and
+// whose second retry is exactly level 48's starting budget pair.
+func retryMeetsLevel(t *testing.T) *isa.Program {
+	t.Helper()
+	src, err := os.ReadFile(filepath.Join("testdata", "retry_meets_level.oasm"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return isa.MustParse(string(src))
+}
+
+// TestLadderRetryMeetsLevel pins why the ladder keys its memo by a level's
+// starting pair as well as the pair realized: a retry can meet another
+// level's starting pair (retry_meets_level.oasm), and Compile realizes the
+// two levels in different groups, side by side. Each must fill that pair
+// for itself, so the ladder does the same work, recorded in the same
+// level's trace slot, in either order.
+func TestLadderRetryMeetsLevel(t *testing.T) {
+	p := retryMeetsLevel(t)
+	r := NewRealizer(device.TeslaC2075(), device.LargeCache)
+	r.Verify = false
+	var keys [2]map[ladderKey]bool
+	for i, order := range [][]int{{40, 48}, {48, 40}} {
+		lad := r.NewLadder(p)
+		for _, lvl := range order {
+			if _, err := lad.realizeUncached(lvl, obs.Ctx{}); err != nil {
+				t.Fatalf("level %d: %v", lvl, err)
+			}
+		}
+		keys[i] = map[ladderKey]bool{}
+		for k := range lad.entries {
+			keys[i][k] = true
+		}
+		start40, _ := lad.budgets(40)
+		start48, _ := lad.budgets(48)
+		if start40 == start48 || !keys[i][ladderKey{start40, start48}] {
+			t.Fatalf("order %v: level 40 (start %v) never retried at level 48's start %v; entries %v",
+				order, start40, start48, keys[i])
+		}
+	}
+	if !maps.Equal(keys[0], keys[1]) {
+		t.Errorf("entries depend on the order: %v vs %v", keys[0], keys[1])
 	}
 }

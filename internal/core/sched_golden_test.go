@@ -29,7 +29,7 @@ type schedCase struct {
 	lc   *interp.Launch
 }
 
-// laneKernel is a LANEID kernel (lane-accurate executor, Event.Lines):
+// laneKernel is a LANEID kernel (lane-accurate executor, Event.Lane):
 // shift 2 keeps a warp's lanes in one line, shift 7 spreads them over 32,
 // which on a full SM queues the DRAM channel for thousands of cycles.
 func laneKernel(shift int) string {

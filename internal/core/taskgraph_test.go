@@ -135,6 +135,7 @@ func TestCompileDeterminismSerialVsParallel(t *testing.T) {
 	for i, p := range corpusPrograms(t) {
 		inputs = append(inputs, input{fmt.Sprintf("corpus%d", i), p, both[:1]})
 	}
+	inputs = append(inputs, input{"retry_meets_level", retryMeetsLevel(t), both})
 	rng := rand.New(rand.NewSource(25))
 	for i := 0; i < 4; i++ {
 		inputs = append(inputs, input{fmt.Sprintf("random%d", i), randomProgram(rng), both[:1]})

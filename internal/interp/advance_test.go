@@ -51,7 +51,7 @@ func advanceMatchesStep(t *testing.T, p *isa.Program, gridWarps int) {
 			if a.lanes == 1 && ev.Kind == KindStore && ev.Space == SpaceGlobal {
 				peeked = append(peeked, ev.Addr)
 				for k := 0; k < ev.Instr.W(); k++ {
-					peeked = append(peeked, a.ReadAbsReg(ev.AbsSrc[1]+k))
+					peeked = append(peeked, a.ReadAbsReg(int(ev.AbsSrc[1])+k))
 				}
 			}
 			_, errA := a.Step()

@@ -9,16 +9,17 @@ import (
 )
 
 // Compiled execution backend: each function is translated once into a slice
-// of closures ("cops"), one per instruction, with operand registers, spill
-// bases, and event metadata resolved at compile time. The timing simulator
-// drives compiled warps through Peek, which hands out a precomputed event
-// template in place with the frame base and the memory address beside it,
-// and Commit, which runs the instruction's closure. The interpreter
-// (Warp) remains the semantic source of truth — every closure mirrors the
-// corresponding Advance case exactly, including error strings — and the
-// differential tests in this package and package sim hold the two backends
-// to bit-identical results. Only one-lane execution is compiled:
-// lane-variant (LANEID) kernels run the reference Warp at 32 lanes.
+// of cops, one per instruction: an event template with operand registers
+// and classification resolved at compile time, and a static per-opcode
+// handler that reads its operands from that template. The timing simulator
+// drives compiled warps through Peek, which hands out the template in
+// place with the frame base and the memory address beside it, and Commit,
+// which runs the handler. The interpreter (Warp) remains the semantic
+// source of truth — every handler mirrors the corresponding Advance case
+// exactly, including error strings — and the differential tests in this
+// package and package sim hold the two backends to bit-identical results.
+// Only one-lane execution is compiled: lane-variant (LANEID) kernels run
+// the reference Warp at 32 lanes.
 
 // StepExecutor is the stepping interface both executors (CWarp, Warp)
 // implement. Fill writes the next event into caller-owned storage and the
@@ -46,13 +47,20 @@ var (
 )
 
 // cop is one compiled instruction: an event template with frame-relative
-// register operands plus the closure that commits it.
+// register operands, and the static handler that commits it. The handler
+// finds its cop at the warp's pc (CWarp.op) and reads everything it needs
+// from the template (operands and widths, and through tmpl.Instr the
+// immediate, comparison, special register and target), so a cop is 48
+// bytes on a 64-bit host and compiling a function allocates its []cop and
+// nothing per instruction. The handler takes no cop argument because that
+// would push Commit past the compiler's inlining budget, and the
+// simulator's issue loop calls Commit once per instruction.
 type cop struct {
 	tmpl Event
 	exec func(*CWarp)
 }
 
-// Compiled is a program translated to closures, shared (immutably) by every
+// Compiled is a program translated to cops, shared (immutably) by every
 // warp executing that program. It holds the functions, not the program
 // that owns it (CompiledOf): see isa.Program.Derived on back pointers.
 type Compiled struct {
@@ -76,40 +84,29 @@ func CompiledOf(p *isa.Program) (*Compiled, error) {
 	return c, err
 }
 
-// Compile translates a validated program into closures.
+// Compile translates a validated program into cops. It fails when the
+// deepest call chain does not fit RegFileSize, the bound that lets a
+// template hold its registers as int16.
 func Compile(p *isa.Program) (*Compiled, error) {
 	layout, err := NewLayout(p)
 	if err != nil {
 		return nil, err
 	}
-	c := &Compiled{funcs: p.Funcs, layout: layout, locStride: layout.LocalSpillSlots}
-	if c.locStride == 0 {
-		c.locStride = 1
+	if err := layout.CheckRegFile(); err != nil {
+		return nil, err
 	}
+	c := &Compiled{funcs: p.Funcs, layout: layout, locStride: max(layout.LocalSpillSlots, 1)}
 	c.code = make([][]cop, len(p.Funcs))
-	for fi := range p.Funcs {
-		c.code[fi] = c.compileFunc(fi)
+	for fi, f := range p.Funcs {
+		code := make([]cop, len(f.Instrs))
+		for i := range f.Instrs {
+			in := &f.Instrs[i]
+			code[i].tmpl.resolve(in, 0) // frame-relative: Peek reports the base
+			code[i].exec = handler(in)
+		}
+		c.code[fi] = code
 	}
 	return c, nil
-}
-
-func (c *Compiled) compileFunc(fi int) []cop {
-	f := c.funcs[fi]
-	code := make([]cop, len(f.Instrs))
-	for i := range f.Instrs {
-		in := &f.Instrs[i]
-		code[i].tmpl = template(in)
-		code[i].exec = c.compileOp(fi, i, in)
-	}
-	return code
-}
-
-// template precomputes everything Warp.Peek derives per call, with AbsDst
-// and AbsSrc left frame-relative (Fill adds the frame base).
-func template(in *isa.Instr) Event {
-	var ev Event
-	ev.resolve(in, 0)
-	return ev
 }
 
 // CWarp executes one warp (warp-scalar mode) through a compiled program.
@@ -208,7 +205,7 @@ func (w *CWarp) Peek() (ev *Event, base int, addr uint32) {
 	switch in := ev.Instr; {
 	case ev.Space == SpaceNone:
 	case in.IsMem():
-		addr = w.regs[fr.base+ev.AbsSrc[0]] + uint32(in.Imm)
+		addr = w.regs[fr.base+int(ev.AbsSrc[0])] + uint32(in.Imm)
 	case ev.Space == SpaceShared:
 		addr = uint32(4 * (fr.shBase + int(in.Imm)))
 	default:
@@ -224,16 +221,16 @@ func (w *CWarp) Fill(ev *Event) {
 	*ev = *tmpl
 	if base != 0 {
 		if ev.AbsDst >= 0 {
-			ev.AbsDst += base
+			ev.AbsDst += int16(base)
 		}
-		for i := 0; i < ev.NSrc; i++ {
-			ev.AbsSrc[i] += base
+		for i := 0; i < int(ev.NSrc); i++ {
+			ev.AbsSrc[i] += int16(base)
 		}
 	}
 	ev.Addr = addr
 }
 
-// Commit executes the current instruction's closure.
+// Commit executes the current instruction's handler.
 func (w *CWarp) Commit() error {
 	if w.done {
 		return nil
@@ -261,412 +258,387 @@ func (w *CWarp) readSpecial(sp isa.Sp) uint32 {
 	return 0
 }
 
-// compileOp builds the closure for one instruction. Each case mirrors the
-// corresponding Warp.Advance case exactly.
-func (c *Compiled) compileOp(fi, pc int, in *isa.Instr) func(*CWarp) {
-	d, s0, s1, s2 := int(in.Dst), int(in.Src[0]), int(in.Src[1]), int(in.Src[2])
-	ui := uint32(in.Imm)
-	wn := in.W()
-	switch in.Op {
-	case isa.OpIAdd:
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			w.regs[b+d] = w.regs[b+s0] + w.regs[b+s1]
-			fr.pc++
-		}
-	case isa.OpISub:
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			w.regs[b+d] = w.regs[b+s0] - w.regs[b+s1]
-			fr.pc++
-		}
-	case isa.OpIMul:
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			w.regs[b+d] = w.regs[b+s0] * w.regs[b+s1]
-			fr.pc++
-		}
-	case isa.OpIMad:
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			w.regs[b+d] = w.regs[b+s0]*w.regs[b+s1] + w.regs[b+s2]
-			fr.pc++
-		}
-	case isa.OpIMin:
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			x, y := int32(w.regs[b+s0]), int32(w.regs[b+s1])
-			if y < x {
-				x = y
-			}
-			w.regs[b+d] = uint32(x)
-			fr.pc++
-		}
-	case isa.OpIMax:
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			x, y := int32(w.regs[b+s0]), int32(w.regs[b+s1])
-			if y > x {
-				x = y
-			}
-			w.regs[b+d] = uint32(x)
-			fr.pc++
-		}
-	case isa.OpAnd:
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			w.regs[b+d] = w.regs[b+s0] & w.regs[b+s1]
-			fr.pc++
-		}
-	case isa.OpOr:
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			w.regs[b+d] = w.regs[b+s0] | w.regs[b+s1]
-			fr.pc++
-		}
-	case isa.OpXor:
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			w.regs[b+d] = w.regs[b+s0] ^ w.regs[b+s1]
-			fr.pc++
-		}
-	case isa.OpShl:
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			w.regs[b+d] = w.regs[b+s0] << (w.regs[b+s1] & 31)
-			fr.pc++
-		}
-	case isa.OpShr:
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			w.regs[b+d] = w.regs[b+s0] >> (w.regs[b+s1] & 31)
-			fr.pc++
-		}
-	case isa.OpISet:
-		cmp := in.Cmp
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			w.regs[b+d] = boolWord(cmpInt(cmp, int32(w.regs[b+s0]), int32(w.regs[b+s1])))
-			fr.pc++
-		}
-	case isa.OpFAdd:
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			w.regs[b+d] = math.Float32bits(math.Float32frombits(w.regs[b+s0]) + math.Float32frombits(w.regs[b+s1]))
-			fr.pc++
-		}
-	case isa.OpFSub:
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			w.regs[b+d] = math.Float32bits(math.Float32frombits(w.regs[b+s0]) - math.Float32frombits(w.regs[b+s1]))
-			fr.pc++
-		}
-	case isa.OpFMul:
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			w.regs[b+d] = math.Float32bits(math.Float32frombits(w.regs[b+s0]) * math.Float32frombits(w.regs[b+s1]))
-			fr.pc++
-		}
-	case isa.OpFFma:
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			x := math.Float32frombits(w.regs[b+s0])
-			y := math.Float32frombits(w.regs[b+s1])
-			z := math.Float32frombits(w.regs[b+s2])
-			w.regs[b+d] = math.Float32bits(x*y + z)
-			fr.pc++
-		}
-	case isa.OpFMin:
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			x := math.Float32frombits(w.regs[b+s0])
-			y := math.Float32frombits(w.regs[b+s1])
-			if y < x {
-				x = y
-			}
-			w.regs[b+d] = math.Float32bits(x)
-			fr.pc++
-		}
-	case isa.OpFMax:
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			x := math.Float32frombits(w.regs[b+s0])
-			y := math.Float32frombits(w.regs[b+s1])
-			if y > x {
-				x = y
-			}
-			w.regs[b+d] = math.Float32bits(x)
-			fr.pc++
-		}
-	case isa.OpFSet:
-		cmp := in.Cmp
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			x := math.Float32frombits(w.regs[b+s0])
-			y := math.Float32frombits(w.regs[b+s1])
-			w.regs[b+d] = boolWord(cmpFloat(cmp, x, y))
-			fr.pc++
-		}
-	case isa.OpF2I:
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			fv := float64(math.Float32frombits(w.regs[b+s0]))
-			var iv int32
-			switch {
-			case fv != fv: // NaN
-				iv = 0
-			case fv >= math.MaxInt32:
-				iv = math.MaxInt32
-			case fv <= math.MinInt32:
-				iv = math.MinInt32
-			default:
-				iv = int32(fv)
-			}
-			w.regs[b+d] = uint32(iv)
-			fr.pc++
-		}
-	case isa.OpI2F:
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			w.regs[b+d] = math.Float32bits(float32(int32(w.regs[b+s0])))
-			fr.pc++
-		}
-	case isa.OpMov:
-		if wn == 1 {
-			return func(w *CWarp) {
-				fr := w.fr
-				b := fr.base
-				w.regs[b+d] = w.regs[b+s0]
-				fr.pc++
-			}
-		}
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			for i := 0; i < wn; i++ {
-				w.regs[b+d+i] = w.regs[b+s0+i]
-			}
-			fr.pc++
-		}
-	case isa.OpMovI:
-		return func(w *CWarp) {
-			fr := w.fr
-			w.regs[fr.base+d] = ui
-			fr.pc++
-		}
-	case isa.OpRdSp:
-		sp := in.Sp
-		return func(w *CWarp) {
-			fr := w.fr
-			w.regs[fr.base+d] = w.readSpecial(sp)
-			fr.pc++
-		}
-	case isa.OpLdG:
-		if wn == 1 {
-			return func(w *CWarp) {
-				fr := w.fr
-				b := fr.base
-				w.regs[b+d] = GlobalData(w.regs[b+s0] + ui)
-				fr.pc++
-			}
-		}
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			addr := w.regs[b+s0] + ui
-			for i := 0; i < wn; i++ {
-				w.regs[b+d+i] = GlobalData(addr + uint32(4*i))
-			}
-			fr.pc++
-		}
-	case isa.OpStG:
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			addr := w.regs[b+s0] + ui
-			h := w.cks
-			for i := 0; i < wn; i++ {
-				h = (h ^ uint64(addr+uint32(4*i))) * fnvPrime
-				h = (h ^ uint64(w.regs[b+s1+i])) * fnvPrime
-			}
-			w.cks = h
-			w.storeCnt += wn
-			fr.pc++
-		}
-	case isa.OpLdS:
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			addr := w.regs[b+s0] + ui
-			if n := uint32(len(w.shared)); n != 0 {
-				for i := 0; i < wn; i++ {
-					w.regs[b+d+i] = w.shared[((addr+uint32(4*i))>>2)%n]
-				}
-			} else {
-				for i := 0; i < wn; i++ {
-					w.regs[b+d+i] = 0
-				}
-			}
-			fr.pc++
-		}
-	case isa.OpStS:
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			if n := uint32(len(w.shared)); n != 0 {
-				addr := w.regs[b+s0] + ui
-				for i := 0; i < wn; i++ {
-					w.shared[((addr+uint32(4*i))>>2)%n] = w.regs[b+s1+i]
-				}
-			}
-			fr.pc++
-		}
-	case isa.OpSpillSS:
-		ii := int(in.Imm)
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			o := fr.shBase + ii
-			for i := 0; i < wn; i++ {
-				w.shSpill[o+i] = w.regs[b+s0+i]
-			}
-			fr.pc++
-		}
-	case isa.OpSpillSL:
-		ii := int(in.Imm)
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			o := fr.shBase + ii
-			for i := 0; i < wn; i++ {
-				w.regs[b+d+i] = w.shSpill[o+i]
-			}
-			fr.pc++
-		}
-	case isa.OpSpillLS:
-		ii := int(in.Imm)
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			o := fr.locBase + ii
-			for i := 0; i < wn; i++ {
-				w.locSpill[o+i] = w.regs[b+s0+i]
-			}
-			fr.pc++
-		}
-	case isa.OpSpillLL:
-		ii := int(in.Imm)
-		return func(w *CWarp) {
-			fr := w.fr
-			b := fr.base
-			o := fr.locBase + ii
-			for i := 0; i < wn; i++ {
-				w.regs[b+d+i] = w.locSpill[o+i]
-			}
-			fr.pc++
-		}
-	case isa.OpBra:
-		tgt := int(in.Tgt)
-		return func(w *CWarp) { w.fr.pc = tgt }
-	case isa.OpCbr:
-		tgt := int(in.Tgt)
-		return func(w *CWarp) {
-			fr := w.fr
-			if w.regs[fr.base+s0] != 0 {
-				fr.pc = tgt
-			} else {
-				fr.pc++
-			}
-		}
-	case isa.OpBar:
-		// Synchronization is a timing concern; functionally a no-op.
-		return func(w *CWarp) { w.fr.pc++ }
-	case isa.OpCall:
-		callee := int(in.Tgt)
-		bk := c.layout.callBase[fi][c.layout.callIndex[fi][pc]]
-		cf := c.funcs[callee]
-		calleeName := cf.Name
-		calleeFrame := c.layout.frameSize[callee]
-		numArgs := cf.NumArgs
-		retRel := -1
-		if in.Dst != isa.RegNone {
-			retRel = d
-		}
-		shInc := c.layout.sharedSlots[fi]
-		locInc := c.layout.localSlots[fi]
-		srcs := [3]int{s0, s1, s2}
-		return func(w *CWarp) {
-			fr := w.fr
-			newBase := fr.base + bk
-			if newBase+calleeFrame > len(w.regs) {
-				w.err = fmt.Errorf("interp: register file overflow calling %s", calleeName)
-				return
-			}
-			retDst := -1
-			if retRel >= 0 {
-				retDst = fr.base + retRel
-			}
-			// ABI: read every argument before writing any (see Warp.Advance).
-			var argv [3]uint32
-			for a := 0; a < numArgs; a++ {
-				argv[a] = w.regs[fr.base+srcs[a]]
-			}
-			for a := 0; a < numArgs; a++ {
-				w.regs[newBase+a] = argv[a]
-			}
-			nf := frame{
-				fn:      callee,
-				base:    newBase,
-				shBase:  fr.shBase + shInc,
-				locBase: fr.locBase + locInc,
-				retDst:  retDst,
-			}
-			fr.pc++ // return address
-			w.stack = append(w.stack, nf)
-			w.fr = &w.stack[len(w.stack)-1]
-			w.code = w.c.code[callee]
-		}
-	case isa.OpRet:
-		hasRV := in.Src[0] != isa.RegNone
-		return func(w *CWarp) {
-			fr := w.fr
-			var rv uint32
-			if hasRV {
-				rv = w.regs[fr.base+s0]
-			}
-			retDst := fr.retDst
-			w.stack = w.stack[:len(w.stack)-1]
-			if retDst >= 0 && hasRV {
-				w.regs[retDst] = rv
-			}
-			w.fr = &w.stack[len(w.stack)-1]
-			w.code = w.c.code[w.fr.fn]
-		}
-	case isa.OpExit:
-		return func(w *CWarp) { w.done = true }
-	default:
-		op := in.Op
-		return func(w *CWarp) { w.err = fmt.Errorf("interp: cannot execute %s", op) }
+// handlers holds each opcode's handler, written to mirror the
+// corresponding Warp.Advance case exactly; handler picks MOV's and LDG's
+// one-word variants.
+var handlers = [...]func(*CWarp){
+	isa.OpIAdd: execIAdd, isa.OpISub: execISub, isa.OpIMul: execIMul, isa.OpIMad: execIMad,
+	isa.OpIMin: execIMin, isa.OpIMax: execIMax, isa.OpAnd: execAnd, isa.OpOr: execOr,
+	isa.OpXor: execXor, isa.OpShl: execShl, isa.OpShr: execShr, isa.OpISet: execISet,
+
+	isa.OpFAdd: execFAdd, isa.OpFSub: execFSub, isa.OpFMul: execFMul, isa.OpFFma: execFFma,
+	isa.OpFMin: execFMin, isa.OpFMax: execFMax, isa.OpFSet: execFSet, isa.OpF2I: execF2I,
+	isa.OpI2F: execI2F,
+
+	isa.OpMov: execMovWide, isa.OpMovI: execMovI, isa.OpRdSp: execRdSp,
+
+	isa.OpLdG: execLdGWide, isa.OpStG: execStG, isa.OpLdS: execLdS, isa.OpStS: execStS,
+	isa.OpSpillSS: execSpillSS, isa.OpSpillSL: execSpillSL,
+	isa.OpSpillLS: execSpillLS, isa.OpSpillLL: execSpillLL,
+
+	isa.OpBra: execBra, isa.OpCbr: execCbr, isa.OpCall: execCall, isa.OpRet: execRet,
+	isa.OpBar: execBar, isa.OpExit: execExit,
+}
+
+// handler returns the static function that commits in.
+func handler(in *isa.Instr) func(*CWarp) {
+	switch {
+	case in.Op == isa.OpMov && in.W() == 1:
+		return execMov
+	case in.Op == isa.OpLdG && in.W() == 1:
+		return execLdG
+	case int(in.Op) < len(handlers) && handlers[in.Op] != nil:
+		return handlers[in.Op]
 	}
+	return execInvalid
+}
+
+// op returns the cop at the warp's pc: the instruction a handler commits.
+func (w *CWarp) op() *cop { return &w.code[w.fr.pc] }
+
+// operands returns the cop at the warp's pc with its destination and first
+// two sources rebased onto the frame. An operand the instruction lacks
+// comes out as base-1, which its handler never reads.
+func (w *CWarp) operands() (op *cop, d, s0, s1 int) {
+	op, b := w.op(), w.fr.base
+	return op, b + int(op.tmpl.AbsDst), b + int(op.tmpl.AbsSrc[0]), b + int(op.tmpl.AbsSrc[1])
+}
+
+func execIAdd(w *CWarp) {
+	_, d, s0, s1 := w.operands()
+	w.regs[d] = w.regs[s0] + w.regs[s1]
+	w.fr.pc++
+}
+
+func execISub(w *CWarp) {
+	_, d, s0, s1 := w.operands()
+	w.regs[d] = w.regs[s0] - w.regs[s1]
+	w.fr.pc++
+}
+
+func execIMul(w *CWarp) {
+	_, d, s0, s1 := w.operands()
+	w.regs[d] = w.regs[s0] * w.regs[s1]
+	w.fr.pc++
+}
+
+func execIMad(w *CWarp) {
+	op, d, s0, s1 := w.operands()
+	s2 := w.fr.base + int(op.tmpl.AbsSrc[2])
+	w.regs[d] = w.regs[s0]*w.regs[s1] + w.regs[s2]
+	w.fr.pc++
+}
+
+func execIMin(w *CWarp) {
+	_, d, s0, s1 := w.operands()
+	w.regs[d] = uint32(min(int32(w.regs[s0]), int32(w.regs[s1])))
+	w.fr.pc++
+}
+
+func execIMax(w *CWarp) {
+	_, d, s0, s1 := w.operands()
+	w.regs[d] = uint32(max(int32(w.regs[s0]), int32(w.regs[s1])))
+	w.fr.pc++
+}
+
+func execAnd(w *CWarp) {
+	_, d, s0, s1 := w.operands()
+	w.regs[d] = w.regs[s0] & w.regs[s1]
+	w.fr.pc++
+}
+
+func execOr(w *CWarp) {
+	_, d, s0, s1 := w.operands()
+	w.regs[d] = w.regs[s0] | w.regs[s1]
+	w.fr.pc++
+}
+
+func execXor(w *CWarp) {
+	_, d, s0, s1 := w.operands()
+	w.regs[d] = w.regs[s0] ^ w.regs[s1]
+	w.fr.pc++
+}
+
+func execShl(w *CWarp) {
+	_, d, s0, s1 := w.operands()
+	w.regs[d] = w.regs[s0] << (w.regs[s1] & 31)
+	w.fr.pc++
+}
+
+func execShr(w *CWarp) {
+	_, d, s0, s1 := w.operands()
+	w.regs[d] = w.regs[s0] >> (w.regs[s1] & 31)
+	w.fr.pc++
+}
+
+func execISet(w *CWarp) {
+	op, d, s0, s1 := w.operands()
+	w.regs[d] = boolWord(cmpInt(op.tmpl.Instr.Cmp, int32(w.regs[s0]), int32(w.regs[s1])))
+	w.fr.pc++
+}
+
+func execFAdd(w *CWarp) {
+	_, d, s0, s1 := w.operands()
+	w.regs[d] = math.Float32bits(f32(w.regs[s0]) + f32(w.regs[s1]))
+	w.fr.pc++
+}
+
+func execFSub(w *CWarp) {
+	_, d, s0, s1 := w.operands()
+	w.regs[d] = math.Float32bits(f32(w.regs[s0]) - f32(w.regs[s1]))
+	w.fr.pc++
+}
+
+func execFMul(w *CWarp) {
+	_, d, s0, s1 := w.operands()
+	w.regs[d] = math.Float32bits(f32(w.regs[s0]) * f32(w.regs[s1]))
+	w.fr.pc++
+}
+
+func execFFma(w *CWarp) {
+	op, d, s0, s1 := w.operands()
+	s2 := w.fr.base + int(op.tmpl.AbsSrc[2])
+	w.regs[d] = math.Float32bits(f32(w.regs[s0])*f32(w.regs[s1]) + f32(w.regs[s2]))
+	w.fr.pc++
+}
+
+func execFMin(w *CWarp) {
+	_, d, s0, s1 := w.operands()
+	x, y := f32(w.regs[s0]), f32(w.regs[s1])
+	if y < x {
+		x = y
+	}
+	w.regs[d] = math.Float32bits(x)
+	w.fr.pc++
+}
+
+func execFMax(w *CWarp) {
+	_, d, s0, s1 := w.operands()
+	x, y := f32(w.regs[s0]), f32(w.regs[s1])
+	if y > x {
+		x = y
+	}
+	w.regs[d] = math.Float32bits(x)
+	w.fr.pc++
+}
+
+func execFSet(w *CWarp) {
+	op, d, s0, s1 := w.operands()
+	w.regs[d] = boolWord(cmpFloat(op.tmpl.Instr.Cmp, f32(w.regs[s0]), f32(w.regs[s1])))
+	w.fr.pc++
+}
+
+func execF2I(w *CWarp) {
+	_, d, s0, _ := w.operands()
+	fv := float64(f32(w.regs[s0]))
+	var iv int32
+	switch {
+	case fv != fv: // NaN
+		iv = 0
+	case fv >= math.MaxInt32:
+		iv = math.MaxInt32
+	case fv <= math.MinInt32:
+		iv = math.MinInt32
+	default:
+		iv = int32(fv)
+	}
+	w.regs[d] = uint32(iv)
+	w.fr.pc++
+}
+
+func execI2F(w *CWarp) {
+	_, d, s0, _ := w.operands()
+	w.regs[d] = math.Float32bits(float32(int32(w.regs[s0])))
+	w.fr.pc++
+}
+
+func execMov(w *CWarp) {
+	_, d, s0, _ := w.operands()
+	w.regs[d] = w.regs[s0]
+	w.fr.pc++
+}
+
+func execMovWide(w *CWarp) {
+	op, d, s0, _ := w.operands()
+	for i := 0; i < int(op.tmpl.DstW); i++ {
+		w.regs[d+i] = w.regs[s0+i]
+	}
+	w.fr.pc++
+}
+
+func execMovI(w *CWarp) {
+	op, d, _, _ := w.operands()
+	w.regs[d] = uint32(op.tmpl.Instr.Imm)
+	w.fr.pc++
+}
+
+func execRdSp(w *CWarp) {
+	op, d, _, _ := w.operands()
+	w.regs[d] = w.readSpecial(op.tmpl.Instr.Sp)
+	w.fr.pc++
+}
+
+func execLdG(w *CWarp) {
+	op, d, s0, _ := w.operands()
+	w.regs[d] = GlobalData(w.regs[s0] + uint32(op.tmpl.Instr.Imm))
+	w.fr.pc++
+}
+
+func execLdGWide(w *CWarp) {
+	op, d, s0, _ := w.operands()
+	addr := w.regs[s0] + uint32(op.tmpl.Instr.Imm)
+	for i := 0; i < int(op.tmpl.DstW); i++ {
+		w.regs[d+i] = GlobalData(addr + uint32(4*i))
+	}
+	w.fr.pc++
+}
+
+func execStG(w *CWarp) {
+	op, _, s0, s1 := w.operands()
+	wn := int(op.tmpl.SrcW[1])
+	addr := w.regs[s0] + uint32(op.tmpl.Instr.Imm)
+	h := w.cks
+	for i := 0; i < wn; i++ {
+		h = (h ^ uint64(addr+uint32(4*i))) * fnvPrime
+		h = (h ^ uint64(w.regs[s1+i])) * fnvPrime
+	}
+	w.cks = h
+	w.storeCnt += wn
+	w.fr.pc++
+}
+
+func execLdS(w *CWarp) {
+	op, d, s0, _ := w.operands()
+	addr := w.regs[s0] + uint32(op.tmpl.Instr.Imm)
+	if n := uint32(len(w.shared)); n != 0 {
+		for i := 0; i < int(op.tmpl.DstW); i++ {
+			w.regs[d+i] = w.shared[((addr+uint32(4*i))>>2)%n]
+		}
+	} else {
+		for i := 0; i < int(op.tmpl.DstW); i++ {
+			w.regs[d+i] = 0
+		}
+	}
+	w.fr.pc++
+}
+
+func execStS(w *CWarp) {
+	op, _, s0, s1 := w.operands()
+	if n := uint32(len(w.shared)); n != 0 {
+		addr := w.regs[s0] + uint32(op.tmpl.Instr.Imm)
+		for i := 0; i < int(op.tmpl.SrcW[1]); i++ {
+			w.shared[((addr+uint32(4*i))>>2)%n] = w.regs[s1+i]
+		}
+	}
+	w.fr.pc++
+}
+
+func execSpillSS(w *CWarp) {
+	fr := w.fr
+	op, _, s0, _ := w.operands()
+	o := fr.shBase + int(op.tmpl.Instr.Imm)
+	for i := 0; i < int(op.tmpl.SrcW[0]); i++ {
+		w.shSpill[o+i] = w.regs[s0+i]
+	}
+	fr.pc++
+}
+
+func execSpillSL(w *CWarp) {
+	fr := w.fr
+	op, d, _, _ := w.operands()
+	o := fr.shBase + int(op.tmpl.Instr.Imm)
+	for i := 0; i < int(op.tmpl.DstW); i++ {
+		w.regs[d+i] = w.shSpill[o+i]
+	}
+	fr.pc++
+}
+
+func execSpillLS(w *CWarp) {
+	fr := w.fr
+	op, _, s0, _ := w.operands()
+	o := fr.locBase + int(op.tmpl.Instr.Imm)
+	for i := 0; i < int(op.tmpl.SrcW[0]); i++ {
+		w.locSpill[o+i] = w.regs[s0+i]
+	}
+	fr.pc++
+}
+
+func execSpillLL(w *CWarp) {
+	fr := w.fr
+	op, d, _, _ := w.operands()
+	o := fr.locBase + int(op.tmpl.Instr.Imm)
+	for i := 0; i < int(op.tmpl.DstW); i++ {
+		w.regs[d+i] = w.locSpill[o+i]
+	}
+	fr.pc++
+}
+
+func execBra(w *CWarp) { w.fr.pc = int(w.op().tmpl.Instr.Tgt) }
+
+func execCbr(w *CWarp) {
+	if op, _, s0, _ := w.operands(); w.regs[s0] != 0 {
+		w.fr.pc = int(op.tmpl.Instr.Tgt)
+	} else {
+		w.fr.pc++
+	}
+}
+
+// execBar: synchronization is a timing concern; functionally a no-op.
+func execBar(w *CWarp) { w.fr.pc++ }
+
+func execCall(w *CWarp) {
+	op, fr, l := w.op(), w.fr, w.c.layout
+	callee := int(op.tmpl.Instr.Tgt)
+	newBase := fr.base + l.callBase[fr.fn][fr.pc]
+	if newBase+l.frameSize[callee] > len(w.regs) {
+		w.err = fmt.Errorf("interp: register file overflow calling %s", w.c.funcs[callee].Name)
+		return
+	}
+	retDst := -1
+	if op.tmpl.AbsDst >= 0 {
+		retDst = fr.base + int(op.tmpl.AbsDst)
+	}
+	// ABI: read every argument before writing any (see Warp.Advance).
+	// isa.Validate holds the argument count to the callee's NumArgs.
+	var argv [3]uint32
+	nargs := int(op.tmpl.NSrc)
+	for a := 0; a < nargs; a++ {
+		argv[a] = w.regs[fr.base+int(op.tmpl.AbsSrc[a])]
+	}
+	for a := 0; a < nargs; a++ {
+		w.regs[newBase+a] = argv[a]
+	}
+	nf := frame{
+		fn:      callee,
+		base:    newBase,
+		shBase:  fr.shBase + l.sharedSlots[fr.fn],
+		locBase: fr.locBase + l.localSlots[fr.fn],
+		retDst:  retDst,
+	}
+	fr.pc++ // return address
+	w.stack = append(w.stack, nf)
+	w.fr = &w.stack[len(w.stack)-1]
+	w.code = w.c.code[callee]
+}
+
+func execRet(w *CWarp) {
+	op, fr := w.op(), w.fr
+	hasRV := op.tmpl.NSrc > 0
+	var rv uint32
+	if hasRV {
+		rv = w.regs[fr.base+int(op.tmpl.AbsSrc[0])]
+	}
+	retDst := fr.retDst
+	w.stack = w.stack[:len(w.stack)-1]
+	if retDst >= 0 && hasRV {
+		w.regs[retDst] = rv
+	}
+	w.fr = &w.stack[len(w.stack)-1]
+	w.code = w.c.code[w.fr.fn]
+}
+
+func execExit(w *CWarp) { w.done = true }
+
+func execInvalid(w *CWarp) {
+	w.err = fmt.Errorf("interp: cannot execute %s", w.op().tmpl.Instr.Op)
 }

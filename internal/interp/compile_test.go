@@ -1,8 +1,11 @@
 package interp
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/isa"
 )
@@ -112,25 +115,15 @@ func compareEvents(t *testing.T, wi, step int, ref, got *Event) {
 	if ref.NSrc != got.NSrc {
 		fail("NSrc", ref.NSrc, got.NSrc)
 	}
-	if ref.ActiveLanes != got.ActiveLanes {
-		fail("ActiveLanes", ref.ActiveLanes, got.ActiveLanes)
-	}
-	if ref.BankConflicts != got.BankConflicts {
-		fail("BankConflicts", ref.BankConflicts, got.BankConflicts)
+	// Both executors are one-lane here, so neither has lane extras.
+	if ref.Lane != nil || got.Lane != nil {
+		fail("Lane", ref.Lane, got.Lane)
 	}
 	if ref.DstW != got.DstW {
 		fail("DstW", ref.DstW, got.DstW)
 	}
 	if ref.SrcW != got.SrcW {
 		fail("SrcW", ref.SrcW, got.SrcW)
-	}
-	if len(ref.Lines) != len(got.Lines) {
-		fail("Lines", ref.Lines, got.Lines)
-	}
-	for i := range ref.Lines {
-		if ref.Lines[i] != got.Lines[i] {
-			fail("Lines", ref.Lines, got.Lines)
-		}
 	}
 }
 
@@ -360,5 +353,115 @@ func TestCompiledWarpPoolReuseIsClean(t *testing.T) {
 	p.Entry().SpillLocal = 1
 	for i := 0; i < 3; i++ {
 		lockstepProg(t, p, 4)
+	}
+}
+
+// TestCompiledInstructionSize pins the compiled instruction's footprint:
+// every cached version holds one cop per instruction, so a field added to
+// Event or cop grows every compiled program.
+func TestCompiledInstructionSize(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n > 40 {
+		t.Errorf("Event is %d bytes, want at most 40", n)
+	}
+	if n := unsafe.Sizeof(cop{}); n > 48 {
+		t.Errorf("cop is %d bytes, want at most 48", n)
+	}
+}
+
+// TestPeekAtRegFileTop runs a callee whose one-register frame sits at the
+// highest base RegFileSize allows, so its operands are register 511, the
+// largest index an int16 Event field must carry. Both executors' Peek must
+// report it, the compiled one as its frame base plus the frame-relative
+// template, and a frame one register larger must be rejected by both.
+func TestPeekAtRegFileTop(t *testing.T) {
+	const src = `
+.kernel top
+.blockdim 32
+.func main
+  MOVI v%[1]d, 7
+  CALL v%[2]d, f, v%[1]d
+  MOVI v0, 64
+  STG [v0], v%[2]d
+  EXIT
+.func f args 1 ret
+  IADD v0, v0, v0
+  RET v0
+`
+	p := isa.MustParse(fmt.Sprintf(src, RegFileSize-2, RegFileSize-3))
+	lockstepProg(t, p, 1)
+	layout, err := NewLayout(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if layout.RegHighWater != RegFileSize {
+		t.Fatalf("RegHighWater %d, want %d", layout.RegHighWater, RegFileSize)
+	}
+	comp, err := Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc := &Launch{Prog: p, GridWarps: 1}
+	ref, err := NewWarp(lc, layout, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cw := NewCWarp(comp, lc, 0, nil)
+	defer cw.Release()
+	for i := 0; i < 2; i++ { // MOVI, CALL
+		if err := ref.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := cw.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const top = RegFileSize - 1
+	want := [3]int16{top, top, -1}
+	rev := ref.Peek()
+	if rev.Instr.Op != isa.OpIAdd || rev.AbsDst != top || rev.AbsSrc != want {
+		t.Errorf("reference Peek: %v dst %d srcs %v, want IADD dst %d srcs %v", rev.Instr, rev.AbsDst, rev.AbsSrc, top, want)
+	}
+	cev, base, _ := cw.Peek()
+	b := int16(base)
+	if got := [3]int16{b + cev.AbsSrc[0], b + cev.AbsSrc[1], cev.AbsSrc[2]}; cev.Instr != rev.Instr || b+cev.AbsDst != top || got != want {
+		t.Errorf("compiled Peek: base %d dst %d srcs %v, want dst %d srcs %v", base, cev.AbsDst, cev.AbsSrc, top, want)
+	}
+
+	over := isa.MustParse(fmt.Sprintf(src, RegFileSize-1, RegFileSize-2))
+	if _, err := Compile(over); err == nil {
+		t.Error("Compile accepted a call chain one register past RegFileSize")
+	}
+	overLayout, err := NewLayout(over)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewWarp(&Launch{Prog: over, GridWarps: 1}, overLayout, 0, nil); err == nil {
+		t.Error("NewWarp accepted a call chain one register past RegFileSize")
+	}
+}
+
+// TestCompileAllocsConstant holds Compile to a fixed number of allocations
+// per program, whatever its length: one []cop per function, nothing per
+// instruction.
+func TestCompileAllocsConstant(t *testing.T) {
+	allocs := func(n int) float64 {
+		var b strings.Builder
+		b.WriteString(".kernel line\n.blockdim 32\n.func main\n  MOVI v0, 1\n")
+		for i := 1; i < n-1; i++ {
+			fmt.Fprintf(&b, "  IADD v%d, v%d, v0\n", i%8+1, (i+7)%8+1)
+		}
+		b.WriteString("  EXIT\n")
+		p := isa.MustParse(b.String())
+		if err := isa.Validate(p); err != nil || len(p.Entry().Instrs) != n {
+			t.Fatalf("%d instructions: %v", len(p.Entry().Instrs), err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Compile(p); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(16), allocs(1024); large != small {
+		t.Errorf("Compile allocates %v times for 16 instructions, %v for 1024", small, large)
 	}
 }

@@ -67,26 +67,23 @@ const (
 
 // Event describes the instruction a warp is about to execute, with operands
 // resolved to absolute physical register indices and memory addresses.
+//
+// It is 40 bytes on a 64-bit host: the compiled backend keeps one per
+// instruction of every program it has run, as a template. Register indices
+// fit int16 because RegFileSize bounds every frame-absolute register, and
+// widths and counts fit uint8 because isa.Validate bounds W to 4.
 type Event struct {
-	Instr  *isa.Instr
+	Instr *isa.Instr
+	// Lane holds a 32-lane warp's extras for a global or user shared
+	// access; it is nil on a one-lane warp and on any other event.
+	Lane   *LaneEvent
+	Addr   uint32   // byte address for memory events
+	AbsDst int16    // absolute dst register (-1 if none); spans DstW slots
+	AbsSrc [3]int16 // absolute src registers (-1 terminated)
 	Kind   Kind
 	Space  Space
-	Addr   uint32 // byte address for memory events
-	Bytes  int    // transfer size for memory events
-	AbsDst int    // absolute dst register (-1 if none); spans Instr.W() slots
-	AbsSrc [3]int // absolute src registers (-1 terminated)
-	NSrc   int
-
-	// Lane extras, set only by a 32-lane warp. Lines is the set of
-	// distinct cache lines the active lanes touch on a global access (nil
-	// on a one-lane warp: one implicit line at Addr). ActiveLanes is the
-	// active-mask population (0 on a one-lane warp). BankConflicts is the
-	// worst per-bank multiplicity of a user shared-memory access (1 =
-	// conflict-free; the hardware serializes conflicting lanes; 0 on a
-	// one-lane warp).
-	Lines         []uint64
-	ActiveLanes   int
-	BankConflicts int
+	NSrc   uint8
+	Bytes  uint8 // transfer size for memory events
 
 	// DstW and SrcW cache Instr.W() / Instr.SrcWidth(i) so the simulator's
 	// scoreboard does not re-derive operand widths on every issue attempt.
@@ -96,22 +93,32 @@ type Event struct {
 	SrcW [3]uint8
 }
 
+// LaneEvent is what a 32-lane warp adds to a memory event. Lines is the
+// set of distinct cache lines the active lanes touch on a global access
+// (nil on a shared access). BankConflicts is the worst per-bank
+// multiplicity of a user shared-memory access (1 = conflict-free; the
+// hardware serializes conflicting lanes; 0 on a global access).
+type LaneEvent struct {
+	Lines         []uint64
+	BankConflicts int
+}
+
 // resolve sets the event to in at frame base: its Kind, Space and (for a
 // memory access) Bytes from the opcode table, and its register operands as
 // absolute indices with their widths.
 func (ev *Event) resolve(in *isa.Instr, base int) {
 	*ev = Event{Instr: in, Kind: Kind(in.Op.Class()), Space: Space(in.Op.Space()),
-		AbsDst: -1, AbsSrc: [3]int{-1, -1, -1}}
+		AbsDst: -1, AbsSrc: [3]int16{-1, -1, -1}}
 	if ev.Space != SpaceNone {
-		ev.Bytes = 4 * in.W()
+		ev.Bytes = uint8(4 * in.W())
 	}
 	if in.HasDst() {
-		ev.AbsDst = base + int(in.Dst)
+		ev.AbsDst = int16(base + int(in.Dst))
 		ev.DstW = uint8(in.W())
 	}
-	ev.NSrc = in.NumSrcs()
-	for i := 0; i < ev.NSrc; i++ {
-		ev.AbsSrc[i] = base + int(in.Src[i])
+	ev.NSrc = uint8(in.NumSrcs())
+	for i := 0; i < int(ev.NSrc); i++ {
+		ev.AbsSrc[i] = int16(base + int(in.Src[i]))
 		ev.SrcW[i] = uint8(in.SrcWidth(i))
 	}
 }
@@ -129,10 +136,9 @@ type Layout struct {
 	LocalSpillSlots  int
 
 	frameSize   []int   // per function: registers its frame occupies
-	callBase    [][]int // per function: Bk per static call (instruction order)
-	callIndex   []map[int]int
-	sharedBase  []int // per function: first shared spill slot
-	localBase   []int // per function: first local spill slot
+	callBase    [][]int // per function, by pc: a CALL's frame base Bk (nil without calls)
+	sharedBase  []int   // per function: first shared spill slot
+	localBase   []int   // per function: first local spill slot
 	sharedSlots []int
 	localSlots  []int
 }
@@ -143,7 +149,6 @@ func NewLayout(p *isa.Program) (*Layout, error) {
 	l := &Layout{
 		frameSize:   make([]int, n),
 		callBase:    make([][]int, n),
-		callIndex:   make([]map[int]int, n),
 		sharedBase:  make([]int, n),
 		localBase:   make([]int, n),
 		sharedSlots: make([]int, n),
@@ -157,12 +162,9 @@ func NewLayout(p *isa.Program) (*Layout, error) {
 		}
 		l.sharedSlots[fi] = f.SpillShared
 		l.localSlots[fi] = f.SpillLocal
-		idx := map[int]int{}
-		var bases []int
 		k := 0
 		for i := range f.Instrs {
 			if f.Instrs[i].Op == isa.OpCall {
-				idx[i] = k
 				b := l.frameSize[fi]
 				if f.CallBounds != nil {
 					if k >= len(f.CallBounds) {
@@ -170,12 +172,13 @@ func NewLayout(p *isa.Program) (*Layout, error) {
 					}
 					b = f.CallBounds[k]
 				}
-				bases = append(bases, b)
+				if l.callBase[fi] == nil {
+					l.callBase[fi] = make([]int, len(f.Instrs))
+				}
+				l.callBase[fi][i] = b
 				k++
 			}
 		}
-		l.callBase[fi] = bases
-		l.callIndex[fi] = idx
 	}
 
 	// Propagate worst-case bases through the (acyclic) call graph.
@@ -193,13 +196,12 @@ func NewLayout(p *isa.Program) (*Layout, error) {
 			if regBase[fi] < 0 {
 				continue
 			}
-			k := 0
 			for i := range f.Instrs {
 				if f.Instrs[i].Op != isa.OpCall {
 					continue
 				}
 				callee := int(f.Instrs[i].Tgt)
-				rb := regBase[fi] + l.callBase[fi][k]
+				rb := regBase[fi] + l.callBase[fi][i]
 				sb := shBase[fi] + l.sharedSlots[fi]
 				lb := locBase[fi] + l.localSlots[fi]
 				if rb > regBase[callee] {
@@ -211,7 +213,6 @@ func NewLayout(p *isa.Program) (*Layout, error) {
 				if lb > locBase[callee] {
 					locBase[callee] = lb
 				}
-				k++
 			}
 		}
 	}
@@ -331,6 +332,7 @@ type Warp struct {
 	code    []isa.Instr // the top frame's function body
 	frags   []fragment  // empty once every lane has exited
 	lineBuf []uint64
+	lane    LaneEvent // what Fill's Event.Lane points at
 
 	// Stats.
 	Steps    int
@@ -414,8 +416,8 @@ func (w *Warp) current() int {
 }
 
 // Fill is Peek into caller-owned storage (StepExecutor). On a
-// lane-variant warp ev.Lines aliases the warp's line buffer: it stays
-// valid until this warp's next Fill.
+// lane-variant warp ev.Lane points into the warp: it stays valid until
+// this warp's next Fill.
 func (w *Warp) Fill(ev *Event) {
 	if w.Done() {
 		*ev = Event{Kind: KindExit, AbsDst: -1}
@@ -425,13 +427,10 @@ func (w *Warp) Fill(ev *Event) {
 	fr := &w.stack[len(w.stack)-1]
 	in := &w.code[fg.pc]
 	ev.resolve(in, fr.base)
-	if w.lanes > 1 {
-		ev.ActiveLanes = bits.OnesCount32(fg.mask)
-	}
 	switch {
 	case ev.Space == SpaceNone:
 	case in.IsMem():
-		w.gather(ev, fg.mask, ev.AbsSrc[0], uint32(in.Imm))
+		w.gather(ev, fg.mask, int(ev.AbsSrc[0]), uint32(in.Imm))
 	case ev.Space == SpaceShared:
 		ev.Addr = uint32(4 * (fr.shBase + int(in.Imm)))
 	default:
@@ -471,10 +470,11 @@ func (w *Warp) gather(ev *Event, mask uint32, reg int, imm uint32) {
 		}
 	}
 	if ev.Space == SpaceGlobal {
-		ev.Lines = w.lineBuf
+		w.lane = LaneEvent{Lines: w.lineBuf}
 	} else {
-		ev.BankConflicts = int(worst)
+		w.lane = LaneEvent{BankConflicts: int(worst)}
 	}
+	ev.Lane = &w.lane
 }
 
 // Commit executes the instruction Fill resolved (StepExecutor).
@@ -555,7 +555,7 @@ func (w *Warp) Advance() error {
 		return nil
 	case isa.OpCall: // one-lane warps only (NewWarp)
 		callee := int(in.Tgt)
-		newBase := fr.base + w.layout.callBase[fr.fn][w.layout.callIndex[fr.fn][fg.pc]]
+		newBase := fr.base + w.layout.callBase[fr.fn][fg.pc]
 		cf := w.prog.Funcs[callee]
 		if newBase+w.layout.frameSize[callee] > w.nreg {
 			return fmt.Errorf("interp: register file overflow calling %s", cf.Name)

@@ -152,10 +152,10 @@ func TestSIMTCoalescingDetection(t *testing.T) {
 	for !w.Done() {
 		ev := w.Peek()
 		if ev.Kind == KindLoad && ev.Space == SpaceGlobal {
-			loadLines = len(ev.Lines)
+			loadLines = len(ev.Lane.Lines)
 		}
 		if ev.Kind == KindStore && ev.Space == SpaceGlobal {
-			storeLines = len(ev.Lines)
+			storeLines = len(ev.Lane.Lines)
 		}
 		if _, err := w.Step(); err != nil {
 			t.Fatal(err)
@@ -188,8 +188,8 @@ func TestSIMTCoalescingDetection(t *testing.T) {
 	maxLines := 0
 	for !w2.Done() {
 		ev := w2.Peek()
-		if len(ev.Lines) > maxLines {
-			maxLines = len(ev.Lines)
+		if ev.Lane != nil && len(ev.Lane.Lines) > maxLines {
+			maxLines = len(ev.Lane.Lines)
 		}
 		if _, err := w2.Step(); err != nil {
 			t.Fatal(err)
@@ -306,8 +306,8 @@ func TestSIMTBankConflicts(t *testing.T) {
 		worst := 0
 		for !w.Done() {
 			ev := w.Peek()
-			if ev.Space == SpaceShared && ev.BankConflicts > worst {
-				worst = ev.BankConflicts
+			if ev.Space == SpaceShared && ev.Lane != nil && ev.Lane.BankConflicts > worst {
+				worst = ev.Lane.BankConflicts
 			}
 			if _, err := w.Step(); err != nil {
 				t.Fatal(err)

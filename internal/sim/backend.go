@@ -6,10 +6,10 @@ package sim
 // DRAM, and energy model; they differ only in how each warp's next
 // instruction is produced and committed:
 //
-//   - BackendCompiled translates every function once into Go closures,
-//     one per instruction (package interp's CWarp), with pre-resolved
-//     operand templates. It is the zero value: every Config that does
-//     not say otherwise runs it.
+//   - BackendCompiled translates every function once into pre-resolved
+//     event templates, each with a static per-opcode handler (package
+//     interp's CWarp). It is the zero value: every Config that does not
+//     say otherwise runs it.
 //   - BackendInterp steps the reference interpreter (interp.Warp). It
 //     is the reference semantics, selected per call through
 //     Config.Backend by the differential oracles (verify.CrossBackend,
@@ -23,7 +23,7 @@ package sim
 type Backend uint8
 
 const (
-	// BackendCompiled executes per-instruction compiled closures.
+	// BackendCompiled executes the compiled templates and handlers.
 	BackendCompiled Backend = iota
 	// BackendInterp executes the reference interpreter.
 	BackendInterp

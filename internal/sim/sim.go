@@ -23,9 +23,9 @@
 // regardless of goroutine interleaving.
 //
 // Two execution backends drive warp-scalar kernels beneath the timing
-// model: the default compiled backend (one closure per instruction, see
-// interp.Compile) and the reference interpreter. Lane-variant (LANEID)
-// kernels always run the reference lane-accurate executor. See Backend.
+// model: the default compiled backend (static handlers, interp.Compile)
+// and the reference interpreter. Lane-variant (LANEID) kernels always run
+// the reference lane-accurate executor. See Backend.
 package sim
 
 import (
@@ -816,18 +816,16 @@ func (sm *smCtx) memOne(ev *interp.Event, line uint64, isLoad bool) uint64 {
 }
 
 // memAccess charges a memory operation: one transaction per distinct
-// cache line the warp touches (Lines is nil in warp-scalar mode — one
-// line at addr; a SIMT warp's uncoalesced access pays per line).
+// cache line the warp touches (a warp-scalar event has no Lane — one line
+// at addr; a SIMT warp's uncoalesced access pays per line).
 func (sm *smCtx) memAccess(ev *interp.Event, addr uint32, isLoad bool) (uint64, bool) {
 	d := sm.eng.d
 	now := sm.now
-	nLines := 1
-	if ev.Lines != nil {
-		nLines = len(ev.Lines)
-		if nLines == 0 {
-			nLines = 1
-		}
+	var lines []uint64
+	if ev.Lane != nil {
+		lines = ev.Lane.Lines
 	}
+	nLines := max(len(lines), 1)
 	// MSHR admission for loads that may miss.
 	if isLoad {
 		live := sm.mshr[:0]
@@ -841,11 +839,11 @@ func (sm *smCtx) memAccess(ev *interp.Event, addr uint32, isLoad bool) (uint64, 
 			return 0, false // structural stall
 		}
 	}
-	if ev.Lines == nil {
+	if lines == nil {
 		return sm.memOne(ev, uint64(addr)/uint64(d.LineBytes), isLoad), true
 	}
 	var lat uint64
-	for _, line := range ev.Lines {
+	for _, line := range lines {
 		if l := sm.memOne(ev, line, isLoad); l > lat {
 			lat = l
 		}
@@ -913,8 +911,8 @@ func (wc *warpCtx) prepare() {
 	// The event caches the operand widths so they are not re-derived from
 	// the instruction; width 1 is the overwhelmingly common case.
 	var hazard uint64
-	for i := 0; i < ev.NSrc; i++ {
-		r := base + ev.AbsSrc[i]
+	for i := 0; i < int(ev.NSrc); i++ {
+		r := base + int(ev.AbsSrc[i])
 		if p := pending[r]; p > hazard {
 			hazard = p
 		}
@@ -925,7 +923,7 @@ func (wc *warpCtx) prepare() {
 		}
 	}
 	if ev.AbsDst >= 0 {
-		r := base + ev.AbsDst
+		r := base + int(ev.AbsDst)
 		if p := pending[r]; p > hazard {
 			hazard = p
 		}
@@ -988,16 +986,20 @@ func (sm *smCtx) issueOne(wc *warpCtx) bool {
 	case interp.KindLoad, interp.KindStore:
 		if ev.Space == interp.SpaceShared {
 			service := d.SharedServiceCycles
-			if ev.BankConflicts > 1 {
+			conflicts := 0
+			if ev.Lane != nil {
+				conflicts = ev.Lane.BankConflicts
+			}
+			if conflicts > 1 {
 				// Conflicting lanes serialize: the banked array replays
 				// the access once per conflicting group.
-				service *= float64(ev.BankConflicts)
+				service *= float64(conflicts)
 			}
 			start := math.Max(sm.sharedFree, float64(now))
 			sm.sharedFree = start + service
 			lat = uint64(d.SharedLat) + uint64(start) - now
-			if ev.BankConflicts > 1 {
-				lat += uint64(float64(ev.BankConflicts-1) * d.SharedServiceCycles)
+			if conflicts > 1 {
+				lat += uint64(float64(conflicts-1) * d.SharedServiceCycles)
 			}
 			sm.st.sharedAccesses++
 		} else {
@@ -1085,7 +1087,7 @@ func (sm *smCtx) issueOne(wc *warpCtx) bool {
 	ready := now + 1
 	if ev.AbsDst >= 0 {
 		done := now + lat
-		r := wc.base + ev.AbsDst
+		r := wc.base + int(ev.AbsDst)
 		wc.pending[r] = done
 		for k := 1; k < dstW; k++ {
 			wc.pending[r+k] = done

@@ -100,7 +100,7 @@ func legacyStoreStreams(p *isa.Program, gridWarps, stepLimit int) ([][]uint32, i
 			if ev.Kind == interp.KindStore && ev.Space == interp.SpaceGlobal {
 				stream = append(stream, ev.Addr)
 				for k := 0; k < ev.Instr.W(); k++ {
-					stream = append(stream, w.ReadAbsReg(ev.AbsSrc[1]+k))
+					stream = append(stream, w.ReadAbsReg(int(ev.AbsSrc[1])+k))
 				}
 			}
 			if _, err := w.Step(); err != nil {
