@@ -42,7 +42,7 @@ func run(args []string) error {
 	format := fs.String("format", "text", "output format: text or csv")
 	parallel := fs.Int("parallel", 0, "experiment worker pool size (0 = GOMAXPROCS, 1 = serial)")
 	verify := fs.Bool("verify", true, "check allocation invariants and differential semantics on every realized version")
-	lintFlag := fs.String("lint", "strict", "static-analysis gate: strict (reject on errors), warn, or off")
+	lintFlag := fs.String("lint", "strict", "static-analysis gate: strict (reject on errors) or off")
 	optFlag := fs.Bool("opt", false, "run the pressure-reducing middle end before allocation")
 	traceOut := fs.String("trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) to this file")
 	metricsOut := fs.String("metrics", "", "write a metrics JSON snapshot to this file")

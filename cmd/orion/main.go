@@ -48,7 +48,7 @@
 //	    canonical JSON `orion tune -json` writes; with -store they
 //	    persist across restarts.
 //
-// All compiling subcommands accept -lint strict|warn|off (default
+// All compiling subcommands accept -lint strict|off (default
 // strict): strict rejects programs whose analysis has error-severity
 // findings before compiling them.
 //
@@ -110,7 +110,7 @@ func run(args []string, out io.Writer) error {
 	metricsOut := fs.String("metrics", "", "write a metrics JSON snapshot to this file")
 	explain := fs.Bool("explain", false, "for 'tune': print one line per tuning iteration explaining the decision")
 	verify := fs.Bool("verify", true, "check allocation invariants and differential semantics on every realized version")
-	lintFlag := fs.String("lint", "strict", "static-analysis gate: strict (reject on errors), warn, or off")
+	lintFlag := fs.String("lint", "strict", "static-analysis gate: strict (reject on errors) or off")
 	realized := fs.Bool("realized", false, "for 'lint': also analyze every realized occupancy level")
 	optFlag := fs.Bool("opt", false, "run the pressure-reducing middle end (pressure-aware scheduling, legality-checked) before allocation")
 	jsonOut := fs.String("json", "", "for 'profile'/'tune': write the report as JSON to this file (tune writes the canonical report, byte-identical to `orion serve`'s)")

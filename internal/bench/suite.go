@@ -39,8 +39,8 @@ type Suite struct {
 	// exposes -verify=false to opt out.
 	Verify bool
 	// Lint gates compilation on the static analyzer (internal/sa): strict
-	// (the default) rejects kernels with error-severity findings, warn
-	// records them, off skips analysis. orion-bench exposes -lint.
+	// (the default) rejects kernels with error-severity findings, off
+	// skips analysis. orion-bench exposes -lint.
 	Lint core.LintMode
 	// Opt runs the pressure-reducing middle end (the pressure-aware
 	// scheduler, every kept schedule checked by internal/tv) ahead of

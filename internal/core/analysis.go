@@ -13,25 +13,19 @@ import (
 type LintMode uint8
 
 // Lint modes. LintStrict rejects programs with error-severity findings
-// (divergent barriers, shared-memory races) via *AnalysisError; LintWarn
-// records diagnostics in the obs stream without failing; LintOff skips
-// the analyzer entirely.
+// (divergent barriers, shared-memory races) via *AnalysisError; LintOff
+// skips the analyzer entirely.
 const (
 	LintOff LintMode = iota
-	LintWarn
 	LintStrict
 )
 
 // String names the mode (the -lint flag values).
 func (m LintMode) String() string {
-	switch m {
-	case LintOff:
+	if m == LintOff {
 		return "off"
-	case LintWarn:
-		return "warn"
-	default:
-		return "strict"
 	}
+	return "strict"
 }
 
 // ParseLintMode parses a -lint flag value.
@@ -39,12 +33,10 @@ func ParseLintMode(s string) (LintMode, error) {
 	switch s {
 	case "off":
 		return LintOff, nil
-	case "warn":
-		return LintWarn, nil
 	case "strict":
 		return LintStrict, nil
 	}
-	return LintOff, fmt.Errorf("core: unknown lint mode %q (want strict, warn, or off)", s)
+	return LintOff, fmt.Errorf("core: unknown lint mode %q (want strict or off)", s)
 }
 
 // AnalysisError reports that static analysis found error-severity defects
@@ -116,15 +108,14 @@ func (r *Realizer) analyzeProgram(p *isa.Program, x obs.Ctx) []sa.Diagnostic {
 }
 
 // lintProgram gates a program on the realizer's lint mode: strict mode
-// fails with *AnalysisError when any error-severity finding exists;
-// warn mode only records the findings. targetWarps is zero for decoded
-// input programs and the occupancy level for realized versions.
+// fails with *AnalysisError when any error-severity finding exists.
+// targetWarps is zero for decoded input programs and the occupancy level
+// for realized versions.
 func (r *Realizer) lintProgram(p *isa.Program, targetWarps int, x obs.Ctx) error {
 	if r.Lint == LintOff {
 		return nil
 	}
-	diags := r.analyzeProgram(p, x)
-	if r.Lint == LintStrict && sa.CountErrors(diags) > 0 {
+	if diags := r.analyzeProgram(p, x); sa.CountErrors(diags) > 0 {
 		return &AnalysisError{Kernel: p.Name, TargetWarps: targetWarps, Diags: diags}
 	}
 	return nil

@@ -42,9 +42,9 @@ func TestLintStrictRejectsDefects(t *testing.T) {
 	}
 }
 
-// TestLintOffAndWarnAllowDefects: warn mode records but does not gate;
-// off skips analysis entirely. Both must let a racing kernel realize.
-func TestLintOffAndWarnAllowDefects(t *testing.T) {
+// TestLintOffAllowsDefects: off skips analysis entirely, so a racing
+// kernel realizes.
+func TestLintOffAllowsDefects(t *testing.T) {
 	defects, err := kernels.Defects()
 	if err != nil {
 		t.Fatal(err)
@@ -59,13 +59,11 @@ func TestLintOffAndWarnAllowDefects(t *testing.T) {
 	if race == nil {
 		t.Fatal("no SA-RACE defect in the corpus")
 	}
-	for _, mode := range []LintMode{LintOff, LintWarn} {
-		r := NewRealizer(device.GTX680(), device.SmallCache)
-		r.Verify = false // the defect genuinely races; only the lint gate is under test
-		r.Lint = mode
-		if _, err := r.Realize(race.Prog, 8); err != nil {
-			t.Errorf("mode %v: Realize = %v, want success", mode, err)
-		}
+	r := NewRealizer(device.GTX680(), device.SmallCache)
+	r.Verify = false // the defect genuinely races; only the lint gate is under test
+	r.Lint = LintOff
+	if _, err := r.Realize(race.Prog, 8); err != nil {
+		t.Errorf("Realize = %v, want success", err)
 	}
 }
 
@@ -84,7 +82,7 @@ func TestLintStrictPassesPaperKernels(t *testing.T) {
 
 // TestParseLintMode pins the flag grammar.
 func TestParseLintMode(t *testing.T) {
-	for s, want := range map[string]LintMode{"off": LintOff, "warn": LintWarn, "strict": LintStrict} {
+	for s, want := range map[string]LintMode{"off": LintOff, "strict": LintStrict} {
 		got, err := ParseLintMode(s)
 		if err != nil || got != want {
 			t.Errorf("ParseLintMode(%q) = %v, %v", s, got, err)
@@ -93,8 +91,10 @@ func TestParseLintMode(t *testing.T) {
 			t.Errorf("LintMode(%q).String() = %q", s, got.String())
 		}
 	}
-	if _, err := ParseLintMode("bogus"); err == nil {
-		t.Error("ParseLintMode must reject unknown modes")
+	for _, s := range []string{"bogus", "warn"} {
+		if _, err := ParseLintMode(s); err == nil {
+			t.Errorf("ParseLintMode(%q) must reject an unknown mode", s)
+		}
 	}
 }
 

@@ -91,6 +91,27 @@ func TestMaxLiveDirections(t *testing.T) {
 	}
 }
 
+// TestMaxLiveRejectsRecursion: MaxLive validates first, as Compile does,
+// so a recursive program (isa.TestValidateRecursion's cycle) is an error
+// rather than an unbounded walk of the call chain.
+func TestMaxLiveRejectsRecursion(t *testing.T) {
+	p := isa.MustParse(`
+.kernel k
+.func main
+  CALL _, a
+  EXIT
+.func a
+  CALL _, b
+  RET
+.func b
+  CALL _, a
+  RET
+`)
+	if _, err := MaxLive(p); !errors.Is(err, isa.ErrRecursion) {
+		t.Errorf("MaxLive = %v, want ErrRecursion", err)
+	}
+}
+
 func TestDirectionThresholdMatchesPaper(t *testing.T) {
 	// Paper Section 3.3: threshold 32 on Kepler.
 	if got := DirectionThreshold(device.GTX680()); got != 32 {

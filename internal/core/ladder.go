@@ -277,43 +277,33 @@ func (l *Ladder) ensureMeta(x obs.Ctx) error {
 			}
 		}
 		l.perRaw = perRaw
+		if l.order, l.metaErr = l.p.CallOrder(); l.metaErr != nil {
+			return
+		}
 		// Worst chain sums over the acyclic call graph: clamped for the
 		// allocator's CalleeNeed, raw for Compile's max-live metric.
-		l.needs = chainSums(l.p, l.perLive)
-		l.maxLive0 = chainSums(l.p, perRaw)[0]
-		l.order, l.metaErr = topoOrder(l.p)
+		l.needs = chainSums(l.p, l.order, l.perLive)
+		l.maxLive0 = chainSums(l.p, l.order, perRaw)[0]
 	})
 	return l.metaErr
 }
 
 // chainSums computes, per function, the given per-function demand plus the
-// worst demand over any callee chain (the paper's max-live-along-chain).
-func chainSums(p *isa.Program, per []int) []int {
-	memo := make([]int, len(p.Funcs))
-	for i := range memo {
-		memo[i] = -1
-	}
-	var chain func(fi int) int
-	chain = func(fi int) int {
-		if memo[fi] >= 0 {
-			return memo[fi]
-		}
-		best := 0
+// worst demand over any callee chain (the paper's max-live-along-chain) in
+// one callees-first pass: order is p.CallOrder() walked backwards.
+func chainSums(p *isa.Program, order, per []int) []int {
+	sums := make([]int, len(p.Funcs))
+	for k := len(order) - 1; k >= 0; k-- {
+		fi, best := order[k], 0
 		f := p.Funcs[fi]
 		for i := range f.Instrs {
-			if f.Instrs[i].Op == isa.OpCall {
-				if c := chain(int(f.Instrs[i].Tgt)); c > best {
-					best = c
-				}
+			if in := &f.Instrs[i]; in.Op == isa.OpCall && sums[in.Tgt] > best {
+				best = sums[in.Tgt]
 			}
 		}
-		memo[fi] = per[fi] + best
-		return memo[fi]
+		sums[fi] = per[fi] + best
 	}
-	for fi := range p.Funcs {
-		chain(fi)
-	}
-	return memo
+	return sums
 }
 
 // maxLive returns the program's compile-time max-live metric through the
@@ -529,7 +519,7 @@ func (l *Ladder) fillBudget(regBudget, sharedSlotBudget int, x obs.Ctx) (*Versio
 	}
 	v.Debug = &prof.DebugInfo{RegBudget: regBudget, Funcs: dbgFuncs, Opt: dbgOpt}
 	v.MaxLivePre = l.maxLive0
-	v.MaxLivePost = chainSums(p, perPost)[0]
+	v.MaxLivePost = chainSums(p, order, perPost)[0]
 	return v, nil
 }
 

@@ -29,8 +29,12 @@ func (d Direction) String() string {
 
 // MaxLive computes the paper's max-live metric for a whole program: the
 // worst-case register demand over any call chain, using per-function
-// max-live from the pruned-SSA liveness (Section 3.3).
+// max-live from the pruned-SSA liveness (Section 3.3). Like Compile, it
+// rejects a program that fails isa.Validate.
 func MaxLive(p *isa.Program) (int, error) {
+	if err := isa.Validate(p); err != nil {
+		return 0, err
+	}
 	per := make([]int, len(p.Funcs))
 	for fi, f := range p.Funcs {
 		v, err := ir.SplitWebs(f)
@@ -40,7 +44,8 @@ func MaxLive(p *isa.Program) (int, error) {
 		live := ir.ComputeLiveness(v)
 		per[fi] = live.MaxLive(v)
 	}
-	return chainSums(p, per)[0], nil
+	order, _ := p.CallOrder() // acyclic: p passed Validate
+	return chainSums(p, order, per)[0], nil
 }
 
 // DirectionThreshold returns the max-live threshold that decides the

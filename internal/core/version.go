@@ -99,7 +99,7 @@ type Realizer struct {
 	// Lint selects how the static analyzer (internal/sa) gates
 	// compilation: strict rejects input programs and realized versions
 	// with error-severity findings (divergent barriers, shared races) via
-	// *AnalysisError, warn only records diagnostics, off skips analysis.
+	// *AnalysisError, off skips analysis.
 	// NewRealizer defaults to LintStrict; the CLIs expose -lint.
 	Lint LintMode
 	// ProfileSpec, when non-nil, makes TuneCompiled profile the chosen
@@ -252,48 +252,6 @@ func addedCost(f *isa.Function) int {
 		cost += w
 	}
 	return cost
-}
-
-// topoOrder returns function indices with callers before callees.
-func topoOrder(p *isa.Program) ([]int, error) {
-	n := len(p.Funcs)
-	indeg := make([]int, n)
-	succs := make([][]int, n)
-	for fi, f := range p.Funcs {
-		seen := map[int]bool{}
-		for i := range f.Instrs {
-			if f.Instrs[i].Op == isa.OpCall {
-				c := int(f.Instrs[i].Tgt)
-				if !seen[c] {
-					seen[c] = true
-					succs[fi] = append(succs[fi], c)
-					indeg[c]++
-				}
-			}
-		}
-	}
-	var order []int
-	var queue []int
-	for fi := 0; fi < n; fi++ {
-		if indeg[fi] == 0 {
-			queue = append(queue, fi)
-		}
-	}
-	for len(queue) > 0 {
-		fi := queue[0]
-		queue = queue[1:]
-		order = append(order, fi)
-		for _, c := range succs[fi] {
-			indeg[c]--
-			if indeg[c] == 0 {
-				queue = append(queue, c)
-			}
-		}
-	}
-	if len(order) != n {
-		return nil, isa.ErrRecursion
-	}
-	return order, nil
 }
 
 // RunAt simulates the version at a (possibly reduced) occupancy level.

@@ -181,7 +181,11 @@ func NewLayout(p *isa.Program) (*Layout, error) {
 		}
 	}
 
-	// Propagate worst-case bases through the (acyclic) call graph.
+	// Propagate worst-case bases callers first: each is final when read.
+	order, err := p.CallOrder()
+	if err != nil {
+		return nil, err
+	}
 	regBase := make([]int, n)
 	shBase := make([]int, n)
 	locBase := make([]int, n)
@@ -189,30 +193,26 @@ func NewLayout(p *isa.Program) (*Layout, error) {
 		regBase[fi], shBase[fi], locBase[fi] = -1, -1, -1
 	}
 	regBase[0], shBase[0], locBase[0] = 0, 0, 0
-	// Functions appear in call order for our generators, but be safe:
-	// iterate to fixpoint (call graph is a DAG, so n passes suffice).
-	for pass := 0; pass < n; pass++ {
-		for fi, f := range p.Funcs {
-			if regBase[fi] < 0 {
+	for _, fi := range order {
+		if regBase[fi] < 0 {
+			continue
+		}
+		for i, in := range p.Funcs[fi].Instrs {
+			if in.Op != isa.OpCall {
 				continue
 			}
-			for i := range f.Instrs {
-				if f.Instrs[i].Op != isa.OpCall {
-					continue
-				}
-				callee := int(f.Instrs[i].Tgt)
-				rb := regBase[fi] + l.callBase[fi][i]
-				sb := shBase[fi] + l.sharedSlots[fi]
-				lb := locBase[fi] + l.localSlots[fi]
-				if rb > regBase[callee] {
-					regBase[callee] = rb
-				}
-				if sb > shBase[callee] {
-					shBase[callee] = sb
-				}
-				if lb > locBase[callee] {
-					locBase[callee] = lb
-				}
+			callee := int(in.Tgt)
+			rb := regBase[fi] + l.callBase[fi][i]
+			sb := shBase[fi] + l.sharedSlots[fi]
+			lb := locBase[fi] + l.localSlots[fi]
+			if rb > regBase[callee] {
+				regBase[callee] = rb
+			}
+			if sb > shBase[callee] {
+				shBase[callee] = sb
+			}
+			if lb > locBase[callee] {
+				locBase[callee] = lb
 			}
 		}
 	}

@@ -144,17 +144,3 @@ func BuildCFG(f *isa.Function) *CFG {
 func (c *CFG) Reachable(bi int) bool {
 	return bi == 0 || len(c.Blocks[bi].Preds) > 0
 }
-
-// CallGraph returns, per function index, the list of callee function
-// indices (with duplicates, in instruction order).
-func CallGraph(p *isa.Program) [][]int {
-	out := make([][]int, len(p.Funcs))
-	for fi, f := range p.Funcs {
-		for i := range f.Instrs {
-			if f.Instrs[i].Op == isa.OpCall {
-				out[fi] = append(out[fi], int(f.Instrs[i].Tgt))
-			}
-		}
-	}
-	return out
-}

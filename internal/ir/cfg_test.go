@@ -94,37 +94,6 @@ out:
 	}
 }
 
-func TestCallGraph(t *testing.T) {
-	src := `
-.kernel k
-.blockdim 32
-.func main
-  CALL _, a
-  CALL _, b
-  CALL _, a
-  EXIT
-.func a
-  CALL _, b
-  RET
-.func b
-  RET
-`
-	p, err := isa.Parse(src)
-	if err != nil {
-		t.Fatalf("Parse: %v", err)
-	}
-	cg := CallGraph(p)
-	if !reflect.DeepEqual(cg[0], []int{1, 2, 1}) {
-		t.Errorf("cg[0] = %v, want [1 2 1]", cg[0])
-	}
-	if !reflect.DeepEqual(cg[1], []int{2}) {
-		t.Errorf("cg[1] = %v, want [2]", cg[1])
-	}
-	if cg[2] != nil {
-		t.Errorf("cg[2] = %v, want nil", cg[2])
-	}
-}
-
 func TestBitSet(t *testing.T) {
 	b := NewBitSet(130)
 	b.Set(0)

@@ -57,7 +57,8 @@ func Validate(p *Program) error {
 	if err := checkLaneVariant(p); err != nil {
 		return err
 	}
-	return checkAcyclic(p)
+	_, err := p.CallOrder()
+	return err
 }
 
 // checkLaneVariant holds a kernel that reads LANEID to what lane-accurate
@@ -269,37 +270,41 @@ func checkSpillRanges(f *Function, spills []uint64) error {
 	return nil
 }
 
-func checkAcyclic(p *Program) error {
-	const (
-		unvisited = 0
-		inStack   = 1
-		done      = 2
-	)
-	state := make([]int, len(p.Funcs))
-	var visit func(fi int) error
-	visit = func(fi int) error {
-		switch state[fi] {
-		case inStack:
-			return ErrRecursion
-		case done:
-			return nil
-		}
-		state[fi] = inStack
-		f := p.Funcs[fi]
+// CallOrder returns the function indices with every caller before its
+// callees, or ErrRecursion on a cycle. It is Kahn's algorithm over distinct
+// call edges: roots in index order, then each callee once its last caller
+// is placed, callers taken first-in first-out and their callees in
+// first-call order. It is the one ordering of functions by calls; a pass
+// over it that needs callees first walks it backwards.
+func (p *Program) CallOrder() ([]int, error) {
+	n := len(p.Funcs)
+	indeg := make([]int, n)
+	succs := make([][]int, n)
+	seen := make([]int, n) // seen[c] == fi+1: fi already has an edge to c
+	for fi, f := range p.Funcs {
 		for i := range f.Instrs {
-			if f.Instrs[i].Op == OpCall {
-				if err := visit(int(f.Instrs[i].Tgt)); err != nil {
-					return err
-				}
+			if c := int(f.Instrs[i].Tgt); f.Instrs[i].Op == OpCall && seen[c] != fi+1 {
+				seen[c] = fi + 1
+				succs[fi] = append(succs[fi], c)
+				indeg[c]++
 			}
 		}
-		state[fi] = done
-		return nil
 	}
-	for fi := range p.Funcs {
-		if err := visit(fi); err != nil {
-			return err
+	order := make([]int, 0, n) // doubles as the FIFO queue
+	for fi := range n {
+		if indeg[fi] == 0 {
+			order = append(order, fi)
 		}
 	}
-	return nil
+	for k := 0; k < len(order); k++ {
+		for _, c := range succs[order[k]] {
+			if indeg[c]--; indeg[c] == 0 {
+				order = append(order, c)
+			}
+		}
+	}
+	if len(order) != n {
+		return nil, ErrRecursion
+	}
+	return order, nil
 }

@@ -145,31 +145,18 @@ func Analyze(p *isa.Program) []Diagnostic {
 }
 
 // barrierFuncs reports, per function index, whether calling it can
-// execute a BAR, directly or through callees. The call graph is acyclic
-// (validated), so the iteration converges in at most len(Funcs) rounds.
+// execute a BAR, directly or through callees: one callees-first pass, so
+// order is p.CallOrder() walked backwards (the program is validated, so it
+// has one).
 func barrierFuncs(p *isa.Program) []bool {
 	has := make([]bool, len(p.Funcs))
-	for i, f := range p.Funcs {
-		for j := range f.Instrs {
-			if f.Instrs[j].Op == isa.OpBar {
-				has[i] = true
+	order, _ := p.CallOrder()
+	for k := len(order) - 1; k >= 0; k-- {
+		f := p.Funcs[order[k]]
+		for i := range f.Instrs {
+			if in := &f.Instrs[i]; in.Op == isa.OpBar || in.Op == isa.OpCall && has[in.Tgt] {
+				has[order[k]] = true
 				break
-			}
-		}
-	}
-	cg := ir.CallGraph(p)
-	for changed := true; changed; {
-		changed = false
-		for i := range p.Funcs {
-			if has[i] {
-				continue
-			}
-			for _, c := range cg[i] {
-				if c >= 0 && c < len(has) && has[c] {
-					has[i] = true
-					changed = true
-					break
-				}
 			}
 		}
 	}

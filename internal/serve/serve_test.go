@@ -266,6 +266,7 @@ func TestBadRequests(t *testing.T) {
 		"bad grid":           {"/v1/tune?grid=minus", testKernel, 400},
 		"bad iters":          {"/v1/tune?iters=0", testKernel, 400},
 		"bad lint":           {"/v1/tune?lint=pedantic", testKernel, 400},
+		"warn lint":          {"/v1/tune?lint=warn", testKernel, 400},
 		"garbage text":       {"/v1/tune", "MOVI without a .func header", 400},
 		"garbage binary":     {"/v1/tune", "ORN1\x00\x01\x02", 400},
 		"laneid + call":      {"/v1/tune", laneCallKernel, 400},

@@ -341,7 +341,8 @@ func TestCompiledBackendAllocsFlat(t *testing.T) {
 	}
 	runBig()
 	perBig := testing.AllocsPerRun(5, runBig)
-	if perBig > 2*perBlock+64 {
+	// Under -race the simulations still run; only the bound is skipped.
+	if !raceEnabled && perBig > 2*perBlock+64 {
 		t.Errorf("allocations scale with grid size: %v for 4x grid vs %v base", perBig, perBlock)
 	}
 }

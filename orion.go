@@ -104,7 +104,7 @@ type (
 	// Severity ranks a diagnostic (info, warning, error).
 	Severity = sa.Severity
 	// LintMode selects how analysis findings gate compilation
-	// (Realizer.Lint: LintStrict, LintWarn, LintOff).
+	// (Realizer.Lint: LintStrict, LintOff).
 	LintMode = core.LintMode
 	// AnalysisError is the strict-mode rejection carrying the findings.
 	AnalysisError = core.AnalysisError
@@ -125,7 +125,6 @@ const (
 // Lint modes (Realizer.Lint; the CLIs' -lint flag).
 const (
 	LintOff    = core.LintOff
-	LintWarn   = core.LintWarn
 	LintStrict = core.LintStrict
 )
 
@@ -142,7 +141,7 @@ const (
 // over barrier intervals, and definite-use checks (DESIGN.md §11).
 func AnalyzeKernel(p *Program) []Diagnostic { return sa.Analyze(p) }
 
-// ParseLintMode parses a -lint flag value (strict, warn, or off).
+// ParseLintMode parses a -lint flag value (strict or off).
 func ParseLintMode(s string) (LintMode, error) { return core.ParseLintMode(s) }
 
 // GTX680 returns the simulated Kepler platform.
