@@ -35,13 +35,15 @@ lint:
 test:
 	$(GO) test ./...
 
-## test-386: the binary decoder, the daemon, the executors and the
-## simulator on a 32-bit platform, where an int and a pointer are 4 bytes:
-## an unchecked uint32 count from a hostile binary turns negative, and the
-## compiled event's narrow fields, its size test and the backend
-## equivalence tests must hold there too.
+## test-386: the binary decoders (ORN1, and the multi-version OFAT
+## container's tests), the daemon, the executors and the simulator on a
+## 32-bit platform, where an int and a pointer are 4 bytes: an unchecked
+## uint32 length from a hostile binary turns negative, and the compiled
+## event's narrow fields, its size test and the backend equivalence tests
+## must hold there too.
 test-386:
 	GOARCH=386 $(GO) test ./internal/isa/ ./internal/serve/ ./internal/interp/ ./internal/sim/
+	GOARCH=386 $(GO) test -run Fat ./internal/core/
 
 ## test-race: internal/core alone takes about six minutes under -race on
 ## two cores and over nine beside the other packages, so the default

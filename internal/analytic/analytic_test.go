@@ -140,7 +140,7 @@ join:
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := interp.Run(&interp.Launch{Prog: p, GridWarps: warps}, 0)
+	res, err := interp.Run(&interp.Launch{Prog: p, GridWarps: warps}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

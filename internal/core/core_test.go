@@ -124,7 +124,7 @@ func TestDirectionThresholdMatchesPaper(t *testing.T) {
 
 func TestRealizePreservesSemantics(t *testing.T) {
 	hp := highPressure(t)
-	want, err := interp.Run(&interp.Launch{Prog: hp, GridWarps: 16}, 0)
+	want, err := interp.Run(&interp.Launch{Prog: hp, GridWarps: 16}, 0, nil)
 	if err != nil {
 		t.Fatalf("interp: %v", err)
 	}
@@ -135,7 +135,7 @@ func TestRealizePreservesSemantics(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s lvl %d: %v", d.Name, lvl, err)
 			}
-			got, err := interp.Run(&interp.Launch{Prog: v.Prog, GridWarps: 16}, 0)
+			got, err := interp.Run(&interp.Launch{Prog: v.Prog, GridWarps: 16}, 0, nil)
 			if err != nil {
 				t.Fatalf("%s lvl %d run: %v", d.Name, lvl, err)
 			}
@@ -351,7 +351,7 @@ func TestTuneEndToEnd(t *testing.T) {
 		t.Errorf("history = %d iterations, want 8", len(rep.History))
 	}
 	// Semantics must match the unallocated program.
-	want, err := interp.Run(&interp.Launch{Prog: hp, GridWarps: 256}, 0)
+	want, err := interp.Run(&interp.Launch{Prog: hp, GridWarps: 256}, 0, nil)
 	if err != nil {
 		t.Fatalf("interp: %v", err)
 	}
@@ -375,7 +375,7 @@ func TestTuneKernelSplitting(t *testing.T) {
 	if !rep.KernelSplit {
 		t.Fatal("expected kernel splitting for single-iteration launch")
 	}
-	want, err := interp.Run(&interp.Launch{Prog: hp, GridWarps: 1024}, 0)
+	want, err := interp.Run(&interp.Launch{Prog: hp, GridWarps: 1024}, 0, nil)
 	if err != nil {
 		t.Fatalf("interp: %v", err)
 	}

@@ -28,7 +28,7 @@ func TestTuneOnExtensibilityPlatforms(t *testing.T) {
 		if rep.Chosen == nil {
 			t.Fatalf("%s: nothing selected", d.Name)
 		}
-		want, err := interp.Run(&interp.Launch{Prog: k.Prog, GridWarps: 448}, 0)
+		want, err := interp.Run(&interp.Launch{Prog: k.Prog, GridWarps: 448}, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

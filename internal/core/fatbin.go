@@ -1,12 +1,11 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
+	"slices"
 
 	"repro/internal/isa"
 	"repro/internal/occupancy"
@@ -28,218 +27,129 @@ func EncodeFat(cr *CompileResult) []byte {
 	// the original binary).
 	var versions []*Version
 	index := map[*Version]int{}
-	add := func(v *Version) int {
-		if i, ok := index[v]; ok {
-			return i
+	add := func(v *Version) {
+		if _, ok := index[v]; !ok {
+			index[v] = len(versions)
+			versions = append(versions, v)
 		}
-		index[v] = len(versions)
-		versions = append(versions, v)
-		return len(versions) - 1
 	}
-	origIdx := add(cr.Original)
-	type ref struct{ version, target int }
-	pack := func(cs []*Candidate) []ref {
-		out := make([]ref, len(cs))
-		for i, c := range cs {
-			out[i] = ref{add(c.Version), c.TargetWarps}
-		}
-		return out
+	add(cr.Original)
+	for _, c := range slices.Concat(cr.Candidates, cr.FailSafe) {
+		add(c.Version)
 	}
-	cands := pack(cr.Candidates)
-	failSafe := pack(cr.FailSafe)
-	staticIdx := int16(-1)
-	staticTarget := uint16(0)
+	staticIdx, staticTarget := -1, 0
 	if cr.StaticChoice != nil {
 		staticIdx = -2 // references a version directly (e.g., the original)
-		staticTarget = uint16(cr.StaticChoice.TargetWarps)
+		staticTarget = cr.StaticChoice.TargetWarps
 		for i, c := range cr.Candidates {
 			if c == cr.StaticChoice {
-				staticIdx = int16(i)
+				staticIdx = i
 			}
 		}
 	}
 
-	var b bytes.Buffer
-	b.WriteString(fatMagic)
-	wu16 := func(v uint16) { _ = binary.Write(&b, binary.LittleEndian, v) }
-	wu32 := func(v uint32) { _ = binary.Write(&b, binary.LittleEndian, v) }
-	wu16(uint16(cr.MaxLive))
-	b.WriteByte(byte(cr.Direction))
-	_ = binary.Write(&b, binary.LittleEndian, staticIdx)
-	wu16(staticTarget)
-	wu16(uint16(len(versions)))
+	le := binary.LittleEndian
+	b := []byte(fatMagic)
+	b = le.AppendUint16(b, uint16(cr.MaxLive))
+	b = append(b, byte(cr.Direction))
+	b = le.AppendUint16(b, uint16(staticIdx))
+	b = le.AppendUint16(b, uint16(staticTarget))
+	b = le.AppendUint16(b, uint16(len(versions)))
 	for _, v := range versions {
-		wu16(uint16(v.TargetWarps))
-		wu16(uint16(v.RegsPerThread))
-		wu32(uint32(v.SharedPerBlock))
-		wu16(uint16(v.LocalSlots))
-		wu32(uint32(v.Moves))
-		wu16(uint16(v.Natural.ActiveBlocks))
-		wu16(uint16(v.Natural.ActiveWarps))
-		b.WriteByte(byte(v.Natural.Limiter))
-		_ = binary.Write(&b, binary.LittleEndian, math.Float64bits(v.Natural.Occupancy))
+		b = le.AppendUint16(b, uint16(v.TargetWarps))
+		b = le.AppendUint16(b, uint16(v.RegsPerThread))
+		b = le.AppendUint32(b, uint32(v.SharedPerBlock))
+		b = le.AppendUint16(b, uint16(v.LocalSlots))
+		b = le.AppendUint32(b, uint32(v.Moves))
+		b = le.AppendUint16(b, uint16(v.Natural.ActiveBlocks))
+		b = le.AppendUint16(b, uint16(v.Natural.ActiveWarps))
+		b = append(b, byte(v.Natural.Limiter))
+		b = le.AppendUint64(b, math.Float64bits(v.Natural.Occupancy))
 		prog := isa.Encode(v.Prog)
-		wu32(uint32(len(prog)))
-		b.Write(prog)
+		b = le.AppendUint32(b, uint32(len(prog)))
+		b = append(b, prog...)
 	}
-	wu16(uint16(origIdx))
-	writeRefs := func(rs []ref) {
-		wu16(uint16(len(rs)))
-		for _, r := range rs {
-			wu16(uint16(r.version))
-			wu16(uint16(r.target))
+	b = le.AppendUint16(b, uint16(index[cr.Original]))
+	for _, cs := range [][]*Candidate{cr.Candidates, cr.FailSafe} {
+		b = le.AppendUint16(b, uint16(len(cs)))
+		for _, c := range cs {
+			b = le.AppendUint16(b, uint16(index[c.Version]))
+			b = le.AppendUint16(b, uint16(c.TargetWarps))
 		}
 	}
-	writeRefs(cands)
-	writeRefs(failSafe)
-	return b.Bytes()
+	return b
 }
 
 // DecodeFat parses a multi-version binary back into a CompileResult ready
-// for Realizer.TuneCompiled.
+// for Realizer.TuneCompiled. Every field is read through isa.Reader; a
+// truncated or implausible field is errBadFat.
 func DecodeFat(data []byte) (*CompileResult, error) {
-	r := bytes.NewReader(data)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != fatMagic {
+	r := isa.NewReader(data)
+	if string(r.Bytes(len(fatMagic))) != fatMagic {
 		return nil, errBadFat
 	}
-	var u16 func() (uint16, error)
-	u16 = func() (uint16, error) {
-		var v uint16
-		err := binary.Read(r, binary.LittleEndian, &v)
-		return v, err
-	}
-	u32 := func() (uint32, error) {
-		var v uint32
-		err := binary.Read(r, binary.LittleEndian, &v)
-		return v, err
-	}
-
-	cr := &CompileResult{}
-	ml, err := u16()
-	if err != nil {
+	cr := &CompileResult{MaxLive: int(r.U16()), Direction: Direction(r.U8())}
+	if r.Err() != nil {
 		return nil, errBadFat
 	}
-	cr.MaxLive = int(ml)
-	dirByte := make([]byte, 1)
-	if _, err := io.ReadFull(r, dirByte); err != nil {
-		return nil, errBadFat
-	}
-	cr.Direction = Direction(dirByte[0])
 	if cr.Direction != Increasing && cr.Direction != Decreasing {
-		return nil, fmt.Errorf("core: bad direction %d in multi-version binary", dirByte[0])
+		return nil, fmt.Errorf("core: bad direction %d in multi-version binary", cr.Direction)
 	}
-	var staticIdx int16
-	if err := binary.Read(r, binary.LittleEndian, &staticIdx); err != nil {
-		return nil, errBadFat
-	}
-	staticTarget, err := u16()
-	if err != nil {
-		return nil, errBadFat
-	}
-	nv, err := u16()
-	if err != nil {
-		return nil, errBadFat
-	}
-	versions := make([]*Version, nv)
+	staticIdx := int16(r.U16())
+	staticTarget := int(r.U16())
+	versions := make([]*Version, r.U16())
 	for i := range versions {
-		v := &Version{}
-		tw, err := u16()
-		if err != nil {
+		// Fields in wire order: a composite literal evaluates left to right.
+		v := &Version{
+			TargetWarps:    int(r.U16()),
+			RegsPerThread:  int(r.U16()),
+			SharedPerBlock: int(r.U32()),
+			LocalSlots:     int(r.U16()),
+			Moves:          int(r.U32()),
+			Natural: occupancy.Result{
+				ActiveBlocks: int(r.U16()),
+				ActiveWarps:  int(r.U16()),
+				Limiter:      occupancy.Limiter(r.U8()),
+				Occupancy:    math.Float64frombits(r.U64()),
+			},
+		}
+		prog := r.Bytes(r.Size("program length", len(data)))
+		if r.Err() != nil {
 			return nil, errBadFat
 		}
-		v.TargetWarps = int(tw)
-		regs, err := u16()
-		if err != nil {
-			return nil, errBadFat
-		}
-		v.RegsPerThread = int(regs)
-		sh, err := u32()
-		if err != nil {
-			return nil, errBadFat
-		}
-		v.SharedPerBlock = int(sh)
-		ls, err := u16()
-		if err != nil {
-			return nil, errBadFat
-		}
-		v.LocalSlots = int(ls)
-		mv, err := u32()
-		if err != nil {
-			return nil, errBadFat
-		}
-		v.Moves = int(mv)
-		ab, err := u16()
-		if err != nil {
-			return nil, errBadFat
-		}
-		aw, err := u16()
-		if err != nil {
-			return nil, errBadFat
-		}
-		if _, err := io.ReadFull(r, dirByte); err != nil {
-			return nil, errBadFat
-		}
-		var occBits uint64
-		if err := binary.Read(r, binary.LittleEndian, &occBits); err != nil {
-			return nil, errBadFat
-		}
-		v.Natural = occupancy.Result{
-			ActiveBlocks: int(ab),
-			ActiveWarps:  int(aw),
-			Limiter:      occupancy.Limiter(dirByte[0]),
-			Occupancy:    math.Float64frombits(occBits),
-		}
-		plen, err := u32()
-		if err != nil {
-			return nil, errBadFat
-		}
-		if int(plen) > r.Len() {
-			return nil, errBadFat
-		}
-		progBytes := make([]byte, plen)
-		if _, err := io.ReadFull(r, progBytes); err != nil {
-			return nil, errBadFat
-		}
-		prog, err := isa.Decode(progBytes)
-		if err != nil {
+		var err error
+		if v.Prog, err = isa.Decode(prog); err != nil {
 			return nil, fmt.Errorf("core: version %d: %w", i, err)
 		}
-		v.Prog = prog
 		versions[i] = v
 	}
-	oi, err := u16()
-	if err != nil || int(oi) >= len(versions) {
+	oi := int(r.U16())
+	if r.Err() != nil || oi >= len(versions) {
 		return nil, errBadFat
 	}
 	cr.Original = versions[oi]
-	readRefs := func() ([]*Candidate, error) {
-		n, err := u16()
-		if err != nil {
-			return nil, errBadFat
-		}
-		out := make([]*Candidate, n)
+	// versions is not empty here, so a truncated ref (zero) stays in range
+	// until the final Err check.
+	refs := func() ([]*Candidate, error) {
+		out := make([]*Candidate, r.U16())
 		for i := range out {
-			vi, err := u16()
-			if err != nil {
+			vi, tw := int(r.U16()), int(r.U16())
+			if vi >= len(versions) {
 				return nil, errBadFat
 			}
-			tw, err := u16()
-			if err != nil {
-				return nil, errBadFat
-			}
-			if int(vi) >= len(versions) {
-				return nil, errBadFat
-			}
-			out[i] = &Candidate{Version: versions[vi], TargetWarps: int(tw)}
+			out[i] = &Candidate{Version: versions[vi], TargetWarps: tw}
 		}
 		return out, nil
 	}
-	if cr.Candidates, err = readRefs(); err != nil {
+	var err error
+	if cr.Candidates, err = refs(); err != nil {
 		return nil, err
 	}
-	if cr.FailSafe, err = readRefs(); err != nil {
+	if cr.FailSafe, err = refs(); err != nil {
 		return nil, err
+	}
+	if r.Err() != nil {
+		return nil, errBadFat
 	}
 	switch {
 	case staticIdx >= 0:
@@ -248,7 +158,7 @@ func DecodeFat(data []byte) (*CompileResult, error) {
 		}
 		cr.StaticChoice = cr.Candidates[staticIdx]
 	case staticIdx == -2:
-		cr.StaticChoice = &Candidate{Version: cr.Original, TargetWarps: int(staticTarget)}
+		cr.StaticChoice = &Candidate{Version: cr.Original, TargetWarps: staticTarget}
 	}
 	return cr, nil
 }

@@ -23,7 +23,7 @@ func TestEveryKernelEveryLevelPreservesSemantics(t *testing.T) {
 	for _, k := range all {
 		k := k
 		t.Run(k.Name, func(t *testing.T) {
-			want, err := interp.Run(&interp.Launch{Prog: k.Prog, GridWarps: grid}, 0)
+			want, err := interp.Run(&interp.Launch{Prog: k.Prog, GridWarps: grid}, 0, nil)
 			if err != nil {
 				t.Fatalf("reference run: %v", err)
 			}
@@ -37,7 +37,7 @@ func TestEveryKernelEveryLevelPreservesSemantics(t *testing.T) {
 						continue // level infeasible for this kernel
 					}
 					realized++
-					got, err := interp.Run(&interp.Launch{Prog: v.Prog, GridWarps: grid}, 0)
+					got, err := interp.Run(&interp.Launch{Prog: v.Prog, GridWarps: grid}, 0, nil)
 					if err != nil {
 						t.Fatalf("%s lvl %d: run: %v", d.Name, lvl, err)
 					}

@@ -90,7 +90,7 @@ func TestRealizeRandomPrograms(t *testing.T) {
 		if err := isa.Validate(p); err != nil {
 			t.Fatalf("iter %d: generator: %v", iter, err)
 		}
-		want, err := interp.Run(&interp.Launch{Prog: p, GridWarps: 4}, 500000)
+		want, err := interp.Run(&interp.Launch{Prog: p, GridWarps: 4}, 500000, nil)
 		if err != nil {
 			t.Fatalf("iter %d: reference: %v", iter, err)
 		}
@@ -106,7 +106,7 @@ func TestRealizeRandomPrograms(t *testing.T) {
 			}
 			t.Fatalf("iter %d (%s lvl %d): %v\n%s", iter, d.Name, lvl, err, isa.Format(p))
 		}
-		got, err := interp.Run(&interp.Launch{Prog: v.Prog, GridWarps: 4}, 500000)
+		got, err := interp.Run(&interp.Launch{Prog: v.Prog, GridWarps: 4}, 500000, nil)
 		if err != nil {
 			t.Fatalf("iter %d (%s lvl %d): allocated run: %v", iter, d.Name, lvl, err)
 		}
@@ -142,7 +142,7 @@ top:
 // original's checksum.
 func TestRealizeLoopHeaderAtEntry(t *testing.T) {
 	p := isa.MustParse(entryLoopSrc)
-	want, err := interp.Run(&interp.Launch{Prog: p, GridWarps: 8}, 100000)
+	want, err := interp.Run(&interp.Launch{Prog: p, GridWarps: 8}, 100000, nil)
 	if err != nil {
 		t.Fatalf("original: %v", err)
 	}
@@ -159,7 +159,7 @@ func TestRealizeLoopHeaderAtEntry(t *testing.T) {
 				t.Fatalf("%s level %d: %v", d.Name, lvl, err)
 			}
 			realized++
-			got, err := interp.Run(&interp.Launch{Prog: v.Prog, GridWarps: 8}, 100000)
+			got, err := interp.Run(&interp.Launch{Prog: v.Prog, GridWarps: 8}, 100000, nil)
 			if err != nil {
 				t.Fatalf("%s level %d: realized run: %v\n%s", d.Name, lvl, err, isa.Format(v.Prog))
 			}

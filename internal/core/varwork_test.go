@@ -35,7 +35,7 @@ func TestTuneWithVaryingWork(t *testing.T) {
 		t.Errorf("history = %d, want %d", len(rep.History), len(grids))
 	}
 	// The last iteration ran grid 320: verify against functional execution.
-	want, err := interp.Run(&interp.Launch{Prog: k.Prog, GridWarps: 320}, 0)
+	want, err := interp.Run(&interp.Launch{Prog: k.Prog, GridWarps: 320}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -858,8 +858,14 @@ type Result struct {
 }
 
 // Run executes every warp of the launch functionally. stepLimit bounds the
-// dynamic instructions per warp (0 means a generous default).
-func Run(lc *Launch, stepLimit int) (*Result, error) {
+// dynamic instructions per warp (0 means a generous default). sink, when
+// not nil, receives every warp's global stores as its StoreSink does,
+// tagged with the warp's index in the launch. A negative grid is an error;
+// an empty one runs nothing.
+func Run(lc *Launch, stepLimit int, sink func(warp int, addr uint32, words []uint32)) (*Result, error) {
+	if lc.GridWarps < 0 {
+		return nil, fmt.Errorf("interp: negative grid of %d warps", lc.GridWarps)
+	}
 	if err := isa.Validate(lc.Prog); err != nil {
 		return nil, err
 	}
@@ -875,16 +881,15 @@ func Run(lc *Launch, stepLimit int) (*Result, error) {
 	sharedWords := (lc.Prog.SharedBytes + 3) / 4
 	var shared []uint32
 	for wi := 0; wi < lc.GridWarps; wi++ {
-		if wi%wpb == 0 {
-			if sharedWords > 0 {
-				shared = make([]uint32, sharedWords)
-			} else {
-				shared = nil
-			}
+		if wi%wpb == 0 && sharedWords > 0 {
+			shared = make([]uint32, sharedWords)
 		}
 		w, err := NewWarp(lc, layout, wi, shared)
 		if err != nil {
 			return nil, err
+		}
+		if sink != nil {
+			w.StoreSink = func(addr uint32, words []uint32) { sink(wi, addr, words) }
 		}
 		for !w.Done() {
 			if w.Steps >= stepLimit {

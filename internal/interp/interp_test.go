@@ -13,7 +13,7 @@ func run(t *testing.T, src string, warps int) *Result {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	res, err := Run(&Launch{Prog: p, GridWarps: warps}, 100000)
+	res, err := Run(&Launch{Prog: p, GridWarps: warps}, 100000, nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -287,7 +287,7 @@ func TestSpillSlots(t *testing.T) {
 	p := isa.MustParse(src)
 	p.Entry().SpillShared = 1
 	p.Entry().SpillLocal = 1
-	res, err := Run(&Launch{Prog: p, GridWarps: 2}, 1000)
+	res, err := Run(&Launch{Prog: p, GridWarps: 2}, 1000, nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -300,7 +300,7 @@ func TestSpillSlots(t *testing.T) {
 		t.Errorf("checksum = %x, want %x", res.Checksum, want)
 	}
 	// Single warp yields the concrete hash.
-	res1, err := Run(&Launch{Prog: p, GridWarps: 1}, 1000)
+	res1, err := Run(&Launch{Prog: p, GridWarps: 1}, 1000, nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -341,7 +341,7 @@ top:
   EXIT
 `
 	p := isa.MustParse(src)
-	_, err := Run(&Launch{Prog: p, GridWarps: 1}, 100)
+	_, err := Run(&Launch{Prog: p, GridWarps: 1}, 100, nil)
 	if err == nil {
 		t.Fatal("expected step-limit error")
 	}
@@ -363,15 +363,15 @@ func TestKernelSplitOffsets(t *testing.T) {
   EXIT
 `
 	p := isa.MustParse(src)
-	full, err := Run(&Launch{Prog: p, GridWarps: 8}, 10000)
+	full, err := Run(&Launch{Prog: p, GridWarps: 8}, 10000, nil)
 	if err != nil {
 		t.Fatalf("full: %v", err)
 	}
-	a, err := Run(&Launch{Prog: p, GridWarps: 4}, 10000)
+	a, err := Run(&Launch{Prog: p, GridWarps: 4}, 10000, nil)
 	if err != nil {
 		t.Fatalf("a: %v", err)
 	}
-	b, err := Run(&Launch{Prog: p, GridWarps: 4, FirstWarp: 4}, 10000)
+	b, err := Run(&Launch{Prog: p, GridWarps: 4, FirstWarp: 4}, 10000, nil)
 	if err != nil {
 		t.Fatalf("b: %v", err)
 	}

@@ -122,7 +122,7 @@ func TestConversions(t *testing.T) {
   EXIT
 `
 	p := isa.MustParse(src)
-	res, err := Run(&Launch{Prog: p, GridWarps: 1}, 1000)
+	res, err := Run(&Launch{Prog: p, GridWarps: 1}, 1000, nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -161,7 +161,7 @@ func TestF2ISaturation(t *testing.T) {
   EXIT
 `, int32(math.Float32bits(tc.in)))
 		p := isa.MustParse(src)
-		res, err := Run(&Launch{Prog: p, GridWarps: 1}, 1000)
+		res, err := Run(&Launch{Prog: p, GridWarps: 1}, 1000, nil)
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -189,7 +189,7 @@ func TestIMadAndMovI(t *testing.T) {
   EXIT
 `
 	p := isa.MustParse(src)
-	res, err := Run(&Launch{Prog: p, GridWarps: 1}, 1000)
+	res, err := Run(&Launch{Prog: p, GridWarps: 1}, 1000, nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -216,7 +216,7 @@ func TestFFmaChain(t *testing.T) {
   EXIT
 `, int32(fbits(2)), int32(fbits(3)), int32(fbits(0.5)))
 	p := isa.MustParse(src)
-	res, err := Run(&Launch{Prog: p, GridWarps: 1}, 1000)
+	res, err := Run(&Launch{Prog: p, GridWarps: 1}, 1000, nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -39,7 +39,7 @@ func TestCallArgsCopiedInParallel(t *testing.T) {
 	if err := isa.Validate(p); err != nil {
 		t.Fatalf("test program invalid: %v", err)
 	}
-	res, err := Run(&Launch{Prog: p, GridWarps: 1}, 1000)
+	res, err := Run(&Launch{Prog: p, GridWarps: 1}, 1000, nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -69,7 +69,7 @@ func TestRunRejectsOversizedFrame(t *testing.T) {
 	if p.Entry().NumVRegs <= RegFileSize {
 		t.Fatalf("test premise broken: frame %d fits the file", p.Entry().NumVRegs)
 	}
-	if _, err := Run(&Launch{Prog: p, GridWarps: 1}, 1000); err == nil {
+	if _, err := Run(&Launch{Prog: p, GridWarps: 1}, 1000, nil); err == nil {
 		t.Fatal("expected register-file overflow error, got nil")
 	}
 }

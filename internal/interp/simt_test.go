@@ -16,7 +16,7 @@ func runSIMT(t *testing.T, src string, warps int) *Result {
 	if !p.UsesLaneID() {
 		t.Fatal("test kernel must read LANEID")
 	}
-	res, err := Run(&Launch{Prog: p, GridWarps: warps}, 500000)
+	res, err := Run(&Launch{Prog: p, GridWarps: warps}, 500000, nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -240,7 +240,7 @@ out:
   EXIT
 `
 	p := isa.MustParse(src)
-	_, err := Run(&Launch{Prog: p, GridWarps: 1}, 10000)
+	_, err := Run(&Launch{Prog: p, GridWarps: 1}, 10000, nil)
 	if err == nil {
 		t.Error("divergent barrier accepted")
 	}

@@ -42,7 +42,7 @@ func TestSpillSlotBasesAcrossCalls(t *testing.T) {
 			p := isa.MustParse(src)
 			spill.setSlots(p.Funcs[0])
 			spill.setSlots(p.Funcs[1])
-			res, err := Run(&Launch{Prog: p, GridWarps: 1}, 1000)
+			res, err := Run(&Launch{Prog: p, GridWarps: 1}, 1000, nil)
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}

@@ -65,7 +65,7 @@ func allocProgram(t *testing.T, p *isa.Program, c int, opt Options) (*isa.Progra
 
 func checksum(t *testing.T, p *isa.Program, warps int) uint64 {
 	t.Helper()
-	res, err := interp.Run(&interp.Launch{Prog: p, GridWarps: warps}, 1_000_000)
+	res, err := interp.Run(&interp.Launch{Prog: p, GridWarps: warps}, 1_000_000, nil)
 	if err != nil {
 		t.Fatalf("Run: %v\n%s", err, isa.Format(p))
 	}

@@ -13,7 +13,7 @@ import (
 // runBounded executes the program with a small step budget, returning its
 // checksum or an error for non-terminating programs.
 func runBounded(p *isa.Program) (uint64, error) {
-	res, err := interp.Run(&interp.Launch{Prog: p, GridWarps: 2}, 5000)
+	res, err := interp.Run(&interp.Launch{Prog: p, GridWarps: 2}, 5000, nil)
 	if err != nil {
 		return 0, err
 	}

@@ -218,12 +218,12 @@ func checkSplitKeepsChecksum(t *testing.T, srcs map[string]string) {
 			if err != nil {
 				t.Fatalf("Parse: %v", err)
 			}
-			before, err := interp.Run(&interp.Launch{Prog: p, GridWarps: 4}, 100000)
+			before, err := interp.Run(&interp.Launch{Prog: p, GridWarps: 4}, 100000, nil)
 			if err != nil {
 				t.Fatalf("run before: %v", err)
 			}
 			np := splitAll(t, p)
-			after, err := interp.Run(&interp.Launch{Prog: np, GridWarps: 4}, 100000)
+			after, err := interp.Run(&interp.Launch{Prog: np, GridWarps: 4}, 100000, nil)
 			if err != nil {
 				t.Fatalf("run after: %v\n%s", err, isa.Format(np))
 			}

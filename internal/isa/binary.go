@@ -43,14 +43,19 @@ const instrBytes = 20
 
 // Encode serializes the program to the ORN1 binary format.
 func Encode(p *Program) []byte {
-	var b bytes.Buffer
-	b.WriteString(binMagic)
-	writeString(&b, p.Name)
-	writeU32(&b, uint32(p.SharedBytes))
-	writeU32(&b, uint32(p.BlockDim))
-	writeU16(&b, uint16(len(p.Funcs)))
+	// Sized exactly: Fingerprint encodes on every cache lookup.
+	n := len(binMagic) + 2 + len(p.Name) + 10
 	for _, f := range p.Funcs {
-		writeString(&b, f.Name)
+		n += 2 + len(f.Name) + 14 + instrBytes*len(f.Instrs) + 2 + 2*len(f.CallBounds)
+	}
+	le := binary.LittleEndian
+	b := append(make([]byte, 0, n), binMagic...)
+	b = appendString(b, p.Name)
+	b = le.AppendUint32(b, uint32(p.SharedBytes))
+	b = le.AppendUint32(b, uint32(p.BlockDim))
+	b = le.AppendUint16(b, uint16(len(p.Funcs)))
+	for _, f := range p.Funcs {
+		b = appendString(b, f.Name)
 		var flags uint8
 		if f.HasRet {
 			flags |= 1
@@ -58,32 +63,28 @@ func Encode(p *Program) []byte {
 		if f.Allocated {
 			flags |= 2
 		}
-		b.WriteByte(flags)
-		b.WriteByte(uint8(f.NumArgs))
-		writeU16(&b, uint16(f.NumVRegs))
-		writeU16(&b, uint16(f.FrameSlots))
-		writeU16(&b, uint16(f.SpillShared))
-		writeU16(&b, uint16(f.SpillLocal))
-		writeU32(&b, uint32(len(f.Instrs)))
+		b = append(b, flags, uint8(f.NumArgs))
+		b = le.AppendUint16(b, uint16(f.NumVRegs))
+		b = le.AppendUint16(b, uint16(f.FrameSlots))
+		b = le.AppendUint16(b, uint16(f.SpillShared))
+		b = le.AppendUint16(b, uint16(f.SpillLocal))
+		b = le.AppendUint32(b, uint32(len(f.Instrs)))
 		for i := range f.Instrs {
 			in := &f.Instrs[i]
-			b.WriteByte(uint8(in.Op))
-			b.WriteByte(in.Width)
-			b.WriteByte(uint8(in.Cmp))
-			b.WriteByte(uint8(in.Sp))
-			writeU16(&b, uint16(in.Dst))
-			writeU16(&b, uint16(in.Src[0]))
-			writeU16(&b, uint16(in.Src[1]))
-			writeU16(&b, uint16(in.Src[2]))
-			writeU32(&b, uint32(in.Imm))
-			writeU32(&b, uint32(in.Tgt))
+			b = append(b, uint8(in.Op), in.Width, uint8(in.Cmp), uint8(in.Sp))
+			b = le.AppendUint16(b, uint16(in.Dst))
+			b = le.AppendUint16(b, uint16(in.Src[0]))
+			b = le.AppendUint16(b, uint16(in.Src[1]))
+			b = le.AppendUint16(b, uint16(in.Src[2]))
+			b = le.AppendUint32(b, uint32(in.Imm))
+			b = le.AppendUint32(b, uint32(in.Tgt))
 		}
-		writeU16(&b, uint16(len(f.CallBounds)))
+		b = le.AppendUint16(b, uint16(len(f.CallBounds)))
 		for _, cb := range f.CallBounds {
-			writeU16(&b, uint16(cb))
+			b = le.AppendUint16(b, uint16(cb))
 		}
 	}
-	return b.Bytes()
+	return b
 }
 
 // Load reads a kernel arriving from outside the program — a file, an
@@ -108,18 +109,18 @@ func Load(data []byte) (*Program, error) {
 
 // Decode parses an ORN1 binary produced by Encode.
 func Decode(data []byte) (*Program, error) {
-	r := &reader{data: data}
-	magic := r.bytes(4)
-	if r.err != nil || string(magic) != binMagic {
+	r := NewReader(data)
+	magic := r.Bytes(4)
+	if r.Err() != nil || string(magic) != binMagic {
 		return nil, errBadMagic
 	}
 	p := &Program{}
-	p.Name = r.string()
-	p.SharedBytes = r.size("shared size", math.MaxInt32)
-	p.BlockDim = r.size("block dim", math.MaxInt32)
-	nf := int(r.u16())
-	if r.err != nil {
-		return nil, r.err
+	p.Name = r.String()
+	p.SharedBytes = r.Size("shared size", math.MaxInt32)
+	p.BlockDim = r.Size("block dim", math.MaxInt32)
+	nf := int(r.U16())
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	if nf == 0 || nf > 1<<12 {
 		return nil, fmt.Errorf("isa: implausible function count %d", nf)
@@ -127,42 +128,42 @@ func Decode(data []byte) (*Program, error) {
 	p.Funcs = make([]*Function, 0, nf)
 	for fi := 0; fi < nf; fi++ {
 		f := &Function{}
-		f.Name = r.string()
-		flags := r.u8()
+		f.Name = r.String()
+		flags := r.U8()
 		f.HasRet = flags&1 != 0
 		f.Allocated = flags&2 != 0
-		f.NumArgs = int(r.u8())
-		f.NumVRegs = int(r.u16())
-		f.FrameSlots = int(r.u16())
-		f.SpillShared = int(r.u16())
-		f.SpillLocal = int(r.u16())
-		ni := r.size("instruction count", len(r.data)/instrBytes+1)
-		if r.err != nil {
-			return nil, r.err
+		f.NumArgs = int(r.U8())
+		f.NumVRegs = int(r.U16())
+		f.FrameSlots = int(r.U16())
+		f.SpillShared = int(r.U16())
+		f.SpillLocal = int(r.U16())
+		ni := r.Size("instruction count", len(r.data)/instrBytes+1)
+		if r.Err() != nil {
+			return nil, r.Err()
 		}
 		f.Instrs = make([]Instr, ni)
 		for i := 0; i < ni; i++ {
 			in := &f.Instrs[i]
-			in.Op = Op(r.u8())
-			in.Width = r.u8()
-			in.Cmp = Cmp(r.u8())
-			in.Sp = Sp(r.u8())
-			in.Dst = Reg(r.u16())
-			in.Src[0] = Reg(r.u16())
-			in.Src[1] = Reg(r.u16())
-			in.Src[2] = Reg(r.u16())
-			in.Imm = int32(r.u32())
-			in.Tgt = int32(r.u32())
+			in.Op = Op(r.U8())
+			in.Width = r.U8()
+			in.Cmp = Cmp(r.U8())
+			in.Sp = Sp(r.U8())
+			in.Dst = Reg(r.U16())
+			in.Src[0] = Reg(r.U16())
+			in.Src[1] = Reg(r.U16())
+			in.Src[2] = Reg(r.U16())
+			in.Imm = int32(r.U32())
+			in.Tgt = int32(r.U32())
 		}
-		nb := int(r.u16())
+		nb := int(r.U16())
 		if nb > 0 {
 			f.CallBounds = make([]int, nb)
 			for i := range f.CallBounds {
-				f.CallBounds[i] = int(r.u16())
+				f.CallBounds[i] = int(r.U16())
 			}
 		}
-		if r.err != nil {
-			return nil, r.err
+		if r.Err() != nil {
+			return nil, r.Err()
 		}
 		p.Funcs = append(p.Funcs, f)
 	}
@@ -181,17 +182,28 @@ func Decode(data []byte) (*Program, error) {
 	return p, nil
 }
 
-type reader struct {
+// Reader decodes the little-endian fields of a binary container with a
+// sticky error: once a read runs past the end, or a Size is implausible,
+// every later read returns zero and Err reports the first failure. A
+// decoder reads a run of fields and checks Err once.
+type Reader struct {
 	data []byte
 	off  int
 	err  error
 }
 
-func (r *reader) bytes(n int) []byte {
+// NewReader returns a Reader positioned at the start of data.
+func NewReader(data []byte) *Reader { return &Reader{data: data} }
+
+// Err returns the first failure, or nil.
+func (r *Reader) Err() error { return r.err }
+
+// Bytes returns the next n bytes, a view into the data, or nil on failure.
+func (r *Reader) Bytes(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
-	if r.off+n > len(r.data) {
+	if n > len(r.data)-r.off {
 		r.err = io.ErrUnexpectedEOF
 		return nil
 	}
@@ -200,35 +212,47 @@ func (r *reader) bytes(n int) []byte {
 	return b
 }
 
-func (r *reader) u8() uint8 {
-	b := r.bytes(1)
+// U8 reads one byte.
+func (r *Reader) U8() uint8 {
+	b := r.Bytes(1)
 	if b == nil {
 		return 0
 	}
 	return b[0]
 }
 
-func (r *reader) u16() uint16 {
-	b := r.bytes(2)
+// U16 reads a little-endian uint16.
+func (r *Reader) U16() uint16 {
+	b := r.Bytes(2)
 	if b == nil {
 		return 0
 	}
 	return binary.LittleEndian.Uint16(b)
 }
 
-func (r *reader) u32() uint32 {
-	b := r.bytes(4)
+// U32 reads a little-endian uint32.
+func (r *Reader) U32() uint32 {
+	b := r.Bytes(4)
 	if b == nil {
 		return 0
 	}
 	return binary.LittleEndian.Uint32(b)
 }
 
-// size reads a uint32 that Decode keeps as an int, failing as implausible
-// above limit. The check is made before the conversion: on a 32-bit
-// platform a value of 2³¹ or more would turn negative and pass it.
-func (r *reader) size(what string, limit int) int {
-	v := r.u32()
+// U64 reads a little-endian uint64.
+func (r *Reader) U64() uint64 {
+	b := r.Bytes(8)
+	if b == nil {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(b)
+}
+
+// Size reads a uint32 that the decoder keeps as an int, failing as
+// implausible above limit. The check is made before the conversion: on a
+// 32-bit platform a value of 2³¹ or more would turn negative and pass it.
+func (r *Reader) Size(what string, limit int) int {
+	v := r.U32()
 	if r.err == nil && uint64(v) > uint64(limit) {
 		r.err = fmt.Errorf("isa: implausible %s %d", what, v)
 	}
@@ -238,28 +262,12 @@ func (r *reader) size(what string, limit int) int {
 	return int(v)
 }
 
-func (r *reader) string() string {
-	n := int(r.u16())
-	b := r.bytes(n)
-	if b == nil {
-		return ""
-	}
-	return string(b)
+// String reads a string stored as a uint16 length and its bytes.
+func (r *Reader) String() string {
+	return string(r.Bytes(int(r.U16())))
 }
 
-func writeU16(b *bytes.Buffer, v uint16) {
-	var tmp [2]byte
-	binary.LittleEndian.PutUint16(tmp[:], v)
-	b.Write(tmp[:])
-}
-
-func writeU32(b *bytes.Buffer, v uint32) {
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], v)
-	b.Write(tmp[:])
-}
-
-func writeString(b *bytes.Buffer, s string) {
-	writeU16(b, uint16(len(s)))
-	b.WriteString(s)
+func appendString(b []byte, s string) []byte {
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(s)))
+	return append(b, s...)
 }

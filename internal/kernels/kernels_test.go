@@ -59,14 +59,14 @@ func TestKernelsExecute(t *testing.T) {
 	for _, k := range mustAll(t, All) {
 		k := k
 		t.Run(k.Name, func(t *testing.T) {
-			res, err := interp.Run(&interp.Launch{Prog: k.Prog, GridWarps: 8}, 2_000_000)
+			res, err := interp.Run(&interp.Launch{Prog: k.Prog, GridWarps: 8}, 2_000_000, nil)
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
 			if res.Stores == 0 {
 				t.Error("kernel performed no stores")
 			}
-			res2, err := interp.Run(&interp.Launch{Prog: k.Prog, GridWarps: 8}, 2_000_000)
+			res2, err := interp.Run(&interp.Launch{Prog: k.Prog, GridWarps: 8}, 2_000_000, nil)
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}

@@ -97,7 +97,7 @@ top:
   EXIT
 `
 	p := isa.MustParse(src)
-	want, err := interp.Run(&interp.Launch{Prog: p, GridWarps: 2}, 10000)
+	want, err := interp.Run(&interp.Launch{Prog: p, GridWarps: 2}, 10000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ top:
 	ElideCoalescedMoves(nf)
 	np := p.Clone()
 	np.Funcs[0] = nf
-	got, err := interp.Run(&interp.Launch{Prog: np, GridWarps: 2}, 10000)
+	got, err := interp.Run(&interp.Launch{Prog: np, GridWarps: 2}, 10000, nil)
 	if err != nil {
 		t.Fatalf("after elision: %v\n%s", err, isa.Format(np))
 	}

@@ -178,7 +178,7 @@ func TestArgsPrecolored(t *testing.T) {
 // runProg executes the program and returns its checksum.
 func runProg(t *testing.T, p *isa.Program, warps int) uint64 {
 	t.Helper()
-	res, err := interp.Run(&interp.Launch{Prog: p, GridWarps: warps}, 2_000_000)
+	res, err := interp.Run(&interp.Launch{Prog: p, GridWarps: warps}, 2_000_000, nil)
 	if err != nil {
 		t.Fatalf("Run: %v\n%s", err, isa.Format(p))
 	}

@@ -83,7 +83,7 @@ func simulate(t *testing.T, d *device.Device, blocks, warps int, prog string) *S
 
 func TestSimulateMatchesInterp(t *testing.T) {
 	p := isa.MustParse(memKernel)
-	want, err := interp.Run(&interp.Launch{Prog: p, GridWarps: 32}, 0)
+	want, err := interp.Run(&interp.Launch{Prog: p, GridWarps: 32}, 0, nil)
 	if err != nil {
 		t.Fatalf("interp: %v", err)
 	}
@@ -139,7 +139,7 @@ func TestBarrierSynchronizes(t *testing.T) {
 `
 	st := simulate(t, device.GTX680(), 2, 8, src)
 	p := isa.MustParse(src)
-	want, err := interp.Run(&interp.Launch{Prog: p, GridWarps: 8}, 0)
+	want, err := interp.Run(&interp.Launch{Prog: p, GridWarps: 8}, 0, nil)
 	if err != nil {
 		t.Fatalf("interp: %v", err)
 	}
@@ -225,7 +225,7 @@ func TestGridLargerThanResidency(t *testing.T) {
 		t.Errorf("warps = %d", st.Warps)
 	}
 	p := isa.MustParse(memKernel)
-	want, err := interp.Run(&interp.Launch{Prog: p, GridWarps: 128}, 0)
+	want, err := interp.Run(&interp.Launch{Prog: p, GridWarps: 128}, 0, nil)
 	if err != nil {
 		t.Fatalf("interp: %v", err)
 	}

@@ -72,7 +72,7 @@ func TestUncoalescedAccessCostsMore(t *testing.T) {
 
 func TestSIMTSimMatchesFunctionalChecksum(t *testing.T) {
 	p := isa.MustParse(simtKernel(2))
-	want, err := interp.Run(&interp.Launch{Prog: p, GridWarps: 16}, 0)
+	want, err := interp.Run(&interp.Launch{Prog: p, GridWarps: 16}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,11 +10,11 @@ import (
 
 // CrossBackend is the simulator's backend-equivalence oracle: it runs the
 // same launch through the compiled and the interpreted execution backends
-// and diffs the resulting Stats field by field. The compiled backend is an
-// aggressive reimplementation (fused closures, warp-batched ALU), but it
-// must be observationally invisible — every counter, both checksums, and
-// the energy totals have to come out bit-identical, and a launch that
-// faults must fault with the same error text on both sides.
+// and diffs the resulting Stats field by field. The compiled backend is a
+// reimplementation, but it must be observationally invisible — every
+// counter, both checksums, and the energy totals have to come out
+// bit-identical, and a launch that faults must fault with the same error
+// text on both sides.
 //
 // The issue trace is excluded from the comparison: it is a debugging
 // artifact whose capture is orthogonal to the execution backend, and

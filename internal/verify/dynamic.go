@@ -20,15 +20,9 @@ import (
 // are per-thread by construction).
 //
 // Lane-aware (LANEID) programs are checked for barrier divergence only:
-// the executor itself faults when a diverged warp reaches a BAR.
-// Lane-aware programs the executor cannot run are skipped with a nil
-// result.
+// the 32-lane executor itself faults when a diverged warp reaches a BAR.
 func BlockOracle(p *isa.Program, stepLimit int) ([]Violation, error) {
 	if err := isa.Validate(p); err != nil {
-		return nil, err
-	}
-	layout, err := interp.NewLayout(p)
-	if err != nil {
 		return nil, err
 	}
 	wpb := p.BlockDim / 32
@@ -36,14 +30,25 @@ func BlockOracle(p *isa.Program, stepLimit int) ([]Violation, error) {
 		wpb = 1
 	}
 	lc := &interp.Launch{Prog: p, GridWarps: wpb}
+	if p.UsesLaneID() {
+		_, err := interp.Run(lc, stepLimit, nil)
+		if errors.Is(err, interp.ErrDivergedBarrier) {
+			return []Violation{{Invariant: "dyn-barrier-divergence", Func: p.Entry().Name, Detail: err.Error()}}, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("verify: %w", err)
+		}
+		return nil, nil
+	}
+
+	layout, err := interp.NewLayout(p)
+	if err != nil {
+		return nil, err
+	}
 	sharedWords := (p.SharedBytes + 3) / 4
 	var shared []uint32
 	if sharedWords > 0 {
 		shared = make([]uint32, sharedWords)
-	}
-
-	if p.UsesLaneID() {
-		return simtBarrierOracle(p, lc, layout, wpb, shared, stepLimit)
 	}
 
 	// Instruction identity -> (function, pc) for reporting.
@@ -124,34 +129,4 @@ func BlockOracle(p *isa.Program, stepLimit int) ([]Violation, error) {
 		}
 	}
 	return out, nil
-}
-
-// simtBarrierOracle runs lane-aware programs through the 32-lane
-// executor, which reports barrier divergence as a step error.
-func simtBarrierOracle(p *isa.Program, lc *interp.Launch, layout *interp.Layout, wpb int, shared []uint32, stepLimit int) ([]Violation, error) {
-	for wi := 0; wi < wpb; wi++ {
-		w, err := interp.NewWarp(lc, layout, wi, shared)
-		if err != nil {
-			if errors.Is(err, interp.ErrSIMTUnsupported) {
-				return nil, nil // cannot execute: abstain
-			}
-			return nil, err
-		}
-		for steps := 0; !w.Done(); steps++ {
-			if steps >= stepLimit {
-				return nil, fmt.Errorf("verify: warp %d: %w", wi, interp.ErrStepLimit)
-			}
-			if err := w.Advance(); err != nil {
-				if errors.Is(err, interp.ErrDivergedBarrier) {
-					return []Violation{{
-						Invariant: "dyn-barrier-divergence",
-						Func:      p.Entry().Name,
-						Detail:    fmt.Sprintf("warp %d: %v", wi, err),
-					}}, nil
-				}
-				return nil, fmt.Errorf("verify: warp %d: %w", wi, err)
-			}
-		}
-	}
-	return nil, nil
 }

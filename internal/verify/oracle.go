@@ -27,9 +27,9 @@ const defaultOracleSteps = 200_000
 // overflow) no reference exists and the oracle abstains, returning nil;
 // a realized program that fails where the original succeeded is a
 // violation, unless it only ran out of steps on a budget the original
-// used more than an eighth of (see executionFailure). Lane-dependent
-// (SIMT) programs are compared by store count and the order-sensitive
-// store checksum, which covers the same (address, value) word stream.
+// used more than an eighth of (see executionFailure). A lane-aware
+// program's stream holds every active lane's stores in lane order, so one
+// comparison covers both kinds of program.
 //
 // Differential executes orig on every call. Callers that check several
 // realizations of one program build one Reference and Check each.
@@ -38,21 +38,19 @@ func Differential(orig, realized *isa.Program, gridWarps, stepLimit int) []Viola
 }
 
 // Reference is the original program's half of the differential oracle,
-// executed once: the per-warp global-store streams (or, for a lane-aware
-// original, the functional run's result), or the fact that the original
-// cannot run and the oracle abstains. It depends only on (orig, grid, step
-// limit) and is immutable once built, so one Reference serves every
-// realization of orig, from any number of goroutines.
+// executed once: the per-warp global-store streams, or the fact that the
+// original cannot run and the oracle abstains. It depends only on (orig,
+// grid, step limit) and is immutable once built, so one Reference serves
+// every realization of orig, from any number of goroutines.
 type Reference struct {
 	orig      *isa.Program
 	gridWarps int
 	stepLimit int
 
-	// Exactly one of streams/result is set when ok; neither otherwise.
-	ok       bool
-	streams  [][]uint32     // warp-scalar original
-	result   *interp.Result // lane-aware original
-	maxSteps int            // the original's largest per-warp step count
+	// streams holds each warp's flat [addr, word...] store records; nil
+	// when the original cannot run and the oracle abstains.
+	streams  [][]uint32
+	maxSteps int // the original's largest per-warp step count
 }
 
 // NewReference executes orig on the oracle's launch (gridWarps <= 0: two
@@ -72,16 +70,8 @@ func NewReference(orig *isa.Program, gridWarps, stepLimit int) *Reference {
 			r.gridWarps = 2 // at least two blocks' worth of sub-warp blocks
 		}
 	}
-	var err error
-	if orig.UsesLaneID() {
-		r.result, err = interp.Run(&interp.Launch{Prog: orig, GridWarps: r.gridWarps}, r.stepLimit)
-		if err == nil {
-			r.maxSteps = slices.Max(r.result.WarpSteps)
-		}
-	} else {
-		r.streams, r.maxSteps, err = storeStreams(orig, r.gridWarps, r.stepLimit)
-	}
-	r.ok = err == nil
+	// An original that cannot run leaves streams nil: the oracle abstains.
+	r.streams, r.maxSteps, _ = storeStreams(orig, r.gridWarps, r.stepLimit)
 	return r
 }
 
@@ -94,11 +84,8 @@ func (r *Reference) Check(realized *isa.Program) []Violation {
 	if r.orig == nil || realized == nil {
 		return []Violation{{Invariant: "differential", Detail: "missing program"}}
 	}
-	if !r.ok {
+	if r.streams == nil {
 		return nil // no reference: the input program itself cannot run
-	}
-	if r.result != nil || realized.UsesLaneID() {
-		return r.checkChecksum(realized)
 	}
 	got, _, err := storeStreams(realized, r.gridWarps, r.stepLimit)
 	if err != nil {
@@ -152,73 +139,17 @@ func diffStream(warp int, want, got []uint32) *Violation {
 }
 
 // storeStreams executes every warp of a launch and captures its global
-// store stream as flat [addr, word...] records through the warp's store
+// store stream as flat [addr, word...] records through the run's store
 // sink; no instruction is resolved into an Event. It also returns the
 // largest per-warp step count.
 func storeStreams(p *isa.Program, gridWarps, stepLimit int) ([][]uint32, int, error) {
-	if err := isa.Validate(p); err != nil {
-		return nil, 0, err
-	}
-	layout, err := interp.NewLayout(p)
-	if err != nil {
-		return nil, 0, err
-	}
-	lc := &interp.Launch{Prog: p, GridWarps: gridWarps}
-	wpb := lc.WarpsPerBlock()
-	sharedWords := (p.SharedBytes + 3) / 4
 	streams := make([][]uint32, gridWarps)
-	maxSteps := 0
-	var shared []uint32
-	for wi := 0; wi < gridWarps; wi++ {
-		if wi%wpb == 0 && sharedWords > 0 {
-			shared = make([]uint32, sharedWords)
-		}
-		w, err := interp.NewWarp(lc, layout, wi, shared)
-		if err != nil {
-			return nil, 0, err
-		}
-		stream := &streams[wi]
-		w.StoreSink = func(addr uint32, words []uint32) {
-			*stream = append(append(*stream, addr), words...)
-		}
-		for !w.Done() {
-			if w.Steps >= stepLimit {
-				return nil, 0, fmt.Errorf("verify: warp %d: %w", wi, interp.ErrStepLimit)
-			}
-			if err := w.Advance(); err != nil {
-				return nil, 0, fmt.Errorf("verify: warp %d: %w", wi, err)
-			}
-		}
-		maxSteps = max(maxSteps, w.Steps)
-	}
-	return streams, maxSteps, nil
-}
-
-// checkChecksum is the SIMT-mode oracle: full functional runs compared by
-// store count and the order-sensitive (address, value) checksum. A
-// lane-aware realization of a warp-scalar original (which realization
-// never produces) has no stored result to compare with; the original is
-// run again for it.
-func (r *Reference) checkChecksum(realized *isa.Program) []Violation {
-	want := r.result
-	if want == nil {
-		var err error
-		want, err = interp.Run(&interp.Launch{Prog: r.orig, GridWarps: r.gridWarps}, r.stepLimit)
-		if err != nil {
-			return nil // no reference
-		}
-	}
-	got, err := interp.Run(&interp.Launch{Prog: realized, GridWarps: r.gridWarps}, r.stepLimit)
+	res, err := interp.Run(&interp.Launch{Prog: p, GridWarps: gridWarps}, stepLimit,
+		func(warp int, addr uint32, words []uint32) {
+			streams[warp] = append(append(streams[warp], addr), words...)
+		})
 	if err != nil {
-		return executionFailure(err, r.maxSteps, r.stepLimit)
+		return nil, 0, fmt.Errorf("verify: %w", err)
 	}
-	if got.Stores != want.Stores {
-		return []Violation{{Invariant: "differential",
-			Detail: fmt.Sprintf("%d stores, want %d", got.Stores, want.Stores)}}
-	}
-	if got.Checksum != want.Checksum {
-		return []Violation{{Invariant: "differential",
-			Detail: fmt.Sprintf("store checksum %#x, want %#x", got.Checksum, want.Checksum)}}
-	}
-	return nil
+	return streams, slices.Max(res.WarpSteps), nil
 }

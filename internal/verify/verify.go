@@ -18,7 +18,9 @@
 // bookkeeping: everything is recomputed from the instruction stream, so a
 // silent misallocation cannot vouch for itself. What cannot be decided
 // statically (whether a reused spill slot ever serves two live values) is
-// covered dynamically by the differential oracle in this package.
+// covered dynamically by the differential oracle in this package, which
+// runs the original and the realized program and diffs their per-warp
+// global-store streams.
 package verify
 
 import (

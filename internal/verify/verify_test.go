@@ -260,7 +260,13 @@ func TestDifferentialCatchesTamperingSIMT(t *testing.T) {
 	tampered.Funcs[0].Instrs[1].Imm = 4
 	vs := verify.Differential(orig, tampered, 0, 0)
 	if !hasInvariant(vs, "differential") {
-		t.Errorf("tampered SIMT constant not caught: %v", vs)
+		t.Fatalf("tampered SIMT constant not caught: %v", vs)
+	}
+	// Lane 0 stores to address 3+0 in the original and 4+0 in the
+	// tampered copy: the first record's address word differs.
+	const want = "warp 0: store stream diverges at word 0: got 0x4, want 0x3"
+	if vs[0].Detail != want {
+		t.Errorf("violation detail %q, want %q", vs[0].Detail, want)
 	}
 }
 

@@ -220,7 +220,7 @@ func BuildProfileReport(v *Version, d *Device, st *SimStats, topN int) *ProfileR
 // checksum and dynamic instruction count; useful for verifying that
 // transformed binaries preserve semantics.
 func Execute(p *Program, gridWarps int) (checksum uint64, steps int, err error) {
-	res, err := interp.Run(&interp.Launch{Prog: p, GridWarps: gridWarps}, 0)
+	res, err := interp.Run(&interp.Launch{Prog: p, GridWarps: gridWarps}, 0, nil)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -57,6 +57,21 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 	}
 }
 
+// TestExecuteGridBounds: a negative grid is an error, not a panic, and an
+// empty grid runs nothing.
+func TestExecuteGridBounds(t *testing.T) {
+	p, err := orion.ParseKernel(apiKernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := orion.Execute(p, -1); err == nil {
+		t.Error("Execute accepted a grid of -1 warps")
+	}
+	if cks, steps, err := orion.Execute(p, 0); err != nil || cks != 0 || steps != 0 {
+		t.Errorf("Execute on an empty grid = (%#x, %d, %v), want (0, 0, nil)", cks, steps, err)
+	}
+}
+
 func TestPublicAPITune(t *testing.T) {
 	p, err := orion.ParseKernel(apiKernel)
 	if err != nil {
