@@ -79,13 +79,15 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzPerm -fuzztime 10s ./internal/tv/
 
 ## bench-smoke: one iteration of the cold-sweep benchmark, of the
-## simulator throughput benchmark, of the spill-heavy coloring benchmark,
-## of the multi-round spill loop, of the reference executor at both lane
-## counts and of the assembler and validator — not a measurement, just
-## proof the benchmark paths still compile and run.
+## simulator throughput benchmark, of the simulator with the profiler off
+## and on, of the spill-heavy coloring benchmark, of the multi-round
+## spill loop, of the reference executor at both lane counts and of the
+## assembler and validator — not a measurement, just proof the benchmark
+## paths still compile and run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench SweepCold -benchtime 1x ./internal/bench/
 	$(GO) test -run '^$$' -bench 'Simulator$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench SimProfiler -benchtime 1x ./internal/sim/
 	$(GO) test -run '^$$' -bench 'AllocateSpillHeavy|SpillRounds' -benchtime 1x ./internal/regalloc/
 	$(GO) test -run '^$$' -bench WarpStep -benchtime 1x ./internal/interp/
 	$(GO) test -run '^$$' -bench '^Benchmark(Parse|Validate)$$' -benchtime 1x ./internal/isa/

@@ -12,8 +12,10 @@
 //	    Run the full pipeline including runtime adaptation (Fig. 9) on the
 //	    simulated device and report the selected occupancy. With -fat, the
 //	    runtime adapts from a prebuilt multi-version binary instead of
-//	    recompiling. -explain prints one line per tuning iteration with
-//	    the measured time and the accept/reject rationale.
+//	    recompiling; the binary must hold the kernel -kernel/-file names.
+//	    -explain prints one line per tuning iteration with the measured
+//	    time and the accept/reject rationale, then profiles the selected
+//	    level as 'profile' does.
 //	orion build    -kernel ... -o K.ofat
 //	    Compile-time tuning only, packaged as the paper's multi-version
 //	    binary (Fig. 3).
@@ -105,7 +107,7 @@ func run(args []string, out io.Writer) error {
 	iters := fs.Int("iters", 0, "application iterations (default: benchmark's)")
 	warps := fs.Int("warps", 0, "occupancy level for 'run' (warps per SM)")
 	out_ := fs.String("o", "", "output file for 'build'")
-	fat := fs.String("fat", "", "multi-version binary (.ofat) for 'tune'")
+	fat := fs.String("fat", "", "multi-version binary (.ofat) for 'tune', built by 'orion build' from the kernel -kernel/-file names")
 	traceOut := fs.String("trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) to this file")
 	metricsOut := fs.String("metrics", "", "write a metrics JSON snapshot to this file")
 	explain := fs.Bool("explain", false, "for 'tune': print one line per tuning iteration explaining the decision")
@@ -214,12 +216,6 @@ func run(args []string, out io.Writer) error {
 
 		case "tune":
 			var rep *orion.TuneReport
-			if *explain {
-				// Profile the winner so the explanation ties the occupancy
-				// decision to instruction-level evidence (hot stall sites,
-				// spill-web costs).
-				r.ProfileSpec = &orion.ProfileSpec{PC: true}
-			}
 			if *fat != "" {
 				// Runtime-only deployment: adapt from a prebuilt multi-version
 				// binary without recompiling (paper Figure 3).
@@ -230,6 +226,11 @@ func run(args []string, out io.Writer) error {
 				cr, err := orion.DecodeFat(data)
 				if err != nil {
 					return err
+				}
+				// The launch, the labels and a -json report's fingerprint all
+				// come from the loaded program, so the binary must hold it.
+				if name := cr.Original.Prog.Name; name != prog.Name {
+					return fmt.Errorf("%s holds kernel %s, not %s", *fat, name, prog.Name)
 				}
 				rep, err = r.TuneCompiled(cr, launch)
 				if err != nil {
@@ -253,9 +254,17 @@ func run(args []string, out io.Writer) error {
 				rep.TotalCycles, len(rep.History), rep.TotalEnergy)
 			if *explain {
 				printDecisions(out, rep)
-				if rep.Profile != nil {
-					rep.Profile.Render(out)
+				// Profile the winner at the launch's grid so the explanation
+				// ties the occupancy decision to instruction-level evidence
+				// (hot stall sites, spill-web costs).
+				c := rep.Chosen
+				st, err := orion.Profile(c.Version, dev, cc, c.TargetWarps, gridWarps, col)
+				if err != nil {
+					return err
 				}
+				prep := orion.BuildProfileReport(c.Version, dev, st)
+				prep.TargetWarps, prep.GridWarps = c.TargetWarps, gridWarps
+				prep.Render(out)
 			}
 			if *jsonOut != "" {
 				// The canonical report: the same builder and encoding the
@@ -350,15 +359,7 @@ func run(args []string, out io.Writer) error {
 			if err != nil {
 				return err
 			}
-			// Size the counter-track sampling interval from an unprofiled
-			// (cacheable) run so tracks land near 256 samples regardless of
-			// kernel length.
-			st0, err := orion.Simulate(v, dev, cc, *warps, gridWarps, nil)
-			if err != nil {
-				return err
-			}
-			spec := &orion.ProfileSpec{PC: true, Interval: profileInterval(st0.Cycles)}
-			st, err := orion.ProfileDetailed(v, dev, cc, *warps, gridWarps, 16, spec, col)
+			st, err := orion.Profile(v, dev, cc, *warps, gridWarps, col)
 			if err != nil {
 				return err
 			}
@@ -366,7 +367,7 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "stalls (warp-cycles): mem %d, alu %d, barrier %d, mshr %d\n",
 				st.StallMem, st.StallALU, st.StallBarrier, st.StallMSHR)
 			fmt.Fprint(out, st.Trace.Timeline(st.Cycles, 100))
-			rep := orion.BuildProfileReport(v, dev, st, 10)
+			rep := orion.BuildProfileReport(v, dev, st)
 			rep.GridWarps = gridWarps
 			rep.Render(out)
 			if *jsonOut != "" {
@@ -461,17 +462,6 @@ func runLint(out io.Writer, r *orion.Realizer, prog *orion.Program, dev *orion.D
 		return fmt.Errorf("lint: %d error-severity finding(s)", nerr)
 	}
 	return nil
-}
-
-// profileInterval picks a power-of-two counter-sampling interval that
-// yields roughly 256 samples over a run of the given length, floored at
-// 64 cycles so short kernels don't sample every few cycles.
-func profileInterval(cycles uint64) uint64 {
-	iv := uint64(64)
-	for iv*256 < cycles {
-		iv *= 2
-	}
-	return iv
 }
 
 // printDecisions renders the tuner's per-iteration decision log (the

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // TestProfileOutputShape is the golden test for `orion profile`: the
@@ -415,5 +418,85 @@ func TestTuneExplainProfile(t *testing.T) {
 	}
 	if !regexp.MustCompile(`(?m)^occupancy decision: \d+ warps/SM colored at \d+ regs/thread$`).MatchString(got) {
 		t.Errorf("missing occupancy decision line in:\n%s", got)
+	}
+}
+
+// TestProfileOutputGolden pins the profiler's output byte for byte: the
+// -json report of hotspot (counter tracks included), the stdout of a cfd
+// run on the C2075 long enough for every SM to double its sampling
+// interval several times, and `tune -explain`'s decision log and profile.
+// The goldens were written when the CLI sized the track interval from an
+// extra unprofiled run; the simulator's own interval must reproduce them.
+func TestProfileOutputGolden(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		args   []string
+		json   bool // compare the -json file instead of stdout
+	}{
+		{"profile_hotspot_64.json.golden", []string{"profile", "-kernel", "hotspot", "-warps", "64"}, true},
+		{"profile_cfd_c2075_32.golden", []string{"profile", "-kernel", "cfd", "-device", "c2075", "-warps", "32"}, false},
+		{"tune_srad_explain.golden", []string{"tune", "-kernel", "srad", "-explain"}, false},
+	} {
+		args := tc.args
+		jsonPath := filepath.Join(t.TempDir(), "out.json")
+		if tc.json {
+			args = append(args, "-json", jsonPath)
+		}
+		var buf bytes.Buffer
+		if err := run(args, &buf); err != nil {
+			t.Fatalf("%s: %v", tc.golden, err)
+		}
+		got := buf.Bytes()
+		if tc.json {
+			var err error
+			if got, err = os.ReadFile(jsonPath); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("orion %s differs from testdata/%s:\n%s", strings.Join(args, " "), tc.golden, got)
+		}
+	}
+}
+
+// TestProfileRunsOneSimulation: `orion profile` simulates its level once,
+// with the profiler on; the simulator works out the track interval itself.
+func TestProfileRunsOneSimulation(t *testing.T) {
+	before := sim.SnapshotTotals()
+	if err := run([]string{"profile", "-kernel", "bfs", "-warps", "32", "-grid", "64"}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if n := sim.SnapshotTotals().Delta(before).Launches; n != 1 {
+		t.Fatalf("orion profile ran %d simulations, want 1", n)
+	}
+}
+
+// TestTuneFatRefusesOtherKernel: the launch, the report's labels and a
+// -json report's fingerprint come from the -kernel/-file program, so a
+// multi-version binary built from another kernel is refused with both
+// names, before any tuning. Built from the same kernel, it tunes.
+func TestTuneFatRefusesOtherKernel(t *testing.T) {
+	fat := filepath.Join(t.TempDir(), "bfs.ofat")
+	launch := []string{"-grid", "128", "-iters", "3"}
+	if err := run(append([]string{"build", "-kernel", "bfs", "-o", fat}, launch...), io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	err := run(append([]string{"tune", "-fat", fat, "-kernel", "srad"}, launch...), &buf)
+	if err == nil || !strings.Contains(err.Error(), "kernel bfs, not srad") {
+		t.Fatalf("tune -fat bfs.ofat -kernel srad: error %v, output %q", err, buf.String())
+	}
+	if buf.Len() != 0 {
+		t.Errorf("refused tune printed %q", buf.String())
+	}
+	if err := run(append([]string{"tune", "-fat", fat, "-kernel", "bfs"}, launch...), &buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(buf.String(), "kernel bfs on GTX680") {
+		t.Errorf("tune -fat bfs.ofat -kernel bfs printed %q", buf.String())
 	}
 }

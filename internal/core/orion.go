@@ -10,7 +10,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/prof"
 	"repro/internal/sim"
 )
 
@@ -56,10 +55,6 @@ type TuneReport struct {
 	// Decisions is the tuner's per-iteration decision log (empty for the
 	// static-selection path, which takes no runtime decisions).
 	Decisions []Decision
-	// Profile is the chosen candidate's ranked hot-spot report, attached
-	// when Realizer.ProfileSpec is set (one extra profiled simulation of
-	// the winner after tuning completes).
-	Profile *prof.Report
 }
 
 // launchPlan is a launch normalised into the sub-launches the runtime
@@ -138,9 +133,6 @@ func (r *Realizer) TuneCompiled(cr *CompileResult, lc Launch) (*TuneReport, erro
 		obs.String("kernel", cr.Original.Prog.Name),
 		obs.String("direction", cr.Direction.String()))
 	rep, err := r.tuneCompiled(cr, lc, sp.Ctx())
-	if err == nil && r.ProfileSpec != nil {
-		err = r.attachProfile(rep, lc, sp.Ctx())
-	}
 	if err != nil {
 		sp.SetAttr(obs.String("error", err.Error()))
 	} else {

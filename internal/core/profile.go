@@ -2,61 +2,16 @@ package core
 
 import (
 	"repro/internal/device"
-	"repro/internal/interp"
-	"repro/internal/obs"
 	"repro/internal/prof"
 	"repro/internal/sim"
 )
 
-// profileTopN is how many hot spots tuner-attached reports keep.
-const profileTopN = 10
-
-// attachProfile runs one profiled simulation of the tuner's chosen
-// candidate and attaches the ranked report to rep.Profile. The run
-// bypasses the run cache (profiled Stats carry caller-owned buffers);
-// its grid is the launch's first-iteration grid, matching what the
-// winner actually executed.
-func (r *Realizer) attachProfile(rep *TuneReport, lc Launch, x obs.Ctx) error {
-	cand := rep.Chosen
-	grid := lc.GridWarps
-	if len(lc.IterationGrids) > 0 {
-		grid = lc.IterationGrids[0]
-	}
-	sp := x.Span("profile",
-		obs.Int("target_warps", cand.TargetWarps),
-		obs.Int("grid_warps", grid))
-	st, err := cand.Version.ProfileDetailedCtx(r.Dev, r.Cache, cand.TargetWarps,
-		&interp.Launch{Prog: cand.Version.Prog, GridWarps: grid}, 0, r.ProfileSpec, sp.Ctx())
-	if err != nil {
-		sp.SetAttr(obs.String("error", err.Error()))
-		sp.End()
-		return err
-	}
-	sp.End()
-	rep.Profile = BuildProfileReport(cand.Version, r.Dev, st, profileTopN)
-	rep.Profile.TargetWarps = cand.TargetWarps
-	rep.Profile.GridWarps = grid
-	return nil
-}
-
 // BuildProfileReport ranks a profiled run's Stats into the user-facing
 // report, resolving hot spots against the version's provenance map
-// (spill webs, register budget). st.Profile may be nil (e.g. the spec
-// only sampled tracks); the summary fields still fill from Stats.
-func BuildProfileReport(v *Version, d *device.Device, st *sim.Stats, topN int) *prof.Report {
-	var dbg *prof.DebugInfo
-	if v.Debug != nil {
-		dbg = v.Debug
-	}
-	var rep *prof.Report
-	if st.Profile != nil {
-		rep = prof.Build(st.Profile, dbg, topN)
-	} else {
-		rep = &prof.Report{}
-		if dbg != nil {
-			rep.RegBudget = dbg.RegBudget
-		}
-	}
+// (spill webs, register budget); st comes from a profiled run
+// (Version.ProfileCtx).
+func BuildProfileReport(v *Version, d *device.Device, st *sim.Stats) *prof.Report {
+	rep := prof.Build(st.Profile, v.Debug)
 	rep.Kernel = v.Prog.Name
 	rep.Device = d.Name
 	rep.Backend = sim.DefaultBackend().String()

@@ -1,14 +1,12 @@
 package core
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/device"
 	"repro/internal/interp"
 	"repro/internal/kernels"
 	"repro/internal/obs"
-	"repro/internal/prof"
 )
 
 // TestVersionDebugProvenance: realization threads the allocator's spill
@@ -61,50 +59,6 @@ func TestVersionDebugProvenance(t *testing.T) {
 	}
 }
 
-// TestTuneAttachesProfile: with ProfileSpec set, tuning ends with one
-// profiled run of the winner and a ranked report on the TuneReport.
-func TestTuneAttachesProfile(t *testing.T) {
-	d := device.GTX680()
-	r := NewRealizer(d, device.SmallCache)
-	r.ProfileSpec = &prof.Spec{PC: true}
-	hp := highPressure(t)
-	rep, err := r.Tune(hp, Launch{GridWarps: 256, Iterations: 8})
-	if err != nil {
-		t.Fatalf("Tune: %v", err)
-	}
-	p := rep.Profile
-	if p == nil {
-		t.Fatal("no profile attached")
-	}
-	if p.Kernel != hp.Name || p.Device != d.Name {
-		t.Errorf("profile identity = %s/%s", p.Kernel, p.Device)
-	}
-	if p.TargetWarps != rep.Chosen.TargetWarps {
-		t.Errorf("profile target %d != chosen %d", p.TargetWarps, rep.Chosen.TargetWarps)
-	}
-	if p.Cycles == 0 || p.Instructions == 0 {
-		t.Errorf("profile totals = %d cycles / %d instrs", p.Cycles, p.Instructions)
-	}
-	if len(p.HotSpots) == 0 {
-		t.Fatal("profile has no hot spots")
-	}
-	var buf bytes.Buffer
-	p.Render(&buf)
-	if buf.Len() == 0 {
-		t.Fatal("report renders empty")
-	}
-
-	// Without a spec, tuning attaches nothing (and pays nothing).
-	r2 := NewRealizer(d, device.SmallCache)
-	rep2, err := r2.Tune(hp, Launch{GridWarps: 256, Iterations: 8})
-	if err != nil {
-		t.Fatalf("Tune without spec: %v", err)
-	}
-	if rep2.Profile != nil {
-		t.Fatal("profile attached without a ProfileSpec")
-	}
-}
-
 // TestSuiteHotSpotResolvesToWeb is the provenance acceptance check: a
 // suite kernel profiled at a spill-heavy occupancy level must attribute
 // stall cycles to at least one named spill web, tying the profile back
@@ -120,13 +74,12 @@ func TestSuiteHotSpotResolvesToWeb(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Realize: %v", err)
 	}
-	spec := &prof.Spec{PC: true}
-	st, err := v.ProfileDetailedCtx(d, device.SmallCache, d.MaxWarpsPerSM,
-		&interp.Launch{Prog: v.Prog, GridWarps: k.GridWarps}, 0, spec, obs.Ctx{})
+	st, err := v.ProfileCtx(d, device.SmallCache, d.MaxWarpsPerSM,
+		&interp.Launch{Prog: v.Prog, GridWarps: k.GridWarps}, obs.Ctx{})
 	if err != nil {
 		t.Fatalf("profile: %v", err)
 	}
-	rep := BuildProfileReport(v, d, st, 10)
+	rep := BuildProfileReport(v, d, st)
 	if rep.RegBudget <= 0 {
 		t.Errorf("no occupancy decision recorded (RegBudget = %d)", rep.RegBudget)
 	}

@@ -102,10 +102,6 @@ type Realizer struct {
 	// *AnalysisError, off skips analysis.
 	// NewRealizer defaults to LintStrict; the CLIs expose -lint.
 	Lint LintMode
-	// ProfileSpec, when non-nil, makes TuneCompiled profile the chosen
-	// candidate after tuning and attach the ranked hot-spot report to
-	// TuneReport.Profile. Nil (the default) adds no simulation work.
-	ProfileSpec *prof.Spec
 	// Opt enables the pressure-reducing middle end (internal/opt): when a
 	// function's max-live exceeds the ladder's per-function register budget,
 	// the pressure-aware scheduler runs before allocation, internal/tv
@@ -273,7 +269,7 @@ func (v *Version) RunAt(d *device.Device, cc device.CacheConfig, targetWarps int
 // carry the full "simulate" span from package sim.
 func (v *Version) RunAtCtx(d *device.Device, cc device.CacheConfig, targetWarps int, lc *interp.Launch, x obs.Ctx) (*sim.Stats, error) {
 	if lc.Prog != v.Prog {
-		return v.profileAt(d, cc, targetWarps, lc, 0, nil, x)
+		return v.simulate(d, cc, targetWarps, lc, false, x)
 	}
 	key := runKey{
 		prog:        v.fingerprint(),
@@ -286,7 +282,7 @@ func (v *Version) RunAtCtx(d *device.Device, cc device.CacheConfig, targetWarps 
 	filled := false
 	st, err := runCache.Do(key, func() (*sim.Stats, error) {
 		filled = true
-		return v.profileAt(d, cc, targetWarps, lc, 0, nil, x)
+		return v.simulate(d, cc, targetWarps, lc, false, x)
 	})
 	if !filled && x.Enabled() {
 		sp := x.Span("simulate.cached",
@@ -303,17 +299,16 @@ func (v *Version) RunAtCtx(d *device.Device, cc device.CacheConfig, targetWarps 
 	return st, err
 }
 
-// ProfileDetailedCtx simulates the version with the full profiler
-// enabled (PC-level stall attribution and/or counter tracks per spec),
-// optionally with issue tracing. Profiled launches always bypass the
-// run cache: their Profile and Trace buffers are caller-owned, and the
-// cache must keep serving pointer-field-free Stats.
-func (v *Version) ProfileDetailedCtx(d *device.Device, cc device.CacheConfig, targetWarps int, lc *interp.Launch, traceWarps int, spec *prof.Spec, x obs.Ctx) (*sim.Stats, error) {
-	return v.profileAt(d, cc, targetWarps, lc, traceWarps, spec, x)
+// ProfileCtx simulates the version with the profiler on (sim.Config.Profile:
+// PC profile, counter tracks and issue trace). Profiled launches always
+// bypass the run cache: their Profile and Trace buffers are
+// caller-owned, and the cache must keep serving pointer-field-free Stats.
+func (v *Version) ProfileCtx(d *device.Device, cc device.CacheConfig, targetWarps int, lc *interp.Launch, x obs.Ctx) (*sim.Stats, error) {
+	return v.simulate(d, cc, targetWarps, lc, true, x)
 }
 
-// profileAt is the uncached simulation (the cache's fill path).
-func (v *Version) profileAt(d *device.Device, cc device.CacheConfig, targetWarps int, lc *interp.Launch, traceWarps int, spec *prof.Spec, x obs.Ctx) (*sim.Stats, error) {
+// simulate is the uncached simulation (the cache's fill path).
+func (v *Version) simulate(d *device.Device, cc device.CacheConfig, targetWarps int, lc *interp.Launch, profile bool, x obs.Ctx) (*sim.Stats, error) {
 	wpb := lc.Prog.BlockDim / d.WarpSize
 	blocks := v.Natural.ActiveBlocks
 	if tb := targetWarps / wpb; tb < blocks {
@@ -328,8 +323,7 @@ func (v *Version) profileAt(d *device.Device, cc device.CacheConfig, targetWarps
 		BlocksPerSM:    blocks,
 		RegsPerThread:  v.RegsPerThread,
 		SharedPerBlock: v.SharedPerBlock,
-		TraceWarps:     traceWarps,
 		Obs:            x,
-		Prof:           spec,
+		Profile:        profile,
 	}, &interp.Launch{Prog: v.Prog, GridWarps: lc.GridWarps, FirstWarp: lc.FirstWarp})
 }

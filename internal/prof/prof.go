@@ -6,8 +6,8 @@
 // The package sits below both simulator backends and above nothing: it
 // imports only the ISA, so sim, regalloc, and core can all share its
 // types without cycles. Collection itself lives in package sim behind
-// the sim.Config.Prof seam and is nil-gated exactly like obs — a
-// disabled profiler costs the hot path one pointer check.
+// the one switch sim.Config.Profile — off, the profiler costs the hot
+// path one pointer check.
 //
 // Determinism contract: a PC profile is a pure function of (program,
 // device, cache config, residency, grid, scheduler). Both execution
@@ -19,21 +19,6 @@ package prof
 import (
 	"repro/internal/isa"
 )
-
-// Spec configures profiling for one simulated launch.
-type Spec struct {
-	// PC enables per-instruction issue counts and stall-cycle
-	// attribution (mem/ALU/barrier/MSHR).
-	PC bool
-	// Interval, when positive, samples per-SM counter tracks (resident
-	// warps, retired instructions, MSHR occupancy) every Interval cycles.
-	Interval uint64
-}
-
-// Enabled reports whether the spec asks for any collection at all.
-func (s *Spec) Enabled() bool {
-	return s != nil && (s.PC || s.Interval > 0)
-}
 
 // FuncRange is one function's slice of the flat PC space.
 type FuncRange struct {
@@ -129,14 +114,15 @@ type Track struct {
 type Profile struct {
 	Index *Index `json:"-"`
 
-	// Per-PC arrays of length Index.NumSlots(); nil when Spec.PC was off.
+	// Per-PC arrays of length Index.NumSlots().
 	Issues       []uint64 `json:"issues,omitempty"`
 	StallMem     []uint64 `json:"stall_mem,omitempty"`
 	StallALU     []uint64 `json:"stall_alu,omitempty"`
 	StallBarrier []uint64 `json:"stall_barrier,omitempty"`
 	StallMSHR    []uint64 `json:"stall_mshr,omitempty"`
 
-	// Interval is the counter sampling period in cycles (0: no tracks).
+	// Interval is the counter sampling period in cycles: the smallest
+	// 64·2^k that fits the launch in at most 256 samples.
 	Interval uint64  `json:"interval,omitempty"`
 	Tracks   []Track `json:"tracks,omitempty"`
 }

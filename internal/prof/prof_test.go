@@ -74,19 +74,6 @@ func TestIndexOfMemoizes(t *testing.T) {
 	}
 }
 
-func TestSpecEnabled(t *testing.T) {
-	var nilSpec *Spec
-	if nilSpec.Enabled() {
-		t.Fatal("nil spec enabled")
-	}
-	if (&Spec{}).Enabled() {
-		t.Fatal("zero spec enabled")
-	}
-	if !(&Spec{PC: true}).Enabled() || !(&Spec{Interval: 64}).Enabled() {
-		t.Fatal("non-zero spec disabled")
-	}
-}
-
 func TestResolveSpill(t *testing.T) {
 	dbg := &DebugInfo{
 		RegBudget: 16,
@@ -168,16 +155,18 @@ func buildProfile(p *isa.Program) *Profile {
 
 func TestBuildRanksAndTruncates(t *testing.T) {
 	p := isa.MustParse(twoFuncSrc)
-	pr := buildProfile(p)
-	rep := Build(pr, nil, 2)
-	if len(rep.HotSpots) != 2 {
-		t.Fatalf("hot spots = %d, want 2 (truncated)", len(rep.HotSpots))
+	rep := Build(buildProfile(p), nil)
+	// Zero-count PCs never appear.
+	if len(rep.HotSpots) != 3 {
+		t.Fatalf("hot spots = %d, want the 3 nonzero PCs", len(rep.HotSpots))
 	}
-	if rep.HotSpots[0].PC != 1 || rep.HotSpots[0].StallTotal != 100 {
+	for i, pc := range []int{1, 0, 3} {
+		if rep.HotSpots[i].PC != pc {
+			t.Fatalf("hot spot %d = %+v, want pc %d", i, rep.HotSpots[i], pc)
+		}
+	}
+	if rep.HotSpots[0].StallTotal != 100 {
 		t.Fatalf("top = %+v", rep.HotSpots[0])
-	}
-	if rep.HotSpots[1].PC != 0 {
-		t.Fatalf("second = %+v", rep.HotSpots[1])
 	}
 	if rep.HotSpots[0].Func != "main" || rep.HotSpots[0].LocalPC != 1 {
 		t.Fatalf("top location = %s+%d", rep.HotSpots[0].Func, rep.HotSpots[0].LocalPC)
@@ -185,10 +174,29 @@ func TestBuildRanksAndTruncates(t *testing.T) {
 	if rep.HotSpots[0].Text == "" {
 		t.Fatal("top has no disassembly")
 	}
-	// Zero-count PCs never appear, even under a large topN.
-	all := Build(pr, nil, 100)
-	if len(all.HotSpots) != 3 {
-		t.Fatalf("nonzero PCs = %d, want 3", len(all.HotSpots))
+
+	// A profile with more busy PCs than hotSpots keeps the hottest.
+	src := ".kernel k\n.blockdim 32\n.func main\n" +
+		strings.Repeat("  MOVI v0, 1\n", hotSpots+2) + "  EXIT\n"
+	ix := NewIndex(isa.MustParse(src))
+	pr := &Profile{
+		Index:        ix,
+		Issues:       make([]uint64, ix.NumSlots()),
+		StallMem:     make([]uint64, ix.NumSlots()),
+		StallALU:     make([]uint64, ix.NumSlots()),
+		StallBarrier: make([]uint64, ix.NumSlots()),
+		StallMSHR:    make([]uint64, ix.NumSlots()),
+	}
+	for pc := 0; pc < ix.NumPCs(); pc++ {
+		pr.Issues[pc] = 1
+		pr.StallALU[pc] = uint64(pc)
+	}
+	rep = Build(pr, nil)
+	if len(rep.HotSpots) != hotSpots {
+		t.Fatalf("hot spots = %d, want %d (truncated)", len(rep.HotSpots), hotSpots)
+	}
+	if top := rep.HotSpots[0].PC; top != ix.NumPCs()-1 {
+		t.Fatalf("top pc = %d, want %d", top, ix.NumPCs()-1)
 	}
 }
 
@@ -222,7 +230,7 @@ func TestBuildResolvesWebs(t *testing.T) {
 			"main": {{Round: 1, Web: 5, Class: SpillShared, Slot: 2, Width: 1}},
 		},
 	}
-	rep := Build(pr, dbg, 10)
+	rep := Build(pr, dbg)
 	if rep.RegBudget != 8 {
 		t.Fatalf("RegBudget = %d", rep.RegBudget)
 	}
@@ -240,7 +248,7 @@ func TestBuildResolvesWebs(t *testing.T) {
 
 func TestReportRenderAndJSON(t *testing.T) {
 	p := isa.MustParse(twoFuncSrc)
-	rep := Build(buildProfile(p), &DebugInfo{RegBudget: 16}, 5)
+	rep := Build(buildProfile(p), &DebugInfo{RegBudget: 16})
 	rep.Kernel = "k"
 	rep.TargetWarps = 32
 	rep.Cycles = 1000

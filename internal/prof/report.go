@@ -50,7 +50,7 @@ type WebCost struct {
 }
 
 // Report is the user-facing profile for one launch, rendered by
-// `orion profile` and attached to TuneReport for `-explain`.
+// `orion profile` and after `orion tune -explain`'s decision log.
 type Report struct {
 	Kernel      string `json:"kernel"`
 	Device      string `json:"device"`
@@ -72,18 +72,18 @@ type Report struct {
 	Webs     []WebCost `json:"webs,omitempty"`
 }
 
-// Build ranks a profile into a report: the topN PCs by stall
-// attribution (ties broken by issues, then PC, so the ordering is
-// deterministic), plus per-web cost aggregation over every spill site
-// provenance can resolve. dbg may be nil (hot spots still rank; no web
-// columns).
-func Build(p *Profile, dbg *DebugInfo, topN int) *Report {
+// hotSpots is how many PCs a report ranks.
+const hotSpots = 10
+
+// Build ranks a profile into a report: the hotSpots PCs with the most
+// attributed stall cycles (ties broken by issues, then PC, so the
+// ordering is deterministic), plus per-web cost aggregation over every
+// spill site provenance can resolve. dbg may be nil (hot spots still
+// rank; no web columns).
+func Build(p *Profile, dbg *DebugInfo) *Report {
 	rep := &Report{Interval: p.Interval, Tracks: p.Tracks}
 	if dbg != nil {
 		rep.RegBudget = dbg.RegBudget
-	}
-	if p.Issues == nil {
-		return rep
 	}
 	ix := p.Index
 	webs := map[string]*WebCost{}
@@ -118,8 +118,8 @@ func Build(p *Profile, dbg *DebugInfo, topN int) *Report {
 		}
 		return a < b
 	})
-	if len(order) > topN {
-		order = order[:topN]
+	if len(order) > hotSpots {
+		order = order[:hotSpots]
 	}
 	for _, pc := range order {
 		fr, local, _ := ix.Locate(pc)

@@ -39,7 +39,8 @@ func launchFor(p *isa.Program, d *device.Device) *interp.Launch {
 // TestCrossBackendCorpus realizes every benchmark kernel at every
 // achievable occupancy level on both devices and requires the compiled
 // and interpreted backends to produce bit-identical Stats for each
-// resulting binary.
+// resulting binary, profiles included: the launches are profiled, so the
+// PC profiles and counter tracks must agree too.
 func TestCrossBackendCorpus(t *testing.T) {
 	ks, err := kernels.All()
 	if err != nil {
@@ -71,6 +72,7 @@ func TestCrossBackendCorpus(t *testing.T) {
 					BlocksPerSM:    blocks,
 					RegsPerThread:  v.RegsPerThread,
 					SharedPerBlock: v.SharedPerBlock,
+					Profile:        true,
 				}
 				if vs := verify.CrossBackend(cfg, launchFor(v.Prog, d)); vs != nil {
 					t.Errorf("%s/%s level %d: %s", d.Name, k.Name, lvl, vs[0].Detail)

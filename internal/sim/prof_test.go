@@ -1,92 +1,18 @@
-// Profiler tests: cross-backend bit-identity of PC profiles, run-to-run
-// determinism under parallel SMs, and the zero-perturbation contract (a
-// profiled run's Stats match an unprofiled run's exactly).
+// Profiler tests: run-to-run determinism under parallel SMs, the
+// zero-perturbation contract (a profiled run's Stats match an unprofiled
+// run's exactly) and the counter tracks' shape. Cross-backend
+// bit-identity of profiles is TestCrossBackendCorpus's.
 package sim_test
 
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/interp"
 	"repro/internal/kernels"
-	"repro/internal/occupancy"
 	"repro/internal/prof"
 	"repro/internal/sim"
 )
-
-// profConfig builds a Config for the spilliest achievable occupancy
-// level of a kernel on a device, mirroring the corpus tests.
-func profConfigs(t *testing.T, d *device.Device, k *kernels.Kernel) []sim.Config {
-	t.Helper()
-	r := core.NewRealizer(d, device.SmallCache)
-	lad := r.NewLadder(k.Prog)
-	wpb := k.Prog.BlockDim / d.WarpSize
-	var cfgs []sim.Config
-	for _, lvl := range occupancy.Levels(d, k.Prog.BlockDim) {
-		v, err := lad.Realize(lvl)
-		if err != nil {
-			continue
-		}
-		blocks := v.Natural.ActiveBlocks
-		if tb := lvl / wpb; tb < blocks {
-			blocks = tb
-		}
-		if blocks <= 0 {
-			continue
-		}
-		cfgs = append(cfgs, sim.Config{
-			Device:         d,
-			Cache:          device.SmallCache,
-			BlocksPerSM:    blocks,
-			RegsPerThread:  v.RegsPerThread,
-			SharedPerBlock: v.SharedPerBlock,
-		})
-	}
-	if len(cfgs) == 0 {
-		t.Fatalf("%s/%s: no realizable levels", d.Name, k.Name)
-	}
-	return cfgs
-}
-
-// TestPCProfileBackendIdentical is the profiler's differential contract:
-// for every suite kernel at every achievable occupancy level on both
-// devices, the interpreted and compiled backends must produce
-// bit-identical PC profiles and counter tracks.
-func TestPCProfileBackendIdentical(t *testing.T) {
-	ks, err := kernels.All()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if testing.Short() {
-		ks = ks[:3]
-	}
-	for _, d := range crossDevices() {
-		for _, k := range ks {
-			for _, cfg := range profConfigs(t, d, k) {
-				lc := launchFor(k.Prog, d)
-				spec := &prof.Spec{PC: true, Interval: 64}
-				var profiles [2]*prof.Profile
-				for i, backend := range []sim.Backend{sim.BackendCompiled, sim.BackendInterp} {
-					c := cfg
-					c.Backend = backend
-					c.Prof = spec
-					st, err := sim.Simulate(c, lc)
-					if err != nil {
-						t.Fatalf("%s/%s %v: %v", d.Name, k.Name, backend, err)
-					}
-					if st.Profile == nil {
-						t.Fatalf("%s/%s %v: no profile collected", d.Name, k.Name, backend)
-					}
-					profiles[i] = st.Profile
-				}
-				if !profiles[0].Equal(profiles[1]) {
-					t.Errorf("%s/%s blocks %d: PC profiles differ between backends",
-						d.Name, k.Name, cfg.BlocksPerSM)
-				}
-			}
-		}
-	}
-}
 
 // TestProfileDeterminism pins the parallel-SM merge for profiles: the
 // same profiled launch must produce a bit-identical profile on every
@@ -105,7 +31,7 @@ func TestProfileDeterminism(t *testing.T) {
 				BlocksPerSM:   2,
 				RegsPerThread: 32,
 				Backend:       backend,
-				Prof:          &prof.Spec{PC: true, Interval: 128},
+				Profile:       true,
 			}
 			lc := launchFor(k.Prog, d)
 			var first *prof.Profile
@@ -128,9 +54,9 @@ func TestProfileDeterminism(t *testing.T) {
 
 // TestProfilerDoesNotPerturbStats: turning the profiler on must not
 // change a single simulated number — same cycles, instructions, stall
-// attribution, cache traffic, checksum. This is the regression guard
-// behind the disabled-profiler overhead claim: the profiled and
-// unprofiled simulations execute the same schedule.
+// attribution, cache traffic, checksum — on either backend. This is the
+// regression guard behind the disabled-profiler overhead claim: the
+// profiled and unprofiled simulations execute the same schedule.
 func TestProfilerDoesNotPerturbStats(t *testing.T) {
 	ks, err := kernels.All()
 	if err != nil {
@@ -140,96 +66,101 @@ func TestProfilerDoesNotPerturbStats(t *testing.T) {
 		ks = ks[:3]
 	}
 	d := device.GTX680()
-	for _, k := range ks {
-		cfg := sim.Config{
-			Device:        d,
-			Cache:         device.SmallCache,
-			BlocksPerSM:   2,
-			RegsPerThread: 32,
-		}
-		lc := launchFor(k.Prog, d)
-		plain, err := sim.Simulate(cfg, lc)
-		if err != nil {
-			t.Fatalf("%s plain: %v", k.Name, err)
-		}
-		cfg.Prof = &prof.Spec{PC: true, Interval: 64}
-		profiled, err := sim.Simulate(cfg, lc)
-		if err != nil {
-			t.Fatalf("%s profiled: %v", k.Name, err)
-		}
-		if profiled.Profile == nil {
-			t.Fatalf("%s: profiled run has no profile", k.Name)
-		}
-		// Null the buffer pointers; every scalar must match exactly.
-		a, b := *plain, *profiled
-		a.Trace, b.Trace = nil, nil
-		a.Profile, b.Profile = nil, nil
-		if a != b {
-			t.Errorf("%s: profiling perturbed Stats:\n plain   %+v\n profiled %+v", k.Name, a, b)
-		}
-		// The profile's totals reconcile with the Stats: issue counts sum
-		// to the instruction count, stall attribution sums to the stall
-		// breakdown.
-		var issues, mem, alu, bar, mshr uint64
-		for pc := range profiled.Profile.Issues {
-			issues += profiled.Profile.Issues[pc]
-			mem += profiled.Profile.StallMem[pc]
-			alu += profiled.Profile.StallALU[pc]
-			bar += profiled.Profile.StallBarrier[pc]
-			mshr += profiled.Profile.StallMSHR[pc]
-		}
-		if issues != profiled.Instructions {
-			t.Errorf("%s: profile issues %d != instructions %d", k.Name, issues, profiled.Instructions)
-		}
-		if mem > profiled.StallMem || alu > profiled.StallALU ||
-			bar > profiled.StallBarrier || mshr > profiled.StallMSHR {
-			t.Errorf("%s: attributed stalls exceed totals: %d/%d %d/%d %d/%d %d/%d",
-				k.Name, mem, profiled.StallMem, alu, profiled.StallALU,
-				bar, profiled.StallBarrier, mshr, profiled.StallMSHR)
+	for _, backend := range []sim.Backend{sim.BackendCompiled, sim.BackendInterp} {
+		for _, k := range ks {
+			cfg := sim.Config{
+				Device:        d,
+				Cache:         device.SmallCache,
+				BlocksPerSM:   2,
+				RegsPerThread: 32,
+				Backend:       backend,
+			}
+			lc := launchFor(k.Prog, d)
+			plain, err := sim.Simulate(cfg, lc)
+			if err != nil {
+				t.Fatalf("%s/%v plain: %v", k.Name, backend, err)
+			}
+			cfg.Profile = true
+			profiled, err := sim.Simulate(cfg, lc)
+			if err != nil {
+				t.Fatalf("%s/%v profiled: %v", k.Name, backend, err)
+			}
+			if profiled.Profile == nil || profiled.Trace == nil {
+				t.Fatalf("%s/%v: profiled run has no profile or trace", k.Name, backend)
+			}
+			// Null the buffer pointers; every scalar must match exactly.
+			a, b := *plain, *profiled
+			a.Trace, b.Trace = nil, nil
+			a.Profile, b.Profile = nil, nil
+			if a != b {
+				t.Errorf("%s/%v: profiling perturbed Stats:\n plain   %+v\n profiled %+v", k.Name, backend, a, b)
+			}
+			// The profile's totals reconcile with the Stats: issue counts
+			// sum to the instruction count, stall attribution sums to the
+			// stall breakdown.
+			var issues, mem, alu, bar, mshr uint64
+			for pc := range profiled.Profile.Issues {
+				issues += profiled.Profile.Issues[pc]
+				mem += profiled.Profile.StallMem[pc]
+				alu += profiled.Profile.StallALU[pc]
+				bar += profiled.Profile.StallBarrier[pc]
+				mshr += profiled.Profile.StallMSHR[pc]
+			}
+			if issues != profiled.Instructions {
+				t.Errorf("%s/%v: profile issues %d != instructions %d", k.Name, backend, issues, profiled.Instructions)
+			}
+			if mem > profiled.StallMem || alu > profiled.StallALU ||
+				bar > profiled.StallBarrier || mshr > profiled.StallMSHR {
+				t.Errorf("%s/%v: attributed stalls exceed totals: %d/%d %d/%d %d/%d %d/%d",
+					k.Name, backend, mem, profiled.StallMem, alu, profiled.StallALU,
+					bar, profiled.StallBarrier, mshr, profiled.StallMSHR)
+			}
 		}
 	}
 }
 
-// TestProfileTrackShapes checks the merged counter tracks: one sample
-// per full interval, device-wide residency bounded by the configured
-// residency, and the instruction track summing to (at most) the
+// TestProfileTrackShapes checks the merged counter tracks on a launch
+// long enough that its SMs double their sampling interval at least twice
+// (at 512 samples of 64 cycles and again of 128): the interval is
+// the smallest 64·2^k with 256·interval >= Cycles, there is one sample
+// per full interval, device-wide residency is bounded by the configured
+// residency, and the instruction track sums to (at most) the
 // retired-instruction count.
 func TestProfileTrackShapes(t *testing.T) {
-	ks, err := kernels.All()
+	k, err := kernels.ByName("srad")
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := ks[0]
 	d := device.GTX680()
-	const interval = 64
 	cfg := sim.Config{
 		Device:        d,
 		Cache:         device.SmallCache,
 		BlocksPerSM:   2,
 		RegsPerThread: 32,
-		Prof:          &prof.Spec{Interval: interval},
+		Profile:       true,
 	}
-	lc := launchFor(k.Prog, d)
+	lc := &interp.Launch{Prog: k.Prog, GridWarps: 1024}
 	st, err := sim.Simulate(cfg, lc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if st.Cycles < 512*128 {
+		t.Fatalf("%d cycles: too short for two interval doublings", st.Cycles)
+	}
 	p := st.Profile
-	if p == nil {
-		t.Fatal("no profile")
+	want := uint64(64)
+	for want*256 < st.Cycles {
+		want *= 2
 	}
-	if p.Issues != nil {
-		t.Error("PC arrays allocated without Spec.PC")
+	if p.Interval != want {
+		t.Fatalf("interval = %d, want %d for %d cycles", p.Interval, want, st.Cycles)
 	}
-	if p.Interval != interval {
-		t.Fatalf("interval = %d", p.Interval)
-	}
-	want := int(st.Cycles / interval)
+	n := int(st.Cycles / p.Interval)
 	byName := map[string][]float64{}
 	for _, tr := range p.Tracks {
 		byName[tr.Name] = tr.Points
-		if len(tr.Points) != want {
-			t.Errorf("track %s has %d points, want %d", tr.Name, len(tr.Points), want)
+		if len(tr.Points) != n {
+			t.Errorf("track %s has %d points, want %d", tr.Name, len(tr.Points), n)
 		}
 	}
 	for _, name := range []string{"resident_warps", "instructions", "ipc", "mshr_pending"} {
@@ -285,16 +216,16 @@ func TestSnapshotTotals(t *testing.T) {
 // profiler compiled in but disabled — the configuration every normal
 // run uses. Compare against BenchmarkSimProfilerEnabled.
 func BenchmarkSimProfilerDisabled(b *testing.B) {
-	benchmarkProfiler(b, nil)
+	benchmarkProfiler(b, false)
 }
 
-// BenchmarkSimProfilerEnabled measures the same launch with PC profiling
-// and counter sampling on.
+// BenchmarkSimProfilerEnabled measures the same launch with the profiler
+// on.
 func BenchmarkSimProfilerEnabled(b *testing.B) {
-	benchmarkProfiler(b, &prof.Spec{PC: true, Interval: 256})
+	benchmarkProfiler(b, true)
 }
 
-func benchmarkProfiler(b *testing.B, spec *prof.Spec) {
+func benchmarkProfiler(b *testing.B, profile bool) {
 	ks, err := kernels.All()
 	if err != nil {
 		b.Fatal(err)
@@ -306,7 +237,7 @@ func benchmarkProfiler(b *testing.B, spec *prof.Spec) {
 		Cache:         device.SmallCache,
 		BlocksPerSM:   2,
 		RegsPerThread: 32,
-		Prof:          spec,
+		Profile:       profile,
 	}
 	lc := launchFor(k.Prog, d)
 	b.ReportAllocs()

@@ -51,9 +51,6 @@ type Config struct {
 	// the residency; used for energy accounting.
 	RegsPerThread  int
 	SharedPerBlock int
-	// TraceWarps, when positive, records issue events for warps with
-	// global id < TraceWarps into Stats.Trace (timeline profiling).
-	TraceWarps int
 	// Backend selects the warp execution engine; the zero value is the
 	// compiled backend. Both backends are bit-identical on Stats; the
 	// differential oracles set BackendInterp here per call.
@@ -62,10 +59,11 @@ type Config struct {
 	// carrying the run's statistics (cycles, IPC, stall breakdown, cache
 	// hit rates). The zero Ctx disables it at the cost of one check.
 	Obs obs.Ctx
-	// Prof, when enabled, collects a PC-level profile and/or sampled
-	// counter tracks into Stats.Profile. Nil-gated like Obs: disabled,
-	// the hot path pays one pointer check per issue.
-	Prof *prof.Spec
+	// Profile collects the PC profile and the counter tracks into
+	// Stats.Profile and the issue trace of global warps 0..traceWarps-1
+	// into Stats.Trace. Off, the hot path pays one pointer check per
+	// issue.
+	Profile bool
 }
 
 // Stats is the outcome of a simulated launch.
@@ -103,11 +101,9 @@ type Stats struct {
 	// configured residency during tail waves.
 	AvgResidentWarps float64
 
-	// Trace holds issue records when Config.TraceWarps was set.
-	Trace *Trace
-
-	// Profile holds the merged PC profile and counter tracks when
-	// Config.Prof asked for collection.
+	// Trace and Profile are set when Config.Profile was: the issue
+	// trace, and the merged PC profile with its counter tracks.
+	Trace   *Trace
 	Profile *prof.Profile
 }
 
@@ -253,12 +249,11 @@ type engine struct {
 	sharedWords int
 	dramService float64 // per-SM channel occupancy per line
 
-	// Profiling state (nil when Config.Prof is disabled). stallHist is
-	// the shared per-warp stall-duration histogram, resolved once here so
-	// the issue path never does a registry lookup; Histogram.Observe is
-	// internally locked, and the bucket/count/sum state is
-	// order-independent, so parallel SMs keep it deterministic.
-	profSpec  *prof.Spec
+	// profIdx is the flat-PC index, nil unless Config.Profile is set.
+	// stallHist is the shared per-warp stall-duration histogram, resolved
+	// once here so the issue path never does a registry lookup;
+	// Histogram.Observe is internally locked, and the bucket/count/sum
+	// state is order-independent, so parallel SMs keep it deterministic.
 	profIdx   *prof.Index
 	stallHist *obs.Histogram
 }
@@ -428,12 +423,9 @@ func simulateLoop(cfg Config, lc *interp.Launch) (*Stats, error) {
 			return nil, err
 		}
 	}
-	if cfg.Prof.Enabled() {
-		e.profSpec = cfg.Prof
-		if cfg.Prof.PC {
-			// The flat-PC index is memoized per program like the layout.
-			e.profIdx = prof.IndexOf(lc.Prog)
-		}
+	if cfg.Profile {
+		// The flat-PC index is memoized per program like the layout.
+		e.profIdx = prof.IndexOf(lc.Prog)
 	}
 	if cfg.Obs.Enabled() {
 		e.stallHist = cfg.Obs.Metrics().Histogram("sim.warp_stall_cycles")
@@ -547,10 +539,8 @@ func simulateLoop(cfg Config, lc *interp.Launch) (*Stats, error) {
 		m.Counter("sim.issue_rejects").Add(en.issueRejects)
 		m.Counter("sim.idle_skips").Add(en.idleSkips)
 	}
-	if cfg.TraceWarps > 0 {
-		st.Trace = mergeTraces(cfg.TraceWarps, sms)
-	}
-	if e.profSpec.Enabled() {
+	if cfg.Profile {
+		st.Trace = mergeTraces(sms)
 		st.Profile = mergeProfiles(e, sms, st)
 	}
 	addTotals(st)
@@ -560,12 +550,12 @@ func simulateLoop(cfg Config, lc *interp.Launch) (*Stats, error) {
 // mergeTraces k-way merges the per-SM issue logs by (cycle, SM index);
 // each per-SM log is already cycle-sorted because an SM's clock is
 // monotone, so ties break toward the lowest SM index.
-func mergeTraces(maxWarps int, sms []*smCtx) *Trace {
+func mergeTraces(sms []*smCtx) *Trace {
 	total := 0
 	for _, sm := range sms {
 		total += len(sm.trace)
 	}
-	tr := &Trace{MaxWarps: maxWarps, Records: make([]IssueRecord, 0, total)}
+	tr := &Trace{Records: make([]IssueRecord, 0, total)}
 	pos := make([]int, len(sms))
 	for {
 		best := -1
@@ -605,7 +595,7 @@ func (sm *smCtx) run() {
 			sm.residentIntegral += uint64(sm.live) * (now - sm.lastNow)
 			sm.lastNow = now
 		}
-		if p := sm.prof; p != nil && p.interval > 0 {
+		if p := sm.prof; p != nil {
 			p.sample(sm, now)
 		}
 		if len(sm.graveyard) > 0 {
@@ -759,7 +749,7 @@ func (sm *smCtx) launchBlock(now uint64) int {
 		wc.block = blk
 		wc.gid = int32(gid)
 		wc.slot = int32(len(sm.warps))
-		wc.trace = e.cfg.TraceWarps > 0 && gid < e.cfg.TraceWarps
+		wc.trace = e.cfg.Profile && gid < traceWarps
 		wc.prepare()
 		blk.warps = append(blk.warps, wc)
 		sm.warps = append(sm.warps, wc)
@@ -1041,7 +1031,7 @@ func (sm *smCtx) issueOne(wc *warpCtx) bool {
 		}
 		// The instruction issuing now is the one the warp was blocked on,
 		// so the gap is its stall attribution.
-		if p := sm.prof; p != nil && p.issues != nil {
+		if p := sm.prof; p != nil {
 			p.stalls[wc.stall][p.idx.SlotOf(ev.Instr)] += g
 		}
 		if h := sm.eng.stallHist; h != nil {
@@ -1073,7 +1063,7 @@ func (sm *smCtx) issueOne(wc *warpCtx) bool {
 		sm.err = fmt.Errorf("sim: instruction budget exceeded (runaway kernel?)")
 		return true
 	}
-	if p := sm.prof; p != nil && p.issues != nil {
+	if p := sm.prof; p != nil {
 		p.issues[p.idx.SlotOf(instr)]++
 	}
 	if instr != nil {

@@ -17,11 +17,14 @@ type IssueRecord struct {
 	Mem   bool // touched DRAM/L2/L1 (global or local space)
 }
 
-// Trace collects issue records for the first MaxWarps warps (by global
-// id) when enabled via Config.TraceWarps.
+// traceWarps is how many warps, by global id from 0, a profiled launch
+// traces.
+const traceWarps = 16
+
+// Trace is a profiled launch's issue records for its first traceWarps
+// warps.
 type Trace struct {
-	MaxWarps int
-	Records  []IssueRecord
+	Records []IssueRecord
 }
 
 // Timeline renders the trace as a text Gantt chart: one row per traced

@@ -9,12 +9,14 @@ import (
 	"repro/internal/isa"
 )
 
+// TestTraceRecordsIssues: a profiled launch traces global warps
+// 0..traceWarps-1 and no others.
 func TestTraceRecordsIssues(t *testing.T) {
 	p := isa.MustParse(memKernel)
 	st, err := Simulate(Config{
 		Device: device.GTX680(), Cache: device.SmallCache,
-		BlocksPerSM: 1, RegsPerThread: 16, TraceWarps: 4,
-	}, &interp.Launch{Prog: p, GridWarps: 16})
+		BlocksPerSM: 1, RegsPerThread: 16, Profile: true,
+	}, &interp.Launch{Prog: p, GridWarps: traceWarps + 8})
 	if err != nil {
 		t.Fatalf("Simulate: %v", err)
 	}
@@ -24,7 +26,7 @@ func TestTraceRecordsIssues(t *testing.T) {
 	seen := map[int32]bool{}
 	memSeen := false
 	for _, r := range st.Trace.Records {
-		if r.Warp >= 4 {
+		if r.Warp >= traceWarps {
 			t.Fatalf("record for untraced warp %d", r.Warp)
 		}
 		if r.Cycle > st.Cycles {
@@ -35,8 +37,8 @@ func TestTraceRecordsIssues(t *testing.T) {
 			memSeen = true
 		}
 	}
-	if len(seen) != 4 {
-		t.Errorf("traced %d warps, want 4", len(seen))
+	if len(seen) != traceWarps {
+		t.Errorf("traced %d warps, want %d", len(seen), traceWarps)
 	}
 	if !memSeen {
 		t.Error("no memory issues recorded for a memory kernel")
@@ -61,7 +63,7 @@ func TestTraceDisabledByDefault(t *testing.T) {
 		t.Fatalf("Simulate: %v", err)
 	}
 	if st.Trace != nil {
-		t.Error("trace allocated without TraceWarps")
+		t.Error("trace allocated without Profile")
 	}
 }
 
@@ -69,8 +71,8 @@ func TestTimelineRendering(t *testing.T) {
 	p := isa.MustParse(memKernel)
 	st, err := Simulate(Config{
 		Device: device.GTX680(), Cache: device.SmallCache,
-		BlocksPerSM: 1, RegsPerThread: 16, TraceWarps: 2,
-	}, &interp.Launch{Prog: p, GridWarps: 8})
+		BlocksPerSM: 1, RegsPerThread: 16, Profile: true,
+	}, &interp.Launch{Prog: p, GridWarps: 2})
 	if err != nil {
 		t.Fatalf("Simulate: %v", err)
 	}

@@ -42,13 +42,19 @@ func CrossBackend(cfg sim.Config, lc *interp.Launch) []Violation {
 	return diffStats(cst, ist)
 }
 
-// diffStats compares two Stats structurally (traces excluded) and reports
-// the first differing field by name, so a regression points straight at
-// the counter that diverged.
+// diffStats compares two Stats structurally (traces excluded; profiles,
+// two pointers, by prof.Profile.Equal once every other field agrees) and
+// reports the first differing field by name, so a regression points
+// straight at the counter that diverged.
 func diffStats(compiled, interpreted *sim.Stats) []Violation {
 	c, i := *compiled, *interpreted
 	c.Trace, i.Trace = nil, nil
+	c.Profile, i.Profile = nil, nil
 	if c == i {
+		if !compiled.Profile.Equal(interpreted.Profile) {
+			return []Violation{{Invariant: "cross-backend",
+				Detail: "Stats.Profile: compiled and interp profiles differ"}}
+		}
 		return nil
 	}
 	cv := reflect.ValueOf(c)

@@ -76,9 +76,6 @@ type (
 	CacheConfig = device.CacheConfig
 	// SimStats is a simulated launch's outcome.
 	SimStats = sim.Stats
-	// ProfileSpec configures the simulator-native profiler (PC-level
-	// stall attribution and/or sampled counter tracks).
-	ProfileSpec = prof.Spec
 	// ProfileReport is a profiled run's ranked hot-spot report.
 	ProfileReport = prof.Report
 	// Kernel is one evaluation benchmark.
@@ -199,21 +196,19 @@ func Simulate(v *Version, d *Device, cc CacheConfig, targetWarps, gridWarps int,
 	return v.RunAtCtx(d, cc, targetWarps, &interp.Launch{Prog: v.Prog, GridWarps: gridWarps}, c.Ctx())
 }
 
-// ProfileDetailed is Simulate with issue tracing for the first traceWarps
-// warps (the result's Trace renders a per-warp timeline) and the
-// simulator-native profiler: per-PC issue/stall attribution and sampled
-// counter tracks per spec, recorded into the result's Profile field (and,
-// via the collector, exported as Chrome trace counter tracks). Profiled
-// runs always bypass the run cache.
-func ProfileDetailed(v *Version, d *Device, cc CacheConfig, targetWarps, gridWarps, traceWarps int, spec *ProfileSpec, c *Collector) (*SimStats, error) {
-	return v.ProfileDetailedCtx(d, cc, targetWarps,
-		&interp.Launch{Prog: v.Prog, GridWarps: gridWarps}, traceWarps, spec, c.Ctx())
+// Profile is Simulate with the simulator-native profiler on: the
+// result's Profile holds per-PC issue/stall attribution and sampled
+// counter tracks (exported, via the collector, as Chrome trace counter
+// tracks), and its Trace the issue records of the first 16 warps (a
+// per-warp timeline). Profiled runs always bypass the run cache.
+func Profile(v *Version, d *Device, cc CacheConfig, targetWarps, gridWarps int, c *Collector) (*SimStats, error) {
+	return v.ProfileCtx(d, cc, targetWarps, &interp.Launch{Prog: v.Prog, GridWarps: gridWarps}, c.Ctx())
 }
 
 // BuildProfileReport ranks a profiled run into the user-facing hot-spot
 // report, resolving spill sites against the version's provenance map.
-func BuildProfileReport(v *Version, d *Device, st *SimStats, topN int) *ProfileReport {
-	return core.BuildProfileReport(v, d, st, topN)
+func BuildProfileReport(v *Version, d *Device, st *SimStats) *ProfileReport {
+	return core.BuildProfileReport(v, d, st)
 }
 
 // Execute runs a program functionally (no timing) and returns its store
