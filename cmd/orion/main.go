@@ -131,6 +131,14 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(rest); err != nil {
 		return err
 	}
+	// Zero keeps the kernel's own launch; a negative count is an error,
+	// as it is for the daemon's ?grid= and ?iters=.
+	if *grid < 0 {
+		return fmt.Errorf("bad -grid %d: want a positive warp count, or 0 for the kernel's own", *grid)
+	}
+	if *iters < 0 {
+		return fmt.Errorf("bad -iters %d: want a positive count, or 0 for the kernel's own", *iters)
+	}
 
 	// The collector exists only when an export was requested, so the
 	// default path stays on the nil (zero-overhead) side of the obs layer.

@@ -500,3 +500,22 @@ func TestTuneFatRefusesOtherKernel(t *testing.T) {
 		t.Errorf("tune -fat bfs.ofat -kernel bfs printed %q", buf.String())
 	}
 }
+
+// TestNegativeLaunchRejected: a negative -grid or -iters is refused before
+// anything runs, as the daemon refuses ?grid= and ?iters= below 1; zero
+// still means the kernel's own launch.
+func TestNegativeLaunchRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"run", "-kernel", "srad", "-warps", "8", "-grid", "-5"},
+		{"tune", "-kernel", "srad", "-iters", "-1"},
+	} {
+		var buf bytes.Buffer
+		err := run(args, &buf)
+		if err == nil || !strings.HasPrefix(err.Error(), "bad -") {
+			t.Errorf("%v: error %v, want a bad -grid/-iters error", args, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%v: refused command printed %q", args, buf.String())
+		}
+	}
+}

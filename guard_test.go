@@ -78,6 +78,54 @@ func sideTable(spec ast.Spec) (what string) {
 	return what
 }
 
+// TestNoInstrKeyedMaps keeps one answer to "which instruction is this?":
+// the flat PC both executors stamp on every event (interp.Event.PC,
+// numbered by isa.Program.PCBases). No non-test file under internal/ or
+// cmd/ may spell a map keyed by *isa.Instr, as a package-level variable,
+// a local, a field or anywhere else a type can appear.
+func TestNoInstrKeyedMaps(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, root := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			ast.Inspect(file, func(n ast.Node) bool {
+				if m, ok := n.(*ast.MapType); ok && isInstrPtr(m.Key, file.Name.Name == "isa") {
+					t.Errorf("%s: map keyed by *isa.Instr: locate an instruction by its flat PC (interp.Event.PC, isa.Program.PCBases)",
+						fset.Position(m.Pos()))
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// isInstrPtr reports whether e spells *isa.Instr (*Instr inside package
+// isa itself).
+func isInstrPtr(e ast.Expr, inISA bool) bool {
+	star, ok := e.(*ast.StarExpr)
+	if !ok {
+		return false
+	}
+	switch x := star.X.(type) {
+	case *ast.SelectorExpr:
+		pkg, ok := x.X.(*ast.Ident)
+		return ok && pkg.Name == "isa" && x.Sel.Name == "Instr"
+	case *ast.Ident:
+		return inISA && x.Name == "Instr"
+	}
+	return false
+}
+
 // TestBenchmarkModuleBuilds compiles and vets benchmark/, the nested
 // module that the root `go build ./... && go test ./...` never sees, so a
 // change to an API it links against fails tier-1 instead of the next

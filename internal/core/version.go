@@ -254,6 +254,7 @@ func addedCost(f *isa.Function) int {
 // Levels below the binary's natural residency are realized the way the
 // paper's runtime does it: by padding shared memory per block, which needs
 // no recompilation. Levels above the natural residency are not possible.
+// The launch always runs v.Prog: only lc's GridWarps and FirstWarp are read.
 //
 // The simulator is deterministic, so untraced launches are memoized
 // process-wide by (program fingerprint, device, cache config, level,
@@ -268,9 +269,6 @@ func (v *Version) RunAt(d *device.Device, cc device.CacheConfig, targetWarps int
 // "simulate.cached" span carrying the memoized cycle count; fill paths
 // carry the full "simulate" span from package sim.
 func (v *Version) RunAtCtx(d *device.Device, cc device.CacheConfig, targetWarps int, lc *interp.Launch, x obs.Ctx) (*sim.Stats, error) {
-	if lc.Prog != v.Prog {
-		return v.simulate(d, cc, targetWarps, lc, false, x)
-	}
 	key := runKey{
 		prog:        v.fingerprint(),
 		dev:         d.Fingerprint(),
@@ -286,7 +284,7 @@ func (v *Version) RunAtCtx(d *device.Device, cc device.CacheConfig, targetWarps 
 	})
 	if !filled && x.Enabled() {
 		sp := x.Span("simulate.cached",
-			obs.String("kernel", lc.Prog.Name),
+			obs.String("kernel", v.Prog.Name),
 			obs.Int("target_warps", targetWarps),
 			obs.Int("grid_warps", lc.GridWarps))
 		if err != nil {
@@ -309,7 +307,7 @@ func (v *Version) ProfileCtx(d *device.Device, cc device.CacheConfig, targetWarp
 
 // simulate is the uncached simulation (the cache's fill path).
 func (v *Version) simulate(d *device.Device, cc device.CacheConfig, targetWarps int, lc *interp.Launch, profile bool, x obs.Ctx) (*sim.Stats, error) {
-	wpb := lc.Prog.BlockDim / d.WarpSize
+	wpb := v.Prog.BlockDim / d.WarpSize
 	blocks := v.Natural.ActiveBlocks
 	if tb := targetWarps / wpb; tb < blocks {
 		blocks = tb

@@ -101,7 +101,7 @@ func Compile(p *isa.Program) (*Compiled, error) {
 		code := make([]cop, len(f.Instrs))
 		for i := range f.Instrs {
 			in := &f.Instrs[i]
-			code[i].tmpl.resolve(in, 0) // frame-relative: Peek reports the base
+			code[i].tmpl.resolve(in, 0, layout.pcBase[fi]+i) // frame-relative: Peek reports the base
 			code[i].exec = handler(in)
 		}
 		c.code[fi] = code

@@ -63,6 +63,9 @@ func lockstepProg(t *testing.T, p *isa.Program, gridWarps int) {
 			if ref.Done() {
 				break
 			}
+			if in := instrAt(p, int(evRef.PC)); in != evRef.Instr {
+				t.Fatalf("warp %d step %d: PC %d is %v, event instruction %v", wi, step, evRef.PC, in, evRef.Instr)
+			}
 			errRef := ref.Commit()
 			errGot := got.Commit()
 			if (errRef == nil) != (errGot == nil) {
@@ -83,6 +86,18 @@ func lockstepProg(t *testing.T, p *isa.Program, gridWarps int) {
 		}
 		got.Release()
 	}
+}
+
+// instrAt returns the instruction at a flat PC (isa.Program.PCBases), or
+// nil outside the program.
+func instrAt(p *isa.Program, pc int) *isa.Instr {
+	b := p.PCBases()
+	for fi, f := range p.Funcs {
+		if pc >= b[fi] && pc < b[fi+1] {
+			return &f.Instrs[pc-b[fi]]
+		}
+	}
+	return nil
 }
 
 func compareEvents(t *testing.T, wi, step int, ref, got *Event) {
@@ -124,6 +139,9 @@ func compareEvents(t *testing.T, wi, step int, ref, got *Event) {
 	}
 	if ref.SrcW != got.SrcW {
 		fail("SrcW", ref.SrcW, got.SrcW)
+	}
+	if ref.PC != got.PC {
+		fail("PC", ref.PC, got.PC)
 	}
 }
 

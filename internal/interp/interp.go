@@ -66,7 +66,8 @@ const (
 )
 
 // Event describes the instruction a warp is about to execute, with operands
-// resolved to absolute physical register indices and memory addresses.
+// resolved to absolute physical register indices and memory addresses, and
+// its position as PC, the flat program counter isa.Program.PCBases numbers.
 //
 // It is 40 bytes on a 64-bit host: the compiled backend keeps one per
 // instruction of every program it has run, as a template. Register indices
@@ -91,6 +92,11 @@ type Event struct {
 	// there is no destination.
 	DstW uint8
 	SrcW [3]uint8
+
+	// PC is the instruction's flat program counter (isa.Program.PCBases):
+	// the profiler and the block oracle locate instructions by it. It is
+	// zero on the KindExit event of a finished warp.
+	PC int32
 }
 
 // LaneEvent is what a 32-lane warp adds to a memory event. Lines is the
@@ -103,12 +109,12 @@ type LaneEvent struct {
 	BankConflicts int
 }
 
-// resolve sets the event to in at frame base: its Kind, Space and (for a
-// memory access) Bytes from the opcode table, and its register operands as
-// absolute indices with their widths.
-func (ev *Event) resolve(in *isa.Instr, base int) {
+// resolve sets the event to in at frame base and flat PC pc: its Kind,
+// Space and (for a memory access) Bytes from the opcode table, and its
+// register operands as absolute indices with their widths.
+func (ev *Event) resolve(in *isa.Instr, base, pc int) {
 	*ev = Event{Instr: in, Kind: Kind(in.Op.Class()), Space: Space(in.Op.Space()),
-		AbsDst: -1, AbsSrc: [3]int16{-1, -1, -1}}
+		AbsDst: -1, AbsSrc: [3]int16{-1, -1, -1}, PC: int32(pc)}
 	if ev.Space != SpaceNone {
 		ev.Bytes = uint8(4 * in.W())
 	}
@@ -135,6 +141,7 @@ type Layout struct {
 	SharedSpillSlots int
 	LocalSpillSlots  int
 
+	pcBase      []int   // per function: its first flat PC (isa.Program.PCBases)
 	frameSize   []int   // per function: registers its frame occupies
 	callBase    [][]int // per function, by pc: a CALL's frame base Bk (nil without calls)
 	sharedBase  []int   // per function: first shared spill slot
@@ -147,6 +154,7 @@ type Layout struct {
 func NewLayout(p *isa.Program) (*Layout, error) {
 	n := len(p.Funcs)
 	l := &Layout{
+		pcBase:      p.PCBases(),
 		frameSize:   make([]int, n),
 		callBase:    make([][]int, n),
 		sharedBase:  make([]int, n),
@@ -426,7 +434,7 @@ func (w *Warp) Fill(ev *Event) {
 	fg := &w.frags[w.current()]
 	fr := &w.stack[len(w.stack)-1]
 	in := &w.code[fg.pc]
-	ev.resolve(in, fr.base)
+	ev.resolve(in, fr.base, w.layout.pcBase[fr.fn]+fg.pc)
 	switch {
 	case ev.Space == SpaceNone:
 	case in.IsMem():

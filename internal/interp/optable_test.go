@@ -41,7 +41,7 @@ func TestOpTable(t *testing.T) {
 		bytes, _ := strconv.Atoi(f[14])
 		in := isa.Instr{Op: op, Width: uint8(w), Dst: 1, Src: [3]isa.Reg{2, 3, 4}}
 		var ev Event
-		ev.resolve(&in, 0)
+		ev.resolve(&in, 0, 0)
 		if ev.Kind != kinds[f[12]] || ev.Space != spaces[f[13]] || int(ev.Bytes) != bytes {
 			t.Errorf("%s width %d: kind %d space %d bytes %d, want %s %s %d",
 				op, w, ev.Kind, ev.Space, ev.Bytes, f[12], f[13], bytes)

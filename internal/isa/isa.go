@@ -254,6 +254,19 @@ func (p *Program) FuncIndex(name string) int {
 	return -1
 }
 
+// PCBases numbers every instruction of the program with one flat PC:
+// functions in program order, each a contiguous range. Function i holds
+// PCs [b[i], b[i+1]), and b[len(p.Funcs)] is the instruction count.
+// Both executors stamp each event with this PC (interp.Event.PC), and
+// the profiler and the block oracle locate instructions by it.
+func (p *Program) PCBases() []int {
+	b := make([]int, len(p.Funcs)+1)
+	for i, f := range p.Funcs {
+		b[i+1] = b[i] + len(f.Instrs)
+	}
+	return b
+}
+
 // Clone deep-copies the program; derived values (see Derived) stay behind.
 func (p *Program) Clone() *Program {
 	np := &Program{

@@ -11,8 +11,8 @@
 //
 // Determinism contract: a PC profile is a pure function of (program,
 // device, cache config, residency, grid, scheduler). Both execution
-// backends produce bit-identical profiles because they surface the same
-// *isa.Instr pointers in their event streams, and the per-SM counter
+// backends produce bit-identical profiles because they stamp the same
+// flat PCs (isa.Program.PCBases) on their events, and the per-SM counter
 // arrays merge by integer addition in SM-index order.
 package prof
 
@@ -27,78 +27,42 @@ type FuncRange struct {
 	End   int    `json:"end"`   // one past the last flat PC
 }
 
-// Index maps instruction identity to flat program counters. Both
-// execution backends hand the simulator events whose Instr field points
-// into the program's own Funcs[i].Instrs backing arrays, so a pointer
-// lookup gives backend-identical attribution with no decoding.
+// Index resolves flat program counters, the numbering both execution
+// backends stamp on their events (interp.Event.PC, isa.Program.PCBases),
+// back to functions and instructions.
 type Index struct {
 	Prog  *isa.Program
 	funcs []FuncRange
-	slots map[*isa.Instr]int32
-	n     int // flat PCs; slot n is the unknown-instruction overflow
+	n     int // flat PCs
 }
 
-type indexKey struct{}
-
-// IndexOf returns the flat-PC index of a finalized program, built once
-// per program (isa.Program.Derived).
-func IndexOf(p *isa.Program) *Index {
-	v, _ := p.Derived(indexKey{}, func() (any, error) { return NewIndex(p), nil })
-	return v.(*Index)
-}
-
-// NewIndex builds a flat-PC index: functions in program order, each
-// occupying a contiguous PC range.
+// NewIndex builds a program's flat-PC index: functions in program order,
+// each occupying a contiguous PC range.
 func NewIndex(p *isa.Program) *Index {
-	ix := &Index{Prog: p, slots: make(map[*isa.Instr]int32)}
-	for _, f := range p.Funcs {
-		start := ix.n
-		for i := range f.Instrs {
-			ix.slots[&f.Instrs[i]] = int32(ix.n)
-			ix.n++
-		}
-		ix.funcs = append(ix.funcs, FuncRange{Name: f.Name, Start: start, End: ix.n})
+	b := p.PCBases()
+	ix := &Index{Prog: p, funcs: make([]FuncRange, len(p.Funcs)), n: b[len(p.Funcs)]}
+	for i, f := range p.Funcs {
+		ix.funcs[i] = FuncRange{Name: f.Name, Start: b[i], End: b[i+1]}
 	}
 	return ix
 }
 
-// NumPCs returns the flat PC count (excluding the overflow slot).
+// NumPCs returns the flat PC count.
 func (ix *Index) NumPCs() int { return ix.n }
-
-// NumSlots returns the counter-array length: every PC plus one overflow
-// slot for events whose instruction is unknown to this program.
-func (ix *Index) NumSlots() int { return ix.n + 1 }
-
-// SlotOf returns the counter slot for an event's instruction pointer;
-// unknown (or nil) instructions land in the overflow slot.
-func (ix *Index) SlotOf(in *isa.Instr) int32 {
-	if s, ok := ix.slots[in]; ok {
-		return s
-	}
-	return int32(ix.n)
-}
 
 // Funcs returns the per-function PC ranges in program order.
 func (ix *Index) Funcs() []FuncRange { return ix.funcs }
 
-// Locate resolves a flat PC to its function range and local PC; ok is
-// false for the overflow slot.
-func (ix *Index) Locate(flat int) (fr FuncRange, local int, ok bool) {
-	for _, r := range ix.funcs {
+// Locate resolves a flat PC to its function range, local PC and
+// instruction; in is nil outside the program.
+func (ix *Index) Locate(flat int) (fr FuncRange, local int, in *isa.Instr) {
+	for i, r := range ix.funcs {
 		if flat >= r.Start && flat < r.End {
-			return r, flat - r.Start, true
+			local = flat - r.Start
+			return r, local, &ix.Prog.Funcs[i].Instrs[local]
 		}
 	}
-	return FuncRange{}, 0, false
-}
-
-// Instr returns the instruction at a flat PC (nil for the overflow slot).
-func (ix *Index) Instr(flat int) *isa.Instr {
-	fr, local, ok := ix.Locate(flat)
-	if !ok {
-		return nil
-	}
-	return &ix.Prog.FuncByName(fr.Name).Instrs[local]
+	return FuncRange{}, 0, nil
 }
 
 // Track is one merged counter time series: Points[i] is the value for
@@ -114,7 +78,7 @@ type Track struct {
 type Profile struct {
 	Index *Index `json:"-"`
 
-	// Per-PC arrays of length Index.NumSlots().
+	// Per-PC arrays of length Index.NumPCs().
 	Issues       []uint64 `json:"issues,omitempty"`
 	StallMem     []uint64 `json:"stall_mem,omitempty"`
 	StallALU     []uint64 `json:"stall_alu,omitempty"`

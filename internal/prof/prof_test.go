@@ -27,9 +27,6 @@ func TestIndexFlatPCs(t *testing.T) {
 	if ix.NumPCs() != 5 {
 		t.Fatalf("NumPCs = %d, want 5", ix.NumPCs())
 	}
-	if ix.NumSlots() != 6 {
-		t.Fatalf("NumSlots = %d, want NumPCs+1", ix.NumSlots())
-	}
 	frs := ix.Funcs()
 	if len(frs) != 2 || frs[0].Name != "main" || frs[1].Name != "helper" {
 		t.Fatalf("Funcs = %+v", frs)
@@ -38,39 +35,22 @@ func TestIndexFlatPCs(t *testing.T) {
 		t.Fatalf("ranges = %+v", frs)
 	}
 
-	// Every instruction pointer maps to its own flat PC, and the flat
-	// PC maps back to the same instruction.
-	seen := map[int32]bool{}
-	for _, f := range p.Funcs {
+	// Every flat PC locates its function, local PC and instruction.
+	for fi, f := range p.Funcs {
 		for i := range f.Instrs {
-			s := ix.SlotOf(&f.Instrs[i])
-			if seen[s] {
-				t.Fatalf("duplicate slot %d", s)
-			}
-			seen[s] = true
-			if got := ix.Instr(int(s)); got != &f.Instrs[i] {
-				t.Fatalf("Instr(%d) = %p, want %p", s, got, &f.Instrs[i])
+			pc := frs[fi].Start + i
+			fr, local, in := ix.Locate(pc)
+			if fr != frs[fi] || local != i || in != &f.Instrs[i] {
+				t.Fatalf("Locate(%d) = %+v, %d, %p; want %+v, %d, %p", pc, fr, local, in, frs[fi], i, &f.Instrs[i])
 			}
 		}
 	}
 
-	// Unknown pointers land in the overflow slot, which has no location.
-	var stray isa.Instr
-	if s := ix.SlotOf(&stray); int(s) != ix.NumPCs() {
-		t.Fatalf("stray slot = %d, want overflow %d", s, ix.NumPCs())
-	}
-	if _, _, ok := ix.Locate(ix.NumPCs()); ok {
-		t.Fatal("Locate resolved the overflow slot")
-	}
-	if in := ix.Instr(ix.NumPCs()); in != nil {
-		t.Fatalf("Instr(overflow) = %v, want nil", in)
-	}
-}
-
-func TestIndexOfMemoizes(t *testing.T) {
-	p := isa.MustParse(twoFuncSrc)
-	if IndexOf(p) != IndexOf(p) {
-		t.Fatal("IndexOf returned distinct indexes for the same program")
+	// PCs outside the program have no location.
+	for _, pc := range []int{-1, ix.NumPCs()} {
+		if fr, _, in := ix.Locate(pc); in != nil {
+			t.Fatalf("Locate(%d) = %+v, %v; want no instruction", pc, fr, in)
+		}
 	}
 }
 
@@ -139,11 +119,11 @@ func buildProfile(p *isa.Program) *Profile {
 	ix := NewIndex(p)
 	pr := &Profile{
 		Index:        ix,
-		Issues:       make([]uint64, ix.NumSlots()),
-		StallMem:     make([]uint64, ix.NumSlots()),
-		StallALU:     make([]uint64, ix.NumSlots()),
-		StallBarrier: make([]uint64, ix.NumSlots()),
-		StallMSHR:    make([]uint64, ix.NumSlots()),
+		Issues:       make([]uint64, ix.NumPCs()),
+		StallMem:     make([]uint64, ix.NumPCs()),
+		StallALU:     make([]uint64, ix.NumPCs()),
+		StallBarrier: make([]uint64, ix.NumPCs()),
+		StallMSHR:    make([]uint64, ix.NumPCs()),
 	}
 	pr.Issues[0] = 10
 	pr.StallALU[0] = 5
@@ -181,11 +161,11 @@ func TestBuildRanksAndTruncates(t *testing.T) {
 	ix := NewIndex(isa.MustParse(src))
 	pr := &Profile{
 		Index:        ix,
-		Issues:       make([]uint64, ix.NumSlots()),
-		StallMem:     make([]uint64, ix.NumSlots()),
-		StallALU:     make([]uint64, ix.NumSlots()),
-		StallBarrier: make([]uint64, ix.NumSlots()),
-		StallMSHR:    make([]uint64, ix.NumSlots()),
+		Issues:       make([]uint64, ix.NumPCs()),
+		StallMem:     make([]uint64, ix.NumPCs()),
+		StallALU:     make([]uint64, ix.NumPCs()),
+		StallBarrier: make([]uint64, ix.NumPCs()),
+		StallMSHR:    make([]uint64, ix.NumPCs()),
 	}
 	for pc := 0; pc < ix.NumPCs(); pc++ {
 		pr.Issues[pc] = 1
@@ -214,11 +194,11 @@ func TestBuildResolvesWebs(t *testing.T) {
 	ix := NewIndex(p)
 	pr := &Profile{
 		Index:        ix,
-		Issues:       make([]uint64, ix.NumSlots()),
-		StallMem:     make([]uint64, ix.NumSlots()),
-		StallALU:     make([]uint64, ix.NumSlots()),
-		StallBarrier: make([]uint64, ix.NumSlots()),
-		StallMSHR:    make([]uint64, ix.NumSlots()),
+		Issues:       make([]uint64, ix.NumPCs()),
+		StallMem:     make([]uint64, ix.NumPCs()),
+		StallALU:     make([]uint64, ix.NumPCs()),
+		StallBarrier: make([]uint64, ix.NumPCs()),
+		StallMSHR:    make([]uint64, ix.NumPCs()),
 	}
 	pr.Issues[1] = 8
 	pr.StallMem[1] = 40 // spill store

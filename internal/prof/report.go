@@ -93,9 +93,7 @@ func Build(p *Profile, dbg *DebugInfo) *Report {
 			continue
 		}
 		order = append(order, pc)
-		in := ix.Instr(pc)
-		if in.IsSpill() {
-			fr, _, _ := ix.Locate(pc)
+		if fr, _, in := ix.Locate(pc); in.IsSpill() {
 			if w, ok := dbg.ResolveSpill(fr.Name, in.Op, in.Imm); ok {
 				name := w.Name(fr.Name)
 				wc := webs[name]
@@ -122,8 +120,7 @@ func Build(p *Profile, dbg *DebugInfo) *Report {
 		order = order[:hotSpots]
 	}
 	for _, pc := range order {
-		fr, local, _ := ix.Locate(pc)
-		in := ix.Instr(pc)
+		fr, local, in := ix.Locate(pc)
 		hs := HotSpot{
 			PC: pc, Func: fr.Name, LocalPC: local,
 			Text:         isa.FormatInstr(ix.Prog, in),

@@ -15,12 +15,11 @@ const (
 )
 
 // smProf is one SM's profiling state, allocated only when Config.Profile
-// is set: flat per-PC counter arrays (indexed by the program's memoized
-// prof.Index) and the raw per-interval samples. Like every other per-SM
-// structure it is private to the SM's goroutine and merged in SM-index
-// order afterwards, so profiles inherit the simulator's bit-determinism.
+// is set: flat per-PC counter arrays (indexed by interp.Event.PC) and the
+// raw per-interval samples. Like every other per-SM structure it is
+// private to the SM's goroutine and merged in SM-index order afterwards,
+// so profiles inherit the simulator's bit-determinism.
 type smProf struct {
-	idx    *prof.Index
 	issues []uint64    // per-PC issue counts
 	stalls [5][]uint64 // per-PC stall cycles by stallKind ([stallNone] unused)
 
@@ -38,11 +37,12 @@ type smProf struct {
 // newSMProf returns the SM's profiling state, or nil when profiling is
 // off — the nil check is the entire disabled-path cost.
 func newSMProf(e *engine) *smProf {
-	if e.profIdx == nil {
+	if !e.cfg.Profile {
 		return nil
 	}
-	n := e.profIdx.NumSlots()
-	p := &smProf{idx: e.profIdx, issues: make([]uint64, n),
+	b := e.lc.Prog.PCBases()
+	n := b[len(b)-1]
+	p := &smProf{issues: make([]uint64, n),
 		interval: sampleBase, nextSample: sampleBase}
 	for k := stallMem; k <= stallMSHR; k++ {
 		p.stalls[k] = make([]uint64, n)
@@ -108,18 +108,19 @@ func (p *smProf) coarsen(f int) {
 // boundary flushed into its first missing sample so the instructions
 // track still sums to Stats.Instructions over full intervals.
 func mergeProfiles(e *engine, sms []*smCtx, st *Stats) *prof.Profile {
-	slots := e.profIdx.NumSlots()
+	ix := prof.NewIndex(e.lc.Prog)
+	pcs := ix.NumPCs()
 	p := &prof.Profile{
-		Index:        e.profIdx,
-		Issues:       make([]uint64, slots),
-		StallMem:     make([]uint64, slots),
-		StallALU:     make([]uint64, slots),
-		StallBarrier: make([]uint64, slots),
-		StallMSHR:    make([]uint64, slots),
+		Index:        ix,
+		Issues:       make([]uint64, pcs),
+		StallMem:     make([]uint64, pcs),
+		StallALU:     make([]uint64, pcs),
+		StallBarrier: make([]uint64, pcs),
+		StallMSHR:    make([]uint64, pcs),
 	}
 	for _, sm := range sms {
 		sp := sm.prof
-		for i := 0; i < slots; i++ {
+		for i := 0; i < pcs; i++ {
 			p.Issues[i] += sp.issues[i]
 			p.StallMem[i] += sp.stalls[stallMem][i]
 			p.StallALU[i] += sp.stalls[stallALU][i]

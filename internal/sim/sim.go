@@ -249,12 +249,10 @@ type engine struct {
 	sharedWords int
 	dramService float64 // per-SM channel occupancy per line
 
-	// profIdx is the flat-PC index, nil unless Config.Profile is set.
 	// stallHist is the shared per-warp stall-duration histogram, resolved
 	// once here so the issue path never does a registry lookup;
 	// Histogram.Observe is internally locked, and the bucket/count/sum
 	// state is order-independent, so parallel SMs keep it deterministic.
-	profIdx   *prof.Index
 	stallHist *obs.Histogram
 }
 
@@ -422,10 +420,6 @@ func simulateLoop(cfg Config, lc *interp.Launch) (*Stats, error) {
 		if e.comp, err = interp.CompiledOf(lc.Prog); err != nil {
 			return nil, err
 		}
-	}
-	if cfg.Profile {
-		// The flat-PC index is memoized per program like the layout.
-		e.profIdx = prof.IndexOf(lc.Prog)
 	}
 	if cfg.Obs.Enabled() {
 		e.stallHist = cfg.Obs.Metrics().Histogram("sim.warp_stall_cycles")
@@ -1032,7 +1026,7 @@ func (sm *smCtx) issueOne(wc *warpCtx) bool {
 		// The instruction issuing now is the one the warp was blocked on,
 		// so the gap is its stall attribution.
 		if p := sm.prof; p != nil {
-			p.stalls[wc.stall][p.idx.SlotOf(ev.Instr)] += g
+			p.stalls[wc.stall][ev.PC] += g
 		}
 		if h := sm.eng.stallHist; h != nil {
 			h.Observe(float64(g))
@@ -1048,7 +1042,7 @@ func (sm *smCtx) issueOne(wc *warpCtx) bool {
 		})
 	}
 
-	instr := ev.Instr
+	instr, pc := ev.Instr, ev.PC
 	var err error
 	if wc.cw != nil {
 		err = wc.cw.Commit()
@@ -1064,7 +1058,7 @@ func (sm *smCtx) issueOne(wc *warpCtx) bool {
 		return true
 	}
 	if p := sm.prof; p != nil {
-		p.issues[p.idx.SlotOf(instr)]++
+		p.issues[pc]++
 	}
 	if instr != nil {
 		if instr.IsSpill() {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/interp"
 	"repro/internal/isa"
+	"repro/internal/prof"
 )
 
 // BlockOracle functionally executes the warps of a single thread block
@@ -51,19 +52,11 @@ func BlockOracle(p *isa.Program, stepLimit int) ([]Violation, error) {
 		shared = make([]uint32, sharedWords)
 	}
 
-	// Instruction identity -> (function, pc) for reporting.
-	pcOf := make(map[*isa.Instr][2]int)
-	for fi, f := range p.Funcs {
-		for i := range f.Instrs {
-			pcOf[&f.Instrs[i]] = [2]int{fi, i}
-		}
-	}
-
 	type access struct {
 		warp, interval int
 		lo, hi         uint32
 		write          bool
-		fn, pc         int
+		pc             int32 // flat (isa.Program.PCBases)
 	}
 	var accs []access
 	bars := make([]int, wpb)
@@ -84,12 +77,10 @@ func BlockOracle(p *isa.Program, stepLimit int) ([]Violation, error) {
 			case ev.Kind == interp.KindBarrier:
 				bars[wi]++
 			case ev.Space == interp.SpaceShared && ev.Instr != nil && !ev.Instr.IsSpill() && ev.Bytes > 0:
-				loc := pcOf[ev.Instr]
 				accs = append(accs, access{
 					warp: wi, interval: bars[wi],
 					lo: ev.Addr, hi: ev.Addr + uint32(ev.Bytes) - 1,
-					write: ev.Kind == interp.KindStore,
-					fn:    loc[0], pc: loc[1],
+					write: ev.Kind == interp.KindStore, pc: ev.PC,
 				})
 			}
 		}
@@ -107,6 +98,7 @@ func BlockOracle(p *isa.Program, stepLimit int) ([]Violation, error) {
 			break
 		}
 	}
+	ix := prof.NewIndex(p)
 	const maxRaces = 20
 	races := 0
 	for i := 0; i < len(accs) && races < maxRaces; i++ {
@@ -117,13 +109,15 @@ func BlockOracle(p *isa.Program, stepLimit int) ([]Violation, error) {
 			}
 			if a.lo <= b.hi && b.lo <= a.hi {
 				races++
+				fa, pa, _ := ix.Locate(int(a.pc))
+				fb, pb, _ := ix.Locate(int(b.pc))
 				out = append(out, Violation{
 					Invariant: "dyn-shared-race",
-					Func:      p.Funcs[a.fn].Name,
+					Func:      fa.Name,
 					Detail: fmt.Sprintf(
 						"warp %d %s[%d] bytes [%d,%d] overlaps warp %d %s[%d] bytes [%d,%d] in barrier interval %d",
-						a.warp, p.Funcs[a.fn].Name, a.pc, a.lo, a.hi,
-						b.warp, p.Funcs[b.fn].Name, b.pc, b.lo, b.hi, a.interval),
+						a.warp, fa.Name, pa, a.lo, a.hi,
+						b.warp, fb.Name, pb, b.lo, b.hi, a.interval),
 				})
 			}
 		}
