@@ -81,9 +81,10 @@ fuzz-short:
 ## bench-smoke: one iteration of the cold-sweep benchmark, of the
 ## simulator throughput benchmark, of the simulator with the profiler off
 ## and on, of the spill-heavy coloring benchmark, of the multi-round
-## spill loop, of the reference executor at both lane counts and of the
-## assembler and validator — not a measurement, just proof the benchmark
-## paths still compile and run.
+## spill loop, of the reference executor at both lane counts, of the
+## assembler and validator and of the differential oracle (one-shot and
+## shared reference) — not a measurement, just proof the benchmark paths
+## still compile and run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench SweepCold -benchtime 1x ./internal/bench/
 	$(GO) test -run '^$$' -bench 'Simulator$$' -benchtime 1x .
@@ -91,6 +92,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'AllocateSpillHeavy|SpillRounds' -benchtime 1x ./internal/regalloc/
 	$(GO) test -run '^$$' -bench WarpStep -benchtime 1x ./internal/interp/
 	$(GO) test -run '^$$' -bench '^Benchmark(Parse|Validate)$$' -benchtime 1x ./internal/isa/
+	$(GO) test -run '^$$' -bench Differential -benchtime 1x ./internal/verify/
 
 ## bench: the repository's benchmark (BENCHMARK.json, benchmark/README.md):
 ## every workload once, every end-to-end metric printed by name, results

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/device"
+	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/obs"
 )
@@ -17,10 +21,32 @@ func countSpans(c *obs.Collector, name string) (n uint64) {
 	return n
 }
 
+// verifiedLevels returns the target levels of the "verify" spans c
+// recorded, one per span, in record order.
+func verifiedLevels(t *testing.T, c *obs.Collector) []int {
+	t.Helper()
+	var out []int
+	for _, line := range spanTree(t, c) {
+		if !strings.HasPrefix(line, "verify <- ") {
+			continue
+		}
+		m := regexp.MustCompile(`target_warps=(\d+)`).FindStringSubmatch(line)
+		if m == nil {
+			t.Fatalf("verify span without a level: %s", line)
+		}
+		lvl, _ := strconv.Atoi(m[1])
+		out = append(out, lvl)
+	}
+	return out
+}
+
 // TestOneReferencePerCompile pins the oracle's ownership: a compile
 // executes its source once however many levels it verifies against it
-// (in parallel), and a decoded multi-version binary executes its original
-// version once however many candidates pass the tuner's gate.
+// (in parallel), and each distinct realized program once however many
+// levels it serves; a decoded multi-version binary executes its original
+// version once however many candidates pass the tuner's gate; a sweep
+// executes each distinct program once. Every check that reaches the
+// oracle records one verify.differential span.
 func TestOneReferencePerCompile(t *testing.T) {
 	k, err := kernels.ByName("cfd")
 	if err != nil {
@@ -37,14 +63,29 @@ func TestOneReferencePerCompile(t *testing.T) {
 	}
 	m := r.Obs.Metrics()
 	refs, diffs := m.Counter("verify.reference_runs").Value(), m.Counter("verify.differential_runs").Value()
-	if refs != 1 || diffs < 3 {
-		t.Errorf("compile: %d reference runs for %d differential checks, want 1 for several", refs, diffs)
+	if got := countSpans(r.Obs, "verify.reference"); refs != 1 || got != refs {
+		t.Errorf("compile: %d reference runs (%d spans), want 1", refs, got)
 	}
-	if got := countSpans(r.Obs, "verify.reference"); got != refs {
-		t.Errorf("compile: %d verify.reference spans, counter says %d", got, refs)
+	// The compile verified these levels; an ungated ladder realizes the
+	// same bytes at each, and the oracle ran once per distinct program.
+	levels := verifiedLevels(t, r.Obs)
+	if got := countSpans(r.Obs, "verify.differential"); got != uint64(len(levels)) {
+		t.Errorf("compile: %d verify.differential spans for %d checks", got, len(levels))
 	}
-	if got := countSpans(r.Obs, "verify.differential"); got != diffs {
-		t.Errorf("compile: %d verify.differential spans, counter says %d", got, diffs)
+	plain := NewRealizer(device.GTX680(), device.SmallCache)
+	plain.Verify, plain.Lint = false, LintOff
+	lad := plain.NewLadder(k.Prog)
+	distinct := map[isa.Fingerprint]bool{}
+	for _, lvl := range levels {
+		v, err := lad.Realize(lvl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		distinct[v.fingerprint()] = true
+	}
+	if diffs != uint64(len(distinct)) || len(distinct) < 3 || len(distinct) >= len(levels) {
+		t.Errorf("compile: %d differential runs for %d checks of %d distinct programs, want one per program",
+			diffs, len(levels), len(distinct))
 	}
 
 	decoded, err := DecodeFat(EncodeFat(cr))
@@ -53,19 +94,56 @@ func TestOneReferencePerCompile(t *testing.T) {
 	}
 	r = NewRealizer(device.GTX680(), device.SmallCache)
 	r.Obs = obs.New()
-	distinct := map[*Version]bool{}
+	versions := map[*Version]bool{}
+	distinct = map[isa.Fingerprint]bool{}
 	for _, c := range append(decoded.Candidates, decoded.FailSafe...) {
 		if err := r.verifyCandidate(decoded, c, r.Obs.Ctx()); err != nil {
 			t.Fatal(err)
 		}
 		if c.Version != decoded.Original {
-			distinct[c.Version] = true
+			versions[c.Version] = true
+			distinct[c.Version.fingerprint()] = true
 		}
 	}
 	m = r.Obs.Metrics()
 	refs, diffs = m.Counter("verify.reference_runs").Value(), m.Counter("verify.differential_runs").Value()
 	if refs != 1 || diffs != uint64(len(distinct)) || diffs < 2 {
-		t.Errorf("decoded binary: %d reference runs, %d differential checks for %d distinct versions, want 1 and one each",
+		t.Errorf("decoded binary: %d reference runs, %d differential runs for %d distinct programs, want 1 and one each",
 			refs, diffs, len(distinct))
+	}
+	if got := countSpans(r.Obs, "verify.differential"); got != uint64(len(versions)) {
+		t.Errorf("decoded binary: %d verify.differential spans for %d versions checked", got, len(versions))
+	}
+
+	// A sweep of hotspot on the GTX680 allocates byte-identical programs
+	// from four budget pairs (8, 16, 24 and 32 warps): every level's gate
+	// reaches the oracle, and each distinct program executes once.
+	hs, err := kernels.ByName("hotspot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ResetRealizeCache()
+	r = NewRealizer(device.GTX680(), device.SmallCache)
+	r.Obs = obs.New()
+	out, err := r.Sweep(hs.Prog, 2*hs.Prog.BlockDim/32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated := map[*isa.Program]bool{}
+	distinct = map[isa.Fingerprint]bool{}
+	for _, lr := range out {
+		allocated[lr.Version.Prog] = true
+		distinct[lr.Version.fingerprint()] = true
+	}
+	if len(distinct) >= len(allocated) {
+		t.Fatalf("sweep: %d allocations are %d distinct programs: no two levels allocate the same bytes",
+			len(allocated), len(distinct))
+	}
+	if diffs := r.Obs.Metrics().Counter("verify.differential_runs").Value(); diffs != uint64(len(distinct)) {
+		t.Errorf("sweep: %d differential runs for %d levels of %d distinct programs, want one per program",
+			diffs, len(out), len(distinct))
+	}
+	if got := countSpans(r.Obs, "verify.differential"); got != uint64(len(out)) {
+		t.Errorf("sweep: %d verify.differential spans for %d levels", got, len(out))
 	}
 }

@@ -37,14 +37,26 @@ func (e *VerifyError) Error() string {
 }
 
 // oracleRef is the differential oracle's reference for one program, built
-// on first use and shared by every version checked against that program.
-// It belongs to whatever owns the program's realizations (a Ladder, a
-// CompileResult) and is freed with it. Sharing is sound because programs
-// are immutable after Validate and the reference depends on nothing but
-// the program and the oracle's fixed launch.
+// on first use and shared by every version checked against that program,
+// with the oracle's verdict on each distinct realized program. It belongs
+// to whatever owns the program's realizations (a Ladder, a CompileResult)
+// and is freed with it. Sharing is sound because programs are immutable
+// after Validate, the reference depends on nothing but the program and
+// the oracle's fixed launch, and a verdict on nothing but the reference
+// and the realized program's bytes.
 type oracleRef struct {
 	once sync.Once
 	ref  *verify.Reference
+
+	mu       sync.Mutex
+	verdicts map[isa.Fingerprint]*verdict
+}
+
+// verdict is the differential oracle's outcome for one realized program,
+// reached once.
+type verdict struct {
+	once sync.Once
+	vs   []verify.Violation
 }
 
 // get returns the reference for orig, executing orig on the first call
@@ -57,6 +69,30 @@ func (o *oracleRef) get(orig *isa.Program, x obs.Ctx) *verify.Reference {
 		x.Metrics().Counter("verify.reference_runs").Add(1)
 	})
 	return o.ref
+}
+
+// check returns the differential verdict on v's program against the
+// reference get built, executing the program once per distinct
+// fingerprint: the per-level clones of one realization, and byte-identical
+// allocations reached from different budgets, share one run. Concurrent
+// first calls for one program wait for that run.
+func (o *oracleRef) check(v *Version, x obs.Ctx) []verify.Violation {
+	fp := v.fingerprint()
+	o.mu.Lock()
+	d := o.verdicts[fp]
+	if d == nil {
+		if o.verdicts == nil {
+			o.verdicts = map[isa.Fingerprint]*verdict{}
+		}
+		d = &verdict{}
+		o.verdicts[fp] = d
+	}
+	o.mu.Unlock()
+	d.once.Do(func() {
+		d.vs = o.ref.Check(v.Prog)
+		x.Metrics().Counter("verify.differential_runs").Add(1)
+	})
+	return d.vs
 }
 
 // verifyVersion checks a realized version against the allocation verifier
@@ -90,13 +126,14 @@ func (r *Realizer) verifyUncached(orig *isa.Program, ref *oracleRef, v *Version,
 	})
 	// The oracle needs a statically sane binary and a reference that is
 	// not the binary itself (the decreasing direction runs the original
-	// version at padded levels — nothing to diff).
+	// version at padded levels — nothing to diff). Every check that reaches
+	// the oracle records its wait for the verdict as a span, whichever
+	// check ran the program, so the trace does not depend on scheduling.
 	if len(vs) == 0 && orig != nil && orig != v.Prog {
-		reference := ref.get(orig, sp.Ctx())
+		ref.get(orig, sp.Ctx())
 		dsp := sp.Ctx().Span("verify.differential")
-		vs = reference.Check(v.Prog)
+		vs = ref.check(v, dsp.Ctx())
 		dsp.End()
-		x.Metrics().Counter("verify.differential_runs").Add(1)
 	}
 	for _, viol := range vs {
 		vsp := sp.Ctx().Span("verify.violation",

@@ -14,12 +14,14 @@ import (
 // handler that reads its operands from that template. The timing simulator
 // drives compiled warps through Peek, which hands out the template in
 // place with the frame base and the memory address beside it, and Commit,
-// which runs the handler. The interpreter (Warp) remains the semantic
-// source of truth — every handler mirrors the corresponding Advance case
-// exactly, including error strings — and the differential tests in this
-// package and package sim hold the two backends to bit-identical results.
-// Only one-lane execution is compiled: lane-variant (LANEID) kernels run
-// the reference Warp at 32 lanes.
+// which runs the handler; Run, the differential oracle's executor, only
+// commits, collecting global stores through StoreSink. The interpreter
+// (Warp) remains the semantic source of truth — every handler mirrors the
+// corresponding Advance case exactly, including error strings — and the
+// differential tests in this package and package sim hold the two backends
+// to bit-identical results. Only one-lane execution is compiled:
+// lane-variant (LANEID) kernels run the reference Warp at 32 lanes, in the
+// simulator and in Run alike.
 
 // StepExecutor is the stepping interface both executors (CWarp, Warp)
 // implement. Fill writes the next event into caller-owned storage and the
@@ -92,6 +94,11 @@ func Compile(p *isa.Program) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
+	return compile(p, layout)
+}
+
+// compile is Compile with the program's layout already built.
+func compile(p *isa.Program, layout *Layout) (*Compiled, error) {
 	if err := layout.CheckRegFile(); err != nil {
 		return nil, err
 	}
@@ -135,6 +142,11 @@ type CWarp struct {
 	steps    int
 	cks      uint64
 	storeCnt int
+
+	// StoreSink is Warp.StoreSink for the compiled backend: it receives
+	// every global store as it commits, the words a view into the
+	// register file valid only during the call. Release clears it.
+	StoreSink func(addr uint32, words []uint32)
 }
 
 var cwarpPool = sync.Pool{New: func() any { return new(CWarp) }}
@@ -178,7 +190,7 @@ func reuseZeroed(buf []uint32, n int) []uint32 {
 
 // Release returns the warp to the pool.
 func (w *CWarp) Release() {
-	w.c, w.launch, w.shared, w.code = nil, nil, nil, nil
+	w.c, w.launch, w.shared, w.code, w.StoreSink = nil, nil, nil, nil, nil
 	cwarpPool.Put(w)
 }
 
@@ -238,6 +250,20 @@ func (w *CWarp) Commit() error {
 	w.steps++
 	w.code[w.fr.pc].exec(w)
 	return w.err
+}
+
+// runTo commits instructions until the warp exits, failing with
+// ErrStepLimit before a step past limit (Run's loop, as Warp.runTo).
+func (w *CWarp) runTo(limit int) error {
+	for !w.done {
+		if w.steps >= limit {
+			return ErrStepLimit
+		}
+		if err := w.Commit(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (w *CWarp) readSpecial(sp isa.Sp) uint32 {
@@ -497,13 +523,17 @@ func execStG(w *CWarp) {
 	op, _, s0, s1 := w.operands()
 	wn := int(op.tmpl.SrcW[1])
 	addr := w.regs[s0] + uint32(op.tmpl.Instr.Imm)
+	words := w.regs[s1:][:wn]
 	h := w.cks
-	for i := 0; i < wn; i++ {
+	for i, v := range words {
 		h = (h ^ uint64(addr+uint32(4*i))) * fnvPrime
-		h = (h ^ uint64(w.regs[s1+i])) * fnvPrime
+		h = (h ^ uint64(v)) * fnvPrime
 	}
 	w.cks = h
 	w.storeCnt += wn
+	if w.StoreSink != nil {
+		w.StoreSink(addr, words)
+	}
 	w.fr.pc++
 }
 

@@ -11,7 +11,11 @@
 // when its program never reads LANEID (every lane would compute the same
 // values, and the paper's occupancy phenomena are warp-granular) and as
 // 32 lanes with divergence, coalescing and bank conflicts when it does.
-// CWarp is its compiled one-lane twin. Global memory is deterministic
+// CWarp is its compiled one-lane twin, held to it bit for bit. Run (the
+// differential oracle's executor) and the timing simulator pick alike:
+// CWarp for a program that never reads LANEID, Warp for one that does.
+// Warp also runs the simulator's interp backend, the reference its
+// cross-backend checks compare against. Global memory is deterministic
 // pseudo-data: loads of address a return hash(a), stores are logged into
 // a per-warp checksum. This makes results independent of warp
 // scheduling, so the functional interpreter and the timing simulator
@@ -491,6 +495,20 @@ func (w *Warp) Commit() error { return w.Advance() }
 // Release is a no-op: reference warps are not pooled (StepExecutor).
 func (w *Warp) Release() {}
 
+// runTo advances the warp until every lane has exited, failing with
+// ErrStepLimit before a step past limit (Run's loop, as CWarp.runTo).
+func (w *Warp) runTo(limit int) error {
+	for !w.Done() {
+		if w.Steps >= limit {
+			return ErrStepLimit
+		}
+		if err := w.Advance(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // LocalSlotBytes is the local-memory footprint of one spill slot for a
 // whole warp: 32 threads × 4 bytes, coalescing into exactly one cache
 // line. Spill-heavy high-occupancy configurations therefore pressure the
@@ -865,12 +883,31 @@ type Result struct {
 	WarpSteps []int // per-warp dynamic instruction counts
 }
 
-// Run executes every warp of the launch functionally. stepLimit bounds the
-// dynamic instructions per warp (0 means a generous default). sink, when
-// not nil, receives every warp's global stores as its StoreSink does,
-// tagged with the warp's index in the launch. A negative grid is an error;
-// an empty one runs nothing.
+// Run executes every warp of the launch functionally, each on the
+// executor the timing simulator would pick: the compiled CWarp when the
+// program never reads LANEID, the reference Warp at 32 lanes when it
+// does. stepLimit bounds the dynamic instructions per warp (0 means a
+// generous default). sink, when not nil, receives every warp's global
+// stores as its StoreSink does, tagged with the warp's index in the
+// launch. A negative grid is an error; an empty one runs nothing.
 func Run(lc *Launch, stepLimit int, sink func(warp int, addr uint32, words []uint32)) (*Result, error) {
+	return run(lc, stepLimit, sink, !lc.Prog.UsesLaneID())
+}
+
+// runner is what run needs of an executor: a whole warp's execution and
+// its totals.
+type runner interface {
+	runTo(limit int) error
+	Result() (steps int, checksum uint64, stores int)
+	Release()
+}
+
+// run is Run on a chosen executor: CWarp when compiled (one-lane
+// semantics, so only for a program that does not read LANEID), else the
+// reference Warp. Both report the same results and errors. The
+// translation is private to the run: the caller's program keeps no
+// compiled code alive.
+func run(lc *Launch, stepLimit int, sink func(warp int, addr uint32, words []uint32), compiled bool) (*Result, error) {
 	if lc.GridWarps < 0 {
 		return nil, fmt.Errorf("interp: negative grid of %d warps", lc.GridWarps)
 	}
@@ -880,6 +917,12 @@ func Run(lc *Launch, stepLimit int, sink func(warp int, addr uint32, words []uin
 	layout, err := NewLayout(lc.Prog)
 	if err != nil {
 		return nil, err
+	}
+	var c *Compiled
+	if compiled && lc.GridWarps > 0 { // an empty grid runs nothing, so nothing fails
+		if c, err = compile(lc.Prog, layout); err != nil {
+			return nil, err
+		}
 	}
 	if stepLimit <= 0 {
 		stepLimit = 5_000_000
@@ -892,25 +935,33 @@ func Run(lc *Launch, stepLimit int, sink func(warp int, addr uint32, words []uin
 		if wi%wpb == 0 && sharedWords > 0 {
 			shared = make([]uint32, sharedWords)
 		}
-		w, err := NewWarp(lc, layout, wi, shared)
-		if err != nil {
-			return nil, err
-		}
+		var warpSink func(addr uint32, words []uint32)
 		if sink != nil {
-			w.StoreSink = func(addr uint32, words []uint32) { sink(wi, addr, words) }
+			warpSink = func(addr uint32, words []uint32) { sink(wi, addr, words) }
 		}
-		for !w.Done() {
-			if w.Steps >= stepLimit {
-				return nil, fmt.Errorf("warp %d: %w", wi, ErrStepLimit)
+		var w runner
+		if c != nil {
+			cw := NewCWarp(c, lc, wi, shared)
+			cw.StoreSink = warpSink
+			w = cw
+		} else {
+			rw, err := NewWarp(lc, layout, wi, shared)
+			if err != nil {
+				return nil, err
 			}
-			if err := w.Advance(); err != nil {
-				return nil, fmt.Errorf("warp %d: %w", wi, err)
-			}
+			rw.StoreSink = warpSink
+			w = rw
 		}
-		res.Checksum ^= MixWarpChecksum(w.WarpID, w.Checksum)
-		res.Steps += w.Steps
-		res.Stores += w.StoreCnt
-		res.WarpSteps[wi] = w.Steps
+		err := w.runTo(stepLimit)
+		steps, cks, stores := w.Result()
+		w.Release()
+		if err != nil {
+			return nil, fmt.Errorf("warp %d: %w", wi, err)
+		}
+		res.Checksum ^= MixWarpChecksum(lc.FirstWarp+wi, cks)
+		res.Steps += steps
+		res.Stores += stores
+		res.WarpSteps[wi] = steps
 	}
 	return res, nil
 }

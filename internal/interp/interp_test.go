@@ -7,7 +7,7 @@ import (
 	"repro/internal/isa"
 )
 
-func run(t *testing.T, src string, warps int) *Result {
+func runSrc(t *testing.T, src string, warps int) *Result {
 	t.Helper()
 	p, err := isa.Parse(src)
 	if err != nil {
@@ -40,7 +40,7 @@ func TestArithmetic(t *testing.T) {
   STG [v9], v8
   EXIT
 `
-	res := run(t, src, 1)
+	res := runSrc(t, src, 1)
 	// A kernel storing value 1 at 4096 must have same checksum as the
 	// direct construction.
 	var want uint64 = fnvOffset
@@ -70,7 +70,7 @@ func TestFloatOps(t *testing.T) {
   STG [v8+4], v6
   EXIT
 `
-	res := run(t, src, 1)
+	res := runSrc(t, src, 1)
 	var want uint64 = fnvOffset
 	want = (want ^ 8192) * fnvPrime
 	want = (want ^ 11) * fnvPrime
@@ -104,7 +104,7 @@ top:
   STG [v5], v1
   EXIT
 `
-	res := run(t, src, 1)
+	res := runSrc(t, src, 1)
 	var want uint64 = fnvOffset
 	want = (want ^ 100) * fnvPrime
 	want = (want ^ 45) * fnvPrime
@@ -135,7 +135,7 @@ func TestCallsAndFrames(t *testing.T) {
   IMUL v1, v0, v0
   RET v1
 `
-	res := run(t, src, 1)
+	res := runSrc(t, src, 1)
 	var want uint64 = fnvOffset
 	want = (want ^ 200) * fnvPrime
 	want = (want ^ 85) * fnvPrime
@@ -172,7 +172,7 @@ func TestNestedCallsPreserveCaller(t *testing.T) {
   RET v2
 `
 	// leaf(1000)=1005; chain(11)=1016; main: 55+1016=1071.
-	res := run(t, src, 1)
+	res := runSrc(t, src, 1)
 	var want uint64 = fnvOffset
 	want = (want ^ 300) * fnvPrime
 	want = (want ^ 1071) * fnvPrime
@@ -198,7 +198,7 @@ func TestSpecialRegisters(t *testing.T) {
   STG [v5+8], v3
   EXIT
 `
-	res := run(t, src, 4) // 2 blocks of 2 warps
+	res := runSrc(t, src, 4) // 2 blocks of 2 warps
 	var want uint64
 	for w := 0; w < 4; w++ {
 		var h uint64 = fnvOffset
@@ -228,8 +228,8 @@ func TestGlobalLoadsDeterministic(t *testing.T) {
   STG [v0+64], v3
   EXIT
 `
-	a := run(t, src, 1)
-	b := run(t, src, 1)
+	a := runSrc(t, src, 1)
+	b := runSrc(t, src, 1)
 	if a.Checksum != b.Checksum {
 		t.Error("global loads nondeterministic")
 	}
@@ -256,7 +256,7 @@ func TestSharedMemory(t *testing.T) {
   STG [v3], v2
   EXIT
 `
-	res := run(t, src, 1)
+	res := runSrc(t, src, 1)
 	var want uint64 = fnvOffset
 	want = (want ^ 0) * fnvPrime
 	want = (want ^ 777) * fnvPrime
@@ -321,7 +321,7 @@ func TestWideOps(t *testing.T) {
   STG [v0+32], v6
   EXIT
 `
-	res := run(t, src, 1)
+	res := runSrc(t, src, 1)
 	var want uint64 = fnvOffset
 	want = (want ^ (1024 + 32)) * fnvPrime
 	want = (want ^ uint64(GlobalData(1024)^GlobalData(1028))) * fnvPrime

@@ -437,6 +437,9 @@ func simulateLoop(cfg Config, lc *interp.Launch) (*Stats, error) {
 			// Pre-size the issue-scan slice for the configured residency.
 			warps: make([]*warpCtx, 0, cfg.BlocksPerSM*wpb),
 		}
+		if cfg.Profile {
+			sms[i].trace = *tracePool.Get().(*[]IssueRecord)
+		}
 		sms[i].wake.farMin = asleep
 	}
 
@@ -541,33 +544,46 @@ func simulateLoop(cfg Config, lc *interp.Launch) (*Stats, error) {
 	return st, nil
 }
 
-// mergeTraces k-way merges the per-SM issue logs by (cycle, SM index);
-// each per-SM log is already cycle-sorted because an SM's clock is
-// monotone, so ties break toward the lowest SM index.
+// mergeTraces k-way merges the issue logs of the SMs that recorded any by
+// (cycle, SM index): each log is already cycle-sorted because an SM's
+// clock is monotone, so ties break toward the lowest SM index. Only the
+// SMs hosting global warps 0..traceWarps-1 hold records. Once merged, the
+// logs go back to tracePool for the next profiled launch.
 func mergeTraces(sms []*smCtx) *Trace {
+	var logs [][]IssueRecord
 	total := 0
 	for _, sm := range sms {
-		total += len(sm.trace)
+		if len(sm.trace) > 0 {
+			logs = append(logs, sm.trace)
+			total += len(sm.trace)
+		}
 	}
 	tr := &Trace{Records: make([]IssueRecord, 0, total)}
-	pos := make([]int, len(sms))
+	pos := make([]int, len(logs))
 	for {
 		best := -1
 		var bestCycle uint64
-		for i, sm := range sms {
-			if pos[i] >= len(sm.trace) {
-				continue
-			}
-			if c := sm.trace[pos[i]].Cycle; best < 0 || c < bestCycle {
-				best, bestCycle = i, c
+		for i, log := range logs {
+			if pos[i] < len(log) {
+				if c := log[pos[i]].Cycle; best < 0 || c < bestCycle {
+					best, bestCycle = i, c
+				}
 			}
 		}
 		if best < 0 {
-			return tr
+			break
 		}
-		tr.Records = append(tr.Records, sms[best].trace[pos[best]])
+		tr.Records = append(tr.Records, logs[best][pos[best]])
 		pos[best]++
 	}
+	for _, sm := range sms {
+		if cap(sm.trace) > 0 {
+			buf := sm.trace[:0]
+			tracePool.Put(&buf)
+		}
+		sm.trace = nil
+	}
+	return tr
 }
 
 // run is one SM's complete simulation: launch the initial residency,
