@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"regexp"
 	"strconv"
 	"strings"
@@ -145,5 +146,47 @@ func TestOneReferencePerCompile(t *testing.T) {
 	}
 	if got := countSpans(r.Obs, "verify.differential"); got != uint64(len(out)) {
 		t.Errorf("sweep: %d verify.differential spans for %d levels", got, len(out))
+	}
+}
+
+// storeKernel stores val to one global word per warp.
+func storeKernel(val int) string {
+	return fmt.Sprintf(`
+.kernel st
+.blockdim 32
+.func main
+  RDSP v0, WARPID
+  MOVI v1, 2
+  SHL v2, v0, v1
+  MOVI v3, %d
+  STG [v2], v3
+  EXIT
+`, val)
+}
+
+// TestOracleVerdictNotCachedOnPanic: a differential run that panics
+// leaves no verdict behind, so a later check of the same program runs it
+// again and reports its violation instead of passing on an empty verdict.
+func TestOracleVerdictNotCachedOnPanic(t *testing.T) {
+	orig := isa.MustParse(storeKernel(7))
+	tampered := &Version{Prog: isa.MustParse(storeKernel(8))}
+	x := obs.New().Ctx()
+	var o oracleRef
+	ref := o.get(orig, x)
+	o.ref = nil // Check on a nil reference panics
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a check against a nil reference did not panic")
+			}
+		}()
+		o.check(tampered, x)
+	}()
+	if n := o.verdicts.Len(); n != 0 {
+		t.Fatalf("%d verdicts cached after a panicked run", n)
+	}
+	o.ref = ref
+	if vs := o.check(tampered, x); len(vs) == 0 {
+		t.Error("a tampered program passed the oracle after a panicked check of it")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/isa"
+	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/verify"
 )
@@ -45,18 +46,9 @@ func (e *VerifyError) Error() string {
 // the oracle's fixed launch, and a verdict on nothing but the reference
 // and the realized program's bytes.
 type oracleRef struct {
-	once sync.Once
-	ref  *verify.Reference
-
-	mu       sync.Mutex
-	verdicts map[isa.Fingerprint]*verdict
-}
-
-// verdict is the differential oracle's outcome for one realized program,
-// reached once.
-type verdict struct {
-	once sync.Once
-	vs   []verify.Violation
+	once     sync.Once
+	ref      *verify.Reference
+	verdicts *memo.Cache[isa.Fingerprint, []verify.Violation]
 }
 
 // get returns the reference for orig, executing orig on the first call
@@ -65,6 +57,7 @@ func (o *oracleRef) get(orig *isa.Program, x obs.Ctx) *verify.Reference {
 	o.once.Do(func() {
 		sp := x.Span("verify.reference", obs.String("kernel", orig.Name))
 		o.ref = verify.NewReference(orig, 0, 0)
+		o.verdicts = memo.New[isa.Fingerprint, []verify.Violation]()
 		sp.End()
 		x.Metrics().Counter("verify.reference_runs").Add(1)
 	})
@@ -75,24 +68,15 @@ func (o *oracleRef) get(orig *isa.Program, x obs.Ctx) *verify.Reference {
 // reference get built, executing the program once per distinct
 // fingerprint: the per-level clones of one realization, and byte-identical
 // allocations reached from different budgets, share one run. Concurrent
-// first calls for one program wait for that run.
+// first calls for one program wait for that run; a run that panics leaves
+// no verdict, so every caller sees the panic or a verdict of its own.
 func (o *oracleRef) check(v *Version, x obs.Ctx) []verify.Violation {
-	fp := v.fingerprint()
-	o.mu.Lock()
-	d := o.verdicts[fp]
-	if d == nil {
-		if o.verdicts == nil {
-			o.verdicts = map[isa.Fingerprint]*verdict{}
-		}
-		d = &verdict{}
-		o.verdicts[fp] = d
-	}
-	o.mu.Unlock()
-	d.once.Do(func() {
-		d.vs = o.ref.Check(v.Prog)
+	vs, _ := o.verdicts.Do(v.fingerprint(), func() ([]verify.Violation, error) {
+		vs := o.ref.Check(v.Prog)
 		x.Metrics().Counter("verify.differential_runs").Add(1)
+		return vs, nil
 	})
-	return d.vs
+	return vs
 }
 
 // verifyVersion checks a realized version against the allocation verifier

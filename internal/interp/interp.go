@@ -894,14 +894,6 @@ func Run(lc *Launch, stepLimit int, sink func(warp int, addr uint32, words []uin
 	return run(lc, stepLimit, sink, !lc.Prog.UsesLaneID())
 }
 
-// runner is what run needs of an executor: a whole warp's execution and
-// its totals.
-type runner interface {
-	runTo(limit int) error
-	Result() (steps int, checksum uint64, stores int)
-	Release()
-}
-
 // run is Run on a chosen executor: CWarp when compiled (one-lane
 // semantics, so only for a program that does not read LANEID), else the
 // reference Warp. Both report the same results and errors. The
@@ -939,20 +931,21 @@ func run(lc *Launch, stepLimit int, sink func(warp int, addr uint32, words []uin
 		if sink != nil {
 			warpSink = func(addr uint32, words []uint32) { sink(wi, addr, words) }
 		}
-		var w runner
+		// Each executor runs its own loop: driving CWarp through
+		// StepExecutor costs an interface call per step.
+		var w StepExecutor
 		if c != nil {
 			cw := NewCWarp(c, lc, wi, shared)
 			cw.StoreSink = warpSink
-			w = cw
+			w, err = cw, cw.runTo(stepLimit)
 		} else {
-			rw, err := NewWarp(lc, layout, wi, shared)
-			if err != nil {
-				return nil, err
+			rw, werr := NewWarp(lc, layout, wi, shared)
+			if werr != nil {
+				return nil, werr
 			}
 			rw.StoreSink = warpSink
-			w = rw
+			w, err = rw, rw.runTo(stepLimit)
 		}
-		err := w.runTo(stepLimit)
 		steps, cks, stores := w.Result()
 		w.Release()
 		if err != nil {

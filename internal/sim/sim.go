@@ -437,9 +437,6 @@ func simulateLoop(cfg Config, lc *interp.Launch) (*Stats, error) {
 			// Pre-size the issue-scan slice for the configured residency.
 			warps: make([]*warpCtx, 0, cfg.BlocksPerSM*wpb),
 		}
-		if cfg.Profile {
-			sms[i].trace = *tracePool.Get().(*[]IssueRecord)
-		}
 		sms[i].wake.farMin = asleep
 	}
 
@@ -547,8 +544,7 @@ func simulateLoop(cfg Config, lc *interp.Launch) (*Stats, error) {
 // mergeTraces k-way merges the issue logs of the SMs that recorded any by
 // (cycle, SM index): each log is already cycle-sorted because an SM's
 // clock is monotone, so ties break toward the lowest SM index. Only the
-// SMs hosting global warps 0..traceWarps-1 hold records. Once merged, the
-// logs go back to tracePool for the next profiled launch.
+// SMs hosting global warps 0..traceWarps-1 hold records.
 func mergeTraces(sms []*smCtx) *Trace {
 	var logs [][]IssueRecord
 	total := 0
@@ -571,19 +567,11 @@ func mergeTraces(sms []*smCtx) *Trace {
 			}
 		}
 		if best < 0 {
-			break
+			return tr
 		}
 		tr.Records = append(tr.Records, logs[best][pos[best]])
 		pos[best]++
 	}
-	for _, sm := range sms {
-		if cap(sm.trace) > 0 {
-			buf := sm.trace[:0]
-			tracePool.Put(&buf)
-		}
-		sm.trace = nil
-	}
-	return tr
 }
 
 // run is one SM's complete simulation: launch the initial residency,

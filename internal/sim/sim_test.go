@@ -81,18 +81,47 @@ func simulate(t *testing.T, d *device.Device, blocks, warps int, prog string) *S
 	return st
 }
 
+// referenceRun executes lc functionally on the reference executor,
+// interp.Warp, warp by warp as interp.Run does: the launch checksum and
+// dynamic instruction count the simulator's compiled backend must match.
+// (interp.Run itself runs a program without LANEID on CWarp, the
+// simulator's own compiled executor.)
+func referenceRun(t *testing.T, lc *interp.Launch) (checksum uint64, steps int) {
+	t.Helper()
+	layout, err := interp.NewLayout(lc.Prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shared []uint32
+	for wi := 0; wi < lc.GridWarps; wi++ {
+		if wi%lc.WarpsPerBlock() == 0 {
+			shared = make([]uint32, (lc.Prog.SharedBytes+3)/4)
+		}
+		w, err := interp.NewWarp(lc, layout, wi, shared)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for !w.Done() {
+			if err := w.Advance(); err != nil {
+				t.Fatalf("warp %d: %v", wi, err)
+			}
+		}
+		n, cks, _ := w.Result()
+		checksum ^= interp.MixWarpChecksum(lc.FirstWarp+wi, cks)
+		steps += n
+	}
+	return checksum, steps
+}
+
 func TestSimulateMatchesInterp(t *testing.T) {
 	p := isa.MustParse(memKernel)
-	want, err := interp.Run(&interp.Launch{Prog: p, GridWarps: 32}, 0, nil)
-	if err != nil {
-		t.Fatalf("interp: %v", err)
-	}
+	wantCks, wantSteps := referenceRun(t, &interp.Launch{Prog: p, GridWarps: 32})
 	st := simulate(t, device.GTX680(), 2, 32, memKernel)
-	if st.Checksum != want.Checksum {
-		t.Errorf("sim checksum %x != interp %x", st.Checksum, want.Checksum)
+	if st.Checksum != wantCks {
+		t.Errorf("sim checksum %x != interp %x", st.Checksum, wantCks)
 	}
-	if st.Instructions != uint64(want.Steps) {
-		t.Errorf("instructions %d != interp steps %d", st.Instructions, want.Steps)
+	if st.Instructions != uint64(wantSteps) {
+		t.Errorf("instructions %d != interp steps %d", st.Instructions, wantSteps)
 	}
 }
 
@@ -139,12 +168,8 @@ func TestBarrierSynchronizes(t *testing.T) {
 `
 	st := simulate(t, device.GTX680(), 2, 8, src)
 	p := isa.MustParse(src)
-	want, err := interp.Run(&interp.Launch{Prog: p, GridWarps: 8}, 0, nil)
-	if err != nil {
-		t.Fatalf("interp: %v", err)
-	}
-	if st.Checksum != want.Checksum {
-		t.Errorf("checksum %x != %x", st.Checksum, want.Checksum)
+	if want, _ := referenceRun(t, &interp.Launch{Prog: p, GridWarps: 8}); st.Checksum != want {
+		t.Errorf("checksum %x != %x", st.Checksum, want)
 	}
 }
 
@@ -225,12 +250,8 @@ func TestGridLargerThanResidency(t *testing.T) {
 		t.Errorf("warps = %d", st.Warps)
 	}
 	p := isa.MustParse(memKernel)
-	want, err := interp.Run(&interp.Launch{Prog: p, GridWarps: 128}, 0, nil)
-	if err != nil {
-		t.Fatalf("interp: %v", err)
-	}
-	if st.Checksum != want.Checksum {
-		t.Errorf("checksum %x != %x", st.Checksum, want.Checksum)
+	if want, _ := referenceRun(t, &interp.Launch{Prog: p, GridWarps: 128}); st.Checksum != want {
+		t.Errorf("checksum %x != %x", st.Checksum, want)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/interp"
 )
@@ -21,11 +20,6 @@ type IssueRecord struct {
 // traceWarps is how many warps, by global id from 0, a profiled launch
 // traces.
 const traceWarps = 16
-
-// tracePool recycles the per-SM issue logs of profiled launches: the
-// merge copies their records out, so each log starts the next launch at
-// the capacity it grew to instead of growing again from empty.
-var tracePool = sync.Pool{New: func() any { return new([]IssueRecord) }}
 
 // Trace is a profiled launch's issue records for its first traceWarps
 // warps.

@@ -1,9 +1,7 @@
 package sim
 
 import (
-	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/device"
@@ -53,41 +51,6 @@ func TestTraceRecordsIssues(t *testing.T) {
 		}
 		last[r.Warp] = r.Cycle
 	}
-}
-
-// TestTraceRecycledLogsConcurrent runs profiled launches of two grids on
-// several goroutines at once, so the per-SM issue logs pass between
-// launches through the pool while others merge: every trace must equal
-// its grid's trace from a lone launch.
-func TestTraceRecycledLogsConcurrent(t *testing.T) {
-	p := isa.MustParse(memKernel)
-	cfg := Config{Device: device.GTX680(), Cache: device.SmallCache,
-		BlocksPerSM: 1, RegsPerThread: 16, Profile: true}
-	grids := []int{traceWarps + 8, 3}
-	want := make([][]IssueRecord, len(grids))
-	for i, g := range grids {
-		st, err := Simulate(cfg, &interp.Launch{Prog: p, GridWarps: g})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = st.Trace.Records
-	}
-	var wg sync.WaitGroup
-	for k := 0; k < 8; k++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			st, err := Simulate(cfg, &interp.Launch{Prog: p, GridWarps: grids[i]})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if !slices.Equal(st.Trace.Records, want[i]) {
-				t.Errorf("grid %d: trace differs from a lone launch's", grids[i])
-			}
-		}(k % len(grids))
-	}
-	wg.Wait()
 }
 
 func TestTraceDisabledByDefault(t *testing.T) {
