@@ -76,46 +76,41 @@ func (e *AnalysisError) Error() string {
 
 type lintKey struct{}
 
-// analyzeProgram returns the analyzer's findings for p, computed once per
-// program (isa.Program.Derived): ladder levels that reuse a proto binary
-// share one *isa.Program, so each distinct binary is analyzed once no
-// matter how many levels or tuner iterations touch it. The one analysis
-// records an "sa.analyze" span, one "sa.diagnostic" span per finding, and
-// the sa.checks / sa.diagnostics counters under its caller's context.
-func (r *Realizer) analyzeProgram(p *isa.Program, x obs.Ctx) []sa.Diagnostic {
-	v, _ := p.Derived(lintKey{}, func() (any, error) {
-		sp := x.Span("sa.analyze", obs.String("kernel", p.Name))
-		diags := sa.Analyze(p)
-		for _, d := range diags {
-			dsp := sp.Ctx().Span("sa.diagnostic",
-				obs.String("kernel", p.Name),
-				obs.String("code", d.Code),
-				obs.String("severity", d.Sev.String()),
-				obs.String("func", d.Func),
-				obs.Int("pc", d.PC),
-				obs.String("detail", d.Detail))
-			dsp.End()
-		}
-		if len(diags) > 0 {
-			sp.SetAttr(obs.Int("diagnostics", len(diags)))
-			x.Metrics().Counter("sa.diagnostics").Add(uint64(len(diags)))
-		}
-		x.Metrics().Counter("sa.checks").Add(1)
-		sp.End()
-		return diags, nil
-	})
-	return v.([]sa.Diagnostic)
-}
-
 // lintProgram gates a program on the realizer's lint mode: strict mode
 // fails with *AnalysisError when any error-severity finding exists.
 // targetWarps is zero for decoded input programs and the occupancy level
-// for realized versions.
+// for realized versions. The findings are built once per program
+// (isa.Program.Derived, bumping sa.checks / sa.diagnostics); each caller
+// records its own "sa.analyze" and per-finding "sa.diagnostic" spans.
 func (r *Realizer) lintProgram(p *isa.Program, targetWarps int, x obs.Ctx) error {
 	if r.Lint == LintOff {
 		return nil
 	}
-	if diags := r.analyzeProgram(p, x); sa.CountErrors(diags) > 0 {
+	sp := x.Span("sa.analyze", obs.String("kernel", p.Name))
+	v, _ := p.Derived(lintKey{}, func() (any, error) {
+		diags := sa.Analyze(p)
+		if len(diags) > 0 {
+			x.Metrics().Counter("sa.diagnostics").Add(uint64(len(diags)))
+		}
+		x.Metrics().Counter("sa.checks").Add(1)
+		return diags, nil
+	})
+	diags := v.([]sa.Diagnostic)
+	for _, d := range diags {
+		dsp := sp.Ctx().Span("sa.diagnostic",
+			obs.String("kernel", p.Name),
+			obs.String("code", d.Code),
+			obs.String("severity", d.Sev.String()),
+			obs.String("func", d.Func),
+			obs.Int("pc", d.PC),
+			obs.String("detail", d.Detail))
+		dsp.End()
+	}
+	if len(diags) > 0 {
+		sp.SetAttr(obs.Int("diagnostics", len(diags)))
+	}
+	sp.End()
+	if sa.CountErrors(diags) > 0 {
 		return &AnalysisError{Kernel: p.Name, TargetWarps: targetWarps, Diags: diags}
 	}
 	return nil

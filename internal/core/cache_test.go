@@ -230,9 +230,11 @@ func TestResetReleasesDerivedState(t *testing.T) {
 // TestLintCountExactUnderParallelSweep pins once-per-program analysis:
 // Sweep's levels realize in parallel and several share one proto binary,
 // so a load-then-store memo let two levels both analyze it and sa.checks
-// read 7 in some runs and 8 in others. Each sweep gets a fresh clone of
-// the kernel so every run is cold; the count does not depend on the grid,
-// so the launch is tiny.
+// read 7 in some runs and 8 in others. The ladder interns its programs
+// by content, so the count is exactly the distinct binaries among the
+// sweep's levels. Each sweep gets a fresh clone of the kernel so every
+// run is cold; the count does not depend on the grid, so the launch is
+// tiny.
 func TestLintCountExactUnderParallelSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("20 cold sweeps of every suite kernel")
@@ -249,10 +251,19 @@ func TestLintCountExactUnderParallelSweep(t *testing.T) {
 			col := obs.New()
 			rz := NewRealizer(device.GTX680(), device.SmallCache)
 			rz.Obs = col
-			if _, err := rz.Sweep(k.Prog.Clone(), 16); err != nil {
+			out, err := rz.Sweep(k.Prog.Clone(), 16)
+			if err != nil {
 				t.Fatalf("%s: %v", k.Name, err)
 			}
-			counts[col.Metrics().Counter("sa.checks").Value()]++
+			distinct := map[isa.Fingerprint]bool{}
+			for _, lr := range out {
+				distinct[fingerprintOf(lr.Version.Prog)] = true
+			}
+			checks := col.Metrics().Counter("sa.checks").Value()
+			if checks != uint64(len(distinct)) {
+				t.Fatalf("%s: sa.checks = %d for %d distinct programs", k.Name, checks, len(distinct))
+			}
+			counts[checks]++
 		}
 		if len(counts) != 1 {
 			t.Errorf("%s: sa.checks over 20 identical cold sweeps = %v (value: runs), want one value", k.Name, counts)

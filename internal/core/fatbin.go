@@ -82,7 +82,8 @@ func EncodeFat(cr *CompileResult) []byte {
 
 // DecodeFat parses a multi-version binary back into a CompileResult ready
 // for Realizer.TuneCompiled. Every field is read through isa.Reader; a
-// truncated or implausible field is errBadFat.
+// truncated or implausible field is errBadFat. Versions with equal program
+// bytes share one decoded *isa.Program, as the ladder's do.
 func DecodeFat(data []byte) (*CompileResult, error) {
 	r := isa.NewReader(data)
 	if string(r.Bytes(len(fatMagic))) != fatMagic {
@@ -98,6 +99,7 @@ func DecodeFat(data []byte) (*CompileResult, error) {
 	staticIdx := int16(r.U16())
 	staticTarget := int(r.U16())
 	versions := make([]*Version, r.U16())
+	progs := map[string]*isa.Program{}
 	for i := range versions {
 		// Fields in wire order: a composite literal evaluates left to right.
 		v := &Version{
@@ -117,9 +119,12 @@ func DecodeFat(data []byte) (*CompileResult, error) {
 		if r.Err() != nil {
 			return nil, errBadFat
 		}
-		var err error
-		if v.Prog, err = isa.Decode(prog); err != nil {
-			return nil, fmt.Errorf("core: version %d: %w", i, err)
+		if v.Prog = progs[string(prog)]; v.Prog == nil {
+			var err error
+			if v.Prog, err = isa.Decode(prog); err != nil {
+				return nil, fmt.Errorf("core: version %d: %w", i, err)
+			}
+			progs[string(prog)] = v.Prog
 		}
 		versions[i] = v
 	}

@@ -71,11 +71,10 @@ type ladderEntry struct {
 // liveness, interference graphs, and spill costs are computed once
 // (regalloc.Prep) and re-colored per register budget, and whole
 // allocations are memoized per (register, shared-slot) budget pair and
-// the pair its level started from (ladderKey, DESIGN.md §10).
-//
-// A Ladder is safe for concurrent use; Sweep and Compile fan levels out
-// over one ladder. Results flow through the process-wide realization
-// cache exactly as before, so warm-path behavior is unchanged.
+// the pair its level started from (ladderKey, DESIGN.md §10). Realized
+// programs are interned by content (intern), so whatever is derived from a
+// binary (isa.Program.Derived) is built once per distinct binary. A Ladder
+// is safe for concurrent use; Sweep and Compile fan levels out over one.
 type Ladder struct {
 	r *Realizer
 	p *isa.Program
@@ -94,6 +93,7 @@ type Ladder struct {
 
 	mu      sync.Mutex
 	entries map[ladderKey]*ladderEntry
+	progs   map[isa.Fingerprint]*isa.Program // the intern table
 
 	// optEnts memoizes the pressure-reducing middle end per function: the
 	// scheduler's output does not depend on the register budget (the budget
@@ -129,6 +129,7 @@ func (r *Realizer) NewLadder(p *isa.Program) *Ladder {
 		preps:    make([]*regalloc.Prep, n),
 		prepErr:  make([]error, n),
 		entries:  map[ladderKey]*ladderEntry{},
+		progs:    map[isa.Fingerprint]*isa.Program{},
 		optEnts:  make([]optEntry, n),
 	}
 }
@@ -517,10 +518,25 @@ func (l *Ladder) fillBudget(regBudget, sharedSlotBudget int, x obs.Ctx) (*Versio
 	if err != nil {
 		return nil, err
 	}
+	v.Prog = l.intern(np)
 	v.Debug = &prof.DebugInfo{RegBudget: regBudget, Funcs: dbgFuncs, Opt: dbgOpt}
 	v.MaxLivePre = l.maxLive0
 	v.MaxLivePost = chainSums(p, order, perPost)[0]
 	return v, nil
+}
+
+// intern returns the program the ladder holds with np's bytes, holding np
+// if there is none. np is hashed once: the hash seeds its fingerprintOf.
+func (l *Ladder) intern(np *isa.Program) *isa.Program {
+	fp := np.Fingerprint()
+	np.Derived(fingerprintKey{}, func() (any, error) { return fp, nil })
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if held := l.progs[fp]; held != nil {
+		return held
+	}
+	l.progs[fp] = np
+	return np
 }
 
 // cloneForTarget stamps a shared proto version with a level's advertised

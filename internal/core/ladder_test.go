@@ -42,7 +42,7 @@ func diffLadder(t *testing.T, inc, scratch *Realizer, p *isa.Program) {
 			}
 			continue
 		}
-		if got, want := vi.fingerprint(), vs.fingerprint(); got != want {
+		if got, want := fingerprintOf(vi.Prog), fingerprintOf(vs.Prog); got != want {
 			t.Fatalf("level %d: fingerprint differs: incremental %x, scratch %x", lvl, got, want)
 		}
 		if vi.TargetWarps != vs.TargetWarps ||
@@ -240,7 +240,7 @@ func TestLadderOrderIndependent(t *testing.T) {
 					if v, err := lad.Realize(levels[i]); err != nil {
 						out[i].err = err.Error()
 					} else {
-						out[i].fp = v.fingerprint()
+						out[i].fp = fingerprintOf(v.Prog)
 					}
 				})
 				return out, SnapshotCacheCounters().Delta(before).Ladder

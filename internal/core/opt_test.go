@@ -122,7 +122,7 @@ func TestOptLadderOrderIndependent(t *testing.T) {
 				fps := make([]isa.Fingerprint, len(levels))
 				visit(func(i int) {
 					if v, err := lad.Realize(levels[i]); err == nil {
-						fps[i] = v.fingerprint()
+						fps[i] = fingerprintOf(v.Prog)
 					}
 				})
 				return fps

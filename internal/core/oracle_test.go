@@ -41,13 +41,15 @@ func verifiedLevels(t *testing.T, c *obs.Collector) []int {
 	return out
 }
 
-// TestOneReferencePerCompile pins the oracle's ownership: a compile
-// executes its source once however many levels it verifies against it
-// (in parallel), and each distinct realized program once however many
-// levels it serves; a decoded multi-version binary executes its original
-// version once however many candidates pass the tuner's gate; a sweep
-// executes each distinct program once. Every check that reaches the
-// oracle records one verify.differential span.
+// TestOneReferencePerCompile pins the oracle's ownership and the
+// interning it rests on: a compile executes its source once however many
+// levels it verifies against it (in parallel); a decoded multi-version
+// binary executes its original version once however many candidates pass
+// the tuner's gate; and on all three paths (compile, decoded binary,
+// sweep) each distinct realized program is linted once and executed by
+// the oracle once, because the ladder and DecodeFat hold one *isa.Program
+// per distinct binary. Every check that reaches the oracle records one
+// verify.differential span.
 func TestOneReferencePerCompile(t *testing.T) {
 	k, err := kernels.ByName("cfd")
 	if err != nil {
@@ -58,7 +60,7 @@ func TestOneReferencePerCompile(t *testing.T) {
 	ResetRealizeCache()
 	r := NewRealizer(device.GTX680(), device.SmallCache)
 	r.Obs = obs.New()
-	cr, err := r.Compile(k.Prog, true)
+	cr, err := r.Compile(k.Prog.Clone(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,16 +84,27 @@ func TestOneReferencePerCompile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		distinct[v.fingerprint()] = true
+		distinct[fingerprintOf(v.Prog)] = true
 	}
-	if diffs != uint64(len(distinct)) || len(distinct) < 3 || len(distinct) >= len(levels) {
-		t.Errorf("compile: %d differential runs for %d checks of %d distinct programs, want one per program",
-			diffs, len(levels), len(distinct))
+	// sa.checks also counts the input program's lint.
+	checks := m.Counter("sa.checks").Value()
+	if diffs != uint64(len(distinct)) || checks != diffs+1 || len(distinct) < 3 || len(distinct) >= len(levels) {
+		t.Errorf("compile: %d differential runs and %d lint runs (input included) for %d checks of %d distinct programs, want one each per program",
+			diffs, checks, len(levels), len(distinct))
 	}
 
 	decoded, err := DecodeFat(EncodeFat(cr))
 	if err != nil {
 		t.Fatal(err)
+	}
+	pointers := map[*isa.Program]bool{decoded.Original.Prog: true}
+	distinct = map[isa.Fingerprint]bool{fingerprintOf(decoded.Original.Prog): true}
+	for _, c := range append(decoded.Candidates, decoded.FailSafe...) {
+		pointers[c.Version.Prog] = true
+		distinct[fingerprintOf(c.Version.Prog)] = true
+	}
+	if len(pointers) != len(distinct) {
+		t.Errorf("decoded binary: %d programs for %d distinct encodings, want one each", len(pointers), len(distinct))
 	}
 	r = NewRealizer(device.GTX680(), device.SmallCache)
 	r.Obs = obs.New()
@@ -101,24 +114,30 @@ func TestOneReferencePerCompile(t *testing.T) {
 		if err := r.verifyCandidate(decoded, c, r.Obs.Ctx()); err != nil {
 			t.Fatal(err)
 		}
-		if c.Version != decoded.Original {
+		// A candidate that shares the original's program has nothing to
+		// diff; every other one is linted as well.
+		if c.Version.Prog != decoded.Original.Prog {
+			if err := r.lintProgram(c.Version.Prog, c.TargetWarps, r.Obs.Ctx()); err != nil {
+				t.Fatal(err)
+			}
 			versions[c.Version] = true
-			distinct[c.Version.fingerprint()] = true
+			distinct[fingerprintOf(c.Version.Prog)] = true
 		}
 	}
 	m = r.Obs.Metrics()
-	refs, diffs = m.Counter("verify.reference_runs").Value(), m.Counter("verify.differential_runs").Value()
-	if refs != 1 || diffs != uint64(len(distinct)) || diffs < 2 {
-		t.Errorf("decoded binary: %d reference runs, %d differential runs for %d distinct programs, want 1 and one each",
-			refs, diffs, len(distinct))
+	refs, diffs, checks = m.Counter("verify.reference_runs").Value(), m.Counter("verify.differential_runs").Value(), m.Counter("sa.checks").Value()
+	if refs != 1 || diffs != uint64(len(distinct)) || checks != diffs || diffs < 2 {
+		t.Errorf("decoded binary: %d reference runs, %d differential runs and %d lint runs for %d distinct programs, want 1 and one each",
+			refs, diffs, checks, len(distinct))
 	}
 	if got := countSpans(r.Obs, "verify.differential"); got != uint64(len(versions)) {
 		t.Errorf("decoded binary: %d verify.differential spans for %d versions checked", got, len(versions))
 	}
 
 	// A sweep of hotspot on the GTX680 allocates byte-identical programs
-	// from four budget pairs (8, 16, 24 and 32 warps): every level's gate
-	// reaches the oracle, and each distinct program executes once.
+	// from four budget pairs (8, 16, 24 and 32 warps). The ladder hands
+	// every level of them one program, so each distinct program is linted
+	// once and executed once, while every level's gate reaches the oracle.
 	hs, err := kernels.ByName("hotspot")
 	if err != nil {
 		t.Fatal(err)
@@ -130,19 +149,30 @@ func TestOneReferencePerCompile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocated := map[*isa.Program]bool{}
+	pointers = map[*isa.Program]bool{}
 	distinct = map[isa.Fingerprint]bool{}
 	for _, lr := range out {
-		allocated[lr.Version.Prog] = true
-		distinct[lr.Version.fingerprint()] = true
+		pointers[lr.Version.Prog] = true
+		distinct[fingerprintOf(lr.Version.Prog)] = true
 	}
-	if len(distinct) >= len(allocated) {
-		t.Fatalf("sweep: %d allocations are %d distinct programs: no two levels allocate the same bytes",
-			len(allocated), len(distinct))
+	ResetRealizeCache() // the ungated ladder below fills every budget itself
+	lad = plain.NewLadder(hs.Prog)
+	for _, lr := range out {
+		if _, err := lad.Realize(lr.TargetWarps); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if diffs := r.Obs.Metrics().Counter("verify.differential_runs").Value(); diffs != uint64(len(distinct)) {
-		t.Errorf("sweep: %d differential runs for %d levels of %d distinct programs, want one per program",
-			diffs, len(out), len(distinct))
+	if len(lad.entries) <= len(lad.progs) {
+		t.Fatalf("sweep: %d budget fills are %d distinct programs: no two fills allocate the same bytes",
+			len(lad.entries), len(lad.progs))
+	}
+	if len(pointers) != len(distinct) {
+		t.Errorf("sweep: %d programs for %d distinct binaries, want one each", len(pointers), len(distinct))
+	}
+	m = r.Obs.Metrics()
+	if diffs, checks := m.Counter("verify.differential_runs").Value(), m.Counter("sa.checks").Value(); diffs != uint64(len(distinct)) || checks != diffs {
+		t.Errorf("sweep: %d differential runs and %d lint runs for %d levels of %d distinct programs, want one each per program",
+			diffs, checks, len(out), len(distinct))
 	}
 	if got := countSpans(r.Obs, "verify.differential"); got != uint64(len(out)) {
 		t.Errorf("sweep: %d verify.differential spans for %d levels", got, len(out))
@@ -165,12 +195,15 @@ func storeKernel(val int) string {
 }
 
 // TestOracleVerdictNotCachedOnPanic: a differential run that panics
-// leaves no verdict behind, so a later check of the same program runs it
-// again and reports its violation instead of passing on an empty verdict.
+// leaves no verdict on the realized program (isa.Program.Derived stores
+// nothing when its build panics), so a later check of the same program
+// runs it again and reports its violation instead of passing on an empty
+// verdict.
 func TestOracleVerdictNotCachedOnPanic(t *testing.T) {
 	orig := isa.MustParse(storeKernel(7))
 	tampered := &Version{Prog: isa.MustParse(storeKernel(8))}
-	x := obs.New().Ctx()
+	col := obs.New()
+	x := col.Ctx()
 	var o oracleRef
 	ref := o.get(orig, x)
 	o.ref = nil // Check on a nil reference panics
@@ -180,13 +213,16 @@ func TestOracleVerdictNotCachedOnPanic(t *testing.T) {
 				t.Fatal("a check against a nil reference did not panic")
 			}
 		}()
-		o.check(tampered, x)
+		o.check(orig, tampered, x)
 	}()
-	if n := o.verdicts.Len(); n != 0 {
-		t.Fatalf("%d verdicts cached after a panicked run", n)
-	}
 	o.ref = ref
-	if vs := o.check(tampered, x); len(vs) == 0 {
+	if vs := o.check(orig, tampered, x); len(vs) == 0 {
 		t.Error("a tampered program passed the oracle after a panicked check of it")
+	}
+	if vs := o.check(orig, tampered, x); len(vs) == 0 {
+		t.Error("the verdict kept on the program lost its violation")
+	}
+	if n := col.Metrics().Counter("verify.differential_runs").Value(); n != 1 {
+		t.Errorf("%d completed differential runs of one program, want 1", n)
 	}
 }

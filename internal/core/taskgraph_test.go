@@ -110,9 +110,9 @@ func spanTree(t *testing.T, c *obs.Collector) []string {
 // version's two gates and the original's gates with the candidate fan-out
 // changes when work runs, never what it produces. Every suite kernel on
 // both devices and cache configurations, every realizable fuzz-corpus
-// program and four random programs compile with the realize cache off on
-// one P and on several, to the same fat binary or error, the same counters
-// and the same span tree.
+// program, the retry and shared-lint inputs and four random programs
+// compile with the realize cache off on one P and on several, to the same
+// fat binary or error, the same counters and the same span tree.
 func TestCompileDeterminismSerialVsParallel(t *testing.T) {
 	wasOn := RealizeCacheEnabled()
 	SetRealizeCacheEnabled(false) // every compile must realize for itself
@@ -136,6 +136,17 @@ func TestCompileDeterminismSerialVsParallel(t *testing.T) {
 		inputs = append(inputs, input{fmt.Sprintf("corpus%d", i), p, both[:1]})
 	}
 	inputs = append(inputs, input{"retry_meets_level", retryMeetsLevel(t), both})
+	// hotspot with 512 more bytes of shared memory: on the GTX680 with the
+	// small cache, levels 56 and 64 start from different budget pairs (32
+	// registers, 4 and 3 shared slots) and allocate one binary, which the
+	// ladder interns, so two groups' gates lint one program side by side.
+	hs, err := kernels.ByName("hotspot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharedLint := hs.Prog.Clone()
+	sharedLint.SharedBytes += 512
+	inputs = append(inputs, input{"shared_lint", sharedLint, both[:1]})
 	rng := rand.New(rand.NewSource(25))
 	for i := 0; i < 4; i++ {
 		inputs = append(inputs, input{fmt.Sprintf("random%d", i), randomProgram(rng), both[:1]})

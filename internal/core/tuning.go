@@ -232,9 +232,9 @@ func (r *Realizer) candidates(res *CompileResult, lad *Ladder, levels []int, x o
 				slots[i] = v
 			}
 		}
-		// Levels whose budgets round to one pair share one allocation and
-		// one binary. The group's first level realizes and analyzes it before
-		// the others ask, so the work lands in the same trace slot every run.
+		// Levels whose budgets round to one pair share one allocation. The
+		// group's first level realizes it before the others ask, so the work
+		// lands in the same trace slot every run.
 		groups := lad.groupByBudget(upper)
 		par.ForEach(0, len(groups), func(g int) {
 			realize(groups[g][0])

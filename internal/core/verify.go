@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/isa"
-	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/verify"
 )
@@ -38,17 +37,14 @@ func (e *VerifyError) Error() string {
 }
 
 // oracleRef is the differential oracle's reference for one program, built
-// on first use and shared by every version checked against that program,
-// with the oracle's verdict on each distinct realized program. It belongs
-// to whatever owns the program's realizations (a Ladder, a CompileResult)
-// and is freed with it. Sharing is sound because programs are immutable
-// after Validate, the reference depends on nothing but the program and
-// the oracle's fixed launch, and a verdict on nothing but the reference
-// and the realized program's bytes.
+// on first use and shared by every version checked against that program.
+// It belongs to whatever owns the program's realizations (a Ladder, a
+// CompileResult) and is freed with it. Sharing is sound because programs
+// are immutable after Validate, and the reference depends on nothing but
+// the program and the oracle's fixed launch.
 type oracleRef struct {
-	once     sync.Once
-	ref      *verify.Reference
-	verdicts *memo.Cache[isa.Fingerprint, []verify.Violation]
+	once sync.Once
+	ref  *verify.Reference
 }
 
 // get returns the reference for orig, executing orig on the first call
@@ -57,26 +53,27 @@ func (o *oracleRef) get(orig *isa.Program, x obs.Ctx) *verify.Reference {
 	o.once.Do(func() {
 		sp := x.Span("verify.reference", obs.String("kernel", orig.Name))
 		o.ref = verify.NewReference(orig, 0, 0)
-		o.verdicts = memo.New[isa.Fingerprint, []verify.Violation]()
 		sp.End()
 		x.Metrics().Counter("verify.reference_runs").Add(1)
 	})
 	return o.ref
 }
 
-// check returns the differential verdict on v's program against the
-// reference get built, executing the program once per distinct
-// fingerprint: the per-level clones of one realization, and byte-identical
-// allocations reached from different budgets, share one run. Concurrent
-// first calls for one program wait for that run; a run that panics leaves
-// no verdict, so every caller sees the panic or a verdict of its own.
-func (o *oracleRef) check(v *Version, x obs.Ctx) []verify.Violation {
-	vs, _ := o.verdicts.Do(v.fingerprint(), func() ([]verify.Violation, error) {
+// verdictKey keys a realized program's differential verdict by its
+// source's fingerprint, a value: the verdict pins neither source nor reference.
+type verdictKey struct{ src isa.Fingerprint }
+
+// check returns the differential verdict on v's program against orig's
+// reference, kept on the program (isa.Program.Derived), which the ladder and
+// DecodeFat intern by content: each distinct binary executes once. A run
+// that panics leaves no verdict, so every caller sees the panic or its own.
+func (o *oracleRef) check(orig *isa.Program, v *Version, x obs.Ctx) []verify.Violation {
+	vs, _ := v.Prog.Derived(verdictKey{fingerprintOf(orig)}, func() (any, error) {
 		vs := o.ref.Check(v.Prog)
 		x.Metrics().Counter("verify.differential_runs").Add(1)
 		return vs, nil
 	})
-	return vs
+	return vs.([]verify.Violation)
 }
 
 // verifyVersion checks a realized version against the allocation verifier
@@ -116,7 +113,7 @@ func (r *Realizer) verifyUncached(orig *isa.Program, ref *oracleRef, v *Version,
 	if len(vs) == 0 && orig != nil && orig != v.Prog {
 		ref.get(orig, sp.Ctx())
 		dsp := sp.Ctx().Span("verify.differential")
-		vs = ref.check(v, dsp.Ctx())
+		vs = ref.check(orig, v, dsp.Ctx())
 		dsp.End()
 	}
 	for _, viol := range vs {

@@ -65,11 +65,11 @@ type Version struct {
 
 type fingerprintKey struct{}
 
-// fingerprint returns the program's content hash (the simulation-cache key
-// component), computed on first use and once per program: ladder levels
-// that share a proto binary share its hash.
-func (v *Version) fingerprint() isa.Fingerprint {
-	fp, _ := v.Prog.Derived(fingerprintKey{}, func() (any, error) { return v.Prog.Fingerprint(), nil })
+// fingerprintOf returns p's content hash (the simulation-cache key
+// component), held on p: the ladder seeds it when it interns a fill, so
+// every level of one binary shares one hash.
+func fingerprintOf(p *isa.Program) isa.Fingerprint {
+	fp, _ := p.Derived(fingerprintKey{}, func() (any, error) { return p.Fingerprint(), nil })
 	return fp.(isa.Fingerprint)
 }
 
@@ -270,7 +270,7 @@ func (v *Version) RunAt(d *device.Device, cc device.CacheConfig, targetWarps int
 // carry the full "simulate" span from package sim.
 func (v *Version) RunAtCtx(d *device.Device, cc device.CacheConfig, targetWarps int, lc *interp.Launch, x obs.Ctx) (*sim.Stats, error) {
 	key := runKey{
-		prog:        v.fingerprint(),
+		prog:        fingerprintOf(v.Prog),
 		dev:         d.Fingerprint(),
 		cache:       cc,
 		targetWarps: targetWarps,
