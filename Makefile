@@ -5,7 +5,7 @@ GO ?= go
 ## check: the full CI gate — formatting, vet, staticcheck, build,
 ## race-enabled tests, the decoder, daemon, executor and simulator tests
 ## on 32-bit (test-386), the serial-vs-parallel determinism suite, a short
-## fuzz pass over the binary decoder, the assembler, the realization
+## fuzz pass over the binary decoders, the assembler, the realization
 ## pipeline, the static analyzer, the middle end and its legality check, a
 ## one-shot run of the cold-sweep benchmark so compile-path regressions
 ## fail loudly, the benchmark module's vet and quick smoke, the whole-suite
@@ -73,6 +73,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/isa/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/isa/
 	$(GO) test -run '^$$' -fuzz FuzzRealize -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeFat -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzAnalyze -fuzztime 10s ./internal/sa/
 	$(GO) test -run '^$$' -fuzz FuzzSimCompiled -fuzztime 10s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzOpt -fuzztime 10s ./internal/opt/

@@ -12,7 +12,8 @@
 //	    Run the full pipeline including runtime adaptation (Fig. 9) on the
 //	    simulated device and report the selected occupancy. With -fat, the
 //	    runtime adapts from a prebuilt multi-version binary instead of
-//	    recompiling; the binary must hold the kernel -kernel/-file names.
+//	    recompiling; the binary must be built from the same program
+//	    -kernel/-file loads (its source's fingerprint is compared).
 //	    -explain prints one line per tuning iteration with the measured
 //	    time and the accept/reject rationale, then profiles the selected
 //	    level as 'profile' does.
@@ -107,7 +108,7 @@ func run(args []string, out io.Writer) error {
 	iters := fs.Int("iters", 0, "application iterations (default: benchmark's)")
 	warps := fs.Int("warps", 0, "occupancy level for 'run' (warps per SM)")
 	out_ := fs.String("o", "", "output file for 'build'")
-	fat := fs.String("fat", "", "multi-version binary (.ofat) for 'tune', built by 'orion build' from the kernel -kernel/-file names")
+	fat := fs.String("fat", "", "multi-version binary (.ofat) for 'tune', built by 'orion build' from the same program -kernel/-file loads")
 	traceOut := fs.String("trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) to this file")
 	metricsOut := fs.String("metrics", "", "write a metrics JSON snapshot to this file")
 	explain := fs.Bool("explain", false, "for 'tune': print one line per tuning iteration explaining the decision")
@@ -236,9 +237,11 @@ func run(args []string, out io.Writer) error {
 					return err
 				}
 				// The launch, the labels and a -json report's fingerprint all
-				// come from the loaded program, so the binary must hold it.
-				if name := cr.Original.Prog.Name; name != prog.Name {
-					return fmt.Errorf("%s holds kernel %s, not %s", *fat, name, prog.Name)
+				// come from the loaded program, so the binary must be built
+				// from it: its source is the loaded program, byte for byte.
+				if src, fp := cr.Source.Fingerprint(), prog.Fingerprint(); src != fp {
+					return fmt.Errorf("%s was built from another program (kernel %s, %.12s) than the loaded kernel %s (%.12s)",
+						*fat, cr.Source.Name, src, prog.Name, fp)
 				}
 				rep, err = r.TuneCompiled(cr, launch)
 				if err != nil {

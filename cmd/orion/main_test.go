@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -477,22 +478,39 @@ func TestProfileRunsOneSimulation(t *testing.T) {
 
 // TestTuneFatRefusesOtherKernel: the launch, the report's labels and a
 // -json report's fingerprint come from the -kernel/-file program, so a
-// multi-version binary built from another kernel is refused with both
-// names, before any tuning. Built from the same kernel, it tunes.
+// multi-version binary built from another program is refused before any
+// tuning, with nothing printed: another kernel, and another program that
+// carries the binary's kernel name. Built from the same program, it tunes.
 func TestTuneFatRefusesOtherKernel(t *testing.T) {
-	fat := filepath.Join(t.TempDir(), "bfs.ofat")
+	dir := t.TempDir()
+	fat := filepath.Join(dir, "bfs.ofat")
 	launch := []string{"-grid", "128", "-iters", "3"}
 	if err := run(append([]string{"build", "-kernel", "bfs", "-o", fat}, launch...), io.Discard); err != nil {
 		t.Fatal(err)
 	}
+	saxpy, err := os.ReadFile("../../examples/kernels/saxpy.oasm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fake := filepath.Join(dir, "fake.oasm")
+	relabeled := regexp.MustCompile(`(?m)^\.kernel \S+`).ReplaceAll(saxpy, []byte(".kernel bfs"))
+	if bytes.Equal(relabeled, saxpy) {
+		t.Fatal("saxpy.oasm has no .kernel line to relabel")
+	}
+	if err := os.WriteFile(fake, relabeled, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, other := range [][]string{{"-kernel", "srad"}, {"-file", fake}} {
+		var buf bytes.Buffer
+		err := run(slices.Concat([]string{"tune", "-fat", fat}, other, launch), &buf)
+		if err == nil || !strings.Contains(err.Error(), "built from another program (kernel bfs") {
+			t.Fatalf("tune -fat bfs.ofat %v: error %v, output %q", other, err, buf.String())
+		}
+		if buf.Len() != 0 {
+			t.Errorf("refused tune %v printed %q", other, buf.String())
+		}
+	}
 	var buf bytes.Buffer
-	err := run(append([]string{"tune", "-fat", fat, "-kernel", "srad"}, launch...), &buf)
-	if err == nil || !strings.Contains(err.Error(), "kernel bfs, not srad") {
-		t.Fatalf("tune -fat bfs.ofat -kernel srad: error %v, output %q", err, buf.String())
-	}
-	if buf.Len() != 0 {
-		t.Errorf("refused tune printed %q", buf.String())
-	}
 	if err := run(append([]string{"tune", "-fat", fat, "-kernel", "bfs"}, launch...), &buf); err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ var realizeCache = memo.New[realizeKey, *Version]()
 // cacheKey builds the memo key for a realization.
 func (r *Realizer) cacheKey(p *isa.Program, targetWarps int) realizeKey {
 	key := realizeKey{
-		prog:        p.Fingerprint(),
+		prog:        fingerprintOf(p),
 		targetWarps: targetWarps,
 		dev:         r.Dev.Fingerprint(),
 		cache:       r.Cache,

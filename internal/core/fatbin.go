@@ -14,48 +14,55 @@ import (
 // The multi-version binary of the paper's Figure 3: the compiler's output
 // artifact packaging the original version, the candidate versions in the
 // tuning direction, the fail-safe versions, and the tuning metadata, so
-// the runtime can adapt without recompiling. Encoded as an "OFAT"
-// container of ORN1 program binaries.
+// the runtime can adapt without recompiling. Encoded as an "OFA2"
+// container: a table of ORN1 programs, one per fingerprint in first-use
+// order, the source first, which the versions index. The source is what
+// the tuner's oracle diffs every version against.
 
-const fatMagic = "OFAT"
+const fatMagic = "OFA2"
 
 var errBadFat = errors.New("core: bad multi-version binary")
 
+// noStatic is the static-choice version index of a binary without one.
+const noStatic = 0xFFFF
+
 // EncodeFat serializes a compile result into the multi-version binary.
 func EncodeFat(cr *CompileResult) []byte {
-	// Version table with identity-based dedup (decreasing candidates share
-	// the original binary).
+	// Versions by identity (decreasing candidates share the original
+	// version), programs by content with the source first.
 	var versions []*Version
-	index := map[*Version]int{}
-	add := func(v *Version) {
-		if _, ok := index[v]; !ok {
-			index[v] = len(versions)
-			versions = append(versions, v)
+	for _, c := range slices.Concat([]*Candidate{{Version: cr.Original}}, cr.Candidates, cr.FailSafe, []*Candidate{cr.StaticChoice}) {
+		if c != nil && !slices.Contains(versions, c.Version) {
+			versions = append(versions, c.Version)
 		}
 	}
-	add(cr.Original)
-	for _, c := range slices.Concat(cr.Candidates, cr.FailSafe) {
-		add(c.Version)
-	}
-	staticIdx, staticTarget := -1, 0
-	if cr.StaticChoice != nil {
-		staticIdx = -2 // references a version directly (e.g., the original)
-		staticTarget = cr.StaticChoice.TargetWarps
-		for i, c := range cr.Candidates {
-			if c == cr.StaticChoice {
-				staticIdx = i
-			}
+	var progs [][]byte
+	table := map[isa.Fingerprint]int{}
+	prog := func(p *isa.Program) int {
+		fp := fingerprintOf(p)
+		if _, ok := table[fp]; !ok {
+			table[fp] = len(progs)
+			progs = append(progs, isa.Encode(p))
 		}
+		return table[fp]
+	}
+	prog(cr.Source)
+	for _, v := range versions {
+		prog(v.Prog)
 	}
 
 	le := binary.LittleEndian
 	b := []byte(fatMagic)
 	b = le.AppendUint16(b, uint16(cr.MaxLive))
 	b = append(b, byte(cr.Direction))
-	b = le.AppendUint16(b, uint16(staticIdx))
-	b = le.AppendUint16(b, uint16(staticTarget))
+	b = le.AppendUint16(b, uint16(len(progs)))
+	for _, p := range progs {
+		b = le.AppendUint32(b, uint32(len(p)))
+		b = append(b, p...)
+	}
 	b = le.AppendUint16(b, uint16(len(versions)))
 	for _, v := range versions {
+		b = le.AppendUint16(b, uint16(prog(v.Prog)))
 		b = le.AppendUint16(b, uint16(v.TargetWarps))
 		b = le.AppendUint16(b, uint16(v.RegsPerThread))
 		b = le.AppendUint32(b, uint32(v.SharedPerBlock))
@@ -65,25 +72,28 @@ func EncodeFat(cr *CompileResult) []byte {
 		b = le.AppendUint16(b, uint16(v.Natural.ActiveWarps))
 		b = append(b, byte(v.Natural.Limiter))
 		b = le.AppendUint64(b, math.Float64bits(v.Natural.Occupancy))
-		prog := isa.Encode(v.Prog)
-		b = le.AppendUint32(b, uint32(len(prog)))
-		b = append(b, prog...)
 	}
-	b = le.AppendUint16(b, uint16(index[cr.Original]))
+	b = le.AppendUint16(b, uint16(slices.Index(versions, cr.Original)))
 	for _, cs := range [][]*Candidate{cr.Candidates, cr.FailSafe} {
 		b = le.AppendUint16(b, uint16(len(cs)))
 		for _, c := range cs {
-			b = le.AppendUint16(b, uint16(index[c.Version]))
+			b = le.AppendUint16(b, uint16(slices.Index(versions, c.Version)))
 			b = le.AppendUint16(b, uint16(c.TargetWarps))
 		}
 	}
-	return b
+	static, target := noStatic, 0
+	if c := cr.StaticChoice; c != nil {
+		static, target = slices.Index(versions, c.Version), c.TargetWarps
+	}
+	b = le.AppendUint16(b, uint16(static))
+	return le.AppendUint16(b, uint16(target))
 }
 
 // DecodeFat parses a multi-version binary back into a CompileResult ready
-// for Realizer.TuneCompiled. Every field is read through isa.Reader; a
-// truncated or implausible field is errBadFat. Versions with equal program
-// bytes share one decoded *isa.Program, as the ladder's do.
+// for Realizer.TuneCompiled, Source included. Every field is read through
+// isa.Reader; a truncated or implausible field, an index out of range or
+// another format's magic is errBadFat. Each table entry is decoded once,
+// so versions that index one entry share its *isa.Program.
 func DecodeFat(data []byte) (*CompileResult, error) {
 	r := isa.NewReader(data)
 	if string(r.Bytes(len(fatMagic))) != fatMagic {
@@ -96,13 +106,30 @@ func DecodeFat(data []byte) (*CompileResult, error) {
 	if cr.Direction != Increasing && cr.Direction != Decreasing {
 		return nil, fmt.Errorf("core: bad direction %d in multi-version binary", cr.Direction)
 	}
-	staticIdx := int16(r.U16())
-	staticTarget := int(r.U16())
+	progs := make([]*isa.Program, r.U16())
+	for i := range progs {
+		prog := r.Bytes(r.Size("program length", len(data)))
+		if r.Err() != nil {
+			return nil, errBadFat
+		}
+		var err error
+		if progs[i], err = isa.Decode(prog); err != nil {
+			return nil, fmt.Errorf("core: program %d: %w", i, err)
+		}
+	}
+	if len(progs) == 0 {
+		return nil, errBadFat
+	}
+	cr.Source = progs[0]
 	versions := make([]*Version, r.U16())
-	progs := map[string]*isa.Program{}
 	for i := range versions {
+		pi := int(r.U16())
+		if r.Err() != nil || pi >= len(progs) {
+			return nil, errBadFat
+		}
 		// Fields in wire order: a composite literal evaluates left to right.
-		v := &Version{
+		versions[i] = &Version{
+			Prog:           progs[pi],
 			TargetWarps:    int(r.U16()),
 			RegsPerThread:  int(r.U16()),
 			SharedPerBlock: int(r.U32()),
@@ -115,55 +142,31 @@ func DecodeFat(data []byte) (*CompileResult, error) {
 				Occupancy:    math.Float64frombits(r.U64()),
 			},
 		}
-		prog := r.Bytes(r.Size("program length", len(data)))
-		if r.Err() != nil {
-			return nil, errBadFat
-		}
-		if v.Prog = progs[string(prog)]; v.Prog == nil {
-			var err error
-			if v.Prog, err = isa.Decode(prog); err != nil {
-				return nil, fmt.Errorf("core: version %d: %w", i, err)
-			}
-			progs[string(prog)] = v.Prog
-		}
-		versions[i] = v
 	}
-	oi := int(r.U16())
-	if r.Err() != nil || oi >= len(versions) {
-		return nil, errBadFat
+	// at resolves a version index; one out of range fails the decode.
+	bad := false
+	at := func(vi uint16) *Version {
+		if int(vi) >= len(versions) {
+			bad = true
+			return nil
+		}
+		return versions[vi]
 	}
-	cr.Original = versions[oi]
-	// versions is not empty here, so a truncated ref (zero) stays in range
-	// until the final Err check.
-	refs := func() ([]*Candidate, error) {
+	cands := func() []*Candidate {
 		out := make([]*Candidate, r.U16())
 		for i := range out {
-			vi, tw := int(r.U16()), int(r.U16())
-			if vi >= len(versions) {
-				return nil, errBadFat
-			}
-			out[i] = &Candidate{Version: versions[vi], TargetWarps: tw}
+			out[i] = &Candidate{Version: at(r.U16()), TargetWarps: int(r.U16())}
 		}
-		return out, nil
+		return out
 	}
-	var err error
-	if cr.Candidates, err = refs(); err != nil {
-		return nil, err
+	cr.Original = at(r.U16())
+	cr.Candidates = cands()
+	cr.FailSafe = cands()
+	if vi, tw := r.U16(), int(r.U16()); vi != noStatic {
+		cr.StaticChoice = &Candidate{Version: at(vi), TargetWarps: tw}
 	}
-	if cr.FailSafe, err = refs(); err != nil {
-		return nil, err
-	}
-	if r.Err() != nil {
+	if r.Err() != nil || bad {
 		return nil, errBadFat
-	}
-	switch {
-	case staticIdx >= 0:
-		if int(staticIdx) >= len(cr.Candidates) {
-			return nil, errBadFat
-		}
-		cr.StaticChoice = cr.Candidates[staticIdx]
-	case staticIdx == -2:
-		cr.StaticChoice = &Candidate{Version: cr.Original, TargetWarps: staticTarget}
 	}
 	return cr, nil
 }

@@ -101,11 +101,6 @@ type Ladder struct {
 	// and the re-preparation of its output are deterministic, so each
 	// function runs once per ladder.
 	optEnts []optEntry
-
-	// oracle is the differential reference for p: Compile verifies levels
-	// in parallel, and every one of them diffs against the same execution
-	// of the source.
-	oracle oracleRef
 }
 
 // optEntry memoizes one function's middle-end invocation: the prepared
@@ -184,7 +179,7 @@ func (l *Ladder) gate(v *Version, targetWarps int, x obs.Ctx) error {
 	overlap(x, "gate",
 		func(gx obs.Ctx) {
 			if l.r.Verify {
-				verr = l.r.verifyVersion(l.p, &l.oracle, v, gx)
+				verr = l.r.verifyVersion(l.p, v, gx)
 			}
 		},
 		func(gx obs.Ctx) { lerr = l.r.lintProgram(v.Prog, targetWarps, gx) })

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"regexp"
 	"strconv"
@@ -44,7 +45,7 @@ func verifiedLevels(t *testing.T, c *obs.Collector) []int {
 // TestOneReferencePerCompile pins the oracle's ownership and the
 // interning it rests on: a compile executes its source once however many
 // levels it verifies against it (in parallel); a decoded multi-version
-// binary executes its original version once however many candidates pass
+// binary executes the source it carries once however many versions pass
 // the tuner's gate; and on all three paths (compile, decoded binary,
 // sweep) each distinct realized program is linted once and executed by
 // the oracle once, because the ladder and DecodeFat hold one *isa.Program
@@ -93,40 +94,36 @@ func TestOneReferencePerCompile(t *testing.T) {
 			diffs, checks, len(levels), len(distinct))
 	}
 
+	// A decoded binary is checked against its source: one reference run,
+	// and one differential run per distinct program among all its
+	// versions, the original included.
 	decoded, err := DecodeFat(EncodeFat(cr))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pointers := map[*isa.Program]bool{decoded.Original.Prog: true}
-	distinct = map[isa.Fingerprint]bool{fingerprintOf(decoded.Original.Prog): true}
-	for _, c := range append(decoded.Candidates, decoded.FailSafe...) {
+	r = NewRealizer(device.GTX680(), device.SmallCache)
+	r.Obs = obs.New()
+	pointers := map[*isa.Program]bool{}
+	distinct = map[isa.Fingerprint]bool{}
+	versions := map[*Version]bool{}
+	for _, c := range fatRefs(decoded) {
+		if err := r.verifyCandidate(decoded, c, r.Obs.Ctx()); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.lintProgram(c.Version.Prog, c.TargetWarps, r.Obs.Ctx()); err != nil {
+			t.Fatal(err)
+		}
 		pointers[c.Version.Prog] = true
 		distinct[fingerprintOf(c.Version.Prog)] = true
+		versions[c.Version] = true
 	}
 	if len(pointers) != len(distinct) {
 		t.Errorf("decoded binary: %d programs for %d distinct encodings, want one each", len(pointers), len(distinct))
 	}
-	r = NewRealizer(device.GTX680(), device.SmallCache)
-	r.Obs = obs.New()
-	versions := map[*Version]bool{}
-	distinct = map[isa.Fingerprint]bool{}
-	for _, c := range append(decoded.Candidates, decoded.FailSafe...) {
-		if err := r.verifyCandidate(decoded, c, r.Obs.Ctx()); err != nil {
-			t.Fatal(err)
-		}
-		// A candidate that shares the original's program has nothing to
-		// diff; every other one is linted as well.
-		if c.Version.Prog != decoded.Original.Prog {
-			if err := r.lintProgram(c.Version.Prog, c.TargetWarps, r.Obs.Ctx()); err != nil {
-				t.Fatal(err)
-			}
-			versions[c.Version] = true
-			distinct[fingerprintOf(c.Version.Prog)] = true
-		}
-	}
+	reference(decoded.Source, r.Obs.Ctx()) // held on the source: no second run
 	m = r.Obs.Metrics()
 	refs, diffs, checks = m.Counter("verify.reference_runs").Value(), m.Counter("verify.differential_runs").Value(), m.Counter("sa.checks").Value()
-	if refs != 1 || diffs != uint64(len(distinct)) || checks != diffs || diffs < 2 {
+	if refs != 1 || diffs != uint64(len(distinct)) || checks != diffs || diffs < 3 {
 		t.Errorf("decoded binary: %d reference runs, %d differential runs and %d lint runs for %d distinct programs, want 1 and one each",
 			refs, diffs, checks, len(distinct))
 	}
@@ -201,28 +198,92 @@ func storeKernel(val int) string {
 // verdict.
 func TestOracleVerdictNotCachedOnPanic(t *testing.T) {
 	orig := isa.MustParse(storeKernel(7))
-	tampered := &Version{Prog: isa.MustParse(storeKernel(8))}
+	tampered := isa.MustParse(storeKernel(8))
 	col := obs.New()
 	x := col.Ctx()
-	var o oracleRef
-	ref := o.get(orig, x)
-	o.ref = nil // Check on a nil reference panics
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Fatal("a check against a nil reference did not panic")
 			}
 		}()
-		o.check(orig, tampered, x)
+		verdict(orig, nil, tampered, x)
 	}()
-	o.ref = ref
-	if vs := o.check(orig, tampered, x); len(vs) == 0 {
+	ref := reference(orig, x)
+	if vs := verdict(orig, ref, tampered, x); len(vs) == 0 {
 		t.Error("a tampered program passed the oracle after a panicked check of it")
 	}
-	if vs := o.check(orig, tampered, x); len(vs) == 0 {
+	if vs := verdict(orig, ref, tampered, x); len(vs) == 0 {
 		t.Error("the verdict kept on the program lost its violation")
 	}
 	if n := col.Metrics().Counter("verify.differential_runs").Value(); n != 1 {
 		t.Errorf("%d completed differential runs of one program, want 1", n)
+	}
+}
+
+// TestTuneCompiledNeedsSource: the source is the oracle's one reference
+// and the static selection's input, so a compile result without one is
+// refused before anything runs.
+func TestTuneCompiledNeedsSource(t *testing.T) {
+	k, err := kernels.ByName("bfs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRealizer(device.GTX680(), device.SmallCache)
+	cr, err := r.Compile(k.Prog, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr.Source = nil
+	if _, err := r.TuneCompiled(cr, Launch{GridWarps: 64, Iterations: 1}); err == nil {
+		t.Error("a compile result without its source tuned")
+	}
+}
+
+// TestDecodedBinaryCheckedAgainstSource: the tuner diffs a decoded
+// binary's versions against the source it carries, not against its own
+// original. A decreasing-direction binary runs only the original version
+// (its candidates are padded levels of it), so a decoded original with
+// one MOVI immediate flipped must fail the tuner's gate.
+func TestDecodedBinaryCheckedAgainstSource(t *testing.T) {
+	ks, err := kernels.All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRealizer(device.GTX680(), device.SmallCache)
+	seen := 0
+	for _, k := range ks {
+		cr, err := r.Compile(k.Prog, true)
+		if err != nil {
+			t.Fatalf("%s: %v", k.Name, err)
+		}
+		if cr.Direction != Decreasing {
+			continue
+		}
+		seen++
+		got, err := DecodeFat(EncodeFat(cr))
+		if err != nil {
+			t.Fatalf("%s: %v", k.Name, err)
+		}
+		flipped := false
+		for _, f := range got.Original.Prog.Funcs {
+			for i := range f.Instrs {
+				if in := &f.Instrs[i]; !flipped && in.Op == isa.OpMovI && !in.IsSpill() {
+					in.Imm ^= 1
+					flipped = true
+				}
+			}
+		}
+		if !flipped {
+			t.Fatalf("%s: no MOVI in the original version", k.Name)
+		}
+		_, err = r.TuneCompiled(got, Launch{GridWarps: k.GridWarps, Iterations: 3})
+		var ve *VerifyError
+		if !errors.As(err, &ve) {
+			t.Errorf("%s: a decoded original with a flipped MOVI tuned with error %v, want a *VerifyError", k.Name, err)
+		}
+	}
+	if seen == 0 {
+		t.Fatal("no suite kernel compiles in the decreasing direction")
 	}
 }

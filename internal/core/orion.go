@@ -155,6 +155,9 @@ func (r *Realizer) TuneCompiled(cr *CompileResult, lc Launch) (*TuneReport, erro
 // distinguish an application iteration from a kernel-splitting piece —
 // splitting exists to create tuning iterations — so one loop walks both.
 func (r *Realizer) tuneCompiled(cr *CompileResult, lc Launch, x obs.Ctx) (*TuneReport, error) {
+	if cr.Source == nil {
+		return nil, errors.New("core: compile result without its source program (Compile and DecodeFat set it)")
+	}
 	pl := r.plan(cr.Original.Prog.BlockDim, lc)
 	rep := &TuneReport{Compile: cr, KernelSplit: pl.split}
 	run := func(ix obs.Ctx, cand *Candidate, piece SplitPiece) (*sim.Stats, error) {
@@ -176,11 +179,12 @@ func (r *Realizer) tuneCompiled(cr *CompileResult, lc Launch, x obs.Ctx) (*TuneR
 	}
 
 	if pl.n == 1 {
-		// Static selection: run the compiler-picked kernel once.
-		if cr.StaticChoice == nil {
-			cr.StaticChoice = r.staticSelect(cr.Original.Prog, cr)
-		}
+		// Static selection: run the compiler-picked kernel once, picking
+		// here when the compile did not.
 		cand := cr.StaticChoice
+		if cand == nil {
+			cand = r.staticSelect(cr.Source, cr)
+		}
 		ssp := x.Span("tune-static", obs.Int("target_warps", cand.TargetWarps))
 		st, err := run(ssp.Ctx(), cand, pl.at(0))
 		if err != nil {

@@ -62,6 +62,10 @@ func DirectionThreshold(d *device.Device) int {
 type CompileResult struct {
 	MaxLive   int
 	Direction Direction
+	// Source is the input program every version was realized from: the
+	// differential oracle's reference, and what a multi-version binary is
+	// matched against. TuneCompiled refuses a result without one.
+	Source *isa.Program
 	// Original is the initial version: all live values in the minimal
 	// number of registers (or the hardware per-thread maximum).
 	Original *Version
@@ -76,11 +80,6 @@ type CompileResult struct {
 	// StaticChoice is set when the kernel cannot be tuned dynamically
 	// (canTune=false): the statically selected candidate.
 	StaticChoice *Candidate
-
-	// oracle is the differential reference for Original.Prog, against
-	// which the tuner verifies candidates it has not seen verified (those
-	// of a decoded multi-version binary).
-	oracle oracleRef
 }
 
 // Candidate pairs a compiled version with the occupancy level to run it
@@ -158,7 +157,9 @@ func (r *Realizer) compile(p *isa.Program, canTune bool, x obs.Ctx) (*CompileRes
 			// Only an input whose block fits the device can have an original
 			// version; the reference run allocates what the input declares.
 			if r.Verify && levelsErr == nil && p.SharedBytes <= r.Dev.SharedBytes(r.Cache) {
-				lad.oracle.get(p, ix)
+				sp := ix.Span("verify.reference", obs.String("kernel", p.Name))
+				reference(p, sp.Ctx())
+				sp.End()
 			}
 		})
 	if lintErr != nil {
@@ -167,7 +168,7 @@ func (r *Realizer) compile(p *isa.Program, canTune bool, x obs.Ctx) (*CompileRes
 	if mlErr != nil {
 		return nil, fmt.Errorf("maxlive %s: %w", p.Name, mlErr)
 	}
-	res := &CompileResult{MaxLive: ml}
+	res := &CompileResult{MaxLive: ml, Source: p}
 	if ml >= DirectionThreshold(r.Dev) {
 		res.Direction = Increasing
 	} else {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/isa"
 	"repro/internal/obs"
@@ -36,40 +35,36 @@ func (e *VerifyError) Error() string {
 	return b.String()
 }
 
-// oracleRef is the differential oracle's reference for one program, built
-// on first use and shared by every version checked against that program.
-// It belongs to whatever owns the program's realizations (a Ladder, a
-// CompileResult) and is freed with it. Sharing is sound because programs
-// are immutable after Validate, and the reference depends on nothing but
-// the program and the oracle's fixed launch.
-type oracleRef struct {
-	once sync.Once
-	ref  *verify.Reference
-}
+// referenceKey keys the differential oracle's reference on its source
+// program (isa.Program.Derived).
+type referenceKey struct{}
 
-// get returns the reference for orig, executing orig on the first call
-// only; concurrent first calls wait for that one execution.
-func (o *oracleRef) get(orig *isa.Program, x obs.Ctx) *verify.Reference {
-	o.once.Do(func() {
-		sp := x.Span("verify.reference", obs.String("kernel", orig.Name))
-		o.ref = verify.NewReference(orig, 0, 0)
-		sp.End()
+// reference returns the oracle's reference for src, kept on src: src
+// executes on the first call only (concurrent first calls wait for it),
+// and verify.reference_runs counts executions. Sharing is sound because
+// programs are immutable after Validate, and the reference depends on
+// nothing but the program and the oracle's fixed launch. A caller that
+// wants the wait in its trace records its own verify.reference span.
+func reference(src *isa.Program, x obs.Ctx) *verify.Reference {
+	ref, _ := src.Derived(referenceKey{}, func() (any, error) {
+		ref := verify.NewReference(src, 0, 0)
 		x.Metrics().Counter("verify.reference_runs").Add(1)
+		return ref, nil
 	})
-	return o.ref
+	return ref.(*verify.Reference)
 }
 
 // verdictKey keys a realized program's differential verdict by its
 // source's fingerprint, a value: the verdict pins neither source nor reference.
 type verdictKey struct{ src isa.Fingerprint }
 
-// check returns the differential verdict on v's program against orig's
-// reference, kept on the program (isa.Program.Derived), which the ladder and
-// DecodeFat intern by content: each distinct binary executes once. A run
-// that panics leaves no verdict, so every caller sees the panic or its own.
-func (o *oracleRef) check(orig *isa.Program, v *Version, x obs.Ctx) []verify.Violation {
-	vs, _ := v.Prog.Derived(verdictKey{fingerprintOf(orig)}, func() (any, error) {
-		vs := o.ref.Check(v.Prog)
+// verdict returns the differential verdict on prog against ref, src's
+// reference, kept on prog (isa.Program.Derived), which the ladder and
+// DecodeFat hold once per distinct binary: each executes once. A run that
+// panics leaves no verdict, so every caller sees the panic or its own.
+func verdict(src *isa.Program, ref *verify.Reference, prog *isa.Program, x obs.Ctx) []verify.Violation {
+	vs, _ := prog.Derived(verdictKey{fingerprintOf(src)}, func() (any, error) {
+		vs := ref.Check(prog)
 		x.Metrics().Counter("verify.differential_runs").Add(1)
 		return vs, nil
 	})
@@ -77,24 +72,23 @@ func (o *oracleRef) check(orig *isa.Program, v *Version, x obs.Ctx) []verify.Vio
 }
 
 // verifyVersion checks a realized version against the allocation verifier
-// and, when a distinct reference program is available, the differential
-// oracle. orig is the semantic reference — the pre-realization source in
-// the compile path, the original version's binary in the tuner path — and
-// ref its owner's shared oracle reference. The version keeps the outcome:
-// versions are immutable, so one check each suffices even though the
-// tuner re-verifies its candidate on every iteration.
-func (r *Realizer) verifyVersion(orig *isa.Program, ref *oracleRef, v *Version, x obs.Ctx) error {
+// and the differential oracle, whose one reference is src, the program the
+// version was realized from (a compile's input, a decoded binary's
+// Source). The version keeps the outcome: versions are immutable, so one
+// check each suffices even though the tuner re-verifies its candidate on
+// every iteration.
+func (r *Realizer) verifyVersion(src *isa.Program, v *Version, x obs.Ctx) error {
 	if v == nil {
 		return nil
 	}
-	v.verifyOnce.Do(func() { v.verifyErr = r.verifyUncached(orig, ref, v, x) })
+	v.verifyOnce.Do(func() { v.verifyErr = r.verifyUncached(src, v, x) })
 	return v.verifyErr
 }
 
 // verifyUncached runs the static invariants, then the execution oracle,
 // and reports every violation as a structured "verify.violation" span plus
 // a verify.violations counter bump before folding them into a VerifyError.
-func (r *Realizer) verifyUncached(orig *isa.Program, ref *oracleRef, v *Version, x obs.Ctx) error {
+func (r *Realizer) verifyUncached(src *isa.Program, v *Version, x obs.Ctx) error {
 	sp := x.Span("verify",
 		obs.String("kernel", v.Prog.Name),
 		obs.Int("target_warps", v.TargetWarps))
@@ -105,15 +99,13 @@ func (r *Realizer) verifyUncached(orig *isa.Program, ref *oracleRef, v *Version,
 		SharedPerBlock: v.SharedPerBlock,
 		LocalSlots:     v.LocalSlots,
 	})
-	// The oracle needs a statically sane binary and a reference that is
-	// not the binary itself (the decreasing direction runs the original
-	// version at padded levels — nothing to diff). Every check that reaches
+	// The oracle needs a statically sane binary. Every check that reaches
 	// the oracle records its wait for the verdict as a span, whichever
 	// check ran the program, so the trace does not depend on scheduling.
-	if len(vs) == 0 && orig != nil && orig != v.Prog {
-		ref.get(orig, sp.Ctx())
+	if len(vs) == 0 {
+		ref := reference(src, sp.Ctx())
 		dsp := sp.Ctx().Span("verify.differential")
-		vs = ref.check(orig, v, dsp.Ctx())
+		vs = verdict(src, ref, v.Prog, dsp.Ctx())
 		dsp.End()
 	}
 	for _, viol := range vs {
@@ -138,15 +130,11 @@ func (r *Realizer) verifyUncached(orig *isa.Program, ref *oracleRef, v *Version,
 }
 
 // verifyCandidate is the tuner-side check: before a candidate executes, it
-// is verified against the compile result's original binary. The version
-// keeps the outcome, so iterations after the first cost a sync.Once check.
+// is verified against the compile result's source. The version keeps the
+// outcome, so iterations after the first cost a sync.Once check.
 func (r *Realizer) verifyCandidate(cr *CompileResult, cand *Candidate, x obs.Ctx) error {
 	if !r.Verify || cand == nil {
 		return nil
 	}
-	var orig *isa.Program
-	if cr.Original != nil {
-		orig = cr.Original.Prog
-	}
-	return r.verifyVersion(orig, &cr.oracle, cand.Version, x)
+	return r.verifyVersion(cr.Source, cand.Version, x)
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -199,6 +200,57 @@ func TestRestartServesIdenticalBytes(t *testing.T) {
 	}
 	if !bytes.Equal(first, third) {
 		t.Error("binary upload produced different bytes than text upload")
+	}
+}
+
+// TestStaleFatRecompiled: a stored fat binary in an older format (here
+// the first OFAT layout, without a program table) does not decode, so the
+// daemon counts it in serve.fat_stale, answers from a fresh compile with
+// the bytes a storeless daemon serves, and overwrites the entry with a
+// binary that decodes.
+func TestStaleFatRecompiled(t *testing.T) {
+	const path = "/v1/tune?grid=128&iters=4"
+	_, bare := newTestServer(t, "")
+	code, _, want := post(t, bare.URL, path, testKernel)
+	if code != http.StatusOK {
+		t.Fatalf("storeless tune = %d: %s", code, want)
+	}
+	code, hdr, _ := post(t, bare.URL, strings.Replace(path, "tune", "compile", 1), testKernel)
+	key := hdr.Get("X-Orion-Key")
+	if code != http.StatusOK || key == "" {
+		t.Fatalf("compile = %d, key %q", code, key)
+	}
+
+	old, err := hex.DecodeString("" +
+		"4f464154150001feff0800020020001800000100000100030000001000200001" +
+		"000000000000e03f630000004f524e310100610000000040000000010004006d" +
+		"61696e0000010000000000000003000000170000000000ffffffffffff070000" +
+		"00000000001a000000000000000000ffff0000000000000000260000000000ff" +
+		"ffffffffff000000000000000000003000100008010000000070110100180030" +
+		"0003000000000000e83f4f0000004f524e310100610800000040000000010004" +
+		"006d61696e0000010000000000000002000000180000010000ffffffffffff00" +
+		"00000000000000260000000000ffffffffffff00000000000000000000000002" +
+		"000100300000001800010000001000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, hs := newTestServer(t, t.TempDir())
+	if err := s.cfg.Store.Put("fat", key, old); err != nil {
+		t.Fatal(err)
+	}
+	code, _, got := post(t, hs.URL, path, testKernel)
+	if code != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("tune over a stale fat binary = %d, identical to storeless: %v", code, bytes.Equal(got, want))
+	}
+	if n := s.metrics.Counter("serve.fat_stale").Value(); n != 1 {
+		t.Errorf("serve.fat_stale = %d, want 1", n)
+	}
+	data, ok, err := s.cfg.Store.Get("fat", key)
+	if err != nil || !ok {
+		t.Fatalf("stored fat: ok %v, err %v", ok, err)
+	}
+	if _, err := core.DecodeFat(data); err != nil {
+		t.Errorf("the stale entry was not replaced by a decodable binary: %v", err)
 	}
 }
 
