@@ -9,43 +9,50 @@ import (
 	"repro/internal/sim"
 )
 
-// realizeKey identifies one realization exactly: the program's content
-// hash, the occupancy target (which fixes the register and shared budgets
-// through the occupancy formulas), the device's full parameter set, the
-// cache configuration (it moves the shared-spill capacity), and the
-// inter-procedural allocator options. Everything Realize reads is covered,
-// so equal keys imply byte-identical versions.
+// realizeKey identifies one program on one platform exactly: the
+// program's content hash, the device's full parameter set, the cache
+// configuration (it moves the shared-spill capacity), and the
+// inter-procedural allocator options. A budget pair's fill reads nothing
+// else, so equal keys imply byte-identical versions at every level.
 type realizeKey struct {
-	prog        isa.Fingerprint
-	targetWarps int
-	dev         uint64
-	cache       device.CacheConfig
-	spaceMin    bool
-	moveMin     bool
+	prog     isa.Fingerprint
+	dev      uint64
+	cache    device.CacheConfig
+	spaceMin bool
+	moveMin  bool
 	// optFP is zero when the pressure-reducing middle end is off, else the
 	// pipeline's behavior fingerprint: cached artifacts built with the
 	// pass on are only reused while the same pipeline would run today.
 	optFP uint64
 }
 
-// realizeCache memoizes Realize process-wide: the experiment suite builds
-// a fresh Realizer per kernel/device/experiment, and Compile, Sweep,
-// Baseline, and the tuner all re-realize the same (program, level, device)
-// triples — a global content-addressed cache collapses all of that to one
-// allocation per distinct input. Versions are shared between callers and
-// must be treated as immutable (they already are: nothing mutates a
-// Version or its program after Realize returns).
-var realizeCache = memo.New[realizeKey, *Version]()
+// realization is what the process keeps of one program on one platform:
+// the ladder's budget-pair fills (proto versions, TargetWarps zero) and
+// the intern table, one realized program per fingerprint. Analyses are
+// not kept; they belong to the ladder that built them.
+type realization struct {
+	fills *memo.Cache[ladderKey, *Version]
+	progs *memo.Cache[isa.Fingerprint, *isa.Program]
+}
 
-// cacheKey builds the memo key for a realization.
-func (r *Realizer) cacheKey(p *isa.Program, targetWarps int) realizeKey {
+// realizeCache memoizes realizations process-wide: the experiment suite
+// builds a fresh Realizer per kernel/device/experiment, and Compile,
+// Sweep, Baseline, and the tuner all re-realize the same (program, level,
+// platform) triples. Many levels round onto one budget pair, so every
+// ladder on one program and platform shares one realization: each
+// distinct budget pair is allocated once, and each distinct binary is one
+// *isa.Program. Versions and programs are shared between callers and must
+// be treated as immutable.
+var realizeCache = memo.New[realizeKey, *realization]()
+
+// cacheKey builds the memo key for p's realization on r's platform.
+func (r *Realizer) cacheKey(p *isa.Program) realizeKey {
 	key := realizeKey{
-		prog:        fingerprintOf(p),
-		targetWarps: targetWarps,
-		dev:         r.Dev.Fingerprint(),
-		cache:       r.Cache,
-		spaceMin:    r.Interproc.SpaceMin,
-		moveMin:     r.Interproc.MoveMin,
+		prog:     fingerprintOf(p),
+		dev:      r.Dev.Fingerprint(),
+		cache:    r.Cache,
+		spaceMin: r.Interproc.SpaceMin,
+		moveMin:  r.Interproc.MoveMin,
 	}
 	if r.Opt {
 		key.optFP = opt.Fingerprint

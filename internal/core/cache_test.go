@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -39,8 +40,8 @@ func TestBaselineCompileShareRealization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cr.Original != vBase {
-		t.Error("Compile re-allocated the levels[0] version Baseline already realized")
+	if cr.Original.Prog != vBase.Prog {
+		t.Error("Compile re-allocated the levels[0] program Baseline already realized")
 	}
 	hits := SnapshotCacheCounters().Realize.Hits
 	if hits == 0 {
@@ -49,8 +50,9 @@ func TestBaselineCompileShareRealization(t *testing.T) {
 }
 
 // TestRealizeAtMostOncePerKey asserts the acceptance criterion directly:
-// across repeated Sweep/Baseline/Compile over the same inputs, the miss
-// counter (== distinct realizations actually run) does not grow.
+// across repeated Sweep/Baseline/Compile over the same inputs, neither the
+// miss counter (== distinct realizations, one per program and platform)
+// nor the allocator's colorings grow.
 func TestRealizeAtMostOncePerKey(t *testing.T) {
 	ResetRealizeCache()
 	ResetRunCache()
@@ -66,7 +68,7 @@ func TestRealizeAtMostOncePerKey(t *testing.T) {
 	if _, _, err := r.Baseline(k.Prog, 128); err != nil {
 		t.Fatal(err)
 	}
-	missesFirst := SnapshotCacheCounters().Realize.Misses
+	first := SnapshotCacheCounters()
 
 	// Second pass over the same inputs, through a fresh Realizer (the
 	// suite builds one per experiment row): everything must hit.
@@ -80,9 +82,9 @@ func TestRealizeAtMostOncePerKey(t *testing.T) {
 	if _, err := r2.Compile(k.Prog, true); err != nil {
 		t.Fatal(err)
 	}
-	missesSecond := SnapshotCacheCounters().Realize.Misses
-	if missesSecond != missesFirst {
-		t.Errorf("repeat run performed %d new realizations, want 0", missesSecond-missesFirst)
+	delta := SnapshotCacheCounters().Delta(first)
+	if delta.Realize.Misses != 0 || delta.Ladder.Recolor != 0 {
+		t.Errorf("repeat run performed %d new realizations and %d colorings, want 0", delta.Realize.Misses, delta.Ladder.Recolor)
 	}
 }
 
@@ -268,5 +270,110 @@ func TestLintCountExactUnderParallelSweep(t *testing.T) {
 		if len(counts) != 1 {
 			t.Errorf("%s: sa.checks over 20 identical cold sweeps = %v (value: runs), want one value", k.Name, counts)
 		}
+	}
+}
+
+// TestPanickedFillRecomputes: a budget-pair fill that panics leaves no
+// entry in the realization it would have filled, so a fresh ladder on the
+// same program and platform realizes the level instead of reading an empty
+// result.
+func TestPanickedFillRecomputes(t *testing.T) {
+	ResetRealizeCache()
+	k, err := kernels.ByName("hotspot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRealizer(device.GTX680(), device.SmallCache)
+	lvl := occupancy.Levels(r.Dev, k.Prog.BlockDim)[0]
+	bad := r.NewLadder(k.Prog)
+	bad.prepOnce[0].Do(func() {}) // a nil Prep without an error
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the poisoned fill did not panic")
+			}
+		}()
+		bad.Realize(lvl)
+	}()
+	fresh := r.NewLadder(k.Prog)
+	if fresh.re != bad.re {
+		t.Fatal("the two ladders do not share a realization")
+	}
+	if v, err := fresh.Realize(lvl); err != nil || v == nil || v.TargetWarps != lvl {
+		t.Fatalf("after a panicked fill: %+v, %v", v, err)
+	}
+}
+
+// TestSharedRealizationDeterminism: realizers that compile and sweep one
+// kernel at once share its realization as realizers that run one after
+// another do. The fat binaries are byte-identical to the serial run's,
+// every result holds one program per binary, and the allocator colors
+// exactly as often.
+func TestSharedRealizationDeterminism(t *testing.T) {
+	k, err := kernels.ByName("hotspot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const realizers = 4
+	run := func(parallel bool) (fats []string, recolor uint64) {
+		ResetRealizeCache()
+		fats = make([]string, realizers)
+		progs := make([][]*isa.Program, realizers)
+		cols := make([]*obs.Collector, realizers)
+		work := func(i int) {
+			r := NewRealizer(device.GTX680(), device.SmallCache)
+			r.Obs = obs.New()
+			cols[i] = r.Obs
+			cr, err := r.Compile(k.Prog, true)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			out, err := r.Sweep(k.Prog, k.Prog.BlockDim/32)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			fats[i] = string(EncodeFat(cr))
+			for _, c := range fatRefs(cr) {
+				progs[i] = append(progs[i], c.Version.Prog)
+			}
+			for _, lr := range out {
+				progs[i] = append(progs[i], lr.Version.Prog)
+			}
+		}
+		var wg sync.WaitGroup
+		for i := range realizers {
+			if !parallel {
+				work(i)
+				continue
+			}
+			wg.Add(1)
+			go func() { defer wg.Done(); work(i) }()
+		}
+		wg.Wait()
+		held := map[isa.Fingerprint]*isa.Program{}
+		for _, ps := range progs {
+			for _, p := range ps {
+				if h := held[fingerprintOf(p)]; h != nil && h != p {
+					t.Errorf("parallel=%v: two programs for one binary", parallel)
+				}
+				held[fingerprintOf(p)] = p
+			}
+		}
+		for _, c := range cols {
+			recolor += c.Metrics().Counter("ladder.recolor").Value()
+		}
+		return fats, recolor
+	}
+	serial, want := run(false)
+	parallel, got := run(true)
+	for i := range parallel {
+		if parallel[i] != serial[0] || serial[i] != serial[0] {
+			t.Errorf("realizer %d: fat binary differs from the serial run's", i)
+		}
+	}
+	if got != want {
+		t.Errorf("ladder.recolor = %d with the realizers side by side, %d one after another", got, want)
 	}
 }

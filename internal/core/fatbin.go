@@ -153,9 +153,14 @@ func DecodeFat(data []byte) (*CompileResult, error) {
 		return versions[vi]
 	}
 	cands := func() []*Candidate {
-		out := make([]*Candidate, r.U16())
+		n := int(r.U16()) // 4 bytes an entry: a count past the end allocates nothing
+		e := isa.NewReader(r.Bytes(4 * n))
+		if r.Err() != nil {
+			return nil
+		}
+		out := make([]*Candidate, n)
 		for i := range out {
-			out[i] = &Candidate{Version: at(r.U16()), TargetWarps: int(r.U16())}
+			out[i] = &Candidate{Version: at(e.U16()), TargetWarps: int(e.U16())}
 		}
 		return out
 	}

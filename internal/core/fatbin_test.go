@@ -224,12 +224,47 @@ func TestDecodeFatRejectsHugeProgramLength(t *testing.T) {
 	}
 }
 
+// overcounted is the format fixture cut after its version table, then the
+// original's index and a candidate count of 0xFFFF that the 391 bytes
+// cannot hold.
+func overcounted(t testing.TB) []byte {
+	le := binary.LittleEndian
+	data := EncodeFat(fatFixture(t))
+	off := len(fatMagic) + 3
+	n := int(le.Uint16(data[off:]))
+	for off += 2; n > 0; n-- {
+		off += 4 + int(le.Uint32(data[off:]))
+	}
+	off += 2 + 29*int(le.Uint16(data[off:])) // 29 bytes per version
+	return le.AppendUint16(le.AppendUint16(slices.Clip(data[:off]), 0), 0xFFFF)
+}
+
+// TestDecodeFatBoundsCounts: a candidate count is bounded by the bytes
+// left before any Candidate is allocated, so the overcounted input costs
+// about what it costs without the count (65 558 allocations, not 22, when
+// the count sized the list).
+func TestDecodeFatBoundsCounts(t *testing.T) {
+	data := overcounted(t)
+	if len(data) != 391 {
+		t.Fatalf("input is %d bytes, want 391", len(data))
+	}
+	if _, err := DecodeFat(data); err == nil {
+		t.Fatal("overcounted candidate list accepted")
+	}
+	with := testing.AllocsPerRun(10, func() { DecodeFat(data) })
+	without := testing.AllocsPerRun(10, func() { DecodeFat(data[:len(data)-2]) })
+	if with > 2*without {
+		t.Errorf("DecodeFat made %.0f allocations, %.0f without the count", with, without)
+	}
+}
+
 // FuzzDecodeFat: arbitrary bytes never panic the decoder, and a binary it
 // accepts re-encodes to bytes that decode and re-encode to themselves.
 // The first re-encoding may differ from the input: it drops table entries
 // no version uses and merges entries with one fingerprint.
 func FuzzDecodeFat(f *testing.F) {
 	f.Add(EncodeFat(fatFixture(f)))
+	f.Add(overcounted(f))
 	k, err := kernels.ByName("gaussian")
 	if err != nil {
 		f.Fatal(err)

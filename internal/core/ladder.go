@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/interproc"
 	"repro/internal/isa"
+	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/occupancy"
 	"repro/internal/opt"
@@ -33,11 +34,6 @@ func LadderStats() LadderCounters {
 	}
 }
 
-func countReuse(x obs.Ctx) {
-	ladderReuse.Add(1)
-	x.Metrics().Counter("ladder.reuse").Add(1)
-}
-
 // budgetKey identifies one realizeWithBudget input pair. Distinct
 // occupancy targets frequently collapse onto the same pair (the occupancy
 // formulas round to allocation granules), so the ladder memoizes on the
@@ -56,28 +52,23 @@ type ladderKey struct {
 	start, at budgetKey
 }
 
-// ladderEntry is one realized budget pair: the shared proto version
-// (TargetWarps zero — per-level Versions are cloned from it), or the
-// error the realization produced.
-type ladderEntry struct {
-	once sync.Once
-	v    *Version
-	err  error
-}
-
-// Ladder is the shared realization context for one program on one
+// Ladder is one call's realization context for one program on one
 // realizer: it realizes the program across all target occupancy levels
 // through a single set of middle-end analyses. Per-function web splitting,
-// liveness, interference graphs, and spill costs are computed once
-// (regalloc.Prep) and re-colored per register budget, and whole
-// allocations are memoized per (register, shared-slot) budget pair and
-// the pair its level started from (ladderKey, DESIGN.md §10). Realized
-// programs are interned by content (intern), so whatever is derived from a
+// liveness, interference graphs, and spill costs are computed once per
+// ladder (regalloc.Prep) and re-colored per register budget. Whole
+// allocations and the programs they produce live in the program's
+// realization (realizeCache), shared by every ladder on the same program
+// and platform: fills are memoized per (register, shared-slot) budget pair
+// and the pair its level started from (ladderKey, DESIGN.md §10), and
+// realized programs are interned by content, so whatever is derived from a
 // binary (isa.Program.Derived) is built once per distinct binary. A Ladder
 // is safe for concurrent use; Sweep and Compile fan levels out over one.
 type Ladder struct {
-	r *Realizer
-	p *isa.Program
+	r   *Realizer
+	p   *isa.Program
+	key realizeKey
+	re  *realization
 
 	prepOnce []sync.Once
 	preps    []*regalloc.Prep
@@ -90,10 +81,6 @@ type Ladder struct {
 	perRaw   []int // per-function max-live, unclamped (the opt pipeline's baseline)
 	order    []int // caller-first allocation order
 	maxLive0 int   // entry function's unclamped chain max-live (Compile's metric)
-
-	mu      sync.Mutex
-	entries map[ladderKey]*ladderEntry
-	progs   map[isa.Fingerprint]*isa.Program // the intern table
 
 	// optEnts memoizes the pressure-reducing middle end per function: the
 	// scheduler's output does not depend on the register budget (the budget
@@ -111,20 +98,26 @@ type optEntry struct {
 	prep *regalloc.Prep
 }
 
-// NewLadder returns a ladder realization context for p. Callers that
-// realize a program at several occupancy levels (sweeps, candidate
-// ladders) should share one ladder; single-level callers can keep using
-// Realize, which builds a throwaway ladder internally.
+// NewLadder returns a realization context for p, holding p's realization
+// on the realizer's platform from the process-wide realize cache (a fresh
+// one when the cache is off). Callers that realize a program at several
+// occupancy levels (sweeps, candidate ladders) should share one ladder:
+// the analyses are per ladder, while the budget-pair fills and realized
+// programs are shared with every ladder on the same program and platform.
 func (r *Realizer) NewLadder(p *isa.Program) *Ladder {
 	n := len(p.Funcs)
+	key := r.cacheKey(p)
+	re, _ := realizeCache.Do(key, func() (*realization, error) {
+		return &realization{memo.New[ladderKey, *Version](), memo.New[isa.Fingerprint, *isa.Program]()}, nil
+	})
 	return &Ladder{
 		r:        r,
 		p:        p,
+		key:      key,
+		re:       re,
 		prepOnce: make([]sync.Once, n),
 		preps:    make([]*regalloc.Prep, n),
 		prepErr:  make([]error, n),
-		entries:  map[ladderKey]*ladderEntry{},
-		progs:    map[isa.Fingerprint]*isa.Program{},
 		optEnts:  make([]optEntry, n),
 	}
 }
@@ -140,7 +133,7 @@ func (l *Ladder) Realize(targetWarps int) (*Version, error) {
 // RealizeCtx is Realize with an explicit observability context: the
 // realization, then the version's gates.
 func (l *Ladder) RealizeCtx(targetWarps int, x obs.Ctx) (*Version, error) {
-	v, err := l.realizeVersion(targetWarps, x)
+	v, err := l.realize(targetWarps, x)
 	if err != nil {
 		return nil, err
 	}
@@ -148,26 +141,6 @@ func (l *Ladder) RealizeCtx(targetWarps int, x obs.Ctx) (*Version, error) {
 		return nil, err
 	}
 	return v, nil
-}
-
-// realizeVersion is the ungated realization: the process-wide realization
-// memo in front of the ladder, exactly as in Realizer.RealizeCtx.
-func (l *Ladder) realizeVersion(targetWarps int, x obs.Ctx) (*Version, error) {
-	filled := false
-	v, err := realizeCache.Do(l.r.cacheKey(l.p, targetWarps), func() (*Version, error) {
-		filled = true
-		return l.realize(targetWarps, x)
-	})
-	if !filled && x.Enabled() {
-		sp := x.Span("realize.cached",
-			obs.String("kernel", l.p.Name),
-			obs.Int("target_warps", targetWarps))
-		if err != nil {
-			sp.SetAttr(obs.String("error", err.Error()))
-		}
-		sp.End()
-	}
-	return v, err
 }
 
 // gate runs a realized version's two checks side by side: the allocation
@@ -179,7 +152,7 @@ func (l *Ladder) gate(v *Version, targetWarps int, x obs.Ctx) error {
 	overlap(x, "gate",
 		func(gx obs.Ctx) {
 			if l.r.Verify {
-				verr = l.r.verifyVersion(l.p, v, gx)
+				verr = l.r.verifyVersion(l.p, l.key, v, gx)
 			}
 		},
 		func(gx obs.Ctx) { lerr = l.r.lintProgram(v.Prog, targetWarps, gx) })
@@ -199,12 +172,12 @@ func overlap(x obs.Ctx, label string, tasks ...func(obs.Ctx)) {
 	fork.Join()
 }
 
-// realize wraps the uncached realization in a "realize" span.
+// realize is the ungated realization of one level, in a "realize" span.
 func (l *Ladder) realize(targetWarps int, x obs.Ctx) (*Version, error) {
 	sp := x.Span("realize",
 		obs.String("kernel", l.p.Name),
 		obs.Int("target_warps", targetWarps))
-	v, err := l.realizeUncached(targetWarps, sp.Ctx())
+	v, err := l.realizeLevel(targetWarps, sp.Ctx())
 	if err != nil {
 		sp.SetAttr(obs.String("error", err.Error()))
 	} else {
@@ -313,27 +286,20 @@ func (l *Ladder) maxLive(x obs.Ctx) (int, error) {
 }
 
 // withBudget realizes the program at an exact (register, shared-slot)
-// budget pair, for a level that started at start, through the memo; only
-// a new entry runs the allocator.
+// budget pair, for a level that started at start, through the
+// realization's memo; only a new entry runs the allocator. A fill that
+// panics leaves no entry, so the next ladder to ask fills it again.
 func (l *Ladder) withBudget(start, at budgetKey, x obs.Ctx) (*Version, error) {
-	key := ladderKey{start, at}
-	l.mu.Lock()
-	e, ok := l.entries[key]
-	if !ok {
-		e = &ladderEntry{}
-		l.entries[key] = e
-	}
-	l.mu.Unlock()
-
-	hit := true
-	e.once.Do(func() {
-		hit = false
-		e.v, e.err = l.fillBudget(at.reg, at.shared, x)
+	filled := false
+	v, err := l.re.fills.Do(ladderKey{start, at}, func() (*Version, error) {
+		filled = true
+		return l.fillBudget(at.reg, at.shared, x)
 	})
-	if hit {
-		countReuse(x)
+	if !filled {
+		ladderReuse.Add(1)
+		x.Metrics().Counter("ladder.reuse").Add(1)
 	}
-	return e.v, e.err
+	return v, err
 }
 
 // fillBudget allocates every function at the budget pair, walking the call
@@ -520,37 +486,22 @@ func (l *Ladder) fillBudget(regBudget, sharedSlotBudget int, x obs.Ctx) (*Versio
 	return v, nil
 }
 
-// intern returns the program the ladder holds with np's bytes, holding np
-// if there is none. np is hashed once: the hash seeds its fingerprintOf.
+// intern returns the program the realization holds with np's bytes,
+// holding np if there is none. np is hashed once: the hash seeds its
+// fingerprintOf.
 func (l *Ladder) intern(np *isa.Program) *isa.Program {
 	fp := np.Fingerprint()
 	np.Derived(fingerprintKey{}, func() (any, error) { return fp, nil })
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if held := l.progs[fp]; held != nil {
-		return held
-	}
-	l.progs[fp] = np
-	return np
+	held, _ := l.re.progs.Do(fp, func() (*isa.Program, error) { return np, nil })
+	return held
 }
 
 // cloneForTarget stamps a shared proto version with a level's advertised
-// occupancy. The program and all realized resources are shared (they are
-// immutable); only the target differs, so reused levels cost one small
-// allocation instead of a compile.
+// occupancy: a copy, sharing the immutable program and debug map.
 func cloneForTarget(proto *Version, targetWarps int) *Version {
-	return &Version{
-		Prog:           proto.Prog,
-		TargetWarps:    targetWarps,
-		RegsPerThread:  proto.RegsPerThread,
-		SharedPerBlock: proto.SharedPerBlock,
-		LocalSlots:     proto.LocalSlots,
-		Moves:          proto.Moves,
-		Natural:        proto.Natural,
-		MaxLivePre:     proto.MaxLivePre,
-		MaxLivePost:    proto.MaxLivePost,
-		Debug:          proto.Debug,
-	}
+	v := *proto
+	v.TargetWarps = targetWarps
+	return &v
 }
 
 // budgets returns the budget pair a target's realization starts from: the
@@ -589,10 +540,10 @@ func (l *Ladder) groupByBudget(targets []int) [][]int {
 	return groups
 }
 
-// realizeUncached maps a target occupancy level onto budget pairs (with
+// realizeLevel maps a target occupancy level onto budget pairs (with
 // the paper's tighten-and-retry loop for overflowing call chains) and
 // realizes them through the ladder.
-func (l *Ladder) realizeUncached(targetWarps int, x obs.Ctx) (*Version, error) {
+func (l *Ladder) realizeLevel(targetWarps int, x obs.Ctx) (*Version, error) {
 	p, d := l.p, l.r.Dev
 	b, err := l.budgets(targetWarps)
 	if err != nil {

@@ -46,17 +46,17 @@ func verifiedLevels(t *testing.T, c *obs.Collector) []int {
 // interning it rests on: a compile executes its source once however many
 // levels it verifies against it (in parallel); a decoded multi-version
 // binary executes the source it carries once however many versions pass
-// the tuner's gate; and on all three paths (compile, decoded binary,
-// sweep) each distinct realized program is linted once and executed by
-// the oracle once, because the ladder and DecodeFat hold one *isa.Program
-// per distinct binary. Every check that reaches the oracle records one
+// the tuner's gate; and on every path (compile, decoded binary, sweep,
+// and a sweep after a baseline) each distinct realized program is linted
+// once and executed by the oracle once, because a realization and
+// DecodeFat hold one *isa.Program per distinct binary. Every check that reaches the oracle records one
 // verify.differential span.
 func TestOneReferencePerCompile(t *testing.T) {
 	k, err := kernels.ByName("cfd")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fresh Versions, so the per-version verification memo cannot answer
+	// Fresh programs, so the verification outcomes they keep cannot answer
 	// for a binary an earlier test already checked.
 	ResetRealizeCache()
 	r := NewRealizer(device.GTX680(), device.SmallCache)
@@ -159,9 +159,8 @@ func TestOneReferencePerCompile(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(lad.entries) <= len(lad.progs) {
-		t.Fatalf("sweep: %d budget fills are %d distinct programs: no two fills allocate the same bytes",
-			len(lad.entries), len(lad.progs))
+	if fills, progs := lad.re.fills.Len(), lad.re.progs.Len(); fills <= progs {
+		t.Fatalf("sweep: %d budget fills are %d distinct programs: no two fills allocate the same bytes", fills, progs)
 	}
 	if len(pointers) != len(distinct) {
 		t.Errorf("sweep: %d programs for %d distinct binaries, want one each", len(pointers), len(distinct))
@@ -173,6 +172,32 @@ func TestOneReferencePerCompile(t *testing.T) {
 	}
 	if got := countSpans(r.Obs, "verify.differential"); got != uint64(len(out)) {
 		t.Errorf("sweep: %d verify.differential spans for %d levels", got, len(out))
+	}
+
+	// Across calls too: Baseline realizes level 8, and the sweep after it
+	// fills levels 16-32 with the same bytes. Both calls share the
+	// program's realization, so the sweep's levels hold one program per
+	// binary, Baseline's included, and nothing is linted or diffed twice.
+	ResetRealizeCache()
+	r = NewRealizer(device.GTX680(), device.SmallCache)
+	r.Obs = obs.New()
+	if _, _, err := r.Baseline(hs.Prog, 2*hs.Prog.BlockDim/32); err != nil {
+		t.Fatal(err)
+	}
+	if out, err = r.Sweep(hs.Prog, 2*hs.Prog.BlockDim/32); err != nil {
+		t.Fatal(err)
+	}
+	pointers = map[*isa.Program]bool{}
+	distinct = map[isa.Fingerprint]bool{}
+	for _, lr := range out {
+		pointers[lr.Version.Prog] = true
+		distinct[fingerprintOf(lr.Version.Prog)] = true
+	}
+	m = r.Obs.Metrics()
+	diffs, checks = m.Counter("verify.differential_runs").Value(), m.Counter("sa.checks").Value()
+	if len(out) != 8 || len(pointers) != 4 || len(distinct) != 4 || checks != 4 || diffs != 4 {
+		t.Errorf("baseline then sweep: %d levels hold %d programs for %d distinct binaries, %d lint runs and %d differential runs; want 8 levels, 4 of each",
+			len(out), len(pointers), len(distinct), checks, diffs)
 	}
 }
 

@@ -183,7 +183,7 @@ func (r *Realizer) compile(p *isa.Program, canTune bool, x obs.Ctx) (*CompileRes
 	// Original version: everything lives in the minimal number of
 	// registers (target the lowest occupancy level, i.e., the largest
 	// register budget the hardware offers).
-	orig, err := lad.realizeVersion(minLevel, x)
+	orig, err := lad.realize(minLevel, x)
 	if err != nil {
 		return nil, fmt.Errorf("compile %s: original version: %w", p.Name, err)
 	}

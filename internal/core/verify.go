@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/device"
 	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/verify"
@@ -59,7 +60,7 @@ func reference(src *isa.Program, x obs.Ctx) *verify.Reference {
 type verdictKey struct{ src isa.Fingerprint }
 
 // verdict returns the differential verdict on prog against ref, src's
-// reference, kept on prog (isa.Program.Derived), which the ladder and
+// reference, kept on prog (isa.Program.Derived), which a realization and
 // DecodeFat hold once per distinct binary: each executes once. A run that
 // panics leaves no verdict, so every caller sees the panic or its own.
 func verdict(src *isa.Program, ref *verify.Reference, prog *isa.Program, x obs.Ctx) []verify.Violation {
@@ -71,18 +72,29 @@ func verdict(src *isa.Program, ref *verify.Reference, prog *isa.Program, x obs.C
 	return vs.([]verify.Violation)
 }
 
+// verifyKey keys a verification outcome on the realized program
+// (isa.Program.Derived) by everything the check reads besides the program:
+// the source's fingerprint, the platform, and the version's resources.
+type verifyKey struct {
+	src                         isa.Fingerprint
+	dev                         uint64
+	cache                       device.CacheConfig
+	target, regs, shared, local int
+}
+
 // verifyVersion checks a realized version against the allocation verifier
 // and the differential oracle, whose one reference is src, the program the
 // version was realized from (a compile's input, a decoded binary's
-// Source). The version keeps the outcome: versions are immutable, so one
-// check each suffices even though the tuner re-verifies its candidate on
-// every iteration.
-func (r *Realizer) verifyVersion(src *isa.Program, v *Version, x obs.Ctx) error {
+// Source); plat is r.cacheKey(src), whose hashes the check reuses. The
+// outcome is kept on the version's program, so each distinct check runs
+// once even though the tuner re-verifies its candidate on every iteration.
+func (r *Realizer) verifyVersion(src *isa.Program, plat realizeKey, v *Version, x obs.Ctx) error {
 	if v == nil {
 		return nil
 	}
-	v.verifyOnce.Do(func() { v.verifyErr = r.verifyUncached(src, v, x) })
-	return v.verifyErr
+	key := verifyKey{plat.prog, plat.dev, plat.cache, v.TargetWarps, v.RegsPerThread, v.SharedPerBlock, v.LocalSlots}
+	_, err := v.Prog.Derived(key, func() (any, error) { return nil, r.verifyUncached(src, v, x) })
+	return err
 }
 
 // verifyUncached runs the static invariants, then the execution oracle,
@@ -130,11 +142,11 @@ func (r *Realizer) verifyUncached(src *isa.Program, v *Version, x obs.Ctx) error
 }
 
 // verifyCandidate is the tuner-side check: before a candidate executes, it
-// is verified against the compile result's source. The version keeps the
-// outcome, so iterations after the first cost a sync.Once check.
+// is verified against the compile result's source. The program keeps the
+// outcome, so iterations after the first cost a lookup.
 func (r *Realizer) verifyCandidate(cr *CompileResult, cand *Candidate, x obs.Ctx) error {
 	if !r.Verify || cand == nil {
 		return nil
 	}
-	return r.verifyVersion(cr.Source, cand.Version, x)
+	return r.verifyVersion(cr.Source, r.cacheKey(cr.Source), cand.Version, x)
 }

@@ -9,7 +9,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/device"
 	"repro/internal/interp"
@@ -57,10 +56,6 @@ type Version struct {
 	// function evicted, letting profiles resolve spill instructions back
 	// to allocator decisions. Nil on decoded or hand-built versions.
 	Debug *prof.DebugInfo
-
-	// verifyOnce guards verifyErr, the outcome of verifyVersion.
-	verifyOnce sync.Once
-	verifyErr  error
 }
 
 type fingerprintKey struct{}
@@ -149,22 +144,23 @@ func (r *Realizer) levels(p *isa.Program) ([]int, error) {
 // memory. Functions are allocated caller-first so callee budgets account
 // for the compressed stack heights at their call sites.
 //
-// Realization is memoized process-wide by content: repeated calls with the
-// same (program fingerprint, target, device, cache config, allocator
-// options) share one Version. The returned Version and its program are
+// Realization is memoized process-wide by content: calls with the same
+// (program fingerprint, device, cache config, allocator options) share one
+// realization, so targets that round onto one budget pair share one
+// allocation and one program. The returned Version and its program are
 // immutable.
 //
 // Realize builds a throwaway ladder context per call; callers realizing a
 // program at several occupancy levels should share one via NewLadder so
-// the middle-end analyses and clean allocations carry across levels.
+// the middle-end analyses carry across levels.
 func (r *Realizer) Realize(p *isa.Program, targetWarps int) (*Version, error) {
 	return r.RealizeCtx(p, targetWarps, r.Obs.Ctx())
 }
 
 // RealizeCtx is Realize with an explicit observability context (parallel
 // compile ladders pass per-worker fork contexts so span streams merge
-// deterministically). Cache hits emit a short "realize.cached" span so
-// traces stay complete; only fill paths carry the full compile spans.
+// deterministically). Every call records a "realize" span; only a
+// budget pair's fill carries the allocator's spans.
 func (r *Realizer) RealizeCtx(p *isa.Program, targetWarps int, x obs.Ctx) (*Version, error) {
 	return r.NewLadder(p).RealizeCtx(targetWarps, x)
 }
