@@ -377,7 +377,7 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "%s at %d warps/SM on %s: %d cycles\n", prog.Name, *warps, dev.Name, st.Cycles)
 			fmt.Fprintf(out, "stalls (warp-cycles): mem %d, alu %d, barrier %d, mshr %d\n",
 				st.StallMem, st.StallALU, st.StallBarrier, st.StallMSHR)
-			fmt.Fprint(out, st.Trace.Timeline(st.Cycles, 100))
+			fmt.Fprint(out, st.Profile.Timeline(st.Cycles, 100))
 			rep := orion.BuildProfileReport(v, dev, st)
 			rep.GridWarps = gridWarps
 			rep.Render(out)

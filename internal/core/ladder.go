@@ -544,7 +544,6 @@ func (l *Ladder) groupByBudget(targets []int) [][]int {
 // the paper's tighten-and-retry loop for overflowing call chains) and
 // realizes them through the ladder.
 func (l *Ladder) realizeLevel(targetWarps int, x obs.Ctx) (*Version, error) {
-	p, d := l.p, l.r.Dev
 	b, err := l.budgets(targetWarps)
 	if err != nil {
 		return nil, err
@@ -555,8 +554,11 @@ func (l *Ladder) realizeLevel(targetWarps int, x obs.Ctx) (*Version, error) {
 		if err != nil {
 			return nil, err
 		}
-		if v.RegsPerThread <= occupancy.MaxRegsForWarps(d, p.BlockDim, targetWarps) ||
-			v.Natural.ActiveWarps >= targetWarps {
+		// b.reg is the most registers per thread that fit targetWarps, so
+		// a version above it cannot reach the level: it either exceeds the
+		// device's per-thread limit or fits fewer blocks. The register
+		// budget alone decides whether the call chains fit.
+		if v.RegsPerThread <= b.reg {
 			if v.Natural.ActiveBlocks == 0 {
 				return nil, &ErrInfeasible{targetWarps, "allocation admits no residency"}
 			}

@@ -294,9 +294,9 @@ func (v *Version) RunAtCtx(d *device.Device, cc device.CacheConfig, targetWarps 
 }
 
 // ProfileCtx simulates the version with the profiler on (sim.Config.Profile:
-// PC profile, counter tracks and issue trace). Profiled launches always
-// bypass the run cache: their Profile and Trace buffers are
-// caller-owned, and the cache must keep serving pointer-field-free Stats.
+// PC profile, counter tracks and issue logs). Profiled launches always
+// bypass the run cache: their Profile is caller-owned, and the cache must
+// keep serving pointer-field-free Stats.
 func (v *Version) ProfileCtx(d *device.Device, cc device.CacheConfig, targetWarps int, lc *interp.Launch, x obs.Ctx) (*sim.Stats, error) {
 	return v.simulate(d, cc, targetWarps, lc, true, x)
 }

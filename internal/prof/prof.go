@@ -17,6 +17,9 @@
 package prof
 
 import (
+	"fmt"
+	"strings"
+
 	"repro/internal/isa"
 )
 
@@ -74,7 +77,8 @@ type Track struct {
 }
 
 // Profile is one launch's merged profile: flat per-PC counters indexed
-// by the Index, plus the sampled counter tracks.
+// by the Index, the sampled counter tracks, and the issue logs of the
+// first warps.
 type Profile struct {
 	Index *Index `json:"-"`
 
@@ -89,6 +93,19 @@ type Profile struct {
 	// 64·2^k that fits the launch in at most 256 samples.
 	Interval uint64  `json:"interval,omitempty"`
 	Tracks   []Track `json:"tracks,omitempty"`
+
+	// Warps[g] is global warp g's issue log for the first 16 warps: one
+	// LogIssue entry per issue, in cycle order.
+	Warps [][]uint64 `json:"warps,omitempty"`
+}
+
+// LogIssue is one issue-log entry, cycle<<1 | mem: the issue cycle, and
+// whether the instruction touched global or local memory (DRAM/L2/L1).
+func LogIssue(cycle uint64, mem bool) uint64 {
+	if mem {
+		return cycle<<1 | 1
+	}
+	return cycle << 1
 }
 
 // StallTotal returns the summed stall attribution at a flat PC.
@@ -105,13 +122,20 @@ func (p *Profile) Equal(q *Profile) bool {
 	if p.Interval != q.Interval || len(p.Tracks) != len(q.Tracks) {
 		return false
 	}
-	for _, pair := range [][2][]uint64{
+	if len(p.Warps) != len(q.Warps) {
+		return false
+	}
+	pairs := [][2][]uint64{
 		{p.Issues, q.Issues},
 		{p.StallMem, q.StallMem},
 		{p.StallALU, q.StallALU},
 		{p.StallBarrier, q.StallBarrier},
 		{p.StallMSHR, q.StallMSHR},
-	} {
+	}
+	for g := range p.Warps {
+		pairs = append(pairs, [2][]uint64{p.Warps[g], q.Warps[g]})
+	}
+	for _, pair := range pairs {
 		if len(pair[0]) != len(pair[1]) {
 			return false
 		}
@@ -133,4 +157,59 @@ func (p *Profile) Equal(q *Profile) bool {
 		}
 	}
 	return true
+}
+
+// Timeline renders the issue logs as a text Gantt chart: one row per
+// warp that issued, time bucketed into width columns. Cells show issue
+// density (space, '.', '+', '#'), with 'M' marking buckets dominated by
+// memory issues.
+func (p *Profile) Timeline(totalCycles uint64, width int) string {
+	var ids []int
+	for g, log := range p.Warps {
+		if len(log) > 0 {
+			ids = append(ids, g)
+		}
+	}
+	if len(ids) == 0 || totalCycles == 0 || width <= 0 {
+		return "(no trace)\n"
+	}
+	issue := make([][]int, len(ids))
+	mem := make([][]int, len(ids))
+	maxCount := 1
+	for i, g := range ids {
+		issue[i] = make([]int, width)
+		mem[i] = make([]int, width)
+		for _, rec := range p.Warps[g] {
+			b := min(int((rec>>1)*uint64(width)/(totalCycles+1)), width-1)
+			issue[i][b]++
+			mem[i][b] += int(rec & 1)
+			maxCount = max(maxCount, issue[i][b])
+		}
+	}
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "timeline: %d cycles across %d columns (%.0f cycles/column)\n",
+		totalCycles, width, float64(totalCycles)/float64(width))
+	for i, g := range ids {
+		fmt.Fprintf(&sb, "w%-4d |", g)
+		for b := 0; b < width; b++ {
+			n := issue[i][b]
+			var ch byte
+			switch {
+			case n == 0:
+				ch = ' '
+			case mem[i][b]*2 >= n:
+				ch = 'M'
+			case n*4 <= maxCount:
+				ch = '.'
+			case n*2 <= maxCount:
+				ch = '+'
+			default:
+				ch = '#'
+			}
+			sb.WriteByte(ch)
+		}
+		sb.WriteString("|\n")
+	}
+	sb.WriteString("legend: '#' dense issue, '+' medium, '.' sparse, 'M' memory-dominated, ' ' stalled\n")
+	return sb.String()
 }

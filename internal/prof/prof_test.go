@@ -130,6 +130,7 @@ func buildProfile(p *isa.Program) *Profile {
 	pr.Issues[1] = 10
 	pr.StallMem[1] = 100 // hottest
 	pr.Issues[3] = 4     // helper entry: issues but no stalls
+	pr.Warps = [][]uint64{{LogIssue(0, false), LogIssue(1, true), LogIssue(3, false)}}
 	return pr
 }
 
@@ -277,5 +278,44 @@ func TestProfileEqual(t *testing.T) {
 	b.Tracks = []Track{{Name: "ipc", Points: []float64{1}}}
 	if a.Equal(b) {
 		t.Fatal("differing tracks Equal")
+	}
+	b.Tracks = nil
+	b.Warps[0][1] ^= 1 // one memory bit
+	if a.Equal(b) {
+		t.Fatal("differing issue logs Equal")
+	}
+}
+
+// TestTimelineRendering: one row per warp that issued, each delimited,
+// cells by issue density with memory-dominated buckets marked.
+func TestTimelineRendering(t *testing.T) {
+	p := &Profile{Warps: [][]uint64{
+		{LogIssue(0, false), LogIssue(1, false), LogIssue(6, true)},
+		{LogIssue(2, true), LogIssue(3, true)},
+		nil, // never issued: no row
+	}}
+	out := p.Timeline(7, 4)
+	want := "timeline: 7 cycles across 4 columns (2 cycles/column)\n" +
+		"w0    |#  M|\n" +
+		"w1    | M  |\n" +
+		"legend: '#' dense issue, '+' medium, '.' sparse, 'M' memory-dominated, ' ' stalled\n"
+	if out != want {
+		t.Errorf("timeline:\n%s\nwant:\n%s", out, want)
+	}
+	rows := 0
+	for _, l := range strings.Split(out, "\n") {
+		if strings.HasPrefix(l, "w") && strings.Contains(l, "|") {
+			rows++
+			if got := strings.Count(l, "|"); got != 2 {
+				t.Errorf("row not delimited: %q", l)
+			}
+		}
+	}
+	if rows != 2 {
+		t.Errorf("timeline rows = %d, want 2", rows)
+	}
+	empty := (&Profile{}).Timeline(0, 40)
+	if !strings.Contains(empty, "no trace") {
+		t.Error("empty trace rendering wrong")
 	}
 }

@@ -14,6 +14,10 @@ const (
 	maxSamples = 512
 )
 
+// traceWarps is how many warps, by global id from 0, a profiled launch
+// logs issues for.
+const traceWarps = 16
+
 // smProf is one SM's profiling state, allocated only when Config.Profile
 // is set: flat per-PC counter arrays (indexed by interp.Event.PC) and the
 // raw per-interval samples. Like every other per-SM structure it is
@@ -99,14 +103,15 @@ func (p *smProf) coarsen(f int) {
 }
 
 // mergeProfiles folds the per-SM profiling state into one Profile in
-// SM-index order. PC counters sum as integers. The track interval is the
-// smallest sampleBase·2^k with at most 256 intervals in the launch; no SM
-// has doubled past it (an SM reaches interval 2i only after 512i cycles),
-// so each coarsens up to it. Counter tracks then align on interval
-// boundaries and pad with zeros past an SM's finish (an idle SM
-// contributes nothing), with any instructions issued after an SM's last
-// boundary flushed into its first missing sample so the instructions
-// track still sums to Stats.Instructions over full intervals.
+// SM-index order. PC counters sum as integers; the issue logs, one writer
+// each, need no merge. The track interval is the smallest sampleBase·2^k
+// with at most 256 intervals in the launch; no SM has doubled past it (an
+// SM reaches interval 2i only after 512i cycles), so each coarsens up to
+// it. Counter tracks then align on interval boundaries and pad with zeros
+// past an SM's finish (an idle SM contributes nothing), with any
+// instructions issued after an SM's last boundary flushed into its first
+// missing sample so the instructions track still sums to
+// Stats.Instructions over full intervals.
 func mergeProfiles(e *engine, sms []*smCtx, st *Stats) *prof.Profile {
 	ix := prof.NewIndex(e.lc.Prog)
 	pcs := ix.NumPCs()
@@ -117,6 +122,7 @@ func mergeProfiles(e *engine, sms []*smCtx, st *Stats) *prof.Profile {
 		StallALU:     make([]uint64, pcs),
 		StallBarrier: make([]uint64, pcs),
 		StallMSHR:    make([]uint64, pcs),
+		Warps:        e.logs,
 	}
 	for _, sm := range sms {
 		sp := sm.prof

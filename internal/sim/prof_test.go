@@ -5,6 +5,7 @@
 package sim_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/device"
@@ -85,12 +86,11 @@ func TestProfilerDoesNotPerturbStats(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v profiled: %v", k.Name, backend, err)
 			}
-			if profiled.Profile == nil || profiled.Trace == nil {
-				t.Fatalf("%s/%v: profiled run has no profile or trace", k.Name, backend)
+			if profiled.Profile == nil {
+				t.Fatalf("%s/%v: profiled run has no profile", k.Name, backend)
 			}
 			// Null the buffer pointers; every scalar must match exactly.
 			a, b := *plain, *profiled
-			a.Trace, b.Trace = nil, nil
 			a.Profile, b.Profile = nil, nil
 			if a != b {
 				t.Errorf("%s/%v: profiling perturbed Stats:\n plain   %+v\n profiled %+v", k.Name, backend, a, b)
@@ -212,6 +212,33 @@ func TestSnapshotTotals(t *testing.T) {
 	}
 }
 
+// TestProfiledLaunchBytes bounds what one profiled launch allocates: the
+// profiler's buffers are per-PC arrays, bounded counter tracks and the
+// issue logs of 16 warps, so BenchmarkSimProfilerEnabled's launch stays
+// under 3 MB.
+func TestProfiledLaunchBytes(t *testing.T) {
+	cfg, lc := profilerLaunch(t, true)
+	run := func() {
+		if _, err := sim.Simulate(cfg, lc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the program compilation and every pool
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const launches = 5
+	for i := 0; i < launches; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	perLaunch := (after.TotalAlloc - before.TotalAlloc) / launches
+	t.Logf("%d bytes per profiled launch", perLaunch)
+	// Under -race the simulations still run; only the bound is skipped.
+	if !raceEnabled && perLaunch >= 3<<20 {
+		t.Errorf("a profiled launch allocates %d bytes, want under 3 MB", perLaunch)
+	}
+}
+
 // BenchmarkSimProfilerDisabled measures the simulator hot path with the
 // profiler compiled in but disabled — the configuration every normal
 // run uses. Compare against BenchmarkSimProfilerEnabled.
@@ -225,12 +252,13 @@ func BenchmarkSimProfilerEnabled(b *testing.B) {
 	benchmarkProfiler(b, true)
 }
 
-func benchmarkProfiler(b *testing.B, profile bool) {
+// profilerLaunch is the launch the profiler's benchmarks and byte bound
+// run: the first suite kernel at two blocks per SM.
+func profilerLaunch(tb testing.TB, profile bool) (sim.Config, *interp.Launch) {
 	ks, err := kernels.All()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	k := ks[0]
 	d := device.GTX680()
 	cfg := sim.Config{
 		Device:        d,
@@ -239,7 +267,11 @@ func benchmarkProfiler(b *testing.B, profile bool) {
 		RegsPerThread: 32,
 		Profile:       profile,
 	}
-	lc := launchFor(k.Prog, d)
+	return cfg, launchFor(ks[0].Prog, d)
+}
+
+func benchmarkProfiler(b *testing.B, profile bool) {
+	cfg, lc := profilerLaunch(b, profile)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -59,10 +59,9 @@ type Config struct {
 	// carrying the run's statistics (cycles, IPC, stall breakdown, cache
 	// hit rates). The zero Ctx disables it at the cost of one check.
 	Obs obs.Ctx
-	// Profile collects the PC profile and the counter tracks into
-	// Stats.Profile and the issue trace of global warps 0..traceWarps-1
-	// into Stats.Trace. Off, the hot path pays one pointer check per
-	// issue.
+	// Profile collects Stats.Profile: the PC profile, the counter tracks
+	// and the issue logs of global warps 0..traceWarps-1. Off, the hot
+	// path pays one pointer check per issue.
 	Profile bool
 }
 
@@ -101,9 +100,8 @@ type Stats struct {
 	// configured residency during tail waves.
 	AvgResidentWarps float64
 
-	// Trace and Profile are set when Config.Profile was: the issue
-	// trace, and the merged PC profile with its counter tracks.
-	Trace   *Trace
+	// Profile is set when Config.Profile was: the merged PC profile, its
+	// counter tracks and the traced warps' issue logs.
 	Profile *prof.Profile
 }
 
@@ -236,8 +234,8 @@ type smStats struct {
 	checksum uint64
 }
 
-// engine is the launch-wide immutable state shared (read-only) by the
-// per-SM goroutines.
+// engine is the launch-wide state shared by the per-SM goroutines,
+// read-only but for the elements of logs.
 type engine struct {
 	cfg         Config
 	d           *device.Device
@@ -254,6 +252,11 @@ type engine struct {
 	// Histogram.Observe is internally locked, and the bucket/count/sum
 	// state is order-independent, so parallel SMs keep it deterministic.
 	stallHist *obs.Histogram
+
+	// logs[g] is traced warp g's issue log (prof.Profile.Warps), nil
+	// unless Config.Profile. Each warp runs on one SM, so each log has one
+	// writer.
+	logs [][]uint64
 }
 
 type smCtx struct {
@@ -286,7 +289,6 @@ type smCtx struct {
 	// merged average is exact and order-independent.
 	residentIntegral uint64
 	st               smStats
-	trace            []IssueRecord
 	err              error
 
 	// Scheduler state. recheck is last cycle's issuers in issue order;
@@ -424,6 +426,9 @@ func simulateLoop(cfg Config, lc *interp.Launch) (*Stats, error) {
 	if cfg.Obs.Enabled() {
 		e.stallHist = cfg.Obs.Metrics().Histogram("sim.warp_stall_cycles")
 	}
+	if cfg.Profile {
+		e.logs = make([][]uint64, traceWarps)
+	}
 
 	sms := make([]*smCtx, d.SMs)
 	for i := range sms {
@@ -534,44 +539,10 @@ func simulateLoop(cfg Config, lc *interp.Launch) (*Stats, error) {
 		m.Counter("sim.idle_skips").Add(en.idleSkips)
 	}
 	if cfg.Profile {
-		st.Trace = mergeTraces(sms)
 		st.Profile = mergeProfiles(e, sms, st)
 	}
 	addTotals(st)
 	return st, nil
-}
-
-// mergeTraces k-way merges the issue logs of the SMs that recorded any by
-// (cycle, SM index): each log is already cycle-sorted because an SM's
-// clock is monotone, so ties break toward the lowest SM index. Only the
-// SMs hosting global warps 0..traceWarps-1 hold records.
-func mergeTraces(sms []*smCtx) *Trace {
-	var logs [][]IssueRecord
-	total := 0
-	for _, sm := range sms {
-		if len(sm.trace) > 0 {
-			logs = append(logs, sm.trace)
-			total += len(sm.trace)
-		}
-	}
-	tr := &Trace{Records: make([]IssueRecord, 0, total)}
-	pos := make([]int, len(logs))
-	for {
-		best := -1
-		var bestCycle uint64
-		for i, log := range logs {
-			if pos[i] < len(log) {
-				if c := log[pos[i]].Cycle; best < 0 || c < bestCycle {
-					best, bestCycle = i, c
-				}
-			}
-		}
-		if best < 0 {
-			return tr
-		}
-		tr.Records = append(tr.Records, logs[best][pos[best]])
-		pos[best]++
-	}
 }
 
 // run is one SM's complete simulation: launch the initial residency,
@@ -1039,11 +1010,10 @@ func (sm *smCtx) issueOne(wc *warpCtx) bool {
 	wc.lastIssue = now
 	wc.stall = stallNone
 	if wc.trace {
-		sm.trace = append(sm.trace, IssueRecord{
-			Cycle: now, SM: int16(sm.id), Warp: wc.gid, Kind: ev.Kind,
-			Mem: (ev.Kind == interp.KindLoad || ev.Kind == interp.KindStore) &&
-				ev.Space != interp.SpaceShared,
-		})
+		mem := (ev.Kind == interp.KindLoad || ev.Kind == interp.KindStore) &&
+			ev.Space != interp.SpaceShared
+		log := &sm.eng.logs[wc.gid]
+		*log = append(*log, prof.LogIssue(now, mem))
 	}
 
 	instr, pc := ev.Instr, ev.PC

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/device"
@@ -9,8 +8,8 @@ import (
 	"repro/internal/isa"
 )
 
-// TestTraceRecordsIssues: a profiled launch traces global warps
-// 0..traceWarps-1 and no others.
+// TestTraceRecordsIssues: a profiled launch logs the issues of global
+// warps 0..traceWarps-1 and no others, each warp's log in cycle order.
 func TestTraceRecordsIssues(t *testing.T) {
 	p := isa.MustParse(memKernel)
 	st, err := Simulate(Config{
@@ -20,36 +19,50 @@ func TestTraceRecordsIssues(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Simulate: %v", err)
 	}
-	if st.Trace == nil || len(st.Trace.Records) == 0 {
-		t.Fatal("no trace recorded")
+	if st.Profile == nil || len(st.Profile.Warps) != traceWarps {
+		t.Fatalf("want %d issue logs, got profile %v", traceWarps, st.Profile)
 	}
-	seen := map[int32]bool{}
-	memSeen := false
-	for _, r := range st.Trace.Records {
-		if r.Warp >= traceWarps {
-			t.Fatalf("record for untraced warp %d", r.Warp)
+	logged, memSeen := 0, false
+	for g, log := range st.Profile.Warps {
+		if len(log) > 0 {
+			logged++
 		}
-		if r.Cycle > st.Cycles {
-			t.Fatalf("record beyond end of simulation: %d > %d", r.Cycle, st.Cycles)
-		}
-		seen[r.Warp] = true
-		if r.Mem {
-			memSeen = true
+		var last uint64
+		for _, rec := range log {
+			cycle := rec >> 1
+			if cycle > st.Cycles {
+				t.Fatalf("warp %d: record beyond end of simulation: %d > %d", g, cycle, st.Cycles)
+			}
+			if cycle < last {
+				t.Fatalf("warp %d: records out of order", g)
+			}
+			last = cycle
+			if rec&1 != 0 {
+				memSeen = true
+			}
 		}
 	}
-	if len(seen) != traceWarps {
-		t.Errorf("traced %d warps, want %d", len(seen), traceWarps)
+	if logged != traceWarps {
+		t.Errorf("logged %d warps, want %d", logged, traceWarps)
 	}
 	if !memSeen {
 		t.Error("no memory issues recorded for a memory kernel")
 	}
-	// Records of one warp must be in non-decreasing cycle order.
-	last := map[int32]uint64{}
-	for _, r := range st.Trace.Records {
-		if r.Cycle < last[r.Warp] {
-			t.Fatal("per-warp records out of order")
-		}
-		last[r.Warp] = r.Cycle
+
+	// A launch of exactly traceWarps warps logs every issue.
+	st, err = Simulate(Config{
+		Device: device.GTX680(), Cache: device.SmallCache,
+		BlocksPerSM: 1, RegsPerThread: 16, Profile: true,
+	}, &interp.Launch{Prog: p, GridWarps: traceWarps})
+	if err != nil {
+		t.Fatalf("Simulate: %v", err)
+	}
+	var n uint64
+	for _, log := range st.Profile.Warps {
+		n += uint64(len(log))
+	}
+	if n != st.Instructions {
+		t.Errorf("issue logs hold %d records, want all %d instructions", n, st.Instructions)
 	}
 }
 
@@ -62,39 +75,7 @@ func TestTraceDisabledByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Simulate: %v", err)
 	}
-	if st.Trace != nil {
-		t.Error("trace allocated without Profile")
-	}
-}
-
-func TestTimelineRendering(t *testing.T) {
-	p := isa.MustParse(memKernel)
-	st, err := Simulate(Config{
-		Device: device.GTX680(), Cache: device.SmallCache,
-		BlocksPerSM: 1, RegsPerThread: 16, Profile: true,
-	}, &interp.Launch{Prog: p, GridWarps: 2})
-	if err != nil {
-		t.Fatalf("Simulate: %v", err)
-	}
-	out := st.Trace.Timeline(st.Cycles, 60)
-	if !strings.Contains(out, "w0") || !strings.Contains(out, "w1") {
-		t.Errorf("timeline missing warp rows:\n%s", out)
-	}
-	lines := strings.Split(out, "\n")
-	rows := 0
-	for _, l := range lines {
-		if strings.HasPrefix(l, "w") && strings.Contains(l, "|") {
-			rows++
-			if got := strings.Count(l, "|"); got != 2 {
-				t.Errorf("row not delimited: %q", l)
-			}
-		}
-	}
-	if rows != 2 {
-		t.Errorf("timeline rows = %d, want 2", rows)
-	}
-	empty := (&Trace{}).Timeline(0, 40)
-	if !strings.Contains(empty, "no trace") {
-		t.Error("empty trace rendering wrong")
+	if st.Profile != nil {
+		t.Error("profile allocated without Profile")
 	}
 }

@@ -14,11 +14,8 @@ import (
 // reimplementation, but it must be observationally invisible — every
 // counter, both checksums, and the energy totals have to come out
 // bit-identical, and a launch that faults must fault with the same error
-// text on both sides.
-//
-// The issue trace is excluded from the comparison: it is a debugging
-// artifact whose capture is orthogonal to the execution backend, and
-// traced runs are compared by the rest of the Stats anyway.
+// text on both sides. A profiled launch's profile, issue logs included,
+// must be identical too.
 func CrossBackend(cfg sim.Config, lc *interp.Launch) []Violation {
 	ccfg := cfg
 	ccfg.Backend = sim.BackendCompiled
@@ -42,13 +39,12 @@ func CrossBackend(cfg sim.Config, lc *interp.Launch) []Violation {
 	return diffStats(cst, ist)
 }
 
-// diffStats compares two Stats structurally (traces excluded; profiles,
-// two pointers, by prof.Profile.Equal once every other field agrees) and
+// diffStats compares two Stats structurally (profiles, two pointers, by
+// prof.Profile.Equal once every other field agrees) and
 // reports the first differing field by name, so a regression points
 // straight at the counter that diverged.
 func diffStats(compiled, interpreted *sim.Stats) []Violation {
 	c, i := *compiled, *interpreted
-	c.Trace, i.Trace = nil, nil
 	c.Profile, i.Profile = nil, nil
 	if c == i {
 		if !compiled.Profile.Equal(interpreted.Profile) {

@@ -10,8 +10,9 @@ import (
 )
 
 // TestCrossBackendProfiled: a profiled launch carries one profile per
-// backend. Profiles that agree field for field are no violation; a
-// profile that differs is one, named as such.
+// backend. Profiles that agree field for field, issue logs included, are
+// no violation; a profile or an issue log that differs is one, named as
+// such.
 func TestCrossBackendProfiled(t *testing.T) {
 	k, err := kernels.ByName("bfs")
 	if err != nil {
@@ -36,5 +37,11 @@ func TestCrossBackendProfiled(t *testing.T) {
 	vs := diffStats(a, b)
 	if len(vs) != 1 || vs[0].Detail != "Stats.Profile: compiled and interp profiles differ" {
 		t.Fatalf("perturbed profile: %+v", vs)
+	}
+	b.Profile.Issues[0]--
+	b.Profile.Warps[0][0] += 2 // one issue a cycle later
+	vs = diffStats(a, b)
+	if len(vs) != 1 || vs[0].Detail != "Stats.Profile: compiled and interp profiles differ" {
+		t.Fatalf("perturbed issue log: %+v", vs)
 	}
 }

@@ -199,8 +199,8 @@ func Simulate(v *Version, d *Device, cc CacheConfig, targetWarps, gridWarps int,
 // Profile is Simulate with the simulator-native profiler on: the
 // result's Profile holds per-PC issue/stall attribution and sampled
 // counter tracks (exported, via the collector, as Chrome trace counter
-// tracks), and its Trace the issue records of the first 16 warps (a
-// per-warp timeline). Profiled runs always bypass the run cache.
+// tracks) and the issue logs of the first 16 warps (a per-warp
+// timeline). Profiled runs always bypass the run cache.
 func Profile(v *Version, d *Device, cc CacheConfig, targetWarps, gridWarps int, c *Collector) (*SimStats, error) {
 	return v.ProfileCtx(d, cc, targetWarps, &interp.Launch{Prog: v.Prog, GridWarps: gridWarps}, c.Ctx())
 }
