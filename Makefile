@@ -54,8 +54,8 @@ test-race:
 
 race: test-race
 
-## determinism: byte-identity of suite tables across serial/uncached and
-## parallel/cached runs, of simulator Stats across repeated runs on both
+## determinism: byte-identity of suite tables across serial/cold and
+## parallel/warm runs, of simulator Stats across repeated runs on both
 ## execution backends, of the allocator's work counters across repeated
 ## and serial/parallel compiles, of the compile task graph's fat binaries,
 ## counters and span trees across serial/parallel compiles

@@ -11,11 +11,10 @@ import (
 )
 
 // BenchmarkSweepCold measures a cold occupancy sweep: every benchmark
-// kernel realized at every occupancy level with the process-wide realize
-// cache disabled, so each iteration pays the full middle-end cost. One
-// ladder per kernel per iteration — the configuration behind the
-// incremental-ladder PR's speedup claim (3.01× against commit 7829f76,
-// DESIGN.md §10).
+// kernel realized at every occupancy level on a fresh cache owner, so each
+// iteration pays the full middle-end cost. One ladder per kernel per
+// iteration — the configuration behind the incremental-ladder PR's speedup
+// claim (3.01× against commit 7829f76, DESIGN.md §10).
 func BenchmarkSweepCold(b *testing.B) { sweepCold(b, false) }
 
 // BenchmarkSweepColdOpt is the same cold sweep with the pressure-reducing
@@ -31,15 +30,11 @@ func sweepCold(b *testing.B, opt bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	wasOn := core.RealizeCacheEnabled()
-	core.SetRealizeCacheEnabled(false)
-	defer core.SetRealizeCacheEnabled(wasOn)
-
 	d := device.GTX680()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, k := range ks {
-			r := core.NewRealizer(d, device.SmallCache)
+			r := core.NewCaches().NewRealizer(d, device.SmallCache) // a cold realization
 			r.Verify = false
 			r.Opt = opt
 			lad := r.NewLadder(k.Prog)

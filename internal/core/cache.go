@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync/atomic"
+
 	"repro/internal/device"
 	"repro/internal/isa"
 	"repro/internal/memo"
@@ -26,7 +28,7 @@ type realizeKey struct {
 	optFP uint64
 }
 
-// realization is what the process keeps of one program on one platform:
+// realization is what a Caches owner keeps of one program on one platform:
 // the ladder's budget-pair fills (proto versions, TargetWarps zero) and
 // the intern table, one realized program per fingerprint. Analyses are
 // not kept; they belong to the ladder that built them.
@@ -34,16 +36,6 @@ type realization struct {
 	fills *memo.Cache[ladderKey, *Version]
 	progs *memo.Cache[isa.Fingerprint, *isa.Program]
 }
-
-// realizeCache memoizes realizations process-wide: the experiment suite
-// builds a fresh Realizer per kernel/device/experiment, and Compile,
-// Sweep, Baseline, and the tuner all re-realize the same (program, level,
-// platform) triples. Many levels round onto one budget pair, so every
-// ladder on one program and platform shares one realization: each
-// distinct budget pair is allocated once, and each distinct binary is one
-// *isa.Program. Versions and programs are shared between callers and must
-// be treated as immutable.
-var realizeCache = memo.New[realizeKey, *realization]()
 
 // cacheKey builds the memo key for p's realization on r's platform.
 func (r *Realizer) cacheKey(p *isa.Program) realizeKey {
@@ -75,29 +67,37 @@ type runKey struct {
 	firstWarp   int
 }
 
-// runCache memoizes RunAt process-wide. The experiment suite re-simulates
-// identical launches constantly: every tuning iteration re-runs a
-// converged candidate, Fig12 and Fig13 recompute the same downward rows,
-// Table 3 re-baselines the Fig11 kernels, and sweeps re-run the baseline's
-// level. The returned *sim.Stats is shared and must be treated as
-// immutable (all consumers only read it). Traced runs bypass the cache.
-var runCache = memo.New[runKey, *sim.Stats]()
+// Caches owns the memos and counters that outlive one call: the realize
+// memo (each program's realization per platform), the run memo (untraced
+// launches by program, device, cache config, level and grid) and the
+// ladder counters. Every realizer on one owner shares its work: each
+// distinct budget pair is allocated once, each distinct binary is one
+// *isa.Program, and each untraced launch is simulated once. Versions,
+// programs and Stats are shared between callers and must be treated as
+// immutable. Everything an owner holds is released with it.
+type Caches struct {
+	realize                    *memo.Cache[realizeKey, *realization]
+	run                        *memo.Cache[runKey, *sim.Stats]
+	ladderReuse, ladderRecolor atomic.Uint64
+}
 
-// ResetRunCache drops all cached simulations and zeroes the counters.
-func ResetRunCache() { runCache.Reset() }
+// NewCaches returns an empty owner.
+func NewCaches() *Caches {
+	return &Caches{realize: memo.New[realizeKey, *realization](), run: memo.New[runKey, *sim.Stats]()}
+}
 
-// SetRunCacheEnabled toggles simulation memoization.
-func SetRunCacheEnabled(on bool) { runCache.SetEnabled(on) }
+// defaultCaches is the owner of NewRealizer's realizers and of RunAt: the
+// process default that the CLIs, the experiment suite and the benchmark
+// reset and read through the free functions below.
+var defaultCaches = NewCaches()
 
-// ResetRealizeCache drops all cached realizations and zeroes the counters.
-func ResetRealizeCache() { realizeCache.Reset() }
+// ResetRunCache drops all of the default owner's cached simulations and
+// zeroes its run counters.
+func ResetRunCache() { defaultCaches.run.Reset() }
 
-// SetRealizeCacheEnabled toggles realization memoization; disabling it
-// restores the uncached (recompile-every-time) behaviour for comparisons.
-func SetRealizeCacheEnabled(on bool) { realizeCache.SetEnabled(on) }
-
-// RealizeCacheEnabled reports whether realization memoization is active.
-func RealizeCacheEnabled() bool { return realizeCache.Enabled() }
+// ResetRealizeCache drops all of the default owner's cached realizations
+// and zeroes its realize counters.
+func ResetRealizeCache() { defaultCaches.realize.Reset() }
 
 // CacheCounters is a point-in-time snapshot of one memo cache's counters.
 type CacheCounters struct {
@@ -117,24 +117,25 @@ type LadderCounters struct {
 	Pruned uint64 `json:"-"`
 }
 
-// CacheSnapshot captures both process-wide memo caches and the ladder
-// counters at once.
+// CacheSnapshot captures one owner's two memos and ladder counters at once.
 type CacheSnapshot struct {
 	Realize CacheCounters  `json:"realize"`
 	Run     CacheCounters  `json:"run"`
 	Ladder  LadderCounters `json:"ladder"`
 }
 
-// SnapshotCacheCounters reads both caches' counters atomically enough for
-// reporting (each counter pair is read together; the caches are
-// independent).
-func SnapshotCacheCounters() CacheSnapshot {
+// Snapshot reads the owner's counters atomically enough for reporting
+// (each counter pair is read together; the memos are independent).
+func (c *Caches) Snapshot() CacheSnapshot {
 	var s CacheSnapshot
-	s.Realize.Hits, s.Realize.Misses = realizeCache.Stats()
-	s.Run.Hits, s.Run.Misses = runCache.Stats()
-	s.Ladder = LadderStats()
+	s.Realize.Hits, s.Realize.Misses = c.realize.Stats()
+	s.Run.Hits, s.Run.Misses = c.run.Stats()
+	s.Ladder = LadderCounters{Reuse: c.ladderReuse.Load(), Recolor: c.ladderRecolor.Load()}
 	return s
 }
+
+// SnapshotCacheCounters is the default owner's Snapshot.
+func SnapshotCacheCounters() CacheSnapshot { return defaultCaches.Snapshot() }
 
 // Delta returns the counter movement since an earlier snapshot.
 func (s CacheSnapshot) Delta(earlier CacheSnapshot) CacheSnapshot {
@@ -154,11 +155,10 @@ func (s CacheSnapshot) Delta(earlier CacheSnapshot) CacheSnapshot {
 	}
 }
 
-// PublishCacheMetrics copies the current memo-cache counters into a
-// metrics registry under the core.* namespace (called by exporters just
-// before writing a snapshot).
-func PublishCacheMetrics(m *obs.Registry) {
-	s := SnapshotCacheCounters()
+// Publish copies the owner's counters into a metrics registry under the
+// core.* namespace (called by exporters just before writing a snapshot).
+func (c *Caches) Publish(m *obs.Registry) {
+	s := c.Snapshot()
 	m.Counter("core.realize_cache.hits").Store(s.Realize.Hits)
 	m.Counter("core.realize_cache.misses").Store(s.Realize.Misses)
 	m.Counter("core.run_cache.hits").Store(s.Run.Hits)
@@ -166,3 +166,6 @@ func PublishCacheMetrics(m *obs.Registry) {
 	m.Counter("core.ladder.reuse").Store(s.Ladder.Reuse)
 	m.Counter("core.ladder.recolor").Store(s.Ladder.Recolor)
 }
+
+// PublishCacheMetrics is the default owner's Publish.
+func PublishCacheMetrics(m *obs.Registry) { defaultCaches.Publish(m) }

@@ -89,15 +89,15 @@ func TestRealizeAtMostOncePerKey(t *testing.T) {
 }
 
 // TestCacheOffMatchesCacheOn asserts that memoization is purely a
-// performance layer: Sweep and Tune produce identical results with both
-// caches disabled.
+// performance layer: Sweep and Tune served from a warm owner's caches (the
+// second run on it) produce the same results as on a fresh owner.
 func TestCacheOffMatchesCacheOn(t *testing.T) {
 	k, err := kernels.ByName("gaussian")
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() ([]LevelResult, *TuneReport) {
-		r := NewRealizer(device.GTX680(), device.SmallCache)
+	run := func(c *Caches) ([]LevelResult, *TuneReport) {
+		r := c.NewRealizer(device.GTX680(), device.SmallCache)
 		sweep, err := r.Sweep(k.Prog, 128)
 		if err != nil {
 			t.Fatal(err)
@@ -109,15 +109,13 @@ func TestCacheOffMatchesCacheOn(t *testing.T) {
 		return sweep, rep
 	}
 
-	ResetRealizeCache()
-	ResetRunCache()
-	sweepOn, repOn := run()
-
-	SetRealizeCacheEnabled(false)
-	SetRunCacheEnabled(false)
-	defer SetRealizeCacheEnabled(true)
-	defer SetRunCacheEnabled(true)
-	sweepOff, repOff := run()
+	warm := NewCaches()
+	run(warm)
+	sweepOn, repOn := run(warm)
+	if s := warm.Snapshot(); s.Realize.Hits == 0 || s.Run.Hits == 0 {
+		t.Fatalf("the second run on one owner was not served from it: %+v", s)
+	}
+	sweepOff, repOff := run(NewCaches())
 
 	if len(sweepOn) != len(sweepOff) {
 		t.Fatalf("sweep lengths differ: %d vs %d", len(sweepOn), len(sweepOff))
@@ -185,47 +183,56 @@ func TestRunCacheServesRepeatedLaunches(t *testing.T) {
 // computed from a realized binary (layout, compiled closures, lint
 // findings, fingerprint, verification outcome) lives on the program or its
 // version, so dropping the two memo caches leaves nothing in the process
-// that keeps a realized program alive.
+// that keeps a realized program alive — whether the default owner's are
+// reset, or a daemon's owner is dropped with no Reset at all.
 func TestResetReleasesDerivedState(t *testing.T) {
-	ResetRealizeCache()
-	ResetRunCache()
-	var tracked, finalized atomic.Int32
-	func() {
-		rng := rand.New(rand.NewSource(15))
-		rz := NewRealizer(device.GTX680(), device.SmallCache) // Verify on, Lint strict
-		seen := map[*isa.Program]bool{}
-		for i := 0; i < 12; i++ {
-			p := randomProgram(rng)
-			cr, err := rz.Compile(p, true)
-			if err != nil {
-				t.Fatalf("program %d: compile: %v", i, err)
-			}
-			for _, c := range append(append([]*Candidate{{Version: cr.Original}}, cr.Candidates...), cr.FailSafe...) {
-				if rp := c.Version.Prog; !seen[rp] {
-					seen[rp] = true
-					tracked.Add(1)
-					runtime.SetFinalizer(rp, func(*isa.Program) { finalized.Add(1) })
+	for _, tc := range []struct {
+		name    string
+		owner   func() *Caches
+		release func()
+	}{
+		{"reset default", func() *Caches { return defaultCaches }, func() { ResetRealizeCache(); ResetRunCache() }},
+		{"drop owner", NewCaches, func() {}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var tracked, finalized atomic.Int32
+			func() {
+				rng := rand.New(rand.NewSource(15))
+				rz := tc.owner().NewRealizer(device.GTX680(), device.SmallCache) // Verify on, Lint strict
+				seen := map[*isa.Program]bool{}
+				for i := 0; i < 12; i++ {
+					p := randomProgram(rng)
+					cr, err := rz.Compile(p, true)
+					if err != nil {
+						t.Fatalf("program %d: compile: %v", i, err)
+					}
+					for _, c := range append(append([]*Candidate{{Version: cr.Original}}, cr.Candidates...), cr.FailSafe...) {
+						if rp := c.Version.Prog; !seen[rp] {
+							seen[rp] = true
+							tracked.Add(1)
+							runtime.SetFinalizer(rp, func(*isa.Program) { finalized.Add(1) })
+						}
+					}
+					if _, err := rz.TuneCompiled(cr, Launch{GridWarps: 32, Iterations: 6}); err != nil {
+						t.Fatalf("program %d: tune: %v", i, err)
+					}
 				}
+			}()
+			if tracked.Load() == 0 {
+				t.Fatal("no realized program was tracked")
 			}
-			if _, err := rz.TuneCompiled(cr, Launch{GridWarps: 32, Iterations: 6}); err != nil {
-				t.Fatalf("program %d: tune: %v", i, err)
+			tc.release()
+			// Finalizers run on their own goroutine after a collection finds
+			// the object unreachable; two collections suffice, the loop only
+			// waits for that goroutine.
+			for i := 0; i < 200 && finalized.Load() < tracked.Load(); i++ {
+				runtime.GC()
+				time.Sleep(5 * time.Millisecond)
 			}
-		}
-	}()
-	if tracked.Load() == 0 {
-		t.Fatal("no realized program was tracked")
-	}
-	ResetRealizeCache()
-	ResetRunCache()
-	// Finalizers run on their own goroutine after a collection finds the
-	// object unreachable; two collections suffice, the loop only waits for
-	// that goroutine.
-	for i := 0; i < 200 && finalized.Load() < tracked.Load(); i++ {
-		runtime.GC()
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got, want := finalized.Load(), tracked.Load(); got != want {
-		t.Errorf("%d of %d realized programs were released after resetting both caches", got, want)
+			if got, want := finalized.Load(), tracked.Load(); got != want {
+				t.Errorf("%d of %d realized programs were released", got, want)
+			}
+		})
 	}
 }
 

@@ -548,31 +548,25 @@ func TestCanTuneConstantSpace(t *testing.T) {
 // one cancelled while levels are in flight returns context.Canceled or the
 // complete table, never a partial one.
 func TestSweepCtxCancelled(t *testing.T) {
-	// With the memos on, every sweep after the first would be a lookup that
-	// finishes before any cancellation can land.
-	realizeOn := RealizeCacheEnabled()
-	SetRealizeCacheEnabled(false)
-	defer SetRealizeCacheEnabled(realizeOn)
-	SetRunCacheEnabled(false)
-	defer SetRunCacheEnabled(true)
-
+	// Every sweep takes a fresh owner: on a warm one, every sweep after the
+	// first would be a lookup that finishes before any cancellation can land.
 	p := highPressure(t)
-	r := NewRealizer(device.GTX680(), device.SmallCache)
-	full, err := r.Sweep(p, 128)
+	d := device.GTX680()
+	full, err := NewCaches().NewRealizer(d, device.SmallCache).Sweep(p, 128)
 	if err != nil {
 		t.Fatalf("Sweep: %v", err)
 	}
 
 	goroutines := runtime.NumGoroutine()
-	before := LadderStats()
+	c := NewCaches()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := r.SweepCtx(ctx, p, 128)
+	res, err := c.NewRealizer(d, device.SmallCache).SweepCtx(ctx, p, 128)
 	if !errors.Is(err, context.Canceled) || res != nil {
 		t.Fatalf("SweepCtx under a cancelled context = %d levels, %v; want none and context.Canceled", len(res), err)
 	}
-	if after := LadderStats(); after != before {
-		t.Errorf("a cancelled sweep realized levels: ladder counters %+v -> %+v", before, after)
+	if lad := c.Snapshot().Ladder; lad != (LadderCounters{}) {
+		t.Errorf("a cancelled sweep realized levels: ladder counters %+v", lad)
 	}
 	// ForEachCtx returns only after its workers have, so the count is
 	// already back; a sweep that parked one would sit above it for good.
@@ -582,15 +576,15 @@ func TestSweepCtxCancelled(t *testing.T) {
 
 	canceled := 0
 	for round := 0; round < 8; round++ {
+		c := NewCaches()
 		ctx, cancel := context.WithCancel(context.Background())
-		start := LadderStats().Recolor
 		stop := make(chan struct{})
 		watcher := make(chan struct{})
 		go func() {
 			// Cancel as soon as the first coloring shows the sweep is under
 			// way: some levels are running, the rest not yet dispatched.
 			defer close(watcher)
-			for LadderStats().Recolor == start {
+			for c.Snapshot().Ladder.Recolor == 0 {
 				select {
 				case <-stop:
 					return
@@ -600,7 +594,7 @@ func TestSweepCtxCancelled(t *testing.T) {
 			}
 			cancel()
 		}()
-		res, err := r.SweepCtx(ctx, p, 128)
+		res, err := c.NewRealizer(d, device.SmallCache).SweepCtx(ctx, p, 128)
 		close(stop)
 		<-watcher
 		cancel()

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/interproc"
 	"repro/internal/isa"
@@ -16,23 +15,6 @@ import (
 	"repro/internal/regalloc"
 	"repro/internal/tv"
 )
-
-// Ladder-wide counters (process-global, like the memo-cache counters):
-// how often a budget realization was served from a shared allocation
-// (reuse) and how many per-function colorings ran against prepared
-// analyses (recolor).
-var (
-	ladderReuse   atomic.Uint64
-	ladderRecolor atomic.Uint64
-)
-
-// LadderStats reports the process-wide ladder counters.
-func LadderStats() LadderCounters {
-	return LadderCounters{
-		Reuse:   ladderReuse.Load(),
-		Recolor: ladderRecolor.Load(),
-	}
-}
 
 // budgetKey identifies one realizeWithBudget input pair. Distinct
 // occupancy targets frequently collapse onto the same pair (the occupancy
@@ -58,12 +40,13 @@ type ladderKey struct {
 // liveness, interference graphs, and spill costs are computed once per
 // ladder (regalloc.Prep) and re-colored per register budget. Whole
 // allocations and the programs they produce live in the program's
-// realization (realizeCache), shared by every ladder on the same program
-// and platform: fills are memoized per (register, shared-slot) budget pair
-// and the pair its level started from (ladderKey, DESIGN.md §10), and
-// realized programs are interned by content, so whatever is derived from a
-// binary (isa.Program.Derived) is built once per distinct binary. A Ladder
-// is safe for concurrent use; Sweep and Compile fan levels out over one.
+// realization, which the realizer's Caches holds and shares with every
+// ladder on the same program and platform: fills are memoized per
+// (register, shared-slot) budget pair and the pair its level started from
+// (ladderKey, DESIGN.md §10), and realized programs are interned by
+// content, so whatever is derived from a binary (isa.Program.Derived) is
+// built once per distinct binary. A Ladder is safe for concurrent use;
+// Sweep and Compile fan levels out over one.
 type Ladder struct {
 	r   *Realizer
 	p   *isa.Program
@@ -99,15 +82,15 @@ type optEntry struct {
 }
 
 // NewLadder returns a realization context for p, holding p's realization
-// on the realizer's platform from the process-wide realize cache (a fresh
-// one when the cache is off). Callers that realize a program at several
-// occupancy levels (sweeps, candidate ladders) should share one ladder:
-// the analyses are per ladder, while the budget-pair fills and realized
-// programs are shared with every ladder on the same program and platform.
+// on the realizer's platform from the realizer's Caches. Callers that
+// realize a program at several occupancy levels (sweeps, candidate
+// ladders) should share one ladder: the analyses are per ladder, while the
+// budget-pair fills and realized programs are shared with every ladder on
+// the same program, platform and Caches.
 func (r *Realizer) NewLadder(p *isa.Program) *Ladder {
 	n := len(p.Funcs)
 	key := r.cacheKey(p)
-	re, _ := realizeCache.Do(key, func() (*realization, error) {
+	re, _ := r.owner().realize.Do(key, func() (*realization, error) {
 		return &realization{memo.New[ladderKey, *Version](), memo.New[isa.Fingerprint, *isa.Program]()}, nil
 	})
 	return &Ladder{
@@ -296,7 +279,7 @@ func (l *Ladder) withBudget(start, at budgetKey, x obs.Ctx) (*Version, error) {
 		return l.fillBudget(at.reg, at.shared, x)
 	})
 	if !filled {
-		ladderReuse.Add(1)
+		l.r.owner().ladderReuse.Add(1)
 		x.Metrics().Counter("ladder.reuse").Add(1)
 	}
 	return v, err
@@ -380,7 +363,7 @@ func (l *Ladder) fillBudget(regBudget, sharedSlotBudget int, x obs.Ctx) (*Versio
 			if err != nil {
 				return nil, nil, nil, err
 			}
-			ladderRecolor.Add(1)
+			l.r.owner().ladderRecolor.Add(1)
 			x.Metrics().Counter("ladder.recolor").Add(1)
 			nf, st, err := interproc.OptimizeCtx(a, ipo, lazyBudget, calleeNeed, x)
 			return nf, st, a, err

@@ -22,15 +22,17 @@ import (
 // shared ladder (the incremental path) and once through a fresh ladder per
 // level (no cross-level reuse) — and requires identical outcomes: the same
 // feasibility verdict per level and, for feasible levels, byte-identical
-// Versions (program fingerprint and every realized resource). The
-// process-wide realize cache is disabled by the caller, so both paths
-// actually compile.
+// Versions (program fingerprint and every realized resource). The caller
+// gives inc a fresh owner and the scratch side takes a fresh one per
+// level, so both paths actually compile.
 func diffLadder(t *testing.T, inc, scratch *Realizer, p *isa.Program) {
 	t.Helper()
 	lad := inc.NewLadder(p)
 	for _, lvl := range occupancy.Levels(inc.Dev, p.BlockDim) {
 		vi, errI := lad.Realize(lvl)
-		vs, errS := scratch.Realize(p, lvl)
+		cold := *scratch
+		cold.caches = NewCaches()
+		vs, errS := cold.Realize(p, lvl)
 		if (errI == nil) != (errS == nil) {
 			t.Fatalf("level %d: incremental err=%v, scratch err=%v", lvl, errI, errS)
 		}
@@ -65,14 +67,10 @@ func TestLadderDifferentialKernels(t *testing.T) {
 	if err != nil {
 		t.Fatalf("kernels: %v", err)
 	}
-	wasOn := RealizeCacheEnabled()
-	SetRealizeCacheEnabled(false)
-	defer SetRealizeCacheEnabled(wasOn)
-
 	for _, dev := range []*device.Device{device.GTX680(), device.TeslaC2075()} {
 		for _, k := range ks {
 			t.Run(dev.Name+"/"+k.Name, func(t *testing.T) {
-				inc := NewRealizer(dev, device.SmallCache)
+				inc := NewCaches().NewRealizer(dev, device.SmallCache)
 				inc.Verify = dev.Name == device.GTX680().Name
 				scratch := NewRealizer(dev, device.SmallCache)
 				scratch.Verify = false
@@ -157,13 +155,9 @@ func TestLadderDifferentialCorpus(t *testing.T) {
 	if len(progs) == 0 {
 		t.Fatal("no realizable corpus programs found")
 	}
-	wasOn := RealizeCacheEnabled()
-	SetRealizeCacheEnabled(false)
-	defer SetRealizeCacheEnabled(wasOn)
-
 	d := device.GTX680()
 	for _, p := range progs {
-		inc := NewRealizer(d, device.SmallCache)
+		inc := NewCaches().NewRealizer(d, device.SmallCache)
 		inc.Verify = false
 		scratch := NewRealizer(d, device.SmallCache)
 		scratch.Verify = false
@@ -178,13 +172,9 @@ func TestLadderCountersMove(t *testing.T) {
 	if err != nil {
 		t.Fatalf("kernels: %v", err)
 	}
-	wasOn := RealizeCacheEnabled()
-	SetRealizeCacheEnabled(false)
-	defer SetRealizeCacheEnabled(wasOn)
-
-	before := LadderStats()
 	d := device.GTX680()
-	r := NewRealizer(d, device.SmallCache)
+	c := NewCaches()
+	r := c.NewRealizer(d, device.SmallCache)
 	r.Verify = false
 	lad := r.NewLadder(ks[0].Prog)
 	for _, lvl := range occupancy.Levels(d, ks[0].Prog.BlockDim) {
@@ -195,11 +185,11 @@ func TestLadderCountersMove(t *testing.T) {
 			}
 		}
 	}
-	delta := LadderStats()
-	if delta.Recolor == before.Recolor {
+	work := c.Snapshot().Ladder
+	if work.Recolor == 0 {
 		t.Error("no re-colorings recorded across a full sweep")
 	}
-	if delta.Reuse == before.Reuse {
+	if work.Reuse == 0 {
 		t.Error("no reuse recorded across a full sweep")
 	}
 }
@@ -217,10 +207,6 @@ func TestLadderOrderIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("kernels: %v", err)
 	}
-	wasOn := RealizeCacheEnabled()
-	SetRealizeCacheEnabled(false) // every ladder must realize for itself
-	defer SetRealizeCacheEnabled(wasOn)
-
 	type outcome struct {
 		fp  isa.Fingerprint
 		err string
@@ -230,11 +216,11 @@ func TestLadderOrderIndependent(t *testing.T) {
 		for _, k := range ks {
 			levels := occupancy.Levels(d, k.Prog.BlockDim)
 			sweep := func(visit func(realize func(i int))) ([]outcome, LadderCounters) {
-				r := NewRealizer(d, device.SmallCache)
+				c := NewCaches() // every ladder realizes for itself
+				r := c.NewRealizer(d, device.SmallCache)
 				r.Verify = false
 				lad := r.NewLadder(k.Prog)
 				out := make([]outcome, len(levels))
-				before := SnapshotCacheCounters()
 				visit(func(i int) {
 					if v, err := lad.Realize(levels[i]); err != nil {
 						out[i].err = err.Error()
@@ -242,7 +228,7 @@ func TestLadderOrderIndependent(t *testing.T) {
 						out[i].fp = fingerprintOf(v.Prog)
 					}
 				})
-				return out, SnapshotCacheCounters().Delta(before).Ladder
+				return out, c.Snapshot().Ladder
 			}
 			inOrder := func(order []int) func(func(int)) {
 				return func(realize func(int)) {
@@ -285,11 +271,8 @@ func TestLadderOrderIndependent(t *testing.T) {
 // coloring did, so a compile must report the same pair on every run, and
 // with its candidate levels realized on one goroutine or on several.
 func TestAllocatorWorkDeterminism(t *testing.T) {
-	wasOn := RealizeCacheEnabled()
-	SetRealizeCacheEnabled(false) // every compile must color for itself
-	defer SetRealizeCacheEnabled(wasOn)
 	work := func(p *isa.Program, d *device.Device) [2]uint64 {
-		r := NewRealizer(d, device.SmallCache)
+		r := NewCaches().NewRealizer(d, device.SmallCache) // every compile colors for itself
 		r.Verify = false
 		r.Obs = obs.New()
 		if _, err := r.Compile(p, true); err != nil {

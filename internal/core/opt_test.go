@@ -105,9 +105,6 @@ func TestOptSweepSuiteBothDevices(t *testing.T) {
 // first, so levels realized ascending, descending and concurrently on
 // fresh ladders must yield fingerprint-identical versions.
 func TestOptLadderOrderIndependent(t *testing.T) {
-	wasOn := RealizeCacheEnabled()
-	SetRealizeCacheEnabled(false) // every ladder must realize for itself
-	defer SetRealizeCacheEnabled(wasOn)
 	for _, name := range []string{"hotspot", "cfd", "recursiveGaussian"} {
 		k, err := kernels.ByName(name)
 		if err != nil {
@@ -116,7 +113,7 @@ func TestOptLadderOrderIndependent(t *testing.T) {
 		for _, d := range device.Both() {
 			levels := occupancy.Levels(d, k.Prog.BlockDim)
 			sweep := func(visit func(realize func(i int))) []isa.Fingerprint {
-				r := NewRealizer(d, device.SmallCache)
+				r := NewCaches().NewRealizer(d, device.SmallCache) // every ladder realizes for itself
 				r.Opt = true
 				lad := r.NewLadder(k.Prog)
 				fps := make([]isa.Fingerprint, len(levels))

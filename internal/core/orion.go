@@ -167,7 +167,7 @@ func (r *Realizer) tuneCompiled(cr *CompileResult, lc Launch, x obs.Ctx) (*TuneR
 		if err := r.verifyCandidate(cr, cand, ix); err != nil {
 			return nil, err
 		}
-		st, err := cand.Version.RunAtCtx(r.Dev, r.Cache, cand.TargetWarps,
+		st, err := r.owner().runAt(cand.Version, r.Dev, r.Cache, cand.TargetWarps,
 			&interp.Launch{Prog: cand.Version.Prog, GridWarps: piece.Warps, FirstWarp: piece.FirstWarp}, ix)
 		if err != nil {
 			return nil, err
@@ -319,7 +319,7 @@ func (r *Realizer) sweep(ctx context.Context, p *isa.Program, gridWarps int, x o
 			slots[i].err = err
 			return
 		}
-		st, err := v.RunAtCtx(r.Dev, r.Cache, lvl, &interp.Launch{Prog: v.Prog, GridWarps: gridWarps}, lx)
+		st, err := r.owner().runAt(v, r.Dev, r.Cache, lvl, &interp.Launch{Prog: v.Prog, GridWarps: gridWarps}, lx)
 		if err != nil {
 			slots[i].err = err
 			return
@@ -365,7 +365,7 @@ func (r *Realizer) Baseline(p *isa.Program, gridWarps int) (*Version, *sim.Stats
 		sp.End()
 		return nil, nil, err
 	}
-	st, err := v.RunAtCtx(r.Dev, r.Cache, v.Natural.ActiveWarps,
+	st, err := r.owner().runAt(v, r.Dev, r.Cache, v.Natural.ActiveWarps,
 		&interp.Launch{Prog: v.Prog, GridWarps: gridWarps}, sp.Ctx())
 	if err != nil {
 		sp.End()

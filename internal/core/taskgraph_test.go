@@ -46,7 +46,7 @@ type compileRecord struct {
 
 func recordCompile(t *testing.T, p *isa.Program, d *device.Device, cc device.CacheConfig) compileRecord {
 	t.Helper()
-	r := NewRealizer(d, cc)
+	r := NewCaches().NewRealizer(d, cc) // every compile realizes for itself
 	r.Obs = obs.New()
 	var rec compileRecord
 	// A clone carries no derived state (the input's analysis is memoized on
@@ -111,13 +111,9 @@ func spanTree(t *testing.T, c *obs.Collector) []string {
 // changes when work runs, never what it produces. Every suite kernel on
 // both devices and cache configurations, every realizable fuzz-corpus
 // program, the retry and shared-lint inputs and four random programs
-// compile with the realize cache off on one P and on several, to the same
+// compile on a fresh owner each on one P and on several, to the same
 // fat binary or error, the same counters and the same span tree.
 func TestCompileDeterminismSerialVsParallel(t *testing.T) {
-	wasOn := RealizeCacheEnabled()
-	SetRealizeCacheEnabled(false) // every compile must realize for itself
-	defer SetRealizeCacheEnabled(wasOn)
-
 	type input struct {
 		name string
 		p    *isa.Program
@@ -199,8 +195,10 @@ func waitGoroutines(t *testing.T, what string, base int) {
 // as the original version's failure, and turning the gates off changes no
 // binary that compiles either way.
 func TestCompileErrorPrecedence(t *testing.T) {
-	// Every compile gets a clone: the input's analysis is memoized on the
-	// program, and a memo hit would leave lint nothing to run beside.
+	// Every compile gets a clone and a fresh owner: the input's analysis is
+	// memoized on the program and its realization on the owner, and a memo
+	// hit would leave lint nothing to run beside, or the gated and ungated
+	// compiles one realization.
 	defects, err := kernels.Defects()
 	if err != nil {
 		t.Fatal(err)
@@ -217,9 +215,6 @@ func TestCompileErrorPrecedence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wasOn := RealizeCacheEnabled()
-	SetRealizeCacheEnabled(false) // the gated and ungated compiles must each realize
-	defer SetRealizeCacheEnabled(wasOn)
 	for _, procs := range []int{1, 2} {
 		withProcs(procs, func() {
 			d := device.GTX680()
@@ -231,7 +226,7 @@ func TestCompileErrorPrecedence(t *testing.T) {
 				}
 				rejected++
 				base := runtime.NumGoroutine()
-				_, err := NewRealizer(d, device.SmallCache).Compile(dk.Prog.Clone(), true)
+				_, err := NewCaches().NewRealizer(d, device.SmallCache).Compile(dk.Prog.Clone(), true)
 				waitGoroutines(t, dk.Name, base)
 				var ae *AnalysisError
 				if !errors.As(err, &ae) || ae.TargetWarps != 0 {
@@ -248,7 +243,7 @@ func TestCompileErrorPrecedence(t *testing.T) {
 			}
 
 			base := runtime.NumGoroutine()
-			_, err := NewRealizer(d, device.SmallCache).Compile(infeasible.Clone(), true)
+			_, err := NewCaches().NewRealizer(d, device.SmallCache).Compile(infeasible.Clone(), true)
 			waitGoroutines(t, "infeasible", base)
 			var inf *ErrInfeasible
 			if !errors.As(err, &inf) || !strings.HasPrefix(err.Error(), "compile K: original version: ") {
@@ -257,8 +252,8 @@ func TestCompileErrorPrecedence(t *testing.T) {
 
 			for _, k := range ks {
 				base := runtime.NumGoroutine()
-				on, errOn := NewRealizer(d, device.SmallCache).Compile(k.Prog.Clone(), true)
-				off := NewRealizer(d, device.SmallCache)
+				on, errOn := NewCaches().NewRealizer(d, device.SmallCache).Compile(k.Prog.Clone(), true)
+				off := NewCaches().NewRealizer(d, device.SmallCache)
 				off.Verify, off.Lint = false, LintOff
 				plain, errOff := off.Compile(k.Prog.Clone(), true)
 				waitGoroutines(t, k.Name, base)

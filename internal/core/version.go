@@ -105,11 +105,28 @@ type Realizer struct {
 	// output with Opt false is byte-identical to a realizer without the
 	// field.
 	Opt bool
+
+	caches *Caches // nil (a Realizer literal) means the process default
 }
 
-// NewRealizer returns a Realizer with the full optimization set.
+// NewRealizer returns a Realizer with the full optimization set on the
+// process default Caches.
 func NewRealizer(d *device.Device, cc device.CacheConfig) *Realizer {
-	return &Realizer{Dev: d, Cache: cc, Interproc: interproc.DefaultOptions(), Verify: true, Lint: LintStrict}
+	return defaultCaches.NewRealizer(d, cc)
+}
+
+// NewRealizer returns a Realizer with the full optimization set whose
+// realizations and launches c holds.
+func (c *Caches) NewRealizer(d *device.Device, cc device.CacheConfig) *Realizer {
+	return &Realizer{Dev: d, Cache: cc, Interproc: interproc.DefaultOptions(), Verify: true, Lint: LintStrict, caches: c}
+}
+
+// owner is the Caches the realizer's work goes into.
+func (r *Realizer) owner() *Caches {
+	if r.caches == nil {
+		return defaultCaches
+	}
+	return r.caches
 }
 
 // ErrInfeasible reports that a target occupancy cannot be realized.
@@ -144,10 +161,10 @@ func (r *Realizer) levels(p *isa.Program) ([]int, error) {
 // memory. Functions are allocated caller-first so callee budgets account
 // for the compressed stack heights at their call sites.
 //
-// Realization is memoized process-wide by content: calls with the same
-// (program fingerprint, device, cache config, allocator options) share one
-// realization, so targets that round onto one budget pair share one
-// allocation and one program. The returned Version and its program are
+// Realization is memoized by content in the realizer's Caches: calls with
+// the same (program fingerprint, device, cache config, allocator options)
+// share one realization, so targets that round onto one budget pair share
+// one allocation and one program. The returned Version and its program are
 // immutable.
 //
 // Realize builds a throwaway ladder context per call; callers realizing a
@@ -252,9 +269,9 @@ func addedCost(f *isa.Function) int {
 // no recompilation. Levels above the natural residency are not possible.
 // The launch always runs v.Prog: only lc's GridWarps and FirstWarp are read.
 //
-// The simulator is deterministic, so untraced launches are memoized
-// process-wide by (program fingerprint, device, cache config, level,
-// grid): re-running a tuned candidate or re-measuring a baseline in
+// The simulator is deterministic, so untraced launches are memoized in the
+// process default Caches by (program fingerprint, device, cache config,
+// level, grid): re-running a tuned candidate or re-measuring a baseline in
 // another experiment is a lookup. The returned Stats is shared and must
 // not be mutated.
 func (v *Version) RunAt(d *device.Device, cc device.CacheConfig, targetWarps int, lc *interp.Launch) (*sim.Stats, error) {
@@ -265,6 +282,11 @@ func (v *Version) RunAt(d *device.Device, cc device.CacheConfig, targetWarps int
 // "simulate.cached" span carrying the memoized cycle count; fill paths
 // carry the full "simulate" span from package sim.
 func (v *Version) RunAtCtx(d *device.Device, cc device.CacheConfig, targetWarps int, lc *interp.Launch, x obs.Ctx) (*sim.Stats, error) {
+	return defaultCaches.runAt(v, d, cc, targetWarps, lc, x)
+}
+
+// runAt is RunAtCtx through c's run memo.
+func (c *Caches) runAt(v *Version, d *device.Device, cc device.CacheConfig, targetWarps int, lc *interp.Launch, x obs.Ctx) (*sim.Stats, error) {
 	key := runKey{
 		prog:        fingerprintOf(v.Prog),
 		dev:         d.Fingerprint(),
@@ -274,7 +296,7 @@ func (v *Version) RunAtCtx(d *device.Device, cc device.CacheConfig, targetWarps 
 		firstWarp:   lc.FirstWarp,
 	}
 	filled := false
-	st, err := runCache.Do(key, func() (*sim.Stats, error) {
+	st, err := c.run.Do(key, func() (*sim.Stats, error) {
 		filled = true
 		return v.simulate(d, cc, targetWarps, lc, false, x)
 	})

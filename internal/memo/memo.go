@@ -1,9 +1,10 @@
 // Package memo provides a content-addressed, single-flight memoization
-// table. It backs the realization cache in package core: expensive
-// computations keyed by a value that fully determines their output run at
-// most once per distinct key, including under concurrency — callers that
-// race on the same key block on the first computation instead of
-// duplicating it.
+// table. It backs the realize and run memos of a core.Caches owner and the
+// ladder's per-realization tables: expensive computations keyed by a value
+// that fully determines their output run at most once per distinct key,
+// including under concurrency — callers that race on the same key block
+// on the first computation instead of duplicating it. A table has no off
+// switch; whoever wants a cold run takes a fresh table.
 package memo
 
 import (
@@ -22,9 +23,6 @@ type Cache[K comparable, V any] struct {
 	entries map[K]*entry[V]
 	hits    atomic.Uint64
 	misses  atomic.Uint64
-	// disabled flips the cache into pass-through mode (every Do calls fn);
-	// used by tests and the cache-off determinism comparisons.
-	disabled atomic.Bool
 }
 
 // entry is one key's computation. done is closed exactly once, when the
@@ -38,15 +36,14 @@ type entry[V any] struct {
 	panicked any // non-nil iff fn panicked; the recovered value
 }
 
-// New returns an empty, enabled cache.
+// New returns an empty cache.
 func New[K comparable, V any]() *Cache[K, V] {
 	return &Cache[K, V]{entries: make(map[K]*entry[V])}
 }
 
 // Do returns the cached result for key, computing it with fn on the first
 // call. Concurrent calls with the same key run fn once; the rest wait and
-// share the result. With the cache disabled, Do is fn() and no counters
-// move.
+// share the result.
 //
 // If fn panics, the panic propagates to the caller that ran fn and to
 // every caller waiting on the same key, and the entry is dropped — a
@@ -54,9 +51,6 @@ func New[K comparable, V any]() *Cache[K, V] {
 // value. fn must not call Do with the same key or Reset on the same cache
 // (both would deadlock, exactly like a self-referential computation).
 func (c *Cache[K, V]) Do(key K, fn func() (V, error)) (V, error) {
-	if c.disabled.Load() {
-		return fn()
-	}
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if !ok {
@@ -134,10 +128,3 @@ func (c *Cache[K, V]) Reset() {
 	c.hits.Store(0)
 	c.misses.Store(0)
 }
-
-// SetEnabled toggles the cache. Disabling does not drop existing entries;
-// re-enabling serves them again.
-func (c *Cache[K, V]) SetEnabled(on bool) { c.disabled.Store(!on) }
-
-// Enabled reports whether the cache is serving entries.
-func (c *Cache[K, V]) Enabled() bool { return !c.disabled.Load() }

@@ -45,27 +45,6 @@ func TestErrorsAreCached(t *testing.T) {
 	}
 }
 
-func TestDisabledIsPassThrough(t *testing.T) {
-	c := New[int, int]()
-	c.SetEnabled(false)
-	var calls int
-	for i := 0; i < 3; i++ {
-		if v, _ := c.Do(1, func() (int, error) { calls++; return calls, nil }); v != calls {
-			t.Fatalf("disabled Do did not call fn fresh")
-		}
-	}
-	if calls != 3 {
-		t.Errorf("fn ran %d times, want 3 when disabled", calls)
-	}
-	if h, m := c.Stats(); h != 0 || m != 0 {
-		t.Errorf("disabled cache moved counters: %d/%d", h, m)
-	}
-	c.SetEnabled(true)
-	if !c.Enabled() {
-		t.Error("re-enable failed")
-	}
-}
-
 func TestReset(t *testing.T) {
 	c := New[int, int]()
 	c.Do(1, func() (int, error) { return 1, nil })
@@ -267,45 +246,4 @@ func TestResetDoRace(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-}
-
-// TestSetEnabledDoInterleavings toggles the cache while Do traffic is in
-// flight (run under -race): every call must return the correct value for
-// its key regardless of which mode it lands in, and re-enabling must
-// serve entries cached before the disable.
-func TestSetEnabledDoInterleavings(t *testing.T) {
-	c := New[int, int]()
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				k := i % 4
-				v, err := c.Do(k, func() (int, error) { return k * 10, nil })
-				if err != nil || v != k*10 {
-					t.Errorf("Do(%d) = %d, %v", k, v, err)
-					return
-				}
-			}
-		}()
-	}
-	for i := 0; i < 200; i++ {
-		c.SetEnabled(i%2 == 0)
-	}
-	c.SetEnabled(true)
-	close(stop)
-	wg.Wait()
-	for k := 0; k < 4; k++ {
-		v, err := c.Do(k, func() (int, error) { return -1, nil })
-		if err != nil || (v != k*10 && v != -1) {
-			t.Errorf("post-toggle Do(%d) = %d, %v", k, v, err)
-		}
-	}
 }

@@ -20,9 +20,9 @@ type call struct {
 }
 
 // Flight coalesces concurrent requests for the same artifact key into
-// one pool task, layered over the ladder's process-wide single-flight
-// memo: where the memo dedupes individual realizations, Flight dedupes
-// whole requests, so sixty-four identical POSTs cost one tune.
+// one pool task, layered over the daemon's single-flight realize memo
+// (core.Caches): where the memo dedupes individual realizations, Flight
+// dedupes whole requests, so sixty-four identical POSTs cost one tune.
 //
 // Cancellation is refcounted: each waiter that gives up (client
 // disconnect) decrements the count, and when the last one leaves, the

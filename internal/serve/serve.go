@@ -10,8 +10,8 @@
 //   - a content-addressed artifact store (internal/store) keyed by the
 //     program/device fingerprints, so restarts and replicas share a warm
 //     cache and repeat requests are served from disk byte-identically;
-//   - request coalescing (Flight) on top of the realizer's process-wide
-//     single-flight memo, so identical concurrent POSTs cost one tune;
+//   - request coalescing (Flight) on top of the daemon's own core.Caches
+//     single-flight memos, so identical concurrent POSTs cost one tune;
 //   - a bounded worker pool (Pool) with backpressure — a full queue is an
 //     immediate 429, and a request whose client disconnects cancels any
 //     pending ladder work it alone was waiting for;
@@ -60,6 +60,7 @@ type Server struct {
 	cfg     Config
 	pool    *Pool
 	flight  *Flight
+	caches  *core.Caches // the realize and run memos, owned by this daemon
 	metrics *obs.Registry
 	mux     *http.ServeMux
 	start   time.Time
@@ -83,6 +84,7 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		pool:    NewPool(workers, queue),
 		flight:  NewFlight(),
+		caches:  core.NewCaches(),
 		metrics: obs.NewRegistry(),
 		mux:     http.NewServeMux(),
 		start:   time.Now(),
@@ -112,6 +114,7 @@ type request struct {
 	cache  device.CacheConfig
 	lint   core.LintMode
 	trace  bool
+	caches *core.Caches // the server's
 }
 
 // badRequest marks client errors (unparsable kernels, unknown devices)
@@ -187,6 +190,7 @@ func (s *Server) parseRequest(req *http.Request) (*request, error) {
 		cache:  cc,
 		lint:   lint,
 		trace:  q.Get("trace") != "",
+		caches: s.caches,
 	}, nil
 }
 
@@ -198,10 +202,10 @@ func valueOr(v, def string) string {
 }
 
 // realizer builds a fresh per-request realizer; the expensive state (the
-// realization and run memos) is process-global and fingerprint-keyed, so
-// per-request construction costs nothing.
+// realization and run memos) lives in the server's fingerprint-keyed
+// Caches, so per-request construction costs nothing.
 func (r *request) realizer(col *obs.Collector) *core.Realizer {
-	rz := core.NewRealizer(r.dev, r.cache)
+	rz := r.caches.NewRealizer(r.dev, r.cache)
 	rz.Verify = r.params.Verify
 	rz.Lint = r.lint
 	rz.Obs = col
@@ -487,9 +491,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, req *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, req *http.Request) {
-	// Fold the process-wide memo-cache counters into the registry at
-	// snapshot time, the same way the CLI's -metrics export does.
-	core.PublishCacheMetrics(s.metrics)
+	// Fold this daemon's memo-cache counters into the registry at snapshot
+	// time, the same way the CLI's -metrics export does the process's.
+	s.caches.Publish(s.metrics)
 	resp := struct {
 		Metrics obs.MetricsSnapshot `json:"metrics"`
 		Store   store.Stats         `json:"store"`

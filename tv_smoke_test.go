@@ -22,19 +22,17 @@ func TestTVSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The realize cache would swallow repeated realizations from earlier
-	// tests in the same binary; bypass it so every level actually runs the
-	// pipeline, and take the TV counters' delta so the assertion covers
-	// exactly this sweep.
-	wasOn := core.RealizeCacheEnabled()
-	core.SetRealizeCacheEnabled(false)
-	defer core.SetRealizeCacheEnabled(wasOn)
+	// The default owner's realize cache would swallow repeated
+	// realizations from earlier tests in the same binary; a fresh owner
+	// makes every level actually run the pipeline, and the TV counters'
+	// delta makes the assertion cover exactly this sweep.
+	caches := core.NewCaches()
 	checked0, rejected0, _ := tv.Counters()
 
 	levels := 0
 	for _, d := range orion.Devices() {
 		for _, k := range ks {
-			r := orion.NewRealizer(d, orion.SmallCache)
+			r := caches.NewRealizer(d, orion.SmallCache)
 			r.Opt = true
 			lad := r.NewLadder(k.Prog)
 			for _, lvl := range orion.OccupancyLevels(d, k.Prog.BlockDim) {
